@@ -46,6 +46,24 @@ def _read_json(path):
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
 
 
+def _int_field(obj, key, where, default=None, minimum=None):
+    """An integer field of a JSON object; anything else is a ParseError.
+
+    Takes what int() takes (JSON integers, decimal strings) except bools
+    and fractional floats; a missing field takes `default`.
+    """
+    value = obj.get(key, default)
+    try:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise TypeError(value)
+        out = int(value)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: {key!r} must be an integer, got {value!r}") from exc
+    if minimum is not None and out < minimum:
+        raise ParseError(f"{where}: {key!r} must be >= {minimum}, got {out}")
+    return out
+
+
 def _parse_value_vector(dim, value, where):
     if not isinstance(value, dict):
         raise ParseError(f"{where}: value must be an object mapping index -> rational")
@@ -64,7 +82,7 @@ def _parse_value_vector(dim, value, where):
 def algebra_from_dict(data) -> LieYamagutiAlgebra:
     if not isinstance(data, dict) or "dim" not in data:
         raise ParseError("algebra object needs a 'dim' field")
-    dim = int(data["dim"])
+    dim = _int_field(data, "dim", "algebra", minimum=0)
     names = data.get("basis")
     binary = [[None] * dim for _ in range(dim)]
     ternary = [[[None] * dim for _ in range(dim)] for _ in range(dim)]
@@ -101,17 +119,15 @@ def algebra_from_dict(data) -> LieYamagutiAlgebra:
 
     for pos, entry in enumerate(data.get("binary", [])):
         where = f"binary[{pos}]"
-        try:
-            i, j = int(entry["i"]), int(entry["j"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{where}: needs integer 'i' and 'j'") from exc
+        if not isinstance(entry, dict):
+            raise ParseError(f"{where}: needs integer 'i' and 'j'")
+        i, j = (_int_field(entry, key, where) for key in "ij")
         put2(i, j, _parse_value_vector(dim, entry.get("value", {}), where), where)
     for pos, entry in enumerate(data.get("ternary", [])):
         where = f"ternary[{pos}]"
-        try:
-            i, j, k = int(entry["i"]), int(entry["j"]), int(entry["k"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{where}: needs integer 'i', 'j', 'k'") from exc
+        if not isinstance(entry, dict):
+            raise ParseError(f"{where}: needs integer 'i', 'j', 'k'")
+        i, j, k = (_int_field(entry, key, where) for key in "ijk")
         put3(i, j, k, _parse_value_vector(dim, entry.get("value", {}), where), where)
 
     z = vzero(dim)
@@ -164,9 +180,11 @@ def load_operator(path) -> Matrix:
     data = _read_json(path)
     if not isinstance(data, dict) or "entries" not in data:
         raise ParseError(f"{path}: operator file needs 'rows', 'cols', 'entries'")
-    rows, cols = int(data["rows"]), int(data["cols"])
+    rows, cols = (_int_field(data, key, path, minimum=0) for key in ("rows", "cols"))
     entries = data["entries"]
-    if isinstance(entries[0], list):
+    if not isinstance(entries, list):
+        raise ParseError(f"{path}: 'entries' must be an array")
+    if entries and isinstance(entries[0], list):
         mat = matrix_from_rows(entries, where=path)
     else:
         if len(entries) != rows * cols:
@@ -198,11 +216,11 @@ def representation_from_dict(data, base_dir=".") -> tuple[LieYamagutiAlgebra, Re
     if special == "coadjoint":
         return alg, coadjoint_rep(alg, check=False)
     if special == "zero":
-        m = int(data.get("module_dim", alg.dim))
+        m = _int_field(data, "module_dim", "representation", default=alg.dim, minimum=0)
         return alg, Representation.zero(alg.dim, m)
     if special is not None:
         raise ParseError(f"unknown special representation {special!r}")
-    m = int(data["module_dim"])
+    m = _int_field(data, "module_dim", "representation", minimum=0)
     rho = data.get("rho")
     mu = data.get("mu")
     if not isinstance(rho, list) or len(rho) != alg.dim:

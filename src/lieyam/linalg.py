@@ -91,6 +91,25 @@ class Matrix:
         cols = [tuple(c) for c in cols]
         return cls(tuple(zip(*cols))) if cols else cls(())
 
+    @classmethod
+    def from_linear_forms(cls, forms, ncols):
+        """Matrix whose row i holds the coefficients of the linear form forms[i].
+
+        A form is a LinComb over the column indices, or a zero scalar (a
+        zero row); a nonzero bare scalar has no column and is rejected.
+        """
+        zero_row = [0] * ncols
+        rows = []
+        for form in forms:
+            row = list(zero_row)
+            if isinstance(form, LinComb):
+                for col, v in form.terms.items():
+                    row[col] = v
+            elif not is_zero(form):
+                raise AssertionError("symbolic evaluation produced a bare nonzero scalar")
+            rows.append(row)
+        return cls(rows)
+
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]

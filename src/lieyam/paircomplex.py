@@ -18,10 +18,15 @@ The coboundary has two implementations:
 
 * the *lifted* path (reference): embed into the Yamaguti complex of the
   semidirect product with adjoint coefficients, apply its coboundary,
-  and project back.  Projection verifies membership in the lifted
-  subspace on every basis tuple and raises NotInSubcomplexError with a
-  witness otherwise -- per-instance verification of the subcomplex
-  property.
+  and project back.  The path is generic over the entry ring: scalar
+  entries give the coboundary of one cochain, and the basis cochain
+  whose flat coordinate j is the linear form e_j gives the whole
+  coboundary matrix in one pass.  Projection verifies membership in the
+  lifted subspace on every entry -- once for the whole matrix, which by
+  linearity is the check on every basis column -- and raises
+  NotInSubcomplexError with a witness (for a matrix, the first offending
+  column) otherwise.  The semidirect complex is built once per pair and
+  kept on it.
 * the *direct* path: closed formulas at degrees 1 and 2, written out
   component by component.  Published versions of these formulas leave
   several index conventions ambiguous; the expansions implemented here
@@ -39,12 +44,13 @@ from .errors import (
     NotInSubcomplexError,
     UnsupportedDegreeError,
 )
-from .linalg import Matrix, vadd, vneg, vscale, vsub, vzero
+from .linalg import LinComb, Matrix, lincomb_is_zero, vadd, vneg, vscale, vsub, vzero
 from .reps import LieYRepPair, adjoint_rep
 from .scalars import is_zero
 from .yamaguti import (
     YamagutiCochain,
     _Complex,
+    _delta_in,
     delta,
     wedge_dim,
     wedge_index_map,
@@ -220,16 +226,16 @@ def random_pair_cochain(pair: LieYRepPair, degree, rng, lo=-3, hi=3):
 
 
 class _PairComplex:
-    """Cached semidirect data and wedge-classification tables for one pair."""
+    """Semidirect complex and wedge-classification tables for one pair."""
 
     def __init__(self, pair: LieYRepPair):
-        self.pair = pair
         self.n = pair.dim_g
         self.m = pair.dim_v
         self.w = wedge_dim(self.n)
         self.mx = self.n * self.m
         self.E = pair.semidirect()
         self.adjE = adjoint_rep(self.E)
+        self.cx = _Complex(self.E, self.adjE)
         self.dimE = self.E.dim
         self.pairsE = wedge_pairs(self.dimE)
         self.widxE = wedge_index_map(self.dimE)
@@ -258,16 +264,11 @@ class _PairComplex:
         return [(self.widx_g[(x, c)], -1)]
 
 
-_pair_complex_cache: dict[int, _PairComplex] = {}
-
-
 def _pc(pair: LieYRepPair) -> _PairComplex:
-    key = id(pair)
-    pc = _pair_complex_cache.get(key)
-    if pc is None or pc.pair is not pair:
-        pc = _PairComplex(pair)
-        _pair_complex_cache[key] = pc
-    return pc
+    """The pair's semidirect complex, built on first use and kept on the pair."""
+    if pair._pair_complex is None:
+        pair._pair_complex = _PairComplex(pair)
+    return pair._pair_complex
 
 
 def lift(pair: LieYRepPair, c: PairCochain) -> YamagutiCochain:
@@ -414,57 +415,81 @@ def _extract(pc, lifted, name, idx, k):
 
 
 def _verify_lift(pair, projected, lifted):
+    """Check lifted == lift(projected) entry by entry, over any entry ring.
+
+    With linear-form entries (a whole coboundary matrix) the check covers
+    every basis column at once; the witness names the first offending
+    column and gives its coefficients at the first entry where they differ.
+    """
     relift = lift(pair, projected)
     if lifted.degree == 1:
-        if relift.f != lifted.f:
-            for i in range(lifted.adim):
-                for j in range(lifted.adim):
-                    if not is_zero(relift.f[i, j] - lifted.f[i, j]):
-                        raise NotInSubcomplexError(
-                            "degree-1 semidirect cochain mixes the g and V blocks",
-                            witness={"entry": (i, j)},
-                        )
+        parts = [("degree-1 semidirect cochain mixes the g and V blocks",
+                  [x for row in relift.f.data for x in row],
+                  [x for row in lifted.f.data for x in row])]
+    else:
+        parts = [("semidirect cochain is not in the lifted subspace (f part)",
+                  relift.f_flat, lifted.f_flat),
+                 ("semidirect cochain is not in the lifted subspace (g part)",
+                  relift.g_flat, lifted.g_flat)]
+    hit = None
+    for message, expected, found in parts:
+        for pos, (a, b) in enumerate(zip(expected, found)):
+            diff = a - b
+            if lincomb_is_zero(diff):
+                continue
+            col = min(diff.terms) if isinstance(diff, LinComb) else -1
+            if hit is None or col < hit[0]:
+                hit = (col, message, pos, a, b)
+    if hit is None:
         return
-    for pos, (a, b) in enumerate(zip(relift.f_flat, lifted.f_flat)):
-        if not is_zero(a - b):
-            raise NotInSubcomplexError(
-                "semidirect cochain is not in the lifted subspace (f part)",
-                witness={"flat_index": pos, "expected": a, "found": b},
-            )
-    for pos, (a, b) in enumerate(zip(relift.g_flat, lifted.g_flat)):
-        if not is_zero(a - b):
-            raise NotInSubcomplexError(
-                "semidirect cochain is not in the lifted subspace (g part)",
-                witness={"flat_index": pos, "expected": a, "found": b},
-            )
+    col, message, pos, a, b = hit
+    where = {"entry": divmod(pos, lifted.adim)} if lifted.degree == 1 else {"flat_index": pos}
+    if col < 0:
+        witness = {**where, "expected": a, "found": b}
+    else:
+        witness = {"column": col, **where,
+                   "expected": _coefficient(a, col), "found": _coefficient(b, col)}
+    raise NotInSubcomplexError(message, witness=witness)
+
+
+def _coefficient(x, col):
+    return x.terms.get(col, 0) if isinstance(x, LinComb) else x
 
 
 # ---------------------------------------------------------------------------
 # coboundary, lifted path
 
 
+def _check_cap(degree, cap):
+    if degree + 1 > cap:
+        raise DegreeCapExceededError(f"degree {degree + 1} exceeds pair cap {cap}")
+
+
+def _delta_through_lift(pair: LieYRepPair, c: PairCochain) -> PairCochain:
+    """project o delta_E o lift, over the entry ring of c."""
+    return project(pair, _delta_in(_pc(pair).cx, lift(pair, c)))
+
+
 def pair_delta_lifted(pair: LieYRepPair, c: PairCochain,
                       cap: int = DEFAULT_PAIR_CAP) -> PairCochain:
     """Coboundary via the semidirect embedding (reference implementation)."""
-    if c.degree + 1 > cap:
-        raise DegreeCapExceededError(f"degree {c.degree + 1} exceeds pair cap {cap}")
-    pc = _pc(pair)
-    lifted = lift(pair, c)
-    dl = delta(pc.E, pc.adjE, lifted, cap=c.degree + 1)
-    return project(pair, dl)
+    _check_cap(c.degree, cap)
+    return _delta_through_lift(pair, c)
 
 
 def pair_delta_matrix(pair: LieYRepPair, degree: int,
                       cap: int = DEFAULT_PAIR_CAP) -> Matrix:
-    """Matrix of the pair coboundary in the canonical flat bases."""
+    """Matrix of the pair coboundary in the canonical flat bases.
+
+    One pass of the lifted path over the basis cochain whose flat
+    coordinate j is the linear form e_j; column j is the coboundary of
+    the j-th basis cochain.
+    """
+    _check_cap(degree, cap)
     size = pair_cochain_dim(pair.dim_g, pair.dim_v, degree)
-    cols = []
-    for j in range(size):
-        coords = [0] * size
-        coords[j] = 1
-        basis = PairCochain.unflatten(degree, pair.dim_g, pair.dim_v, coords)
-        cols.append(pair_delta_lifted(pair, basis, cap=cap).flatten())
-    return Matrix.from_cols(cols)
+    basis = PairCochain.unflatten(degree, pair.dim_g, pair.dim_v,
+                                  [LinComb.unit(j) for j in range(size)])
+    return Matrix.from_linear_forms(_delta_through_lift(pair, basis).flatten(), size)
 
 
 def pair_cohomology_dim(pair: LieYRepPair, degree: int,
@@ -732,7 +757,3 @@ def _direct_deg2(pair: LieYRepPair, c: PairCochain) -> PairCochain:
                         val = [a - sgn * t for a, t in zip(val, term)]
                     out.set_value("c3g2", (w1, x * m + b, z), val)
     return out
-
-
-def _unit_v(m, b):
-    return tuple(1 if i == b else 0 for i in range(m))

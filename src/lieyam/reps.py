@@ -359,6 +359,9 @@ class LieYRepPair:
                     f"representation fails: {[c.name for c in rr.checks if not c.ok]}"
                 )
         self.d = derived_D(algebra, rep)
+        # the pair complex's semidirect tables, built on first use by
+        # lieyam.paircomplex and freed with the pair
+        self._pair_complex = None
 
     @property
     def dim_g(self):

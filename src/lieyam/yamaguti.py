@@ -282,11 +282,15 @@ def _vzero_like(m):
 def delta(alg: LieYamagutiAlgebra, rep: Representation, c: YamagutiCochain,
           cap: int = DEFAULT_DEGREE_CAP) -> YamagutiCochain:
     """Coboundary of a cochain (degree p -> p+1)."""
-    cx = _Complex(alg, rep)
-    if c.adim != cx.adim or c.mdim != cx.mdim:
-        raise DimMismatchError("cochain does not match the complex")
     if c.degree + 1 > cap:
         raise DegreeCapExceededError(f"degree {c.degree + 1} exceeds cap {cap}")
+    return _delta_in(_Complex(alg, rep), c)
+
+
+def _delta_in(cx: _Complex, c: YamagutiCochain) -> YamagutiCochain:
+    """Coboundary of a cochain in a prebuilt complex, over c's entry ring."""
+    if c.adim != cx.adim or c.mdim != cx.mdim:
+        raise DimMismatchError("cochain does not match the complex")
     if c.degree == 1:
         feval = lambda x: list(c.f.col(x))  # noqa: E731
         geval = None
@@ -437,45 +441,12 @@ def delta_matrix(alg: LieYamagutiAlgebra, rep: Representation, p: int,
     Assembled in one pass by running the evaluation engine over sparse
     linear forms; agrees with applying delta to each basis cochain.
     """
-    cx = _Complex(alg, rep)
     if p + 1 > cap:
         raise DegreeCapExceededError(f"degree {p + 1} exceeds cap {cap}")
-    m = cx.mdim
-    if p == 1:
-        feval = lambda x: [LinComb.unit(x * m + o) for o in range(m)]  # noqa: E731
-        geval = None
-    else:
-        n = p - 1
-
-        def _fpos(wtup):
-            pos = 0
-            for wi in wtup:
-                pos = pos * cx.wdim + wi
-            return pos
-
-        fsize = cx.wdim**n * m
-
-        def feval(wtup):
-            base = _fpos(wtup) * m
-            return [LinComb.unit(base + o) for o in range(m)]
-
-        def geval(wtup, z):
-            base = fsize + (_fpos(wtup) * cx.adim + z) * m
-            return [LinComb.unit(base + o) for o in range(m)]
-
-    f_out, g_out = _delta_eval(cx, p, feval, geval)
-    ncols = cochain_dim(cx.adim, m, p)
-    rows = []
-    zero_row = [0] * ncols
-    for entry in f_out + g_out:
-        row = list(zero_row)
-        if isinstance(entry, LinComb):
-            for col, v in entry.terms.items():
-                row[col] = v
-        elif not is_zero(entry):
-            raise AssertionError("symbolic evaluation produced a bare nonzero scalar")
-        rows.append(row)
-    return Matrix(rows)
+    size = cochain_dim(alg.dim, rep.module_dim, p)
+    basis = YamagutiCochain.unflatten(p, alg.dim, rep.module_dim,
+                                      [LinComb.unit(j) for j in range(size)])
+    return Matrix.from_linear_forms(_delta_in(_Complex(alg, rep), basis).flatten(), size)
 
 
 def cohomology_dim(alg: LieYamagutiAlgebra, rep: Representation, p: int,

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from lieyam import LieYRepPair, adjoint_rep, coadjoint_rep
-from lieyam.search import catalog_algebra
+from lieyam import LieYRepPair, adjoint_rep, coadjoint_rep, semidirect
+from lieyam.search import catalog_algebra, random_valid_pair
+
+CORPUS_SEED = 20250810
 
 
 @pytest.fixture(scope="session")
@@ -34,3 +36,19 @@ def sl2():
 @pytest.fixture()
 def rng():
     return random.Random(20250810)
+
+
+@pytest.fixture(scope="session")
+def corpus():
+    """The acceptance corpus: (A2, adjoint), (A2, coadjoint), the 4-dim
+    semidirect A2 x ad with its adjoint, and 20 random pairs of dim <= 3."""
+    a2 = catalog_algebra("a2")
+    pairs = [
+        LieYRepPair(a2, adjoint_rep(a2)),
+        LieYRepPair(a2, coadjoint_rep(a2)),
+    ]
+    sd = semidirect(a2, adjoint_rep(a2))
+    pairs.append(LieYRepPair(sd, adjoint_rep(sd)))
+    rng = random.Random(CORPUS_SEED)
+    pairs.extend(random_valid_pair(rng, max_dim=3) for _ in range(20))
+    return pairs

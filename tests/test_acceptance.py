@@ -10,7 +10,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
 import sympy
 
 from lieyam import (
@@ -22,7 +21,6 @@ from lieyam import (
     coadjoint_rep,
     check_derived_identities,
     check_representation,
-    semidirect,
 )
 from lieyam.algebra import is_nijenhuis
 from lieyam.deform import (
@@ -62,7 +60,6 @@ from lieyam.rotabaxter import (
 )
 from lieyam.search import (
     catalog_algebra,
-    random_valid_pair,
     search_quadratic_fixtures,
     search_rbn_triples,
 )
@@ -76,21 +73,6 @@ def report_line(num, label, ok, elapsed):
     status = "PASS" if ok else "FAIL"
     print(f"[criterion {num}] {label}: {status} ({elapsed:.2f} s)")
     assert ok, f"criterion {num} failed: {label}"
-
-
-@pytest.fixture(scope="module")
-def corpus():
-    """(A2, adjoint), (A2, coadjoint), the 4-dim semidirect, 20 random pairs."""
-    a2 = catalog_algebra("a2")
-    pairs = [
-        LieYRepPair(a2, adjoint_rep(a2)),
-        LieYRepPair(a2, coadjoint_rep(a2)),
-    ]
-    sd = semidirect(a2, adjoint_rep(a2))
-    pairs.append(LieYRepPair(sd, adjoint_rep(sd)))
-    rng = random.Random(SEED)
-    pairs.extend(random_valid_pair(rng, max_dim=3) for _ in range(20))
-    return pairs
 
 
 def test_criterion_1_axiom_fixtures():

@@ -51,6 +51,32 @@ def test_parse_error_exit2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind, payload", [
+    ("algebra", {"dim": "abc"}),
+    ("algebra", {"dim": 2.5}),
+    ("algebra", {"dim": -1}),
+    ("algebra", {"dim": 2, "binary": [{"i": "x", "j": 1, "value": {}}]}),
+    ("pair", {"algebra": {"dim": 2}, "module_dim": "two", "rho": [], "mu": []}),
+    ("pair", {"algebra": {"dim": 2}, "special": "zero", "module_dim": None}),
+])
+def test_bad_integer_field_exit2(capsys, tmp_path, kind, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out = run_cli("check", kind, str(path), capsys=capsys)
+    assert code == 2
+    assert out.out == ""
+    assert len(out.err.strip().splitlines()) == 1 and "Traceback" not in out.err
+    assert "must be" in out.err
+
+
+def test_bad_operator_size_exit2(capsys, tmp_path):
+    op = tmp_path / "T.json"
+    op.write_text(json.dumps({"rows": "2", "cols": "abc", "entries": ["0"] * 4}))
+    code, out = run_cli("verify-rbo", "--pair", fx("A2-adjoint.json"), "--T", str(op), capsys=capsys)
+    assert code == 2
+    assert len(out.err.strip().splitlines()) == 1 and "'cols' must be an integer" in out.err
+
+
 def test_usage_error_exit2():
     proc = subprocess.run(
         [sys.executable, "-m", "lieyam.cli", "no-such-command"],

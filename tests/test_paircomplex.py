@@ -1,10 +1,13 @@
+import gc
 import random
+import weakref
 
 import pytest
 import sympy
 
 from lieyam import LieYRepPair, Matrix, Representation, adjoint_rep, coadjoint_rep
 from lieyam.errors import DegreeCapExceededError, NotInSubcomplexError, UnsupportedDegreeError
+from lieyam.linalg import LinComb
 from lieyam.paircomplex import (
     PairCochain,
     lift,
@@ -92,6 +95,17 @@ def test_not_in_subcomplex_detected(pairs):
     with pytest.raises(NotInSubcomplexError):
         project(P, raw2)
 
+    # linear-form entries check every basis column at once; the witness
+    # names the lowest offending column, here not the first bad entry
+    size = pair_cochain_dim(2, 2, 2)
+    symbolic = lift(P, PairCochain.unflatten(2, 2, 2, [LinComb.unit(j) for j in range(size)]))
+    project(P, symbolic)  # a member
+    symbolic.f_flat[1 * 4 + 0] = symbolic.f_flat[1 * 4 + 0] + LinComb({20: 1})
+    symbolic.f_flat[5 * 4 + 2] = symbolic.f_flat[5 * 4 + 2] + LinComb({7: 3})
+    with pytest.raises(NotInSubcomplexError) as err:
+        project(P, symbolic)
+    assert err.value.witness == {"column": 7, "flat_index": 5 * 4 + 2, "expected": 0, "found": 3}
+
 
 def test_delta_lifted_squares_to_zero(pairs, rng):
     for P in pairs:
@@ -117,6 +131,8 @@ def test_direct_unsupported_degree(pairs):
 def test_degree_cap(pairs):
     with pytest.raises(DegreeCapExceededError):
         pair_delta_lifted(pairs[0], zero_pair_cochain(pairs[0], 3))  # default cap 3
+    with pytest.raises(DegreeCapExceededError):
+        pair_delta_matrix(pairs[0], 3)
     pair_delta_lifted(pairs[0], zero_pair_cochain(pairs[0], 3), cap=4)
 
 
@@ -155,3 +171,42 @@ def test_flatten_roundtrip(pairs, rng):
     for degree in (1, 2, 3):
         c = random_pair_cochain(P, degree, rng)
         assert PairCochain.unflatten(degree, P.dim_g, P.dim_v, c.flatten()) == c
+
+
+# The one-pass matrix against the per-cochain path, column by column.  The
+# per-column reference is slow at degree 3, so large matrices are checked
+# on a seeded sample of columns.
+MAX_PAIR_DIM = {1: 8, 2: 6, 3: 5}
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_matrix_columns_match_per_cochain_path(corpus, degree):
+    rng = random.Random(degree)
+    for P in corpus:
+        if P.dim_g + P.dim_v > MAX_PAIR_DIM[degree]:
+            continue
+        mat = pair_delta_matrix(P, degree, cap=4)
+        size = pair_cochain_dim(P.dim_g, P.dim_v, degree)
+        assert mat.cols == size
+        cols = range(size) if size <= 40 else sorted(rng.sample(range(size), 12))
+        for j in cols:
+            e_j = PairCochain.unflatten(degree, P.dim_g, P.dim_v,
+                                        [1 if i == j else 0 for i in range(size)])
+            assert mat.col(j) == tuple(pair_delta_lifted(P, e_j, cap=4).flatten())
+
+
+def test_pair_complex_owned_by_pair():
+    """The semidirect complex is built once per pair and freed with it."""
+    a2 = catalog_algebra("a2")
+    P = LieYRepPair(a2, adjoint_rep(a2))
+    pair_delta_matrix(P, 1)
+    pc = P._pair_complex
+    assert pc is not None
+    pair_delta_matrix(P, 2)
+    pair_delta_lifted(P, zero_pair_cochain(P, 2))
+    pair_cohomology_dim(P, 2)
+    assert P._pair_complex is pc
+    pair_ref, pc_ref = weakref.ref(P), weakref.ref(pc)
+    del P, pc
+    gc.collect()
+    assert pair_ref() is None and pc_ref() is None
