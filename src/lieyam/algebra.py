@@ -21,7 +21,7 @@ from itertools import product
 
 from .errors import AntisymmetryError, DimMismatchError
 from .linalg import Matrix, Tensor, vadd, vec_is_zero, vscale, vsub, vzero
-from .report import VerificationReport
+from .report import VerificationReport, first_violation
 from .scalars import is_zero
 
 LAWS = {
@@ -214,78 +214,58 @@ class LieYamagutiAlgebra:
     def check_axioms(self) -> VerificationReport:
         """Verify the four defining identities on all basis tuples."""
         n = self.dim
-        rep = VerificationReport(subject=f"lie-yamaguti axioms (dim {n})")
-        b, t = self.b, self.t
+        report = VerificationReport(subject=f"lie-yamaguti axioms (dim {n})")
+        b, t, e = self.b, self.t, self.basis_vector
 
-        def record(name, witness):
-            rep.add(name, witness is None, LAWS[name], witness)
+        def ly1(i, j, k):
+            r = vadd(vadd(self._bra_vl(b[i][j], k), self._bra_vl(b[j][k], i)), self._bra_vl(b[k][i], j))
+            return vadd(r, vadd(vadd(t[i][j][k], t[j][k][i]), t[k][i][j]))
 
-        witness = None
-        for i, j, k in product(range(n), repeat=3):
-            r = self._bra_vl(b[i][j], k)
-            r = vadd(r, self._bra_vl(b[j][k], i))
-            r = vadd(r, self._bra_vl(b[k][i], j))
-            r = vadd(r, vadd(vadd(t[i][j][k], t[j][k][i]), t[k][i][j]))
-            if not vec_is_zero(r):
-                witness = {"tuple": (i, j, k), "residual": r}
-                break
-        record("LY1", witness)
+        def ly2(i, j, k, w):
+            r = vadd(self._tri_v1(b[i][j], k, w), self._tri_v1(b[j][k], i, w))
+            return vadd(r, self._tri_v1(b[k][i], j, w))
 
-        witness = None
-        for i, j, k, w in product(range(n), repeat=4):
-            r = self._tri_v1(b[i][j], k, w)
-            r = vadd(r, self._tri_v1(b[j][k], i, w))
-            r = vadd(r, self._tri_v1(b[k][i], j, w))
-            if not vec_is_zero(r):
-                witness = {"tuple": (i, j, k, w), "residual": r}
-                break
-        record("LY2", witness)
-
-        witness = None
-        for i, j, k, w in product(range(n), repeat=4):
-            lhs = self._tri_v3(i, j, b[k][w])
+        def ly3(i, j, k, w):
             rhs = vadd(self._bra_vl(t[i][j][k], w), self._bra_vr(k, t[i][j][w]))
-            r = vsub(lhs, rhs)
-            if not vec_is_zero(r):
-                witness = {"tuple": (i, j, k, w), "residual": r}
-                break
-        record("LY3", witness)
+            return vsub(self._tri_v3(i, j, b[k][w]), rhs)
 
-        witness = None
-        for i, j in product(range(n), repeat=2):
-            for k, w, s in product(range(n), repeat=3):
-                lhs = self._tri_v3(i, j, t[k][w][s])
-                rhs = self._tri_v1(t[i][j][k], w, s)
-                rhs = vadd(rhs, self.triple(self.basis_vector(k), t[i][j][w], self.basis_vector(s)))
-                rhs = vadd(rhs, self._tri_v3(k, w, t[i][j][s]))
-                r = vsub(lhs, rhs)
-                if not vec_is_zero(r):
-                    witness = {"tuple": (i, j, k, w, s), "residual": r}
-                    break
-            if witness:
-                break
-        record("LY4", witness)
-        return rep
+        def ly4(i, j, k, w, s):
+            rhs = vadd(self._tri_v1(t[i][j][k], w, s), self.triple(e(k), t[i][j][w], e(s)))
+            rhs = vadd(rhs, self._tri_v3(k, w, t[i][j][s]))
+            return vsub(self._tri_v3(i, j, t[k][w][s]), rhs)
+
+        for name, residual, arity in (("LY1", ly1, 3), ("LY2", ly2, 4), ("LY3", ly3, 4), ("LY4", ly4, 5)):
+            witness = first_violation(residual, (n,) * arity)
+            report.add(name, witness is None, LAWS[name], witness)
+        return report
 
     def is_valid(self) -> bool:
         return self.check_axioms().passed
 
 
-def is_homomorphism(phi: Matrix, src: LieYamagutiAlgebra, dst: LieYamagutiAlgebra) -> bool:
-    """phi[x,y] = [phi x, phi y] and phi<<x,y,z>> = <<phi x, phi y, phi z>> on basis tuples."""
+def homomorphism_witness(phi: Matrix, src: LieYamagutiAlgebra, dst: LieYamagutiAlgebra):
+    """First basis tuple where phi fails to preserve a bracket, or None.
+
+    binary:  phi[x,y] = [phi x, phi y];  ternary: phi<<x,y,z>> = <<phi x, phi y, phi z>>.
+    The witness is {"identity", "tuple", "residual"}.
+    """
     if phi.rows != dst.dim or phi.cols != src.dim:
         raise DimMismatchError(
             f"homomorphism matrix must be {dst.dim}x{src.dim}, got {phi.rows}x{phi.cols}"
         )
     n = src.dim
-    cols = [phi.col(i) for i in range(n)]
-    for i, j in product(range(n), repeat=2):
-        if not vec_is_zero(vsub(phi.apply(src.b[i][j]), dst.bracket(cols[i], cols[j]))):
-            return False
-    for i, j, k in product(range(n), repeat=3):
-        if not vec_is_zero(vsub(phi.apply(src.t[i][j][k]), dst.triple(cols[i], cols[j], cols[k]))):
-            return False
-    return True
+    c = [phi.col(i) for i in range(n)]
+    return first_violation(
+        lambda i, j: vsub(phi.apply(src.b[i][j]), dst.bracket(c[i], c[j])), (n,) * 2, identity="binary",
+    ) or first_violation(
+        lambda i, j, k: vsub(phi.apply(src.t[i][j][k]), dst.triple(c[i], c[j], c[k])), (n,) * 3,
+        identity="ternary",
+    )
+
+
+def is_homomorphism(phi: Matrix, src: LieYamagutiAlgebra, dst: LieYamagutiAlgebra) -> bool:
+    """phi[x,y] = [phi x, phi y] and phi<<x,y,z>> = <<phi x, phi y, phi z>> on basis tuples."""
+    return homomorphism_witness(phi, src, dst) is None
 
 
 def nijenhuis_deformation_tensors(alg: LieYamagutiAlgebra, nmap: Matrix):
@@ -343,19 +323,26 @@ def deformed_algebra(alg: LieYamagutiAlgebra, nmap: Matrix, validate=False) -> L
     return LieYamagutiAlgebra(alg.dim, b2, t2, alg.basis_names, validate=validate)
 
 
-def is_nijenhuis(alg: LieYamagutiAlgebra, nmap: Matrix) -> bool:
-    """N[x,y]_N = [Nx,Ny] and N<<x,y,z>>_N = <<Nx,Ny,Nz>> on basis tuples."""
+def nijenhuis_witness(alg: LieYamagutiAlgebra, nmap: Matrix):
+    """First basis tuple where N fails to be a Nijenhuis operator, or None.
+
+    binary:  N[x,y]_N = [Nx,Ny];  ternary: N<<x,y,z>>_N = <<Nx,Ny,Nz>>.
+    The witness is {"identity", "tuple", "residual"}.
+    """
     n = alg.dim
     if nmap.rows != n or nmap.cols != n:
         raise DimMismatchError("operator must be square of the algebra dimension")
     b2, t2 = deformed_brackets(alg, nmap)
-    ncols = [nmap.col(i) for i in range(n)]
-    for i, j in product(range(n), repeat=2):
-        lhs = nmap.apply(b2.slice_vector(i, j))
-        if not vec_is_zero(vsub(lhs, alg.bracket(ncols[i], ncols[j]))):
-            return False
-    for i, j, k in product(range(n), repeat=3):
-        lhs = nmap.apply(t2.slice_vector(i, j, k))
-        if not vec_is_zero(vsub(lhs, alg.triple(ncols[i], ncols[j], ncols[k]))):
-            return False
-    return True
+    c = [nmap.col(i) for i in range(n)]
+    return first_violation(
+        lambda i, j: vsub(nmap.apply(b2.slice_vector(i, j)), alg.bracket(c[i], c[j])), (n,) * 2,
+        identity="binary",
+    ) or first_violation(
+        lambda i, j, k: vsub(nmap.apply(t2.slice_vector(i, j, k)), alg.triple(c[i], c[j], c[k])),
+        (n,) * 3, identity="ternary",
+    )
+
+
+def is_nijenhuis(alg: LieYamagutiAlgebra, nmap: Matrix) -> bool:
+    """N[x,y]_N = [Nx,Ny] and N<<x,y,z>>_N = <<Nx,Ny,Nz>> on basis tuples."""
+    return nijenhuis_witness(alg, nmap) is None

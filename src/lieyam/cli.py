@@ -16,23 +16,25 @@ import sys
 import time
 
 from . import __version__
-from .algebra import is_nijenhuis
+from .algebra import nijenhuis_witness
 from .deform import (
+    DeformationData,
     NijenhuisStructure,
-    deformation_cocycle,
+    cocycle_witness,
+    equivalence_witness,
     linear_deformation_report,
     nijenhuis_structure_report,
     trivial_deformation_from,
-    are_equivalent_deformations,
-    DeformationData,
 )
 from .errors import (
     ConsequenceViolatedError,
     InternalConsistencyError,
     LieyamError,
     ParseError,
+    PreconditionFailedError,
 )
 from .jsonio import (
+    _int_field,
     _read_json,
     algebra_to_dict,
     dump_json,
@@ -43,7 +45,7 @@ from .jsonio import (
     operator_to_dict,
     representation_from_dict,
 )
-from .paircomplex import pair_cohomology_dim, pair_delta_lifted
+from .paircomplex import pair_cohomology_dim
 from .quadratic import (
     QuadraticForm,
     invariance_transport,
@@ -56,11 +58,10 @@ from .reps import check_derived_identities, check_representation
 from .rotabaxter import (
     RBNTriple,
     RelativeRBOperator,
-    is_compatible_pair,
+    compatibility_witness,
     rbn_consequences,
-    rbn_report,
     relative_rb_report,
-    strong_condition,
+    strong_witness,
 )
 from .search import search_quadratic_fixtures, search_rb_operators, search_rbn_triples
 from .yamaguti import cohomology_dim
@@ -203,9 +204,9 @@ def _run(args) -> int:
         alg = load_algebra(args.algebra)
         nmap = load_operator(args.N)
         report = VerificationReport(subject="Nijenhuis operator")
-        report.add("nijenhuis", is_nijenhuis(alg, nmap),
-                   "N[x,y]_N = [Nx,Ny] and N<<x,y,z>>_N = <<Nx,Ny,Nz>>",
-                   witness={"operator": args.N})
+        wit = nijenhuis_witness(alg, nmap)
+        report.add("nijenhuis", wit is None,
+                   "N[x,y]_N = [Nx,Ny] and N<<x,y,z>>_N = <<Nx,Ny,Nz>>", wit)
         report.runtime_ms = (time.perf_counter() - t0) * 1000
         return _emit(report, args)
 
@@ -224,31 +225,32 @@ def _run(args) -> int:
     if args.command == "verify-rbn":
         pair = load_pair(args.pair)
         tmap, smap, nmap = load_operator(args.T), load_operator(args.S), load_operator(args.N)
-        report = rbn_report(pair, tmap, smap, nmap)
-        if report.passed:
+        try:
             triple = RBNTriple(pair, tmap, smap, nmap)
+        except PreconditionFailedError as exc:
+            report = exc.report
+        else:
+            report = triple.report
             report.extend(rbn_consequences(triple, raise_on_failure=True), prefix="consequence: ")
         report.runtime_ms = (time.perf_counter() - t0) * 1000
         return _emit(report, args)
 
     if args.command == "verify-compatible":
         pair = load_pair(args.pair)
-        verdict = is_compatible_pair(pair, load_operator(args.T1), load_operator(args.T2))
+        wit = compatibility_witness(pair, load_operator(args.T1), load_operator(args.T2))
         report = VerificationReport(subject="compatible Rota-Baxter operators")
-        report.add("compatible", verdict,
-                   "every combination k1 T1 + k2 T2 is again Rota-Baxter (closed conditions)",
-                   witness={"pair": (args.T1, args.T2)})
+        report.add("compatible", wit is None,
+                   "every combination k1 T1 + k2 T2 is again Rota-Baxter (closed conditions)", wit)
         report.runtime_ms = (time.perf_counter() - t0) * 1000
         return _emit(report, args)
 
     if args.command == "verify-strong":
         pair = load_pair(args.pair)
         top = RelativeRBOperator(pair, load_operator(args.T))
-        verdict = strong_condition(pair, top, load_operator(args.S))
+        wit = strong_witness(pair, top, load_operator(args.S))
         report = VerificationReport(subject="strong compatibility condition")
-        report.add("strong", verdict,
-                   "D(Tu,Tv)(Sw) + mu(Tv,Tw)(Su) - mu(Tu,Tw)(Sv) = S(<<u,v,w>>^T)",
-                   witness={"operators": (args.T, args.S)})
+        report.add("strong", wit is None,
+                   "D(Tu,Tv)(Sw) + mu(Tv,Tw)(Su) - mu(Tu,Tw)(Sv) = S(<<u,v,w>>^T)", wit)
         report.runtime_ms = (time.perf_counter() - t0) * 1000
         return _emit(report, args)
 
@@ -261,14 +263,11 @@ def _run(args) -> int:
             ns = NijenhuisStructure(pair, nmap, smap)
             d = trivial_deformation_from(pair, ns)
             report.extend(linear_deformation_report(pair, d))
-            report.add("triviality-witness",
-                       are_equivalent_deformations(pair, d, DeformationData.zero(pair), nmap, smap),
-                       "(Id + tN, Id + tS) intertwines the family with the undeformed pair",
-                       witness={"witness": "(Id+tN, Id+tS)"})
-            cocycle = deformation_cocycle(pair, d)
-            closed = pair_delta_lifted(pair, cocycle, cap=3).is_zero()
-            report.add("cocycle-closed", closed, "the first-order data is a closed 2-cochain",
-                       witness={"cocycle": "degree 2"})
+            wit = equivalence_witness(pair, d, DeformationData.zero(pair), nmap, smap)
+            report.add("triviality-witness", wit is None,
+                       "(Id + tN, Id + tS) intertwines the family with the undeformed pair", wit)
+            wit = cocycle_witness(pair, d)
+            report.add("cocycle-closed", wit is None, "the first-order data is a closed 2-cochain", wit)
             if args.out:
                 payload = _deformation_to_dict(d)
                 payload["certificate"] = report.to_dict()
@@ -308,7 +307,8 @@ def _run(args) -> int:
         return _emit(report, args, extra={"result": result})
 
     if args.command == "search":
-        values = tuple(int(v) for v in args.values.split(","))
+        values = tuple(_int_field({"--values": v}, "--values", "search")
+                       for v in args.values.split(","))
         report = VerificationReport(subject=f"search {args.what}")
         found: list = []
         if args.what == "rbo":

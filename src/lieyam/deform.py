@@ -16,6 +16,13 @@ A Nijenhuis structure is a pair of maps (N on g, S on V) such that N is
 a Nijenhuis operator and two compatibility conditions tie S to the
 representation; every such pair generates a linear deformation that is
 trivial, witnessed by (Id + tN, Id + tS).
+
+The reshaped representation of (N, S) is written in one place:
+_hat_linear holds hat-rho(x) = rho(Nx) + rho(x)S - S rho(x) and the
+degree-1 term varpi1, _hat_bilinear holds hat-mu = varpi2 and the closed
+form hat-D.  Every structure condition has the form X(N.) S = S hat-X(.),
+so the residuals of the structure report, the trivial deformation and
+hat_rep all evaluate those two functions.
 """
 
 from __future__ import annotations
@@ -26,8 +33,10 @@ from itertools import product
 from .algebra import (
     LieYamagutiAlgebra,
     deformed_algebra,
+    homomorphism_witness,
     is_nijenhuis,
     nijenhuis_deformation_tensors,
+    nijenhuis_witness,
 )
 from .errors import (
     ConsequenceViolatedError,
@@ -35,13 +44,13 @@ from .errors import (
     InternalConsistencyError,
     NotNijenhuisError,
 )
-from .linalg import Matrix, Tensor
-from .paircomplex import PairCochain
-from .reps import LieYRepPair, Representation, check_representation, derived_D, is_pair_homomorphism
+from .linalg import Matrix, Tensor, vadd, vsub
+from .paircomplex import PairCochain, pair_delta_lifted
+from .reps import LieYRepPair, Representation, check_representation, is_pair_homomorphism
 from .yamaguti import wedge_pairs
 from .scalars import T as TPOLY
 from .scalars import is_zero
-from .report import VerificationReport
+from .report import VerificationReport, first_violation
 
 
 @dataclass
@@ -220,75 +229,77 @@ def is_deformation_of_pair(pair: LieYRepPair, d: DeformationData) -> bool:
 # Nijenhuis structures
 
 
-def _nij_rho_residual(pair: LieYRepPair, nmap: Matrix, smap: Matrix, x: int) -> Matrix:
-    """rho(Nx) S - S (rho(Nx) + rho(x) S - S rho(x))."""
-    rep = pair.rep
-    rho_nx = rep.rho_vec(nmap.col(x))
-    varrho_x = rho_nx + rep.rho[x] * smap - smap * rep.rho[x]
-    return rho_nx * smap - smap * varrho_x
+def _hat_linear(smap: Matrix, x_n: Matrix, x: Matrix) -> Matrix:
+    """x_n + X S - S X: hat-rho(x) for x_n = rho(Nx), X = rho(x), and the
+    degree-1 term varpi1(x,y) (or D1) for x_n = mu(Nx,y) + mu(x,Ny), X = mu(x,y)."""
+    return x_n + x * smap - smap * x
 
 
-def _nij_mu_residual(pair: LieYRepPair, nmap: Matrix, smap: Matrix, x: int, y: int) -> Matrix:
-    """mu(Nx,Ny) S - S varpi2(x,y) with varpi2 as in the trivial family."""
-    rep = pair.rep
-    ncols = [nmap.col(i) for i in range(pair.dim_g)]
-    mu_nxy = rep.mu_vl(ncols[x], y)
-    mu_xny = rep.mu_vr(x, ncols[y])
-    mu_nn = rep.mu_vec(ncols[x], ncols[y])
-    varpi1 = mu_nxy + mu_xny + rep.mu[x][y] * smap - smap * rep.mu[x][y]
-    varpi2 = mu_nxy * smap + mu_xny * smap + mu_nn - smap * varpi1
-    return mu_nn * smap - smap * varpi2
+def _hat_bilinear(smap: Matrix, x_n: Matrix, x: Matrix, x_nn: Matrix):
+    """(X1, hat-X) of a bilinear operator X (mu or D) of the representation:
+
+    X1(x,y)    = X(Nx,y) + X(x,Ny) + X(x,y) S - S X(x,y)
+    hat-X(x,y) = (X(Nx,y) + X(x,Ny)) S + X(Nx,Ny) - S X1(x,y)
+
+    from x_n = X(Nx,y) + X(x,Ny), x = X(x,y), x_nn = X(Nx,Ny).  hat-mu is
+    varpi2, and hat-D is the closed form of the derived operator of the
+    reshaped representation.
+    """
+    x1 = _hat_linear(smap, x_n, x)
+    return x1, x_n * smap + x_nn - smap * x1
 
 
-def _nij_d_residual(pair: LieYRepPair, nmap: Matrix, smap: Matrix, x: int, y: int) -> Matrix:
-    """Derived-operator analogue of the mu condition (a consequence)."""
-    d = pair.d
-    ncols = [nmap.col(i) for i in range(pair.dim_g)]
-    d_nxy = d.vl(ncols[x], y)
-    d_xny = -d.vl(ncols[y], x)
-    d_nn = d.vec(ncols[x], ncols[y])
-    lhs = d_nn * smap
-    rhs = smap * (d_nxy * smap + d_xny * smap + d_nn)
-    rhs = rhs - smap * smap * (d_nxy + d_xny + d.at(x, y) * smap)
-    rhs = rhs + smap * smap * smap * d.at(x, y)
-    return lhs - rhs
+def _rho_parts(rep: Representation, ncols, x):
+    return rep.rho_vec(ncols[x]), rep.rho[x]
+
+
+def _mu_parts(rep: Representation, ncols, x, y):
+    return rep.mu_vl(ncols[x], y) + rep.mu_vr(x, ncols[y]), rep.mu[x][y], rep.mu_vec(ncols[x], ncols[y])
+
+
+def _d_parts(d, ncols, x, y):
+    return d.vl(ncols[x], y) - d.vl(ncols[y], x), d.at(x, y), d.vec(ncols[x], ncols[y])
 
 
 def nijenhuis_structure_report(pair: LieYRepPair, nmap: Matrix, smap: Matrix) -> VerificationReport:
+    """N Nijenhuis, and X(N.) S = S hat-X(.) for X = rho and X = mu.
+
+    The same condition for the derived operator D is a consequence; it is
+    asserted when the defining ones hold.
+    """
     n = pair.dim_g
     if nmap.rows != n or nmap.cols != n:
         raise DimMismatchError("N must act on the algebra")
     if smap.rows != pair.dim_v or smap.cols != pair.dim_v:
         raise DimMismatchError("S must act on the module")
+    rep, d = pair.rep, pair.d
+    ncols = [nmap.col(i) for i in range(n)]
     report = VerificationReport(subject="nijenhuis structure (N, S)")
-    report.add("nijenhuis-N", is_nijenhuis(pair.algebra, nmap),
-               "N[x,y]_N = [Nx,Ny] and N<<x,y,z>>_N = <<Nx,Ny,Nz>>",
-               witness={"operator": "N"})
-    wit = None
-    for x in range(n):
-        r = _nij_rho_residual(pair, nmap, smap, x)
-        if not r.is_zero():
-            wit = {"tuple": (x,), "residual": r.data}
-            break
+    wit = nijenhuis_witness(pair.algebra, nmap)
+    report.add("nijenhuis-N", wit is None,
+               "N[x,y]_N = [Nx,Ny] and N<<x,y,z>>_N = <<Nx,Ny,Nz>>", wit)
+
+    def rho_residual(x):
+        rho_nx, rho_x = _rho_parts(rep, ncols, x)
+        return rho_nx * smap - smap * _hat_linear(smap, rho_nx, rho_x)
+
+    def bilinear_residual(parts):
+        return parts[2] * smap - smap * _hat_bilinear(smap, *parts)[1]
+
+    wit = first_violation(rho_residual, (n,))
     report.add("rho-compat", wit is None,
                "rho(Nx) S = S(rho(Nx) + rho(x) S) - S^2 rho(x)", wit)
-    wit = None
-    for x, y in product(range(n), repeat=2):
-        r = _nij_mu_residual(pair, nmap, smap, x, y)
-        if not r.is_zero():
-            wit = {"tuple": (x, y), "residual": r.data}
-            break
+    wit = first_violation(lambda x, y: bilinear_residual(_mu_parts(rep, ncols, x, y)), (n, n))
     report.add("mu-compat", wit is None,
                "mu(Nx,Ny) S = S(mu(Nx,y)S + mu(x,Ny)S + mu(Nx,Ny)) "
                "- S^2(mu(Nx,y) + mu(x,Ny) + mu(x,y)S) + S^3 mu(x,y)", wit)
     if report.passed:
-        for x, y in product(range(n), repeat=2):
-            r = _nij_d_residual(pair, nmap, smap, x, y)
-            if not r.is_zero():
-                raise InternalConsistencyError(
-                    "derived-operator compatibility fails although the defining "
-                    f"conditions hold (tuple {(x, y)})"
-                )
+        wit = first_violation(lambda x, y: bilinear_residual(_d_parts(d, ncols, x, y)), (n, n))
+        if wit is not None:
+            raise InternalConsistencyError(
+                "derived-operator compatibility fails although the defining "
+                f"conditions hold (tuple {wit['tuple']})"
+            )
     return report
 
 
@@ -310,84 +321,76 @@ class NijenhuisStructure:
 def trivial_deformation_from(pair: LieYRepPair, ns: NijenhuisStructure) -> DeformationData:
     """The linear deformation generated by a Nijenhuis structure.
 
-    phi / phi1 / phi2 are the operator-deformation tensors of N;
-    varrho(x)  = rho(Nx) + rho(x) S - S rho(x)
-    varpi1(x,y) = mu(Nx,y) + mu(x,Ny) + mu(x,y) S - S mu(x,y)
-    varpi2(x,y) = mu(Nx,y) S + mu(x,Ny) S + mu(Nx,Ny) - S varpi1(x,y)
+    phi / phi1 / phi2 are the operator-deformation tensors of N; varrho
+    is hat-rho, varpi1 and varpi2 = hat-mu are those of _hat_bilinear.
     """
     if ns.pair is not pair:
         raise DimMismatchError("Nijenhuis structure belongs to another pair")
-    alg, rep = pair.algebra, pair.rep
-    nmap, smap = ns.nmap, ns.smap
+    rep, smap = pair.rep, ns.smap
     n = pair.dim_g
-    phi, phi1, phi2 = nijenhuis_deformation_tensors(alg, nmap)
-    ncols = [nmap.col(i) for i in range(n)]
-    varrho = [rep.rho_vec(ncols[x]) + rep.rho[x] * smap - smap * rep.rho[x] for x in range(n)]
-    varpi1 = [[None] * n for _ in range(n)]
-    varpi2 = [[None] * n for _ in range(n)]
-    for x, y in product(range(n), repeat=2):
-        m1 = rep.mu_vl(ncols[x], y) + rep.mu_vr(x, ncols[y])
-        p1 = m1 + rep.mu[x][y] * smap - smap * rep.mu[x][y]
-        varpi1[x][y] = p1
-        varpi2[x][y] = m1 * smap + rep.mu_vec(ncols[x], ncols[y]) - smap * p1
-    return DeformationData(phi, phi1, phi2, varrho, varpi1, varpi2)
+    ncols = [ns.nmap.col(i) for i in range(n)]
+    phi, phi1, phi2 = nijenhuis_deformation_tensors(pair.algebra, ns.nmap)
+    varrho = [_hat_linear(smap, *_rho_parts(rep, ncols, x)) for x in range(n)]
+    varpi = [[_hat_bilinear(smap, *_mu_parts(rep, ncols, x, y)) for y in range(n)] for x in range(n)]
+    return DeformationData(phi, phi1, phi2, varrho,
+                           [[p[0] for p in row] for row in varpi], [[p[1] for p in row] for row in varpi])
+
+
+def _family_pair(pair: LieYRepPair, d: DeformationData) -> LieYRepPair:
+    alg_t, rep_t = deformed_pair_structures(pair, d)
+    return LieYRepPair(alg_t, rep_t, validate=False)
+
+
+def _block_diag(a: Matrix, b: Matrix) -> Matrix:
+    """a (+) b on the basis order of the semidirect product (g-part first)."""
+    return Matrix([tuple(row) + (0,) * b.cols for row in a.data]
+                  + [(0,) * a.cols + tuple(row) for row in b.data])
+
+
+def equivalence_witness(pair: LieYRepPair, d: DeformationData, d2: DeformationData,
+                        nmap: Matrix, smap: Matrix):
+    """First basis tuple where (Id + tN, Id + tS) fails to map the d-family onto the d2-family.
+
+    Decided by is_pair_homomorphism, as polynomial identities in t (d is
+    the source family, d2 the target).  A failure is located on the
+    semidirect products: (phi, psi) is a pair homomorphism exactly when
+    phi (+) psi is an algebra homomorphism g (+) V -> g (+) V, so the
+    witness {"identity", "tuple", "residual"} indexes that basis.
+    """
+    src, dst = _family_pair(pair, d), _family_pair(pair, d2)
+    phi = Matrix.identity(pair.dim_g) + nmap.scale(TPOLY)
+    psi = Matrix.identity(pair.dim_v) + smap.scale(TPOLY)
+    if is_pair_homomorphism(phi, psi, src, dst):
+        return None
+    wit = homomorphism_witness(_block_diag(phi, psi), src.semidirect(), dst.semidirect())
+    if wit is None:
+        raise InternalConsistencyError("pair and semidirect homomorphism routes disagree")
+    return wit
 
 
 def are_equivalent_deformations(pair: LieYRepPair, d: DeformationData,
                                 d2: DeformationData, nmap: Matrix, smap: Matrix) -> bool:
-    """Whether (Id + tN, Id + tS) maps the d-family onto the d2-family.
+    """Whether (Id + tN, Id + tS) maps the d-family onto the d2-family."""
+    return equivalence_witness(pair, d, d2, nmap, smap) is None
 
-    All five intertwining identities are checked as polynomial identities
-    in t on basis tuples (d is the source family, d2 the target).
+
+def cocycle_witness(pair: LieYRepPair, d: DeformationData):
+    """First nonzero value of the coboundary of the deformation's 2-cochain, or None.
+
+    The witness is {"block", "tuple", "residual"}: the block of the pair
+    3-cochain, the argument index within it, and the nonzero value.
     """
-    alg_s, rep_s = deformed_pair_structures(pair, d)
-    alg_t, rep_t = deformed_pair_structures(pair, d2)
-    n, m = pair.dim_g, pair.dim_v
-    t = TPOLY
-    phi_n = Matrix.identity(n) + nmap.scale(t)
-    psi_s = Matrix.identity(m) + smap.scale(t)
-    ncols = [phi_n.col(i) for i in range(n)]
-    # brackets
-    for i, j in product(range(n), repeat=2):
-        lhs = phi_n.apply(alg_s.b[i][j])
-        rhs = alg_t.bracket(ncols[i], ncols[j])
-        if not all(is_zero(a - b) for a, b in zip(lhs, rhs)):
-            return False
-    for i, j, k in product(range(n), repeat=3):
-        lhs = phi_n.apply(alg_s.t[i][j][k])
-        rhs = alg_t.triple(ncols[i], ncols[j], ncols[k])
-        if not all(is_zero(a - b) for a, b in zip(lhs, rhs)):
-            return False
-    # representation maps
-    for i in range(n):
-        if psi_s * rep_s.rho[i] != rep_t.rho_vec(ncols[i]) * psi_s:
-            return False
-    for i, j in product(range(n), repeat=2):
-        if psi_s * rep_s.mu[i][j] != rep_t.mu_vec(ncols[i], ncols[j]) * psi_s:
-            return False
-    ds = derived_D(alg_s, rep_s)
-    dt = derived_D(alg_t, rep_t)
-    for i, j in product(range(n), repeat=2):
-        if psi_s * ds.at(i, j) != dt.vec(ncols[i], ncols[j]) * psi_s:
-            return False
-    return True
+    delta = pair_delta_lifted(pair, deformation_cocycle(pair, d), cap=3)
+    for name, shape in delta.shapes.items():
+        wit = first_violation(lambda *idx: tuple(delta.value(name, idx)), shape[:-1], block=name)
+        if wit is not None:
+            return wit
+    return None
 
 
 def semidirect_nijenhuis(pair: LieYRepPair, ns: NijenhuisStructure) -> Matrix:
     """Block-diagonal N (+) S, a Nijenhuis operator on the semidirect algebra."""
-    n, m = pair.dim_g, pair.dim_v
-    rows = []
-    for i in range(n + m):
-        row = []
-        for j in range(n + m):
-            if i < n and j < n:
-                row.append(ns.nmap[i, j])
-            elif i >= n and j >= n:
-                row.append(ns.smap[i - n, j - n])
-            else:
-                row.append(0)
-        rows.append(tuple(row))
-    block = Matrix(rows)
+    block = _block_diag(ns.nmap, ns.smap)
     if not is_nijenhuis(pair.semidirect(), block):
         raise ConsequenceViolatedError(
             "N (+) S is not Nijenhuis on the semidirect algebra despite a validated structure"
@@ -402,35 +405,34 @@ def hat_rep(pair: LieYRepPair, ns: NijenhuisStructure) -> Representation:
     hat-mu(x,y) = mu(Nx,y) S + mu(x,Ny) S + mu(Nx,Ny)
                   - S(mu(Nx,y) + mu(x,Ny) + mu(x,y) S) + S^2 mu(x,y)
 
-    Verified on construction: the derived operator of (hat-rho, hat-mu)
-    over the N-deformed algebra equals its closed form; the deformed
-    algebra with (hat-rho, hat-mu) is a valid pair; and (N, S) is a pair
+    (written once, in _hat_linear and _hat_bilinear).  Verified on
+    construction: the derived operator of (hat-rho, hat-mu) over the
+    N-deformed algebra equals its closed form hat-D; the deformed algebra
+    with (hat-rho, hat-mu) is a valid pair; and (N, S) is a pair
     homomorphism from the deformed pair to the original one.
     """
-    d = trivial_deformation_from(pair, ns)
-    rep_hat = Representation(pair.dim_g, pair.dim_v, d.varrho, d.varpi2)
-    alg_n = deformed_algebra(pair.algebra, ns.nmap)
+    if ns.pair is not pair:
+        raise DimMismatchError("Nijenhuis structure belongs to another pair")
+    rep, smap = pair.rep, ns.smap
     n = pair.dim_g
-    smap = ns.smap
     ncols = [ns.nmap.col(i) for i in range(n)]
-    dh = derived_D(alg_n, rep_hat)
-    dd = pair.d
-    for x, y in product(range(n), repeat=2):
-        d_nxy = dd.vl(ncols[x], y)
-        d_xny = -dd.vl(ncols[y], x)
-        d_nn = dd.vec(ncols[x], ncols[y])
-        closed = d_nxy * smap + d_xny * smap + d_nn
-        closed = closed - smap * (d_nxy + d_xny + dd.at(x, y) * smap)
-        closed = closed + smap * smap * dd.at(x, y)
-        if dh.at(x, y) != closed:
-            raise ConsequenceViolatedError(
-                f"derived operator of the reshaped representation differs from its closed form at {(x, y)}"
-            )
-    if not check_representation(alg_n, rep_hat).passed:
+    rep_hat = Representation(
+        n, pair.dim_v,
+        [_hat_linear(smap, *_rho_parts(rep, ncols, x)) for x in range(n)],
+        [[_hat_bilinear(smap, *_mu_parts(rep, ncols, x, y))[1] for y in range(n)] for x in range(n)],
+    )
+    deformed_pair = LieYRepPair(deformed_algebra(pair.algebra, ns.nmap), rep_hat, validate=False)
+    wit = first_violation(
+        lambda x, y: deformed_pair.d.at(x, y) - _hat_bilinear(smap, *_d_parts(pair.d, ncols, x, y))[1],
+        (n, n))
+    if wit is not None:
+        raise ConsequenceViolatedError(
+            f"derived operator of the reshaped representation differs from its closed form at {wit['tuple']}"
+        )
+    if not check_representation(deformed_pair.algebra, rep_hat).passed:
         raise ConsequenceViolatedError(
             "reshaped representation fails the representation conditions on the deformed algebra"
         )
-    deformed_pair = LieYRepPair(alg_n, rep_hat, validate=False)
     if not is_pair_homomorphism(ns.nmap, ns.smap, deformed_pair, pair):
         raise ConsequenceViolatedError(
             "(N, S) is not a pair homomorphism from the deformed pair to the original"
@@ -445,63 +447,49 @@ def deformation_difference_report(pair: LieYRepPair, d: DeformationData,
 
     For equivalent deformations (source d, target d2) with witness
     (Id+tN, Id+tS), the differences of the generating data are the
-    degree-1 coboundary expressions of (N, S).
+    degree-1 coboundary expressions of (N, S).  The expected sides are
+    written out here on purpose, independently of _hat_linear, so the two
+    routes check each other.
     """
     alg, rep = pair.algebra, pair.rep
     dd = pair.d
-    n, m = pair.dim_g, pair.dim_v
+    n = pair.dim_g
+    e = alg.basis_vector
     report = VerificationReport(subject="first-order difference identities")
     ncols = [nmap.col(i) for i in range(n)]
 
-    wit = None
-    for i, j in product(range(n), repeat=2):
-        want = [a + b - c for a, b, c in zip(
-            alg._bra_vl(ncols[i], j), alg._bra_vr(i, ncols[j]), nmap.apply(alg.b[i][j]))]
-        got = [d.phi.at(i, j, k) - d2.phi.at(i, j, k) for k in range(n)]
-        if not all(is_zero(a - b) for a, b in zip(got, want)):
-            wit = {"tuple": (i, j)}
-            break
-    report.add("diff-binary", wit is None, "phi - phi' = [Nx,y] + [x,Ny] - N[x,y]", wit)
+    def diff_binary(i, j):
+        want = vsub(vadd(alg._bra_vl(ncols[i], j), alg._bra_vr(i, ncols[j])), nmap.apply(alg.b[i][j]))
+        return vsub(vsub(d.phi.slice_vector(i, j), d2.phi.slice_vector(i, j)), want)
 
-    wit = None
-    for i, j, k in product(range(n), repeat=3):
-        e = alg.basis_vector
-        want = alg._tri_v1(ncols[i], j, k)
-        want = [a + b for a, b in zip(want, alg.triple(e(i), ncols[j], e(k)))]
-        want = [a + b for a, b in zip(want, alg._tri_v3(i, j, ncols[k]))]
-        want = [a - b for a, b in zip(want, nmap.apply(alg.t[i][j][k]))]
-        got = [d.phi1.at(i, j, k, l) - d2.phi1.at(i, j, k, l) for l in range(n)]
-        if not all(is_zero(a - b) for a, b in zip(got, want)):
-            wit = {"tuple": (i, j, k)}
-            break
-    report.add("diff-ternary", wit is None,
-               "phi1 - phi1' = <<Nx,y,z>> + <<x,Ny,z>> + <<x,y,Nz>> - N<<x,y,z>>", wit)
+    def diff_ternary(i, j, k):
+        want = vadd(alg._tri_v1(ncols[i], j, k), alg.triple(e(i), ncols[j], e(k)))
+        want = vsub(vadd(want, alg._tri_v3(i, j, ncols[k])), nmap.apply(alg.t[i][j][k]))
+        return vsub(vsub(d.phi1.slice_vector(i, j, k), d2.phi1.slice_vector(i, j, k)), want)
 
-    wit = None
-    for i in range(n):
+    def diff_rho(i):
         want = rep.rho_vec(ncols[i]) + rep.rho[i] * smap - smap * rep.rho[i]
-        if d.varrho[i] - d2.varrho[i] != want:
-            wit = {"tuple": (i,)}
-            break
-    report.add("diff-rho", wit is None, "varrho - varrho' = rho(Nx) + rho(x)S - S rho(x)", wit)
+        return d.varrho[i] - d2.varrho[i] - want
 
-    wit = None
-    for i, j in product(range(n), repeat=2):
+    def diff_mu(i, j):
         want = rep.mu_vl(ncols[i], j) + rep.mu_vr(i, ncols[j]) + rep.mu[i][j] * smap - smap * rep.mu[i][j]
-        if d.varpi1[i][j] - d2.varpi1[i][j] != want:
-            wit = {"tuple": (i, j)}
-            break
-    report.add("diff-mu", wit is None,
-               "varpi1 - varpi1' = mu(Nx,y) + mu(x,Ny) + mu(x,y)S - S mu(x,y)", wit)
+        return d.varpi1[i][j] - d2.varpi1[i][j] - want
 
     d1a, _ = derived_deformation_terms(pair, d)
     d1b, _ = derived_deformation_terms(pair, d2)
-    wit = None
-    for i, j in product(range(n), repeat=2):
+
+    def diff_d(i, j):
         want = dd.vl(ncols[i], j) - dd.vl(ncols[j], i) + dd.at(i, j) * smap - smap * dd.at(i, j)
-        if d1a[i][j] - d1b[i][j] != want:
-            wit = {"tuple": (i, j)}
-            break
-    report.add("diff-D", wit is None,
-               "D1 - D1' = D(Nx,y) + D(x,Ny) + D(x,y)S - S D(x,y)", wit)
+        return d1a[i][j] - d1b[i][j] - want
+
+    for name, residual, arity, law in (
+        ("diff-binary", diff_binary, 2, "phi - phi' = [Nx,y] + [x,Ny] - N[x,y]"),
+        ("diff-ternary", diff_ternary, 3,
+         "phi1 - phi1' = <<Nx,y,z>> + <<x,Ny,z>> + <<x,y,Nz>> - N<<x,y,z>>"),
+        ("diff-rho", diff_rho, 1, "varrho - varrho' = rho(Nx) + rho(x)S - S rho(x)"),
+        ("diff-mu", diff_mu, 2, "varpi1 - varpi1' = mu(Nx,y) + mu(x,Ny) + mu(x,y)S - S mu(x,y)"),
+        ("diff-D", diff_d, 2, "D1 - D1' = D(Nx,y) + D(x,Ny) + D(x,y)S - S D(x,y)"),
+    ):
+        wit = first_violation(residual, (n,) * arity)
+        report.add(name, wit is None, law, wit)
     return report

@@ -73,11 +73,15 @@ class InternalConsistencyError(LieyamError):
 
 
 class PreconditionFailedError(LieyamError):
-    """An eagerly checked precondition of a conversion failed."""
+    """An eagerly checked precondition of a conversion failed.
 
-    def __init__(self, message, which=None):
+    Carries the failing report when the precondition is one.
+    """
+
+    def __init__(self, message, which=None, report=None):
         super().__init__(message)
         self.which = which
+        self.report = report
 
 
 class NotSymmetricError(LieyamError):

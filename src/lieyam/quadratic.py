@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .algebra import LieYamagutiAlgebra, is_nijenhuis
+from .algebra import LieYamagutiAlgebra, is_nijenhuis, nijenhuis_witness
 from .deform import is_nijenhuis_structure
 from .errors import (
     ConsequenceViolatedError,
@@ -40,7 +40,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .linalg import Matrix
-from .report import VerificationReport
+from .report import VerificationReport, first_violation
 from .reps import LieYRepPair, adjoint_rep, coadjoint_rep, dual_rep
 from .rotabaxter import _rb_residuals, append_twist_conditions, is_rbn
 
@@ -57,24 +57,15 @@ def invariant_form_report(alg: LieYamagutiAlgebra, b: Matrix) -> VerificationRep
     if b != b.transpose():
         raise NotSymmetricError("bilinear form is not symmetric")
     report = VerificationReport(subject="invariant quadratic form")
-    nondeg = b.rank() == n
-    report.add("nondegenerate", nondeg, "det B != 0",
-               witness=None if nondeg else {"rank": b.rank()})
-    wit = None
-    for i, j, k in product(range(n), repeat=3):
-        r = _form_value(b, alg.b[i][j], alg.basis_vector(k)) + _form_value(
-            b, alg.basis_vector(j), alg.b[i][k])
-        if r != 0:
-            wit = {"tuple": (i, j, k), "residual": r}
-            break
+    rank = b.rank()
+    report.add("nondegenerate", rank == n, "det B != 0", {"rank": rank})
+    e = alg.basis_vector
+    wit = first_violation(
+        lambda i, j, k: _form_value(b, alg.b[i][j], e(k)) + _form_value(b, e(j), alg.b[i][k]), (n,) * 3)
     report.add("binary-invariance", wit is None, "B([x,y],z) = -B(y,[x,z])", wit)
-    wit = None
-    for i, j, k, w in product(range(n), repeat=4):
-        r = _form_value(b, alg.t[i][j][k], alg.basis_vector(w)) - _form_value(
-            b, alg.basis_vector(i), alg.t[w][k][j])
-        if r != 0:
-            wit = {"tuple": (i, j, k, w), "residual": r}
-            break
+    wit = first_violation(
+        lambda i, j, k, w: _form_value(b, alg.t[i][j][k], e(w)) - _form_value(b, e(i), alg.t[w][k][j]),
+        (n,) * 4)
     report.add("ternary-invariance", wit is None, "B(<<x,y,z>>,w) = B(x,<<w,z,y>>)", wit)
     return report
 
@@ -127,29 +118,18 @@ def invariance_transport(qf: QuadraticForm, which: str = "all",
     alg, bs = qf.alg, qf.b_sharp
     n = alg.dim
     report = VerificationReport(subject="invariance transport")
-    if which in ("ad", "all"):
-        wit = None
-        for x in range(n):
-            ad = _ad_mat(alg, x)
-            if -(bs * ad.transpose()) != ad * bs:
-                wit = {"tuple": (x,)}
-                break
-        report.add("transport-ad", wit is None, "B#(ad*_x a) = ad_x(B# a)", wit)
-    if which in ("right", "all"):
-        wit = None
-        for x, y in product(range(n), repeat=2):
-            if bs * _right_mat(alg, y, x).transpose() != _right_mat(alg, x, y) * bs:
-                wit = {"tuple": (x, y)}
-                break
-        report.add("transport-right", wit is None,
-                   "-B#(right*(y,x) a) = right(x,y)(B# a)", wit)
-    if which in ("left", "all"):
-        wit = None
-        for x, y in product(range(n), repeat=2):
-            if -(bs * _left_mat(alg, x, y).transpose()) != _left_mat(alg, x, y) * bs:
-                wit = {"tuple": (x, y)}
-                break
-        report.add("transport-left", wit is None, "B#(left*(x,y) a) = left(x,y)(B# a)", wit)
+    laws = {
+        "ad": ("transport-ad", "B#(ad*_x a) = ad_x(B# a)", 1,
+               lambda x: -(bs * _ad_mat(alg, x).transpose()) - _ad_mat(alg, x) * bs),
+        "right": ("transport-right", "-B#(right*(y,x) a) = right(x,y)(B# a)", 2,
+                  lambda x, y: bs * _right_mat(alg, y, x).transpose() - _right_mat(alg, x, y) * bs),
+        "left": ("transport-left", "B#(left*(x,y) a) = left(x,y)(B# a)", 2,
+                 lambda x, y: -(bs * _left_mat(alg, x, y).transpose()) - _left_mat(alg, x, y) * bs),
+    }
+    for key, (name, law, arity, residual) in laws.items():
+        if which in (key, "all"):
+            wit = first_violation(residual, (n,) * arity)
+            report.add(name, wit is None, law, wit)
     if raise_on_failure and not report.passed:
         raise ConsequenceViolatedError(
             f"transport identities failed on a validated form: "
@@ -222,8 +202,8 @@ def rmatrix_nijenhuis_report(alg: LieYamagutiAlgebra, pi: Matrix, nmap: Matrix) 
     wit = _rb_residuals(pair, psharp)
     report.add("r-matrix", wit is None,
                "pi# is relative Rota-Baxter for the coadjoint representation", wit)
-    report.add("nijenhuis-N", is_nijenhuis(alg, nmap), "N is a Nijenhuis operator",
-               witness={"operator": "N"})
+    wit = nijenhuis_witness(alg, nmap)
+    report.add("nijenhuis-N", wit is None, "N is a Nijenhuis operator", wit)
     if not report.passed:
         return report
     append_twist_conditions(report, pair, psharp, nmap.transpose(), nmap)

@@ -1,17 +1,21 @@
 """Machine-readable verification reports.
 
 Every check carries a ``law`` string: a human-readable statement of the
-identity being verified, so reports are self-contained.  A witness (the
-first violating basis tuple together with its residual) is attached
-exactly when a check fails.
+identity being verified, so reports are self-contained.  A witness is
+attached exactly when a check fails: the first violating basis tuple, in
+lexicographic order, with its exact residual (``tuple``, ``residual``).
+A check that bundles several laws also names the failing one
+(``identity``, ``arrow`` or ``check``).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import product
 
-from .scalars import Poly, format_scalar
+from .linalg import Matrix, vec_is_zero
+from .scalars import Poly, format_scalar, is_zero
 
 
 def _jsonable(value):
@@ -24,6 +28,26 @@ def _jsonable(value):
     if hasattr(value, "numerator") and hasattr(value, "denominator") and not isinstance(value, int):
         return format_scalar(value)
     return value
+
+
+def first_violation(residual, shape, **tags):
+    """The first index tuple over `shape`, in lexicographic order, with a nonzero residual.
+
+    residual(*idx) is a coordinate vector, a Matrix or a scalar.  Returns
+    the witness {**tags, "tuple": idx, "residual": r} (a Matrix as its
+    rows), or None when every residual vanishes.
+    """
+    for idx in product(*map(range, shape)):
+        r = residual(*idx)
+        if isinstance(r, tuple):
+            if not vec_is_zero(r):
+                return {**tags, "tuple": idx, "residual": r}
+        elif isinstance(r, Matrix):
+            if not r.is_zero():
+                return {**tags, "tuple": idx, "residual": r.data}
+        elif not is_zero(r):
+            return {**tags, "tuple": idx, "residual": r}
+    return None
 
 
 @dataclass
@@ -73,6 +97,13 @@ class VerificationReport:
         self.checks.append(
             CheckResult(name, "pass" if ok else "fail", law, None if ok else witness)
         )
+
+    def first_failure(self):
+        """Witness of the first failing check, tagged with its name, or None."""
+        for c in self.checks:
+            if not c.ok:
+                return {"check": c.name, **c.witness}
+        return None
 
     def extend(self, other: "VerificationReport", prefix: str = ""):
         for c in other.checks:

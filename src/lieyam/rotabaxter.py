@@ -14,14 +14,29 @@ consequences (S Nijenhuis on V^T, N T again Rota-Baxter, the equality of
 the two deformed-bracket constructions, the commuting square of
 homomorphisms) are verified on demand and a violation on validated
 premises raises ConsequenceViolatedError rather than being repaired.
+
+The induced brackets [u,v]^T = rho(Tu)v - rho(Tv)u and <<u,v,w>>^T =
+D(Tu,Tv)w + mu(Tv,Tw)u - mu(Tu,Tw)v are written once, in _induced, which
+evaluates one basis tuple at a time.  Each law has one function that
+returns its first violating tuple with the exact residual, or None; the
+bool predicates, the reports, the validated wrappers and the CLI all
+call it.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .algebra import LieYamagutiAlgebra, deformed_algebra, deformed_brackets, is_homomorphism, is_nijenhuis
-from .deform import NijenhuisStructure, hat_rep
+from .algebra import (
+    LieYamagutiAlgebra,
+    deformed_algebra,
+    deformed_brackets,
+    homomorphism_witness,
+    is_homomorphism,
+    is_nijenhuis,
+    nijenhuis_witness,
+)
+from .deform import NijenhuisStructure, hat_rep, nijenhuis_structure_report
 from .errors import (
     ConsequenceViolatedError,
     DimMismatchError,
@@ -30,8 +45,8 @@ from .errors import (
     PreconditionFailedError,
 )
 from .linalg import Matrix, Tensor, vadd, vsub, vec_is_zero
-from .reps import LieYRepPair, derived_D
-from .report import VerificationReport
+from .reps import LieYRepPair
+from .report import VerificationReport, first_violation
 
 
 def _check_tmap(pair: LieYRepPair, tmap: Matrix):
@@ -41,35 +56,67 @@ def _check_tmap(pair: LieYRepPair, tmap: Matrix):
         )
 
 
-def _rb_residuals(pair: LieYRepPair, tmap: Matrix):
-    """First violating tuple of the two defining identities, or None."""
+def _induced(rep, d, tc, idx):
+    """The bracket a map T: V -> g induces on V, at one basis tuple of V.
+
+    [u,v]^T     = rho(Tu)v - rho(Tv)u                   idx = (u, v)
+    <<u,v,w>>^T = D(Tu,Tv)w + mu(Tv,Tw)u - mu(Tu,Tw)v   idx = (u, v, w)
+
+    tc are the columns of T, (rep, d) the representation and its derived
+    operator.  This is the one place of the formula: the Rota-Baxter
+    identities, the sub-adjacent and hat-deformed brackets, the twist
+    conditions and compatibility all evaluate it here, one tuple at a time.
+    """
+    if len(idx) == 2:
+        u, v = idx
+        return vsub(rep.rho_vec(tc[u]).col(v), rep.rho_vec(tc[v]).col(u))
+    u, v, w = idx
+    out = vadd(d.vec(tc[u], tc[v]).col(w), rep.mu_vec(tc[v], tc[w]).col(u))
+    return vsub(out, rep.mu_vec(tc[u], tc[w]).col(v))
+
+
+def _induced_algebra(rep, d, tmap: Matrix) -> LieYamagutiAlgebra:
+    """V carrying the brackets induced by T (no axiom claim)."""
+    m = tmap.cols
+    tc = [tmap.col(u) for u in range(m)]
+    binary = [[_induced(rep, d, tc, (u, v)) for v in range(m)] for u in range(m)]
+    ternary = [[[_induced(rep, d, tc, (u, v, w)) for w in range(m)] for v in range(m)] for u in range(m)]
+    return LieYamagutiAlgebra(m, binary, ternary, [f"v{i+1}" for i in range(m)])
+
+
+RB_LAWS = {
+    2: ("binary", "[Tu,Tv] = T(rho(Tu)v - rho(Tv)u)"),
+    3: ("ternary", "<<Tu,Tv,Tw>> = T(D(Tu,Tv)w + mu(Tv,Tw)u - mu(Tu,Tw)v)"),
+}
+
+
+def _rb_residuals(pair: LieYRepPair, tmap: Matrix, arities=(2, 3)):
+    """First violating tuple of the Rota-Baxter identities of the given arities, or None.
+
+    The identities are tried in order and each stops at its first
+    violation; the witness is {"identity", "tuple", "residual"}.
+    """
     _check_tmap(pair, tmap)
     alg, rep, d = pair.algebra, pair.rep, pair.d
-    m = pair.dim_v
-    tc = [tmap.col(u) for u in range(m)]
-    for u, v in product(range(m), repeat=2):
-        inner = vsub(rep.rho_vec(tc[u]).col(v), rep.rho_vec(tc[v]).col(u))
-        r = vsub(alg.bracket(tc[u], tc[v]), tmap.apply(inner))
-        if not vec_is_zero(r):
-            return {"identity": "binary", "tuple": (u, v), "residual": r}
-    for u, v, w in product(range(m), repeat=3):
-        inner = d.vec(tc[u], tc[v]).col(w)
-        inner = vadd(inner, rep.mu_vec(tc[v], tc[w]).col(u))
-        inner = vsub(inner, rep.mu_vec(tc[u], tc[w]).col(v))
-        r = vsub(alg.triple(tc[u], tc[v], tc[w]), tmap.apply(inner))
-        if not vec_is_zero(r):
-            return {"identity": "ternary", "tuple": (u, v, w), "residual": r}
+    tc = [tmap.col(u) for u in range(pair.dim_v)]
+    residuals = {
+        2: lambda u, v: vsub(alg.bracket(tc[u], tc[v]), tmap.apply(_induced(rep, d, tc, (u, v)))),
+        3: lambda u, v, w: vsub(alg.triple(tc[u], tc[v], tc[w]),
+                                tmap.apply(_induced(rep, d, tc, (u, v, w)))),
+    }
+    for arity in arities:
+        wit = first_violation(residuals[arity], (pair.dim_v,) * arity, identity=RB_LAWS[arity][0])
+        if wit is not None:
+            return wit
     return None
 
 
 def relative_rb_report(pair: LieYRepPair, tmap: Matrix) -> VerificationReport:
+    """Each Rota-Baxter identity evaluated on its own."""
     rep = VerificationReport(subject="relative Rota-Baxter operator")
-    wit = _rb_residuals(pair, tmap)
-    binary_wit = wit if wit is not None and wit["identity"] == "binary" else None
-    rep.add("rb-binary", binary_wit is None, "[Tu,Tv] = T(rho(Tu)v - rho(Tv)u)", binary_wit)
-    ternary_wit = wit if wit is not None and wit["identity"] == "ternary" else None
-    rep.add("rb-ternary", ternary_wit is None,
-            "<<Tu,Tv,Tw>> = T(D(Tu,Tv)w + mu(Tv,Tw)u - mu(Tu,Tw)v)", ternary_wit)
+    for arity, (identity, law) in RB_LAWS.items():
+        wit = _rb_residuals(pair, tmap, (arity,))
+        rep.add(f"rb-{identity}", wit is None, law, wit)
     return rep
 
 
@@ -92,29 +139,15 @@ class RelativeRBOperator:
 
 
 def subadjacent(top: RelativeRBOperator) -> LieYamagutiAlgebra:
-    """The induced Lie-Yamaguti structure on V.
-
-    [u,v]^T = rho(Tu)v - rho(Tv)u
-    <<u,v,w>>^T = D(Tu,Tv)w + mu(Tv,Tw)u - mu(Tu,Tw)v
+    """The induced Lie-Yamaguti structure on V, [u,v]^T and <<u,v,w>>^T.
 
     Verified here: the axioms hold and T is a homomorphism V^T -> g.
     """
-    pair, tmap = top.pair, top.tmap
-    alg, rep, d = pair.algebra, pair.rep, pair.d
-    m = pair.dim_v
-    tc = [tmap.col(u) for u in range(m)]
-    binary = [[None] * m for _ in range(m)]
-    ternary = [[[None] * m for _ in range(m)] for _ in range(m)]
-    for u, v in product(range(m), repeat=2):
-        binary[u][v] = vsub(rep.rho_vec(tc[u]).col(v), rep.rho_vec(tc[v]).col(u))
-        duv = d.vec(tc[u], tc[v])
-        for w in range(m):
-            val = vadd(duv.col(w), rep.mu_vec(tc[v], tc[w]).col(u))
-            ternary[u][v][w] = vsub(val, rep.mu_vec(tc[u], tc[w]).col(v))
-    out = LieYamagutiAlgebra(m, binary, ternary, [f"v{i+1}" for i in range(m)])
+    pair = top.pair
+    out = _induced_algebra(pair.rep, pair.d, top.tmap)
     if not out.check_axioms().passed:
         raise ConsequenceViolatedError("sub-adjacent brackets fail the axioms for a validated operator")
-    if not is_homomorphism(tmap, out, alg):
+    if not is_homomorphism(top.tmap, out, pair.algebra):
         raise ConsequenceViolatedError("T is not a homomorphism from the sub-adjacent algebra")
     return out
 
@@ -175,50 +208,33 @@ def s_deformed_brackets(top: RelativeRBOperator, smap: Matrix):
     return deformed_brackets(subadjacent(top), smap)
 
 
+def _hat_pair(pair: LieYRepPair, ns: NijenhuisStructure) -> LieYRepPair:
+    """The N-deformed algebra with the reshaped representation (hat-rho, hat-mu)."""
+    if ns.pair is not pair:
+        raise DimMismatchError("Nijenhuis structure belongs to another pair")
+    return LieYRepPair(deformed_algebra(pair.algebra, ns.nmap), hat_rep(pair, ns), validate=False)
+
+
 def hat_deformed_brackets(top: RelativeRBOperator, ns: NijenhuisStructure):
-    """Brackets built from the reshaped representation (hat-rho, hat-mu).
+    """Brackets T induces through the reshaped representation (hat-rho, hat-mu).
 
     [u,v] = hat-rho(Tu)v - hat-rho(Tv)u, and the ternary analogue with
     the derived operator of the reshaped representation.
     """
-    pair, tmap = top.pair, top.tmap
-    if ns.pair is not pair:
-        raise DimMismatchError("Nijenhuis structure belongs to another pair")
-    rep_hat = hat_rep(pair, ns)
-    alg_n = deformed_algebra(pair.algebra, ns.nmap)
-    d_hat = derived_D(alg_n, rep_hat)
-    m = pair.dim_v
-    tc = [tmap.col(u) for u in range(m)]
-    binary = [[None] * m for _ in range(m)]
-    ternary = [[[None] * m for _ in range(m)] for _ in range(m)]
-    for u, v in product(range(m), repeat=2):
-        binary[u][v] = vsub(rep_hat.rho_vec(tc[u]).col(v), rep_hat.rho_vec(tc[v]).col(u))
-        duv = d_hat.vec(tc[u], tc[v])
-        for w in range(m):
-            val = vadd(duv.col(w), rep_hat.mu_vec(tc[v], tc[w]).col(u))
-            ternary[u][v][w] = vsub(val, rep_hat.mu_vec(tc[u], tc[w]).col(v))
-    flat_b = [x for u in range(m) for v in range(m) for x in binary[u][v]]
-    flat_t = [x for u in range(m) for v in range(m) for w in range(m) for x in ternary[u][v][w]]
-    return Tensor((m, m, m), flat_b), Tensor((m, m, m, m), flat_t)
+    hat = _hat_pair(top.pair, ns)
+    out = _induced_algebra(hat.rep, hat.d, top.tmap)
+    return out.binary_tensor, out.ternary_tensor
 
 
-def _induced_brackets(pair: LieYRepPair, tmap: Matrix):
-    """The sub-adjacent-formula brackets for an arbitrary map T: V -> g.
+def _deformed_vs_induced(deformed, rep, d, tmap: Matrix, arity, **tags):
+    """First tuple where the deformed brackets differ from those T induces via (rep, d).
 
-    Used for the [.,.]^{N T} comparison; T need not be Rota-Baxter.
+    deformed is the pair (binary, ternary) of tensors; arity 2 or 3 picks one.
     """
-    alg, rep, d = pair.algebra, pair.rep, pair.d
-    m = pair.dim_v
-    tc = [tmap.col(u) for u in range(m)]
-    binary = [[None] * m for _ in range(m)]
-    ternary = [[[None] * m for _ in range(m)] for _ in range(m)]
-    for u, v in product(range(m), repeat=2):
-        binary[u][v] = vsub(rep.rho_vec(tc[u]).col(v), rep.rho_vec(tc[v]).col(u))
-        duv = d.vec(tc[u], tc[v])
-        for w in range(m):
-            val = vadd(duv.col(w), rep.mu_vec(tc[v], tc[w]).col(u))
-            ternary[u][v][w] = vsub(val, rep.mu_vec(tc[u], tc[w]).col(v))
-    return binary, ternary
+    tc = [tmap.col(u) for u in range(tmap.cols)]
+    table = deformed[arity - 2]
+    return first_violation(lambda *idx: vsub(table.slice_vector(*idx), _induced(rep, d, tc, idx)),
+                           (tmap.cols,) * arity, **tags)
 
 
 def append_twist_conditions(report: VerificationReport, pair: LieYRepPair,
@@ -226,39 +242,26 @@ def append_twist_conditions(report: VerificationReport, pair: LieYRepPair,
     """Append the three twist conditions tying (T, S, N) together:
 
     N T = T S, and the S-deformed sub-adjacent brackets of T equal the
-    brackets induced by N T.  T must already be a validated operator.
+    brackets induced by N T.  The sub-adjacent brackets are the induced
+    tables of T; the theorems about them are asserted by subadjacent.
     """
-    diff = nmap * tmap - tmap * smap
-    report.add("twist-compat", diff.is_zero(), "N T = T S",
-               witness=None if diff.is_zero() else {"residual": diff.data})
-    top = RelativeRBOperator(pair, tmap)
-    b_s, t_s = s_deformed_brackets(top, smap)
+    wit = first_violation((nmap * tmap - tmap * smap).col, (pair.dim_v,))
+    report.add("twist-compat", wit is None, "N T = T S", wit)
+    deformed = deformed_brackets(_induced_algebra(pair.rep, pair.d, tmap), smap)
     nt = nmap * tmap
-    b_nt, t_nt = _induced_brackets(pair, nt)
-    m = pair.dim_v
-    wit = None
-    for u, v in product(range(m), repeat=2):
-        if not vec_is_zero(vsub(b_s.slice_vector(u, v), b_nt[u][v])):
-            wit = {"tuple": (u, v)}
-            break
+    wit = _deformed_vs_induced(deformed, pair.rep, pair.d, nt, 2)
     report.add("deformed-binary", wit is None, "[u,v]^T_S = [u,v]^{NT}", wit)
-    wit = None
-    for u, v, w in product(range(m), repeat=3):
-        if not vec_is_zero(vsub(t_s.slice_vector(u, v, w), t_nt[u][v][w])):
-            wit = {"tuple": (u, v, w)}
-            break
+    wit = _deformed_vs_induced(deformed, pair.rep, pair.d, nt, 3)
     report.add("deformed-ternary", wit is None, "<<u,v,w>>^T_S = <<u,v,w>>^{NT}", wit)
 
 
 def rbn_report(pair: LieYRepPair, tmap: Matrix, smap: Matrix, nmap: Matrix) -> VerificationReport:
     """Check the defining conditions of a relative Rota-Baxter-Nijenhuis triple."""
-    from .deform import is_nijenhuis_structure
-
     report = VerificationReport(subject="relative Rota-Baxter-Nijenhuis structure")
     rb = _rb_residuals(pair, tmap)
     report.add("rb-operator", rb is None, "T is a relative Rota-Baxter operator", rb)
-    report.add("nijenhuis-structure", is_nijenhuis_structure(pair, nmap, smap),
-               "(N, S) is a Nijenhuis structure", witness={"pair": "(N, S)"})
+    ns = nijenhuis_structure_report(pair, nmap, smap).first_failure()
+    report.add("nijenhuis-structure", ns is None, "(N, S) is a Nijenhuis structure", ns)
     if not report.passed:
         return report
     append_twist_conditions(report, pair, tmap, smap, nmap)
@@ -270,20 +273,25 @@ def is_rbn(pair: LieYRepPair, tmap: Matrix, smap: Matrix, nmap: Matrix) -> bool:
 
 
 class RBNTriple:
-    """Validated relative Rota-Baxter-Nijenhuis triple (T, S, N)."""
+    """Validated relative Rota-Baxter-Nijenhuis triple (T, S, N).
+
+    Keeps the passing report of its defining conditions; a failing one
+    travels with the PreconditionFailedError.
+    """
 
     def __init__(self, pair: LieYRepPair, tmap: Matrix, smap: Matrix, nmap: Matrix):
-        rep = rbn_report(pair, tmap, smap, nmap)
-        if not rep.passed:
+        report = rbn_report(pair, tmap, smap, nmap)
+        if not report.passed:
             raise PreconditionFailedError(
                 f"not a relative Rota-Baxter-Nijenhuis structure; failing: "
-                f"{[c.name for c in rep.checks if not c.ok]}",
-                which="rbn",
+                f"{[c.name for c in report.checks if not c.ok]}",
+                which="rbn", report=report,
             )
         self.pair = pair
         self.tmap = tmap
         self.smap = smap
         self.nmap = nmap
+        self.report = report
         self.operator = RelativeRBOperator(pair, tmap)
         self.structure = NijenhuisStructure(pair, nmap, smap)
 
@@ -298,46 +306,46 @@ def rbn_consequences(triple: RBNTriple, raise_on_failure: bool = True) -> Verifi
     (d) the S-deformed and hat-deformed brackets coincide and satisfy the
         axioms;
     (e) every arrow of the induced commuting square is a homomorphism.
+
+    The sub-adjacent algebra and the reshaped pair are built once here.
     """
-    pair = triple.pair
+    pair, tmap, smap, nmap = triple.pair, triple.tmap, triple.smap, triple.nmap
     report = VerificationReport(subject="Rota-Baxter-Nijenhuis consequences")
     sub = subadjacent(triple.operator)
-    report.add("S-nijenhuis-on-subadjacent", is_nijenhuis(sub, triple.smap),
-               "S is a Nijenhuis operator on V^T", witness={"operator": "S"})
+    wit = nijenhuis_witness(sub, smap)
+    report.add("S-nijenhuis-on-subadjacent", wit is None, "S is a Nijenhuis operator on V^T", wit)
 
-    alg_n = deformed_algebra(pair.algebra, triple.nmap)
-    rep_hat = hat_rep(pair, triple.structure)
-    deformed_pair = LieYRepPair(alg_n, rep_hat, validate=False)
-    wit = _rb_residuals(deformed_pair, triple.tmap)
+    hat = _hat_pair(pair, triple.structure)
+    wit = _rb_residuals(hat, tmap)
     report.add("T-rb-on-deformed", wit is None,
                "T is relative Rota-Baxter on the deformed pair", wit)
 
-    nt = triple.nmap * triple.tmap
+    nt = nmap * tmap
     wit = _rb_residuals(pair, nt)
     report.add("NT-rb-on-original", wit is None,
                "N T is relative Rota-Baxter on the original pair", wit)
 
-    b_s, t_s = s_deformed_brackets(triple.operator, triple.smap)
-    b_h, t_h = hat_deformed_brackets(triple.operator, triple.structure)
-    same = b_s == b_h and t_s == t_h
-    report.add("deformed-brackets-equal", same,
-               "S-deformed brackets equal the hat-deformed brackets",
-               witness=None if same else {"blocks": "binary/ternary"})
-    v_def = LieYamagutiAlgebra(pair.dim_v, b_s, t_s)
-    report.add("deformed-brackets-axioms", v_def.check_axioms().passed,
-               "the deformed brackets satisfy the Lie-Yamaguti axioms",
-               witness={"subject": "V with deformed brackets"})
+    deformed = deformed_brackets(sub, smap)
+    wit = (_deformed_vs_induced(deformed, hat.rep, hat.d, tmap, 2, identity="binary")
+           or _deformed_vs_induced(deformed, hat.rep, hat.d, tmap, 3, identity="ternary"))
+    report.add("deformed-brackets-equal", wit is None,
+               "S-deformed brackets equal the hat-deformed brackets", wit)
+    v_def = LieYamagutiAlgebra(pair.dim_v, *deformed)
+    wit = v_def.check_axioms().first_failure()
+    report.add("deformed-brackets-axioms", wit is None,
+               "the deformed brackets satisfy the Lie-Yamaguti axioms", wit)
 
-    arrows_ok = (
-        is_homomorphism(triple.tmap, v_def, alg_n)
-        and is_homomorphism(triple.smap, v_def, sub)
-        and is_homomorphism(triple.nmap, alg_n, pair.algebra)
-        and is_homomorphism(triple.tmap, sub, pair.algebra)
-        and is_homomorphism(nt, v_def, pair.algebra)
+    arrows = (
+        ("T: V_S -> g_N", tmap, v_def, hat.algebra),
+        ("S: V_S -> V^T", smap, v_def, sub),
+        ("N: g_N -> g", nmap, hat.algebra, pair.algebra),
+        ("T: V^T -> g", tmap, sub, pair.algebra),
+        ("NT: V_S -> g", nt, v_def, pair.algebra),
     )
-    report.add("diagram-arrows", arrows_ok,
-               "T, S, N, NT are homomorphisms in the induced commuting square",
-               witness={"arrows": "T,S,N,NT"})
+    wit = next(({"arrow": name, **w} for name, phi, src, dst in arrows
+                if (w := homomorphism_witness(phi, src, dst)) is not None), None)
+    report.add("diagram-arrows", wit is None,
+               "T, S, N, NT are homomorphisms in the induced commuting square", wit)
     if raise_on_failure and not report.passed:
         raise ConsequenceViolatedError(
             f"theorem consequences failed on a validated triple: "
@@ -351,80 +359,72 @@ def rbn_consequences(triple: RBNTriple, raise_on_failure: bool = True) -> Verifi
 
 
 def _compat_residual(pair: LieYRepPair, t1: Matrix, t2: Matrix):
-    """First violating tuple of the closed-form compatibility conditions."""
+    """First violating tuple of the closed-form compatibility conditions.
+
+    binary:     [T1u,T2v] + [T2u,T1v] = T1([u,v]^T2) + T2([u,v]^T1)
+    ternary-ij: <<Tiu,Tiv,Tjw>> + <<Tiu,Tjv,Tiw>> + <<Tju,Tiv,Tiw>>
+                = Ti(mixed(u,v,w)) + Tj(<<u,v,w>>^Ti)
+
+    where mixed is the polarization <<.>>^{Ti+Tj} - <<.>>^Ti - <<.>>^Tj
+    of the induced ternary bracket.
+    """
     alg, rep, d = pair.algebra, pair.rep, pair.d
     m = pair.dim_v
     c1 = [t1.col(u) for u in range(m)]
     c2 = [t2.col(u) for u in range(m)]
+    c12 = [vadd(a, b) for a, b in zip(c1, c2)]
 
-    for u, v in product(range(m), repeat=2):
+    def binary(u, v):
         lhs = vadd(alg.bracket(c1[u], c2[v]), alg.bracket(c2[u], c1[v]))
-        r1 = vsub(rep.rho_vec(c2[u]).col(v), rep.rho_vec(c2[v]).col(u))
-        r2 = vsub(rep.rho_vec(c1[u]).col(v), rep.rho_vec(c1[v]).col(u))
-        rhs = vadd(t1.apply(r1), t2.apply(r2))
-        if not vec_is_zero(vsub(lhs, rhs)):
-            return {"identity": "binary", "tuple": (u, v)}
+        rhs = vadd(t1.apply(_induced(rep, d, c2, (u, v))), t2.apply(_induced(rep, d, c1, (u, v))))
+        return vsub(lhs, rhs)
 
-    def tern(ci, cj, u, v, w):
-        # <<T_i u, T_i v, T_j w>> + <<T_i u, T_j v, T_i w>> + <<T_j u, T_i v, T_i w>>
-        acc = alg.triple(ci[u], ci[v], cj[w])
-        acc = vadd(acc, alg.triple(ci[u], cj[v], ci[w]))
-        acc = vadd(acc, alg.triple(cj[u], ci[v], ci[w]))
-        return acc
+    def ternary(ci, cj, ti, tj, u, v, w):
+        lhs = vadd(alg.triple(ci[u], ci[v], cj[w]), alg.triple(ci[u], cj[v], ci[w]))
+        lhs = vadd(lhs, alg.triple(cj[u], ci[v], ci[w]))
+        pure_i = _induced(rep, d, ci, (u, v, w))
+        mixed = vsub(vsub(_induced(rep, d, c12, (u, v, w)), pure_i), _induced(rep, d, cj, (u, v, w)))
+        return vsub(lhs, vadd(ti.apply(mixed), tj.apply(pure_i)))
 
-    def inner_mixed(ci, cj, u, v, w):
-        # D(T_i u, T_j v)w + mu(T_i v, T_j w)u - mu(T_i u, T_j w)v (+ i<->j)
-        acc = d.vec(ci[u], cj[v]).col(w)
-        acc = vadd(acc, rep.mu_vec(ci[v], cj[w]).col(u))
-        acc = vsub(acc, rep.mu_vec(ci[u], cj[w]).col(v))
-        acc = vadd(acc, d.vec(cj[u], ci[v]).col(w))
-        acc = vadd(acc, rep.mu_vec(cj[v], ci[w]).col(u))
-        acc = vsub(acc, rep.mu_vec(cj[u], ci[w]).col(v))
-        return acc
-
-    def inner_pure(ci, u, v, w):
-        acc = d.vec(ci[u], ci[v]).col(w)
-        acc = vadd(acc, rep.mu_vec(ci[v], ci[w]).col(u))
-        acc = vsub(acc, rep.mu_vec(ci[u], ci[w]).col(v))
-        return acc
-
-    for (ci, cj, ti, tj, tag) in ((c1, c2, t1, t2, "ternary-12"), (c2, c1, t2, t1, "ternary-21")):
-        for u, v, w in product(range(m), repeat=3):
-            lhs = tern(ci, cj, u, v, w)
-            rhs = vadd(ti.apply(inner_mixed(ci, cj, u, v, w)), tj.apply(inner_pure(ci, u, v, w)))
-            if not vec_is_zero(vsub(lhs, rhs)):
-                return {"identity": tag, "tuple": (u, v, w)}
-    return None
+    return first_violation(binary, (m,) * 2, identity="binary") or first_violation(
+        lambda u, v, w: ternary(c1, c2, t1, t2, u, v, w), (m,) * 3, identity="ternary-12",
+    ) or first_violation(
+        lambda u, v, w: ternary(c2, c1, t2, t1, u, v, w), (m,) * 3, identity="ternary-21",
+    )
 
 
-def is_compatible_pair(pair: LieYRepPair, t1: Matrix, t2: Matrix) -> bool:
-    """Compatibility of two validated operators via the closed conditions.
+def compatibility_witness(pair: LieYRepPair, t1: Matrix, t2: Matrix):
+    """First violating tuple of the compatibility of two validated operators, or None.
 
     Cross-checked by sampling k1 T1 + k2 T2 at (1,1), (1,-1), (2,3): the
     closed verdict "compatible" with any failing sample is a hard error
     (the samples are necessary conditions).
     """
     for t in (t1, t2):
-        wit = _rb_residuals(pair, t)
-        if wit is not None:
+        if _rb_residuals(pair, t) is not None:
             raise PreconditionFailedError(
                 "compatibility is defined for validated Rota-Baxter operators",
                 which="relative-rb",
             )
-    verdict = _compat_residual(pair, t1, t2) is None
+    wit = _compat_residual(pair, t1, t2)
     samples_ok = all(
         is_relative_rb(pair, t1.scale(k1) + t2.scale(k2))
         for (k1, k2) in ((1, 1), (1, -1), (2, 3))
     )
-    if verdict and not samples_ok:
+    if wit is None and not samples_ok:
         raise IncompatibleCrossCheckError(
             "closed-form compatibility holds but a sampled combination fails"
         )
-    return verdict
+    return wit
 
 
-def strong_condition(pair: LieYRepPair, top: RelativeRBOperator, smap: Matrix) -> bool:
-    """D(Tu,Tv)(Sw) + mu(Tv,Tw)(Su) - mu(Tu,Tw)(Sv) = S(<<u,v,w>>^T)."""
+def is_compatible_pair(pair: LieYRepPair, t1: Matrix, t2: Matrix) -> bool:
+    """Compatibility of two validated operators via the closed conditions."""
+    return compatibility_witness(pair, t1, t2) is None
+
+
+def strong_witness(pair: LieYRepPair, top: RelativeRBOperator, smap: Matrix):
+    """First tuple violating D(Tu,Tv)(Sw) + mu(Tv,Tw)(Su) - mu(Tu,Tw)(Sv) = S(<<u,v,w>>^T), or None."""
     if top.pair is not pair:
         raise DimMismatchError("operator belongs to another pair")
     rep, d = pair.rep, pair.d
@@ -432,13 +432,19 @@ def strong_condition(pair: LieYRepPair, top: RelativeRBOperator, smap: Matrix) -
     tc = [top.tmap.col(u) for u in range(m)]
     sub = subadjacent(top)
     sc = [smap.col(u) for u in range(m)]
-    for u, v, w in product(range(m), repeat=3):
+
+    def residual(u, v, w):
         lhs = d.vec(tc[u], tc[v]).apply(sc[w])
         lhs = vadd(lhs, rep.mu_vec(tc[v], tc[w]).apply(sc[u]))
         lhs = vsub(lhs, rep.mu_vec(tc[u], tc[w]).apply(sc[v]))
-        if not vec_is_zero(vsub(lhs, smap.apply(sub.t[u][v][w]))):
-            return False
-    return True
+        return vsub(lhs, smap.apply(sub.t[u][v][w]))
+
+    return first_violation(residual, (m,) * 3)
+
+
+def strong_condition(pair: LieYRepPair, top: RelativeRBOperator, smap: Matrix) -> bool:
+    """D(Tu,Tv)(Sw) + mu(Tv,Tw)(Su) - mu(Tu,Tw)(Sv) = S(<<u,v,w>>^T)."""
+    return strong_witness(pair, top, smap) is None
 
 
 def nijenhuis_from_pair(pair: LieYRepPair, t1: Matrix, t2: Matrix) -> Matrix:

@@ -166,7 +166,7 @@ def parse_rational(text: str) -> Fraction:
 def parse_scalar(value):
     """Parse the serialized form: 'p/q' string or {'poly': [coeff strings]}."""
     if isinstance(value, dict):
-        if set(value) != {"poly"}:
+        if set(value) != {"poly"} or not isinstance(value["poly"], list):
             raise BadRationalError(f"bad scalar object {value!r}")
         return Poly([parse_rational(c) for c in value["poly"]])
     if isinstance(value, int):

@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lieyam.cli import main
 from lieyam.jsonio import (
@@ -226,3 +228,113 @@ def test_consequence_violation_exit3(monkeypatch, capsys):
                      "--S", fx("S-lam2.json"), "--N", fx("N-lam2.json")])
     capsys.readouterr()
     assert code == 3
+
+
+def test_search_bad_values_exit2(capsys):
+    code, out = run_cli("search", "rbo", "--pair", fx("A2-adjoint.json"), "--values=a",
+                        capsys=capsys)
+    assert code == 2
+    assert out.out == ""
+    assert len(out.err.strip().splitlines()) == 1 and "Traceback" not in out.err
+    assert "'--values' must be an integer" in out.err
+
+
+def _contract_inputs(tmp_path):
+    """One failing input per command (operator files written to tmp_path)."""
+    from lieyam.search import catalog_algebra
+
+    def op(name, rows):
+        path = tmp_path / f"{name}.json"
+        dump_json(operator_to_dict(Matrix(rows)), path)
+        return str(path)
+
+    sl2 = tmp_path / "sl2.json"
+    dump_json(algebra_to_dict(catalog_algebra("sl2")), sl2)
+    pair = fx("A2-adjoint.json")
+    bad_s = op("S-bad", [[-1, -1], [-1, -1]])
+    bad_t = op("T-bad", [[-1, -1], [-1, -1]])
+    t_strong = op("T-strong", [[-1, -1], [1, 1]])
+    return [
+        ["verify-nijenhuis", "--algebra", str(sl2), "--N", op("E11", [[1, 0, 0], [0, 0, 0], [0, 0, 0]])],
+        ["verify-nijenhuis-structure", "--pair", pair, "--N", fx("N-lam2.json"), "--S", bad_s],
+        ["deform", "--pair", pair, "--from-nijenhuis", "--N", fx("N-lam2.json"), "--S", bad_s],
+        ["verify-rbo", "--pair", pair, "--T", bad_t],
+        ["verify-rbn", "--pair", pair, "--T", bad_t, "--S", fx("S-lam2.json"), "--N", fx("N-lam2.json")],
+        ["verify-rbn", "--pair", pair, "--T", fx("T-a1.json"), "--S", bad_s, "--N", fx("N-lam2.json")],
+        ["verify-rbn", "--pair", pair, "--T", fx("T-a1.json"), "--S", op("Z", [[0, 0], [0, 0]]),
+         "--N", op("Id", [[1, 0], [0, 1]])],
+        ["verify-strong", "--pair", pair, "--T", t_strong, "--S", op("S-strong", [[-1, -1], [-1, 0]])],
+        ["verify-compatible", "--pair", pair, "--T1", t_strong, "--T2", op("T2", [[-1, 1], [-1, 1]])],
+        ["check", "algebra", fx("A2-bad-ternary.json")],
+        ["quadratic", "check-form", "--algebra", fx("A2.json"), "--B", op("B", [[1, 0], [0, 1]])],
+    ]
+
+
+def test_failing_checks_carry_witness(tmp_path, capsys):
+    """Every failing check names its first violating tuple with the exact residual."""
+    for argv in _contract_inputs(tmp_path):
+        code, out = run_cli("--format", "json", *argv, capsys=capsys)
+        assert code == 1, argv
+        payload = json.loads(out.out)
+        failing = [c for c in payload["checks"] if c["status"] == "fail"]
+        assert failing, argv
+        for check in failing:
+            if check["name"] == "nondegenerate":
+                assert "rank" in check["witness"]
+                continue
+            assert {"tuple", "residual"} <= set(check["witness"]), (argv, check)
+
+
+_scalar = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=False),
+                    st.sampled_from(["1", "-1/2", "1/0", "x", "", " 2 ", "1e2"]),
+                    st.fixed_dictionaries({"poly": st.one_of(st.integers(), st.lists(st.text(max_size=3),
+                                                                                     max_size=2))}))
+_operator_json = st.one_of(
+    st.recursive(st.one_of(st.none(), st.integers(), st.text(max_size=4)),
+                 lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                             max_size=3),
+                 max_leaves=6),
+    st.fixed_dictionaries({
+        "rows": st.one_of(st.integers(-1, 3), st.sampled_from(["2", "x", 2.5, True, None])),
+        "cols": st.one_of(st.integers(-1, 3), st.sampled_from(["2", "x", 2.5, True, None])),
+        "entries": st.one_of(st.lists(_scalar, max_size=5),
+                             st.lists(st.lists(_scalar, max_size=3), max_size=3), _scalar),
+    }),
+    st.fixed_dictionaries({"rows": st.just(2), "cols": st.just(2),
+                           "entries": st.lists(_scalar, min_size=4, max_size=4)}),
+)
+
+
+def _assert_contract(code, out):
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.err
+    if code == 2:
+        assert len(out.err.strip().splitlines()) == 1
+    if code == 1:
+        assert "checks" in json.loads(out.out)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_contract_fuzz_operators(tmp_path, capsys, data):
+    """Malformed operator files give exit 0/1/2, never a traceback or a bare exit 1."""
+    command = data.draw(st.sampled_from([
+        ("verify-rbo", "--T"), ("verify-nijenhuis-structure", "--N", "--S"),
+        ("verify-rbn", "--T", "--S", "--N"),
+    ]))
+    argv = ["--format", "json", command[0], "--pair", fx("A2-adjoint.json")]
+    for flag in command[1:]:
+        path = tmp_path / f"{flag[2:]}.json"
+        path.write_text(json.dumps(data.draw(_operator_json, label=flag)))
+        argv += [flag, str(path)]
+    _assert_contract(*run_cli(*argv, capsys=capsys))
+
+
+@settings(derandomize=True, deadline=None, max_examples=50,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.text(alphabet="0129-,a. ", max_size=6))
+def test_cli_contract_fuzz_values(capsys, values):
+    """Malformed --values strings give exit 2 with one line on stderr."""
+    _assert_contract(*run_cli("--format", "json", "search", "rbo", "--pair", fx("A2-adjoint.json"),
+                              f"--values={values}", "--limit", "1", capsys=capsys))

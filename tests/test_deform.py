@@ -7,9 +7,11 @@ from lieyam.deform import (
     DeformationData,
     NijenhuisStructure,
     are_equivalent_deformations,
+    cocycle_witness,
     deformation_cocycle,
     deformation_difference_report,
     derived_deformation_terms,
+    equivalence_witness,
     hat_rep,
     is_deformation_of_pair,
     is_linear_deformation,
@@ -104,6 +106,7 @@ def test_noncocycle_perturbation_reports_witness(a2_adjoint):
     assert failing[0].witness is not None
     residual = failing[0].witness["residual"]
     assert any(isinstance(x, Poly) and x for x in residual)  # t-coefficients visible
+    assert cocycle_witness(P, bad) == {"block": "c1f", "tuple": (0, 0), "residual": (1, 0)}
 
 
 def test_equivalence_negative(a2_adjoint):
@@ -259,3 +262,16 @@ def test_nn_structure_iff_nijenhuis_operator_on_adjoint(a2_adjoint, rng):
         # on this 2-dim algebra every operator is Nijenhuis, so every (N, N)
         # must validate as a structure on the adjoint pair
         assert is_nijenhuis_structure(a2_adjoint, nmap, nmap)
+
+
+def test_equivalence_and_cocycle_witnesses(a2_adjoint):
+    P = a2_adjoint
+    lam = Matrix.identity(2).scale(2)
+    d = trivial_deformation_from(P, NijenhuisStructure(P, lam, lam))
+    zero = DeformationData.zero(P)
+    assert equivalence_witness(P, d, zero, lam, lam) is None
+    wit = equivalence_witness(P, d, zero, Matrix.zero(2), Matrix.zero(2))
+    # located on the semidirect basis: [e1, e2] is scaled by 1 + 2t on one side only
+    assert wit["identity"] == "binary" and wit["tuple"] == (0, 1)
+    assert wit["residual"][0] == Poly([0, 2])
+    assert cocycle_witness(P, d) is None

@@ -16,9 +16,12 @@ from lieyam.rotabaxter import (
     is_relative_rb,
     nijenhuis_from_pair,
     pre_ly_products,
+    compatibility_witness,
     rbn_consequences,
+    relative_rb_report,
     s_deformed_brackets,
     strong_condition,
+    strong_witness,
     subadjacent,
 )
 from lieyam.search import search_rb_operators
@@ -185,3 +188,50 @@ def test_compatible_nondegenerate_search(a2_coadjoint):
         scalars += n == Matrix.identity(2).scale(n[0, 0])
     # record that the search yields at least the scalar family
     assert scalars >= 1
+
+
+def test_rb_report_evaluates_each_identity(a2_adjoint):
+    """A binary failure does not hide the ternary one."""
+    report = relative_rb_report(a2_adjoint, Matrix([[-1, -1], [-1, -1]]))
+    assert report.check("rb-binary").witness["tuple"] == (0, 1)
+    ternary = report.check("rb-ternary")
+    assert not ternary.ok
+    assert ternary.witness["tuple"] == (0, 1, 0)
+    assert ternary.witness["residual"] == (2, 2)
+
+
+def test_rb_witness_is_first_violation(a2_adjoint):
+    """The binary witness is the lexicographically first tuple, with its residual."""
+    P = a2_adjoint
+    alg, rep = P.algebra, P.rep
+    for ent in itertools.product((-1, 0, 1), repeat=4):
+        t = Matrix([ent[0:2], ent[2:4]])
+        expected = None
+        for u, v in itertools.product(range(2), repeat=2):
+            inner = [a - b for a, b in zip(rep.rho_vec(t.col(u)).col(v), rep.rho_vec(t.col(v)).col(u))]
+            r = tuple(a - b for a, b in zip(alg.bracket(t.col(u), t.col(v)), t.apply(inner)))
+            if any(r):
+                expected = {"identity": "binary", "tuple": (u, v), "residual": r}
+                break
+        assert relative_rb_report(P, t).check("rb-binary").witness == expected
+        assert is_relative_rb(P, t) == relative_rb_report(P, t).passed
+
+
+def test_witnesses_behind_predicates(a2_adjoint):
+    P = a2_adjoint
+    top = RelativeRBOperator(P, Matrix([[-1, -1], [1, 1]]))
+    wit = strong_witness(P, top, Matrix([[-1, -1], [-1, 0]]))
+    assert wit["tuple"] == (0, 1, 0) and not strong_condition(P, top, Matrix([[-1, -1], [-1, 0]]))
+    assert strong_witness(P, RelativeRBOperator(P, T1), NMAT) is None
+    wit = compatibility_witness(P, Matrix([[-1, -1], [1, 1]]), Matrix([[-1, 1], [-1, 1]]))
+    assert wit["identity"] == "binary" and wit["tuple"] == (0, 1)
+    assert compatibility_witness(P, T1, T1 * NMAT) is None
+
+
+def test_rbn_triple_carries_failing_report(a2_adjoint):
+    with pytest.raises(PreconditionFailedError) as err:
+        RBNTriple(a2_adjoint, T1, Matrix.zero(2), Matrix.identity(2))
+    report = err.value.report
+    assert report.check("twist-compat").witness == {"tuple": (1,), "residual": (1, 0)}
+    triple = RBNTriple(a2_adjoint, T1, NMAT, NMAT)
+    assert triple.report.passed
