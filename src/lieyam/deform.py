@@ -22,7 +22,8 @@ _hat_linear holds hat-rho(x) = rho(Nx) + rho(x)S - S rho(x) and the
 degree-1 term varpi1, _hat_bilinear holds hat-mu = varpi2 and the closed
 form hat-D.  Every structure condition has the form X(N.) S = S hat-X(.),
 so the residuals of the structure report, the trivial deformation and
-hat_rep all evaluate those two functions.
+the reshaped pair (_hat_pair, behind hat_rep) all evaluate those two
+functions.
 """
 
 from __future__ import annotations
@@ -351,21 +352,16 @@ def equivalence_witness(pair: LieYRepPair, d: DeformationData, d2: DeformationDa
                         nmap: Matrix, smap: Matrix):
     """First basis tuple where (Id + tN, Id + tS) fails to map the d-family onto the d2-family.
 
-    Decided by is_pair_homomorphism, as polynomial identities in t (d is
-    the source family, d2 the target).  A failure is located on the
-    semidirect products: (phi, psi) is a pair homomorphism exactly when
-    phi (+) psi is an algebra homomorphism g (+) V -> g (+) V, so the
-    witness {"identity", "tuple", "residual"} indexes that basis.
+    (phi, psi) is a pair homomorphism exactly when phi (+) psi is an
+    algebra homomorphism of the semidirect products g (+) V, so the law is
+    decided there, as polynomial identities in t (d is the source family,
+    d2 the target); the witness {"identity", "tuple", "residual"} indexes
+    the semidirect basis, g first.
     """
-    src, dst = _family_pair(pair, d), _family_pair(pair, d2)
     phi = Matrix.identity(pair.dim_g) + nmap.scale(TPOLY)
     psi = Matrix.identity(pair.dim_v) + smap.scale(TPOLY)
-    if is_pair_homomorphism(phi, psi, src, dst):
-        return None
-    wit = homomorphism_witness(_block_diag(phi, psi), src.semidirect(), dst.semidirect())
-    if wit is None:
-        raise InternalConsistencyError("pair and semidirect homomorphism routes disagree")
-    return wit
+    return homomorphism_witness(_block_diag(phi, psi), _family_pair(pair, d).semidirect(),
+                                _family_pair(pair, d2).semidirect())
 
 
 def are_equivalent_deformations(pair: LieYRepPair, d: DeformationData,
@@ -398,8 +394,8 @@ def semidirect_nijenhuis(pair: LieYRepPair, ns: NijenhuisStructure) -> Matrix:
     return block
 
 
-def hat_rep(pair: LieYRepPair, ns: NijenhuisStructure) -> Representation:
-    """The reshaped representation attached to a Nijenhuis structure.
+def _hat_pair(pair: LieYRepPair, ns: NijenhuisStructure) -> LieYRepPair:
+    """The N-deformed algebra with the reshaped representation of a Nijenhuis structure.
 
     hat-rho(x)  = rho(Nx) + rho(x) S - S rho(x)
     hat-mu(x,y) = mu(Nx,y) S + mu(x,Ny) S + mu(Nx,Ny)
@@ -437,7 +433,12 @@ def hat_rep(pair: LieYRepPair, ns: NijenhuisStructure) -> Representation:
         raise ConsequenceViolatedError(
             "(N, S) is not a pair homomorphism from the deformed pair to the original"
         )
-    return rep_hat
+    return deformed_pair
+
+
+def hat_rep(pair: LieYRepPair, ns: NijenhuisStructure) -> Representation:
+    """The reshaped representation (hat-rho, hat-mu), verified as in _hat_pair."""
+    return _hat_pair(pair, ns).rep
 
 
 def deformation_difference_report(pair: LieYRepPair, d: DeformationData,

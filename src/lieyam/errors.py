@@ -73,10 +73,7 @@ class InternalConsistencyError(LieyamError):
 
 
 class PreconditionFailedError(LieyamError):
-    """An eagerly checked precondition of a conversion failed.
-
-    Carries the failing report when the precondition is one.
-    """
+    """An eagerly checked precondition failed; carries its failing report, if any."""
 
     def __init__(self, message, which=None, report=None):
         super().__init__(message)

@@ -29,14 +29,13 @@ from itertools import product
 
 from .algebra import (
     LieYamagutiAlgebra,
-    deformed_algebra,
     deformed_brackets,
     homomorphism_witness,
     is_homomorphism,
     is_nijenhuis,
     nijenhuis_witness,
 )
-from .deform import NijenhuisStructure, hat_rep, nijenhuis_structure_report
+from .deform import NijenhuisStructure, _hat_pair, nijenhuis_structure_report
 from .errors import (
     ConsequenceViolatedError,
     DimMismatchError,
@@ -138,18 +137,19 @@ class RelativeRBOperator:
         self.tmap = tmap
 
 
-def subadjacent(top: RelativeRBOperator) -> LieYamagutiAlgebra:
-    """The induced Lie-Yamaguti structure on V, [u,v]^T and <<u,v,w>>^T.
-
-    Verified here: the axioms hold and T is a homomorphism V^T -> g.
-    """
-    pair = top.pair
-    out = _induced_algebra(pair.rep, pair.d, top.tmap)
-    if not out.check_axioms().passed:
+def _assert_subadjacent(sub: LieYamagutiAlgebra, tmap: Matrix, pair: LieYRepPair) -> LieYamagutiAlgebra:
+    """Assert the sub-adjacent theorems on V^T: the axioms hold and T: V^T -> g is a homomorphism."""
+    if not sub.check_axioms().passed:
         raise ConsequenceViolatedError("sub-adjacent brackets fail the axioms for a validated operator")
-    if not is_homomorphism(top.tmap, out, pair.algebra):
+    if not is_homomorphism(tmap, sub, pair.algebra):
         raise ConsequenceViolatedError("T is not a homomorphism from the sub-adjacent algebra")
-    return out
+    return sub
+
+
+def subadjacent(top: RelativeRBOperator) -> LieYamagutiAlgebra:
+    """The induced Lie-Yamaguti structure V^T on V, its theorems asserted."""
+    pair = top.pair
+    return _assert_subadjacent(_induced_algebra(pair.rep, pair.d, top.tmap), top.tmap, pair)
 
 
 def pre_ly_products(top: RelativeRBOperator):
@@ -208,13 +208,6 @@ def s_deformed_brackets(top: RelativeRBOperator, smap: Matrix):
     return deformed_brackets(subadjacent(top), smap)
 
 
-def _hat_pair(pair: LieYRepPair, ns: NijenhuisStructure) -> LieYRepPair:
-    """The N-deformed algebra with the reshaped representation (hat-rho, hat-mu)."""
-    if ns.pair is not pair:
-        raise DimMismatchError("Nijenhuis structure belongs to another pair")
-    return LieYRepPair(deformed_algebra(pair.algebra, ns.nmap), hat_rep(pair, ns), validate=False)
-
-
 def hat_deformed_brackets(top: RelativeRBOperator, ns: NijenhuisStructure):
     """Brackets T induces through the reshaped representation (hat-rho, hat-mu).
 
@@ -238,34 +231,40 @@ def _deformed_vs_induced(deformed, rep, d, tmap: Matrix, arity, **tags):
 
 
 def append_twist_conditions(report: VerificationReport, pair: LieYRepPair,
-                            tmap: Matrix, smap: Matrix, nmap: Matrix):
+                            tmap: Matrix, smap: Matrix, nmap: Matrix) -> LieYamagutiAlgebra:
     """Append the three twist conditions tying (T, S, N) together:
 
     N T = T S, and the S-deformed sub-adjacent brackets of T equal the
-    brackets induced by N T.  The sub-adjacent brackets are the induced
-    tables of T; the theorems about them are asserted by subadjacent.
+    brackets induced by N T.  T must already be Rota-Baxter; the
+    sub-adjacent theorems are asserted on V^T, which is returned.
     """
     wit = first_violation((nmap * tmap - tmap * smap).col, (pair.dim_v,))
     report.add("twist-compat", wit is None, "N T = T S", wit)
-    deformed = deformed_brackets(_induced_algebra(pair.rep, pair.d, tmap), smap)
+    sub = _assert_subadjacent(_induced_algebra(pair.rep, pair.d, tmap), tmap, pair)
+    deformed = deformed_brackets(sub, smap)
     nt = nmap * tmap
     wit = _deformed_vs_induced(deformed, pair.rep, pair.d, nt, 2)
     report.add("deformed-binary", wit is None, "[u,v]^T_S = [u,v]^{NT}", wit)
     wit = _deformed_vs_induced(deformed, pair.rep, pair.d, nt, 3)
     report.add("deformed-ternary", wit is None, "<<u,v,w>>^T_S = <<u,v,w>>^{NT}", wit)
+    return sub
 
 
-def rbn_report(pair: LieYRepPair, tmap: Matrix, smap: Matrix, nmap: Matrix) -> VerificationReport:
-    """Check the defining conditions of a relative Rota-Baxter-Nijenhuis triple."""
+def _rbn_report(pair: LieYRepPair, tmap: Matrix, smap: Matrix, nmap: Matrix):
+    """The defining report of a triple, and V^T when the twist conditions were reached."""
     report = VerificationReport(subject="relative Rota-Baxter-Nijenhuis structure")
     rb = _rb_residuals(pair, tmap)
     report.add("rb-operator", rb is None, "T is a relative Rota-Baxter operator", rb)
     ns = nijenhuis_structure_report(pair, nmap, smap).first_failure()
     report.add("nijenhuis-structure", ns is None, "(N, S) is a Nijenhuis structure", ns)
     if not report.passed:
-        return report
-    append_twist_conditions(report, pair, tmap, smap, nmap)
-    return report
+        return report, None
+    return report, append_twist_conditions(report, pair, tmap, smap, nmap)
+
+
+def rbn_report(pair: LieYRepPair, tmap: Matrix, smap: Matrix, nmap: Matrix) -> VerificationReport:
+    """Check the defining conditions of a relative Rota-Baxter-Nijenhuis triple."""
+    return _rbn_report(pair, tmap, smap, nmap)[0]
 
 
 def is_rbn(pair: LieYRepPair, tmap: Matrix, smap: Matrix, nmap: Matrix) -> bool:
@@ -275,12 +274,13 @@ def is_rbn(pair: LieYRepPair, tmap: Matrix, smap: Matrix, nmap: Matrix) -> bool:
 class RBNTriple:
     """Validated relative Rota-Baxter-Nijenhuis triple (T, S, N).
 
-    Keeps the passing report of its defining conditions; a failing one
-    travels with the PreconditionFailedError.
+    Keeps the passing report of its defining conditions and the
+    sub-adjacent algebra V^T built for them; a failing report travels with
+    the PreconditionFailedError.
     """
 
     def __init__(self, pair: LieYRepPair, tmap: Matrix, smap: Matrix, nmap: Matrix):
-        report = rbn_report(pair, tmap, smap, nmap)
+        report, sub = _rbn_report(pair, tmap, smap, nmap)
         if not report.passed:
             raise PreconditionFailedError(
                 f"not a relative Rota-Baxter-Nijenhuis structure; failing: "
@@ -292,6 +292,7 @@ class RBNTriple:
         self.smap = smap
         self.nmap = nmap
         self.report = report
+        self.subadjacent = sub
         self.operator = RelativeRBOperator(pair, tmap)
         self.structure = NijenhuisStructure(pair, nmap, smap)
 
@@ -307,11 +308,12 @@ def rbn_consequences(triple: RBNTriple, raise_on_failure: bool = True) -> Verifi
         axioms;
     (e) every arrow of the induced commuting square is a homomorphism.
 
-    The sub-adjacent algebra and the reshaped pair are built once here.
+    V^T is the one the triple's twist conditions built; the reshaped pair
+    is built once here.
     """
     pair, tmap, smap, nmap = triple.pair, triple.tmap, triple.smap, triple.nmap
     report = VerificationReport(subject="Rota-Baxter-Nijenhuis consequences")
-    sub = subadjacent(triple.operator)
+    sub = triple.subadjacent
     wit = nijenhuis_witness(sub, smap)
     report.add("S-nijenhuis-on-subadjacent", wit is None, "S is a Nijenhuis operator on V^T", wit)
 

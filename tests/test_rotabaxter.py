@@ -6,7 +6,8 @@ import pytest
 from lieyam import LieYamagutiAlgebra, LieYRepPair, Matrix, Representation
 from lieyam.algebra import is_nijenhuis
 from lieyam.deform import NijenhuisStructure
-from lieyam.errors import PreconditionFailedError
+from lieyam.errors import ConsequenceViolatedError, PreconditionFailedError
+from lieyam.report import VerificationReport
 from lieyam.rotabaxter import (
     RBNTriple,
     RelativeRBOperator,
@@ -24,7 +25,7 @@ from lieyam.rotabaxter import (
     strong_witness,
     subadjacent,
 )
-from lieyam.search import search_rb_operators
+from lieyam.search import search_rb_operators, search_rbn_triples
 
 T1 = Matrix([[0, 1], [0, 0]])
 NMAT = Matrix([[0, 2], [0, 0]])
@@ -235,3 +236,27 @@ def test_rbn_triple_carries_failing_report(a2_adjoint):
     assert report.check("twist-compat").witness == {"tuple": (1,), "residual": (1, 0)}
     triple = RBNTriple(a2_adjoint, T1, NMAT, NMAT)
     assert triple.report.passed
+
+
+def test_twist_conditions_assert_subadjacent_theorems(a2_adjoint, monkeypatch):
+    """is_rbn and search rbn still assert the sub-adjacent theorems on V^T."""
+    def failing_axioms(self):
+        report = VerificationReport(subject="forced")
+        report.add("forced", False, "forced failure", {"tuple": (0,), "residual": (1,)})
+        return report
+
+    monkeypatch.setattr(LieYamagutiAlgebra, "check_axioms", failing_axioms)
+    with pytest.raises(ConsequenceViolatedError):
+        is_rbn(a2_adjoint, T1, NMAT, NMAT)
+    with pytest.raises(ConsequenceViolatedError):
+        search_rbn_triples(a2_adjoint, values=(0, 1), limit=1)
+    with pytest.raises(ConsequenceViolatedError):
+        RBNTriple(a2_adjoint, T1, NMAT, NMAT)
+
+
+def test_rbn_consequences_reuse_the_triples_subadjacent(a2_adjoint):
+    triple = RBNTriple(a2_adjoint, T1, NMAT, NMAT)
+    sub = subadjacent(RelativeRBOperator(a2_adjoint, T1))
+    assert triple.subadjacent.binary_tensor == sub.binary_tensor
+    assert triple.subadjacent.ternary_tensor == sub.ternary_tensor
+    assert rbn_consequences(triple).passed
