@@ -44,6 +44,8 @@ def _read_json(path):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, over-long integers, deep nesting
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _int_field(obj, key, where, default=None, minimum=None):
@@ -84,6 +86,12 @@ def algebra_from_dict(data) -> LieYamagutiAlgebra:
         raise ParseError("algebra object needs a 'dim' field")
     dim = _int_field(data, "dim", "algebra", minimum=0)
     names = data.get("basis")
+    if names is not None and not (isinstance(names, list) and len(names) == dim
+                                  and all(isinstance(n, str) for n in names)):
+        raise ParseError(f"algebra: 'basis' must be an array of {dim} names")
+    for key in ("binary", "ternary"):
+        if not isinstance(data.get(key, []), list):
+            raise ParseError(f"algebra: {key!r} must be an array")
     binary = [[None] * dim for _ in range(dim)]
     ternary = [[[None] * dim for _ in range(dim)] for _ in range(dim)]
 

@@ -4,20 +4,23 @@ Matrices act on coordinate columns: column k of a map's matrix is the
 image of the k-th basis vector.  Vectors are plain tuples of scalars.
 
 rank / nullspace / inverse are only defined over the rationals; matrices
-with genuine polynomial entries are rejected (evaluate t first).  Rank
-reduces to the integer Bareiss kernel after row scaling; nullspace and
-inverse run on a Fraction RREF kernel.  Both kernels have a compiled and
-a pure backend, see lieyam._kernels.
+with genuine polynomial entries are rejected (evaluate t first).  All
+three run on one exact elimination, `_echelon`: each row is scaled by
+the lcm of its denominators to integers, only its nonzero entries are
+kept in a {column: int} dict, and the rows are brought to reduced
+echelon form by fraction-free elimination with content removal (every
+row divided by the gcd of its entries after each step).  Coboundary
+matrices are mostly zeros, and the dict rows never touch those.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import compress
+from math import gcd, lcm
 
 import numpy as np
 
-from . import _kernels
 from .errors import DimMismatchError, PolynomialEntriesError, SingularMatrixError
 from .scalars import Poly, as_fraction, is_zero
 
@@ -58,14 +61,18 @@ def veq(a, b) -> bool:
 
 
 class Matrix:
-    """Immutable dense matrix with exact entries."""
+    """Immutable dense matrix with exact entries.
+
+    The column count is read off the rows; a matrix with no rows takes it
+    from `cols` (default 0), so 0 x n maps keep their domain.
+    """
 
     __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, data):
+    def __init__(self, data, cols=0):
         data = tuple(tuple(r) for r in data)
         self.rows = len(data)
-        self.cols = len(data[0]) if data else 0
+        self.cols = len(data[0]) if data else cols
         for r in data:
             if len(r) != self.cols:
                 raise DimMismatchError("ragged matrix rows")
@@ -74,7 +81,7 @@ class Matrix:
     @classmethod
     def zero(cls, rows, cols=None):
         cols = rows if cols is None else cols
-        return cls(((Fraction(0),) * cols,) * rows)
+        return cls(((Fraction(0),) * cols,) * rows, cols)
 
     @classmethod
     def identity(cls, n):
@@ -108,7 +115,7 @@ class Matrix:
             elif not is_zero(form):
                 raise AssertionError("symbolic evaluation produced a bare nonzero scalar")
             rows.append(row)
-        return cls(rows)
+        return cls(rows, ncols)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -169,7 +176,9 @@ class Matrix:
         return tuple(_dot(row, vec) for row in self.data)
 
     def transpose(self):
-        return Matrix(tuple(zip(*self.data))) if self.rows else Matrix(())
+        if not self.rows:
+            return Matrix(((),) * self.cols)
+        return Matrix(tuple(zip(*self.data)), self.rows)
 
     def is_zero(self):
         return all(is_zero(x) for r in self.data for x in r)
@@ -199,38 +208,43 @@ class Matrix:
         """Rows as Fractions (rejecting genuine polynomials)."""
         return [[as_fraction(x) for x in r] for r in self.data]
 
-    def int_scaled_rows(self):
-        """Integer rows obtained by scaling each row by its denominator lcm."""
+    def _integer_rows(self):
+        """Each row scaled by its denominator lcm, as a dict of its nonzeros.
+
+        A genuine polynomial is nonzero, so this one scan also rejects it.
+        """
         out = []
-        for r in self.rational_rows():
-            mult = lcm(*(x.denominator for x in r)) if r else 1
-            out.append([int(x * mult) for x in r])
+        for r in self.data:
+            nonzero = {j: r[j] for j in compress(range(self.cols), r)}
+            if any(isinstance(x, Poly) for x in nonzero.values()):
+                self._require_rational()
+                nonzero = {j: as_fraction(x) for j, x in nonzero.items()}
+            mult = lcm(*(x.denominator for x in nonzero.values()))
+            out.append({j: x.numerator * (mult // x.denominator) for j, x in nonzero.items()})
         return out
 
     # -- exact linear algebra ------------------------------------------------
 
     def rank(self) -> int:
         """Rank over the rational field (exact)."""
-        self._require_rational()
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        return _kernels.rank_int_rows(self.int_scaled_rows())
+        return len(_echelon(self._integer_rows()))
 
     def nullspace_basis(self):
-        """Exact basis of the right kernel, as a list of vectors."""
-        self._require_rational()
-        if self.cols == 0:
-            return []
-        if self.rows == 0:
-            return [tuple(Fraction(1 if i == j else 0) for j in range(self.cols)) for i in range(self.cols)]
-        rank, pivots, rr = _kernels.rref_frac(self.rational_rows())
-        free = [j for j in range(self.cols) if j not in pivots]
+        """Exact basis of the right kernel, as a list of vectors.
+
+        One vector per non-pivot column j of the reduced echelon form:
+        1 at j, minus the (normalized) pivot rows' column j at the pivots.
+        """
+        pivots = _echelon(self._integer_rows())
         basis = []
-        for j in free:
+        for j in range(self.cols):
+            if j in pivots:
+                continue
             v = [Fraction(0)] * self.cols
             v[j] = Fraction(1)
-            for i, p in enumerate(pivots):
-                v[p] = -rr[i][j]
+            for p, row in pivots.items():
+                if j in row:
+                    v[p] = Fraction(-row[j], row[p])
             basis.append(tuple(v))
         return basis
 
@@ -238,17 +252,19 @@ class Matrix:
         return self.cols - self.rank()
 
     def invert(self):
-        """Exact inverse; SingularMatrixError if det = 0."""
+        """Exact inverse, by reducing [A | I]; SingularMatrixError if det = 0."""
         self._require_rational()
         if not self.is_square():
             raise DimMismatchError("inverse of a non-square matrix")
         n = self.rows
-        aug = [row + [Fraction(1 if i == j else 0) for j in range(n)]
-               for i, row in enumerate(self.rational_rows())]
-        rank, pivots, rr = _kernels.rref_frac(aug)
-        if pivots != list(range(n)):
+        aug = Matrix(tuple(r) + tuple(int(i == j) for j in range(n)) for i, r in enumerate(self.data))
+        pivots = _echelon(aug._integer_rows())
+        if any(p >= n for p in pivots):
             raise SingularMatrixError("matrix is singular")
-        return Matrix(tuple(tuple(rr[i][n:]) for i in range(n)))
+        return Matrix(
+            tuple(Fraction(pivots[i].get(n + j, 0), pivots[i][i]) for j in range(n))
+            for i in range(n)
+        )
 
     def __repr__(self):
         return f"Matrix({[list(r) for r in self.data]!r})"
@@ -262,6 +278,49 @@ def _dot(row, vec):
         term = a * b
         acc = term if acc is None else acc + term
     return Fraction(0) if acc is None else acc
+
+
+def _echelon(rows):
+    """Reduced echelon form of integer rows, by fraction-free elimination.
+
+    `rows` are {column: int} dicts holding only nonzero entries.  Returns
+    {pivot column: row}: every row is primitive (its entries have gcd 1),
+    is positive at its pivot, has no nonzero left of the pivot, and is
+    zero in every other pivot column.  Dividing each row by its pivot
+    entry gives the (unique) reduced row echelon form over the rationals.
+    """
+
+    def clear(row, pivot_row, col):
+        # b*row - a*pivot_row (zero at col) over its content; b > 0, so a
+        # pivot row cleared of a later pivot column stays positive at its pivot
+        a, b = row[col], pivot_row[col]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        out = {j: b * x for j, x in row.items()} if b != 1 else dict(row)
+        for j, x in pivot_row.items():
+            y = out.get(j, 0) - a * x
+            if y:
+                out[j] = y
+            else:
+                del out[j]
+        content = gcd(*out.values())
+        return {j: x // content for j, x in out.items()} if content > 1 else out
+
+    pivots = {}
+    for row in rows:
+        for col in [c for c in row if c in pivots]:
+            row = clear(row, pivots[col], col)
+        if not row:
+            continue
+        lead = min(row)
+        content = gcd(*row.values()) if row[lead] > 0 else -gcd(*row.values())
+        if content != 1:
+            row = {j: x // content for j, x in row.items()}
+        for p, other in pivots.items():
+            if lead in other:
+                pivots[p] = clear(other, row, lead)
+        pivots[lead] = row
+    return pivots
 
 
 def _fast_int_rows(mat: Matrix):

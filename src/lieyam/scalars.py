@@ -14,12 +14,23 @@ inverses must be run over rational entries.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import BadRationalError, PolynomialEntriesError
 
 RAT_ZERO = Fraction(0)
 RAT_ONE = Fraction(1)
+
+#: Longest rational string parse_rational takes (sign and slash included);
+#: it keeps every digit run under Python's default int/str digit limit.
+MAX_RATIONAL_CHARS = 4000
+
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+# format_rational writes integers past the int->str digit limit in chunks
+# of this many digits (below the smallest limit Python can be set to, 640).
+_CHUNK_DIGITS = 500
 
 
 def _trim(coeffs):
@@ -154,13 +165,27 @@ def as_fraction(s) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p' or 'p/q' into a Fraction."""
+    """Parse 'p' or 'p/q' (optional sign, decimal digits) into a Fraction.
+
+    Surrounding whitespace is ignored; exponents, decimal points and
+    strings longer than MAX_RATIONAL_CHARS are rejected.
+    """
     if not isinstance(text, str):
         raise BadRationalError(f"expected a rational string, got {text!r}")
+    text = text.strip()
+    if len(text) > MAX_RATIONAL_CHARS:
+        raise BadRationalError(f"rational string of {len(text)} characters; the limit is "
+                               f"{MAX_RATIONAL_CHARS}")
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise BadRationalError(f"bad rational {text!r}: expected 'p' or 'p/q'")
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise BadRationalError(f"bad rational {text!r}: {exc}") from exc
+        num, den = int(match[1]), int(match[2] or 1)
+    except ValueError as exc:  # a lowered int/str digit limit
+        raise BadRationalError(f"bad rational: {exc}") from exc
+    if den == 0:
+        raise BadRationalError(f"bad rational {text!r}: zero denominator")
+    return Fraction(num, den)
 
 
 def parse_scalar(value):
@@ -176,7 +201,23 @@ def parse_scalar(value):
 
 def format_rational(q: Fraction) -> str:
     q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    num = _decimal(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{_decimal(q.denominator)}"
+
+
+def _decimal(n: int) -> str:
+    """Decimal digits of n, also past Python's int->str digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    chunks = []
+    rest = abs(n)
+    while rest:
+        rest, low = divmod(rest, 10**_CHUNK_DIGITS)
+        chunks.append(low)
+    head, *tail = reversed(chunks)
+    return ("-" if n < 0 else "") + str(head) + "".join(f"{c:0{_CHUNK_DIGITS}d}" for c in tail)
 
 
 def format_scalar(s):

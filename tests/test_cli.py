@@ -18,6 +18,7 @@ from lieyam.jsonio import (
 )
 from lieyam.errors import ConflictingEntryError, ParseError
 from lieyam.linalg import Matrix
+from lieyam.scalars import format_rational
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -286,7 +287,7 @@ def test_failing_checks_carry_witness(tmp_path, capsys):
 
 
 _scalar = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=False),
-                    st.sampled_from(["1", "-1/2", "1/0", "x", "", " 2 ", "1e2"]),
+                    st.sampled_from(["1", "-1/2", "1/0", "x", "", " 2 ", "1e2", "1.5", "1e20000"]),
                     st.fixed_dictionaries({"poly": st.one_of(st.integers(), st.lists(st.text(max_size=3),
                                                                                      max_size=2))}))
 _operator_json = st.one_of(
@@ -338,3 +339,95 @@ def test_cli_contract_fuzz_values(capsys, values):
     """Malformed --values strings give exit 2 with one line on stderr."""
     _assert_contract(*run_cli("--format", "json", "search", "rbo", "--pair", fx("A2-adjoint.json"),
                               f"--values={values}", "--limit", "1", capsys=capsys))
+
+
+_junk = st.recursive(st.one_of(st.none(), st.booleans(), st.integers(-2, 3), st.text(max_size=3)),
+                     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                                 max_size=3),
+                     max_leaves=6)
+# Sizes stay small: no dimension cap is checked before allocation yet.
+_size = st.one_of(st.integers(-1, 3), st.sampled_from(["2", "x", 2.5, True, None, []]))
+_index = st.one_of(st.integers(-1, 3), st.sampled_from(["1", "x", 1.5, None]))
+_value = st.one_of(_junk, st.dictionaries(st.sampled_from(["0", "1", "2", "x", "-1"]), _scalar, max_size=3))
+_algebra_json = st.one_of(
+    _junk,
+    st.fixed_dictionaries({"dim": _size}, optional={
+        "basis": st.one_of(_junk, st.lists(st.sampled_from(["e1", "e2", 7]), max_size=3)),
+        "binary": st.one_of(_junk, st.lists(st.fixed_dictionaries(
+            {"i": _index, "j": _index}, optional={"value": _value}), max_size=3)),
+        "ternary": st.one_of(_junk, st.lists(st.fixed_dictionaries(
+            {"i": _index, "j": _index, "k": _index}, optional={"value": _value}), max_size=3)),
+    }),
+)
+_matrix_json = st.one_of(_junk, st.lists(st.lists(_scalar, max_size=3), max_size=3))
+_pair_json = st.one_of(
+    _junk,
+    st.fixed_dictionaries({"algebra": st.one_of(_algebra_json, st.sampled_from(["", "missing.json", "."]))},
+                          optional={
+        "special": st.one_of(st.sampled_from(["adjoint", "coadjoint", "zero", "other"]), _junk),
+        "module_dim": _size,
+        "rho": st.one_of(_junk, st.lists(_matrix_json, max_size=3)),
+        "mu": st.one_of(_junk, st.lists(st.lists(_matrix_json, max_size=3), max_size=3)),
+    }),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_contract_fuzz_algebras_and_pairs(tmp_path, capsys, data):
+    """Malformed algebra and pair files give exit 0/1/2, never a traceback or a bare exit 1."""
+    kind = data.draw(st.sampled_from(["algebra", "pair"]))
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(data.draw(_algebra_json if kind == "algebra" else _pair_json)))
+    _assert_contract(*run_cli("--format", "json", "check", kind, str(path), capsys=capsys))
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("algebra", json.dumps({"dim": 2, "binary": 5})),
+    ("algebra", json.dumps({"dim": 2, "ternary": {"i": 0}})),
+    ("algebra", json.dumps({"dim": 2, "basis": 7})),
+    ("algebra", json.dumps({"dim": 2, "basis": ["e1"]})),
+    ("algebra", '{"dim": ' + "1" * 5000 + "}"),
+    ("algebra", "[" * 100000),
+    ("pair", json.dumps({"algebra": {"dim": 2, "binary": 5}, "special": "adjoint"})),
+])
+def test_malformed_json_exit2(capsys, tmp_path, kind, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out = run_cli("check", kind, str(path), capsys=capsys)
+    assert code == 2
+    assert out.out == ""
+    assert len(out.err.strip().splitlines()) == 1 and "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("entry", ["1e20000", "1.5", "1e2", "0x10", "1_000", "9" * 4001])
+def test_operator_rational_forms_exit2(capsys, tmp_path, entry):
+    """Only 'p' and 'p/q' with decimal digits are rationals, and their length is bounded."""
+    op = tmp_path / "T.json"
+    op.write_text(json.dumps({"rows": 2, "cols": 2, "entries": [entry, "0", "0", "1"]}))
+    code, out = run_cli("--format", "json", "verify-rbo", "--pair", fx("A2-adjoint.json"),
+                        "--T", str(op), capsys=capsys)
+    assert code == 2
+    assert out.out == ""
+    assert len(out.err.strip().splitlines()) == 1 and "Traceback" not in out.err
+
+
+def test_witness_past_the_int_str_digit_limit(capsys, tmp_path):
+    """A residual of more than 4,300 digits is printed in full, with no traceback."""
+    scale = 10**3999 - 1
+    op = tmp_path / "T.json"
+    dump_json(operator_to_dict(Matrix([[-scale, -scale], [-scale, -scale]])), op)
+    code, out = run_cli("--format", "json", "verify-rbo", "--pair", fx("A2-adjoint.json"),
+                        "--T", str(op), capsys=capsys)
+    assert code == 1
+    assert "Traceback" not in out.err
+    (check,) = [c for c in json.loads(out.out)["checks"] if c["name"] == "rb-ternary"]
+    assert check["status"] == "fail" and check["witness"]["tuple"] == [0, 1, 0]
+    # T is scale * [[-1,-1],[-1,-1]], whose ternary residual at (0,1,0) is (2,2), and the
+    # identity is cubic in T.
+    expected = format_rational(2 * scale**3)
+    assert len(expected) > 4300
+    assert check["witness"]["residual"] == [expected, expected]
+    code, out = run_cli("verify-rbo", "--pair", fx("A2-adjoint.json"), "--T", str(op), capsys=capsys)
+    assert code == 1 and "Traceback" not in out.err
