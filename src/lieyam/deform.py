@@ -34,7 +34,6 @@ from itertools import product
 from .algebra import (
     LieYamagutiAlgebra,
     deformed_algebra,
-    homomorphism_witness,
     is_nijenhuis,
     nijenhuis_deformation_tensors,
     nijenhuis_witness,
@@ -47,10 +46,9 @@ from .errors import (
 )
 from .linalg import Matrix, Tensor, vadd, vsub
 from .paircomplex import PairCochain, pair_delta_lifted
-from .reps import LieYRepPair, Representation, check_representation, is_pair_homomorphism
+from .reps import LieYRepPair, Representation, check_representation, pair_homomorphism_witness
 from .yamaguti import wedge_pairs
 from .scalars import T as TPOLY
-from .scalars import is_zero
 from .report import VerificationReport, first_violation
 
 
@@ -166,11 +164,7 @@ def derived_deformation_terms(pair: LieYRepPair, d: DeformationData):
     alg = pair.algebra
 
     def vr_vec(vec):
-        acc = Matrix.zero(pair.dim_v)
-        for i, s in enumerate(vec):
-            if not is_zero(s):
-                acc = acc + d.varrho[i].scale(s)
-        return acc
+        return Matrix.weighted_sum(zip(vec, d.varrho), pair.dim_v)
 
     d1 = [[None] * n for _ in range(n)]
     d2 = [[None] * n for _ in range(n)]
@@ -352,16 +346,14 @@ def equivalence_witness(pair: LieYRepPair, d: DeformationData, d2: DeformationDa
                         nmap: Matrix, smap: Matrix):
     """First basis tuple where (Id + tN, Id + tS) fails to map the d-family onto the d2-family.
 
-    (phi, psi) is a pair homomorphism exactly when phi (+) psi is an
-    algebra homomorphism of the semidirect products g (+) V, so the law is
-    decided there, as polynomial identities in t (d is the source family,
-    d2 the target); the witness {"identity", "tuple", "residual"} indexes
-    the semidirect basis, g first.
+    The law is that of a pair homomorphism from the d-family to the
+    d2-family, decided as polynomial identities in t by
+    pair_homomorphism_witness; the witness {"identity", "tuple",
+    "residual"} indexes g, with identity binary, ternary, rho, mu or D.
     """
     phi = Matrix.identity(pair.dim_g) + nmap.scale(TPOLY)
     psi = Matrix.identity(pair.dim_v) + smap.scale(TPOLY)
-    return homomorphism_witness(_block_diag(phi, psi), _family_pair(pair, d).semidirect(),
-                                _family_pair(pair, d2).semidirect())
+    return pair_homomorphism_witness(phi, psi, _family_pair(pair, d), _family_pair(pair, d2))
 
 
 def are_equivalent_deformations(pair: LieYRepPair, d: DeformationData,
@@ -425,13 +417,17 @@ def _hat_pair(pair: LieYRepPair, ns: NijenhuisStructure) -> LieYRepPair:
         raise ConsequenceViolatedError(
             f"derived operator of the reshaped representation differs from its closed form at {wit['tuple']}"
         )
-    if not check_representation(deformed_pair.algebra, rep_hat).passed:
+    wit = check_representation(deformed_pair.algebra, rep_hat).first_failure()
+    if wit is not None:
         raise ConsequenceViolatedError(
-            "reshaped representation fails the representation conditions on the deformed algebra"
+            "reshaped representation fails the representation conditions on the deformed algebra "
+            f"({wit['check']} at {wit['tuple']})"
         )
-    if not is_pair_homomorphism(ns.nmap, ns.smap, deformed_pair, pair):
+    wit = pair_homomorphism_witness(ns.nmap, ns.smap, deformed_pair, pair)
+    if wit is not None:
         raise ConsequenceViolatedError(
-            "(N, S) is not a pair homomorphism from the deformed pair to the original"
+            "(N, S) is not a pair homomorphism from the deformed pair to the original "
+            f"({wit['identity']} at {wit['tuple']})"
         )
     return deformed_pair
 

@@ -48,11 +48,18 @@ def _read_json(path):
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _int_field(obj, key, where, default=None, minimum=None):
+#: Largest `dim` of an algebra file and `module_dim` of a pair file.  The
+#: structure-constant tables take dim^3 entries and the law checks run over
+#: dim^5 basis tuples, so larger values are rejected before any allocation.
+MAX_DIM = 16
+
+
+def _int_field(obj, key, where, default=None, minimum=None, maximum=None):
     """An integer field of a JSON object; anything else is a ParseError.
 
     Takes what int() takes (JSON integers, decimal strings) except bools
-    and fractional floats; a missing field takes `default`.
+    and fractional floats; a missing field takes `default`.  Values
+    outside [minimum, maximum] are a ParseError too.
     """
     value = obj.get(key, default)
     try:
@@ -63,6 +70,8 @@ def _int_field(obj, key, where, default=None, minimum=None):
         raise ParseError(f"{where}: {key!r} must be an integer, got {value!r}") from exc
     if minimum is not None and out < minimum:
         raise ParseError(f"{where}: {key!r} must be >= {minimum}, got {out}")
+    if maximum is not None and out > maximum:
+        raise ParseError(f"{where}: {key!r} must be <= {maximum}, got {out}")
     return out
 
 
@@ -84,7 +93,7 @@ def _parse_value_vector(dim, value, where):
 def algebra_from_dict(data) -> LieYamagutiAlgebra:
     if not isinstance(data, dict) or "dim" not in data:
         raise ParseError("algebra object needs a 'dim' field")
-    dim = _int_field(data, "dim", "algebra", minimum=0)
+    dim = _int_field(data, "dim", "algebra", minimum=0, maximum=MAX_DIM)
     names = data.get("basis")
     if names is not None and not (isinstance(names, list) and len(names) == dim
                                   and all(isinstance(n, str) for n in names)):
@@ -224,11 +233,11 @@ def representation_from_dict(data, base_dir=".") -> tuple[LieYamagutiAlgebra, Re
     if special == "coadjoint":
         return alg, coadjoint_rep(alg, check=False)
     if special == "zero":
-        m = _int_field(data, "module_dim", "representation", default=alg.dim, minimum=0)
+        m = _int_field(data, "module_dim", "representation", default=alg.dim, minimum=0, maximum=MAX_DIM)
         return alg, Representation.zero(alg.dim, m)
     if special is not None:
         raise ParseError(f"unknown special representation {special!r}")
-    m = _int_field(data, "module_dim", "representation", minimum=0)
+    m = _int_field(data, "module_dim", "representation", minimum=0, maximum=MAX_DIM)
     rho = data.get("rho")
     mu = data.get("mu")
     if not isinstance(rho, list) or len(rho) != alg.dim:

@@ -51,7 +51,6 @@ from .yamaguti import (
     YamagutiCochain,
     _Complex,
     _delta_in,
-    delta,
     wedge_dim,
     wedge_index_map,
     wedge_pairs,
@@ -656,15 +655,15 @@ def _direct_deg2(pair: LieYRepPair, c: PairCochain) -> PairCochain:
 
     ebas = [alg.basis_vector(i) for i in range(n)]
 
+    # the classical complex of g with adjoint coefficients: comp1 is its
+    # coboundary of (f1, g1), and the circ expansions X1 o X2 below use it
+    cx = _Complex(alg, adjoint_rep(alg, check=False))
+
     # ---- comp1: Yamaguti coboundary of (f1, g1) with adjoint coefficients
-    adj = adjoint_rep(alg, check=False)
     comp1_in = YamagutiCochain(2, n, n, f=list(c.blocks["c1f"]), g=list(c.blocks["c1g"]))
-    comp1_out = delta(alg, adj, comp1_in, cap=3)
+    comp1_out = _delta_in(cx, comp1_in)
     out.blocks["c1f"] = list(comp1_out.f_flat)
     out.blocks["c1g"] = list(comp1_out.g_flat)
-
-    # circ expansion X1 o X2 for g-wedges
-    cx = _Complex(alg, adj)
 
     # ---- comp2 f: arguments (W1, (x,v))
     for w1, (x1, y1) in enumerate(pairs_g):

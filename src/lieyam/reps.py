@@ -11,6 +11,14 @@ The derived operator is
 
 and is skew-symmetric by construction.
 
+Every law is written once as a residual at one basis tuple and evaluated
+by report.first_violation: rep1-rep5 and der1-der3 (the table
+_law_residuals, behind check_representation and
+check_derived_identities) and the pair-homomorphism law
+(pair_homomorphism_witness, behind is_pair_homomorphism).  Linear
+combinations sum c * M over nonzero coefficients only
+(Matrix.weighted_sum).
+
 Conventions fixed here and relied on elsewhere:
 
 * semidirect basis order is g-part first, then V-part;
@@ -23,10 +31,10 @@ from __future__ import annotations
 
 from itertools import product
 
-from .algebra import LieYamagutiAlgebra, is_homomorphism
+from .algebra import LieYamagutiAlgebra, homomorphism_witness
 from .errors import DimMismatchError, InternalConsistencyError, InvalidRepresentationError
 from .linalg import Matrix, vzero
-from .report import VerificationReport
+from .report import VerificationReport, first_violation
 from .scalars import is_zero
 
 REP_LAWS = {
@@ -73,70 +81,40 @@ class Representation:
 
     def rho_vec(self, x):
         """rho(x) for a coordinate vector x."""
-        acc = Matrix.zero(self.module_dim)
-        for i, xi in enumerate(x):
-            if not is_zero(xi):
-                acc = acc + self.rho[i].scale(xi)
-        return acc
+        return Matrix.weighted_sum(zip(x, self.rho), self.module_dim)
 
     def mu_vec(self, x, y):
         """mu(x, y) for coordinate vectors."""
-        acc = Matrix.zero(self.module_dim)
-        for i, xi in enumerate(x):
-            if is_zero(xi):
-                continue
-            for j, yj in enumerate(y):
-                if not is_zero(yj):
-                    acc = acc + self.mu[i][j].scale(xi * yj)
-        return acc
+        return Matrix.weighted_sum(((xi * yj, m) for xi, row in zip(x, self.mu) if not is_zero(xi)
+                                    for yj, m in zip(y, row)), self.module_dim)
 
     def mu_vl(self, x, j):
         """mu(x, e_j) for a coordinate vector x."""
-        acc = Matrix.zero(self.module_dim)
-        for i, xi in enumerate(x):
-            if not is_zero(xi):
-                acc = acc + self.mu[i][j].scale(xi)
-        return acc
+        return Matrix.weighted_sum(zip(x, (row[j] for row in self.mu)), self.module_dim)
 
     def mu_vr(self, i, y):
-        acc = Matrix.zero(self.module_dim)
-        for j, yj in enumerate(y):
-            if not is_zero(yj):
-                acc = acc + self.mu[i][j].scale(yj)
-        return acc
+        """mu(e_i, y) for a coordinate vector y."""
+        return Matrix.weighted_sum(zip(y, self.mu[i]), self.module_dim)
 
 
 class DerivedD:
     """Table of the derived operators D(e_i, e_j); skew-symmetric."""
 
-    def __init__(self, table):
+    def __init__(self, table, module_dim):
         self.table = table
+        self.module_dim = module_dim
 
     def at(self, i, j) -> Matrix:
         return self.table[i][j]
 
     def vec(self, x, y) -> Matrix:
-        n = len(self.table)
-        acc = None
-        for i, xi in enumerate(x):
-            if is_zero(xi):
-                continue
-            for j, yj in enumerate(y):
-                if not is_zero(yj):
-                    term = self.table[i][j].scale(xi * yj)
-                    acc = term if acc is None else acc + term
-        if acc is None:
-            m = self.table[0][0].rows if n else 0
-            return Matrix.zero(m)
-        return acc
+        """D(x, y) for coordinate vectors."""
+        return Matrix.weighted_sum(((xi * yj, m) for xi, row in zip(x, self.table) if not is_zero(xi)
+                                    for yj, m in zip(y, row)), self.module_dim)
 
     def vl(self, x, j) -> Matrix:
-        acc = None
-        for i, xi in enumerate(x):
-            if not is_zero(xi):
-                term = self.table[i][j].scale(xi)
-                acc = term if acc is None else acc + term
-        return acc if acc is not None else Matrix.zero(self.table[0][0].rows)
+        """D(x, e_j) for a coordinate vector x."""
+        return Matrix.weighted_sum(zip(x, (row[j] for row in self.table)), self.module_dim)
 
 
 def derived_D(alg: LieYamagutiAlgebra, rep: Representation) -> DerivedD:
@@ -151,103 +129,58 @@ def derived_D(alg: LieYamagutiAlgebra, rep: Representation) -> DerivedD:
             m = m - rep.rho_vec(alg.b[i][j])
             table[i][j] = m
             table[j][i] = -m
-    d = DerivedD(table)
+    d = DerivedD(table, rep.module_dim)
     for i in range(n):
         if not table[i][i].is_zero():
             raise InternalConsistencyError("derived D is not skew-symmetric")
     return d
 
 
+def _law_residuals(alg: LieYamagutiAlgebra, rep: Representation, d: DerivedD):
+    """(arity, residual) of every law of REP_LAWS, at one basis tuple each."""
+    b, t, rho, mu = alg.b, alg.t, rep.rho, rep.mu
+    e = alg.basis_vector
+
+    def comm(x, y):
+        return x * y - y * x
+
+    return {
+        "rep1": (3, lambda i, j, k: rep.mu_vl(b[i][j], k) - mu[i][k] * rho[j] + mu[j][k] * rho[i]),
+        "rep2": (3, lambda i, j, k: rep.mu_vr(i, b[j][k]) - rho[j] * mu[i][k] + rho[k] * mu[i][j]),
+        "rep3": (3, lambda i, j, k: rep.rho_vec(t[i][j][k]) - comm(d.at(i, j), rho[k])),
+        "rep4": (4, lambda i, j, k, w: mu[k][w] * mu[i][j] - mu[j][w] * mu[i][k]
+                 - rep.mu_vr(i, t[j][k][w]) + d.at(j, k) * mu[i][w]),
+        "rep5": (4, lambda i, j, k, w: rep.mu_vl(t[i][j][k], w) + rep.mu_vr(k, t[i][j][w])
+                 - comm(d.at(i, j), mu[k][w])),
+        "der1": (3, lambda i, j, k: d.vl(b[i][j], k) + d.vl(b[j][k], i) + d.vl(b[k][i], j)),
+        "der2": (4, lambda i, j, k, w: d.vl(t[i][j][k], w) + d.vec(e(k), t[i][j][w])
+                 - comm(d.at(i, j), d.at(k, w))),
+        "der3": (4, lambda i, j, k, w: rep.mu_vl(t[i][j][k], w) - mu[i][w] * mu[k][j]
+                 + mu[j][w] * mu[k][i] + mu[k][w] * d.at(i, j)),
+    }
+
+
+def _law_report(alg: LieYamagutiAlgebra, rep: Representation, subject, prefix) -> VerificationReport:
+    """The laws of REP_LAWS whose names start with `prefix`, in table order,
+    each with its first violating basis tuple."""
+    residuals = _law_residuals(alg, rep, derived_D(alg, rep))
+    report = VerificationReport(subject=subject)
+    for name, law in REP_LAWS.items():
+        if name.startswith(prefix):
+            arity, residual = residuals[name]
+            wit = first_violation(residual, (alg.dim,) * arity)
+            report.add(name, wit is None, law, wit)
+    return report
+
+
 def check_representation(alg: LieYamagutiAlgebra, rep: Representation) -> VerificationReport:
     """Verify the five representation conditions on all basis tuples."""
-    n = alg.dim
-    report = VerificationReport(subject=f"representation conditions (dim {n} on {rep.module_dim})")
-    d = derived_D(alg, rep)
-    b, t = alg.b, alg.t
-
-    def record(name, witness):
-        report.add(name, witness is None, REP_LAWS[name], witness)
-
-    witness = None
-    for i, j, k in product(range(n), repeat=3):
-        r = rep.mu_vl(b[i][j], k) - rep.mu[i][k] * rep.rho[j] + rep.mu[j][k] * rep.rho[i]
-        if not r.is_zero():
-            witness = {"tuple": (i, j, k), "residual": r.data}
-            break
-    record("rep1", witness)
-
-    witness = None
-    for i, j, k in product(range(n), repeat=3):
-        r = rep.mu_vr(i, b[j][k]) - rep.rho[j] * rep.mu[i][k] + rep.rho[k] * rep.mu[i][j]
-        if not r.is_zero():
-            witness = {"tuple": (i, j, k), "residual": r.data}
-            break
-    record("rep2", witness)
-
-    witness = None
-    for i, j, k in product(range(n), repeat=3):
-        r = rep.rho_vec(t[i][j][k]) - (d.at(i, j) * rep.rho[k] - rep.rho[k] * d.at(i, j))
-        if not r.is_zero():
-            witness = {"tuple": (i, j, k), "residual": r.data}
-            break
-    record("rep3", witness)
-
-    witness = None
-    for i, j, k, w in product(range(n), repeat=4):
-        r = rep.mu[k][w] * rep.mu[i][j] - rep.mu[j][w] * rep.mu[i][k]
-        r = r - rep.mu_vr(i, t[j][k][w]) + d.at(j, k) * rep.mu[i][w]
-        if not r.is_zero():
-            witness = {"tuple": (i, j, k, w), "residual": r.data}
-            break
-    record("rep4", witness)
-
-    witness = None
-    for i, j, k, w in product(range(n), repeat=4):
-        r = rep.mu_vl(t[i][j][k], w) + rep.mu_vr(k, t[i][j][w])
-        r = r - (d.at(i, j) * rep.mu[k][w] - rep.mu[k][w] * d.at(i, j))
-        if not r.is_zero():
-            witness = {"tuple": (i, j, k, w), "residual": r.data}
-            break
-    record("rep5", witness)
-    return report
+    return _law_report(alg, rep, f"representation conditions (dim {alg.dim} on {rep.module_dim})", "rep")
 
 
 def check_derived_identities(alg: LieYamagutiAlgebra, rep: Representation) -> VerificationReport:
     """Verify the three consequences of the representation conditions."""
-    n = alg.dim
-    report = VerificationReport(subject="derived representation identities")
-    d = derived_D(alg, rep)
-    b, t = alg.b, alg.t
-
-    def record(name, witness):
-        report.add(name, witness is None, REP_LAWS[name], witness)
-
-    witness = None
-    for i, j, k in product(range(n), repeat=3):
-        r = d.vl(b[i][j], k) + d.vl(b[j][k], i) + d.vl(b[k][i], j)
-        if not r.is_zero():
-            witness = {"tuple": (i, j, k), "residual": r.data}
-            break
-    record("der1", witness)
-
-    witness = None
-    for i, j, k, w in product(range(n), repeat=4):
-        r = d.vl(t[i][j][k], w) + d.vec(alg.basis_vector(k), t[i][j][w])
-        r = r - (d.at(i, j) * d.at(k, w) - d.at(k, w) * d.at(i, j))
-        if not r.is_zero():
-            witness = {"tuple": (i, j, k, w), "residual": r.data}
-            break
-    record("der2", witness)
-
-    witness = None
-    for i, j, k, w in product(range(n), repeat=4):
-        r = rep.mu_vl(t[i][j][k], w) - rep.mu[i][w] * rep.mu[k][j] + rep.mu[j][w] * rep.mu[k][i]
-        r = r + rep.mu[k][w] * d.at(i, j)
-        if not r.is_zero():
-            witness = {"tuple": (i, j, k, w), "residual": r.data}
-            break
-    record("der3", witness)
-    return report
+    return _law_report(alg, rep, "derived representation identities", "der")
 
 
 def adjoint_rep(alg: LieYamagutiAlgebra, check=True) -> Representation:
@@ -258,19 +191,17 @@ def adjoint_rep(alg: LieYamagutiAlgebra, check=True) -> Representation:
     axioms; pass check=False for deliberately broken fixtures.
     """
     n = alg.dim
-    rho = [Matrix(tuple(tuple(alg.b[i][k][l] for k in range(n)) for l in range(n)))
-           for i in range(n)]
-    mu = [[Matrix(tuple(tuple(alg.t[k][i][j][l] for k in range(n)) for l in range(n)))
-           for j in range(n)] for i in range(n)]
+    rho = [Matrix.from_cols(alg.b[i]) for i in range(n)]
+    mu = [[Matrix.from_cols(alg.t[k][i][j] for k in range(n)) for j in range(n)] for i in range(n)]
     rep = Representation(n, n, rho, mu)
     if check:
         d = derived_D(alg, rep)
-        for i, j in product(range(n), repeat=2):
-            expected = Matrix(tuple(tuple(alg.t[i][j][k][l] for k in range(n)) for l in range(n)))
-            if d.at(i, j) != expected:
-                raise InternalConsistencyError(
-                    "derived D of the adjoint representation does not equal the left triple multiplication"
-                )
+        wit = first_violation(lambda i, j: d.at(i, j) - Matrix.from_cols(alg.t[i][j]), (n, n))
+        if wit is not None:
+            raise InternalConsistencyError(
+                "derived D of the adjoint representation does not equal the left triple "
+                f"multiplication at {wit['tuple']}"
+            )
     return rep
 
 
@@ -375,21 +306,29 @@ class LieYRepPair:
         return semidirect(self.algebra, self.rep, validate_rep=False)
 
 
-def is_pair_homomorphism(phi: Matrix, psi: Matrix, src: LieYRepPair, dst: LieYRepPair) -> bool:
-    """(phi, psi) intertwines both brackets and (rho, mu, D)."""
-    if not is_homomorphism(phi, src.algebra, dst.algebra):
-        return False
-    n = src.dim_g
+def pair_homomorphism_witness(phi: Matrix, psi: Matrix, src: LieYRepPair, dst: LieYRepPair):
+    """First basis tuple of g where (phi, psi) fails to be a pair homomorphism, or None.
+
+    binary, ternary: phi is an algebra homomorphism (homomorphism_witness);
+    rho: psi rho(x) = rho'(phi x) psi;  mu: psi mu(x,y) = mu'(phi x, phi y) psi;
+    D:   psi D(x,y) = D'(phi x, phi y) psi.
+    The laws are tried in that order; the witness is {"identity", "tuple",
+    "residual"}, the residual a vector of g or a matrix on V.
+    """
     if psi.rows != dst.dim_v or psi.cols != src.dim_v:
         raise DimMismatchError("psi must map the source module to the target module")
-    cols = [phi.col(i) for i in range(n)]
-    for i in range(n):
-        if psi * src.rep.rho[i] != dst.rep.rho_vec(cols[i]) * psi:
-            return False
-    for i, j in product(range(n), repeat=2):
-        if psi * src.rep.mu[i][j] != dst.rep.mu_vec(cols[i], cols[j]) * psi:
-            return False
-    for i, j in product(range(n), repeat=2):
-        if psi * src.d.at(i, j) != dst.d.vec(cols[i], cols[j]) * psi:
-            return False
-    return True
+    n = src.dim_g
+    srep, drep = src.rep, dst.rep
+    cols = [phi.col(i) for i in range(phi.cols)]
+    return homomorphism_witness(phi, src.algebra, dst.algebra) or first_violation(
+        lambda i: psi * srep.rho[i] - drep.rho_vec(cols[i]) * psi, (n,), identity="rho",
+    ) or first_violation(
+        lambda i, j: psi * srep.mu[i][j] - drep.mu_vec(cols[i], cols[j]) * psi, (n, n), identity="mu",
+    ) or first_violation(
+        lambda i, j: psi * src.d.at(i, j) - dst.d.vec(cols[i], cols[j]) * psi, (n, n), identity="D",
+    )
+
+
+def is_pair_homomorphism(phi: Matrix, psi: Matrix, src: LieYRepPair, dst: LieYRepPair) -> bool:
+    """(phi, psi) intertwines both brackets and (rho, mu, D)."""
+    return pair_homomorphism_witness(phi, psi, src, dst) is None

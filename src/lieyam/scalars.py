@@ -189,11 +189,16 @@ def parse_rational(text: str) -> Fraction:
 
 
 def parse_scalar(value):
-    """Parse the serialized form: 'p/q' string or {'poly': [coeff strings]}."""
+    """Parse the serialized form: 'p/q' string, JSON integer or {'poly': [coeff strings]}.
+
+    JSON booleans are not integers here: true/false is a BadRationalError.
+    """
     if isinstance(value, dict):
         if set(value) != {"poly"} or not isinstance(value["poly"], list):
             raise BadRationalError(f"bad scalar object {value!r}")
         return Poly([parse_rational(c) for c in value["poly"]])
+    if isinstance(value, bool):
+        raise BadRationalError(f"expected a rational, got the boolean {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     return parse_rational(value)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lieyam.cli import main
 from lieyam.jsonio import (
+    MAX_DIM,
     algebra_from_dict,
     algebra_to_dict,
     dump_json,
@@ -345,8 +346,9 @@ _junk = st.recursive(st.one_of(st.none(), st.booleans(), st.integers(-2, 3), st.
                      lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
                                                                                  max_size=3),
                      max_leaves=6)
-# Sizes stay small: no dimension cap is checked before allocation yet.
-_size = st.one_of(st.integers(-1, 3), st.sampled_from(["2", "x", 2.5, True, None, []]))
+# Sizes above MAX_DIM must be rejected before anything is allocated.
+_size = st.one_of(st.integers(-1, 3),
+                  st.sampled_from(["2", "x", 2.5, True, None, [], MAX_DIM + 1, 10**9, str(10**9)]))
 _index = st.one_of(st.integers(-1, 3), st.sampled_from(["1", "x", 1.5, None]))
 _value = st.one_of(_junk, st.dictionaries(st.sampled_from(["0", "1", "2", "x", "-1"]), _scalar, max_size=3))
 _algebra_json = st.one_of(
@@ -411,6 +413,34 @@ def test_operator_rational_forms_exit2(capsys, tmp_path, entry):
     assert code == 2
     assert out.out == ""
     assert len(out.err.strip().splitlines()) == 1 and "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("kind, payload", [
+    ("algebra", {"dim": MAX_DIM + 1}),
+    ("algebra", {"dim": 10**9}),
+    ("pair", {"algebra": {"dim": 2}, "special": "zero", "module_dim": MAX_DIM + 1}),
+    ("pair", {"algebra": {"dim": 2}, "module_dim": 10**9, "rho": [], "mu": []}),
+    ("pair", {"algebra": {"dim": 10**9}, "special": "adjoint"}),
+])
+def test_dimension_above_cap_exit2(capsys, tmp_path, kind, payload):
+    """dim and module_dim above MAX_DIM are input errors, raised before any allocation."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(payload))
+    code, out = run_cli("check", kind, str(path), capsys=capsys)
+    assert code == 2
+    assert out.out == ""
+    assert len(out.err.strip().splitlines()) == 1 and f"must be <= {MAX_DIM}" in out.err
+
+
+def test_operator_boolean_entries_exit2(capsys, tmp_path):
+    """JSON true/false are not rationals (they used to read as 1/0 and run T = Id)."""
+    op = tmp_path / "T.json"
+    op.write_text(json.dumps({"rows": 2, "cols": 2, "entries": [True, False, False, True]}))
+    code, out = run_cli("--format", "json", "verify-rbo", "--pair", fx("A2-adjoint.json"),
+                        "--T", str(op), capsys=capsys)
+    assert code == 2
+    assert out.out == ""
+    assert len(out.err.strip().splitlines()) == 1 and "boolean" in out.err
 
 
 def test_witness_past_the_int_str_digit_limit(capsys, tmp_path):

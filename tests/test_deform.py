@@ -271,7 +271,7 @@ def test_equivalence_and_cocycle_witnesses(a2_adjoint):
     zero = DeformationData.zero(P)
     assert equivalence_witness(P, d, zero, lam, lam) is None
     wit = equivalence_witness(P, d, zero, Matrix.zero(2), Matrix.zero(2))
-    # located on the semidirect basis: [e1, e2] is scaled by 1 + 2t on one side only
+    # indexes g: [e1, e2] is scaled by 1 + 2t on one side only
     assert wit["identity"] == "binary" and wit["tuple"] == (0, 1)
     assert wit["residual"][0] == Poly([0, 2])
     assert cocycle_witness(P, d) is None

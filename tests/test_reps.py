@@ -15,9 +15,11 @@ from lieyam import (
     derived_D,
     dual_rep,
     is_pair_homomorphism,
+    pair_homomorphism_witness,
     semidirect,
 )
-from lieyam.errors import InternalConsistencyError, InvalidRepresentationError
+from lieyam.errors import DimMismatchError, InternalConsistencyError, InvalidRepresentationError
+from lieyam.reps import REP_LAWS
 
 
 def test_adjoint_matrices(a2):
@@ -174,3 +176,49 @@ def test_mu_stored_on_ordered_pairs(a2):
     for i, j in product(range(2), repeat=2):
         acc = acc + adj.mu[i][j].scale(x[i] * y[j])
     assert adj.mu_vec(x, y) == acc
+
+
+def test_pair_homomorphism_witness_names_law_and_first_tuple(a2, a2_adjoint):
+    ident = Matrix.identity(2)
+    assert pair_homomorphism_witness(ident, ident, a2_adjoint, a2_adjoint) is None
+    # binary: the swap sends [e1,e2] = e1 to e2 but [e2,e1] = -e1
+    wit = pair_homomorphism_witness(Matrix([[0, 1], [1, 0]]), ident, a2_adjoint, a2_adjoint)
+    assert (wit["identity"], wit["tuple"], wit["residual"]) == ("binary", (0, 1), (1, 1))
+    # ternary: same bracket, ternary bracket doubled on the target
+    doubled = LieYamagutiAlgebra(2, a2.b, [[[tuple(2 * x for x in v) for v in row] for row in plane]
+                                           for plane in a2.t])
+    target = LieYRepPair(doubled, a2_adjoint.rep, validate=False)
+    wit = pair_homomorphism_witness(ident, ident, a2_adjoint, target)
+    assert (wit["identity"], wit["tuple"], wit["residual"]) == ("ternary", (0, 1, 1), (-1, 0))
+    # rho: psi = diag(1, 2) does not commute with rho(e1) = ad e1
+    wit = pair_homomorphism_witness(ident, Matrix.diag([1, 2]), a2_adjoint, a2_adjoint)
+    assert (wit["identity"], wit["tuple"], wit["residual"]) == ("rho", (0,), ((0, -1), (0, 0)))
+    # mu: the target differs from the source only in mu(e2, e1)
+    mu = [row[:] for row in a2_adjoint.rep.mu]
+    mu[1][0] = mu[1][0] + Matrix([[1, 0], [0, 0]])
+    target = LieYRepPair(a2, Representation(2, 2, a2_adjoint.rep.rho, mu), validate=False)
+    wit = pair_homomorphism_witness(ident, ident, a2_adjoint, target)
+    assert (wit["identity"], wit["tuple"], wit["residual"]) == ("mu", (1, 0), ((-1, 0), (0, 0)))
+    assert not is_pair_homomorphism(ident, ident, a2_adjoint, target)
+    with pytest.raises(DimMismatchError):
+        pair_homomorphism_witness(ident, Matrix.identity(3), a2_adjoint, a2_adjoint)
+
+
+def test_derived_identity_failures_carry_witness(so3):
+    adj = adjoint_rep(so3)
+    mu = [row[:] for row in adj.mu]
+    mu[0][2] = mu[0][2] + Matrix([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+    report = check_derived_identities(so3, Representation(3, 3, adj.rho, mu))
+    failing = [c for c in report.checks if not c.ok]
+    assert failing
+    for c in failing:
+        arity = 3 if c.name == "der1" else 4
+        assert set(c.witness) == {"tuple", "residual"} and len(c.witness["tuple"]) == arity
+        assert not Matrix(c.witness["residual"]).is_zero()
+
+
+def test_report_check_names_are_the_rep_laws(a2):
+    adj = adjoint_rep(a2)
+    names = [c.name for c in check_representation(a2, adj).checks]
+    names += [c.name for c in check_derived_identities(a2, adj).checks]
+    assert names == list(REP_LAWS)

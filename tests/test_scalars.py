@@ -87,3 +87,6 @@ def test_bad_rational_strings():
             parse_scalar(bad)
     with pytest.raises(BadRationalError):
         parse_scalar({"nope": []})
+    for flag in (True, False):
+        with pytest.raises(BadRationalError):
+            parse_scalar(flag)
