@@ -48,7 +48,8 @@ def _read_json(path):
         raise ParseError(f"{path}: {exc}") from exc
 
 
-#: Largest `dim` of an algebra file and `module_dim` of a pair file.  The
+#: Largest `dim` of an algebra file, `module_dim` of a pair file and
+#: `rows`/`cols` of an operator file (operators act on g or V).  The
 #: structure-constant tables take dim^3 entries and the law checks run over
 #: dim^5 basis tuples, so larger values are rejected before any allocation.
 MAX_DIM = 16
@@ -197,7 +198,7 @@ def load_operator(path) -> Matrix:
     data = _read_json(path)
     if not isinstance(data, dict) or "entries" not in data:
         raise ParseError(f"{path}: operator file needs 'rows', 'cols', 'entries'")
-    rows, cols = (_int_field(data, key, path, minimum=0) for key in ("rows", "cols"))
+    rows, cols = (_int_field(data, key, path, minimum=0, maximum=MAX_DIM) for key in ("rows", "cols"))
     entries = data["entries"]
     if not isinstance(entries, list):
         raise ParseError(f"{path}: 'entries' must be an array")

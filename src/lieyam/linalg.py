@@ -170,18 +170,18 @@ class Matrix:
         return Matrix(tuple(vscale(s, r) for r in self.data))
 
     @classmethod
-    def weighted_sum(cls, terms, rows, cols=None):
+    def weighted_sum(cls, terms, n):
         """Sum of c * M over the (c, M) pairs of `terms` with c nonzero.
 
         Zero coefficients are skipped before any scaling; with none left
-        the result is the rows x cols zero matrix (square by default).
+        the result is the n x n zero matrix.
         """
         acc = None
         for c, m in terms:
             if not is_zero(c):
                 term = m.scale(c)
                 acc = term if acc is None else acc + term
-        return cls.zero(rows, cols) if acc is None else acc
+        return cls.zero(n) if acc is None else acc
 
     def apply(self, vec):
         """Matrix-vector product (vector of length cols)."""

@@ -62,6 +62,12 @@ def test_parse_error_exit2(capsys, tmp_path):
     ("algebra", {"dim": 2, "binary": [{"i": "x", "j": 1, "value": {}}]}),
     ("pair", {"algebra": {"dim": 2}, "module_dim": "two", "rho": [], "mu": []}),
     ("pair", {"algebra": {"dim": 2}, "special": "zero", "module_dim": None}),
+    # above MAX_DIM: rejected before any table is allocated
+    ("algebra", {"dim": MAX_DIM + 1}),
+    ("algebra", {"dim": 10**9}),
+    ("pair", {"algebra": {"dim": 2}, "special": "zero", "module_dim": MAX_DIM + 1}),
+    ("pair", {"algebra": {"dim": 2}, "module_dim": 10**9, "rho": [], "mu": []}),
+    ("pair", {"algebra": {"dim": 10**9}, "special": "adjoint"}),
 ])
 def test_bad_integer_field_exit2(capsys, tmp_path, kind, payload):
     path = tmp_path / "bad.json"
@@ -79,6 +85,11 @@ def test_bad_operator_size_exit2(capsys, tmp_path):
     code, out = run_cli("verify-rbo", "--pair", fx("A2-adjoint.json"), "--T", str(op), capsys=capsys)
     assert code == 2
     assert len(out.err.strip().splitlines()) == 1 and "'cols' must be an integer" in out.err
+    # rows * cols = 0 matches the empty entries, but 10**9 rows would still be allocated
+    op.write_text(json.dumps({"rows": 10**9, "cols": 0, "entries": []}))
+    code, out = run_cli("verify-rbo", "--pair", fx("A2-adjoint.json"), "--T", str(op), capsys=capsys)
+    assert code == 2
+    assert len(out.err.strip().splitlines()) == 1 and f"'rows' must be <= {MAX_DIM}" in out.err
 
 
 def test_usage_error_exit2():
@@ -403,9 +414,12 @@ def test_malformed_json_exit2(capsys, tmp_path, kind, text):
     assert len(out.err.strip().splitlines()) == 1 and "Traceback" not in out.err
 
 
-@pytest.mark.parametrize("entry", ["1e20000", "1.5", "1e2", "0x10", "1_000", "9" * 4001])
+@pytest.mark.parametrize("entry", ["1e20000", "1.5", "1e2", "0x10", "1_000", "9" * 4001, True, False])
 def test_operator_rational_forms_exit2(capsys, tmp_path, entry):
-    """Only 'p' and 'p/q' with decimal digits are rationals, and their length is bounded."""
+    """Only 'p' and 'p/q' with decimal digits are rationals, and their length is bounded.
+
+    JSON integers are rationals too, but JSON booleans are not.
+    """
     op = tmp_path / "T.json"
     op.write_text(json.dumps({"rows": 2, "cols": 2, "entries": [entry, "0", "0", "1"]}))
     code, out = run_cli("--format", "json", "verify-rbo", "--pair", fx("A2-adjoint.json"),
@@ -413,34 +427,6 @@ def test_operator_rational_forms_exit2(capsys, tmp_path, entry):
     assert code == 2
     assert out.out == ""
     assert len(out.err.strip().splitlines()) == 1 and "Traceback" not in out.err
-
-
-@pytest.mark.parametrize("kind, payload", [
-    ("algebra", {"dim": MAX_DIM + 1}),
-    ("algebra", {"dim": 10**9}),
-    ("pair", {"algebra": {"dim": 2}, "special": "zero", "module_dim": MAX_DIM + 1}),
-    ("pair", {"algebra": {"dim": 2}, "module_dim": 10**9, "rho": [], "mu": []}),
-    ("pair", {"algebra": {"dim": 10**9}, "special": "adjoint"}),
-])
-def test_dimension_above_cap_exit2(capsys, tmp_path, kind, payload):
-    """dim and module_dim above MAX_DIM are input errors, raised before any allocation."""
-    path = tmp_path / "big.json"
-    path.write_text(json.dumps(payload))
-    code, out = run_cli("check", kind, str(path), capsys=capsys)
-    assert code == 2
-    assert out.out == ""
-    assert len(out.err.strip().splitlines()) == 1 and f"must be <= {MAX_DIM}" in out.err
-
-
-def test_operator_boolean_entries_exit2(capsys, tmp_path):
-    """JSON true/false are not rationals (they used to read as 1/0 and run T = Id)."""
-    op = tmp_path / "T.json"
-    op.write_text(json.dumps({"rows": 2, "cols": 2, "entries": [True, False, False, True]}))
-    code, out = run_cli("--format", "json", "verify-rbo", "--pair", fx("A2-adjoint.json"),
-                        "--T", str(op), capsys=capsys)
-    assert code == 2
-    assert out.out == ""
-    assert len(out.err.strip().splitlines()) == 1 and "boolean" in out.err
 
 
 def test_witness_past_the_int_str_digit_limit(capsys, tmp_path):
