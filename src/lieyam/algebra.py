@@ -9,20 +9,25 @@ The binary bracket is antisymmetric, the ternary bracket antisymmetric in
 its first two slots; both are validated at construction.  The four
 defining axioms are *not* assumed: run check_axioms.
 
-All operations are multilinear, so every identity in this module is
-verified by exhaustive enumeration of basis tuples, which is exact and
-complete.  The code is generic over the scalar ring (rationals or
-polynomials in t), enabling "for all t" checks by polynomial arithmetic.
+All operations are multilinear, so every identity is verified on all
+basis tuples.  The structure constants are kept as exact object arrays
+(``b_arr``, ``t_arr``; see linalg.exact_array) and each axiom is one
+residual array per first basis index, contracted with np.einsum (two
+operands per call) and scanned by report.first_violation.  The code is
+generic over the scalar ring (rationals or polynomials in t), enabling
+"for all t" checks by polynomial arithmetic.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
 
+import numpy as np
+
 from .errors import AntisymmetryError, DimMismatchError
-from .linalg import Matrix, Tensor, vadd, vec_is_zero, vscale, vsub, vzero
+from .linalg import Matrix, Tensor, exact_array
 from .report import VerificationReport, first_violation
-from .scalars import is_zero
 
 LAWS = {
     "antisym2": "[x,y] = -[y,x]",
@@ -34,107 +39,90 @@ LAWS = {
 }
 
 
-def _as_nested_binary(dim, binary):
-    if isinstance(binary, Tensor):
-        if binary.shape != (dim, dim, dim):
-            raise DimMismatchError(f"binary tensor shape {binary.shape} != {(dim,) * 3}")
-        return tuple(
-            tuple(binary.slice_vector(i, j) for j in range(dim)) for i in range(dim)
-        )
-    return tuple(tuple(tuple(binary[i][j]) for j in range(dim)) for i in range(dim))
-
-
-def _as_nested_ternary(dim, ternary):
-    if isinstance(ternary, Tensor):
-        if ternary.shape != (dim, dim, dim, dim):
-            raise DimMismatchError(f"ternary tensor shape {ternary.shape} != {(dim,) * 4}")
-        return tuple(
-            tuple(
-                tuple(ternary.slice_vector(i, j, k) for k in range(dim))
-                for j in range(dim)
-            )
-            for i in range(dim)
-        )
-    return tuple(
-        tuple(tuple(tuple(ternary[i][j][k]) for k in range(dim)) for j in range(dim))
-        for i in range(dim)
-    )
+def _constants(value, dim, arity, name):
+    """Structure constants (nested vectors, a Tensor or an array) as an exact array."""
+    shape = (dim,) * (arity + 1)
+    if isinstance(value, Tensor):
+        value = value.arr
+    if isinstance(value, np.ndarray):
+        if value.shape != shape:
+            raise DimMismatchError(f"{name} tensor shape {value.shape} != {shape}")
+        return exact_array(value.ravel(), shape)
+    flat = []
+    for idx in product(range(dim), repeat=arity):
+        vec = value
+        for i in idx:
+            vec = vec[i]
+        vec = tuple(vec)
+        if len(vec) != dim:
+            raise DimMismatchError(f"{name} constants at {idx} have length {len(vec)}, not {dim}")
+        flat.extend(vec)
+    return exact_array(flat, shape)
 
 
 class LieYamagutiAlgebra:
-    """Finite-dimensional Lie-Yamaguti algebra over an exact scalar ring."""
+    """Finite-dimensional Lie-Yamaguti algebra over an exact scalar ring.
+
+    b_arr[i, j, k] and t_arr[i, j, k, l] hold the structure constants;
+    b[i][j] and t[i][j][k] are the same vectors as nested tuples.
+    """
 
     def __init__(self, dim, binary, ternary, basis_names=None, validate=True):
         self.dim = int(dim)
         self.basis_names = list(basis_names) if basis_names else [f"e{i+1}" for i in range(self.dim)]
         if len(self.basis_names) != self.dim:
             raise DimMismatchError("basis_names length != dim")
-        self.b = _as_nested_binary(self.dim, binary)
-        self.t = _as_nested_ternary(self.dim, ternary)
+        self.b_arr = _constants(binary, self.dim, 2, "binary")
+        self.t_arr = _constants(ternary, self.dim, 3, "ternary")
         if validate:
             self._validate_antisymmetry()
+
+    @cached_property
+    def b(self):
+        return tuple(tuple(map(tuple, row)) for row in self.b_arr.tolist())
+
+    @cached_property
+    def t(self):
+        return tuple(tuple(tuple(map(tuple, col)) for col in row) for row in self.t_arr.tolist())
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def abelian(cls, dim):
-        z = vzero(dim)
-        return cls(dim, [[z] * dim] * dim, [[[z] * dim] * dim] * dim)
+        return cls(dim, np.zeros((dim,) * 3, dtype=object), np.zeros((dim,) * 4, dtype=object))
 
     @classmethod
     def from_lie_algebra(cls, dim, binary):
         """Lie algebra viewed as Lie-Yamaguti: <<x,y,z>> := [[x,y],z]."""
-        b = _as_nested_binary(dim, binary)
-        tern = [
-            [
-                [
-                    tuple(
-                        sum((b[i][j][m] * b[m][k][l] for m in range(dim)), start=0)
-                        for l in range(dim)
-                    )
-                    for k in range(dim)
-                ]
-                for j in range(dim)
-            ]
-            for i in range(dim)
-        ]
-        return cls(dim, b, tern)
+        b = _constants(binary, dim, 2, "binary")
+        return cls(dim, b, np.einsum("ijm,mkl->ijkl", b, b))
 
     @classmethod
     def from_triple_system(cls, dim, ternary):
         """Lie triple system viewed as Lie-Yamaguti ([x,y] = 0)."""
-        z = vzero(dim)
-        return cls(dim, [[z] * dim] * dim, ternary)
+        return cls(dim, np.zeros((dim,) * 3, dtype=object), ternary)
 
     # -- tensors ---------------------------------------------------------------
 
     @property
     def binary_tensor(self) -> Tensor:
-        flat = [x for i in range(self.dim) for j in range(self.dim) for x in self.b[i][j]]
-        return Tensor((self.dim,) * 3, flat)
+        return Tensor.from_array(self.b_arr)
 
     @property
     def ternary_tensor(self) -> Tensor:
-        flat = [
-            x
-            for i in range(self.dim)
-            for j in range(self.dim)
-            for k in range(self.dim)
-            for x in self.t[i][j][k]
-        ]
-        return Tensor((self.dim,) * 4, flat)
+        return Tensor.from_array(self.t_arr)
 
     def _validate_antisymmetry(self):
-        n = self.dim
-        for i in range(n):
-            for j in range(i, n):
-                if not vec_is_zero(vadd(self.b[i][j], self.b[j][i])):
-                    raise AntisymmetryError(f"binary constants at ({i},{j}) are not antisymmetric")
-                for k in range(n):
-                    if not vec_is_zero(vadd(self.t[i][j][k], self.t[j][i][k])):
-                        raise AntisymmetryError(
-                            f"ternary constants at ({i},{j},{k}) are not antisymmetric in the first two slots"
-                        )
+        b, t = self.b_arr, self.t_arr
+        bad_b = (b + b.transpose(1, 0, 2) != 0).any(axis=-1)
+        bad_t = (t + t.transpose(1, 0, 2, 3) != 0).any(axis=-1)
+        for i, j in zip(*np.nonzero(np.triu(bad_b | bad_t.any(axis=-1)))):
+            if bad_b[i, j]:
+                raise AntisymmetryError(f"binary constants at ({i},{j}) are not antisymmetric")
+            k = int(np.flatnonzero(bad_t[i, j])[0])
+            raise AntisymmetryError(
+                f"ternary constants at ({i},{j},{k}) are not antisymmetric in the first two slots"
+            )
 
     # -- evaluation ------------------------------------------------------------
 
@@ -143,71 +131,32 @@ class LieYamagutiAlgebra:
         n = self.dim
         if len(x) != n or len(y) != n:
             raise DimMismatchError("bracket arguments must have length dim")
-        acc = vzero(n)
-        for i, xi in enumerate(x):
-            if is_zero(xi):
-                continue
-            for j, yj in enumerate(y):
-                if is_zero(yj):
-                    continue
-                acc = vadd(acc, vscale(xi * yj, self.b[i][j]))
-        return acc
+        xb = np.einsum("i,ijk->jk", np.array(x, dtype=object), self.b_arr)
+        return tuple(np.einsum("j,jk->k", np.array(y, dtype=object), xb))
 
     def triple(self, x, y, z):
         """<<x, y, z>> for coordinate vectors."""
         n = self.dim
         if len(x) != n or len(y) != n or len(z) != n:
             raise DimMismatchError("triple arguments must have length dim")
-        acc = vzero(n)
-        for i, xi in enumerate(x):
-            if is_zero(xi):
-                continue
-            for j, yj in enumerate(y):
-                if is_zero(yj):
-                    continue
-                c = xi * yj
-                for k, zk in enumerate(z):
-                    if is_zero(zk):
-                        continue
-                    acc = vadd(acc, vscale(c * zk, self.t[i][j][k]))
-        return acc
+        xt = np.einsum("i,ijkl->jkl", np.array(x, dtype=object), self.t_arr)
+        xyt = np.einsum("j,jkl->kl", np.array(y, dtype=object), xt)
+        return tuple(np.einsum("k,kl->l", np.array(z, dtype=object), xyt))
 
     def basis_vector(self, i):
         return tuple(1 if j == i else 0 for j in range(self.dim))
 
-    # fast one-basis-slot contractions used by the axiom loops
+    # slabs of the brackets of images: maps into g are arrays whose column u
+    # is the image of the u-th basis vector
 
-    def _bra_vl(self, v, j):
-        # [v, e_j]
-        acc = vzero(self.dim)
-        for m, vm in enumerate(v):
-            if not is_zero(vm):
-                acc = vadd(acc, vscale(vm, self.b[m][j]))
-        return acc
+    def bracket_images(self, a, b, u):
+        """[a e_u, b e_v] for every v, as a (v, k) array."""
+        return np.einsum("bv,bk->vk", b, np.einsum("a,abk->bk", a[:, u], self.b_arr))
 
-    def _bra_vr(self, i, v):
-        # [e_i, v]
-        acc = vzero(self.dim)
-        for m, vm in enumerate(v):
-            if not is_zero(vm):
-                acc = vadd(acc, vscale(vm, self.b[i][m]))
-        return acc
-
-    def _tri_v1(self, v, j, k):
-        # <<v, e_j, e_k>>
-        acc = vzero(self.dim)
-        for m, vm in enumerate(v):
-            if not is_zero(vm):
-                acc = vadd(acc, vscale(vm, self.t[m][j][k]))
-        return acc
-
-    def _tri_v3(self, i, j, v):
-        # <<e_i, e_j, v>>
-        acc = vzero(self.dim)
-        for m, vm in enumerate(v):
-            if not is_zero(vm):
-                acc = vadd(acc, vscale(vm, self.t[i][j][m]))
-        return acc
+    def triple_images(self, a, b, c, u):
+        """<<a e_u, b e_v, c e_w>> for every (v, w), as a (v, w, l) array."""
+        x = np.einsum("bv,bcl->vcl", b, np.einsum("a,abcl->bcl", a[:, u], self.t_arr))
+        return np.einsum("cw,vcl->vwl", c, x)
 
     # -- axioms ----------------------------------------------------------------
 
@@ -215,26 +164,20 @@ class LieYamagutiAlgebra:
         """Verify the four defining identities on all basis tuples."""
         n = self.dim
         report = VerificationReport(subject=f"lie-yamaguti axioms (dim {n})")
-        b, t, e = self.b, self.t, self.basis_vector
-
-        def ly1(i, j, k):
-            r = vadd(vadd(self._bra_vl(b[i][j], k), self._bra_vl(b[j][k], i)), self._bra_vl(b[k][i], j))
-            return vadd(r, vadd(vadd(t[i][j][k], t[j][k][i]), t[k][i][j]))
-
-        def ly2(i, j, k, w):
-            r = vadd(self._tri_v1(b[i][j], k, w), self._tri_v1(b[j][k], i, w))
-            return vadd(r, self._tri_v1(b[k][i], j, w))
-
-        def ly3(i, j, k, w):
-            rhs = vadd(self._bra_vl(t[i][j][k], w), self._bra_vr(k, t[i][j][w]))
-            return vsub(self._tri_v3(i, j, b[k][w]), rhs)
-
-        def ly4(i, j, k, w, s):
-            rhs = vadd(self._tri_v1(t[i][j][k], w, s), self.triple(e(k), t[i][j][w], e(s)))
-            rhs = vadd(rhs, self._tri_v3(k, w, t[i][j][s]))
-            return vsub(self._tri_v3(i, j, t[k][w][s]), rhs)
-
-        for name, residual, arity in (("LY1", ly1, 3), ("LY2", ly2, 4), ("LY3", ly3, 4), ("LY4", ly4, 5)):
+        b, t = self.b_arr, self.t_arr
+        # [[x,y],z] + <<x,y,z>>, summed cyclically by LY1
+        bbt = np.einsum("ijm,mkl->ijkl", b, b) + t
+        laws = (
+            ("LY1", 3, lambda i: bbt[i] + bbt[:, :, i] + bbt[:, i].transpose(1, 0, 2)),
+            ("LY2", 4, lambda i: np.einsum("jm,mkwl->jkwl", b[i], t)
+             + np.einsum("jkm,mwl->jkwl", b, t[:, i]) + np.einsum("km,mjwl->jkwl", b[:, i], t)),
+            ("LY3", 4, lambda i: np.einsum("kwm,jml->jkwl", b, t[i])
+             - np.einsum("jkm,mwl->jkwl", t[i], b) - np.einsum("jwm,kml->jkwl", t[i], b)),
+            ("LY4", 5, lambda i: np.einsum("kwsm,jml->jkwsl", t, t[i])
+             - np.einsum("jkm,mwsl->jkwsl", t[i], t) - np.einsum("jwm,kmsl->jkwsl", t[i], t)
+             - np.einsum("jsm,kwml->jkwsl", t[i], t)),
+        )
+        for name, arity, residual in laws:
             witness = first_violation(residual, (n,) * arity)
             report.add(name, witness is None, LAWS[name], witness)
         return report
@@ -253,13 +196,11 @@ def homomorphism_witness(phi: Matrix, src: LieYamagutiAlgebra, dst: LieYamagutiA
         raise DimMismatchError(
             f"homomorphism matrix must be {dst.dim}x{src.dim}, got {phi.rows}x{phi.cols}"
         )
-    n = src.dim
-    c = [phi.col(i) for i in range(n)]
+    n, p = src.dim, phi.arr
     return first_violation(
-        lambda i, j: vsub(phi.apply(src.b[i][j]), dst.bracket(c[i], c[j])), (n,) * 2, identity="binary",
+        lambda i: src.b_arr[i] @ p.T - dst.bracket_images(p, p, i), (n,) * 2, identity="binary",
     ) or first_violation(
-        lambda i, j, k: vsub(phi.apply(src.t[i][j][k]), dst.triple(c[i], c[j], c[k])), (n,) * 3,
-        identity="ternary",
+        lambda i: src.t_arr[i] @ p.T - dst.triple_images(p, p, p, i), (n,) * 3, identity="ternary",
     )
 
 
@@ -281,30 +222,14 @@ def nijenhuis_deformation_tensors(alg: LieYamagutiAlgebra, nmap: Matrix):
     n = alg.dim
     if nmap.rows != n or nmap.cols != n:
         raise DimMismatchError("operator must be square of the algebra dimension")
-    ncols = [nmap.col(i) for i in range(n)]
-    e = [alg.basis_vector(i) for i in range(n)]
-
-    bin2 = [[None] * n for _ in range(n)]
-    for i, j in product(range(n), repeat=2):
-        v = vadd(alg._bra_vl(ncols[i], j), alg._bra_vr(i, ncols[j]))
-        bin2[i][j] = vsub(v, nmap.apply(alg.b[i][j]))
-
-    aux = [[[None] * n for _ in range(n)] for _ in range(n)]
-    ter2 = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for i, j, k in product(range(n), repeat=3):
-        a = vadd(alg._tri_v1(ncols[i], j, k), alg.triple(e[i], ncols[j], e[k]))
-        a = vadd(a, alg._tri_v3(i, j, ncols[k]))
-        a = vsub(a, nmap.apply(alg.t[i][j][k]))
-        aux[i][j][k] = a
-        v = alg.triple(ncols[i], ncols[j], e[k])
-        v = vadd(v, alg.triple(e[i], ncols[j], ncols[k]))
-        v = vadd(v, alg.triple(ncols[i], e[j], ncols[k]))
-        ter2[i][j][k] = vsub(v, nmap.apply(a))
-
-    flat_b = [x for i in range(n) for j in range(n) for x in bin2[i][j]]
-    flat_a = [x for i in range(n) for j in range(n) for k in range(n) for x in aux[i][j][k]]
-    flat_t = [x for i in range(n) for j in range(n) for k in range(n) for x in ter2[i][j][k]]
-    return Tensor((n,) * 3, flat_b), Tensor((n,) * 4, flat_a), Tensor((n,) * 4, flat_t)
+    b, t, na = alg.b_arr, alg.t_arr, nmap.arr
+    phi = np.einsum("ai,ajk->ijk", na, b) + np.einsum("aj,iak->ijk", na, b) - b @ na.T
+    t1 = np.einsum("ai,ajkl->ijkl", na, t)        # <<Nx,y,z>>
+    t2 = np.einsum("aj,iakl->ijkl", na, t)        # <<x,Ny,z>>
+    phi1 = t1 + t2 + np.einsum("ak,ijal->ijkl", na, t) - t @ na.T
+    phi2 = (np.einsum("bj,ibkl->ijkl", na, t1) + np.einsum("bk,ijbl->ijkl", na, t2)
+            + np.einsum("bk,ijbl->ijkl", na, t1) - phi1 @ na.T)
+    return Tensor.from_array(phi), Tensor.from_array(phi1), Tensor.from_array(phi2)
 
 
 def deformed_brackets(alg: LieYamagutiAlgebra, nmap: Matrix):
@@ -326,21 +251,14 @@ def deformed_algebra(alg: LieYamagutiAlgebra, nmap: Matrix, validate=False) -> L
 def nijenhuis_witness(alg: LieYamagutiAlgebra, nmap: Matrix):
     """First basis tuple where N fails to be a Nijenhuis operator, or None.
 
-    binary:  N[x,y]_N = [Nx,Ny];  ternary: N<<x,y,z>>_N = <<Nx,Ny,Nz>>.
+    binary:  N[x,y]_N = [Nx,Ny];  ternary: N<<x,y,z>>_N = <<Nx,Ny,Nz>>,
+    that is, N is a homomorphism from the N-deformed algebra to alg.
     The witness is {"identity", "tuple", "residual"}.
     """
     n = alg.dim
     if nmap.rows != n or nmap.cols != n:
         raise DimMismatchError("operator must be square of the algebra dimension")
-    b2, t2 = deformed_brackets(alg, nmap)
-    c = [nmap.col(i) for i in range(n)]
-    return first_violation(
-        lambda i, j: vsub(nmap.apply(b2.slice_vector(i, j)), alg.bracket(c[i], c[j])), (n,) * 2,
-        identity="binary",
-    ) or first_violation(
-        lambda i, j, k: vsub(nmap.apply(t2.slice_vector(i, j, k)), alg.triple(c[i], c[j], c[k])),
-        (n,) * 3, identity="ternary",
-    )
+    return homomorphism_witness(nmap, deformed_algebra(alg, nmap), alg)
 
 
 def is_nijenhuis(alg: LieYamagutiAlgebra, nmap: Matrix) -> bool:

@@ -45,7 +45,7 @@ from .jsonio import (
     operator_to_dict,
     representation_from_dict,
 )
-from .paircomplex import pair_cohomology_dim
+from .paircomplex import pair_cochain_dim, pair_cohomology_dim
 from .quadratic import (
     QuadraticForm,
     invariance_transport,
@@ -54,7 +54,7 @@ from .quadratic import (
     rmn_to_rbn,
 )
 from .report import VerificationReport
-from .reps import check_derived_identities, check_representation
+from .reps import LieYRepPair, check_derived_identities, check_representation
 from .rotabaxter import (
     RBNTriple,
     RelativeRBOperator,
@@ -64,9 +64,16 @@ from .rotabaxter import (
     strong_witness,
 )
 from .search import search_quadratic_fixtures, search_rb_operators, search_rbn_triples
-from .yamaguti import cohomology_dim
+from .yamaguti import cochain_dim, cohomology_dim
 
 import os
+
+#: Largest --degree (and, plus one, --degree-cap) that `cohomology` takes.
+MAX_DEGREE = 16
+#: Largest coboundary C^p -> C^{p+1} that `cohomology` assembles, counted as
+#: dense entries dim C^p * dim C^{p+1}.  The largest tier-1 or benchmark
+#: request is the classical delta_3 at dim 4, 4,320 x 720.
+MAX_COBOUNDARY_ENTRIES = 4_000_000
 
 
 def build_parser():
@@ -86,7 +93,6 @@ def build_parser():
     c.add_argument("--pair", required=True)
     c.add_argument("--degree", type=int, required=True)
     c.add_argument("--complex", choices=("pair", "classical"), default="pair")
-    c.add_argument("--cap", type=int, default=None)
 
     c = sub.add_parser("verify-nijenhuis", help="Nijenhuis operator on an algebra")
     c.add_argument("--algebra", required=True)
@@ -185,20 +191,23 @@ def _run(args) -> int:
         return _emit(report, args)
 
     if args.command == "cohomology":
-        pair = load_pair(args.pair)
-        cap = args.cap if args.cap is not None else args.degree_cap
-        extra = {}
+        degree = _int_field({"--degree": args.degree}, "--degree", "cohomology",
+                            minimum=1, maximum=MAX_DEGREE)
+        cap = args.degree_cap
+        if cap is not None:
+            cap = _int_field({"--degree-cap": cap}, "--degree-cap", "cohomology",
+                             minimum=1, maximum=MAX_DEGREE + 1)
+        pair = load_pair(args.pair, validate=False)
+        _check_coboundary_size(args.complex, pair.dim_g, pair.dim_v, degree)
+        pair = LieYRepPair(pair.algebra, pair.rep)
         if args.complex == "pair":
-            cap = cap if cap is not None else max(3, args.degree + 1)
-            dim = pair_cohomology_dim(pair, args.degree, cap=cap)
+            dim = pair_cohomology_dim(pair, degree, cap=cap or max(3, degree + 1))
         else:
-            cap = cap if cap is not None else max(4, args.degree + 1)
-            dim = cohomology_dim(pair.algebra, pair.rep, args.degree, cap=cap)
+            dim = cohomology_dim(pair.algebra, pair.rep, degree, cap=cap or max(4, degree + 1))
         report = VerificationReport(subject=f"cohomology of {args.pair}")
-        report.add(f"H^{args.degree}", True, f"dimension computed over the rationals = {dim}")
+        report.add(f"H^{degree}", True, f"dimension computed over the rationals = {dim}")
         report.runtime_ms = (time.perf_counter() - t0) * 1000
-        extra[f"dim_H{args.degree}"] = dim
-        return _emit(report, args, extra=extra)
+        return _emit(report, args, extra={f"dim_H{degree}": dim})
 
     if args.command == "verify-nijenhuis":
         alg = load_algebra(args.algebra)
@@ -339,6 +348,16 @@ def _run(args) -> int:
         return _emit(report, args, extra={"count": len(found)})
 
     raise AssertionError(f"unhandled command {args.command}")
+
+
+def _check_coboundary_size(complex_, n, m, degree):
+    """ParseError unless the coboundary C^degree -> C^{degree+1} has at most
+    MAX_COBOUNDARY_ENTRIES dense entries (checked before any is built)."""
+    size = pair_cochain_dim if complex_ == "pair" else cochain_dim
+    rows, cols = size(n, m, degree + 1), size(n, m, degree)
+    if rows * cols > MAX_COBOUNDARY_ENTRIES:
+        raise ParseError(f"cohomology: the {complex_} coboundary C^{degree} -> C^{degree + 1} would be "
+                         f"{rows} x {cols}; the limit is {MAX_COBOUNDARY_ENTRIES} entries")
 
 
 def _deformation_to_dict(d):

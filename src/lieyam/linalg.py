@@ -3,6 +3,12 @@
 Matrices act on coordinate columns: column k of a map's matrix is the
 image of the k-th basis vector.  Vectors are plain tuples of scalars.
 
+The laws of the package are evaluated on exact numpy arrays of
+dtype=object (`exact_array`, `Matrix.arr`, `Tensor.arr`): each entry is
+an int when its value is integral and a Fraction or a Poly otherwise, so
+rationals and polynomials in t share one array type and integral entries
+get plain int arithmetic.
+
 rank / nullspace / inverse are only defined over the rationals; matrices
 with genuine polynomial entries are rejected (evaluate t first).  All
 three run on one exact elimination, `_echelon`: each row is scaled by
@@ -17,12 +23,39 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
 from .errors import DimMismatchError, PolynomialEntriesError, SingularMatrixError
 from .scalars import Poly, as_fraction, is_zero
+
+# ---------------------------------------------------------------------------
+# exact object arrays
+
+
+def _norm_scalar(x):
+    """Collapse constant polynomials to rationals and integral Fractions to
+    ints (exact, much faster arithmetic)."""
+    if isinstance(x, Poly) and x.degree <= 0:
+        x = x.coeffs[0] if x.coeffs else 0
+    if isinstance(x, Fraction):
+        return int(x) if x.denominator == 1 else x
+    return x
+
+
+#: _norm_scalar on every entry of an object array (a ufunc: one call per array)
+exact = np.frompyfunc(_norm_scalar, 1, 1)
+
+
+def exact_array(entries, shape):
+    """Row-major `entries` as a read-only exact object array of `shape`."""
+    flat = np.empty(prod(shape), dtype=object)
+    flat[:] = entries
+    out = exact(flat).reshape(shape)
+    out.flags.writeable = False
+    return out
+
 
 # ---------------------------------------------------------------------------
 # vectors
@@ -67,7 +100,7 @@ class Matrix:
     from `cols` (default 0), so 0 x n maps keep their domain.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_arr")
 
     def __init__(self, data, cols=0):
         data = tuple(tuple(r) for r in data)
@@ -77,6 +110,22 @@ class Matrix:
             if len(r) != self.cols:
                 raise DimMismatchError("ragged matrix rows")
         self.data = data
+        self._arr = None
+
+    @classmethod
+    def from_array(cls, arr):
+        """The matrix of a 2-d object array, which it keeps as its `arr`."""
+        arr = exact_array(arr.ravel(), arr.shape)
+        out = cls(arr.tolist(), arr.shape[1])
+        out._arr = arr
+        return out
+
+    @property
+    def arr(self):
+        """The entries as an exact object array (built once)."""
+        if self._arr is None:
+            self._arr = exact_array([x for r in self.data for x in r], (self.rows, self.cols))
+        return self._arr
 
     @classmethod
     def zero(cls, rows, cols=None):
@@ -168,20 +217,6 @@ class Matrix:
 
     def scale(self, s):
         return Matrix(tuple(vscale(s, r) for r in self.data))
-
-    @classmethod
-    def weighted_sum(cls, terms, n):
-        """Sum of c * M over the (c, M) pairs of `terms` with c nonzero.
-
-        Zero coefficients are skipped before any scaling; with none left
-        the result is the n x n zero matrix.
-        """
-        acc = None
-        for c, m in terms:
-            if not is_zero(c):
-                term = m.scale(c)
-                acc = term if acc is None else acc + term
-        return cls.zero(n) if acc is None else acc
 
     def apply(self, vec):
         """Matrix-vector product (vector of length cols)."""
@@ -378,25 +413,36 @@ def exact_product_is_zero(a: Matrix, b: Matrix) -> bool:
 class Tensor:
     """Dense tensor: shape plus row-major flat entries."""
 
-    __slots__ = ("shape", "entries")
+    __slots__ = ("shape", "entries", "_arr")
 
     def __init__(self, shape, entries):
         self.shape = tuple(int(s) for s in shape)
         self.entries = tuple(entries)
-        size = 1
-        for s in self.shape:
-            size *= s
+        size = prod(self.shape)
         if len(self.entries) != size:
             raise DimMismatchError(
                 f"tensor with shape {self.shape} needs {size} entries, got {len(self.entries)}"
             )
+        self._arr = None
+
+    @classmethod
+    def from_array(cls, arr):
+        """The tensor of an object array, which it keeps as its `arr`."""
+        arr = exact_array(arr.ravel(), arr.shape)
+        out = cls(arr.shape, arr.ravel().tolist())
+        out._arr = arr
+        return out
+
+    @property
+    def arr(self):
+        """The entries as an exact object array of the tensor's shape (built once)."""
+        if self._arr is None:
+            self._arr = exact_array(self.entries, self.shape)
+        return self._arr
 
     @classmethod
     def zeros(cls, shape):
-        size = 1
-        for s in shape:
-            size *= s
-        return cls(shape, (Fraction(0),) * size)
+        return cls(shape, (Fraction(0),) * prod(shape))
 
     @classmethod
     def from_nested(cls, nested):

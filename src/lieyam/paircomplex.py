@@ -45,7 +45,7 @@ from .errors import (
     UnsupportedDegreeError,
 )
 from .linalg import LinComb, Matrix, lincomb_is_zero, vadd, vneg, vscale, vsub, vzero
-from .reps import LieYRepPair, adjoint_rep
+from .reps import LieYRepPair, _assert_adjoint_d, adjoint_rep
 from .scalars import is_zero
 from .yamaguti import (
     YamagutiCochain,
@@ -233,8 +233,9 @@ class _PairComplex:
         self.w = wedge_dim(self.n)
         self.mx = self.n * self.m
         self.E = pair.semidirect()
-        self.adjE = adjoint_rep(self.E)
+        self.adjE = adjoint_rep(self.E, check=False)
         self.cx = _Complex(self.E, self.adjE)
+        _assert_adjoint_d(self.E, self.cx.d)
         self.dimE = self.E.dim
         self.pairsE = wedge_pairs(self.dimE)
         self.widxE = wedge_index_map(self.dimE)
@@ -529,14 +530,15 @@ def _direct_deg1(pair: LieYRepPair, c: PairCochain) -> PairCochain:
     f2c = [f2.col(i) for i in range(m)]
     out = PairCochain(2, n, m)
     pairs_g = wedge_pairs(n)
+    e = [alg.basis_vector(i) for i in range(n)]
 
     # comp1: the adjoint-coefficient coboundary of f1
     for w, (x, y) in enumerate(pairs_g):
-        v = vsub(vadd(alg._bra_vr(x, f1c[y]), alg._bra_vl(f1c[x], y)), f1.apply(alg.b[x][y]))
+        v = vsub(vadd(alg.bracket(e[x], f1c[y]), alg.bracket(f1c[x], e[y])), f1.apply(alg.b[x][y]))
         out.set_value("c1f", (w,), v)
         for z in range(n):
-            gv = vadd(alg._tri_v3(x, y, f1c[z]), alg._tri_v1(f1c[x], y, z))
-            gv = vadd(gv, alg.triple(alg.basis_vector(x), f1c[y], alg.basis_vector(z)))
+            gv = vadd(alg.triple(e[x], e[y], f1c[z]), alg.triple(f1c[x], e[y], e[z]))
+            gv = vadd(gv, alg.triple(e[x], f1c[y], e[z]))
             gv = vsub(gv, f1.apply(alg.t[x][y][z]))
             out.set_value("c1g", (w, z), gv)
 
@@ -551,8 +553,8 @@ def _direct_deg1(pair: LieYRepPair, c: PairCochain) -> PairCochain:
     # comp2, g part: D(x,y)f2(v) + D(f1 x,y)v + D(x,f1 y)v - f2(D(x,y)v)
     for w, (x, y) in enumerate(pairs_g):
         dxy = d.at(x, y)
-        dfx = d.vl(f1c[x], y)
-        dfy = d.vl(f1c[y], x)  # D(f1 y, x) = -D(x, f1 y)
+        dfx = d.vec(f1c[x], e[y])
+        dfy = d.vec(f1c[y], e[x])  # D(f1 y, x) = -D(x, f1 y)
         for b in range(m):
             v = vadd(dxy.apply(f2c[b]), dfx.col(b))
             v = vsub(v, dfy.col(b))
@@ -564,12 +566,12 @@ def _direct_deg1(pair: LieYRepPair, c: PairCochain) -> PairCochain:
         for b in range(m):
             for z in range(n):
                 dxz = d.at(x, z)
-                gd = vadd(dxz.apply(f2c[b]), d.vl(f1c[x], z).col(b))
-                gd = vsub(gd, d.vl(f1c[z], x).col(b))  # + D(x, f1 z) v
+                gd = vadd(dxz.apply(f2c[b]), d.vec(f1c[x], e[z]).col(b))
+                gd = vsub(gd, d.vec(f1c[z], e[x]).col(b))  # + D(x, f1 z) v
                 gd = vsub(gd, f2.apply(dxz.col(b)))
                 mxz = rep.mu[x][z]
-                gm = vadd(mxz.apply(f2c[b]), rep.mu_vl(f1c[x], z).col(b))
-                gm = vadd(gm, rep.mu_vr(x, f1c[z]).col(b))
+                gm = vadd(mxz.apply(f2c[b]), rep.mu_vec(f1c[x], e[z]).col(b))
+                gm = vadd(gm, rep.mu_vec(e[x], f1c[z]).col(b))
                 gm = vsub(gm, f2.apply(mxz.col(b)))
                 out.set_value("c3g1", (x * m + b, z), vsub(gd, gm))
     return out
@@ -588,13 +590,6 @@ def _direct_deg2(pair: LieYRepPair, c: PairCochain) -> PairCochain:
 
     def g1_at(wi, z):
         return c.value("c1g", (wi, z))
-
-    def g1_vec(wi, vec):
-        acc = vzero(n)
-        for z, s in enumerate(vec):
-            if not is_zero(s):
-                acc = vadd(acc, vscale(s, g1_at(wi, z)))
-        return acc
 
     def f2_at(x, b):
         return c.value("c2f", (x * m + b,))
@@ -685,8 +680,8 @@ def _direct_deg2(pair: LieYRepPair, c: PairCochain) -> PairCochain:
             d22 = d.at(x2, y2)
             circ = cx.circ[w1][w2]
             for b in range(m):
-                val = vneg(d.vl(g1_at(w1, x2), y2).col(b))
-                val = vadd(val, d.vl(g1_at(w1, y2), x2).col(b))
+                val = vneg(d.vec(g1_at(w1, x2), ebas[y2]).col(b))
+                val = vadd(val, d.vec(g1_at(w1, y2), ebas[x2]).col(b))
                 val = vadd(val, d11.apply(g2_at(w2, b)))
                 val = vsub(val, d22.apply(g2_at(w1, b)))
                 val = vsub(val, g2_wedge(circ, _unit_v(m, b)))
@@ -704,7 +699,7 @@ def _direct_deg2(pair: LieYRepPair, c: PairCochain) -> PairCochain:
                 val = vadd(val, rep.rho[y2].apply(g3_at(x, b, x2)))
                 val = vadd(val, g2_wedge(wexp(alg.b[x2][y2], x), _unit_v(m, b)))
                 val = vadd(val, g3_final(x, b, alg.b[x2][y2]))
-                val = vsub(val, rep.mu_vr(x, f1_at(w2)).col(b))
+                val = vsub(val, rep.mu_vec(ebas[x], f1_at(w2)).col(b))
                 val = vadd(val, f2_mix(ebas[x2], rep.mu[x][y2].col(b)))
                 val = vsub(val, f2_mix(ebas[y2], rep.mu[x][x2].col(b)))
                 out.set_value("c3f1", (x * m + b, w2), val)
@@ -719,7 +714,7 @@ def _direct_deg2(pair: LieYRepPair, c: PairCochain) -> PairCochain:
                     val = vsub(val, rep.mu[y2][z].apply(g3_at(x, b, x2)))
                     val = vadd(val, rep.mu[x2][z].apply(g2_wedge(wexp(ebas[y2], x), _unit_v(m, b))))
                     val = vadd(val, rep.mu[x2][z].apply(g3_at(x, b, y2)))
-                    val = vsub(val, rep.mu_vr(x, g1_at(w2, z)).col(b))
+                    val = vsub(val, rep.mu_vec(ebas[x], g1_at(w2, z)).col(b))
                     val = vsub(val, d22.apply(g2_wedge(wexp(ebas[z], x), _unit_v(m, b))))
                     val = vsub(val, d22.apply(g3_at(x, b, z)))
                     val = vsub(val, g2_wedge(wexp(ebas[z], y2), rep.mu[x][x2].col(b)))
@@ -738,9 +733,9 @@ def _direct_deg2(pair: LieYRepPair, c: PairCochain) -> PairCochain:
         for x in range(n):
             for b in range(m):
                 for z in range(n):
-                    val = rep.mu_vl(g1_at(w1, x), z).col(b)
+                    val = rep.mu_vec(g1_at(w1, x), ebas[z]).col(b)
                     val = vadd(val, rep.mu[x][z].apply(g2_at(w1, b)))
-                    val = vadd(val, rep.mu_vr(x, g1_at(w1, z)).col(b))
+                    val = vadd(val, rep.mu_vec(ebas[x], g1_at(w1, z)).col(b))
                     val = vadd(val, d11.apply(g2_wedge(wexp(ebas[z], x), _unit_v(m, b))))
                     val = vadd(val, d11.apply(g3_at(x, b, z)))
                     val = vadd(val, g2_wedge(wexp(alg.t[x1][y1][x], z), _unit_v(m, b)))

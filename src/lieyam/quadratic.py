@@ -26,7 +26,7 @@ validated inputs is surfaced as ConsequenceViolatedError.
 
 from __future__ import annotations
 
-from itertools import product
+import numpy as np
 
 from .algebra import LieYamagutiAlgebra, is_nijenhuis, nijenhuis_witness
 from .deform import is_nijenhuis_structure
@@ -45,10 +45,6 @@ from .reps import LieYRepPair, adjoint_rep, coadjoint_rep, dual_rep
 from .rotabaxter import _rb_residuals, append_twist_conditions, is_rbn
 
 
-def _form_value(b: Matrix, u, v):
-    return sum((x * y for x, y in zip(b.apply(v), u)), start=0)
-
-
 def invariant_form_report(alg: LieYamagutiAlgebra, b: Matrix) -> VerificationReport:
     """Symmetry is a precondition; nondegeneracy and invariance are checks."""
     n = alg.dim
@@ -59,13 +55,12 @@ def invariant_form_report(alg: LieYamagutiAlgebra, b: Matrix) -> VerificationRep
     report = VerificationReport(subject="invariant quadratic form")
     rank = b.rank()
     report.add("nondegenerate", rank == n, "det B != 0", {"rank": rank})
-    e = alg.basis_vector
+    form, bt, t = b.arr, alg.b_arr, alg.t_arr
     wit = first_violation(
-        lambda i, j, k: _form_value(b, alg.b[i][j], e(k)) + _form_value(b, e(j), alg.b[i][k]), (n,) * 3)
+        lambda i: bt[i] @ form + form @ bt[i].T, (n,) * 3)              # B([x,y],z) + B(y,[x,z])
     report.add("binary-invariance", wit is None, "B([x,y],z) = -B(y,[x,z])", wit)
     wit = first_violation(
-        lambda i, j, k, w: _form_value(b, alg.t[i][j][k], e(w)) - _form_value(b, e(i), alg.t[w][k][j]),
-        (n,) * 4)
+        lambda i: t[i] @ form - np.einsum("l,wkjl->jkw", form[i], t), (n,) * 4)
     report.add("ternary-invariance", wit is None, "B(<<x,y,z>>,w) = B(x,<<w,z,y>>)", wit)
     return report
 
@@ -90,21 +85,6 @@ class QuadraticForm:
         self.b_sharp = b.invert()
 
 
-def _ad_mat(alg, x):
-    n = alg.dim
-    return Matrix(tuple(tuple(alg.b[x][k][l] for k in range(n)) for l in range(n)))
-
-
-def _left_mat(alg, x, y):
-    n = alg.dim
-    return Matrix(tuple(tuple(alg.t[x][y][k][l] for k in range(n)) for l in range(n)))
-
-
-def _right_mat(alg, x, y):
-    n = alg.dim
-    return Matrix(tuple(tuple(alg.t[k][x][y][l] for k in range(n)) for l in range(n)))
-
-
 def invariance_transport(qf: QuadraticForm, which: str = "all",
                          raise_on_failure: bool = True) -> VerificationReport:
     """Index-map transport identities of a validated form.
@@ -113,18 +93,23 @@ def invariance_transport(qf: QuadraticForm, which: str = "all",
     right: B# (right(y,x)^T)   = right(x,y) B#
     left:  B# (-left(x,y)^T)   = left(x,y) B#
 
-    (duals realized as transposes under the standard pairing).
+    (duals realized as transposes under the standard pairing), where
+    ad_x z = [x,z], right(x,y) z = <<z,x,y>> and left(x,y) z = <<x,y,z>>.
     """
-    alg, bs = qf.alg, qf.b_sharp
+    alg, bs = qf.alg, qf.b_sharp.arr
+    b, t = alg.b_arr, alg.t_arr
     n = alg.dim
+    ad = b.transpose(0, 2, 1)                 # ad[x] = ad_x, whose transpose is b[x]
+    right = np.einsum("kxyl->xylk", t)        # right[x, y] = right(x,y)
+    left = t.transpose(0, 1, 3, 2)            # left[x, y] = left(x,y), whose transpose is t[x, y]
     report = VerificationReport(subject="invariance transport")
     laws = {
         "ad": ("transport-ad", "B#(ad*_x a) = ad_x(B# a)", 1,
-               lambda x: -(bs * _ad_mat(alg, x).transpose()) - _ad_mat(alg, x) * bs),
+               lambda x: -(bs @ b[x]) - ad[x] @ bs),
         "right": ("transport-right", "-B#(right*(y,x) a) = right(x,y)(B# a)", 2,
-                  lambda x, y: bs * _right_mat(alg, y, x).transpose() - _right_mat(alg, x, y) * bs),
+                  lambda x: bs @ right[:, x].transpose(0, 2, 1) - right[x] @ bs),
         "left": ("transport-left", "B#(left*(x,y) a) = left(x,y)(B# a)", 2,
-                 lambda x, y: -(bs * _left_mat(alg, x, y).transpose()) - _left_mat(alg, x, y) * bs),
+                 lambda x: -(bs @ t[x]) - left[x] @ bs),
     }
     for key, (name, law, arity, residual) in laws.items():
         if which in (key, "all"):
@@ -227,36 +212,32 @@ def is_dual_nijenhuis(pair: LieYRepPair, nmap: Matrix, smap: Matrix) -> bool:
     dual_pair = LieYRepPair(pair.algebra, dual_rep(pair.rep), validate=False)
     via_dual = is_nijenhuis_structure(dual_pair, nmap, smap.transpose())
 
-    rep = pair.rep
-    direct = is_nijenhuis(pair.algebra, nmap)
-    if direct:
-        ncols = [nmap.col(i) for i in range(n)]
-        s2 = smap * smap
-        for x in range(n):
-            rho_nx = rep.rho_vec(ncols[x])
-            lhs = rho_nx * smap
-            rhs = smap * (rho_nx - rep.rho[x] * smap) + rep.rho[x] * s2
-            if lhs != rhs:
-                direct = False
-                break
-    if direct:
-        s2 = smap * smap
-        s3 = s2 * smap
-        for x, y in product(range(n), repeat=2):
-            mu_nn = rep.mu_vec(ncols[x], ncols[y])
-            mu_nxy = rep.mu_vl(ncols[x], y)
-            mu_xny = rep.mu_vr(x, ncols[y])
-            lhs = mu_nn * smap
-            rhs = smap * (mu_nn - mu_nxy * smap - mu_xny * smap + rep.mu[x][y] * s2)
-            rhs = rhs + mu_nxy * s2 + mu_xny * s2 - rep.mu[x][y] * s3
-            if lhs != rhs:
-                direct = False
-                break
+    direct = is_nijenhuis(pair.algebra, nmap) and _direct_dual_conditions(pair.rep, nmap.arr, smap.arr)
     if via_dual != direct:
         raise DualRouteDisagreementError(
             f"dual-pair route says {via_dual}, direct conditions say {direct}"
         )
     return direct
+
+
+def _direct_dual_conditions(rep, na, sa) -> bool:
+    """The rho and mu conditions of a dual Nijenhuis structure, on (rho, mu) directly:
+
+    rho(Nx) S = S(rho(Nx) - rho(x) S) + rho(x) S^2
+    mu(Nx,Ny) S = S(mu(Nx,Ny) - mu(Nx,y) S - mu(x,Ny) S + mu(x,y) S^2)
+                  + mu(Nx,y) S^2 + mu(x,Ny) S^2 - mu(x,y) S^3
+    """
+    rho, mu = rep.rho_arr, rep.mu_arr
+    s2 = sa @ sa
+    rho_n = np.einsum("ax,aij->xij", na, rho)
+    if (rho_n @ sa - sa @ (rho_n - rho @ sa) - rho @ s2 != 0).any():
+        return False
+    mu_nx = np.einsum("ax,ayij->xyij", na, mu)            # mu(Nx, y)
+    mu_xn = np.einsum("ay,xaij->xyij", na, mu)            # mu(x, Ny)
+    mu_nn = np.einsum("ay,xaij->xyij", na, mu_nx)
+    rhs = (sa @ (mu_nn - mu_nx @ sa - mu_xn @ sa + mu @ s2) + mu_nx @ s2 + mu_xn @ s2
+           - mu @ (s2 @ sa))
+    return not (mu_nn @ sa - rhs != 0).any()
 
 
 def is_rb_dual_nijenhuis(pair: LieYRepPair, tmap: Matrix, smap: Matrix, nmap: Matrix) -> bool:

@@ -1,4 +1,4 @@
-"""Machine-readable verification reports.
+"""Machine-readable verification reports, and the search for a law's witness.
 
 Every check carries a ``law`` string: a human-readable statement of the
 identity being verified, so reports are self-contained.  A witness is
@@ -6,16 +6,24 @@ attached exactly when a check fails: the first violating basis tuple, in
 lexicographic order, with its exact residual (``tuple``, ``residual``).
 A check that bundles several laws also names the failing one
 (``identity``, ``arrow`` or ``check``).
+
+A law is evaluated as exact object arrays of residuals, one slab per
+first basis index (first_violation): the slabs are computed in order and
+the scan stops at the first one with a nonzero entry, whose first nonzero
+position is the witness.  So the witness is the lexicographically first
+violating tuple, and only one slab is held in memory at a time.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import product
+from fractions import Fraction
+from math import prod
 
-from .linalg import Matrix, vec_is_zero
-from .scalars import Poly, format_scalar, is_zero
+import numpy as np
+
+from .scalars import Poly, format_scalar
 
 
 def _jsonable(value):
@@ -30,23 +38,33 @@ def _jsonable(value):
     return value
 
 
+def _witness_value(value):
+    """A residual entry or array as exact scalars in nested tuples, integers as Fractions."""
+    if isinstance(value, np.ndarray):
+        return tuple(_witness_value(x) for x in value)
+    return Fraction(value) if isinstance(value, int) else value
+
+
 def first_violation(residual, shape, **tags):
     """The first index tuple over `shape`, in lexicographic order, with a nonzero residual.
 
-    residual(*idx) is a coordinate vector, a Matrix or a scalar.  Returns
-    the witness {**tags, "tuple": idx, "residual": r} (a Matrix as its
-    rows), or None when every residual vanishes.
+    residual(i) is the exact object array of the residuals at every tuple
+    with first index i: its leading axes run over shape[1:], the others
+    hold the value (a vector, a matrix, or none for a scalar).  The slabs
+    are evaluated for i = 0, 1, ... until one has a nonzero entry.
+    Returns the witness {**tags, "tuple": idx, "residual": r} (a vector as
+    a tuple, a matrix as a tuple of rows), or None when every residual
+    vanishes.
     """
-    for idx in product(*map(range, shape)):
-        r = residual(*idx)
-        if isinstance(r, tuple):
-            if not vec_is_zero(r):
-                return {**tags, "tuple": idx, "residual": r}
-        elif isinstance(r, Matrix):
-            if not r.is_zero():
-                return {**tags, "tuple": idx, "residual": r.data}
-        elif not is_zero(r):
-            return {**tags, "tuple": idx, "residual": r}
+    lead = shape[1:]
+    for i in range(shape[0]):
+        slab = residual(i)
+        if not slab.size:
+            continue
+        hits = np.flatnonzero((slab != 0).reshape(prod(lead), -1).any(axis=1))
+        if hits.size:
+            pos = tuple(int(k) for k in np.unravel_index(hits[0], lead))
+            return {**tags, "tuple": (i, *pos), "residual": _witness_value(slab[pos])}
     return None
 
 

@@ -11,13 +11,13 @@ The derived operator is
 
 and is skew-symmetric by construction.
 
-Every law is written once as a residual at one basis tuple and evaluated
-by report.first_violation: rep1-rep5 and der1-der3 (the table
+rho, mu and D are kept as exact object arrays (rho_arr[i], mu_arr[i, j],
+D.arr[i, j]; see linalg.exact_array), and every law is written once as
+a residual array per first basis index, contracted with np.einsum and
+scanned by report.first_violation: rep1-rep5 and der1-der3 (the table
 _law_residuals, behind check_representation and
 check_derived_identities) and the pair-homomorphism law
-(pair_homomorphism_witness, behind is_pair_homomorphism).  Linear
-combinations sum c * M over nonzero coefficients only
-(Matrix.weighted_sum).
+(pair_homomorphism_witness, behind is_pair_homomorphism).
 
 Conventions fixed here and relied on elsewhere:
 
@@ -29,13 +29,14 @@ Conventions fixed here and relied on elsewhere:
 
 from __future__ import annotations
 
-from itertools import product
+from functools import cached_property
+
+import numpy as np
 
 from .algebra import LieYamagutiAlgebra, homomorphism_witness
 from .errors import DimMismatchError, InternalConsistencyError, InvalidRepresentationError
-from .linalg import Matrix, vzero
+from .linalg import Matrix, exact, exact_array
 from .report import VerificationReport, first_violation
-from .scalars import is_zero
 
 REP_LAWS = {
     "rep1": "mu([x,y],z) - mu(x,z)rho(y) + mu(y,z)rho(x) = 0",
@@ -50,22 +51,35 @@ REP_LAWS = {
 
 
 class Representation:
-    """(V; rho, mu) given by matrices on basis coordinates."""
+    """(V; rho, mu) given by matrices on basis coordinates.
+
+    rho and mu are lists of Matrices (rho[i], mu[i][j]), or arrays of
+    shape (n, m, m) and (n, n, m, m); either way both forms are available,
+    the arrays as rho_arr and mu_arr.
+    """
 
     def __init__(self, algebra_dim, module_dim, rho, mu):
-        self.algebra_dim = int(algebra_dim)
-        self.module_dim = int(module_dim)
+        n = self.algebra_dim = int(algebra_dim)
+        m = self.module_dim = int(module_dim)
+        if isinstance(rho, np.ndarray):
+            if rho.shape != (n, m, m) or mu.shape != (n, n, m, m):
+                raise DimMismatchError(f"rho/mu arrays must have shapes {(n, m, m)} and {(n, n, m, m)}")
+            self.rho_arr, self.mu_arr = exact(rho), exact(mu)
+            return
         self.rho = list(rho)
         self.mu = [list(row) for row in mu]
-        if len(self.rho) != self.algebra_dim or len(self.mu) != self.algebra_dim:
+        if len(self.rho) != n or len(self.mu) != n:
             raise DimMismatchError("rho/mu tables must have one entry per basis vector")
-        for m in self.rho:
-            self._check_mat(m)
+        for mat in self.rho:
+            self._check_mat(mat)
         for row in self.mu:
-            if len(row) != self.algebra_dim:
+            if len(row) != n:
                 raise DimMismatchError("mu table must be dim x dim")
-            for m in row:
-                self._check_mat(m)
+            for mat in row:
+                self._check_mat(mat)
+        self.rho_arr = exact_array([x for mat in self.rho for r in mat.data for x in r], (n, m, m))
+        self.mu_arr = exact_array([x for row in self.mu for mat in row for r in mat.data for x in r],
+                                  (n, n, m, m))
 
     def _check_mat(self, m):
         if m.rows != self.module_dim or m.cols != self.module_dim:
@@ -73,90 +87,94 @@ class Representation:
                 f"representation matrices must be {self.module_dim}x{self.module_dim}"
             )
 
+    @cached_property
+    def rho(self):
+        return [Matrix.from_array(a) for a in self.rho_arr]
+
+    @cached_property
+    def mu(self):
+        return [[Matrix.from_array(a) for a in row] for row in self.mu_arr]
+
     @classmethod
     def zero(cls, algebra_dim, module_dim):
-        z = Matrix.zero(module_dim)
-        return cls(algebra_dim, module_dim, [z] * algebra_dim,
-                   [[z] * algebra_dim for _ in range(algebra_dim)])
+        n, m = algebra_dim, module_dim
+        return cls(n, m, np.zeros((n, m, m), dtype=object), np.zeros((n, n, m, m), dtype=object))
 
     def rho_vec(self, x):
         """rho(x) for a coordinate vector x."""
-        return Matrix.weighted_sum(zip(x, self.rho), self.module_dim)
+        return Matrix.from_array(np.einsum("i,iab->ab", np.array(x, dtype=object), self.rho_arr))
 
     def mu_vec(self, x, y):
         """mu(x, y) for coordinate vectors."""
-        return Matrix.weighted_sum(((xi * yj, m) for xi, row in zip(x, self.mu) if not is_zero(xi)
-                                    for yj, m in zip(y, row)), self.module_dim)
+        return _bilinear_vec(self.mu_arr, x, y)
 
-    def mu_vl(self, x, j):
-        """mu(x, e_j) for a coordinate vector x."""
-        return Matrix.weighted_sum(zip(x, (row[j] for row in self.mu)), self.module_dim)
 
-    def mu_vr(self, i, y):
-        """mu(e_i, y) for a coordinate vector y."""
-        return Matrix.weighted_sum(zip(y, self.mu[i]), self.module_dim)
+def _bilinear_vec(table, x, y) -> Matrix:
+    """X(x, y) for coordinate vectors, X given by its array X[i, j]."""
+    xt = np.einsum("i,ijab->jab", np.array(x, dtype=object), table)
+    return Matrix.from_array(np.einsum("j,jab->ab", np.array(y, dtype=object), xt))
 
 
 class DerivedD:
-    """Table of the derived operators D(e_i, e_j); skew-symmetric."""
+    """The derived operators D(e_i, e_j) as the array arr[i, j]; skew-symmetric."""
 
-    def __init__(self, table, module_dim):
-        self.table = table
-        self.module_dim = module_dim
+    def __init__(self, arr):
+        self.arr = exact(arr)
+        self.module_dim = arr.shape[-1]
+
+    @cached_property
+    def table(self):
+        return [[Matrix.from_array(a) for a in row] for row in self.arr]
 
     def at(self, i, j) -> Matrix:
         return self.table[i][j]
 
     def vec(self, x, y) -> Matrix:
         """D(x, y) for coordinate vectors."""
-        return Matrix.weighted_sum(((xi * yj, m) for xi, row in zip(x, self.table) if not is_zero(xi)
-                                    for yj, m in zip(y, row)), self.module_dim)
-
-    def vl(self, x, j) -> Matrix:
-        """D(x, e_j) for a coordinate vector x."""
-        return Matrix.weighted_sum(zip(x, (row[j] for row in self.table)), self.module_dim)
+        return _bilinear_vec(self.arr, x, y)
 
 
 def derived_D(alg: LieYamagutiAlgebra, rep: Representation) -> DerivedD:
     """D(x,y) = mu(y,x) - mu(x,y) + [rho(x),rho(y)] - rho([x,y])."""
     if rep.algebra_dim != alg.dim:
         raise DimMismatchError("representation does not match the algebra dimension")
-    n = alg.dim
-    table = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            m = rep.mu[j][i] - rep.mu[i][j] + rep.rho[i] * rep.rho[j] - rep.rho[j] * rep.rho[i]
-            m = m - rep.rho_vec(alg.b[i][j])
-            table[i][j] = m
-            table[j][i] = -m
-    d = DerivedD(table, rep.module_dim)
-    for i in range(n):
-        if not table[i][i].is_zero():
-            raise InternalConsistencyError("derived D is not skew-symmetric")
-    return d
+    rho, mu = rep.rho_arr, rep.mu_arr
+    rr = np.einsum("iab,jbc->ijac", rho, rho)
+    d = (mu.transpose(1, 0, 2, 3) - mu + rr - rr.transpose(1, 0, 2, 3)
+         - np.einsum("ijk,kab->ijab", alg.b_arr, rho))
+    if any((d[i, i] != 0).any() for i in range(alg.dim)):
+        raise InternalConsistencyError("derived D is not skew-symmetric")
+    return DerivedD(d)
 
 
 def _law_residuals(alg: LieYamagutiAlgebra, rep: Representation, d: DerivedD):
-    """(arity, residual) of every law of REP_LAWS, at one basis tuple each."""
-    b, t, rho, mu = alg.b, alg.t, rep.rho, rep.mu
-    e = alg.basis_vector
+    """(arity, residual) of every law of REP_LAWS, one slab per first index x = e_i.
 
-    def comm(x, y):
-        return x * y - y * x
+    Matrix products X(..) Y(..) over free indices are einsums "..ab,..bc->..ac".
+    """
+    b, t, rho, mu, dd = alg.b_arr, alg.t_arr, rep.rho_arr, rep.mu_arr, d.arr
+
+    def mu_t(i):  # mu(<<x,y,z>>, w) over (j, k, w)
+        return np.einsum("jkm,mwab->jkwab", t[i], mu)
 
     return {
-        "rep1": (3, lambda i, j, k: rep.mu_vl(b[i][j], k) - mu[i][k] * rho[j] + mu[j][k] * rho[i]),
-        "rep2": (3, lambda i, j, k: rep.mu_vr(i, b[j][k]) - rho[j] * mu[i][k] + rho[k] * mu[i][j]),
-        "rep3": (3, lambda i, j, k: rep.rho_vec(t[i][j][k]) - comm(d.at(i, j), rho[k])),
-        "rep4": (4, lambda i, j, k, w: mu[k][w] * mu[i][j] - mu[j][w] * mu[i][k]
-                 - rep.mu_vr(i, t[j][k][w]) + d.at(j, k) * mu[i][w]),
-        "rep5": (4, lambda i, j, k, w: rep.mu_vl(t[i][j][k], w) + rep.mu_vr(k, t[i][j][w])
-                 - comm(d.at(i, j), mu[k][w])),
-        "der1": (3, lambda i, j, k: d.vl(b[i][j], k) + d.vl(b[j][k], i) + d.vl(b[k][i], j)),
-        "der2": (4, lambda i, j, k, w: d.vl(t[i][j][k], w) + d.vec(e(k), t[i][j][w])
-                 - comm(d.at(i, j), d.at(k, w))),
-        "der3": (4, lambda i, j, k, w: rep.mu_vl(t[i][j][k], w) - mu[i][w] * mu[k][j]
-                 + mu[j][w] * mu[k][i] + mu[k][w] * d.at(i, j)),
+        "rep1": (3, lambda i: np.einsum("jm,mkab->jkab", b[i], mu)
+                 - np.einsum("kab,jbc->jkac", mu[i], rho) + np.einsum("jkab,bc->jkac", mu, rho[i])),
+        "rep2": (3, lambda i: np.einsum("jkm,mab->jkab", b, mu[i])
+                 - np.einsum("jab,kbc->jkac", rho, mu[i]) + np.einsum("kab,jbc->jkac", rho, mu[i])),
+        "rep3": (3, lambda i: np.einsum("jkm,mab->jkab", t[i], rho)
+                 - np.einsum("jab,kbc->jkac", dd[i], rho) + np.einsum("kab,jbc->jkac", rho, dd[i])),
+        "rep4": (4, lambda i: np.einsum("kwab,jbc->jkwac", mu, mu[i])
+                 - np.einsum("jwab,kbc->jkwac", mu, mu[i]) - np.einsum("jkwm,mab->jkwab", t, mu[i])
+                 + np.einsum("jkab,wbc->jkwac", dd, mu[i])),
+        "rep5": (4, lambda i: mu_t(i) + np.einsum("jwm,kmab->jkwab", t[i], mu)
+                 - np.einsum("jab,kwbc->jkwac", dd[i], mu) + np.einsum("kwab,jbc->jkwac", mu, dd[i])),
+        "der1": (3, lambda i: np.einsum("jm,mkab->jkab", b[i], dd)
+                 + np.einsum("jkm,mab->jkab", b, dd[:, i]) + np.einsum("km,mjab->jkab", b[:, i], dd)),
+        "der2": (4, lambda i: np.einsum("jkm,mwab->jkwab", t[i], dd) + np.einsum("jwm,kmab->jkwab", t[i], dd)
+                 - np.einsum("jab,kwbc->jkwac", dd[i], dd) + np.einsum("kwab,jbc->jkwac", dd, dd[i])),
+        "der3": (4, lambda i: mu_t(i) - np.einsum("wab,kjbc->jkwac", mu[i], mu)
+                 + np.einsum("jwab,kbc->jkwac", mu, mu[:, i]) + np.einsum("kwab,jbc->jkwac", mu, dd[i])),
     }
 
 
@@ -191,26 +209,27 @@ def adjoint_rep(alg: LieYamagutiAlgebra, check=True) -> Representation:
     axioms; pass check=False for deliberately broken fixtures.
     """
     n = alg.dim
-    rho = [Matrix.from_cols(alg.b[i]) for i in range(n)]
-    mu = [[Matrix.from_cols(alg.t[k][i][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    rep = Representation(n, n, rho, mu)
+    rep = Representation(n, n, alg.b_arr.transpose(0, 2, 1), np.einsum("kijl->ijlk", alg.t_arr))
     if check:
-        d = derived_D(alg, rep)
-        wit = first_violation(lambda i, j: d.at(i, j) - Matrix.from_cols(alg.t[i][j]), (n, n))
-        if wit is not None:
-            raise InternalConsistencyError(
-                "derived D of the adjoint representation does not equal the left triple "
-                f"multiplication at {wit['tuple']}"
-            )
+        _assert_adjoint_d(alg, derived_D(alg, rep))
     return rep
+
+
+def _assert_adjoint_d(alg: LieYamagutiAlgebra, d: DerivedD):
+    """Raise unless d, the derived D of alg's adjoint representation, is z -> <<x,y,z>>."""
+    left = alg.t_arr.transpose(0, 1, 3, 2)
+    wit = first_violation(lambda i: d.arr[i] - left[i], (alg.dim,) * 2)
+    if wit is not None:
+        raise InternalConsistencyError(
+            "derived D of the adjoint representation does not equal the left triple "
+            f"multiplication at {wit['tuple']}"
+        )
 
 
 def dual_rep(rep: Representation) -> Representation:
     """Dual representation on V*: rho'(x) = -rho(x)^T, mu'(x,y) = mu(y,x)^T."""
-    n = rep.algebra_dim
-    rho = [(-rep.rho[i]).transpose() for i in range(n)]
-    mu = [[rep.mu[j][i].transpose() for j in range(n)] for i in range(n)]
-    return Representation(n, rep.module_dim, rho, mu)
+    return Representation(rep.algebra_dim, rep.module_dim, -rep.rho_arr.transpose(0, 2, 1),
+                          rep.mu_arr.transpose(1, 0, 3, 2))
 
 
 def coadjoint_rep(alg: LieYamagutiAlgebra, check=True) -> Representation:
@@ -236,38 +255,19 @@ def semidirect(alg: LieYamagutiAlgebra, rep: Representation,
                 f"{[c.name for c in rr.checks if not c.ok]}"
             )
     n, m = alg.dim, rep.module_dim
-    nm = n + m
-    d = derived_D(alg, rep)
-    zero = vzero(nm)
-
-    def gpart(vec):
-        return tuple(vec) + vzero(m)
-
-    def vpart(vec):
-        return vzero(n) + tuple(vec)
-
-    binary = [[zero] * nm for _ in range(nm)]
-    ternary = [[[zero] * nm for _ in range(nm)] for _ in range(nm)]
-    for i, j in product(range(n), repeat=2):
-        binary[i][j] = gpart(alg.b[i][j])
-    for i in range(n):
-        for bcol in range(m):
-            v = rep.rho[i].col(bcol)
-            binary[i][n + bcol] = vpart(v)
-            binary[n + bcol][i] = vpart(tuple(-x for x in v))
-    for i, j, k in product(range(n), repeat=3):
-        ternary[i][j][k] = gpart(alg.t[i][j][k])
-    for i, j in product(range(n), repeat=2):
-        dm = d.at(i, j)
-        for c in range(m):
-            ternary[i][j][n + c] = vpart(dm.col(c))
-    for j, k in product(range(n), repeat=2):
-        mm = rep.mu[j][k]
-        for a in range(m):
-            ternary[n + a][j][k] = vpart(mm.col(a))
-            ternary[j][n + a][k] = vpart(tuple(-x for x in mm.col(a)))
+    g, v = slice(0, n), slice(n, n + m)
+    rho, mu = rep.rho_arr, rep.mu_arr
+    binary = np.zeros((n + m,) * 3, dtype=object)
+    ternary = np.zeros((n + m,) * 4, dtype=object)
+    binary[g, g, g] = alg.b_arr
+    binary[g, v, v] = np.einsum("iab->iba", rho)                 # [e_i, v_b] = rho(e_i) v_b
+    binary[v, g, v] = -np.einsum("iab->bia", rho)
+    ternary[g, g, g, g] = alg.t_arr
+    ternary[g, g, v, v] = np.einsum("ijab->ijba", derived_D(alg, rep).arr)
+    ternary[v, g, g, v] = np.einsum("jkab->bjka", mu)            # <<v_b, e_j, e_k>> = mu(e_j, e_k) v_b
+    ternary[g, v, g, v] = -np.einsum("jkab->jbka", mu)
     names = [f"g:{x}" for x in alg.basis_names] + [f"v{i+1}" for i in range(m)]
-    return LieYamagutiAlgebra(nm, binary, ternary, names)
+    return LieYamagutiAlgebra(n + m, binary, ternary, names)
 
 
 class LieYRepPair:
@@ -317,16 +317,22 @@ def pair_homomorphism_witness(phi: Matrix, psi: Matrix, src: LieYRepPair, dst: L
     """
     if psi.rows != dst.dim_v or psi.cols != src.dim_v:
         raise DimMismatchError("psi must map the source module to the target module")
-    n = src.dim_g
-    srep, drep = src.rep, dst.rep
-    cols = [phi.col(i) for i in range(phi.cols)]
+    n, p, q = src.dim_g, phi.arr, psi.arr
+
     return homomorphism_witness(phi, src.algebra, dst.algebra) or first_violation(
-        lambda i: psi * srep.rho[i] - drep.rho_vec(cols[i]) * psi, (n,), identity="rho",
+        lambda i: q @ src.rep.rho_arr[i] - np.einsum("a,axy->xy", p[:, i], dst.rep.rho_arr) @ q, (n,),
+        identity="rho",
     ) or first_violation(
-        lambda i, j: psi * srep.mu[i][j] - drep.mu_vec(cols[i], cols[j]) * psi, (n, n), identity="mu",
+        lambda i: _pair_bilinear(p, q, i, src.rep.mu_arr, dst.rep.mu_arr), (n, n), identity="mu",
     ) or first_violation(
-        lambda i, j: psi * src.d.at(i, j) - dst.d.vec(cols[i], cols[j]) * psi, (n, n), identity="D",
+        lambda i: _pair_bilinear(p, q, i, src.d.arr, dst.d.arr), (n, n), identity="D",
     )
+
+
+def _pair_bilinear(p, q, i, x, x_dst):
+    """psi X(e_i, e_j) - X'(phi e_i, phi e_j) psi over j, for phi = p and psi = q."""
+    img = np.einsum("bj,bxy->jxy", p, np.einsum("a,abxy->bxy", p[:, i], x_dst))
+    return q @ x[i] - img @ q
 
 
 def is_pair_homomorphism(phi: Matrix, psi: Matrix, src: LieYRepPair, dst: LieYRepPair) -> bool:

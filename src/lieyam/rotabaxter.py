@@ -16,16 +16,17 @@ homomorphisms) are verified on demand and a violation on validated
 premises raises ConsequenceViolatedError rather than being repaired.
 
 The induced brackets [u,v]^T = rho(Tu)v - rho(Tv)u and <<u,v,w>>^T =
-D(Tu,Tv)w + mu(Tv,Tw)u - mu(Tu,Tw)v are written once, in _induced, which
-evaluates one basis tuple at a time.  Each law has one function that
-returns its first violating tuple with the exact residual, or None; the
-bool predicates, the reports, the validated wrappers and the CLI all
-call it.
+D(Tu,Tv)w + mu(Tv,Tw)u - mu(Tu,Tw)v are written once, in _induced_brackets,
+as exact arrays over all basis tuples of V.  Each law has one function
+that returns its first violating tuple with the exact residual, or None
+(a residual array per first basis index, scanned by
+report.first_violation); the bool predicates, the reports, the validated
+wrappers and the CLI all call it.
 """
 
 from __future__ import annotations
 
-from itertools import product
+import numpy as np
 
 from .algebra import (
     LieYamagutiAlgebra,
@@ -43,7 +44,7 @@ from .errors import (
     NotCompatibleError,
     PreconditionFailedError,
 )
-from .linalg import Matrix, Tensor, vadd, vsub, vec_is_zero
+from .linalg import Matrix, Tensor
 from .reps import LieYRepPair
 from .report import VerificationReport, first_violation
 
@@ -55,32 +56,36 @@ def _check_tmap(pair: LieYRepPair, tmap: Matrix):
         )
 
 
-def _induced(rep, d, tc, idx):
-    """The bracket a map T: V -> g induces on V, at one basis tuple of V.
+def _images(x, tarr):
+    """X(Tu, Tv) over (u, v) for a bilinear X: g x g -> gl(V) given as x[i, j]."""
+    return np.einsum("bv,ubxy->uvxy", tarr, np.einsum("au,abxy->ubxy", tarr, x))
 
-    [u,v]^T     = rho(Tu)v - rho(Tv)u                   idx = (u, v)
-    <<u,v,w>>^T = D(Tu,Tv)w + mu(Tv,Tw)u - mu(Tu,Tw)v   idx = (u, v, w)
 
-    tc are the columns of T, (rep, d) the representation and its derived
-    operator.  This is the one place of the formula: the Rota-Baxter
-    identities, the sub-adjacent and hat-deformed brackets, the twist
-    conditions and compatibility all evaluate it here, one tuple at a time.
+def _induced_brackets(rep, d, tmap: Matrix, arity):
+    """The bracket a map T: V -> g induces on V, as an array over all basis tuples of V.
+
+    [u,v]^T     = rho(Tu)v - rho(Tv)u                   arity 2, indexed [u, v, l]
+    <<u,v,w>>^T = D(Tu,Tv)w + mu(Tv,Tw)u - mu(Tu,Tw)v   arity 3, indexed [u, v, w, l]
+
+    (rep, d) are the representation and its derived operator.  This is the
+    one place of the formula: the Rota-Baxter identities, the sub-adjacent
+    and hat-deformed brackets, the twist conditions and compatibility all
+    evaluate it here.
     """
-    if len(idx) == 2:
-        u, v = idx
-        return vsub(rep.rho_vec(tc[u]).col(v), rep.rho_vec(tc[v]).col(u))
-    u, v, w = idx
-    out = vadd(d.vec(tc[u], tc[v]).col(w), rep.mu_vec(tc[v], tc[w]).col(u))
-    return vsub(out, rep.mu_vec(tc[u], tc[w]).col(v))
+    tarr = tmap.arr
+    if arity == 2:
+        rho_t = np.einsum("au,axy->uxy", tarr, rep.rho_arr)      # rho(Tu)
+        return np.einsum("uxv->uvx", rho_t) - np.einsum("vxu->uvx", rho_t)
+    d_t, mu_t = _images(d.arr, tarr), _images(rep.mu_arr, tarr)
+    return (np.einsum("uvxw->uvwx", d_t) + np.einsum("vwxu->uvwx", mu_t)
+            - np.einsum("uwxv->uvwx", mu_t))
 
 
 def _induced_algebra(rep, d, tmap: Matrix) -> LieYamagutiAlgebra:
     """V carrying the brackets induced by T (no axiom claim)."""
     m = tmap.cols
-    tc = [tmap.col(u) for u in range(m)]
-    binary = [[_induced(rep, d, tc, (u, v)) for v in range(m)] for u in range(m)]
-    ternary = [[[_induced(rep, d, tc, (u, v, w)) for w in range(m)] for v in range(m)] for u in range(m)]
-    return LieYamagutiAlgebra(m, binary, ternary, [f"v{i+1}" for i in range(m)])
+    return LieYamagutiAlgebra(m, _induced_brackets(rep, d, tmap, 2), _induced_brackets(rep, d, tmap, 3),
+                              [f"v{i+1}" for i in range(m)])
 
 
 RB_LAWS = {
@@ -96,15 +101,13 @@ def _rb_residuals(pair: LieYRepPair, tmap: Matrix, arities=(2, 3)):
     violation; the witness is {"identity", "tuple", "residual"}.
     """
     _check_tmap(pair, tmap)
-    alg, rep, d = pair.algebra, pair.rep, pair.d
-    tc = [tmap.col(u) for u in range(pair.dim_v)]
-    residuals = {
-        2: lambda u, v: vsub(alg.bracket(tc[u], tc[v]), tmap.apply(_induced(rep, d, tc, (u, v)))),
-        3: lambda u, v, w: vsub(alg.triple(tc[u], tc[v], tc[w]),
-                                tmap.apply(_induced(rep, d, tc, (u, v, w)))),
-    }
+    alg, tarr = pair.algebra, tmap.arr
+    brackets = {2: lambda u: alg.bracket_images(tarr, tarr, u),        # [Tu, Tv]
+                3: lambda u: alg.triple_images(tarr, tarr, tarr, u)}   # <<Tu, Tv, Tw>>
     for arity in arities:
-        wit = first_violation(residuals[arity], (pair.dim_v,) * arity, identity=RB_LAWS[arity][0])
+        induced = _induced_brackets(pair.rep, pair.d, tmap, arity) @ tarr.T
+        wit = first_violation(lambda u: brackets[arity](u) - induced[u], (pair.dim_v,) * arity,
+                              identity=RB_LAWS[arity][0])
         if wit is not None:
             return wit
     return None
@@ -159,48 +162,20 @@ def pre_ly_products(top: RelativeRBOperator):
     sub-adjacent brackets is asserted: [u,v]^T = u*v - v*u, and the
     derived-operator part of <<u,v,w>>^T expands through star/brace.
     """
-    pair, tmap = top.pair, top.tmap
-    rep = pair.rep
-    m = pair.dim_v
-    tc = [tmap.col(u) for u in range(m)]
-    star = [[rep.rho_vec(tc[u]).col(v) for v in range(m)] for u in range(m)]
-    brace = [
-        [[rep.mu_vec(tc[v], tc[w]).col(u) for w in range(m)] for v in range(m)]
-        for u in range(m)
-    ]
-
-    def star_vl(vec, w):
-        # (vec) * e_w, expanding the first slot
-        acc = (0,) * m
-        for c, s in enumerate(vec):
-            acc = vadd(acc, tuple(s * x for x in star[c][w]))
-        return acc
-
-    def star_vr(u, vec):
-        # e_u * (vec), expanding the second slot
-        acc = (0,) * m
-        for c, s in enumerate(vec):
-            acc = vadd(acc, tuple(s * x for x in star[u][c]))
-        return acc
-
+    pair, tarr = top.pair, top.tmap.arr
+    star = np.einsum("au,axv->uvx", tarr, pair.rep.rho_arr)          # [u, v, l]
+    brace = np.einsum("vwxu->uvwx", _images(pair.rep.mu_arr, tarr))  # [u, v, w, l]
     sub = subadjacent(top)
-    for u, v in product(range(m), repeat=2):
-        if not vec_is_zero(vsub(sub.b[u][v], vsub(star[u][v], star[v][u]))):
-            raise ConsequenceViolatedError("commutator of * does not match the sub-adjacent bracket")
-    d = pair.d
-    for u, v, w in product(range(m), repeat=3):
-        # D(Tu,Tv)w = {w,v,u} - {w,u,v} + u*(v*w) - v*(u*w) - ([u,v]^T)*w
-        want = d.vec(tc[u], tc[v]).col(w)
-        got = vsub(brace[w][v][u], brace[w][u][v])
-        got = vadd(got, star_vr(u, star[v][w]))
-        got = vsub(got, star_vr(v, star[u][w]))
-        got = vsub(got, star_vl(sub.b[u][v], w))
-        if not vec_is_zero(vsub(want, got)):
-            raise ConsequenceViolatedError("derived-operator part does not expand through star/brace")
-    star_t = Tensor((m, m, m), [x for u in range(m) for v in range(m) for x in star[u][v]])
-    brace_t = Tensor((m, m, m, m),
-                     [x for u in range(m) for v in range(m) for w in range(m) for x in brace[u][v][w]])
-    return star_t, brace_t
+    if (sub.b_arr - star + star.transpose(1, 0, 2) != 0).any():
+        raise ConsequenceViolatedError("commutator of * does not match the sub-adjacent bracket")
+    # D(Tu,Tv)w = {w,v,u} - {w,u,v} + u*(v*w) - v*(u*w) - ([u,v]^T)*w
+    want = np.einsum("uvxw->uvwx", _images(pair.d.arr, tarr))
+    got = (np.einsum("wvux->uvwx", brace) - np.einsum("wuvx->uvwx", brace)
+           + np.einsum("vwc,ucx->uvwx", star, star) - np.einsum("uwc,vcx->uvwx", star, star)
+           - np.einsum("uvc,cwx->uvwx", sub.b_arr, star))
+    if (want - got != 0).any():
+        raise ConsequenceViolatedError("derived-operator part does not expand through star/brace")
+    return Tensor.from_array(star), Tensor.from_array(brace)
 
 
 def s_deformed_brackets(top: RelativeRBOperator, smap: Matrix):
@@ -224,10 +199,8 @@ def _deformed_vs_induced(deformed, rep, d, tmap: Matrix, arity, **tags):
 
     deformed is the pair (binary, ternary) of tensors; arity 2 or 3 picks one.
     """
-    tc = [tmap.col(u) for u in range(tmap.cols)]
-    table = deformed[arity - 2]
-    return first_violation(lambda *idx: vsub(table.slice_vector(*idx), _induced(rep, d, tc, idx)),
-                           (tmap.cols,) * arity, **tags)
+    diff = deformed[arity - 2].arr - _induced_brackets(rep, d, tmap, arity)
+    return first_violation(diff.__getitem__, (tmap.cols,) * arity, **tags)
 
 
 def append_twist_conditions(report: VerificationReport, pair: LieYRepPair,
@@ -238,7 +211,8 @@ def append_twist_conditions(report: VerificationReport, pair: LieYRepPair,
     brackets induced by N T.  T must already be Rota-Baxter; the
     sub-adjacent theorems are asserted on V^T, which is returned.
     """
-    wit = first_violation((nmap * tmap - tmap * smap).col, (pair.dim_v,))
+    twist = nmap.arr @ tmap.arr - tmap.arr @ smap.arr
+    wit = first_violation(lambda u: twist[:, u], (pair.dim_v,))
     report.add("twist-compat", wit is None, "N T = T S", wit)
     sub = _assert_subadjacent(_induced_algebra(pair.rep, pair.d, tmap), tmap, pair)
     deformed = deformed_brackets(sub, smap)
@@ -372,27 +346,23 @@ def _compat_residual(pair: LieYRepPair, t1: Matrix, t2: Matrix):
     """
     alg, rep, d = pair.algebra, pair.rep, pair.d
     m = pair.dim_v
-    c1 = [t1.col(u) for u in range(m)]
-    c2 = [t2.col(u) for u in range(m)]
-    c12 = [vadd(a, b) for a, b in zip(c1, c2)]
-
-    def binary(u, v):
-        lhs = vadd(alg.bracket(c1[u], c2[v]), alg.bracket(c2[u], c1[v]))
-        rhs = vadd(t1.apply(_induced(rep, d, c2, (u, v))), t2.apply(_induced(rep, d, c1, (u, v))))
-        return vsub(lhs, rhs)
-
-    def ternary(ci, cj, ti, tj, u, v, w):
-        lhs = vadd(alg.triple(ci[u], ci[v], cj[w]), alg.triple(ci[u], cj[v], ci[w]))
-        lhs = vadd(lhs, alg.triple(cj[u], ci[v], ci[w]))
-        pure_i = _induced(rep, d, ci, (u, v, w))
-        mixed = vsub(vsub(_induced(rep, d, c12, (u, v, w)), pure_i), _induced(rep, d, cj, (u, v, w)))
-        return vsub(lhs, vadd(ti.apply(mixed), tj.apply(pure_i)))
-
-    return first_violation(binary, (m,) * 2, identity="binary") or first_violation(
-        lambda u, v, w: ternary(c1, c2, t1, t2, u, v, w), (m,) * 3, identity="ternary-12",
-    ) or first_violation(
-        lambda u, v, w: ternary(c2, c1, t2, t1, u, v, w), (m,) * 3, identity="ternary-21",
-    )
+    a1, a2 = t1.arr, t2.arr
+    rhs = _induced_brackets(rep, d, t2, 2) @ a1.T + _induced_brackets(rep, d, t1, 2) @ a2.T
+    wit = first_violation(
+        lambda u: alg.bracket_images(a1, a2, u) + alg.bracket_images(a2, a1, u) - rhs[u], (m,) * 2,
+        identity="binary")
+    if wit is not None:
+        return wit
+    pure = {1: _induced_brackets(rep, d, t1, 3), 2: _induced_brackets(rep, d, t2, 3)}
+    mixed = _induced_brackets(rep, d, t1 + t2, 3) - pure[1] - pure[2]
+    for i, j, ti, tj in ((1, 2, a1, a2), (2, 1, a2, a1)):
+        rhs = mixed @ ti.T + pure[i] @ tj.T
+        wit = first_violation(
+            lambda u: alg.triple_images(ti, ti, tj, u) + alg.triple_images(ti, tj, ti, u)
+            + alg.triple_images(tj, ti, ti, u) - rhs[u], (m,) * 3, identity=f"ternary-{i}{j}")
+        if wit is not None:
+            return wit
+    return None
 
 
 def compatibility_witness(pair: LieYRepPair, t1: Matrix, t2: Matrix):
@@ -429,19 +399,12 @@ def strong_witness(pair: LieYRepPair, top: RelativeRBOperator, smap: Matrix):
     """First tuple violating D(Tu,Tv)(Sw) + mu(Tv,Tw)(Su) - mu(Tu,Tw)(Sv) = S(<<u,v,w>>^T), or None."""
     if top.pair is not pair:
         raise DimMismatchError("operator belongs to another pair")
-    rep, d = pair.rep, pair.d
-    m = pair.dim_v
-    tc = [top.tmap.col(u) for u in range(m)]
-    sub = subadjacent(top)
-    sc = [smap.col(u) for u in range(m)]
-
-    def residual(u, v, w):
-        lhs = d.vec(tc[u], tc[v]).apply(sc[w])
-        lhs = vadd(lhs, rep.mu_vec(tc[v], tc[w]).apply(sc[u]))
-        lhs = vsub(lhs, rep.mu_vec(tc[u], tc[w]).apply(sc[v]))
-        return vsub(lhs, smap.apply(sub.t[u][v][w]))
-
-    return first_violation(residual, (m,) * 3)
+    tarr, sarr = top.tmap.arr, smap.arr
+    d_t, mu_t = _images(pair.d.arr, tarr), _images(pair.rep.mu_arr, tarr)
+    rhs = subadjacent(top).t_arr @ sarr.T
+    return first_violation(
+        lambda u: np.einsum("vxy,yw->vwx", d_t[u], sarr) + np.einsum("vwxy,y->vwx", mu_t, sarr[:, u])
+        - np.einsum("wxy,yv->vwx", mu_t[u], sarr) - rhs[u], (pair.dim_v,) * 3)
 
 
 def strong_condition(pair: LieYRepPair, top: RelativeRBOperator, smap: Matrix) -> bool:

@@ -22,35 +22,25 @@ computes concrete coboundaries (scalar entries) and coboundary matrices
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 
 from .algebra import LieYamagutiAlgebra
 from .errors import DegreeCapExceededError, DimMismatchError
-from .linalg import LinComb, Matrix, lincomb_is_zero, vzero
+from .linalg import LinComb, Matrix, exact, lincomb_is_zero
 from .reps import Representation, derived_D
 from .scalars import is_zero
 
 DEFAULT_DEGREE_CAP = 4
 
 
-def _norm_scalar(x):
-    """Collapse integral Fractions to ints (exact, much faster arithmetic)."""
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else x
-    return x
-
-
-def _sparse_rows(mat: "Matrix"):
-    """Matrix rows as tuples of (column, nonzero coefficient)."""
-    return tuple(
-        tuple((j, _norm_scalar(v)) for j, v in enumerate(row) if not is_zero(v))
-        for row in mat.data
-    )
+def _sparse_rows(mat):
+    """Rows of an exact 2-d array (integral entries already ints) as tuples of
+    (column, nonzero coefficient)."""
+    return tuple(_sparse_vec(row) for row in mat)
 
 
 def _sparse_vec(vec):
-    return tuple((i, _norm_scalar(v)) for i, v in enumerate(vec) if not is_zero(v))
+    return tuple((i, v) for i, v in enumerate(vec) if not is_zero(v))
 
 
 def _apply_rows(rows, val):
@@ -91,19 +81,14 @@ class _Complex:
         self.pairs = wedge_pairs(alg.dim)
         self.widx = wedge_index_map(alg.dim)
         self.d = derived_D(alg, rep)
-        self.dmats = [self.d.at(i, j) for (i, j) in self.pairs]
         # circ[wk][wl]: sparse expansion of X_k o X_l in the wedge basis
         self.circ = [[self._circ(k, l) for l in range(self.wdim)] for k in range(self.wdim)]
-        # sparse integer-normalized operator tables for the hot loops
-        n = alg.dim
-        self.rho_rows = [_sparse_rows(rep.rho[i]) for i in range(n)]
-        self.mu_rows = [[_sparse_rows(rep.mu[i][j]) for j in range(n)] for i in range(n)]
-        self.d_rows = [_sparse_rows(m) for m in self.dmats]
-        self.b_sp = [[_sparse_vec(alg.b[i][j]) for j in range(n)] for i in range(n)]
-        self.t_sp = [
-            [[_sparse_vec(alg.t[i][j][k]) for k in range(n)] for j in range(n)]
-            for i in range(n)
-        ]
+        # sparse operator tables for the hot loops, from the exact arrays
+        self.rho_rows = [_sparse_rows(m) for m in rep.rho_arr]
+        self.mu_rows = [[_sparse_rows(m) for m in row] for row in rep.mu_arr]
+        self.d_rows = [_sparse_rows(self.d.arr[i, j]) for (i, j) in self.pairs]
+        self.b_sp = [[_sparse_vec(v) for v in row] for row in alg.b_arr]
+        self.t_sp = [[[_sparse_vec(v) for v in col] for col in row] for row in alg.t_arr]
 
     def _wedge_of(self, vec, j, side):
         """Sparse wedge-basis expansion of vec ^ e_j (side='L') or e_j ^ vec."""
@@ -120,12 +105,13 @@ class _Complex:
     def _circ(self, wk, wl):
         xk, yk = self.pairs[wk]
         xl, yl = self.pairs[wl]
+        t = self.alg.t_arr
         terms = {}
-        for w, cf in self._wedge_of(self.alg.t[xk][yk][xl], yl, "L"):
+        for w, cf in self._wedge_of(t[xk, yk, xl], yl, "L"):
             terms[w] = terms.get(w, 0) + cf
-        for w, cf in self._wedge_of(self.alg.t[xk][yk][yl], xl, "R"):
+        for w, cf in self._wedge_of(t[xk, yk, yl], xl, "R"):
             terms[w] = terms.get(w, 0) + cf
-        return [(w, _norm_scalar(cf)) for w, cf in terms.items() if not is_zero(cf)]
+        return [(w, exact(cf)) for w, cf in terms.items() if not is_zero(cf)]
 
 
 class YamagutiCochain:

@@ -447,3 +447,48 @@ def test_witness_past_the_int_str_digit_limit(capsys, tmp_path):
     assert check["witness"]["residual"] == [expected, expected]
     code, out = run_cli("verify-rbo", "--pair", fx("A2-adjoint.json"), "--T", str(op), capsys=capsys)
     assert code == 1 and "Traceback" not in out.err
+
+
+def _pair_file(tmp_path, name, alg, special="adjoint"):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"algebra": algebra_to_dict(alg), "special": special}))
+    return str(path)
+
+
+def test_cohomology_sizes_bounded_exit2(capsys, tmp_path):
+    """--degree, --degree-cap and the coboundary size are bounded before anything is built."""
+    import time
+
+    from lieyam import adjoint_rep, semidirect
+    from lieyam.cli import MAX_DEGREE
+    from lieyam.search import catalog_algebra
+
+    sl2 = catalog_algebra("sl2")
+    sl2_pair = _pair_file(tmp_path, "sl2", sl2)
+    sd6_pair = _pair_file(tmp_path, "sd6", semidirect(sl2, adjoint_rep(sl2)))
+    dim16 = tmp_path / "dim16.json"
+    dim16.write_text(json.dumps({"algebra": {"dim": MAX_DIM}, "special": "adjoint"}))
+    cases = [
+        (sl2_pair, "12", "pair", []),
+        (sl2_pair, "0", "pair", []),
+        (sl2_pair, str(MAX_DEGREE + 1), "pair", []),
+        (sl2_pair, str(10**9), "classical", []),
+        (sl2_pair, "1", "pair", ["--degree-cap", "0"]),
+        (sl2_pair, "1", "pair", ["--degree-cap", str(10**9)]),
+        (sd6_pair, "2", "pair", []),
+        *((str(dim16), str(d), cx, []) for d in range(1, 10) for cx in ("pair", "classical")),
+    ]
+    for path, degree, cx, extra in cases:
+        t0 = time.perf_counter()
+        code, out = run_cli(*extra, "cohomology", "--pair", path, "--degree", degree, "--complex", cx,
+                            capsys=capsys)
+        assert time.perf_counter() - t0 < 1.0, (path, degree, cx)
+        assert code == 2, (path, degree, cx, out.out)
+        assert out.out == "" and "Traceback" not in out.err
+        assert len(out.err.strip().splitlines()) == 1, out.err
+
+
+def test_cohomology_has_no_cap_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology", "--pair", fx("A2-adjoint.json"), "--degree", "1", "--cap", "3"])
+    assert exc.value.code == 2
