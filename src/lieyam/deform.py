@@ -230,9 +230,9 @@ def _rho_parts(rho, narr):
 
 def _bilinear_parts(x, narr):
     """(X(Nx,y) + X(x,Ny), X(x,y), X(Nx,Ny)) over (x, y), from X[x, y] and the array of N."""
-    x_n_ = np.einsum("ax,ayij->xyij", narr, x)                    # X(Nx, y)
-    return (x_n_ + np.einsum("ay,xaij->xyij", narr, x), x,
-            np.einsum("ay,xaij->xyij", narr, x_n_))
+    x_nx = np.einsum("ax,ayij->xyij", narr, x)                    # X(Nx, y)
+    return (x_nx + np.einsum("ay,xaij->xyij", narr, x), x,
+            np.einsum("ay,xaij->xyij", narr, x_nx))
 
 
 def nijenhuis_structure_report(pair: LieYRepPair, nmap: Matrix, smap: Matrix) -> VerificationReport:

@@ -11,7 +11,8 @@ A law is evaluated as exact object arrays of residuals, one slab per
 first basis index (first_violation): the slabs are computed in order and
 the scan stops at the first one with a nonzero entry, whose first nonzero
 position is the witness.  So the witness is the lexicographically first
-violating tuple, and only one slab is held in memory at a time.
+violating tuple, and a law that computes each slab on demand holds only
+one in memory.
 """
 
 from __future__ import annotations
