@@ -182,9 +182,6 @@ class LieYamagutiAlgebra:
             report.add(name, witness is None, LAWS[name], witness)
         return report
 
-    def is_valid(self) -> bool:
-        return self.check_axioms().passed
-
 
 def homomorphism_witness(phi: Matrix, src: LieYamagutiAlgebra, dst: LieYamagutiAlgebra):
     """First basis tuple where phi fails to preserve a bracket, or None.

@@ -197,9 +197,9 @@ def _run(args) -> int:
         if cap is not None:
             cap = _int_field({"--degree-cap": cap}, "--degree-cap", "cohomology",
                              minimum=1, maximum=MAX_DEGREE + 1)
-        pair = load_pair(args.pair, validate=False)
-        _check_coboundary_size(args.complex, pair.dim_g, pair.dim_v, degree)
-        pair = LieYRepPair(pair.algebra, pair.rep)
+        alg, rep = representation_from_dict(_read_json(args.pair), base_dir=os_dirname(args.pair))
+        _check_coboundary_size(args.complex, alg.dim, rep.module_dim, degree)
+        pair = LieYRepPair(alg, rep)
         if args.complex == "pair":
             dim = pair_cohomology_dim(pair, degree, cap=cap or max(3, degree + 1))
         else:

@@ -85,10 +85,6 @@ def vec_is_zero(a) -> bool:
     return all(is_zero(x) for x in a)
 
 
-def veq(a, b) -> bool:
-    return vec_is_zero(vsub(a, b))
-
-
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -169,9 +165,6 @@ class Matrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]
-
-    def row(self, i):
-        return self.data[i]
 
     def col(self, j):
         return tuple(r[j] for r in self.data)

@@ -18,15 +18,17 @@ The coboundary has two implementations:
 
 * the *lifted* path (reference): embed into the Yamaguti complex of the
   semidirect product with adjoint coefficients, apply its coboundary,
-  and project back.  The path is generic over the entry ring: scalar
-  entries give the coboundary of one cochain, and the basis cochain
-  whose flat coordinate j is the linear form e_j gives the whole
-  coboundary matrix in one pass.  Projection verifies membership in the
-  lifted subspace on every entry -- once for the whole matrix, which by
-  linearity is the check on every basis column -- and raises
+  and project back.  The coboundary is the semidirect product's term
+  table (yamaguti._Terms), applied one term at a time to the flat
+  lifted cochain, whose entries may be scalars or linear forms
+  (LinComb): scalar entries give the coboundary of one cochain, and the
+  basis cochain whose flat coordinate j is the linear form e_j gives the
+  whole coboundary matrix in one pass.  Projection verifies membership
+  in the lifted subspace on every entry -- once for the whole matrix,
+  which by linearity is the check on every basis column -- and raises
   NotInSubcomplexError with a witness (for a matrix, the first offending
-  column) otherwise.  The semidirect complex is built once per pair and
-  kept on it.
+  column) otherwise.  The semidirect product and its term table are
+  built once per pair and kept on it.
 * the *direct* path: closed formulas at degrees 1 and 2, written out
   component by component.  Published versions of these formulas leave
   several index conventions ambiguous; the expansions implemented here
@@ -47,14 +49,7 @@ from .errors import (
 from .linalg import LinComb, Matrix, lincomb_is_zero, vadd, vneg, vscale, vsub, vzero
 from .reps import LieYRepPair, _assert_adjoint_d, adjoint_rep
 from .scalars import is_zero
-from .yamaguti import (
-    YamagutiCochain,
-    _Complex,
-    _delta_in,
-    wedge_dim,
-    wedge_index_map,
-    wedge_pairs,
-)
+from .yamaguti import YamagutiCochain, _apply, _terms, wedge_dim, wedge_index_map, wedge_pairs
 
 DEFAULT_PAIR_CAP = 3
 
@@ -234,8 +229,8 @@ class _PairComplex:
         self.mx = self.n * self.m
         self.E = pair.semidirect()
         self.adjE = adjoint_rep(self.E, check=False)
-        self.cx = _Complex(self.E, self.adjE)
-        _assert_adjoint_d(self.E, self.cx.d)
+        self.terms = _terms(self.E, self.adjE)
+        _assert_adjoint_d(self.E, self.terms.d)
         self.dimE = self.E.dim
         self.pairsE = wedge_pairs(self.dimE)
         self.widxE = wedge_index_map(self.dimE)
@@ -467,7 +462,7 @@ def _check_cap(degree, cap):
 
 def _delta_through_lift(pair: LieYRepPair, c: PairCochain) -> PairCochain:
     """project o delta_E o lift, over the entry ring of c."""
-    return project(pair, _delta_in(_pc(pair).cx, lift(pair, c)))
+    return project(pair, _apply(_pc(pair).terms, lift(pair, c)))
 
 
 def pair_delta_lifted(pair: LieYRepPair, c: PairCochain,
@@ -651,12 +646,12 @@ def _direct_deg2(pair: LieYRepPair, c: PairCochain) -> PairCochain:
     ebas = [alg.basis_vector(i) for i in range(n)]
 
     # the classical complex of g with adjoint coefficients: comp1 is its
-    # coboundary of (f1, g1), and the circ expansions X1 o X2 below use it
-    cx = _Complex(alg, adjoint_rep(alg, check=False))
+    # coboundary of (f1, g1), and comp2 g reads its composite X1 o X2
+    terms = _terms(alg, adjoint_rep(alg, check=False))
 
     # ---- comp1: Yamaguti coboundary of (f1, g1) with adjoint coefficients
     comp1_in = YamagutiCochain(2, n, n, f=list(c.blocks["c1f"]), g=list(c.blocks["c1g"]))
-    comp1_out = _delta_in(cx, comp1_in)
+    comp1_out = _apply(terms, comp1_in)
     out.blocks["c1f"] = list(comp1_out.f_flat)
     out.blocks["c1g"] = list(comp1_out.g_flat)
 
@@ -678,7 +673,7 @@ def _direct_deg2(pair: LieYRepPair, c: PairCochain) -> PairCochain:
         d11 = d.at(x1, y1)
         for w2, (x2, y2) in enumerate(pairs_g):
             d22 = d.at(x2, y2)
-            circ = cx.circ[w1][w2]
+            circ = [(wi, cf) for wi, cf in enumerate(terms.circ[w1, w2]) if cf]
             for b in range(m):
                 val = vneg(d.vec(g1_at(w1, x2), ebas[y2]).col(b))
                 val = vadd(val, d.vec(g1_at(w1, y2), ebas[x2]).col(b))

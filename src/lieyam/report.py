@@ -17,7 +17,6 @@ one in memory.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
@@ -138,9 +137,6 @@ class VerificationReport:
             "runtime_ms": round(self.runtime_ms, 3),
             "checks": [c.to_dict() for c in self.checks],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
     def to_text(self) -> str:
         lines = [f"subject: {self.subject}"]

@@ -61,6 +61,9 @@ class Representation:
     def __init__(self, algebra_dim, module_dim, rho, mu):
         n = self.algebra_dim = int(algebra_dim)
         m = self.module_dim = int(module_dim)
+        # the coboundary's term table over one algebra, built on first use
+        # by lieyam.yamaguti and freed with the representation
+        self._coboundary_terms = None
         if isinstance(rho, np.ndarray):
             if rho.shape != (n, m, m) or mu.shape != (n, n, m, m):
                 raise DimMismatchError(f"rho/mu arrays must have shapes {(n, m, m)} and {(n, n, m, m)}")
@@ -254,6 +257,11 @@ def semidirect(alg: LieYamagutiAlgebra, rep: Representation,
                 f"semidirect product needs a valid representation; failing: "
                 f"{[c.name for c in rr.checks if not c.ok]}"
             )
+    return _semidirect(alg, rep, derived_D(alg, rep))
+
+
+def _semidirect(alg: LieYamagutiAlgebra, rep: Representation, d: DerivedD) -> LieYamagutiAlgebra:
+    """The semidirect product of `semidirect`, given the derived D of (alg, rep)."""
     n, m = alg.dim, rep.module_dim
     g, v = slice(0, n), slice(n, n + m)
     rho, mu = rep.rho_arr, rep.mu_arr
@@ -263,7 +271,7 @@ def semidirect(alg: LieYamagutiAlgebra, rep: Representation,
     binary[g, v, v] = np.einsum("iab->iba", rho)                 # [e_i, v_b] = rho(e_i) v_b
     binary[v, g, v] = -np.einsum("iab->bia", rho)
     ternary[g, g, g, g] = alg.t_arr
-    ternary[g, g, v, v] = np.einsum("ijab->ijba", derived_D(alg, rep).arr)
+    ternary[g, g, v, v] = np.einsum("ijab->ijba", d.arr)
     ternary[v, g, g, v] = np.einsum("jkab->bjka", mu)            # <<v_b, e_j, e_k>> = mu(e_j, e_k) v_b
     ternary[g, v, g, v] = -np.einsum("jkab->jbka", mu)
     names = [f"g:{x}" for x in alg.basis_names] + [f"v{i+1}" for i in range(m)]
@@ -303,7 +311,7 @@ class LieYRepPair:
         return self.rep.module_dim
 
     def semidirect(self) -> LieYamagutiAlgebra:
-        return semidirect(self.algebra, self.rep, validate_rep=False)
+        return _semidirect(self.algebra, self.rep, self.d)
 
 
 def pair_homomorphism_witness(phi: Matrix, psi: Matrix, src: LieYRepPair, dst: LieYRepPair):

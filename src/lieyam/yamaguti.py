@@ -10,48 +10,48 @@ are stored against the canonical wedge basis {e_i ^ e_j : i < j} in
 lexicographic order; arbitrary x ^ y inputs are normalized by
 antisymmetric expansion.
 
-The coboundary follows the classical two-component formula; the composite
-argument operation is
+With X_k = x_k ^ y_k and X^_k meaning that X_k is left out, the
+coboundary of (f, g) is
+
+    f'(X_1..X_{n+1})    = (-1)^n [rho(x_{n+1}) g(X_1..X_n, y_{n+1})
+                                  - rho(y_{n+1}) g(X_1..X_n, x_{n+1})
+                                  - g(X_1..X_n, [x_{n+1}, y_{n+1}])]
+                          + sum_{k <= n} (-1)^(k+1) D(X_k) f(..X^_k..)
+                          + sum_{k < l} (-1)^k f(..X^_k..X_k o X_l..)
+    g'(X_1..X_{n+1}, z) = (-1)^n [mu(y_{n+1}, z) g(X_1..X_n, x_{n+1})
+                                  - mu(x_{n+1}, z) g(X_1..X_n, y_{n+1})]
+                          + sum_k (-1)^(k+1) D(X_k) g(..X^_k.., z)
+                          + sum_{k < l} (-1)^k g(..X^_k..X_k o X_l.., z)
+                          + sum_k (-1)^k g(..X^_k.., <<x_k, y_k, z>>)
+
+with the composite argument
 
     X_k o X_l = <<x_k,y_k,x_l>> ^ y_l + x_l ^ <<x_k,y_k,y_l>>.
 
-The evaluation engine is generic over the entry ring, so the same code
-computes concrete coboundaries (scalar entries) and coboundary matrices
-(sparse linear-form entries); see delta_matrix.
+At p = 1 (n = 0) the same formulas hold with g := f and no f input.
+
+Each term above is an exact coefficient array over the slots it reads
+and writes, times the identity on the other slots (`_Terms`).  Its
+nonzero entries, broadcast against the row-major strides of the flat
+input and output layouts, are the term's (row, column, value) triples:
+delta_matrix sums them into a matrix, and `_apply` applies them one
+term at a time to a flat cochain whose entries are scalars or linear
+forms (LinComb), without building the whole operator.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from math import prod
+
+import numpy as np
 
 from .algebra import LieYamagutiAlgebra
 from .errors import DegreeCapExceededError, DimMismatchError
-from .linalg import LinComb, Matrix, exact, lincomb_is_zero
+from .linalg import Matrix, exact, lincomb_is_zero
 from .reps import Representation, derived_D
 from .scalars import is_zero
 
 DEFAULT_DEGREE_CAP = 4
-
-
-def _sparse_rows(mat):
-    """Rows of an exact 2-d array (integral entries already ints) as tuples of
-    (column, nonzero coefficient)."""
-    return tuple(_sparse_vec(row) for row in mat)
-
-
-def _sparse_vec(vec):
-    return tuple((i, v) for i, v in enumerate(vec) if not is_zero(v))
-
-
-def _apply_rows(rows, val):
-    """Apply a sparse-row operator to a generic value vector."""
-    out = []
-    for row in rows:
-        acc = 0
-        for j, c in row:
-            acc = acc + c * val[j]
-        out.append(acc)
-    return out
 
 
 def wedge_pairs(dim):
@@ -65,53 +65,6 @@ def wedge_index_map(dim):
 
 def wedge_dim(dim):
     return dim * (dim - 1) // 2
-
-
-class _Complex:
-    """Precomputed contraction tables for one (algebra, representation)."""
-
-    def __init__(self, alg: LieYamagutiAlgebra, rep: Representation):
-        if rep.algebra_dim != alg.dim:
-            raise DimMismatchError("representation does not match the algebra")
-        self.alg = alg
-        self.rep = rep
-        self.adim = alg.dim
-        self.mdim = rep.module_dim
-        self.wdim = wedge_dim(alg.dim)
-        self.pairs = wedge_pairs(alg.dim)
-        self.widx = wedge_index_map(alg.dim)
-        self.d = derived_D(alg, rep)
-        # circ[wk][wl]: sparse expansion of X_k o X_l in the wedge basis
-        self.circ = [[self._circ(k, l) for l in range(self.wdim)] for k in range(self.wdim)]
-        # sparse operator tables for the hot loops, from the exact arrays
-        self.rho_rows = [_sparse_rows(m) for m in rep.rho_arr]
-        self.mu_rows = [[_sparse_rows(m) for m in row] for row in rep.mu_arr]
-        self.d_rows = [_sparse_rows(self.d.arr[i, j]) for (i, j) in self.pairs]
-        self.b_sp = [[_sparse_vec(v) for v in row] for row in alg.b_arr]
-        self.t_sp = [[[_sparse_vec(v) for v in col] for col in row] for row in alg.t_arr]
-
-    def _wedge_of(self, vec, j, side):
-        """Sparse wedge-basis expansion of vec ^ e_j (side='L') or e_j ^ vec."""
-        out = []
-        for c, v in enumerate(vec):
-            if is_zero(v) or c == j:
-                continue
-            if c < j:
-                out.append((self.widx[(c, j)], v if side == "L" else -v))
-            else:
-                out.append((self.widx[(j, c)], -v if side == "L" else v))
-        return out
-
-    def _circ(self, wk, wl):
-        xk, yk = self.pairs[wk]
-        xl, yl = self.pairs[wl]
-        t = self.alg.t_arr
-        terms = {}
-        for w, cf in self._wedge_of(t[xk, yk, xl], yl, "L"):
-            terms[w] = terms.get(w, 0) + cf
-        for w, cf in self._wedge_of(t[xk, yk, yl], xl, "R"):
-            terms[w] = terms.get(w, 0) + cf
-        return [(w, exact(cf)) for w, cf in terms.items() if not is_zero(cf)]
 
 
 class YamagutiCochain:
@@ -216,7 +169,7 @@ class YamagutiCochain:
     @classmethod
     def unflatten(cls, degree, adim, mdim, coords):
         if degree == 1:
-            f = Matrix(tuple(tuple(coords[x * mdim + o] for x in range(adim)) for o in range(mdim)))
+            f = Matrix(tuple(tuple(coords[x * mdim + o] for x in range(adim)) for o in range(mdim)), adim)
             return cls(1, adim, mdim, f=f)
         n = degree - 1
         fsize = wedge_dim(adim)**n * mdim
@@ -250,19 +203,125 @@ def random_cochain(alg, rep, degree, rng, lo=-3, hi=3):
 # coboundary
 
 
-def _combo(parts):
-    """Sum of scale*value-vector pairs; parts is a list of (coeff, val)."""
-    acc = None
-    for cf, val in parts:
-        if is_zero(cf):
-            continue
-        term = [cf * v for v in val]
-        acc = term if acc is None else [a + b for a, b in zip(acc, term)]
-    return acc
+class _Terms:
+    """The coboundary of one (algebra, representation) as a table of terms.
+
+    Each coefficient array has its output slots first, then its input
+    slots (w: a wedge slot; z, s: a final argument; o, a: V):
+
+    * rho_b[w, o, s, a]: rho(x_w) g(.., y_w) - rho(y_w) g(.., x_w) - g(.., [x_w, y_w]);
+    * mu_dt[w, z, o, s, a]: mu(y_w, z) g(.., x_w) - mu(x_w, z) g(.., y_w) plus dt[w],
+      the g' terms that read the last slot;
+    * dt[w, z, o, s, a]: D(X_w) g(.., z) - g(.., <<x_w, y_w, z>>);
+    * d[w, o, a]: D(X_w) f(..);
+    * circ[k, l, w]: the coefficient of wedge w in X_k o X_l.
+    """
+
+    def __init__(self, alg: LieYamagutiAlgebra, rep: Representation):
+        self.alg = alg
+        self.adim, self.mdim, self.wdim = alg.dim, rep.module_dim, wedge_dim(alg.dim)
+        self.d = derived_D(alg, rep)
+        x, y = np.triu_indices(alg.dim, 1)
+        ia, im = np.identity(alg.dim, dtype=object), np.identity(rep.module_dim, dtype=object)
+        rho, mu, d, t = rep.rho_arr, rep.mu_arr, self.d.arr[x, y], alg.t_arr[x, y]
+        dt = np.einsum("zs,woa->wzosa", ia, d) - np.einsum("wzs,oa->wzosa", t, im)
+        # X_k o X_l: <<X_k, e_c>> is t[k, c], and e_c ^ e_j is wedge[c, j]
+        wedge = np.zeros((alg.dim, alg.dim, self.wdim), dtype=object)
+        wedge[x, y, np.arange(self.wdim)] = 1
+        wedge[y, x, np.arange(self.wdim)] = -1
+        self.circ = (np.einsum("klc,clw->klw", t[:, x], wedge[:, y])
+                     + np.einsum("klc,lcw->klw", t[:, y], wedge[x]))
+        arrays = {
+            "rho_b": np.einsum("ws,woa->wosa", ia[y], rho[x]) - np.einsum("ws,woa->wosa", ia[x], rho[y])
+            - np.einsum("ws,oa->wosa", alg.b_arr[x, y], im),
+            "mu_dt": np.einsum("ws,wzoa->wzosa", ia[x], mu[y]) - np.einsum("ws,wzoa->wzosa", ia[y], mu[x])
+            + dt,
+            "dt": dt,
+            "d": d,
+            "circ": self.circ,
+        }
+        # per array: its nonzero positions (one row per axis, then a row of
+        # ones that picks up the block offsets) and their values
+        self.nonzeros = {}
+        for name, arr in arrays.items():
+            pos = np.array(np.nonzero(arr)).reshape(arr.ndim, -1)
+            self.nonzeros[name] = (np.vstack([pos, np.ones_like(pos[:1])]), exact(arr[tuple(pos)]))
+
+    def triples(self, p):
+        """(rows, cols, vals) of each term of delta_p in the flat layouts.
+
+        A term is one coefficient array at each of its K slot placements:
+        rows and cols are (K, E, I) arrays and vals a (K, E) array, for
+        nonzero entry e of the array and identity index i.  Within one
+        placement every (row, col) occurs once, and the entries with
+        the same output slots share their rows and are consecutive.
+        """
+        n, w, a, m = p - 1, self.wdim, self.adim, self.mdim
+        f_out, g_out = ((w,) * (n + 1) + (m,), 0), ((w,) * (n + 1) + (a, m), w ** (n + 1) * m)
+        f_in, g_in = ((w,) * n + (m,), 0), ((w,) * n + (a, m), w**n * m if n else 0)
+        yield self._term("rho_b", f_out, g_in, [((-1) ** n, (n, n + 1), (n, n + 1))])
+        yield self._term("mu_dt", g_out, g_in, [((-1) ** n, (n, n + 1, n + 2), (n, n + 1))])
+        if n:
+            yield self._term("d", f_out, f_in, [((-1) ** k, (k, n + 1), (n,)) for k in range(n)])
+            yield self._term("dt", g_out, g_in,
+                             [((-1) ** k, (k, n + 1, n + 2), (n, n + 1)) for k in range(n)])
+            circ = [((-1) ** (k + 1), (k, l), (l - 1,)) for k in range(n) for l in range(k + 1, n + 1)]
+            yield self._term("circ", f_out, f_in, circ)
+            yield self._term("circ", g_out, g_in, circ)
+
+    def _term(self, name, out, inp, placements):
+        """Triples of array `name` in the output block `out` and input block
+        `inp` (each a (shape, offset) pair).  A placement (sign, out_axes,
+        in_axes) puts the array's axes at those axes of the two blocks and
+        pairs their other axes, in order, by the identity."""
+        pos, vals = self.nonzeros[name]
+        (out_shape, out_off), (in_shape, in_off) = out, inp
+        so, si = _strides(out_shape), _strides(in_shape)
+        local, ident, signs = [], [], []
+        for sign, out_axes, in_axes in placements:
+            local.append([[so[i] for i in out_axes] + [0] * len(in_axes) + [out_off],
+                          [0] * len(out_axes) + [si[i] for i in in_axes] + [in_off]])
+            ident.append([[x for i, x in enumerate(so) if i not in out_axes],
+                          [x for i, x in enumerate(si) if i not in in_axes]])
+            signs.append(sign)
+        sizes = [x for i, x in enumerate(out_shape) if i not in placements[0][1]]
+        grid = np.indices(sizes).reshape(len(sizes), prod(sizes))
+        offsets = np.array(ident, dtype=np.int64) @ grid
+        index = (np.array(local, dtype=np.int64) @ pos)[..., None] + offsets[:, :, None, :]
+        return index[:, 0], index[:, 1], np.array(signs, dtype=object)[:, None] * vals
 
 
-def _vzero_like(m):
-    return [0] * m
+def _strides(shape):
+    """Row-major strides of a flat layout, in entries."""
+    out = [1]
+    for size in shape[:0:-1]:
+        out.append(out[-1] * size)
+    return out[::-1]
+
+
+def _terms(alg: LieYamagutiAlgebra, rep: Representation) -> _Terms:
+    """The term table of (alg, rep), built on first use and kept on rep."""
+    if rep._coboundary_terms is None or rep._coboundary_terms.alg is not alg:
+        rep._coboundary_terms = _Terms(alg, rep)
+    return rep._coboundary_terms
+
+
+def _apply(terms: _Terms, c: YamagutiCochain) -> YamagutiCochain:
+    """delta c over c's entry ring (scalars or LinComb), one term at a time."""
+    if c.adim != terms.adim or c.mdim != terms.mdim:
+        raise DimMismatchError("cochain does not match the complex")
+    flat = c.flatten()
+    x = np.empty(len(flat), dtype=object)
+    x[:] = flat
+    out = np.zeros(cochain_dim(terms.adim, terms.mdim, c.degree + 1), dtype=object)
+    for rows, cols, vals in terms.triples(c.degree):
+        if rows.size:
+            # one sum per run of equal rows, i.e. per value of the output slots
+            starts = np.flatnonzero(np.diff(rows[0, :, 0], prepend=-1))
+            sums = np.add.reduceat(vals[:, :, None] * x[cols], starts, axis=1)
+            for r, v in zip(rows[:, starts], sums):
+                out[r] += v
+    return YamagutiCochain.unflatten(c.degree + 1, terms.adim, terms.mdim, out.tolist())
 
 
 def delta(alg: LieYamagutiAlgebra, rep: Representation, c: YamagutiCochain,
@@ -270,169 +329,24 @@ def delta(alg: LieYamagutiAlgebra, rep: Representation, c: YamagutiCochain,
     """Coboundary of a cochain (degree p -> p+1)."""
     if c.degree + 1 > cap:
         raise DegreeCapExceededError(f"degree {c.degree + 1} exceeds cap {cap}")
-    return _delta_in(_Complex(alg, rep), c)
-
-
-def _delta_in(cx: _Complex, c: YamagutiCochain) -> YamagutiCochain:
-    """Coboundary of a cochain in a prebuilt complex, over c's entry ring."""
-    if c.adim != cx.adim or c.mdim != cx.mdim:
-        raise DimMismatchError("cochain does not match the complex")
-    if c.degree == 1:
-        feval = lambda x: list(c.f.col(x))  # noqa: E731
-        geval = None
-    else:
-        feval, geval = c.f_at, c.g_at
-    f2, g2 = _delta_eval(cx, c.degree, feval, geval)
-    return YamagutiCochain(c.degree + 1, cx.adim, cx.mdim, f=f2, g=g2)
-
-
-def _delta_eval(cx: _Complex, p, feval, geval):
-    """Evaluate the coboundary formulas; returns flat output (f, g) lists.
-
-    Works over any entry ring: values returned by feval/geval need only
-    support + and scalar *.  Operators and structure constants run
-    through the precomputed sparse tables of the complex.
-    """
-    m = cx.mdim
-    adim = cx.adim
-    w = cx.wdim
-    n_out = p  # wedge slots of the output cochain
-    rho_rows, mu_rows, d_rows = cx.rho_rows, cx.mu_rows, cx.d_rows
-    b_sp, t_sp = cx.b_sp, cx.t_sp
-
-    if p == 1:
-        # f'(x,y) = rho(x)f(y) - rho(y)f(x) - f([x,y])
-        # g'(x,y,z) = D(x,y)f(z) + mu(y,z)f(x) - mu(x,z)f(y) - f(<<x,y,z>>)
-        fcols = [feval(x) for x in range(adim)]
-
-        def f_of_sp(sp):
-            out = _combo([(cf, fcols[x]) for x, cf in sp])
-            return out if out is not None else _vzero_like(m)
-
-        f_out, g_out = [], []
-        for wi, (x, y) in enumerate(cx.pairs):
-            val = _apply_rows(rho_rows[x], fcols[y])
-            val = [a - b for a, b in zip(val, _apply_rows(rho_rows[y], fcols[x]))]
-            val = [a - b for a, b in zip(val, f_of_sp(b_sp[x][y]))]
-            f_out.extend(val)
-            for z in range(adim):
-                gv = _apply_rows(d_rows[wi], fcols[z])
-                gv = [a + b for a, b in zip(gv, _apply_rows(mu_rows[y][z], fcols[x]))]
-                gv = [a - b for a, b in zip(gv, _apply_rows(mu_rows[x][z], fcols[y]))]
-                gv = [a - b for a, b in zip(gv, f_of_sp(t_sp[x][y][z]))]
-                g_out.extend(gv)
-        return f_out, g_out
-
-    n = p - 1  # input wedge slots
-    sign_n = 1 if n % 2 == 0 else -1
-
-    def f_combo_slot(tup, slot, combo):
-        parts = []
-        lt = list(tup)
-        for wi, cf in combo:
-            lt[slot] = wi
-            parts.append((cf, feval(tuple(lt))))
-        out = _combo(parts)
-        return out if out is not None else _vzero_like(m)
-
-    def g_combo_slot(tup, slot, combo, z):
-        parts = []
-        lt = list(tup)
-        for wi, cf in combo:
-            lt[slot] = wi
-            parts.append((cf, geval(tuple(lt), z)))
-        out = _combo(parts)
-        return out if out is not None else _vzero_like(m)
-
-    def g_final_sp(tup, sp):
-        parts = [(cf, geval(tup, zz)) for zz, cf in sp]
-        out = _combo(parts)
-        return out if out is not None else _vzero_like(m)
-
-    f_out, g_out = [], []
-    for tup in product(range(w), repeat=n_out):
-        head = tup[:n]
-        wlast = tup[n]
-        xl, yl = cx.pairs[wlast]
-        hats = [tup[:k] + tup[k + 1:] for k in range(n_out)]
-        gh_xl = geval(head, xl)
-        gh_yl = geval(head, yl)
-
-        # delta_I
-        val = _apply_rows(rho_rows[xl], gh_yl)
-        val = [a - b for a, b in zip(val, _apply_rows(rho_rows[yl], gh_xl))]
-        val = [a - b for a, b in zip(val, g_final_sp(head, b_sp[xl][yl]))]
-        if sign_n < 0:
-            val = [-a for a in val]
-        for k in range(n):
-            term = _apply_rows(d_rows[tup[k]], feval(hats[k]))
-            if k % 2 == 0:
-                val = [a + b for a, b in zip(val, term)]
-            else:
-                val = [a - b for a, b in zip(val, term)]
-        for k in range(n_out):
-            for l in range(k + 1, n_out):
-                # remove slot k, replace slot l with the composite argument
-                combo = cx.circ[tup[k]][tup[l]]
-                if not combo:
-                    continue
-                term = f_combo_slot(hats[k], l - 1, combo)
-                if k % 2 == 0:
-                    val = [a - b for a, b in zip(val, term)]
-                else:
-                    val = [a + b for a, b in zip(val, term)]
-        f_out.extend(val)
-
-        # delta_II
-        pair_of = cx.pairs
-        for z in range(adim):
-            gv = _apply_rows(mu_rows[yl][z], gh_xl)
-            gv = [a - b for a, b in zip(gv, _apply_rows(mu_rows[xl][z], gh_yl))]
-            if sign_n < 0:
-                gv = [-a for a in gv]
-            for k in range(n_out):
-                term = _apply_rows(d_rows[tup[k]], geval(hats[k], z))
-                if k % 2 == 0:
-                    gv = [a + b for a, b in zip(gv, term)]
-                else:
-                    gv = [a - b for a, b in zip(gv, term)]
-            for k in range(n_out):
-                for l in range(k + 1, n_out):
-                    combo = cx.circ[tup[k]][tup[l]]
-                    if not combo:
-                        continue
-                    term = g_combo_slot(hats[k], l - 1, combo, z)
-                    if k % 2 == 0:
-                        gv = [a - b for a, b in zip(gv, term)]
-                    else:
-                        gv = [a + b for a, b in zip(gv, term)]
-            for k in range(n_out):
-                xk, yk = pair_of[tup[k]]
-                sp = t_sp[xk][yk][z]
-                if not sp:
-                    continue
-                term = g_final_sp(hats[k], sp)
-                if k % 2 == 0:
-                    gv = [a - b for a, b in zip(gv, term)]
-                else:
-                    gv = [a + b for a, b in zip(gv, term)]
-            g_out.extend(gv)
-    return f_out, g_out
+    return _apply(_terms(alg, rep), c)
 
 
 def delta_matrix(alg: LieYamagutiAlgebra, rep: Representation, p: int,
                  cap: int = DEFAULT_DEGREE_CAP) -> Matrix:
-    """Matrix of the coboundary C^p -> C^{p+1} in the canonical flat bases.
-
-    Assembled in one pass by running the evaluation engine over sparse
-    linear forms; agrees with applying delta to each basis cochain.
-    """
+    """Matrix of the coboundary C^p -> C^{p+1} in the canonical flat bases:
+    the sum of the triples of every term."""
     if p + 1 > cap:
         raise DegreeCapExceededError(f"degree {p + 1} exceeds cap {cap}")
-    size = cochain_dim(alg.dim, rep.module_dim, p)
-    basis = YamagutiCochain.unflatten(p, alg.dim, rep.module_dim,
-                                      [LinComb.unit(j) for j in range(size)])
-    return Matrix.from_linear_forms(_delta_in(_Complex(alg, rep), basis).flatten(), size)
+    if p < 1:
+        raise DimMismatchError("cochain degree must be >= 1")
+    terms = _terms(alg, rep)
+    rows, cols = (cochain_dim(alg.dim, rep.module_dim, q) for q in (p + 1, p))
+    flat = np.zeros(rows * cols, dtype=object)
+    for r, c, vals in terms.triples(p):
+        for idx, v in zip(r * cols + c, vals):
+            flat[idx] += v[:, None]  # idx holds no repeats within one placement
+    return Matrix(flat.reshape(rows, cols).tolist(), cols)
 
 
 def cohomology_dim(alg: LieYamagutiAlgebra, rep: Representation, p: int,

@@ -120,6 +120,42 @@ def test_cohomology_json(capsys):
     assert payload["dim_H1"] == 2
 
 
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_cohomology_module_dim_zero(capsys, tmp_path, degree):
+    """A 0-dim module is a legal pair: its classical complex is 0, and its
+    pair complex is the adjoint-coefficient complex of the algebra."""
+    with open(fx("A2.json"), encoding="utf-8") as fh:
+        zero = {"algebra": json.load(fh), "special": "zero", "module_dim": 0}
+    path = tmp_path / "a2-zero0.json"
+    path.write_text(json.dumps(zero))
+    dims = {}
+    for cx, pair in (("classical", str(path)), ("pair", str(path)), ("adjoint", fx("A2-adjoint.json"))):
+        code, out = run_cli("--format", "json", "cohomology", "--pair", pair, "--degree", str(degree),
+                            "--complex", "pair" if cx == "pair" else "classical", capsys=capsys)
+        assert code == 0, out.err
+        dims[cx] = json.loads(out.out)[f"dim_H{degree}"]
+    assert dims["classical"] == 0
+    assert dims["pair"] == dims["adjoint"] > 0
+
+
+def test_cohomology_builds_one_pair(capsys, monkeypatch):
+    from lieyam.reps import LieYRepPair
+
+    built = []
+    init = LieYRepPair.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("validate", True))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LieYRepPair, "__init__", counting_init)
+    for cx in ("classical", "pair"):
+        built.clear()
+        code, _ = run_cli("cohomology", "--pair", fx("A2-adjoint.json"), "--degree", "2",
+                          "--complex", cx, capsys=capsys)
+        assert code == 0 and built == [True]
+
+
 def test_verify_rbn_with_consequences(capsys):
     code, out = run_cli("verify-rbn", "--pair", fx("A2-adjoint.json"), "--T", fx("T-a1.json"),
                         "--S", fx("S-lam2.json"), "--N", fx("N-lam2.json"), capsys=capsys)

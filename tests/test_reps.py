@@ -120,6 +120,21 @@ def test_semidirect_fixtures(a2):
     assert sd.binary_tensor.is_zero() and sd.ternary_tensor.is_zero()
 
 
+def test_pair_semidirect_reuses_its_d(a2, monkeypatch):
+    """LieYRepPair.semidirect() builds the product of semidirect() from pair.d."""
+    import lieyam.reps as reps
+
+    pair = LieYRepPair(a2, coadjoint_rep(a2))
+    calls = []
+    monkeypatch.setattr(reps, "derived_D", lambda *args: calls.append(args))
+    sd = pair.semidirect()
+    monkeypatch.undo()
+    assert not calls
+    want = semidirect(a2, coadjoint_rep(a2))
+    assert sd.binary_tensor == want.binary_tensor and sd.ternary_tensor == want.ternary_tensor
+    assert sd.basis_names == want.basis_names
+
+
 def test_semidirect_rejects_invalid_rep(a2):
     adj = adjoint_rep(a2)
     mu = [row[:] for row in adj.mu]

@@ -119,6 +119,18 @@ def test_flatten_roundtrip(a2, rng):
         assert back == c
 
 
+def test_module_dim_zero_roundtrip(a2):
+    """Cochains with values in a 0-dim module are empty at every degree."""
+    rep = Representation.zero(2, 0)
+    for p in (1, 2, 3):
+        c = YamagutiCochain.unflatten(p, 2, 0, [])
+        assert c.flatten() == [] and c == zero_cochain(a2, rep, p)
+        assert delta(a2, rep, c, cap=9).flatten() == []
+        mat = delta_matrix(a2, rep, p, cap=9)
+        assert (mat.rows, mat.cols) == (0, 0)
+        assert cohomology_dim(a2, rep, p, cap=9) == 0
+
+
 def test_delta_matrix_zero_for_abelian_zero_rep():
     alg = LieYamagutiAlgebra.abelian(3)
     rep = Representation.zero(3, 2)
