@@ -316,18 +316,24 @@ def _run(args) -> int:
         return _emit(report, args, extra={"result": result})
 
     if args.command == "search":
-        values = tuple(_int_field({"--values": v}, "--values", "search")
-                       for v in args.values.split(","))
+        # a repeated grid value would repeat hits: keep first occurrences
+        values = tuple(dict.fromkeys(_int_field({"--values": v}, "--values", "search")
+                                     for v in args.values.split(",")))
+        limit = args.limit
+        if limit is not None:
+            limit = _int_field({"--limit": limit}, "--limit", "search", minimum=1)
+        if args.what != "quadratic" and args.pair is None:
+            raise ParseError(f"search {args.what} needs --pair")
         report = VerificationReport(subject=f"search {args.what}")
         found: list = []
         if args.what == "rbo":
             pair = load_pair(args.pair)
-            found = [operator_to_dict(t) for t in search_rb_operators(pair, values, limit=args.limit)]
+            found = [operator_to_dict(t) for t in search_rb_operators(pair, values, limit=limit)]
         elif args.what == "rbn":
             pair = load_pair(args.pair)
             found = [
                 {"T": operator_to_dict(t), "S": operator_to_dict(s), "N": operator_to_dict(n)}
-                for (t, s, n) in search_rbn_triples(pair, values, limit=args.limit)
+                for (t, s, n) in search_rbn_triples(pair, values, limit=limit)
             ]
         else:
             fixtures = search_quadratic_fixtures(values=values)

@@ -143,25 +143,6 @@ class Matrix:
         cols = [tuple(c) for c in cols]
         return cls(tuple(zip(*cols))) if cols else cls(())
 
-    @classmethod
-    def from_linear_forms(cls, forms, ncols):
-        """Matrix whose row i holds the coefficients of the linear form forms[i].
-
-        A form is a LinComb over the column indices, or a zero scalar (a
-        zero row); a nonzero bare scalar has no column and is rejected.
-        """
-        zero_row = [0] * ncols
-        rows = []
-        for form in forms:
-            row = list(zero_row)
-            if isinstance(form, LinComb):
-                for col, v in form.terms.items():
-                    row[col] = v
-            elif not is_zero(form):
-                raise AssertionError("symbolic evaluation produced a bare nonzero scalar")
-            rows.append(row)
-        return cls(rows, ncols)
-
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]
@@ -492,73 +473,3 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
-
-
-# ---------------------------------------------------------------------------
-# sparse linear forms (symbolic coefficients for matrix assembly)
-
-
-class LinComb:
-    """Sparse linear combination of abstract coordinates.
-
-    Behaves like a ring element under +, -, and scalar multiplication, so
-    multilinear evaluation code written for concrete scalars also runs in
-    "symbolic" mode to assemble coboundary matrices column-free.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = terms or {}
-
-    @classmethod
-    def unit(cls, key):
-        return cls({key: 1})
-
-    def __add__(self, other):
-        if isinstance(other, LinComb):
-            out = dict(self.terms)
-            for k, v in other.terms.items():
-                s = out.get(k, 0) + v
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
-            return LinComb(out)
-        if is_zero(other):
-            return self
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LinComb({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, LinComb):
-            return self + (-other)
-        if is_zero(other):
-            return self
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if is_zero(other):
-            return -self
-        return NotImplemented
-
-    def __mul__(self, s):
-        if is_zero(s):
-            return LinComb()
-        return LinComb({k: v * s for k, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def is_zero(self):
-        return not self.terms
-
-    def __repr__(self):
-        return f"LinComb({self.terms!r})"
-
-
-def lincomb_is_zero(x) -> bool:
-    return x.is_zero() if isinstance(x, LinComb) else is_zero(x)

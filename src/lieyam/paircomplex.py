@@ -18,17 +18,23 @@ The coboundary has two implementations:
 
 * the *lifted* path (reference): embed into the Yamaguti complex of the
   semidirect product with adjoint coefficients, apply its coboundary,
-  and project back.  The coboundary is the semidirect product's term
-  table (yamaguti._Terms), applied one term at a time to the flat
-  lifted cochain, whose entries may be scalars or linear forms
-  (LinComb): scalar entries give the coboundary of one cochain, and the
-  basis cochain whose flat coordinate j is the linear form e_j gives the
-  whole coboundary matrix in one pass.  Projection verifies membership
-  in the lifted subspace on every entry -- once for the whole matrix,
-  which by linearity is the check on every basis column -- and raises
-  NotInSubcomplexError with a witness (for a matrix, the first offending
-  column) otherwise.  The semidirect product and its term table are
-  built once per pair and kept on it.
+  and project back, i.e. P delta_E L.  The embedding L of each degree is
+  one signed index map (_IndexMap): pair coordinate j lifts to a single
+  semidirect coordinate home[j] with coefficient 1, and the g2 block
+  (c2g) is placed a second time, with signs +1 and -1, at home
+  coordinates of the last g3 block, where the two overlap.  lift
+  scatters through the map and project gathers the home coordinates
+  and subtracts the overlaps.  A semidirect cochain lies in the lifted
+  subspace exactly when it vanishes off the home coordinates; project
+  checks that, and raises NotInSubcomplexError with the first offending
+  entry as witness otherwise.  The coboundary is the semidirect
+  product's term table (yamaguti._Terms): applied term by term to one
+  lifted cochain (pair_delta_lifted), or, for the whole matrix, its
+  (row, column, value) triples composed with L on the right, checked on
+  every column at once (the witness names the lowest offending column),
+  summed on the home rows and unmixed by P (pair_delta_matrix).  The
+  semidirect product, its term table and the index maps are built once
+  per pair and kept on it.
 * the *direct* path: closed formulas at degrees 1 and 2, written out
   component by component.  Published versions of these formulas leave
   several index conventions ambiguous; the expansions implemented here
@@ -38,7 +44,9 @@ The coboundary has two implementations:
 
 from __future__ import annotations
 
-from itertools import product
+from functools import reduce
+
+import numpy as np
 
 from .errors import (
     DegreeCapExceededError,
@@ -46,10 +54,20 @@ from .errors import (
     NotInSubcomplexError,
     UnsupportedDegreeError,
 )
-from .linalg import LinComb, Matrix, lincomb_is_zero, vadd, vneg, vscale, vsub, vzero
+from .linalg import Matrix, vadd, vneg, vscale, vsub, vzero
 from .reps import LieYRepPair, _assert_adjoint_d, adjoint_rep
 from .scalars import is_zero
-from .yamaguti import YamagutiCochain, _apply, _terms, wedge_dim, wedge_index_map, wedge_pairs
+from .yamaguti import (
+    YamagutiCochain,
+    _apply,
+    _assemble,
+    _flat,
+    _terms,
+    cochain_dim,
+    wedge_dim,
+    wedge_index_map,
+    wedge_pairs,
+)
 
 DEFAULT_PAIR_CAP = 3
 
@@ -219,44 +237,152 @@ def random_pair_cochain(pair: LieYRepPair, degree, rng, lo=-3, hi=3):
 # the semidirect embedding
 
 
+class _IndexMap:
+    """The embedding L of the degree-p pair cochains into the semidirect
+    cochains, as a signed index map.
+
+    Pair coordinate j lifts to the one semidirect coordinate home[j], with
+    coefficient 1.  At degree >= 2 every c2g coordinate src[t] is placed
+    again, with sign[t] = +1 or -1, at home[dst[t]], the home of a
+    coordinate of the last c3g block (the overlap N of L on the home
+    rows).  The dst are distinct and are never a src, so N^2 = 0, and
+    P y = y[home] - N y[home] is the left inverse of L.  The image of L
+    is spanned by the home coordinates: a semidirect cochain x is in the
+    lifted subspace (x = L P x) exactly when it vanishes off them.
+    """
+
+    def __init__(self, pc, degree):
+        n, m, nE = pc.n, pc.m, pc.dimE
+        self.degree, self.dimE = degree, nE
+        self.size = cochain_dim(nE, nE, degree)
+        gi, vi = np.arange(n), n + np.arange(m)
+        if degree == 1:
+            # f[o, x] sits at x * nE + o; f1 and f2 are stored (o, x)
+            axes = {"f1": (0, [(1, gi), (nE, gi)]), "f2": (0, [(1, vi), (nE, vi)])}
+            self.f_size = self.size
+        else:
+            k, wE = degree - 1, wedge_dim(nE)
+            widx = wedge_index_map(nE)
+            gg = np.array([widx[p] for p in wedge_pairs(n)], dtype=np.int64)
+            gv = np.array([widx[(x, n + b)] for x in range(n) for b in range(m)], dtype=np.int64)
+            self.f_size = wE**k * nE
+
+            def slots(stride, mixed=None):
+                return [(stride * wE ** (k - 1 - s), gv if s == mixed else gg) for s in range(k)]
+
+            f, g = self.f_size, nE * nE
+            axes = {
+                "c1f": (0, slots(nE) + [(1, gi)]),
+                "c1g": (f, slots(g) + [(nE, gi), (1, gi)]),
+                "c2f": (0, slots(nE, k - 1) + [(1, vi)]),
+                "c2g": (f, slots(g) + [(nE, vi), (1, vi)]),
+                **{f"c3f{i}": (0, slots(nE, i - 1) + [(1, vi)]) for i in range(1, k)},
+                **{f"c3g{j}": (f, slots(g, j - 1) + [(nE, gi), (1, vi)]) for j in range(1, k + 1)},
+            }
+        shapes = _block_shapes(degree, n, m)
+        offsets = dict(zip((name for name, _ in shapes),
+                           np.cumsum([0] + [_size(s) for _, s in shapes]).tolist()))
+        self.home = np.concatenate([
+            off + reduce(np.add.outer, [stride * index for stride, index in placed]).ravel()
+            for off, placed in (axes[name] for name, _ in shapes)]).astype(np.int64)
+        self.src = self.dst = np.zeros(0, dtype=np.int64)
+        if degree > 1:
+            # c2g at (.., e_a ^ e_b, beta, o) again at c3g_k (.., e_b ^ v_beta, a, o)
+            # with sign +1 and at c3g_k (.., e_a ^ v_beta, b, o) with sign -1
+            c2g, c3g = dict(shapes)["c2g"], dict(shapes)[f"c3g{k}"]
+            *rest, w, beta, o = np.indices(c2g).reshape(len(c2g), -1)
+            a, b = np.array(wedge_pairs(n), dtype=np.int64).reshape(-1, 2).T
+            src = offsets["c2g"] + np.arange(_size(c2g))
+            self.src = np.concatenate([src, src])
+            self.dst = offsets[f"c3g{k}"] + np.concatenate([
+                np.ravel_multi_index((*rest, x[w] * m + beta, z[w], o), c3g) for x, z in ((b, a), (a, b))])
+        self.sign = np.repeat([1, -1], len(self.src) // 2)
+        # per semidirect coordinate: the pair coordinate homed there, and
+        # the overlap placed there (-1: none)
+        self.coordinate = np.full(self.size, -1, dtype=np.int64)
+        self.coordinate[self.home] = np.arange(len(self.home))
+        self.overlap = np.full(self.size, -1, dtype=np.int64)
+        self.overlap[self.home[self.dst]] = np.arange(len(self.dst))
+
+    def lift(self, x):
+        """L x for the flat object array x of a pair cochain."""
+        out = np.zeros(self.size, dtype=object)
+        out[self.home] = x
+        out[self.home[self.dst]] += self.sign * x[self.src]
+        return out
+
+    def unmix(self, y):
+        """Subtract the overlaps from rows y[j] = x[home[j]] (a vector or a
+        matrix with one row per pair coordinate): P x, in place."""
+        sign = self.sign if y.ndim == 1 else self.sign[:, None]
+        y[self.dst] -= sign * y[self.src]
+        return y
+
+    def compose(self, triples):
+        """The triples (rows, cols, vals) of a map on the semidirect cochains,
+        composed with L on the right: flat (row, pair column, value) arrays."""
+        out = []
+        for rows, cols, vals in triples:
+            vals = np.broadcast_to(vals[..., None], rows.shape).ravel()
+            rows, cols = rows.ravel(), cols.ravel()
+            home, t = self.coordinate[cols], self.overlap[cols]
+            out.append((rows[home >= 0], home[home >= 0], vals[home >= 0]))
+            out.append((rows[t >= 0], self.src[t[t >= 0]], self.sign[t[t >= 0]] * vals[t >= 0]))
+        return [np.concatenate(parts) for parts in zip(*out)]
+
+    def verify(self, rows, vals, cols=None):
+        """Raise NotInSubcomplexError unless the entries vanish off the home
+        coordinates.
+
+        The entries are a cochain's values at the coordinates `rows`, or
+        with `cols` the (repeatable) triples of a matrix, whose columns are
+        then checked at once.  The witness is the lowest offending column,
+        then the first offending entry: the lowest flat index (row-major
+        entry at degree 1).
+        """
+        off = self.coordinate[rows] < 0
+        rows, vals = rows[off], vals[off]
+        scan = rows if self.degree > 1 else (rows % self.dimE) * self.dimE + rows // self.dimE
+        key = scan if cols is None else cols[off] * self.size + scan
+        if cols is not None and key.size:
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            starts = np.flatnonzero(np.diff(key, prepend=-1))
+            key, vals = key[starts], np.add.reduceat(vals[order], starts)
+        bad = np.flatnonzero(vals)
+        if not bad.size:
+            return
+        first = bad[np.argmin(key[bad])]
+        col, pos = divmod(int(key[first]), self.size)
+        if self.degree == 1:
+            message = "degree-1 semidirect cochain mixes the g and V blocks"
+            where = {"entry": divmod(pos, self.dimE)}
+        else:
+            part = "f" if pos < self.f_size else "g"
+            message = f"semidirect cochain is not in the lifted subspace ({part} part)"
+            where = {"flat_index": pos if pos < self.f_size else pos - self.f_size}
+        witness = {**where, "expected": 0, "found": vals[first]}
+        raise NotInSubcomplexError(message, witness=witness if cols is None else {"column": col, **witness})
+
+
 class _PairComplex:
-    """Semidirect complex and wedge-classification tables for one pair."""
+    """The semidirect complex of one pair: the product E, its adjoint term
+    table, and the index map of each degree, built on first use."""
 
     def __init__(self, pair: LieYRepPair):
         self.n = pair.dim_g
         self.m = pair.dim_v
-        self.w = wedge_dim(self.n)
-        self.mx = self.n * self.m
         self.E = pair.semidirect()
         self.adjE = adjoint_rep(self.E, check=False)
         self.terms = _terms(self.E, self.adjE)
         _assert_adjoint_d(self.E, self.terms.d)
         self.dimE = self.E.dim
-        self.pairsE = wedge_pairs(self.dimE)
-        self.widxE = wedge_index_map(self.dimE)
-        self.widx_g = wedge_index_map(self.n)
-        self.pairs_g = wedge_pairs(self.n)
-        # classification of E-wedge indices
-        self.kind = []
-        for (i, j) in self.pairsE:
-            if j < self.n:
-                self.kind.append(("gg", self.widx_g[(i, j)]))
-            elif i < self.n:
-                self.kind.append(("gv", i * self.m + (j - self.n)))
-            else:
-                self.kind.append(("vv", None))
-        self.gg_to_E = [self.widxE[p] for p in self.pairs_g]
-        self.gv_to_E = [
-            self.widxE[(x, self.n + b)] for x in range(self.n) for b in range(self.m)
-        ]
+        self._maps = {}
 
-    def wedge_g_expand(self, c, x):
-        """e_c ^ e_x in the g wedge basis as [(index, sign)]."""
-        if c == x:
-            return []
-        if c < x:
-            return [(self.widx_g[(c, x)], 1)]
-        return [(self.widx_g[(x, c)], -1)]
+    def index_map(self, degree) -> _IndexMap:
+        if degree not in self._maps:
+            self._maps[degree] = _IndexMap(self, degree)
+        return self._maps[degree]
 
 
 def _pc(pair: LieYRepPair) -> _PairComplex:
@@ -266,83 +392,25 @@ def _pc(pair: LieYRepPair) -> _PairComplex:
     return pair._pair_complex
 
 
+def _lift(pc: _PairComplex, c: PairCochain):
+    """L c as a flat object array."""
+    if (c.n, c.m) != (pc.n, pc.m):
+        raise DimMismatchError("cochain does not match the pair")
+    return pc.index_map(c.degree).lift(_flat(c.flatten()))
+
+
+def _project(pc: _PairComplex, degree, x) -> PairCochain:
+    """P x for the flat object array x; NotInSubcomplexError unless x = L P x."""
+    im = pc.index_map(degree)
+    nonzero = np.flatnonzero(x)
+    im.verify(nonzero, x[nonzero])
+    return PairCochain.unflatten(degree, pc.n, pc.m, im.unmix(x[im.home]).tolist())
+
+
 def lift(pair: LieYRepPair, c: PairCochain) -> YamagutiCochain:
     """Embed a pair cochain into the semidirect Yamaguti complex."""
     pc = _pc(pair)
-    if (c.n, c.m) != (pc.n, pc.m):
-        raise DimMismatchError("cochain does not match the pair")
-    nE = pc.dimE
-    if c.degree == 1:
-        f1, f2 = c.f1_matrix, c.f2_matrix
-        rows = []
-        for i in range(nE):
-            row = []
-            for j in range(nE):
-                if i < pc.n and j < pc.n:
-                    row.append(f1[i, j])
-                elif i >= pc.n and j >= pc.n:
-                    row.append(f2[i - pc.n, j - pc.n])
-                else:
-                    row.append(0)
-            rows.append(tuple(row))
-        return YamagutiCochain(1, nE, nE, f=Matrix(rows))
-
-    k = c.degree - 1
-    wE = wedge_dim(nE)
-    zeroE = [0] * nE
-
-    def vpad(vec):
-        return [0] * pc.n + list(vec)
-
-    def gpad(vec):
-        return list(vec) + [0] * pc.m
-
-    f_flat, g_flat = [], []
-    for tup in product(range(wE), repeat=k):
-        kinds = [pc.kind[wi] for wi in tup]
-        n_gv = sum(1 for kd, _ in kinds if kd == "gv")
-        n_vv = sum(1 for kd, _ in kinds if kd == "vv")
-        # F value
-        if n_vv or n_gv > 1:
-            fval = zeroE
-        elif n_gv == 0:
-            gtup = tuple(kd[1] for kd in kinds)
-            fval = gpad(c.value("c1f", gtup))
-        else:
-            pos = next(i for i, (kd, _) in enumerate(kinds) if kd == "gv")
-            mix = kinds[pos][1]
-            rest = tuple(kinds[i][1] for i in range(k) if i != pos)
-            if pos == k - 1:
-                fval = vpad(c.value("c2f", rest + (mix,)))
-            else:
-                fval = vpad(c.value(f"c3f{pos + 1}", rest[:pos] + (mix,) + rest[pos:]))
-        f_flat.extend(fval)
-        # G values over the final argument
-        for fin in range(nE):
-            if n_vv or n_gv > 1:
-                g_flat.extend(zeroE)
-                continue
-            if n_gv == 0:
-                gtup = tuple(kd[1] for kd in kinds)
-                if fin < pc.n:
-                    g_flat.extend(gpad(c.value("c1g", gtup + (fin,))))
-                else:
-                    g_flat.extend(vpad(c.value("c2g", gtup + (fin - pc.n,))))
-                continue
-            pos = next(i for i, (kd, _) in enumerate(kinds) if kd == "gv")
-            mix = kinds[pos][1]
-            rest = tuple(kinds[i][1] for i in range(k) if i != pos)
-            if fin >= pc.n:
-                g_flat.extend(zeroE)
-                continue
-            val = list(c.value(f"c3g{pos + 1}", rest[:pos] + (mix,) + rest[pos:] + (fin,)))
-            if pos == k - 1:
-                x, beta = divmod(mix, pc.m)
-                for w2, sgn in pc.wedge_g_expand(fin, x):
-                    term = c.value("c2g", rest + (w2, beta))
-                    val = [a + sgn * b for a, b in zip(val, term)]
-            g_flat.extend(vpad(val))
-    return YamagutiCochain(c.degree, nE, nE, f=f_flat, g=g_flat)
+    return YamagutiCochain.unflatten(c.degree, pc.dimE, pc.dimE, _lift(pc, c).tolist())
 
 
 def project(pair: LieYRepPair, lifted: YamagutiCochain) -> PairCochain:
@@ -350,105 +418,7 @@ def project(pair: LieYRepPair, lifted: YamagutiCochain) -> PairCochain:
     pc = _pc(pair)
     if lifted.adim != pc.dimE or lifted.mdim != pc.dimE:
         raise DimMismatchError("lifted cochain does not live on the semidirect algebra")
-    n, m = pc.n, pc.m
-    if lifted.degree == 1:
-        fm = lifted.f
-        f1 = Matrix(tuple(tuple(fm[i, j] for j in range(n)) for i in range(n)))
-        f2 = Matrix(tuple(tuple(fm[n + i, n + j] for j in range(m)) for i in range(m)))
-        out = PairCochain.degree1(f1, f2)
-    else:
-        k = lifted.degree - 1
-        out = PairCochain(lifted.degree, n, m)
-        for name, shape in out.shapes.items():
-            lead = shape[:-1]
-            for idx in product(*(range(s) for s in lead)):
-                out.set_value(name, idx, _extract(pc, lifted, name, idx, k))
-    _verify_lift(pair, out, lifted)
-    return out
-
-
-def _extract(pc, lifted, name, idx, k):
-    n, m = pc.n, pc.m
-    if name == "c1f":
-        tup = tuple(pc.gg_to_E[w] for w in idx)
-        return lifted.f_at(tup)[:n]
-    if name == "c1g":
-        tup = tuple(pc.gg_to_E[w] for w in idx[:-1])
-        return lifted.g_at(tup, idx[-1])[:n]
-    if name == "c2f":
-        heads, mix = idx[:-1], idx[-1]
-        tup = tuple(pc.gg_to_E[w] for w in heads) + (pc.gv_to_E[mix],)
-        return lifted.f_at(tup)[n:]
-    if name == "c2g":
-        tup = tuple(pc.gg_to_E[w] for w in idx[:-1])
-        return lifted.g_at(tup, n + idx[-1])[n:]
-    if name.startswith("c3f"):
-        i = int(name[3:])
-        slots = tuple(
-            pc.gv_to_E[v] if pos == i - 1 else pc.gg_to_E[v] for pos, v in enumerate(idx)
-        )
-        return lifted.f_at(slots)[n:]
-    if name.startswith("c3g"):
-        j = int(name[3:])
-        mix = idx[j - 1]
-        fin = idx[-1]
-        slots = tuple(
-            pc.gv_to_E[v] if pos == j - 1 else pc.gg_to_E[v]
-            for pos, v in enumerate(idx[:-1])
-        )
-        val = list(lifted.g_at(slots, fin)[n:])
-        if j == k:
-            # remove the overlapping comp2-g contribution of the lift
-            x, beta = divmod(mix, m)
-            heads = idx[:j - 1]
-            for w2, sgn in pc.wedge_g_expand(fin, x):
-                tup2 = tuple(pc.gg_to_E[v] for v in heads + (w2,))
-                term = lifted.g_at(tup2, n + beta)
-                val = [a - sgn * b for a, b in zip(val, term[n:])]
-        return val
-    raise AssertionError(name)
-
-
-def _verify_lift(pair, projected, lifted):
-    """Check lifted == lift(projected) entry by entry, over any entry ring.
-
-    With linear-form entries (a whole coboundary matrix) the check covers
-    every basis column at once; the witness names the first offending
-    column and gives its coefficients at the first entry where they differ.
-    """
-    relift = lift(pair, projected)
-    if lifted.degree == 1:
-        parts = [("degree-1 semidirect cochain mixes the g and V blocks",
-                  [x for row in relift.f.data for x in row],
-                  [x for row in lifted.f.data for x in row])]
-    else:
-        parts = [("semidirect cochain is not in the lifted subspace (f part)",
-                  relift.f_flat, lifted.f_flat),
-                 ("semidirect cochain is not in the lifted subspace (g part)",
-                  relift.g_flat, lifted.g_flat)]
-    hit = None
-    for message, expected, found in parts:
-        for pos, (a, b) in enumerate(zip(expected, found)):
-            diff = a - b
-            if lincomb_is_zero(diff):
-                continue
-            col = min(diff.terms) if isinstance(diff, LinComb) else -1
-            if hit is None or col < hit[0]:
-                hit = (col, message, pos, a, b)
-    if hit is None:
-        return
-    col, message, pos, a, b = hit
-    where = {"entry": divmod(pos, lifted.adim)} if lifted.degree == 1 else {"flat_index": pos}
-    if col < 0:
-        witness = {**where, "expected": a, "found": b}
-    else:
-        witness = {"column": col, **where,
-                   "expected": _coefficient(a, col), "found": _coefficient(b, col)}
-    raise NotInSubcomplexError(message, witness=witness)
-
-
-def _coefficient(x, col):
-    return x.terms.get(col, 0) if isinstance(x, LinComb) else x
+    return _project(pc, lifted.degree, _flat(lifted.flatten()))
 
 
 # ---------------------------------------------------------------------------
@@ -460,31 +430,33 @@ def _check_cap(degree, cap):
         raise DegreeCapExceededError(f"degree {degree + 1} exceeds pair cap {cap}")
 
 
-def _delta_through_lift(pair: LieYRepPair, c: PairCochain) -> PairCochain:
-    """project o delta_E o lift, over the entry ring of c."""
-    return project(pair, _apply(_pc(pair).terms, lift(pair, c)))
-
-
 def pair_delta_lifted(pair: LieYRepPair, c: PairCochain,
                       cap: int = DEFAULT_PAIR_CAP) -> PairCochain:
     """Coboundary via the semidirect embedding (reference implementation)."""
     _check_cap(c.degree, cap)
-    return _delta_through_lift(pair, c)
+    pc = _pc(pair)
+    return _project(pc, c.degree + 1, _apply(pc.terms, c.degree, _lift(pc, c)))
 
 
 def pair_delta_matrix(pair: LieYRepPair, degree: int,
                       cap: int = DEFAULT_PAIR_CAP) -> Matrix:
-    """Matrix of the pair coboundary in the canonical flat bases.
+    """Matrix P delta_E L of the pair coboundary in the canonical flat bases.
 
-    One pass of the lifted path over the basis cochain whose flat
-    coordinate j is the linear form e_j; column j is the coboundary of
-    the j-th basis cochain.
+    The semidirect term table's triples, composed with L on the right,
+    are the triples of M = delta_E L.  M = L P M holds exactly when M
+    vanishes off the home rows, which is checked for every column at
+    once; the home rows are summed into the matrix and P subtracts their
+    overlaps.
     """
     _check_cap(degree, cap)
-    size = pair_cochain_dim(pair.dim_g, pair.dim_v, degree)
-    basis = PairCochain.unflatten(degree, pair.dim_g, pair.dim_v,
-                                  [LinComb.unit(j) for j in range(size)])
-    return Matrix.from_linear_forms(_delta_through_lift(pair, basis).flatten(), size)
+    pc = _pc(pair)
+    into, onto = pc.index_map(degree), pc.index_map(degree + 1)
+    rows, cols, vals = into.compose(pc.terms.triples(degree))
+    onto.verify(rows, vals, cols)
+    rows = onto.coordinate[rows]
+    home = rows >= 0
+    summed = _assemble(len(onto.home), len(into.home), [(rows[home], cols[home], vals[home])])
+    return Matrix(onto.unmix(summed).tolist(), len(into.home))
 
 
 def pair_cohomology_dim(pair: LieYRepPair, degree: int,
@@ -650,10 +622,9 @@ def _direct_deg2(pair: LieYRepPair, c: PairCochain) -> PairCochain:
     terms = _terms(alg, adjoint_rep(alg, check=False))
 
     # ---- comp1: Yamaguti coboundary of (f1, g1) with adjoint coefficients
-    comp1_in = YamagutiCochain(2, n, n, f=list(c.blocks["c1f"]), g=list(c.blocks["c1g"]))
-    comp1_out = _apply(terms, comp1_in)
-    out.blocks["c1f"] = list(comp1_out.f_flat)
-    out.blocks["c1g"] = list(comp1_out.g_flat)
+    comp1 = _apply(terms, 2, _flat(c.blocks["c1f"] + c.blocks["c1g"])).tolist()
+    f_size = len(out.blocks["c1f"])
+    out.blocks["c1f"], out.blocks["c1g"] = comp1[:f_size], comp1[f_size:]
 
     # ---- comp2 f: arguments (W1, (x,v))
     for w1, (x1, y1) in enumerate(pairs_g):

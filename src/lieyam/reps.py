@@ -61,9 +61,10 @@ class Representation:
     def __init__(self, algebra_dim, module_dim, rho, mu):
         n = self.algebra_dim = int(algebra_dim)
         m = self.module_dim = int(module_dim)
-        # the coboundary's term table over one algebra, built on first use
-        # by lieyam.yamaguti and freed with the representation
+        # the coboundary's term table and the derived D over one algebra,
+        # each built on first use and freed with the representation
         self._coboundary_terms = None
+        self._derived = None
         if isinstance(rho, np.ndarray):
             if rho.shape != (n, m, m) or mu.shape != (n, n, m, m):
                 raise DimMismatchError(f"rho/mu arrays must have shapes {(n, m, m)} and {(n, n, m, m)}")
@@ -150,6 +151,13 @@ def derived_D(alg: LieYamagutiAlgebra, rep: Representation) -> DerivedD:
     return DerivedD(d)
 
 
+def _derived(alg: LieYamagutiAlgebra, rep: Representation) -> DerivedD:
+    """derived_D(alg, rep), computed on first use and kept on rep (keyed by alg)."""
+    if rep._derived is None or rep._derived[0] is not alg:
+        rep._derived = (alg, derived_D(alg, rep))
+    return rep._derived[1]
+
+
 def _law_residuals(alg: LieYamagutiAlgebra, rep: Representation, d: DerivedD):
     """(arity, residual) of every law of REP_LAWS, one slab per first index x = e_i.
 
@@ -184,7 +192,7 @@ def _law_residuals(alg: LieYamagutiAlgebra, rep: Representation, d: DerivedD):
 def _law_report(alg: LieYamagutiAlgebra, rep: Representation, subject, prefix) -> VerificationReport:
     """The laws of REP_LAWS whose names start with `prefix`, in table order,
     each with its first violating basis tuple."""
-    residuals = _law_residuals(alg, rep, derived_D(alg, rep))
+    residuals = _law_residuals(alg, rep, _derived(alg, rep))
     report = VerificationReport(subject=subject)
     for name, law in REP_LAWS.items():
         if name.startswith(prefix):
@@ -214,7 +222,7 @@ def adjoint_rep(alg: LieYamagutiAlgebra, check=True) -> Representation:
     n = alg.dim
     rep = Representation(n, n, alg.b_arr.transpose(0, 2, 1), np.einsum("kijl->ijlk", alg.t_arr))
     if check:
-        _assert_adjoint_d(alg, derived_D(alg, rep))
+        _assert_adjoint_d(alg, _derived(alg, rep))
     return rep
 
 
@@ -257,7 +265,7 @@ def semidirect(alg: LieYamagutiAlgebra, rep: Representation,
                 f"semidirect product needs a valid representation; failing: "
                 f"{[c.name for c in rr.checks if not c.ok]}"
             )
-    return _semidirect(alg, rep, derived_D(alg, rep))
+    return _semidirect(alg, rep, _derived(alg, rep))
 
 
 def _semidirect(alg: LieYamagutiAlgebra, rep: Representation, d: DerivedD) -> LieYamagutiAlgebra:
@@ -297,7 +305,7 @@ class LieYRepPair:
                 raise InvalidRepresentationError(
                     f"representation fails: {[c.name for c in rr.checks if not c.ok]}"
                 )
-        self.d = derived_D(algebra, rep)
+        self.d = _derived(algebra, rep)
         # the pair complex's semidirect tables, built on first use by
         # lieyam.paircomplex and freed with the pair
         self._pair_complex = None

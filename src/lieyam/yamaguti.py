@@ -35,8 +35,7 @@ and writes, times the identity on the other slots (`_Terms`).  Its
 nonzero entries, broadcast against the row-major strides of the flat
 input and output layouts, are the term's (row, column, value) triples:
 delta_matrix sums them into a matrix, and `_apply` applies them one
-term at a time to a flat cochain whose entries are scalars or linear
-forms (LinComb), without building the whole operator.
+term at a time to a flat cochain, without building the whole operator.
 """
 
 from __future__ import annotations
@@ -47,8 +46,8 @@ import numpy as np
 
 from .algebra import LieYamagutiAlgebra
 from .errors import DegreeCapExceededError, DimMismatchError
-from .linalg import Matrix, exact, lincomb_is_zero
-from .reps import Representation, derived_D
+from .linalg import Matrix, exact
+from .reps import Representation, _derived
 from .scalars import is_zero
 
 DEFAULT_DEGREE_CAP = 4
@@ -118,9 +117,7 @@ class YamagutiCochain:
     def is_zero(self):
         if self.degree == 1:
             return self.f.is_zero()
-        return all(lincomb_is_zero(x) for x in self.f_flat) and all(
-            lincomb_is_zero(x) for x in self.g_flat
-        )
+        return all(is_zero(x) for x in self.f_flat) and all(is_zero(x) for x in self.g_flat)
 
     def __eq__(self, other):
         if not isinstance(other, YamagutiCochain):
@@ -220,7 +217,7 @@ class _Terms:
     def __init__(self, alg: LieYamagutiAlgebra, rep: Representation):
         self.alg = alg
         self.adim, self.mdim, self.wdim = alg.dim, rep.module_dim, wedge_dim(alg.dim)
-        self.d = derived_D(alg, rep)
+        self.d = _derived(alg, rep)
         x, y = np.triu_indices(alg.dim, 1)
         ia, im = np.identity(alg.dim, dtype=object), np.identity(rep.module_dim, dtype=object)
         rho, mu, d, t = rep.rho_arr, rep.mu_arr, self.d.arr[x, y], alg.t_arr[x, y]
@@ -306,22 +303,24 @@ def _terms(alg: LieYamagutiAlgebra, rep: Representation) -> _Terms:
     return rep._coboundary_terms
 
 
-def _apply(terms: _Terms, c: YamagutiCochain) -> YamagutiCochain:
-    """delta c over c's entry ring (scalars or LinComb), one term at a time."""
-    if c.adim != terms.adim or c.mdim != terms.mdim:
-        raise DimMismatchError("cochain does not match the complex")
-    flat = c.flatten()
-    x = np.empty(len(flat), dtype=object)
-    x[:] = flat
-    out = np.zeros(cochain_dim(terms.adim, terms.mdim, c.degree + 1), dtype=object)
-    for rows, cols, vals in terms.triples(c.degree):
+def _flat(entries):
+    """A list of cochain entries as a flat object array."""
+    out = np.empty(len(entries), dtype=object)
+    out[:] = entries
+    return out
+
+
+def _apply(terms: _Terms, p: int, x):
+    """delta_p of the flat cochain x (an object array), one term at a time."""
+    out = np.zeros(cochain_dim(terms.adim, terms.mdim, p + 1), dtype=object)
+    for rows, cols, vals in terms.triples(p):
         if rows.size:
             # one sum per run of equal rows, i.e. per value of the output slots
             starts = np.flatnonzero(np.diff(rows[0, :, 0], prepend=-1))
             sums = np.add.reduceat(vals[:, :, None] * x[cols], starts, axis=1)
             for r, v in zip(rows[:, starts], sums):
                 out[r] += v
-    return YamagutiCochain.unflatten(c.degree + 1, terms.adim, terms.mdim, out.tolist())
+    return out
 
 
 def delta(alg: LieYamagutiAlgebra, rep: Representation, c: YamagutiCochain,
@@ -329,7 +328,10 @@ def delta(alg: LieYamagutiAlgebra, rep: Representation, c: YamagutiCochain,
     """Coboundary of a cochain (degree p -> p+1)."""
     if c.degree + 1 > cap:
         raise DegreeCapExceededError(f"degree {c.degree + 1} exceeds cap {cap}")
-    return _apply(_terms(alg, rep), c)
+    if c.adim != alg.dim or c.mdim != rep.module_dim:
+        raise DimMismatchError("cochain does not match the complex")
+    out = _apply(_terms(alg, rep), c.degree, _flat(c.flatten()))
+    return YamagutiCochain.unflatten(c.degree + 1, alg.dim, rep.module_dim, out.tolist())
 
 
 def delta_matrix(alg: LieYamagutiAlgebra, rep: Representation, p: int,
@@ -340,13 +342,18 @@ def delta_matrix(alg: LieYamagutiAlgebra, rep: Representation, p: int,
         raise DegreeCapExceededError(f"degree {p + 1} exceeds cap {cap}")
     if p < 1:
         raise DimMismatchError("cochain degree must be >= 1")
-    terms = _terms(alg, rep)
     rows, cols = (cochain_dim(alg.dim, rep.module_dim, q) for q in (p + 1, p))
+    triples = ((r, c, np.broadcast_to(v[..., None], r.shape)) for r, c, v in _terms(alg, rep).triples(p))
+    return Matrix(_assemble(rows, cols, triples).tolist(), cols)
+
+
+def _assemble(rows, cols, triples):
+    """The dense (rows, cols) object array that sums the triples (row
+    indices, column indices, values: arrays of one shape; repeats add up)."""
     flat = np.zeros(rows * cols, dtype=object)
-    for r, c, vals in terms.triples(p):
-        for idx, v in zip(r * cols + c, vals):
-            flat[idx] += v[:, None]  # idx holds no repeats within one placement
-    return Matrix(flat.reshape(rows, cols).tolist(), cols)
+    for r, c, vals in triples:
+        np.add.at(flat, (r * cols + c).ravel(), vals.ravel())
+    return flat.reshape(rows, cols)
 
 
 def cohomology_dim(alg: LieYamagutiAlgebra, rep: Representation, p: int,

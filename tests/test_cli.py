@@ -156,6 +156,28 @@ def test_cohomology_builds_one_pair(capsys, monkeypatch):
         assert code == 0 and built == [True]
 
 
+def test_one_derived_d_per_request(capsys, monkeypatch):
+    """check pair and cohomology compute the derived D of (g, V) once; the
+    pair complex adds the semidirect product's own."""
+    import lieyam.reps as reps
+
+    calls = []
+    derived_D = reps.derived_D
+
+    def counting(alg, rep):
+        calls.append((alg.dim, rep.module_dim))
+        return derived_D(alg, rep)
+
+    monkeypatch.setattr(reps, "derived_D", counting)
+    cohomology = ("cohomology", "--pair", fx("A2-adjoint.json"), "--degree", "2", "--complex")
+    for argv, want in ((("check", "pair", fx("A2-adjoint.json")), [(2, 2)]),
+                       (cohomology + ("classical",), [(2, 2)]),
+                       (cohomology + ("pair",), [(2, 2), (4, 4)])):
+        calls.clear()
+        code, _ = run_cli(*argv, capsys=capsys)
+        assert code == 0 and calls == want
+
+
 def test_verify_rbn_with_consequences(capsys):
     code, out = run_cli("verify-rbn", "--pair", fx("A2-adjoint.json"), "--T", fx("T-a1.json"),
                         "--S", fx("S-lam2.json"), "--N", fx("N-lam2.json"), capsys=capsys)
@@ -387,6 +409,27 @@ def test_cli_contract_fuzz_values(capsys, values):
     """Malformed --values strings give exit 2 with one line on stderr."""
     _assert_contract(*run_cli("--format", "json", "search", "rbo", "--pair", fx("A2-adjoint.json"),
                               f"--values={values}", "--limit", "1", capsys=capsys))
+
+
+def test_search_input_contract(capsys):
+    """search without --pair and a --limit below 1 are input errors; a
+    repeated grid value does not repeat hits."""
+    for what in ("rbo", "rbn"):
+        code, out = run_cli("--format", "json", "search", what, "--values=0,1", capsys=capsys)
+        _assert_contract(code, out)
+        assert code == 2 and "--pair" in out.err
+    for limit in ("0", "-1"):
+        code, out = run_cli("--format", "json", "search", "rbo", "--pair", fx("A2-adjoint.json"),
+                            "--values=0,1", "--limit", limit, capsys=capsys)
+        _assert_contract(code, out)
+        assert code == 2 and "--limit" in out.err
+    counts = []
+    for grid in ("-1,0,1", "-1,0,1,1", "1,-1,0,-1"):
+        code, out = run_cli("--format", "json", "search", "rbo", "--pair", fx("A2-adjoint.json"),
+                            f"--values={grid}", capsys=capsys)
+        _assert_contract(code, out)
+        counts.append(json.loads(out.out)["count"])
+    assert counts == [15, 15, 15]
 
 
 _junk = st.recursive(st.one_of(st.none(), st.booleans(), st.integers(-2, 3), st.text(max_size=3)),

@@ -2,14 +2,15 @@ import gc
 import random
 import weakref
 
+import numpy as np
 import pytest
 import sympy
 
 from lieyam import LieYRepPair, Matrix, Representation, adjoint_rep, coadjoint_rep
 from lieyam.errors import DegreeCapExceededError, NotInSubcomplexError, UnsupportedDegreeError
-from lieyam.linalg import LinComb
 from lieyam.paircomplex import (
     PairCochain,
+    _pc,
     lift,
     pair_cochain_dim,
     pair_cohomology_dim,
@@ -95,16 +96,43 @@ def test_not_in_subcomplex_detected(pairs):
     with pytest.raises(NotInSubcomplexError):
         project(P, raw2)
 
-    # linear-form entries check every basis column at once; the witness
-    # names the lowest offending column, here not the first bad entry
-    size = pair_cochain_dim(2, 2, 2)
-    symbolic = lift(P, PairCochain.unflatten(2, 2, 2, [LinComb.unit(j) for j in range(size)]))
-    project(P, symbolic)  # a member
-    symbolic.f_flat[1 * 4 + 0] = symbolic.f_flat[1 * 4 + 0] + LinComb({20: 1})
-    symbolic.f_flat[5 * 4 + 2] = symbolic.f_flat[5 * 4 + 2] + LinComb({7: 3})
+    # a matrix (here L itself, as triples) is checked on every column at
+    # once; the witness names the lowest offending column, here not the
+    # first bad entry
+    im = _pc(P).index_map(2)
+    rows = np.concatenate([im.home, im.home[im.dst]])
+    cols = np.concatenate([np.arange(len(im.home)), im.src])
+    vals = np.concatenate([np.ones(len(im.home), dtype=object), im.sign.astype(object)])
+    im.verify(rows, vals, cols)  # a member
     with pytest.raises(NotInSubcomplexError) as err:
-        project(P, symbolic)
+        im.verify(np.append(rows, [1 * 4 + 0, 5 * 4 + 2]), np.append(vals, [1, 3]),
+                  np.append(cols, [20, 7]))
     assert err.value.witness == {"column": 7, "flat_index": 5 * 4 + 2, "expected": 0, "found": 3}
+
+
+def test_coboundary_leaving_the_subspace_is_caught(monkeypatch):
+    """Both lifted paths check delta_E's output: a term that writes off the
+    home coordinates is reported at its column and entry."""
+    a2 = catalog_algebra("a2")
+    P = LieYRepPair(a2, adjoint_rep(a2))
+    pc = _pc(P)
+    off = int(np.flatnonzero(pc.index_map(2).coordinate < 0)[0])
+    col = 3
+    triples = pc.terms.triples
+
+    def leaky(p):
+        yield from triples(p)
+        yield (np.array([[[off]]]), np.array([[[pc.index_map(1).home[col]]]]),
+               np.array([[5]], dtype=object))
+
+    monkeypatch.setattr(pc.terms, "triples", leaky)
+    with pytest.raises(NotInSubcomplexError, match=r"\(f part\)") as err:
+        pair_delta_matrix(P, 1)
+    assert err.value.witness == {"column": col, "flat_index": off, "expected": 0, "found": 5}
+    e_col = PairCochain.unflatten(1, 2, 2, [int(j == col) for j in range(pair_cochain_dim(2, 2, 1))])
+    with pytest.raises(NotInSubcomplexError, match=r"\(f part\)") as err:
+        pair_delta_lifted(P, e_col)
+    assert err.value.witness == {"flat_index": off, "expected": 0, "found": 5}
 
 
 def test_delta_lifted_squares_to_zero(pairs, rng):
