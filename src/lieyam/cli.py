@@ -148,7 +148,7 @@ def build_parser():
     c.add_argument("what", choices=("rbo", "rbn", "quadratic"))
     c.add_argument("--pair", default=None)
     c.add_argument("--values", default="-2,-1,0,1,2")
-    c.add_argument("--limit", type=int, default=None)
+    c.add_argument("--limit", default=None)
     c.add_argument("--out", default=None)
     return p
 

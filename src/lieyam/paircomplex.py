@@ -280,8 +280,8 @@ class _IndexMap:
                 **{f"c3g{j}": (f, slots(g, j - 1) + [(nE, gi), (1, vi)]) for j in range(1, k + 1)},
             }
         shapes = _block_shapes(degree, n, m)
-        offsets = dict(zip((name for name, _ in shapes),
-                           np.cumsum([0] + [_size(s) for _, s in shapes]).tolist()))
+        starts = dict(zip((name for name, _ in shapes),
+                          np.cumsum([0] + [_size(s) for _, s in shapes]).tolist()))
         self.home = np.concatenate([
             off + reduce(np.add.outer, [stride * index for stride, index in placed]).ravel()
             for off, placed in (axes[name] for name, _ in shapes)]).astype(np.int64)
@@ -292,9 +292,9 @@ class _IndexMap:
             c2g, c3g = dict(shapes)["c2g"], dict(shapes)[f"c3g{k}"]
             *rest, w, beta, o = np.indices(c2g).reshape(len(c2g), -1)
             a, b = np.array(wedge_pairs(n), dtype=np.int64).reshape(-1, 2).T
-            src = offsets["c2g"] + np.arange(_size(c2g))
+            src = starts["c2g"] + np.arange(_size(c2g))
             self.src = np.concatenate([src, src])
-            self.dst = offsets[f"c3g{k}"] + np.concatenate([
+            self.dst = starts[f"c3g{k}"] + np.concatenate([
                 np.ravel_multi_index((*rest, x[w] * m + beta, z[w], o), c3g) for x, z in ((b, a), (a, b))])
         self.sign = np.repeat([1, -1], len(self.src) // 2)
         # per semidirect coordinate: the pair coordinate homed there, and

@@ -418,7 +418,7 @@ def test_search_input_contract(capsys):
         code, out = run_cli("--format", "json", "search", what, "--values=0,1", capsys=capsys)
         _assert_contract(code, out)
         assert code == 2 and "--pair" in out.err
-    for limit in ("0", "-1"):
+    for limit in ("0", "-1", "x"):
         code, out = run_cli("--format", "json", "search", "rbo", "--pair", fx("A2-adjoint.json"),
                             "--values=0,1", "--limit", limit, capsys=capsys)
         _assert_contract(code, out)
