@@ -5,6 +5,12 @@ The grid searches are deterministic (fixed iteration order) so that the
 fixtures they find can be committed together with their verification
 transcripts and reproduced exactly.  They are test utilities, exposed
 through the `search` CLI subcommand, not a general solver.
+
+The nonlinear laws (Rota-Baxter, Nijenhuis) are tested on every grid
+point.  The linear conditions (R B# skew, B# N^T = N B#, N R = R N,
+T S = N T) are not: `_grid_solutions` solves each system exactly and
+returns only its solutions that lie on the grid, in grid order.  Every
+solution is re-checked by the condition's own predicate before use.
 """
 
 from __future__ import annotations
@@ -14,8 +20,8 @@ from fractions import Fraction
 from itertools import product
 
 from .algebra import LieYamagutiAlgebra, is_nijenhuis
-from .errors import DimMismatchError
-from .linalg import Matrix, vzero
+from .errors import ConsequenceViolatedError, DimMismatchError
+from .linalg import Matrix, _echelon, vzero
 from .quadratic import QuadraticForm, is_invariant_form, is_rb_nijenhuis, is_skew_endomorphism
 from .reps import LieYRepPair, Representation, adjoint_rep, coadjoint_rep
 from .rotabaxter import is_rbn, is_relative_rb
@@ -81,6 +87,59 @@ def _matrices(rows, cols, values):
         yield Matrix([entries[i * cols:(i + 1) * cols] for i in range(rows)])
 
 
+def _grid_solutions(fn, rows, cols, values, rhs=None):
+    """The rows x cols grid matrices X with fn(X) = rhs, in `_matrices` order.
+
+    `fn` is linear and `values` are distinct; `rhs` defaults to zero.  The
+    images of the unit matrices, with rhs as one more column, form the
+    constraint matrix, which `_echelon` reduces once.  The free
+    coordinates range over `values`, each pivot coordinate is solved
+    exactly, and a point is kept when every coordinate is a grid value.
+    An inconsistent system has no solutions; k free coordinates give
+    len(values)**k candidates, the whole grid only when fn is zero.
+    """
+    size = rows * cols
+
+    def flat(x):
+        return [v for r in x.data for v in r]
+
+    images = [flat(fn(Matrix([[int(i * cols + j == k) for j in range(cols)] for i in range(rows)])))
+              for k in range(size)]
+    target = flat(rhs if rhs is not None else fn(Matrix.zero(rows, cols)))
+    system = Matrix([[m[e] for m in images] + [target[e]] for e in range(len(target))], size + 1)
+    pivots = _echelon(system._integer_rows())
+    if size in pivots:
+        return []
+    free = [k for k in range(size) if k not in pivots]
+    # pivot p of row lead*x_p + sum a*x_k = c is x_p = (c - sum a*x_k) / lead
+    solve = [(p, row[p], row.get(size, 0), [(k, a) for k, a in row.items() if k not in (p, size)])
+             for p, row in pivots.items()]
+    index = {v: i for i, v in enumerate(values)}
+    points = []
+    for choice in product(range(len(values)), repeat=len(free)):
+        key = [0] * size
+        x = [0] * size
+        for k, i in zip(free, choice):
+            key[k], x[k] = i, values[i]
+        for p, lead, c, terms in solve:
+            i = index.get(Fraction(c - sum(a * x[k] for k, a in terms), lead))
+            if i is None:
+                break
+            key[p], x[p] = i, values[i]
+        else:
+            points.append((key, x))
+    points.sort()
+    return [Matrix([x[i * cols:(i + 1) * cols] for i in range(rows)]) for _, x in points]
+
+
+def _rechecked(points, holds, condition):
+    """The solver's `points`, each re-checked by the condition's own predicate."""
+    for x in points:
+        if not holds(x):
+            raise ConsequenceViolatedError(f"grid solution {x!r} fails {condition}")
+        yield x
+
+
 def search_rb_operators(pair: LieYRepPair, values=(-2, -1, 0, 1, 2), limit=None):
     """All V -> g maps over the value grid passing the Rota-Baxter identities."""
     hits = []
@@ -106,7 +165,10 @@ def search_rbn_triples(pair: LieYRepPair, values=(-2, -1, 0, 1, 2), limit=None,
                        require_nonzero=True):
     """Triples (T, S, N) over the grid passing the full triple conditions.
 
-    The T S = N T constraint prunes the grid before the expensive checks.
+    T and N come from the Rota-Baxter and Nijenhuis grid scans.  For each
+    nonzero pair the S candidates are the grid solutions of the linear
+    condition T S = N T, in grid order; the first that passes the full
+    triple conditions is the hit for that (T, N).
     """
     hits = []
     rbs = search_rb_operators(pair, values)
@@ -117,9 +179,9 @@ def search_rbn_triples(pair: LieYRepPair, values=(-2, -1, 0, 1, 2), limit=None,
         for n in nijs:
             if require_nonzero and n.is_zero():
                 continue
-            for s in _matrices(pair.dim_v, pair.dim_v, values):
-                if n * t != t * s:
-                    continue
+            nt = n * t
+            solutions = _grid_solutions(lambda x: t * x, pair.dim_v, pair.dim_v, values, rhs=nt)
+            for s in _rechecked(solutions, lambda x: nt == t * x, "T S = N T"):
                 if is_rbn(pair, t, s, n):
                     hits.append((t, s, n))
                     if limit is not None and len(hits) >= limit:
@@ -132,11 +194,12 @@ def search_quadratic_fixtures(names=("abelian2", "abelian3", "so3lts", "sl2lts")
                               values=(-1, 0, 1), per_algebra=2):
     """Quadratic algebras with skew Rota-Baxter operators and compatible N.
 
-    For each catalog algebra with a validated invariant form, scan the
-    grid for nonzero skew-symmetric-endomorphism Rota-Baxter operators R
-    and pair each with the first nonzero N satisfying B# N^T = N B#,
-    N R = R N, and the full Rota-Baxter-Nijenhuis conditions.  Returns a
-    list of dicts (name, algebra, form, R, N).
+    For each catalog algebra with a validated invariant form, take the
+    nonzero grid solutions R of the linear condition "R B# is skew" that
+    are Rota-Baxter operators, and pair each with the first nonzero grid
+    solution N of B# N^T = N B# and N R = R N that passes the full
+    Rota-Baxter-Nijenhuis conditions.  Returns a list of dicts (name,
+    algebra, form, R, N).
     """
     fixtures = []
     for name in names:
@@ -146,19 +209,22 @@ def search_quadratic_fixtures(names=("abelian2", "abelian3", "so3lts", "sl2lts")
             continue
         qf = QuadraticForm(alg, b)
         pair = LieYRepPair(alg, adjoint_rep(alg), validate=False)
+        bs = qf.b_sharp
         n_found = 0
-        for rmap in _matrices(alg.dim, alg.dim, values):
-            if rmap.is_zero() or not is_skew_endomorphism(qf, rmap):
+        skew = _grid_solutions(lambda x: x * bs + (x * bs).transpose(), alg.dim, alg.dim, values)
+        for rmap in _rechecked(skew, lambda x: is_skew_endomorphism(qf, x), "R B# skew"):
+            if rmap.is_zero():
                 continue
             if not is_relative_rb(pair, rmap):
                 continue
             match = None
-            for nmap in _matrices(alg.dim, alg.dim, values):
+            linear = _grid_solutions(
+                lambda x: Matrix((bs * x.transpose() - x * bs).data + (x * rmap - rmap * x).data),
+                alg.dim, alg.dim, values)
+            compat = _rechecked(linear, lambda x: bs * x.transpose() == x * bs and x * rmap == rmap * x,
+                                "B# N^T = N B# and N R = R N")
+            for nmap in compat:
                 if nmap.is_zero():
-                    continue
-                if qf.b_sharp * nmap.transpose() != nmap * qf.b_sharp:
-                    continue
-                if nmap * rmap != rmap * nmap:
                     continue
                 if is_rb_nijenhuis(alg, rmap, nmap):
                     match = nmap

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from lieyam.errors import (
     NotSymmetricError,
     PreconditionFailedError,
 )
+from lieyam.cli import main
 from lieyam.jsonio import algebra_from_dict
 from lieyam.quadratic import (
     QuadraticForm,
@@ -189,6 +191,27 @@ def test_committed_quadratic_fixtures():
         assert rmn_to_rbn(alg, qf, rm.pi, nmap) == rmap
         nonabelian += not alg.ternary_tensor.is_zero()
     assert nonabelian >= 2  # the search finds genuinely non-abelian instances
+
+
+def test_default_grid_quadratic_search_reaches_all_fixtures(tmp_path, capsys):
+    """`lieyam search quadratic` on its default 5-value grid finds 8
+    fixtures that pass their predicates and round-trip, in under 3 s."""
+    out = tmp_path / "found.json"
+    t0 = time.perf_counter()
+    assert main(["search", "quadratic", "--out", str(out)]) == 0
+    elapsed = time.perf_counter() - t0
+    assert "(-2, -1, 0, 1, 2)" in capsys.readouterr().out
+    found = json.loads(out.read_text())["found"]
+    assert len(found) == 8
+    for entry in found:
+        alg = algebra_from_dict(entry["algebra"])
+        qf = QuadraticForm(alg, load_matrix(entry["B"]))
+        rmap, nmap = load_matrix(entry["R"]), load_matrix(entry["N"])
+        assert is_skew_endomorphism(qf, rmap)
+        assert is_rb_nijenhuis(alg, rmap, nmap)
+        rm = rbn_to_rmn(alg, qf, rmap, nmap)
+        assert rmn_to_rbn(alg, qf, rm.pi, nmap) == rmap
+    assert elapsed < 3.0
 
 
 def load_matrix(data):
