@@ -76,13 +76,19 @@ MAX_DEGREE = 16
 MAX_COBOUNDARY_ENTRIES = 4_000_000
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors (a missing option, a bad choice) are one line and exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"input error: {self.prog}: {message}\n")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="lieyam",
-                                description="exact verification of Lie-Yamaguti operator structures")
+    p = _Parser(prog="lieyam", description="exact verification of Lie-Yamaguti operator structures")
     p.add_argument("--version", action="version", version=f"lieyam {__version__}")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--seed", type=int, default=0, help="seed echoed in reports; fixes randomized suites")
-    p.add_argument("--degree-cap", type=int, default=None, help="cochain degree cap override")
+    p.add_argument("--seed", default=0, help="seed echoed in reports; fixes randomized suites")
+    p.add_argument("--degree-cap", default=None, help="cochain degree cap override")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("check", help="verify defining identities of a stored object")
@@ -91,7 +97,7 @@ def build_parser():
 
     c = sub.add_parser("cohomology", help="cohomology group dimensions")
     c.add_argument("--pair", required=True)
-    c.add_argument("--degree", type=int, required=True)
+    c.add_argument("--degree", required=True)
     c.add_argument("--complex", choices=("pair", "classical"), default="pair")
 
     c = sub.add_parser("verify-nijenhuis", help="Nijenhuis operator on an algebra")
@@ -172,6 +178,10 @@ def _emit(report: VerificationReport, args, extra=None):
 
 def _run(args) -> int:
     t0 = time.perf_counter()
+    args.seed = _int_field({"--seed": args.seed}, "--seed", "lieyam")
+    if args.degree_cap is not None:
+        args.degree_cap = _int_field({"--degree-cap": args.degree_cap}, "--degree-cap", "lieyam",
+                                     minimum=1, maximum=MAX_DEGREE + 1)
 
     if args.command == "check":
         if args.kind == "algebra":
@@ -194,9 +204,6 @@ def _run(args) -> int:
         degree = _int_field({"--degree": args.degree}, "--degree", "cohomology",
                             minimum=1, maximum=MAX_DEGREE)
         cap = args.degree_cap
-        if cap is not None:
-            cap = _int_field({"--degree-cap": cap}, "--degree-cap", "cohomology",
-                             minimum=1, maximum=MAX_DEGREE + 1)
         alg, rep = representation_from_dict(_read_json(args.pair), base_dir=os_dirname(args.pair))
         _check_coboundary_size(args.complex, alg.dim, rep.module_dim, degree)
         pair = LieYRepPair(alg, rep)

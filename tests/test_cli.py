@@ -29,7 +29,10 @@ def fx(name):
 
 
 def run_cli(*args, capsys=None):
-    code = main(list(args))
+    try:
+        code = main(list(args))
+    except SystemExit as exc:  # a usage error found by argparse
+        code = exc.code
     out = capsys.readouterr() if capsys else None
     return code, out
 
@@ -409,6 +412,28 @@ def test_cli_contract_fuzz_values(capsys, values):
     """Malformed --values strings give exit 2 with one line on stderr."""
     _assert_contract(*run_cli("--format", "json", "search", "rbo", "--pair", fx("A2-adjoint.json"),
                               f"--values={values}", "--limit", "1", capsys=capsys))
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["cohomology", "--pair", fx("A2-adjoint.json"), "--degree", "x"], "'--degree' must be an integer"),
+    (["--degree-cap", "x", "cohomology", "--pair", fx("A2-adjoint.json"), "--degree", "1"],
+     "'--degree-cap' must be an integer"),
+    (["--seed", "x", "search", "quadratic"], "'--seed' must be an integer"),
+    (["--seed", "1.5", "check", "algebra", fx("A2.json")], "'--seed' must be an integer"),
+    (["cohomology", "--pair", fx("A2-adjoint.json")], "required: --degree"),
+    (["verify-rbo", "--T", fx("T-a1.json")], "required: --pair"),
+    (["search", "nothing"], "invalid choice"),
+    (["cohomology", "--pair", fx("A2-adjoint.json"), "--degree", "1", "--complex", "x"], "invalid choice"),
+    (["quadratic"], "required: qcommand"),
+    (["no-such-command"], "invalid choice"),
+    ([], "required: command"),
+])
+def test_usage_errors_are_one_input_error_line(capsys, argv, needle):
+    """Bad integers, missing options and bad choices exit 2 with one line on stderr."""
+    code, out = run_cli("--format", "json", *argv, capsys=capsys)
+    _assert_contract(code, out)
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("input error: ") and needle in out.err
 
 
 def test_search_input_contract(capsys):
