@@ -132,12 +132,10 @@ def _grid_solutions(fn, rows, cols, values, rhs=None):
     return [Matrix([x[i * cols:(i + 1) * cols] for i in range(rows)]) for _, x in points]
 
 
-def _rechecked(points, holds, condition):
-    """The solver's `points`, each re-checked by the condition's own predicate."""
-    for x in points:
-        if not holds(x):
-            raise ConsequenceViolatedError(f"grid solution {x!r} fails {condition}")
-        yield x
+def _confirm(holds, x, condition):
+    """Raise unless the solver's point x passed the condition's own predicate."""
+    if not holds:
+        raise ConsequenceViolatedError(f"grid solution {x!r} fails {condition}")
 
 
 def search_rb_operators(pair: LieYRepPair, values=(-2, -1, 0, 1, 2), limit=None):
@@ -180,8 +178,8 @@ def search_rbn_triples(pair: LieYRepPair, values=(-2, -1, 0, 1, 2), limit=None,
             if require_nonzero and n.is_zero():
                 continue
             nt = n * t
-            solutions = _grid_solutions(lambda x: t * x, pair.dim_v, pair.dim_v, values, rhs=nt)
-            for s in _rechecked(solutions, lambda x: nt == t * x, "T S = N T"):
+            for s in _grid_solutions(lambda x: t * x, pair.dim_v, pair.dim_v, values, rhs=nt):
+                _confirm(nt == t * s, s, "T S = N T")
                 if is_rbn(pair, t, s, n):
                     hits.append((t, s, n))
                     if limit is not None and len(hits) >= limit:
@@ -211,21 +209,21 @@ def search_quadratic_fixtures(names=("abelian2", "abelian3", "so3lts", "sl2lts")
         pair = LieYRepPair(alg, adjoint_rep(alg), validate=False)
         bs = qf.b_sharp
         n_found = 0
-        skew = _grid_solutions(lambda x: x * bs + (x * bs).transpose(), alg.dim, alg.dim, values)
-        for rmap in _rechecked(skew, lambda x: is_skew_endomorphism(qf, x), "R B# skew"):
+        for rmap in _grid_solutions(lambda x: x * bs + (x * bs).transpose(), alg.dim, alg.dim, values):
             if rmap.is_zero():
                 continue
+            _confirm(is_skew_endomorphism(qf, rmap), rmap, "R B# skew")
             if not is_relative_rb(pair, rmap):
                 continue
             match = None
             linear = _grid_solutions(
                 lambda x: Matrix((bs * x.transpose() - x * bs).data + (x * rmap - rmap * x).data),
                 alg.dim, alg.dim, values)
-            compat = _rechecked(linear, lambda x: bs * x.transpose() == x * bs and x * rmap == rmap * x,
-                                "B# N^T = N B# and N R = R N")
-            for nmap in compat:
+            for nmap in linear:
                 if nmap.is_zero():
                     continue
+                _confirm(bs * nmap.transpose() == nmap * bs and nmap * rmap == rmap * nmap, nmap,
+                         "B# N^T = N B# and N R = R N")
                 if is_rb_nijenhuis(alg, rmap, nmap):
                     match = nmap
                     break
