@@ -115,21 +115,21 @@ def _grid_solutions(fn, rows, cols, values, rhs=None):
     solve = [(p, row[p], row.get(size, 0), [(k, a) for k, a in row.items() if k not in (p, size)])
              for p, row in pivots.items()]
     index = {v: i for i, v in enumerate(values)}
-    points = []
+    keys = []  # index tuples into `values`, whose order is the grid's
     for choice in product(range(len(values)), repeat=len(free)):
         key = [0] * size
-        x = [0] * size
         for k, i in zip(free, choice):
-            key[k], x[k] = i, values[i]
+            key[k] = i
         for p, lead, c, terms in solve:
-            i = index.get(Fraction(c - sum(a * x[k] for k, a in terms), lead))
+            i = index.get(Fraction(c - sum(a * values[key[k]] for k, a in terms), lead))
             if i is None:
                 break
-            key[p], x[p] = i, values[i]
+            key[p] = i
         else:
-            points.append((key, x))
-    points.sort()
-    return [Matrix([x[i * cols:(i + 1) * cols] for i in range(rows)]) for _, x in points]
+            keys.append(key)
+    keys.sort()
+    return [Matrix([[values[i] for i in key[r * cols:(r + 1) * cols]] for r in range(rows)])
+            for key in keys]
 
 
 def _confirm(holds, x, condition):
