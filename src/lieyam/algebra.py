@@ -16,6 +16,11 @@ residual array per first basis index, contracted with np.einsum (two
 operands per call) and scanned by report.first_violation.  The code is
 generic over the scalar ring (rationals or polynomials in t), enabling
 "for all t" checks by polynomial arithmetic.
+
+The homomorphism and Nijenhuis laws take their maps as arrays that may
+carry leading batch axes (the ``...`` of every einsum): one map is the
+case of no batch axis, and a stack of maps (the candidates of a grid
+search, see report.vanishing) is evaluated by the same contractions.
 """
 
 from __future__ import annotations
@@ -147,16 +152,17 @@ class LieYamagutiAlgebra:
         return tuple(1 if j == i else 0 for j in range(self.dim))
 
     # slabs of the brackets of images: maps into g are arrays whose column u
-    # is the image of the u-th basis vector
+    # is the image of the u-th basis vector, with the same leading batch
+    # axes `...` (none for one map)
 
     def bracket_images(self, a, b, u):
-        """[a e_u, b e_v] for every v, as a (v, k) array."""
-        return np.einsum("bv,bk->vk", b, np.einsum("a,abk->bk", a[:, u], self.b_arr))
+        """[a e_u, b e_v] for every v, as a (..., v, k) array."""
+        return np.einsum("...bv,...bk->...vk", b, np.einsum("...a,abk->...bk", a[..., :, u], self.b_arr))
 
     def triple_images(self, a, b, c, u):
-        """<<a e_u, b e_v, c e_w>> for every (v, w), as a (v, w, l) array."""
-        x = np.einsum("bv,bcl->vcl", b, np.einsum("a,abcl->bcl", a[:, u], self.t_arr))
-        return np.einsum("cw,vcl->vwl", c, x)
+        """<<a e_u, b e_v, c e_w>> for every (v, w), as a (..., v, w, l) array."""
+        x = np.einsum("...bv,...bcl->...vcl", b, np.einsum("...a,abcl->...bcl", a[..., :, u], self.t_arr))
+        return np.einsum("...cw,...vcl->...vwl", c, x)
 
     # -- axioms ----------------------------------------------------------------
 
@@ -183,6 +189,28 @@ class LieYamagutiAlgebra:
         return report
 
 
+def _homomorphism_residual(p, src, dst: LieYamagutiAlgebra, arity):
+    """The slabs, per first basis index i, of the homomorphism law of one arity for the map p:
+
+    phi[x,y] - [phi x, phi y]                  arity 2, over (..., y, k)
+    phi<<x,y,z>> - <<phi x, phi y, phi z>>     arity 3, over (..., y, z, l)
+
+    src is the source's structure constants of that arity (b_arr or t_arr).
+    p and src may carry the same leading batch axes; a slab takes the maps
+    `sel` of a stack (report.vanishing).
+    """
+    def binary(i, sel=Ellipsis):
+        q = p[sel]
+        return np.einsum("...jc,...kc->...jk", src[sel][..., i, :, :], q) - dst.bracket_images(q, q, i)
+
+    def ternary(i, sel=Ellipsis):
+        q = p[sel]
+        return (np.einsum("...jkc,...lc->...jkl", src[sel][..., i, :, :, :], q)
+                - dst.triple_images(q, q, q, i))
+
+    return binary if arity == 2 else ternary
+
+
 def homomorphism_witness(phi: Matrix, src: LieYamagutiAlgebra, dst: LieYamagutiAlgebra):
     """First basis tuple where phi fails to preserve a bracket, or None.
 
@@ -195,15 +223,35 @@ def homomorphism_witness(phi: Matrix, src: LieYamagutiAlgebra, dst: LieYamagutiA
         )
     n, p = src.dim, phi.arr
     return first_violation(
-        lambda i: src.b_arr[i] @ p.T - dst.bracket_images(p, p, i), (n,) * 2, identity="binary",
+        _homomorphism_residual(p, src.b_arr, dst, 2), (n,) * 2, identity="binary",
     ) or first_violation(
-        lambda i: src.t_arr[i] @ p.T - dst.triple_images(p, p, p, i), (n,) * 3, identity="ternary",
+        _homomorphism_residual(p, src.t_arr, dst, 3), (n,) * 3, identity="ternary",
     )
 
 
 def is_homomorphism(phi: Matrix, src: LieYamagutiAlgebra, dst: LieYamagutiAlgebra) -> bool:
     """phi[x,y] = [phi x, phi y] and phi<<x,y,z>> = <<phi x, phi y, phi z>> on basis tuples."""
     return homomorphism_witness(phi, src, dst) is None
+
+
+def _deformation_binary(alg: LieYamagutiAlgebra, na):
+    """phi(x,y) = [Nx,y] + [x,Ny] - N[x,y] over (..., x, y, k), for na the array of N
+    (or a stack of them, with leading batch axes)."""
+    b = alg.b_arr
+    return (np.einsum("...ai,ajk->...ijk", na, b) + np.einsum("...aj,iak->...ijk", na, b)
+            - np.einsum("ijc,...kc->...ijk", b, na))
+
+
+def _deformation_ternary(alg: LieYamagutiAlgebra, na):
+    """(phi1, phi2) over (..., x, y, z, l), for na as in _deformation_binary."""
+    t = alg.t_arr
+    t1 = np.einsum("...ai,ajkl->...ijkl", na, t)        # <<Nx,y,z>>
+    t2 = np.einsum("...aj,iakl->...ijkl", na, t)        # <<x,Ny,z>>
+    phi1 = (t1 + t2 + np.einsum("...ak,ijal->...ijkl", na, t)
+            - np.einsum("ijkc,...lc->...ijkl", t, na))
+    phi2 = (np.einsum("...bj,...ibkl->...ijkl", na, t1) + np.einsum("...bk,...ijbl->...ijkl", na, t2)
+            + np.einsum("...bk,...ijbl->...ijkl", na, t1) - np.einsum("...ijkc,...lc->...ijkl", phi1, na))
+    return phi1, phi2
 
 
 def nijenhuis_deformation_tensors(alg: LieYamagutiAlgebra, nmap: Matrix):
@@ -219,14 +267,9 @@ def nijenhuis_deformation_tensors(alg: LieYamagutiAlgebra, nmap: Matrix):
     n = alg.dim
     if nmap.rows != n or nmap.cols != n:
         raise DimMismatchError("operator must be square of the algebra dimension")
-    b, t, na = alg.b_arr, alg.t_arr, nmap.arr
-    phi = np.einsum("ai,ajk->ijk", na, b) + np.einsum("aj,iak->ijk", na, b) - b @ na.T
-    t1 = np.einsum("ai,ajkl->ijkl", na, t)        # <<Nx,y,z>>
-    t2 = np.einsum("aj,iakl->ijkl", na, t)        # <<x,Ny,z>>
-    phi1 = t1 + t2 + np.einsum("ak,ijal->ijkl", na, t) - t @ na.T
-    phi2 = (np.einsum("bj,ibkl->ijkl", na, t1) + np.einsum("bk,ijbl->ijkl", na, t2)
-            + np.einsum("bk,ijbl->ijkl", na, t1) - phi1 @ na.T)
-    return Tensor.from_array(phi), Tensor.from_array(phi1), Tensor.from_array(phi2)
+    phi1, phi2 = _deformation_ternary(alg, nmap.arr)
+    return (Tensor.from_array(_deformation_binary(alg, nmap.arr)), Tensor.from_array(phi1),
+            Tensor.from_array(phi2))
 
 
 def deformed_brackets(alg: LieYamagutiAlgebra, nmap: Matrix):
@@ -245,17 +288,34 @@ def deformed_algebra(alg: LieYamagutiAlgebra, nmap: Matrix, validate=False) -> L
     return LieYamagutiAlgebra(alg.dim, b2, t2, alg.basis_names, validate=validate)
 
 
+def _nijenhuis_residual(alg: LieYamagutiAlgebra, na, arity):
+    """The slabs, per first basis index, of the Nijenhuis law of one arity:
+
+    N[x,y]_N = [Nx,Ny]              arity 2
+    N<<x,y,z>>_N = <<Nx,Ny,Nz>>     arity 3
+
+    that is, the homomorphism law of N from the N-deformed algebra to alg
+    (_homomorphism_residual), for na the array of N or a stack of them.
+    Only the deformed bracket of that arity is built.
+    """
+    src = _deformation_binary(alg, na) if arity == 2 else _deformation_ternary(alg, na)[1]
+    return _homomorphism_residual(na, src, alg, arity)
+
+
 def nijenhuis_witness(alg: LieYamagutiAlgebra, nmap: Matrix):
     """First basis tuple where N fails to be a Nijenhuis operator, or None.
 
-    binary:  N[x,y]_N = [Nx,Ny];  ternary: N<<x,y,z>>_N = <<Nx,Ny,Nz>>,
-    that is, N is a homomorphism from the N-deformed algebra to alg.
+    binary:  N[x,y]_N = [Nx,Ny];  ternary: N<<x,y,z>>_N = <<Nx,Ny,Nz>>.
     The witness is {"identity", "tuple", "residual"}.
     """
     n = alg.dim
     if nmap.rows != n or nmap.cols != n:
         raise DimMismatchError("operator must be square of the algebra dimension")
-    return homomorphism_witness(nmap, deformed_algebra(alg, nmap), alg)
+    return first_violation(
+        _nijenhuis_residual(alg, nmap.arr, 2), (n,) * 2, identity="binary",
+    ) or first_violation(
+        _nijenhuis_residual(alg, nmap.arr, 3), (n,) * 3, identity="ternary",
+    )
 
 
 def is_nijenhuis(alg: LieYamagutiAlgebra, nmap: Matrix) -> bool:

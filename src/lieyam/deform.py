@@ -246,11 +246,20 @@ def nijenhuis_structure_report(pair: LieYRepPair, nmap: Matrix, smap: Matrix) ->
         raise DimMismatchError("N must act on the algebra")
     if smap.rows != pair.dim_v or smap.cols != pair.dim_v:
         raise DimMismatchError("S must act on the module")
-    rep, narr, sarr = pair.rep, nmap.arr, smap.arr
     report = VerificationReport(subject="nijenhuis structure (N, S)")
     wit = nijenhuis_witness(pair.algebra, nmap)
     report.add("nijenhuis-N", wit is None,
                "N[x,y]_N = [Nx,Ny] and N<<x,y,z>>_N = <<Nx,Ny,Nz>>", wit)
+    return _append_s_conditions(report, pair, nmap, smap)
+
+
+def _append_s_conditions(report: VerificationReport, pair: LieYRepPair, nmap: Matrix,
+                         smap: Matrix) -> VerificationReport:
+    """Append the conditions of a Nijenhuis structure that involve S (rho-compat,
+    mu-compat) to `report`, which holds the check of N or belongs to an N
+    already verified Nijenhuis; when the report then passes, assert D-compat.
+    """
+    n, rep, narr, sarr = pair.dim_g, pair.rep, nmap.arr, smap.arr
 
     def bilinear_residual(parts):
         return parts[2] @ sarr - sarr @ _hat_bilinear(sarr, *parts)[1]

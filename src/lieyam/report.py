@@ -13,6 +13,10 @@ the scan stops at the first one with a nonzero entry, whose first nonzero
 position is the witness.  So the witness is the lexicographically first
 violating tuple, and a law that computes each slab on demand holds only
 one in memory.
+
+A grid search asks the same question of many operators at once: the
+slabs of a stack of operators carry one more leading axis, over the
+stack, and vanishing tells which of them satisfy the law.
 """
 
 from __future__ import annotations
@@ -66,6 +70,22 @@ def first_violation(residual, shape, **tags):
             pos = tuple(int(k) for k in np.unravel_index(hits[0], lead))
             return {**tags, "tuple": (i, *pos), "residual": _witness_value(slab[pos])}
     return None
+
+
+def vanishing(residual, shape, batch):
+    """The operators of a stack of `batch` that satisfy a law over the index tuples of `shape`.
+
+    residual(i, sel) is first_violation's slab of first index i for the
+    operators `sel` (an index array) of the stack, with one more leading
+    axis running over them.  A slab is evaluated only on the operators
+    that passed the earlier ones.  Returns the indices of the operators on
+    which every residual vanishes, in order.
+    """
+    alive = np.arange(batch)
+    for i in range(shape[0]):
+        if alive.size:
+            alive = alive[~(residual(i, alive) != 0).reshape(alive.size, -1).any(axis=1)]
+    return alive
 
 
 @dataclass

@@ -22,6 +22,12 @@ that returns its first violating tuple with the exact residual, or None
 (a residual array per first basis index, scanned by
 report.first_violation); the bool predicates, the reports, the validated
 wrappers and the CLI all call it.
+
+The Rota-Baxter identities are written once, in _rb_residual, for T given
+as an array that may carry leading batch axes (the ``...`` of each
+einsum).  One operator is the case of no batch axis; the grid search
+evaluates a stack of candidate operators with the same contractions and
+asks report.vanishing which of them pass.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from .algebra import (
     is_nijenhuis,
     nijenhuis_witness,
 )
-from .deform import NijenhuisStructure, _hat_pair, nijenhuis_structure_report
+from .deform import NijenhuisStructure, _append_s_conditions, _hat_pair, nijenhuis_structure_report
 from .errors import (
     ConsequenceViolatedError,
     DimMismatchError,
@@ -57,34 +63,34 @@ def _check_tmap(pair: LieYRepPair, tmap: Matrix):
 
 
 def _images(x, tarr):
-    """X(Tu, Tv) over (u, v) for a bilinear X: g x g -> gl(V) given as x[i, j]."""
-    return np.einsum("bv,ubxy->uvxy", tarr, np.einsum("au,abxy->ubxy", tarr, x))
+    """X(Tu, Tv) over (..., u, v) for a bilinear X: g x g -> gl(V) given as x[i, j]."""
+    return np.einsum("...bv,...ubxy->...uvxy", tarr, np.einsum("...au,abxy->...ubxy", tarr, x))
 
 
-def _induced_brackets(rep, d, tmap: Matrix, arity):
+def _induced_brackets(rep, d, tarr, arity):
     """The bracket a map T: V -> g induces on V, as an array over all basis tuples of V.
 
-    [u,v]^T     = rho(Tu)v - rho(Tv)u                   arity 2, indexed [u, v, l]
-    <<u,v,w>>^T = D(Tu,Tv)w + mu(Tv,Tw)u - mu(Tu,Tw)v   arity 3, indexed [u, v, w, l]
+    [u,v]^T     = rho(Tu)v - rho(Tv)u                   arity 2, indexed [..., u, v, l]
+    <<u,v,w>>^T = D(Tu,Tv)w + mu(Tv,Tw)u - mu(Tu,Tw)v   arity 3, indexed [..., u, v, w, l]
 
-    (rep, d) are the representation and its derived operator.  This is the
-    one place of the formula: the Rota-Baxter identities, the sub-adjacent
-    and hat-deformed brackets, the twist conditions and compatibility all
-    evaluate it here.
+    (rep, d) are the representation and its derived operator, and tarr is
+    the array of T, or a stack of them with leading batch axes.  This is
+    the one place of the formula: the Rota-Baxter identities, the
+    sub-adjacent and hat-deformed brackets, the twist conditions and
+    compatibility all evaluate it here.
     """
-    tarr = tmap.arr
     if arity == 2:
-        rho_t = np.einsum("au,axy->uxy", tarr, rep.rho_arr)      # rho(Tu)
-        return np.einsum("uxv->uvx", rho_t) - np.einsum("vxu->uvx", rho_t)
+        rho_t = np.einsum("...au,axy->...uxy", tarr, rep.rho_arr)      # rho(Tu)
+        return np.einsum("...uxv->...uvx", rho_t) - np.einsum("...vxu->...uvx", rho_t)
     d_t, mu_t = _images(d.arr, tarr), _images(rep.mu_arr, tarr)
-    return (np.einsum("uvxw->uvwx", d_t) + np.einsum("vwxu->uvwx", mu_t)
-            - np.einsum("uwxv->uvwx", mu_t))
+    return (np.einsum("...uvxw->...uvwx", d_t) + np.einsum("...vwxu->...uvwx", mu_t)
+            - np.einsum("...uwxv->...uvwx", mu_t))
 
 
 def _induced_algebra(rep, d, tmap: Matrix) -> LieYamagutiAlgebra:
     """V carrying the brackets induced by T (no axiom claim)."""
-    m = tmap.cols
-    return LieYamagutiAlgebra(m, _induced_brackets(rep, d, tmap, 2), _induced_brackets(rep, d, tmap, 3),
+    m, tarr = tmap.cols, tmap.arr
+    return LieYamagutiAlgebra(m, _induced_brackets(rep, d, tarr, 2), _induced_brackets(rep, d, tarr, 3),
                               [f"v{i+1}" for i in range(m)])
 
 
@@ -94,6 +100,29 @@ RB_LAWS = {
 }
 
 
+def _rb_residual(pair: LieYRepPair, tarr, arity):
+    """The slabs, per first basis index u of V, of the Rota-Baxter identity of one arity:
+
+    [Tu,Tv] - T([u,v]^T)               arity 2, over (..., v, k)
+    <<Tu,Tv,Tw>> - T(<<u,v,w>>^T)      arity 3, over (..., v, w, l)
+
+    for tarr the array of T, or a stack of them with leading batch axes.
+    A slab takes the operators `sel` of a stack (report.vanishing).
+    """
+    alg, induced = pair.algebra, _induced_brackets(pair.rep, pair.d, tarr, arity)
+
+    def binary(u, sel=Ellipsis):
+        t = tarr[sel]
+        return alg.bracket_images(t, t, u) - np.einsum("...vx,...kx->...vk", induced[sel][..., u, :, :], t)
+
+    def ternary(u, sel=Ellipsis):
+        t = tarr[sel]
+        return (alg.triple_images(t, t, t, u)
+                - np.einsum("...vwx,...lx->...vwl", induced[sel][..., u, :, :, :], t))
+
+    return binary if arity == 2 else ternary
+
+
 def _rb_residuals(pair: LieYRepPair, tmap: Matrix, arities=(2, 3)):
     """First violating tuple of the Rota-Baxter identities of the given arities, or None.
 
@@ -101,12 +130,8 @@ def _rb_residuals(pair: LieYRepPair, tmap: Matrix, arities=(2, 3)):
     violation; the witness is {"identity", "tuple", "residual"}.
     """
     _check_tmap(pair, tmap)
-    alg, tarr = pair.algebra, tmap.arr
-    brackets = {2: lambda u: alg.bracket_images(tarr, tarr, u),        # [Tu, Tv]
-                3: lambda u: alg.triple_images(tarr, tarr, tarr, u)}   # <<Tu, Tv, Tw>>
     for arity in arities:
-        induced = _induced_brackets(pair.rep, pair.d, tmap, arity) @ tarr.T
-        wit = first_violation(lambda u: brackets[arity](u) - induced[u], (pair.dim_v,) * arity,
+        wit = first_violation(_rb_residual(pair, tmap.arr, arity), (pair.dim_v,) * arity,
                               identity=RB_LAWS[arity][0])
         if wit is not None:
             return wit
@@ -199,7 +224,7 @@ def _deformed_vs_induced(deformed, rep, d, tmap: Matrix, arity, **tags):
 
     deformed is the pair (binary, ternary) of tensors; arity 2 or 3 picks one.
     """
-    diff = deformed[arity - 2].arr - _induced_brackets(rep, d, tmap, arity)
+    diff = deformed[arity - 2].arr - _induced_brackets(rep, d, tmap.arr, arity)
     return first_violation(diff.__getitem__, (tmap.cols,) * arity, **tags)
 
 
@@ -224,12 +249,23 @@ def append_twist_conditions(report: VerificationReport, pair: LieYRepPair,
     return sub
 
 
-def _rbn_report(pair: LieYRepPair, tmap: Matrix, smap: Matrix, nmap: Matrix):
-    """The defining report of a triple, and V^T when the twist conditions were reached."""
+def _rbn_report(pair: LieYRepPair, tmap: Matrix, smap: Matrix, nmap: Matrix, verified=False):
+    """The defining report of a triple, and V^T when the twist conditions were reached.
+
+    verified says that T is already known to be Rota-Baxter and N to be
+    Nijenhuis on the pair (a grid search's hits): then neither is checked
+    again, only the conditions on S and the twist conditions are
+    evaluated, and every consequence is still asserted.
+    """
     report = VerificationReport(subject="relative Rota-Baxter-Nijenhuis structure")
-    rb = _rb_residuals(pair, tmap)
-    report.add("rb-operator", rb is None, "T is a relative Rota-Baxter operator", rb)
-    ns = nijenhuis_structure_report(pair, nmap, smap).first_failure()
+    if verified:
+        ns = _append_s_conditions(VerificationReport(subject="nijenhuis structure (N, S)"),
+                                  pair, nmap, smap)
+    else:
+        rb = _rb_residuals(pair, tmap)
+        report.add("rb-operator", rb is None, "T is a relative Rota-Baxter operator", rb)
+        ns = nijenhuis_structure_report(pair, nmap, smap)
+    ns = ns.first_failure()
     report.add("nijenhuis-structure", ns is None, "(N, S) is a Nijenhuis structure", ns)
     if not report.passed:
         return report, None
@@ -347,14 +383,14 @@ def _compat_residual(pair: LieYRepPair, t1: Matrix, t2: Matrix):
     alg, rep, d = pair.algebra, pair.rep, pair.d
     m = pair.dim_v
     a1, a2 = t1.arr, t2.arr
-    rhs = _induced_brackets(rep, d, t2, 2) @ a1.T + _induced_brackets(rep, d, t1, 2) @ a2.T
+    rhs = _induced_brackets(rep, d, a2, 2) @ a1.T + _induced_brackets(rep, d, a1, 2) @ a2.T
     wit = first_violation(
         lambda u: alg.bracket_images(a1, a2, u) + alg.bracket_images(a2, a1, u) - rhs[u], (m,) * 2,
         identity="binary")
     if wit is not None:
         return wit
-    pure = {1: _induced_brackets(rep, d, t1, 3), 2: _induced_brackets(rep, d, t2, 3)}
-    mixed = _induced_brackets(rep, d, t1 + t2, 3) - pure[1] - pure[2]
+    pure = {1: _induced_brackets(rep, d, a1, 3), 2: _induced_brackets(rep, d, a2, 3)}
+    mixed = _induced_brackets(rep, d, (t1 + t2).arr, 3) - pure[1] - pure[2]
     for i, j, ti, tj in ((1, 2, a1, a2), (2, 1, a2, a1)):
         rhs = mixed @ ti.T + pure[i] @ tj.T
         wit = first_violation(

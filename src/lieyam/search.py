@@ -7,24 +7,37 @@ transcripts and reproduced exactly.  They are test utilities, exposed
 through the `search` CLI subcommand, not a general solver.
 
 The nonlinear laws (Rota-Baxter, Nijenhuis) are tested on every grid
-point.  The linear conditions (R B# skew, B# N^T = N B#, N R = R N,
-T S = N T) are not: `_grid_solutions` solves each system exactly and
-returns only its solutions that lie on the grid, in grid order.  Every
-solution is re-checked by the condition's own predicate before use.
+point, one block of candidates at a time (`_scan`): a block is stacked
+into one exact object array with a leading batch axis, the law's
+contractions (written once, in rotabaxter._rb_residual and
+algebra._nijenhuis_residual) run on the whole stack, and
+report.vanishing says which candidates pass.  The binary identity is
+evaluated on the whole block and the ternary one on its survivors only.
+Blocks follow `_matrices` order and grow from one candidate, doubling up
+to SCAN_BLOCK, so the hits come in grid order and a search with a small
+limit stops after little more work than its last hit needs.
+
+The linear conditions (R B# skew, B# N^T = N B#, N R = R N, T S = N T)
+are not tested on the grid: `_grid_solutions` solves each system exactly
+and returns only its solutions that lie on the grid, in grid order.
+Every solution is re-checked by the condition's own predicate before use.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
-from .algebra import LieYamagutiAlgebra, is_nijenhuis
+import numpy as np
+
+from .algebra import LieYamagutiAlgebra, _nijenhuis_residual
 from .errors import ConsequenceViolatedError, DimMismatchError
-from .linalg import Matrix, _echelon, vzero
+from .linalg import Matrix, _echelon, exact_array, vzero
 from .quadratic import QuadraticForm, is_invariant_form, is_rb_nijenhuis, is_skew_endomorphism
+from .report import vanishing
 from .reps import LieYRepPair, Representation, adjoint_rep, coadjoint_rep
-from .rotabaxter import is_rbn, is_relative_rb
+from .rotabaxter import _rb_residual, _rbn_report, is_relative_rb
 
 
 def _antisym_table(n, entries):
@@ -87,33 +100,90 @@ def _matrices(rows, cols, values):
         yield Matrix([entries[i * cols:(i + 1) * cols] for i in range(rows)])
 
 
+def _grid_matrix(key, rows, cols, values):
+    """The grid matrix whose entries, row by row, are values[key[0]], values[key[1]], ..."""
+    return Matrix([[values[i] for i in key[r * cols:(r + 1) * cols]] for r in range(rows)])
+
+
+#: Most candidates a grid scan stacks into one array.
+SCAN_BLOCK = 1024
+
+
+def _scan(rows, cols, values, residual, first, limit):
+    """The rows x cols grid matrices that satisfy a law, in `_matrices` order.
+
+    residual(stack, arity) gives the slabs (report.vanishing) of the law's
+    identity of that arity, 2 or 3, on a stack of candidates; their first
+    basis index runs over range(first).  The grid is walked in blocks of
+    1, 2, 4, ... SCAN_BLOCK candidates; the binary identity runs on the
+    whole block and the ternary one on its survivors.  At most `limit`
+    hits are returned.
+    """
+    hits = []
+    keys = product(range(len(values)), repeat=rows * cols)
+    grid = exact_array(values, (len(values),))
+    size = 1
+    while block := list(islice(keys, size)):
+        alive = np.arange(len(block))
+        stack = grid[np.array(block, dtype=np.intp).reshape(len(block), rows, cols)]
+        for arity in (2, 3):
+            if alive.size:
+                alive = alive[vanishing(residual(stack[alive], arity), (first,) * arity, alive.size)]
+        for k in alive:
+            hits.append(_grid_matrix(block[k], rows, cols, values))
+            if limit is not None and len(hits) >= limit:
+                return hits
+        size = min(2 * size, SCAN_BLOCK)
+    return hits
+
+
+class _LinearSystem:
+    """A linear fn on rows x cols matrices, reduced once for `_grid_solutions`.
+
+    The images of the unit matrices are the columns of the constraint
+    matrix A, and `_echelon` reduces [A | I] once.  A reduced row (a | c)
+    is a combination of the equations fn(X) = rhs, so a . x = c . rhs: a
+    row with its pivot in A solves that pivot coordinate, and a row with
+    a = 0 is a condition on rhs alone.  The reduction serves every rhs.
+    """
+
+    def __init__(self, fn, rows, cols):
+        size = rows * cols
+        images = [_flat(fn(Matrix([[int(i * cols + j == k) for j in range(cols)] for i in range(rows)])))
+                  for k in range(size)]
+        eqs = len(_flat(fn(Matrix.zero(rows, cols))))
+        system = Matrix([[m[e] for m in images] + [int(e == f) for f in range(eqs)] for e in range(eqs)],
+                        size + eqs)
+        self.pivots = _echelon(system._integer_rows())
+
+
+def _flat(x):
+    return [v for r in x.data for v in r]
+
+
 def _grid_solutions(fn, rows, cols, values, rhs=None):
     """The rows x cols grid matrices X with fn(X) = rhs, in `_matrices` order.
 
-    `fn` is linear and `values` are distinct; `rhs` defaults to zero.  The
-    images of the unit matrices, with rhs as one more column, form the
-    constraint matrix, which `_echelon` reduces once.  The free
+    `fn` is linear, or a `_LinearSystem` of it to reuse one reduction for
+    many rhs; `values` are distinct; `rhs` defaults to zero.  The free
     coordinates range over `values`, each pivot coordinate is solved
     exactly, and a point is kept when every coordinate is a grid value.
     An inconsistent system has no solutions; k free coordinates give
     len(values)**k candidates, the whole grid only when fn is zero.
     """
+    system = fn if isinstance(fn, _LinearSystem) else _LinearSystem(fn, rows, cols)
     size = rows * cols
+    target = None if rhs is None else _flat(rhs)
 
-    def flat(x):
-        return [v for r in x.data for v in r]
+    def combine(row):  # c . rhs for the reduced row (a | c)
+        return 0 if target is None else sum(c * target[k - size] for k, c in row.items() if k >= size)
 
-    images = [flat(fn(Matrix([[int(i * cols + j == k) for j in range(cols)] for i in range(rows)])))
-              for k in range(size)]
-    target = flat(rhs if rhs is not None else fn(Matrix.zero(rows, cols)))
-    system = Matrix([[m[e] for m in images] + [target[e]] for e in range(len(target))], size + 1)
-    pivots = _echelon(system._integer_rows())
-    if size in pivots:
+    if any(combine(row) for p, row in system.pivots.items() if p >= size):
         return []
-    free = [k for k in range(size) if k not in pivots]
-    # pivot p of row lead*x_p + sum a*x_k = c is x_p = (c - sum a*x_k) / lead
-    solve = [(p, row[p], row.get(size, 0), [(k, a) for k, a in row.items() if k not in (p, size)])
-             for p, row in pivots.items()]
+    free = [k for k in range(size) if k not in system.pivots]
+    # pivot p of row lead*x_p + sum a*x_k = c.rhs is x_p = (c.rhs - sum a*x_k) / lead
+    solve = [(p, row[p], combine(row), [(k, a) for k, a in row.items() if k < size and k != p])
+             for p, row in system.pivots.items() if p < size]
     index = {v: i for i, v in enumerate(values)}
     keys = []  # index tuples into `values`, whose order is the grid's
     for choice in product(range(len(values)), repeat=len(free)):
@@ -128,8 +198,7 @@ def _grid_solutions(fn, rows, cols, values, rhs=None):
         else:
             keys.append(key)
     keys.sort()
-    return [Matrix([[values[i] for i in key[r * cols:(r + 1) * cols]] for r in range(rows)])
-            for key in keys]
+    return [_grid_matrix(key, rows, cols, values) for key in keys]
 
 
 def _confirm(holds, x, condition):
@@ -140,47 +209,42 @@ def _confirm(holds, x, condition):
 
 def search_rb_operators(pair: LieYRepPair, values=(-2, -1, 0, 1, 2), limit=None):
     """All V -> g maps over the value grid passing the Rota-Baxter identities."""
-    hits = []
-    for t in _matrices(pair.dim_g, pair.dim_v, values):
-        if is_relative_rb(pair, t):
-            hits.append(t)
-            if limit is not None and len(hits) >= limit:
-                break
-    return hits
+    return _scan(pair.dim_g, pair.dim_v, values, lambda stack, arity: _rb_residual(pair, stack, arity),
+                 pair.dim_v, limit)
 
 
 def search_nijenhuis_operators(alg: LieYamagutiAlgebra, values=(-2, -1, 0, 1, 2), limit=None):
-    hits = []
-    for n in _matrices(alg.dim, alg.dim, values):
-        if is_nijenhuis(alg, n):
-            hits.append(n)
-            if limit is not None and len(hits) >= limit:
-                break
-    return hits
+    """All maps g -> g over the value grid passing the Nijenhuis law."""
+    return _scan(alg.dim, alg.dim, values, lambda stack, arity: _nijenhuis_residual(alg, stack, arity),
+                 alg.dim, limit)
 
 
 def search_rbn_triples(pair: LieYRepPair, values=(-2, -1, 0, 1, 2), limit=None,
                        require_nonzero=True):
     """Triples (T, S, N) over the grid passing the full triple conditions.
 
-    T and N come from the Rota-Baxter and Nijenhuis grid scans.  For each
-    nonzero pair the S candidates are the grid solutions of the linear
-    condition T S = N T, in grid order; the first that passes the full
-    triple conditions is the hit for that (T, N).
+    T and N come from the Rota-Baxter and Nijenhuis grid scans, which
+    have verified them.  For each nonzero pair the S candidates are the
+    grid solutions of the linear condition T S = N T, in grid order, its
+    system reduced once per T; the first S that passes the rest of the
+    triple conditions (those on S and the twist conditions) is the hit for
+    that (T, N).
     """
     hits = []
     rbs = search_rb_operators(pair, values)
     nijs = search_nijenhuis_operators(pair.algebra, values)
+    m = pair.dim_v
     for t in rbs:
         if require_nonzero and t.is_zero():
             continue
+        ts = _LinearSystem(lambda x: t * x, m, m)
         for n in nijs:
             if require_nonzero and n.is_zero():
                 continue
             nt = n * t
-            for s in _grid_solutions(lambda x: t * x, pair.dim_v, pair.dim_v, values, rhs=nt):
+            for s in _grid_solutions(ts, m, m, values, rhs=nt):
                 _confirm(nt == t * s, s, "T S = N T")
-                if is_rbn(pair, t, s, n):
+                if _rbn_report(pair, t, s, n, verified=True)[0].passed:
                     hits.append((t, s, n))
                     if limit is not None and len(hits) >= limit:
                         return hits

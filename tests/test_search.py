@@ -3,19 +3,24 @@ from fractions import Fraction
 
 import pytest
 
-from lieyam import LieYRepPair, Matrix, adjoint_rep
+from lieyam import LieYRepPair, Matrix, Representation, adjoint_rep, coadjoint_rep
 from lieyam import search
+from lieyam.algebra import is_nijenhuis
 from lieyam.errors import ConsequenceViolatedError
 from lieyam.reps import check_representation
+from lieyam.rotabaxter import is_relative_rb
 from lieyam.search import (
     CATALOG,
     _grid_solutions,
+    _LinearSystem,
     _matrices,
     catalog_algebra,
     change_basis,
     random_invertible,
     random_valid_pair,
+    search_nijenhuis_operators,
     search_quadratic_fixtures,
+    search_rb_operators,
     search_rbn_triples,
 )
 
@@ -82,9 +87,11 @@ def test_grid_solutions_match_brute_force(rows, cols, values, scalars):
         coeffs = [[rng.choice(scalars) for _ in range(size)] for _ in range(equations)]
         fn = _linear_map(coeffs, rows, cols)
         point = Matrix([[rng.choice(values) for _ in range(cols)] for _ in range(rows)])
+        system = _LinearSystem(fn, rows, cols)  # one reduction for both right-hand sides
         for rhs in (None, fn(point)):
             expected = _brute_force(fn, rows, cols, values, rhs or Matrix.zero(equations, 1))
             assert _grid_solutions(fn, rows, cols, values, rhs=rhs) == expected
+            assert _grid_solutions(system, rows, cols, values, rhs=rhs) == expected
             assert rhs is None or point in expected
 
 
@@ -117,3 +124,104 @@ def test_searches_recheck_every_solution(monkeypatch):
         search_rbn_triples(LieYRepPair(a2, adjoint_rep(a2)), (-1, 0, 1), limit=1)
     with pytest.raises(ConsequenceViolatedError, match="R B# skew"):
         search_quadratic_fixtures(names=("abelian2",))
+
+
+# ---------------------------------------------------------------------------
+# the block scans of the nonlinear laws, against the per-candidate predicates
+
+
+def _rational_basis(name, seed):
+    """A catalog algebra in a seeded basis of determinant 2, so that some of
+    its structure constants are not integers."""
+    alg = catalog_algebra(name)
+    p = random_invertible(alg.dim, random.Random(seed)) * Matrix.diag([1] * (alg.dim - 1) + [2])
+    moved = change_basis(alg, p)
+    assert any(isinstance(x, Fraction) for x in (*moved.b_arr.ravel(), *moved.t_arr.ravel()))
+    return moved
+
+
+def _rb_case(alg, rep):
+    pair = LieYRepPair(alg, rep(alg))
+    return (lambda values, limit: search_rb_operators(pair, values, limit=limit),
+            lambda x: is_relative_rb(pair, x), pair.dim_g, pair.dim_v)
+
+
+def _nijenhuis_case(alg):
+    return (lambda values, limit: search_nijenhuis_operators(alg, values, limit=limit),
+            lambda x: is_nijenhuis(alg, x), alg.dim, alg.dim)
+
+
+def _filtered(holds, rows, cols, values, limit=None):
+    hits = []
+    for x in _matrices(rows, cols, values):
+        if holds(x):
+            hits.append(x)
+            if len(hits) == limit:
+                break
+    return hits
+
+
+SCAN_CASES = {
+    # most candidates fail
+    "rb-a2-adjoint": lambda: _rb_case(catalog_algebra("a2"), adjoint_rep),
+    "rb-sl2-coadjoint": lambda: _rb_case(catalog_algebra("sl2"), coadjoint_rep),
+    "nijenhuis-heis3": lambda: _nijenhuis_case(catalog_algebra("heis3")),
+    # structure constants with non-integer entries
+    "rb-heis3-rational-adjoint": lambda: _rb_case(_rational_basis("heis3", 0), adjoint_rep),
+    "rb-so3-rational-coadjoint": lambda: _rb_case(_rational_basis("so3", 1), coadjoint_rep),
+    "nijenhuis-sl2-rational": lambda: _nijenhuis_case(_rational_basis("sl2", 0)),
+}
+
+# (values, limit) per case: whole small grids, limited walks through larger
+# ones, and the one-point grids
+SCAN_GRIDS = [(name, values, limit) for name in SCAN_CASES
+              for values, limit in (((0, 1), None), ((1, 0), 5), ((2,), None), ((0,), None))]
+SCAN_GRIDS += [("rb-a2-adjoint", (-2, -1, 0, 1, 2), None), ("rb-a2-adjoint", (1, -1, 0), 5),
+               ("rb-sl2-coadjoint", (-1, 0, 1), 12), ("nijenhuis-heis3", (-1, 0, 1), 12)]
+
+
+@pytest.mark.parametrize("name, values, limit", SCAN_GRIDS)
+def test_block_scan_matches_per_candidate_filter(name, values, limit):
+    """The batched scans return exactly the grid matrices the per-candidate
+    predicates accept, in grid order, up to the limit."""
+    scan, holds, rows, cols = SCAN_CASES[name]()
+    assert scan(values, limit) == _filtered(holds, rows, cols, values, limit)
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 4, 7, 8, 15, 16])
+def test_block_scan_limit_at_block_edges(limit):
+    """Every candidate passes on abelian2 (with a 2-dim zero rep), so the
+    limit-th hit is candidate number `limit`, the first or the last of a
+    block of 1, 2, 4, 8, 16 candidates; on A2 the hits are sparse."""
+    abelian = catalog_algebra("abelian2")
+    cases = [_rb_case(abelian, lambda alg: Representation.zero(2, 2)), _nijenhuis_case(abelian),
+             _rb_case(catalog_algebra("a2"), coadjoint_rep)]
+    values = (-2, -1, 0, 1, 2)
+    for scan, holds, rows, cols in cases:
+        assert scan(values, limit) == _filtered(holds, rows, cols, values, limit)
+    assert cases[0][0](values, limit) == list(_matrices(2, 2, values))[:limit]
+
+
+def test_block_scan_grows_blocks_and_tests_ternary_on_survivors(monkeypatch):
+    """Blocks double from one candidate up to SCAN_BLOCK; the ternary
+    identity sees only the binary survivors; a limit stops the walk."""
+    seen = []
+    law = search._rb_residual
+
+    def recording(pair, stack, arity):
+        seen.append((arity, len(stack)))
+        return law(pair, stack, arity)
+
+    monkeypatch.setattr(search, "_rb_residual", recording)
+    monkeypatch.setattr(search, "SCAN_BLOCK", 4)
+    abelian = LieYRepPair(catalog_algebra("abelian2"), Representation.zero(2, 1))
+    assert len(search_rb_operators(abelian, (0, 1), limit=3)) == 3
+    assert seen == [(2, 1), (3, 1), (2, 2), (3, 2)]
+    seen.clear()
+    assert len(search_rb_operators(abelian, (0, 1))) == 4
+    assert seen == [(2, 1), (3, 1), (2, 2), (3, 2), (2, 1), (3, 1)]
+    seen.clear()
+    a2 = LieYRepPair(catalog_algebra("a2"), adjoint_rep(catalog_algebra("a2")))
+    hits = search_rb_operators(a2, (-1, 0, 1))
+    assert [n for arity, n in seen if arity == 2] == [1, 2] + [4] * 19 + [2]
+    assert sum(n for arity, n in seen if arity == 3) < 81 and len(hits) == 15
