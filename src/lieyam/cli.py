@@ -74,6 +74,11 @@ MAX_DEGREE = 16
 #: dense entries dim C^p * dim C^{p+1}.  The largest tier-1 or benchmark
 #: request is the classical delta_3 at dim 4, 4,320 x 720.
 MAX_COBOUNDARY_ENTRIES = 4_000_000
+#: Largest grid that `search rbo` and `search rbn` scan, counted as the
+#: candidate matrices |values|^(dim g * dim V) of T and |values|^(dim g^2)
+#: of N.  The largest tier-1 or benchmark request is sl2 with its coadjoint
+#: representation over -1,0,1, 3^9 = 19,683 candidates.
+MAX_GRID_POINTS = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -333,11 +338,13 @@ def _run(args) -> int:
             raise ParseError(f"search {args.what} needs --pair")
         report = VerificationReport(subject=f"search {args.what}")
         found: list = []
+        if args.what != "quadratic":
+            alg, rep = representation_from_dict(_read_json(args.pair), base_dir=os_dirname(args.pair))
+            _check_grid_size(args.what, len(values), alg.dim, rep.module_dim)
+            pair = LieYRepPair(alg, rep)
         if args.what == "rbo":
-            pair = load_pair(args.pair)
             found = [operator_to_dict(t) for t in search_rb_operators(pair, values, limit=limit)]
         elif args.what == "rbn":
-            pair = load_pair(args.pair)
             found = [
                 {"T": operator_to_dict(t), "S": operator_to_dict(s), "N": operator_to_dict(n)}
                 for (t, s, n) in search_rbn_triples(pair, values, limit=limit)
@@ -371,6 +378,16 @@ def _check_coboundary_size(complex_, n, m, degree):
     if rows * cols > MAX_COBOUNDARY_ENTRIES:
         raise ParseError(f"cohomology: the {complex_} coboundary C^{degree} -> C^{degree + 1} would be "
                          f"{rows} x {cols}; the limit is {MAX_COBOUNDARY_ENTRIES} entries")
+
+
+def _check_grid_size(what, count, n, m):
+    """ParseError unless the grids that `search what` scans, of T (n x m)
+    and, for rbn, of N (n x n), hold at most MAX_GRID_POINTS matrices each
+    (checked before the pair is validated)."""
+    for name, size in (("T", n * m),) + ((("N", n * n),) if what == "rbn" else ()):
+        if count ** size > MAX_GRID_POINTS:
+            raise ParseError(f"search {what}: the grid of {name} would hold {count}^{size} matrices; "
+                             f"the limit is {MAX_GRID_POINTS}")
 
 
 def _deformation_to_dict(d):

@@ -457,6 +457,35 @@ def test_search_input_contract(capsys):
     assert counts == [15, 15, 15]
 
 
+def test_search_grid_bound(tmp_path, capsys):
+    """A search grid above MAX_GRID_POINTS is an input error, found before the
+    pair is validated: sl2 with its adjoint has 5^9 T on the default grid,
+    and with a 1-dim zero rep 5^3 T (scanned) but 5^9 N (refused for rbn)."""
+    from lieyam import LieYRepPair, Representation, adjoint_rep
+    from lieyam.cli import MAX_GRID_POINTS
+    from lieyam.jsonio import pair_to_dict
+    from lieyam.search import catalog_algebra
+
+    sl2 = catalog_algebra("sl2")
+    adjoint = pair_to_dict(LieYRepPair(sl2, adjoint_rep(sl2)))
+    adjoint["rho"][0][0][0] = "1"  # no longer a representation: the bound comes first
+    zero = pair_to_dict(LieYRepPair(sl2, Representation.zero(3, 1)))
+    for name, pair, what, refused in (("adjoint", adjoint, "rbo", "T would hold 5^9"),
+                                      ("adjoint", adjoint, "rbn", "T would hold 5^9"),
+                                      ("zero", zero, "rbn", "N would hold 5^9")):
+        path = tmp_path / f"sl2-{name}.json"
+        dump_json(pair, str(path))
+        code, out = run_cli("--format", "json", "search", what, "--pair", str(path), capsys=capsys)
+        _assert_contract(code, out)
+        assert code == 2 and out.out == ""
+        assert out.err.startswith("input error: ") and refused in out.err
+        assert str(MAX_GRID_POINTS) in out.err
+    code, out = run_cli("--format", "json", "search", "rbo", "--pair", str(tmp_path / "sl2-zero.json"),
+                        capsys=capsys)
+    _assert_contract(code, out)
+    assert code == 0 and json.loads(out.out)["count"] == 5 ** 3
+
+
 _junk = st.recursive(st.one_of(st.none(), st.booleans(), st.integers(-2, 3), st.text(max_size=3)),
                      lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
                                                                                  max_size=3),
