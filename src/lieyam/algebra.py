@@ -197,16 +197,16 @@ def _homomorphism_residual(p, src, dst: LieYamagutiAlgebra, arity):
 
     src is the source's structure constants of that arity (b_arr or t_arr).
     p and src may carry the same leading batch axes; a slab takes the maps
-    `sel` of a stack (report.vanishing).
+    `sel` of a stack (report.vanishing).  phi applied to the last axis is
+    a matmul with p.mT, given one more axis per extra index of the slab.
     """
     def binary(i, sel=Ellipsis):
         q = p[sel]
-        return np.einsum("...jc,...kc->...jk", src[sel][..., i, :, :], q) - dst.bracket_images(q, q, i)
+        return src[sel][..., i, :, :] @ q.mT - dst.bracket_images(q, q, i)
 
     def ternary(i, sel=Ellipsis):
         q = p[sel]
-        return (np.einsum("...jkc,...lc->...jkl", src[sel][..., i, :, :, :], q)
-                - dst.triple_images(q, q, q, i))
+        return src[sel][..., i, :, :, :] @ q.mT[..., None, :, :] - dst.triple_images(q, q, q, i)
 
     return binary if arity == 2 else ternary
 
@@ -239,7 +239,7 @@ def _deformation_binary(alg: LieYamagutiAlgebra, na):
     (or a stack of them, with leading batch axes)."""
     b = alg.b_arr
     return (np.einsum("...ai,ajk->...ijk", na, b) + np.einsum("...aj,iak->...ijk", na, b)
-            - np.einsum("ijc,...kc->...ijk", b, na))
+            - b @ na.mT[..., None, :, :])
 
 
 def _deformation_ternary(alg: LieYamagutiAlgebra, na):
@@ -247,10 +247,10 @@ def _deformation_ternary(alg: LieYamagutiAlgebra, na):
     t = alg.t_arr
     t1 = np.einsum("...ai,ajkl->...ijkl", na, t)        # <<Nx,y,z>>
     t2 = np.einsum("...aj,iakl->...ijkl", na, t)        # <<x,Ny,z>>
-    phi1 = (t1 + t2 + np.einsum("...ak,ijal->...ijkl", na, t)
-            - np.einsum("ijkc,...lc->...ijkl", t, na))
+    n_last = na.mT[..., None, None, :, :]               # N applied to the last axis
+    phi1 = t1 + t2 + np.einsum("...ak,ijal->...ijkl", na, t) - t @ n_last
     phi2 = (np.einsum("...bj,...ibkl->...ijkl", na, t1) + np.einsum("...bk,...ijbl->...ijkl", na, t2)
-            + np.einsum("...bk,...ijbl->...ijkl", na, t1) - np.einsum("...ijkc,...lc->...ijkl", phi1, na))
+            + np.einsum("...bk,...ijbl->...ijkl", na, t1) - phi1 @ n_last)
     return phi1, phi2
 
 

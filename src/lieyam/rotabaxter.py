@@ -113,12 +113,11 @@ def _rb_residual(pair: LieYRepPair, tarr, arity):
 
     def binary(u, sel=Ellipsis):
         t = tarr[sel]
-        return alg.bracket_images(t, t, u) - np.einsum("...vx,...kx->...vk", induced[sel][..., u, :, :], t)
+        return alg.bracket_images(t, t, u) - induced[sel][..., u, :, :] @ t.mT
 
     def ternary(u, sel=Ellipsis):
         t = tarr[sel]
-        return (alg.triple_images(t, t, t, u)
-                - np.einsum("...vwx,...lx->...vwl", induced[sel][..., u, :, :, :], t))
+        return alg.triple_images(t, t, t, u) - induced[sel][..., u, :, :, :] @ t.mT[..., None, :, :]
 
     return binary if arity == 2 else ternary
 
