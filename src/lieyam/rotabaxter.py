@@ -109,17 +109,13 @@ def _rb_residual(pair: LieYRepPair, tarr, arity):
     for tarr the array of T, or a stack of them with leading batch axes.
     A slab takes the operators `sel` of a stack (report.vanishing).
     """
-    alg, induced = pair.algebra, _induced_brackets(pair.rep, pair.d, tarr, arity)
-
-    def binary(u, sel=Ellipsis):
-        t = tarr[sel]
-        return alg.bracket_images(t, t, u) - induced[sel][..., u, :, :] @ t.mT
-
-    def ternary(u, sel=Ellipsis):
-        t = tarr[sel]
-        return alg.triple_images(t, t, t, u) - induced[sel][..., u, :, :, :] @ t.mT[..., None, :, :]
-
-    return binary if arity == 2 else ternary
+    alg, t = pair.algebra, tarr
+    if arity == 2:
+        image = _induced_brackets(pair.rep, pair.d, t, 2) @ t.mT[..., None, :, :]       # T([u,v]^T)
+        return lambda u, sel=Ellipsis: alg.bracket_images(t[sel], t[sel], u) - image[sel][..., u, :, :]
+    image = _induced_brackets(pair.rep, pair.d, t, 3) @ t.mT[..., None, None, :, :]     # T(<<u,v,w>>^T)
+    return lambda u, sel=Ellipsis: (alg.triple_images(t[sel], t[sel], t[sel], u)
+                                    - image[sel][..., u, :, :, :])
 
 
 def _rb_residuals(pair: LieYRepPair, tmap: Matrix, arities=(2, 3)):
