@@ -10,8 +10,10 @@ its first two slots; both are validated at construction.  The four
 defining axioms are *not* assumed: run check_axioms.
 
 All operations are multilinear, so every identity is verified on all
-basis tuples.  The structure constants are kept as exact object arrays
-(``b_arr``, ``t_arr``; see linalg.exact_array) and each axiom is one
+basis tuples.  The structure constants are kept as exact arrays
+(``b_arr``, ``t_arr``; see linalg.exact_array: an ExactArray of int64 or
+Python-int numerators over rationals, an object array over Q[t]) and
+each axiom is one
 residual array per first basis index, contracted with np.einsum (two
 operands per call) and scanned by report.first_violation.  The code is
 generic over the scalar ring (rationals or polynomials in t), enabling
@@ -31,7 +33,7 @@ from itertools import product
 import numpy as np
 
 from .errors import AntisymmetryError, DimMismatchError
-from .linalg import Matrix, Tensor, exact_array
+from .linalg import ExactArray, Matrix, Tensor, exact_array
 from .report import VerificationReport, first_violation
 
 LAWS = {
@@ -49,7 +51,7 @@ def _constants(value, dim, arity, name):
     shape = (dim,) * (arity + 1)
     if isinstance(value, Tensor):
         value = value.arr
-    if isinstance(value, np.ndarray):
+    if isinstance(value, (np.ndarray, ExactArray)):
         if value.shape != shape:
             raise DimMismatchError(f"{name} tensor shape {value.shape} != {shape}")
         return exact_array(value.ravel(), shape)

@@ -21,7 +21,7 @@ The reshaped representation of (N, S) is written in one place:
 _hat_linear holds hat-rho(x) = rho(Nx) + rho(x)S - S rho(x) and the
 degree-1 term varpi1, _hat_bilinear holds hat-mu = varpi2 and the closed
 form hat-D.  Both act on the whole operator tables at once, as exact
-object arrays indexed by the basis of g (rho[x], mu[x, y], D[x, y]).
+arrays indexed by the basis of g (rho[x], mu[x, y], D[x, y]).
 Every structure condition has the form X(N.) S = S hat-X(.), so the
 residuals of the structure report, the trivial deformation and the
 reshaped pair (_hat_pair, behind hat_rep) all evaluate those two
@@ -102,9 +102,10 @@ def _check_shapes(pair: LieYRepPair, d: DeformationData):
             raise DimMismatchError("deformation operators must act on the module")
 
 
-def _table(mats) -> np.ndarray:
-    """A (nested) list of Matrices as one object array, indexed [i, (j,) row, col]."""
-    return np.array([_table(m) if isinstance(m, list) else m.arr for m in mats], dtype=object)
+def _table(mats):
+    """A (nested) list of Matrices as one exact array, indexed [i, (j,) row, col]."""
+    arrs = [_table(m) if isinstance(m, list) else m.arr for m in mats]
+    return np.stack(arrs) if arrs else np.array(arrs, dtype=object)
 
 
 def deformed_pair_structures(pair: LieYRepPair, d: DeformationData):

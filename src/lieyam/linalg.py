@@ -3,11 +3,14 @@
 Matrices act on coordinate columns: column k of a map's matrix is the
 image of the k-th basis vector.  Vectors are plain tuples of scalars.
 
-The laws of the package are evaluated on exact numpy arrays of
-dtype=object (`exact_array`, `Matrix.arr`, `Tensor.arr`): each entry is
-an int when its value is integral and a Fraction or a Poly otherwise, so
-rationals and polynomials in t share one array type and integral entries
-get plain int arithmetic.
+The laws of the package are evaluated on exact arrays (`exact_array`,
+`Matrix.arr`, `Tensor.arr`).  An array whose entries are all rational is
+an ExactArray: integer numerators over one common denominator, int64
+while a bound on their magnitude carried through every operation stays
+below INT64_LIMIT, Python ints in an object array beyond it.  An array
+with genuine polynomials in t is a numpy array of dtype=object holding
+ints, Fractions and Polys.  Entries leave either kind as ints (integral
+values), Fractions or Polys.
 
 rank / nullspace / inverse are only defined over the rationals; matrices
 with genuine polynomial entries are rejected (evaluate t first).  All
@@ -31,7 +34,15 @@ from .errors import DimMismatchError, PolynomialEntriesError, SingularMatrixErro
 from .scalars import Poly, as_fraction, is_zero
 
 # ---------------------------------------------------------------------------
-# exact object arrays
+# exact arrays
+
+#: An ExactArray keeps int64 numerators while its carried bound is below
+#: this, and Python ints in an object array from there on.
+INT64_LIMIT = 2**62
+
+#: Arithmetic operations (contractions, sums, products) run so far, by the
+#: kind of numerator they ran on.
+NUMERATOR_OPS = {"int64": 0, "object": 0}
 
 
 def _norm_scalar(x):
@@ -41,20 +52,299 @@ def _norm_scalar(x):
         x = x.coeffs[0] if x.coeffs else 0
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
+    if isinstance(x, np.integer):
+        return int(x)
     return x
 
 
 #: _norm_scalar on every entry of an object array (a ufunc: one call per array)
-exact = np.frompyfunc(_norm_scalar, 1, 1)
+normalize = np.frompyfunc(_norm_scalar, 1, 1)
+
+
+def _ratio(n, den):
+    q = Fraction(n, den)
+    return q.numerator if q.denominator == 1 else q
+
+
+_over = np.frompyfunc(_ratio, 2, 1)
+
+
+class ExactArray:
+    """An array of rationals: integer numerators `num` over one denominator `den`.
+
+    `bound` is an upper bound on |num|, carried through every operation
+    without reading the entries: a contraction over K summed terms has
+    bound K*a*b, a sum a*(L/da) + b*(L/db) over L = lcm(da, db), and
+    indexing, transposing and negating keep it.  The numerators are int64
+    while the bound is below INT64_LIMIT, so no int64 operation can
+    overflow, and Python ints in an object array otherwise.  The
+    denominator is not reduced; the entries leave the array (tolist,
+    iteration, scalar indexing, np.asarray) as ints and Fractions.
+
+    The law code reads these arrays as it would numpy arrays: np.einsum,
+    np.stack, +, -, *, @, indexing, .T, .mT, transpose, reshape and
+    comparison with a scalar run on the numerators; any other numpy
+    function or operand (a Poly array, say) gets the entries as an exact
+    object array instead.
+    """
+
+    __slots__ = ("num", "den", "bound", "_obj")
+
+    def __init__(self, num, den, bound):
+        self.num, self.den, self.bound, self._obj = num, den, bound, None
+
+    # -- shape and views -----------------------------------------------------
+
+    shape = property(lambda self: self.num.shape)
+    size = property(lambda self: self.num.size)
+    T = property(lambda self: ExactArray(self.num.T, self.den, self.bound))
+    mT = property(lambda self: ExactArray(self.num.mT, self.den, self.bound))
+
+    def __len__(self):
+        return len(self.num)
+
+    def __getitem__(self, idx):
+        num = self.num[idx]
+        if type(num) is np.ndarray:
+            return ExactArray(num, self.den, self.bound)
+        return int(num) if self.den == 1 else _ratio(int(num), self.den)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self.num)))
+
+    def transpose(self, *axes):
+        return ExactArray(self.num.transpose(*axes), self.den, self.bound)
+
+    def reshape(self, *shape):
+        return ExactArray(self.num.reshape(*shape), self.den, self.bound)
+
+    def ravel(self):
+        return ExactArray(self.num.ravel(), self.den, self.bound)
+
+    # -- leaving the array ---------------------------------------------------
+
+    def __array__(self, dtype=None, copy=None):
+        """The entries as a read-only object array of ints and Fractions."""
+        if self._obj is None:
+            obj = self.num.astype(object)
+            self._obj = obj if self.den == 1 else np.asarray(_over(obj, self.den), dtype=object)
+            self._obj.flags.writeable = False
+        out = self._obj if dtype is None else self._obj.astype(dtype)
+        return out.copy() if copy and out is self._obj else out
+
+    def tolist(self):
+        return self.num.tolist() if self.den == 1 else np.asarray(self).tolist()
+
+    def __repr__(self):
+        return f"ExactArray({np.asarray(self)!r})"
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def __neg__(self):
+        return ExactArray(-self.num, self.den, self.bound)
+
+    def __add__(self, other):
+        return _sum(self, other, 1)
+
+    def __radd__(self, other):
+        return _sum(other, self, 1)
+
+    def __sub__(self, other):
+        return _sum(self, other, -1)
+
+    def __rsub__(self, other):
+        return _sum(other, self, -1)
+
+    def __mul__(self, other):
+        return _contract(np.multiply, (self, other), 1)
+
+    def __rmul__(self, other):
+        return _contract(np.multiply, (other, self), 1)
+
+    def __matmul__(self, other):
+        return _contract(np.matmul, (self, other), self.num.shape[-1])
+
+    def __eq__(self, other):
+        if type(other) is int and other == 0:
+            return self.num == 0
+        return np.asarray(self) == _plain(other)
+
+    def __ne__(self, other):
+        if type(other) is int and other == 0:
+            return self.num != 0
+        return np.asarray(self) != _plain(other)
+
+    __hash__ = None
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        op = _UFUNCS.get(ufunc) if method == "__call__" and not kwargs else None
+        if op is not None:
+            return op(*inputs)
+        return getattr(ufunc, method)(*_plain(inputs), **_plain(kwargs))
+
+    def __array_function__(self, func, types, args, kwargs):
+        out = None
+        if func is np.einsum and not kwargs:
+            out = _einsum(args[0], args[1:])
+        elif func is np.stack and not kwargs and len(args) == 1:
+            out = _stack(args[0])
+        return func(*_plain(args), **_plain(kwargs)) if out is None else out
+
+
+def _plain(x):
+    """x with every ExactArray in it (in nested lists, tuples and dicts) as an object array."""
+    if isinstance(x, ExactArray):
+        return np.asarray(x)
+    if isinstance(x, (list, tuple)):
+        return type(x)(_plain(y) for y in x)
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    return x
+
+
+def _contract(func, operands, terms, *head):
+    """func(*head, *numerators) over the product of the denominators, for a
+    result each of whose entries sums `terms` products of one entry of each
+    operand."""
+    bound, den = terms, 1
+    for x in operands:
+        if type(x) is not ExactArray:
+            return func(*head, *_plain(operands))
+        bound *= x.bound
+        den *= x.den
+    if bound < INT64_LIMIT:
+        NUMERATOR_OPS["int64"] += 1
+        num = func(*head, *[x.num for x in operands])
+        return ExactArray(num if type(num) is np.ndarray else np.asarray(num), den, bound)
+    NUMERATOR_OPS["object"] += 1
+    num = func(*head, *[x.num.astype(object) for x in operands])
+    return ExactArray(np.asarray(num, dtype=object), den, bound)
+
+
+def _sum(a, b, sign):
+    """a + b for sign 1, a - b for sign -1."""
+    if type(a) is not ExactArray or type(b) is not ExactArray:
+        return (np.add if sign > 0 else np.subtract)(*_plain((a, b)))
+    den = a.den if a.den == b.den else lcm(a.den, b.den)
+    fa, fb = den // a.den, den // b.den
+    bound = a.bound * fa + b.bound * fb
+    p, q = a.num, b.num
+    if max(bound, fa, fb) < INT64_LIMIT:
+        NUMERATOR_OPS["int64"] += 1
+    else:
+        NUMERATOR_OPS["object"] += 1
+        p, q = p.astype(object), q.astype(object)
+    if fa != 1:
+        p = p * fa
+    if fb != 1:
+        q = q * fb
+    return _result(p + q if sign > 0 else p - q, den, bound)
+
+
+def _result(num, den, bound):
+    """The ExactArray of a result's numerators, int64 exactly when its bound fits."""
+    dtype = _INT64 if bound < INT64_LIMIT else _OBJECT
+    if type(num) is not np.ndarray or num.dtype is not dtype:
+        num = np.asarray(num, dtype=dtype)
+    return ExactArray(num, den, bound)
+
+
+_INT64, _OBJECT = np.dtype(np.int64), np.dtype(object)
+
+
+def _stack(arrays):
+    """np.stack of ExactArrays on their common denominator."""
+    if not arrays or any(type(x) is not ExactArray for x in arrays):
+        return np.stack(_plain(arrays))
+    den = lcm(*(x.den for x in arrays))
+    bound = max(x.bound * (den // x.den) for x in arrays)
+    fits = max(bound, den) < INT64_LIMIT
+    NUMERATOR_OPS["int64" if fits else "object"] += 1
+    return _result(np.stack([(x.num if fits else x.num.astype(object)) * (den // x.den)
+                             for x in arrays]), den, bound)
+
+
+_UFUNCS = {
+    np.add: lambda a, b: _sum(a, b, 1),
+    np.subtract: lambda a, b: _sum(a, b, -1),
+    np.negative: lambda a: -a,
+    np.multiply: lambda a, b: _contract(np.multiply, (a, b), 1),
+    np.matmul: lambda a, b: _contract(np.matmul, (a, b), a.shape[-1]),
+}
+
+# np.einsum hands its operands to c_einsum when it is not asked to optimize;
+# calling that directly saves the dispatch on every one of the law's einsums
+try:
+    from numpy._core.multiarray import c_einsum as _c_einsum
+except ImportError:  # pragma: no cover - other numpy layouts
+    _c_einsum = np.einsum
+
+# subscripts -> (operand, axis) of one occurrence of every index summed over
+_SUMMED = {}
+
+
+def _summed_axes(subscripts):
+    inputs, _, output = subscripts.replace(" ", "").partition("->")
+    where = {}  # the axis is counted from the end after an ellipsis
+    for k, term in enumerate(inputs.split(",")):
+        head, _, tail = term.partition("...")
+        for p, c in enumerate(head):
+            where.setdefault(c, (k, p))
+        for p, c in enumerate(tail):
+            where.setdefault(c, (k, p - len(tail)))
+    return [ax for c, ax in where.items() if c not in output]
+
+
+def _einsum(subscripts, operands):
+    """np.einsum of ExactArrays with explicit output subscripts, or None for
+    any other call.  Each output entry sums one product per value of the
+    indices summed over."""
+    if type(subscripts) is not str or "->" not in subscripts:
+        return None
+    axes = _SUMMED.get(subscripts)
+    if axes is None:
+        axes = _SUMMED[subscripts] = _summed_axes(subscripts)
+    terms = 1
+    for k, p in axes:
+        if type(operands[k]) is not ExactArray:
+            return None
+        terms *= operands[k].num.shape[p]
+    return _contract(_c_einsum, operands, terms, subscripts)
+
+
+def exact(arr):
+    """The entries of an array as an exact array (see exact_array)."""
+    if isinstance(arr, ExactArray):
+        return arr
+    return exact_array(np.asarray(arr).ravel(), np.shape(arr))
 
 
 def exact_array(entries, shape):
-    """Row-major `entries` as a read-only exact object array of `shape`."""
+    """Row-major `entries` as an exact array of `shape`.
+
+    Every entry is normalized (integral Fractions to ints, constant
+    polynomials to rationals).  When all are rational the result is an
+    ExactArray over the lcm of their denominators; otherwise (genuine
+    polynomials in t) it is a read-only object array.
+    """
+    if isinstance(entries, ExactArray):
+        return entries.reshape(shape)
     flat = np.empty(prod(shape), dtype=object)
     flat[:] = entries
-    out = exact(flat).reshape(shape)
-    out.flags.writeable = False
-    return out
+    flat = normalize(flat)
+    den = 1
+    for x in flat:
+        if type(x) is Fraction:
+            den = lcm(den, x.denominator)
+        elif type(x) is not int:
+            out = flat.reshape(shape)
+            out.flags.writeable = False
+            return out
+    nums = flat.tolist() if den == 1 else [x.numerator * (den // x.denominator) for x in flat]
+    bound = max(map(abs, nums), default=0)
+    num = np.array(nums, dtype=np.int64 if bound < INT64_LIMIT else object).reshape(shape)
+    num.flags.writeable = False
+    return ExactArray(num, den, bound)
 
 
 # ---------------------------------------------------------------------------

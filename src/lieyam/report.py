@@ -7,10 +7,11 @@ lexicographic order, with its exact residual (``tuple``, ``residual``).
 A check that bundles several laws also names the failing one
 (``identity``, ``arrow`` or ``check``).
 
-A law is evaluated as exact object arrays of residuals, one slab per
-first basis index (first_violation): the slabs are computed in order and
-the scan stops at the first one with a nonzero entry, whose first nonzero
-position is the witness.  So the witness is the lexicographically first
+A law is evaluated as exact arrays of residuals (linalg.ExactArray, or
+object arrays over Q[t]), one slab per first basis index
+(first_violation): the slabs are computed in order and the scan stops at
+the first one with a nonzero entry, whose first nonzero position is the
+witness, its residual turned back into Fractions.  So the witness is the lexicographically first
 violating tuple, and a law that computes each slab on demand holds only
 one in memory.
 
@@ -27,6 +28,7 @@ from math import prod
 
 import numpy as np
 
+from .linalg import ExactArray
 from .scalars import Poly, format_scalar
 
 
@@ -44,6 +46,8 @@ def _jsonable(value):
 
 def _witness_value(value):
     """A residual entry or array as exact scalars in nested tuples, integers as Fractions."""
+    if isinstance(value, ExactArray):
+        value = np.asarray(value)
     if isinstance(value, np.ndarray):
         return tuple(_witness_value(x) for x in value)
     return Fraction(value) if isinstance(value, int) else value
@@ -52,7 +56,7 @@ def _witness_value(value):
 def first_violation(residual, shape, **tags):
     """The first index tuple over `shape`, in lexicographic order, with a nonzero residual.
 
-    residual(i) is the exact object array of the residuals at every tuple
+    residual(i) is the exact array of the residuals at every tuple
     with first index i: its leading axes run over shape[1:], the others
     hold the value (a vector, a matrix, or none for a scalar).  The slabs
     are evaluated for i = 0, 1, ... until one has a nonzero entry.

@@ -11,8 +11,9 @@ The derived operator is
 
 and is skew-symmetric by construction.
 
-rho, mu and D are kept as exact object arrays (rho_arr[i], mu_arr[i, j],
-D.arr[i, j]; see linalg.exact_array), and every law is written once as
+rho, mu and D are kept as exact arrays (rho_arr[i], mu_arr[i, j],
+D.arr[i, j]; see linalg.exact_array: ExactArrays over the rationals,
+object arrays over Q[t]), and every law is written once as
 a residual array per first basis index, contracted with np.einsum and
 scanned by report.first_violation: rep1-rep5 and der1-der3 (the table
 _law_residuals, behind check_representation and
@@ -35,7 +36,7 @@ import numpy as np
 
 from .algebra import LieYamagutiAlgebra, homomorphism_witness
 from .errors import DimMismatchError, InternalConsistencyError, InvalidRepresentationError
-from .linalg import Matrix, exact, exact_array
+from .linalg import ExactArray, Matrix, exact, exact_array
 from .report import VerificationReport, first_violation
 
 REP_LAWS = {
@@ -65,7 +66,7 @@ class Representation:
         # each built on first use and freed with the representation
         self._coboundary_terms = None
         self._derived = None
-        if isinstance(rho, np.ndarray):
+        if isinstance(rho, (np.ndarray, ExactArray)):
             if rho.shape != (n, m, m) or mu.shape != (n, n, m, m):
                 raise DimMismatchError(f"rho/mu arrays must have shapes {(n, m, m)} and {(n, n, m, m)}")
             self.rho_arr, self.mu_arr = exact(rho), exact(mu)

@@ -46,7 +46,7 @@ import numpy as np
 
 from .algebra import LieYamagutiAlgebra
 from .errors import DegreeCapExceededError, DimMismatchError
-from .linalg import Matrix, exact
+from .linalg import Matrix, normalize
 from .reps import Representation, _derived
 from .scalars import is_zero
 
@@ -220,7 +220,9 @@ class _Terms:
         self.d = _derived(alg, rep)
         x, y = np.triu_indices(alg.dim, 1)
         ia, im = np.identity(alg.dim, dtype=object), np.identity(rep.module_dim, dtype=object)
-        rho, mu, d, t = rep.rho_arr, rep.mu_arr, self.d.arr[x, y], alg.t_arr[x, y]
+        # the table holds exact object arrays: its values multiply cochain entries
+        rho, mu, d, t, b = (np.asarray(a) for a in (rep.rho_arr, rep.mu_arr, self.d.arr[x, y],
+                                                    alg.t_arr[x, y], alg.b_arr[x, y]))
         dt = np.einsum("zs,woa->wzosa", ia, d) - np.einsum("wzs,oa->wzosa", t, im)
         # X_k o X_l: <<X_k, e_c>> is t[k, c], and e_c ^ e_j is wedge[c, j]
         wedge = np.zeros((alg.dim, alg.dim, self.wdim), dtype=object)
@@ -230,7 +232,7 @@ class _Terms:
                      + np.einsum("klc,lcw->klw", t[:, y], wedge[x]))
         arrays = {
             "rho_b": np.einsum("ws,woa->wosa", ia[y], rho[x]) - np.einsum("ws,woa->wosa", ia[x], rho[y])
-            - np.einsum("ws,oa->wosa", alg.b_arr[x, y], im),
+            - np.einsum("ws,oa->wosa", b, im),
             "mu_dt": np.einsum("ws,wzoa->wzosa", ia[x], mu[y]) - np.einsum("ws,wzoa->wzosa", ia[y], mu[x])
             + dt,
             "dt": dt,
@@ -242,7 +244,7 @@ class _Terms:
         self.nonzeros = {}
         for name, arr in arrays.items():
             pos = np.array(np.nonzero(arr)).reshape(arr.ndim, -1)
-            self.nonzeros[name] = (np.vstack([pos, np.ones_like(pos[:1])]), exact(arr[tuple(pos)]))
+            self.nonzeros[name] = (np.vstack([pos, np.ones_like(pos[:1])]), normalize(arr[tuple(pos)]))
 
     def triples(self, p):
         """(rows, cols, vals) of each term of delta_p in the flat layouts.
