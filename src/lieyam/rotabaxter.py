@@ -224,17 +224,19 @@ def _deformed_vs_induced(deformed, rep, d, tmap: Matrix, arity, **tags):
 
 
 def append_twist_conditions(report: VerificationReport, pair: LieYRepPair,
-                            tmap: Matrix, smap: Matrix, nmap: Matrix) -> LieYamagutiAlgebra:
+                            tmap: Matrix, smap: Matrix, nmap: Matrix, sub=None) -> LieYamagutiAlgebra:
     """Append the three twist conditions tying (T, S, N) together:
 
     N T = T S, and the S-deformed sub-adjacent brackets of T equal the
     brackets induced by N T.  T must already be Rota-Baxter; the
-    sub-adjacent theorems are asserted on V^T, which is returned.
+    sub-adjacent theorems are asserted on V^T, which is returned.  `sub`
+    is V^T when an earlier call for the same T already built and asserted it.
     """
     twist = nmap.arr @ tmap.arr - tmap.arr @ smap.arr
     wit = first_violation(lambda u: twist[:, u], (pair.dim_v,))
     report.add("twist-compat", wit is None, "N T = T S", wit)
-    sub = _assert_subadjacent(_induced_algebra(pair.rep, pair.d, tmap), tmap, pair)
+    if sub is None:
+        sub = _assert_subadjacent(_induced_algebra(pair.rep, pair.d, tmap), tmap, pair)
     deformed = deformed_brackets(sub, smap)
     nt = nmap * tmap
     wit = _deformed_vs_induced(deformed, pair.rep, pair.d, nt, 2)
@@ -244,13 +246,15 @@ def append_twist_conditions(report: VerificationReport, pair: LieYRepPair,
     return sub
 
 
-def _rbn_report(pair: LieYRepPair, tmap: Matrix, smap: Matrix, nmap: Matrix, verified=False):
+def _rbn_report(pair: LieYRepPair, tmap: Matrix, smap: Matrix, nmap: Matrix, verified=False,
+                sub=None):
     """The defining report of a triple, and V^T when the twist conditions were reached.
 
     verified says that T is already known to be Rota-Baxter and N to be
     Nijenhuis on the pair (a grid search's hits): then neither is checked
     again, only the conditions on S and the twist conditions are
-    evaluated, and every consequence is still asserted.
+    evaluated, and every consequence is still asserted.  `sub` is V^T,
+    already asserted, when it is known (append_twist_conditions).
     """
     report = VerificationReport(subject="relative Rota-Baxter-Nijenhuis structure")
     if verified:
@@ -264,7 +268,7 @@ def _rbn_report(pair: LieYRepPair, tmap: Matrix, smap: Matrix, nmap: Matrix, ver
     report.add("nijenhuis-structure", ns is None, "(N, S) is a Nijenhuis structure", ns)
     if not report.passed:
         return report, None
-    return report, append_twist_conditions(report, pair, tmap, smap, nmap)
+    return report, append_twist_conditions(report, pair, tmap, smap, nmap, sub)
 
 
 def rbn_report(pair: LieYRepPair, tmap: Matrix, smap: Matrix, nmap: Matrix) -> VerificationReport:

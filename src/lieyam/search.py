@@ -8,7 +8,7 @@ through the `search` CLI subcommand, not a general solver.
 
 The nonlinear laws (Rota-Baxter, Nijenhuis) are tested on every grid
 point, one block of candidates at a time (`_scan`): a block is stacked
-into one exact object array with a leading batch axis, the law's
+into one exact array with a leading batch axis, the law's
 contractions (written once, in rotabaxter._rb_residual and
 algebra._nijenhuis_residual) run on the whole stack, and
 report.vanishing says which candidates pass.  The binary identity is
@@ -228,7 +228,9 @@ def search_rbn_triples(pair: LieYRepPair, values=(-2, -1, 0, 1, 2), limit=None,
     grid solutions of the linear condition T S = N T, in grid order, its
     system reduced once per T; the first S that passes the rest of the
     triple conditions (those on S and the twist conditions) is the hit for
-    that (T, N).
+    that (T, N).  The sub-adjacent algebra V^T is built, and its theorems
+    asserted, once per T: by the first S of that T to reach the twist
+    conditions.
     """
     hits = []
     rbs = search_rb_operators(pair, values)
@@ -238,13 +240,16 @@ def search_rbn_triples(pair: LieYRepPair, values=(-2, -1, 0, 1, 2), limit=None,
         if require_nonzero and t.is_zero():
             continue
         ts = _LinearSystem(lambda x: t * x, m, m)
+        sub = None
         for n in nijs:
             if require_nonzero and n.is_zero():
                 continue
             nt = n * t
             for s in _grid_solutions(ts, m, m, values, rhs=nt):
                 _confirm(nt == t * s, s, "T S = N T")
-                if _rbn_report(pair, t, s, n, verified=True)[0].passed:
+                report, built = _rbn_report(pair, t, s, n, verified=True, sub=sub)
+                sub = sub or built
+                if report.passed:
                     hits.append((t, s, n))
                     if limit is not None and len(hits) >= limit:
                         return hits
