@@ -81,11 +81,11 @@ class ExactArray:
     denominator is not reduced; the entries leave the array (tolist,
     iteration, scalar indexing, np.asarray) as ints and Fractions.
 
-    The law code reads these arrays as it would numpy arrays: np.einsum,
-    np.stack, +, -, *, @, indexing, .T, .mT, transpose, reshape and
-    comparison with a scalar run on the numerators; any other numpy
-    function or operand (a Poly array, say) gets the entries as an exact
-    object array instead.
+    The law code reads these arrays as it would numpy arrays: np.einsum
+    (with explicit output subscripts), np.stack, +, -, *, @, indexing, .T,
+    .mT, transpose, reshape and comparison with zero run on the
+    numerators; any other numpy function or operand (a Poly array, say)
+    gets the entries as an exact object array instead.
     """
 
     __slots__ = ("num", "den", "bound", "_obj")
@@ -206,6 +206,14 @@ def _contract(func, operands, terms, *head):
     """func(*head, *numerators) over the product of the denominators, for a
     result each of whose entries sums `terms` products of one entry of each
     operand."""
+    if len(operands) == 2:  # the laws' case, without the loops below
+        a, b = operands
+        if type(a) is ExactArray and type(b) is ExactArray:
+            bound = terms * a.bound * b.bound
+            if bound < INT64_LIMIT:
+                NUMERATOR_OPS["int64"] += 1
+                num = func(*head, a.num, b.num)
+                return ExactArray(num if type(num) is np.ndarray else np.asarray(num), a.den * b.den, bound)
     bound, den = terms, 1
     for x in operands:
         if type(x) is not ExactArray:
@@ -225,6 +233,9 @@ def _sum(a, b, sign):
     """a + b for sign 1, a - b for sign -1."""
     if type(a) is not ExactArray or type(b) is not ExactArray:
         return (np.add if sign > 0 else np.subtract)(*_plain((a, b)))
+    if a.den == b.den and a.bound + b.bound < INT64_LIMIT:  # the laws' case, in short
+        NUMERATOR_OPS["int64"] += 1
+        return ExactArray(a.num + b.num if sign > 0 else a.num - b.num, a.den, a.bound + b.bound)
     den = a.den if a.den == b.den else lcm(a.den, b.den)
     fa, fb = den // a.den, den // b.den
     bound = a.bound * fa + b.bound * fb
