@@ -52,8 +52,6 @@ def _norm_scalar(x):
         x = x.coeffs[0] if x.coeffs else 0
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
-    if isinstance(x, np.integer):
-        return int(x)
     return x
 
 

@@ -11,9 +11,9 @@ A law is evaluated as exact arrays of residuals (linalg.ExactArray, or
 object arrays over Q[t]), one slab per first basis index
 (first_violation): the slabs are computed in order and the scan stops at
 the first one with a nonzero entry, whose first nonzero position is the
-witness, its residual turned back into Fractions.  So the witness is the lexicographically first
-violating tuple, and a law that computes each slab on demand holds only
-one in memory.
+witness, its residual turned back into Fractions.  So the witness is the
+lexicographically first violating tuple, and a law that computes each
+slab on demand holds only one in memory.
 
 A grid search asks the same question of many operators at once: the
 slabs of a stack of operators carry one more leading axis, over the
