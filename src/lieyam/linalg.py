@@ -204,14 +204,6 @@ def _contract(func, operands, terms, *head):
     """func(*head, *numerators) over the product of the denominators, for a
     result each of whose entries sums `terms` products of one entry of each
     operand."""
-    if len(operands) == 2:  # the laws' case, without the loops below
-        a, b = operands
-        if type(a) is ExactArray and type(b) is ExactArray:
-            bound = terms * a.bound * b.bound
-            if bound < INT64_LIMIT:
-                NUMERATOR_OPS["int64"] += 1
-                num = func(*head, a.num, b.num)
-                return ExactArray(num if type(num) is np.ndarray else np.asarray(num), a.den * b.den, bound)
     bound, den = terms, 1
     for x in operands:
         if type(x) is not ExactArray:
@@ -220,8 +212,7 @@ def _contract(func, operands, terms, *head):
         den *= x.den
     if bound < INT64_LIMIT:
         NUMERATOR_OPS["int64"] += 1
-        num = func(*head, *[x.num for x in operands])
-        return ExactArray(num if type(num) is np.ndarray else np.asarray(num), den, bound)
+        return _result(func(*head, *[x.num for x in operands]), den, bound)
     NUMERATOR_OPS["object"] += 1
     num = func(*head, *[x.num.astype(object) for x in operands])
     return ExactArray(np.asarray(num, dtype=object), den, bound)
@@ -231,9 +222,6 @@ def _sum(a, b, sign):
     """a + b for sign 1, a - b for sign -1."""
     if type(a) is not ExactArray or type(b) is not ExactArray:
         return (np.add if sign > 0 else np.subtract)(*_plain((a, b)))
-    if a.den == b.den and a.bound + b.bound < INT64_LIMIT:  # the laws' case, in short
-        NUMERATOR_OPS["int64"] += 1
-        return ExactArray(a.num + b.num if sign > 0 else a.num - b.num, a.den, a.bound + b.bound)
     den = a.den if a.den == b.den else lcm(a.den, b.den)
     fa, fb = den // a.den, den // b.den
     bound = a.bound * fa + b.bound * fb
@@ -409,7 +397,8 @@ class Matrix:
 
     @classmethod
     def from_array(cls, arr):
-        """The matrix of a 2-d object array, which it keeps as its `arr`."""
+        """The matrix of a 2-d array, which it keeps as its `arr` (an exact
+        array: an ExactArray over the rationals, an object array over Q[t])."""
         arr = exact_array(arr.ravel(), arr.shape)
         out = cls(arr.tolist(), arr.shape[1])
         out._arr = arr
@@ -417,7 +406,8 @@ class Matrix:
 
     @property
     def arr(self):
-        """The entries as an exact object array (built once)."""
+        """The entries as an exact array (an ExactArray over the rationals, an
+        object array over Q[t]), built once."""
         if self._arr is None:
             self._arr = exact_array([x for r in self.data for x in r], (self.rows, self.cols))
         return self._arr
@@ -645,38 +635,11 @@ def _echelon(rows):
     return pivots
 
 
-def _fast_int_rows(mat: Matrix):
-    """Integer rows by global LCM scaling, with a fast all-integer path."""
-    data = mat.data
-    if all(type(x) is int for r in data for x in r):
-        return [list(r) for r in data]
-    ar = mat.rational_rows()
-    mult = lcm(*(x.denominator for r in ar for x in r))
-    return [[int(x * mult) for x in r] for r in ar]
-
-
 def exact_product_is_zero(a: Matrix, b: Matrix) -> bool:
-    """Check a @ b == 0 exactly, with an int64 numpy fast path.
-
-    The two factors are converted to integer matrices by global scaling
-    (scaling cannot create or destroy zeroness of the product).  When the
-    worst-case magnitude bound fits in int64 the product runs vectorized,
-    otherwise exact object arithmetic is used.
-    """
+    """Check a @ b == 0 exactly, on the exact arrays of the two factors."""
     if a.cols != b.rows:
         raise DimMismatchError("incompatible shapes")
-    if a.rows == 0 or b.cols == 0 or a.cols == 0:
-        return True
-    ai = _fast_int_rows(a)
-    bi = _fast_int_rows(b)
-    amax = max((abs(x) for r in ai for x in r), default=0)
-    bmax = max((abs(x) for r in bi for x in r), default=0)
-    bound = amax * bmax * a.cols
-    if bound < 2**62:
-        prod = np.array(ai, dtype=np.int64) @ np.array(bi, dtype=np.int64)
-        return not prod.any()
-    prod = np.array(ai, dtype=object) @ np.array(bi, dtype=object)
-    return not prod.any()
+    return not (a.arr @ b.arr != 0).any()
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +663,8 @@ class Tensor:
 
     @classmethod
     def from_array(cls, arr):
-        """The tensor of an object array, which it keeps as its `arr`."""
+        """The tensor of an array, which it keeps as its `arr` (an exact array:
+        an ExactArray over the rationals, an object array over Q[t])."""
         arr = exact_array(arr.ravel(), arr.shape)
         out = cls(arr.shape, arr.ravel().tolist())
         out._arr = arr
@@ -708,7 +672,8 @@ class Tensor:
 
     @property
     def arr(self):
-        """The entries as an exact object array of the tensor's shape (built once)."""
+        """The entries as an exact array of the tensor's shape (an ExactArray
+        over the rationals, an object array over Q[t]), built once."""
         if self._arr is None:
             self._arr = exact_array(self.entries, self.shape)
         return self._arr

@@ -87,6 +87,21 @@ def test_bound_past_int64_takes_the_object_path():
     ]
 
 
+def test_zero_operand_against_object_numerators():
+    """A zero factor (bound 0) bounds the product by 0 even when the other
+    factor holds Python-int numerators; the product is int64 all the same."""
+    zero = exact_array([0] * 4, (2, 2))
+    big = exact_array([2**70, Fraction(1, 3), -(2**65), 5], (2, 2))
+    assert zero.num.dtype == np.int64 and big.num.dtype == object
+    for got in (zero @ big, big @ zero, zero * big, np.einsum("ij,jk->ik", big, zero)):
+        _check(got, np.zeros((2, 2), dtype=object))
+        assert got.bound == 0
+    before = _ops()
+    got = zero @ big
+    assert _ran(before) == {"int64": 1, "object": 0}
+    _check(zero + big, np.asarray(big))
+
+
 @pytest.mark.parametrize("module, cases", [
     (test_law_golden, "witness_cases"),
     (test_rep_golden, "witness_cases"),
