@@ -10,12 +10,12 @@ its first two slots; both are validated at construction.  The four
 defining axioms are *not* assumed: run check_axioms.
 
 All operations are multilinear, so every identity is verified on all
-basis tuples.  The structure constants are kept as exact arrays
-(``b_arr``, ``t_arr``; see linalg.exact_array: an ExactArray of int64 or
-Python-int numerators over rationals, an object array over Q[t]) and
-each axiom is one
-residual array per first basis index, contracted with np.einsum (two
-operands per call) and scanned by report.first_violation.  The code is
+basis tuples.  The structure constants are kept as exact arrays, and
+only as those (``b_arr``, ``t_arr``; see linalg.exact_array: an
+ExactArray of int64 or Python-int numerators over rationals, an object
+array over Q[t]), and each axiom is one residual array per first basis
+index, contracted with np.einsum (two operands per call) and scanned by
+report.first_violation.  The code is
 generic over the scalar ring (rationals or polynomials in t), enabling
 "for all t" checks by polynomial arithmetic.
 
@@ -27,13 +27,11 @@ search, see report.vanishing) is evaluated by the same contractions.
 
 from __future__ import annotations
 
-from functools import cached_property
-from itertools import product
 
 import numpy as np
 
 from .errors import AntisymmetryError, DimMismatchError
-from .linalg import ExactArray, Matrix, Tensor, exact_array
+from .linalg import Matrix, exact
 from .report import VerificationReport, first_violation
 
 LAWS = {
@@ -47,31 +45,18 @@ LAWS = {
 
 
 def _constants(value, dim, arity, name):
-    """Structure constants (nested vectors, a Tensor or an array) as an exact array."""
+    """Structure constants (an array, or nested sequences) as an exact array."""
     shape = (dim,) * (arity + 1)
-    if isinstance(value, Tensor):
-        value = value.arr
-    if isinstance(value, (np.ndarray, ExactArray)):
-        if value.shape != shape:
-            raise DimMismatchError(f"{name} tensor shape {value.shape} != {shape}")
-        return exact_array(value.ravel(), shape)
-    flat = []
-    for idx in product(range(dim), repeat=arity):
-        vec = value
-        for i in idx:
-            vec = vec[i]
-        vec = tuple(vec)
-        if len(vec) != dim:
-            raise DimMismatchError(f"{name} constants at {idx} have length {len(vec)}, not {dim}")
-        flat.extend(vec)
-    return exact_array(flat, shape)
+    value = exact(value)
+    if value.shape != shape:
+        raise DimMismatchError(f"{name} tensor shape {value.shape} != {shape}")
+    return value
 
 
 class LieYamagutiAlgebra:
     """Finite-dimensional Lie-Yamaguti algebra over an exact scalar ring.
 
-    b_arr[i, j, k] and t_arr[i, j, k, l] hold the structure constants;
-    b[i][j] and t[i][j][k] are the same vectors as nested tuples.
+    b_arr[i, j, k] and t_arr[i, j, k, l] hold the structure constants.
     """
 
     def __init__(self, dim, binary, ternary, basis_names=None, validate=True):
@@ -83,14 +68,6 @@ class LieYamagutiAlgebra:
         self.t_arr = _constants(ternary, self.dim, 3, "ternary")
         if validate:
             self._validate_antisymmetry()
-
-    @cached_property
-    def b(self):
-        return tuple(tuple(map(tuple, row)) for row in self.b_arr.tolist())
-
-    @cached_property
-    def t(self):
-        return tuple(tuple(tuple(map(tuple, col)) for col in row) for row in self.t_arr.tolist())
 
     # -- constructors --------------------------------------------------------
 
@@ -109,16 +86,6 @@ class LieYamagutiAlgebra:
         """Lie triple system viewed as Lie-Yamaguti ([x,y] = 0)."""
         return cls(dim, np.zeros((dim,) * 3, dtype=object), ternary)
 
-    # -- tensors ---------------------------------------------------------------
-
-    @property
-    def binary_tensor(self) -> Tensor:
-        return Tensor.from_array(self.b_arr)
-
-    @property
-    def ternary_tensor(self) -> Tensor:
-        return Tensor.from_array(self.t_arr)
-
     def _validate_antisymmetry(self):
         b, t = self.b_arr, self.t_arr
         bad_b = (b + b.transpose(1, 0, 2) != 0).any(axis=-1)
@@ -132,26 +99,6 @@ class LieYamagutiAlgebra:
             )
 
     # -- evaluation ------------------------------------------------------------
-
-    def bracket(self, x, y):
-        """[x, y] for coordinate vectors."""
-        n = self.dim
-        if len(x) != n or len(y) != n:
-            raise DimMismatchError("bracket arguments must have length dim")
-        xb = np.einsum("i,ijk->jk", np.array(x, dtype=object), self.b_arr)
-        return tuple(np.einsum("j,jk->k", np.array(y, dtype=object), xb))
-
-    def triple(self, x, y, z):
-        """<<x, y, z>> for coordinate vectors."""
-        n = self.dim
-        if len(x) != n or len(y) != n or len(z) != n:
-            raise DimMismatchError("triple arguments must have length dim")
-        xt = np.einsum("i,ijkl->jkl", np.array(x, dtype=object), self.t_arr)
-        xyt = np.einsum("j,jkl->kl", np.array(y, dtype=object), xt)
-        return tuple(np.einsum("k,kl->l", np.array(z, dtype=object), xyt))
-
-    def basis_vector(self, i):
-        return tuple(1 if j == i else 0 for j in range(self.dim))
 
     # slabs of the brackets of images: maps into g are arrays whose column u
     # is the image of the u-th basis vector, with the same leading batch
@@ -264,14 +211,14 @@ def nijenhuis_deformation_tensors(alg: LieYamagutiAlgebra, nmap: Matrix):
     phi2(x,y,z) = <<Nx,Ny,z>> + <<x,Ny,Nz>> + <<Nx,y,Nz>> - N(phi1(x,y,z))
 
     (phi, phi2) are the N-deformed brackets; phi1 is the degree-1 term of
-    the associated one-parameter family.
+    the associated one-parameter family.  Each is an exact array over
+    (x, y, k) resp. (x, y, z, l).
     """
     n = alg.dim
     if nmap.rows != n or nmap.cols != n:
         raise DimMismatchError("operator must be square of the algebra dimension")
     phi1, phi2 = _deformation_ternary(alg, nmap.arr)
-    return (Tensor.from_array(_deformation_binary(alg, nmap.arr)), Tensor.from_array(phi1),
-            Tensor.from_array(phi2))
+    return exact(_deformation_binary(alg, nmap.arr)), exact(phi1), exact(phi2)
 
 
 def deformed_brackets(alg: LieYamagutiAlgebra, nmap: Matrix):

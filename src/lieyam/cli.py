@@ -37,11 +37,11 @@ from .jsonio import (
     _int_field,
     _read_json,
     algebra_to_dict,
+    array_to_text,
     dump_json,
     load_algebra,
     load_operator,
     load_pair,
-    matrix_to_rows,
     operator_to_dict,
     representation_from_dict,
 )
@@ -392,22 +392,16 @@ def _check_grid_size(what, count, n, m):
 
 def _deformation_to_dict(d):
     return {
-        "phi": [_fmt(x) for x in d.phi.entries],
+        "phi": array_to_text(d.phi.ravel()),
         "phi_shape": list(d.phi.shape),
-        "phi1": [_fmt(x) for x in d.phi1.entries],
+        "phi1": array_to_text(d.phi1.ravel()),
         "phi1_shape": list(d.phi1.shape),
-        "phi2": [_fmt(x) for x in d.phi2.entries],
+        "phi2": array_to_text(d.phi2.ravel()),
         "phi2_shape": list(d.phi2.shape),
-        "varrho": [matrix_to_rows(m) for m in d.varrho],
-        "varpi1": [[matrix_to_rows(m) for m in row] for row in d.varpi1],
-        "varpi2": [[matrix_to_rows(m) for m in row] for row in d.varpi2],
+        "varrho": array_to_text(d.varrho),
+        "varpi1": array_to_text(d.varpi1),
+        "varpi2": array_to_text(d.varpi2),
     }
-
-
-def _fmt(x):
-    from .scalars import format_scalar
-
-    return format_scalar(x)
 
 
 def os_dirname(path):

@@ -48,64 +48,49 @@ from .errors import (
     InternalConsistencyError,
     NotNijenhuisError,
 )
-from .linalg import Matrix, Tensor
+from .linalg import Matrix, exact
 from .paircomplex import PairCochain, pair_delta_lifted
 from .reps import LieYRepPair, Representation, check_representation, pair_homomorphism_witness
-from .yamaguti import wedge_pairs
 from .scalars import T as TPOLY
 from .report import VerificationReport, first_violation
 
 
 @dataclass
 class DeformationData:
-    """First- and second-order terms of a one-parameter family."""
+    """First- and second-order terms of a one-parameter family, as exact arrays."""
 
-    phi: Tensor          # (n, n, n), antisymmetric
-    phi1: Tensor         # (n, n, n, n), antisymmetric in the first two slots
-    phi2: Tensor         # (n, n, n, n), antisymmetric in the first two slots
-    varrho: list         # n matrices on V
-    varpi1: list         # n x n matrices on V
-    varpi2: list         # n x n matrices on V
+    phi: object          # (n, n, n): phi(e_x, e_y), antisymmetric
+    phi1: object         # (n, n, n, n): phi1(e_x, e_y, e_z), antisymmetric in the first two slots
+    phi2: object         # (n, n, n, n), antisymmetric in the first two slots
+    varrho: object       # (n, m, m): varrho(e_x), an operator on V
+    varpi1: object       # (n, n, m, m): varpi1(e_x, e_y)
+    varpi2: object       # (n, n, m, m)
 
     @classmethod
     def zero(cls, pair: LieYRepPair):
         n, m = pair.dim_g, pair.dim_v
-        z = Matrix.zero(m)
-        return cls(
-            Tensor.zeros((n, n, n)),
-            Tensor.zeros((n, n, n, n)),
-            Tensor.zeros((n, n, n, n)),
-            [z] * n,
-            [[z] * n for _ in range(n)],
-            [[z] * n for _ in range(n)],
-        )
+        return cls(*(exact(np.zeros(shape, dtype=np.int64)) for shape in _shapes(n, m)))
+
+    def arrays(self):
+        return self.phi, self.phi1, self.phi2, self.varrho, self.varpi1, self.varpi2
 
     def is_zero(self):
-        return (
-            self.phi.is_zero()
-            and self.phi1.is_zero()
-            and self.phi2.is_zero()
-            and all(m.is_zero() for m in self.varrho)
-            and all(m.is_zero() for row in self.varpi1 for m in row)
-            and all(m.is_zero() for row in self.varpi2 for m in row)
-        )
+        return not any((x != 0).any() for x in self.arrays())
+
+
+def _shapes(n, m):
+    """The shapes of the six arrays of a DeformationData, in field order."""
+    return (n,) * 3, (n,) * 4, (n,) * 4, (n, m, m), (n, n, m, m), (n, n, m, m)
 
 
 def _check_shapes(pair: LieYRepPair, d: DeformationData):
     n, m = pair.dim_g, pair.dim_v
-    if d.phi.shape != (n, n, n) or d.phi1.shape != (n,) * 4 or d.phi2.shape != (n,) * 4:
+    shapes = [x.shape for x in d.arrays()]
+    if shapes[:3] != list(_shapes(n, m)[:3]):
         raise DimMismatchError("deformation tensors do not match the algebra dimension")
-    if len(d.varrho) != n or len(d.varpi1) != n or len(d.varpi2) != n:
-        raise DimMismatchError("deformation operator tables must have one entry per basis vector")
-    for mat in d.varrho:
-        if mat.rows != m or mat.cols != m:
-            raise DimMismatchError("deformation operators must act on the module")
-
-
-def _table(mats):
-    """A (nested) list of Matrices as one exact array, indexed [i, (j,) row, col]."""
-    arrs = [_table(m) if isinstance(m, list) else m.arr for m in mats]
-    return np.stack(arrs) if arrs else np.array(arrs, dtype=object)
+    if shapes[3:] != list(_shapes(n, m)[3:]):
+        raise DimMismatchError("deformation operator tables must hold operators on the module, "
+                               "one per basis vector (varrho) or pair of them (varpi1, varpi2)")
 
 
 def deformed_pair_structures(pair: LieYRepPair, d: DeformationData):
@@ -115,10 +100,10 @@ def deformed_pair_structures(pair: LieYRepPair, d: DeformationData):
     alg, rep = pair.algebra, pair.rep
     t = TPOLY
     t2 = t * t
-    alg_t = LieYamagutiAlgebra(n, alg.b_arr + d.phi.arr * t,
-                               alg.t_arr + d.phi1.arr * t + d.phi2.arr * t2, alg.basis_names)
-    rho_t = rep.rho_arr + _table(d.varrho) * t
-    mu_t = rep.mu_arr + _table(d.varpi1) * t + _table(d.varpi2) * t2
+    alg_t = LieYamagutiAlgebra(n, alg.b_arr + d.phi * t, alg.t_arr + d.phi1 * t + d.phi2 * t2,
+                               alg.basis_names)
+    rho_t = rep.rho_arr + d.varrho * t
+    mu_t = rep.mu_arr + d.varpi1 * t + d.varpi2 * t2
     return alg_t, Representation(n, m, rho_t, mu_t)
 
 
@@ -148,8 +133,8 @@ def derived_deformation_terms(pair: LieYRepPair, d: DeformationData):
     trivial deformation would not even be closed.  Both are arrays
     indexed [x, y, row, col].
     """
-    rho, b, phi = pair.rep.rho_arr, pair.algebra.b_arr, d.phi.arr
-    vr, p1, p2 = _table(d.varrho), _table(d.varpi1), _table(d.varpi2)
+    rho, b, phi = pair.rep.rho_arr, pair.algebra.b_arr, d.phi
+    vr, p1, p2 = d.varrho, d.varpi1, d.varpi2
 
     def comm(x, y):  # [x(e_i), y(e_j)] over (i, j)
         return np.einsum("iab,jbc->ijac", x, y) - np.einsum("jab,ibc->ijac", y, x)
@@ -170,20 +155,15 @@ def deformation_cocycle(pair: LieYRepPair, d: DeformationData) -> PairCochain:
     _check_shapes(pair, d)
     n, m = pair.dim_g, pair.dim_v
     d1, _ = derived_deformation_terms(pair, d)
-    d1_p1 = d1 - _table(d.varpi1)
-    c = PairCochain(2, n, m)
-    for w, (i, j) in enumerate(wedge_pairs(n)):
-        c.set_value("c1f", (w,), [d.phi.at(i, j, k) for k in range(n)])
-        for z in range(n):
-            c.set_value("c1g", (w, z), [d.phi1.at(i, j, z, l) for l in range(n)])
-        for b in range(m):
-            c.set_value("c2g", (w, b), d1[i, j, :, b])
-    for x in range(n):
-        for b in range(m):
-            c.set_value("c2f", (x * m + b,), d.varrho[x].col(b))
-            for z in range(n):
-                c.set_value("c3g1", (x * m + b, z), d1_p1[x, z, :, b])
-    return c
+    x, y = np.triu_indices(n, 1)
+    blocks = {  # each block's arguments first, its value last (PairCochain layout)
+        "c1f": d.phi[x, y],
+        "c1g": d.phi1[x, y],
+        "c2f": d.varrho.transpose(0, 2, 1).reshape(n * m, m),              # (e_x ^ v_b) -> varrho(x) v_b
+        "c2g": d1[x, y].transpose(0, 2, 1),                                # (X, v_b) -> D1(X) v_b
+        "c3g1": (d1 - d.varpi1).transpose(0, 3, 1, 2).reshape(n * m, n, m),  # (e_x ^ v_b, z)
+    }
+    return PairCochain.from_blocks(2, n, m, blocks)
 
 
 def is_deformation_of_pair(pair: LieYRepPair, d: DeformationData) -> bool:
@@ -310,9 +290,7 @@ def trivial_deformation_from(pair: LieYRepPair, ns: NijenhuisStructure) -> Defor
     phi, phi1, phi2 = nijenhuis_deformation_tensors(pair.algebra, ns.nmap)
     varrho = _hat_linear(sarr, *_rho_parts(rep.rho_arr, narr))
     varpi1, varpi2 = _hat_bilinear(sarr, *_bilinear_parts(rep.mu_arr, narr))
-    return DeformationData(phi, phi1, phi2, [Matrix.from_array(a) for a in varrho],
-                           [[Matrix.from_array(a) for a in row] for row in varpi1],
-                           [[Matrix.from_array(a) for a in row] for row in varpi2])
+    return DeformationData(phi, phi1, phi2, exact(varrho), exact(varpi1), exact(varpi2))
 
 
 def _family_pair(pair: LieYRepPair, d: DeformationData) -> LieYRepPair:
@@ -322,8 +300,9 @@ def _family_pair(pair: LieYRepPair, d: DeformationData) -> LieYRepPair:
 
 def _block_diag(a: Matrix, b: Matrix) -> Matrix:
     """a (+) b on the basis order of the semidirect product (g-part first)."""
-    return Matrix([tuple(row) + (0,) * b.cols for row in a.data]
-                  + [(0,) * a.cols + tuple(row) for row in b.data])
+    out = np.zeros((a.rows + b.rows, a.cols + b.cols), dtype=object)
+    out[:a.rows, :a.cols], out[a.rows:, a.cols:] = np.asarray(a.arr), np.asarray(b.arr)
+    return Matrix.from_array(out)
 
 
 def equivalence_witness(pair: LieYRepPair, d: DeformationData, d2: DeformationData,
@@ -353,9 +332,8 @@ def cocycle_witness(pair: LieYRepPair, d: DeformationData):
     3-cochain, the argument index within it, and the nonzero value.
     """
     delta = pair_delta_lifted(pair, deformation_cocycle(pair, d), cap=3)
-    for name, shape in delta.shapes.items():
-        block = np.array(delta.blocks[name], dtype=object).reshape(shape)
-        wit = first_violation(block.__getitem__, shape[:-1], block=name)
+    for name, block in delta.blocks.items():
+        wit = first_violation(block.__getitem__, block.shape[:-1], block=name)
         if wit is not None:
             return wit
     return None
@@ -446,10 +424,10 @@ def deformation_difference_report(pair: LieYRepPair, d: DeformationData,
     d1a, _ = derived_deformation_terms(pair, d)
     d1b, _ = derived_deformation_terms(pair, d2)
     got = {
-        "diff-binary": d.phi.arr - d2.phi.arr,
-        "diff-ternary": d.phi1.arr - d2.phi1.arr,
-        "diff-rho": _table(d.varrho) - _table(d2.varrho),
-        "diff-mu": _table(d.varpi1) - _table(d2.varpi1),
+        "diff-binary": d.phi - d2.phi,
+        "diff-ternary": d.phi1 - d2.phi1,
+        "diff-rho": d.varrho - d2.varrho,
+        "diff-mu": d.varpi1 - d2.varpi1,
         "diff-D": d1a - d1b,
     }
     for name, arity, law in (

@@ -22,6 +22,9 @@ special construction::
 
 Matrices are arrays of rows with string-rational entries.  Operator
 files are {"rows": r, "cols": c, "entries": [row-major strings]}.
+
+Files are parsed into exact arrays (structure constants, rho and mu
+tables, operators) and written from them.
 """
 
 from __future__ import annotations
@@ -29,9 +32,11 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
+
 from .algebra import LieYamagutiAlgebra
-from .errors import ConflictingEntryError, ParseError
-from .linalg import Matrix, vec_is_zero, vneg, vsub, vzero
+from .errors import ConflictingEntryError, DimMismatchError, ParseError
+from .linalg import Matrix
 from .reps import LieYRepPair, Representation, adjoint_rep, coadjoint_rep
 from .scalars import format_scalar, parse_scalar
 
@@ -79,7 +84,7 @@ def _int_field(obj, key, where, default=None, minimum=None, maximum=None):
 def _parse_value_vector(dim, value, where):
     if not isinstance(value, dict):
         raise ParseError(f"{where}: value must be an object mapping index -> rational")
-    vec = [parse_scalar("0") for _ in range(dim)]
+    vec = np.zeros(dim, dtype=object)
     for key, sval in value.items():
         try:
             idx = int(key)
@@ -88,7 +93,7 @@ def _parse_value_vector(dim, value, where):
         if not 0 <= idx < dim:
             raise ParseError(f"{where}: component index {idx} out of range")
         vec[idx] = parse_scalar(sval)
-    return tuple(vec)
+    return vec
 
 
 def algebra_from_dict(data) -> LieYamagutiAlgebra:
@@ -102,60 +107,39 @@ def algebra_from_dict(data) -> LieYamagutiAlgebra:
     for key in ("binary", "ternary"):
         if not isinstance(data.get(key, []), list):
             raise ParseError(f"algebra: {key!r} must be an array")
-    binary = [[None] * dim for _ in range(dim)]
-    ternary = [[[None] * dim for _ in range(dim)] for _ in range(dim)]
+    # the constants as object arrays, and which vectors a file entry has set
+    binary, ternary = np.zeros((dim,) * 3, dtype=object), np.zeros((dim,) * 4, dtype=object)
+    seen2, seen3 = np.zeros((dim,) * 2, dtype=bool), np.zeros((dim,) * 3, dtype=bool)
 
-    def put2(i, j, vec, where):
-        if not (0 <= i < dim and 0 <= j < dim):
+    def put(table, seen, idx, vec, where):
+        """Set table[idx] = vec and its mirror (first two slots swapped) = -vec."""
+        i, j, *rest = idx
+        if not all(0 <= k < dim for k in idx):
             raise ParseError(f"{where}: index out of range")
-        if i == j and not vec_is_zero(vec):
-            raise ConflictingEntryError(f"{where}: nonzero bracket on a repeated index")
-        existing = binary[i][j]
-        if existing is not None and not vec_is_zero(vsub(existing, vec)):
-            raise ConflictingEntryError(f"{where}: conflicting duplicate for ({i},{j})")
-        binary[i][j] = vec
-        anti = vneg(vec)
-        other = binary[j][i]
-        if other is not None and not vec_is_zero(vsub(other, anti)):
-            raise ConflictingEntryError(f"{where}: entry ({j},{i}) violates antisymmetry")
-        binary[j][i] = anti
-
-    def put3(i, j, k, vec, where):
-        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-            raise ParseError(f"{where}: index out of range")
-        if i == j and not vec_is_zero(vec):
-            raise ConflictingEntryError(f"{where}: nonzero ternary bracket on repeated first slots")
-        existing = ternary[i][j][k]
-        if existing is not None and not vec_is_zero(vsub(existing, vec)):
-            raise ConflictingEntryError(f"{where}: conflicting duplicate for ({i},{j},{k})")
-        ternary[i][j][k] = vec
-        anti = vneg(vec)
-        other = ternary[j][i][k]
-        if other is not None and not vec_is_zero(vsub(other, anti)):
-            raise ConflictingEntryError(f"{where}: entry ({j},{i},{k}) violates antisymmetry")
-        ternary[j][i][k] = anti
+        if i == j and (vec != 0).any():
+            what = "bracket on a repeated index" if not rest else "ternary bracket on repeated first slots"
+            raise ConflictingEntryError(f"{where}: nonzero {what}")
+        mirror = (j, i, *rest)
+        shown = ",".join(map(str, idx))
+        if seen[idx] and (table[idx] - vec != 0).any():
+            raise ConflictingEntryError(f"{where}: conflicting duplicate for ({shown})")
+        table[idx], seen[idx] = vec, True
+        if seen[mirror] and (table[mirror] + vec != 0).any():
+            raise ConflictingEntryError(f"{where}: entry ({','.join(map(str, mirror))}) violates antisymmetry")
+        table[mirror], seen[mirror] = -vec, True
 
     for pos, entry in enumerate(data.get("binary", [])):
         where = f"binary[{pos}]"
         if not isinstance(entry, dict):
             raise ParseError(f"{where}: needs integer 'i' and 'j'")
-        i, j = (_int_field(entry, key, where) for key in "ij")
-        put2(i, j, _parse_value_vector(dim, entry.get("value", {}), where), where)
+        idx = tuple(_int_field(entry, key, where) for key in "ij")
+        put(binary, seen2, idx, _parse_value_vector(dim, entry.get("value", {}), where), where)
     for pos, entry in enumerate(data.get("ternary", [])):
         where = f"ternary[{pos}]"
         if not isinstance(entry, dict):
             raise ParseError(f"{where}: needs integer 'i', 'j', 'k'")
-        i, j, k = (_int_field(entry, key, where) for key in "ijk")
-        put3(i, j, k, _parse_value_vector(dim, entry.get("value", {}), where), where)
-
-    z = vzero(dim)
-    for i in range(dim):
-        for j in range(dim):
-            if binary[i][j] is None:
-                binary[i][j] = z
-            for k in range(dim):
-                if ternary[i][j][k] is None:
-                    ternary[i][j][k] = z
+        idx = tuple(_int_field(entry, key, where) for key in "ijk")
+        put(ternary, seen3, idx, _parse_value_vector(dim, entry.get("value", {}), where), where)
     return LieYamagutiAlgebra(dim, binary, ternary, basis_names=names)
 
 
@@ -164,22 +148,23 @@ def load_algebra(path) -> LieYamagutiAlgebra:
 
 
 def algebra_to_dict(alg: LieYamagutiAlgebra):
+    b, t = alg.b_arr.tolist(), alg.t_arr.tolist()
     binary = []
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
-            if not vec_is_zero(alg.b[i][j]):
+            if any(v != 0 for v in b[i][j]):
                 binary.append({
                     "i": i, "j": j,
-                    "value": {str(k): format_scalar(v) for k, v in enumerate(alg.b[i][j]) if v != 0},
+                    "value": {str(k): format_scalar(v) for k, v in enumerate(b[i][j]) if v != 0},
                 })
     ternary = []
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
             for k in range(alg.dim):
-                if not vec_is_zero(alg.t[i][j][k]):
+                if any(v != 0 for v in t[i][j][k]):
                     ternary.append({
                         "i": i, "j": j, "k": k,
-                        "value": {str(l): format_scalar(v) for l, v in enumerate(alg.t[i][j][k]) if v != 0},
+                        "value": {str(l): format_scalar(v) for l, v in enumerate(t[i][j][k]) if v != 0},
                     })
     return {"dim": alg.dim, "basis": alg.basis_names, "binary": binary, "ternary": ternary}
 
@@ -190,8 +175,15 @@ def matrix_from_rows(rows, where="matrix") -> Matrix:
     return Matrix([[parse_scalar(x) for x in r] for r in rows])
 
 
+def array_to_text(arr):
+    """An exact array's entries as nested lists of exact strings."""
+    def text(x):
+        return [text(y) for y in x] if isinstance(x, list) else format_scalar(x)
+    return text(arr.tolist())
+
+
 def matrix_to_rows(mat: Matrix):
-    return [[format_scalar(x) for x in row] for row in mat.data]
+    return array_to_text(mat.arr)
 
 
 def load_operator(path) -> Matrix:
@@ -214,8 +206,7 @@ def load_operator(path) -> Matrix:
 
 
 def operator_to_dict(mat: Matrix):
-    return {"rows": mat.rows, "cols": mat.cols,
-            "entries": [format_scalar(x) for row in mat.data for x in row]}
+    return {"rows": mat.rows, "cols": mat.cols, "entries": array_to_text(mat.arr.ravel())}
 
 
 def representation_from_dict(data, base_dir=".") -> tuple[LieYamagutiAlgebra, Representation]:
@@ -245,14 +236,17 @@ def representation_from_dict(data, base_dir=".") -> tuple[LieYamagutiAlgebra, Re
         raise ParseError("'rho' must list one matrix per basis vector")
     if not isinstance(mu, list) or len(mu) != alg.dim:
         raise ParseError("'mu' must be a dim x dim table of matrices")
-    rho_m = [matrix_from_rows(r, where=f"rho[{i}]") for i, r in enumerate(rho)]
-    mu_m = []
+    mats = [matrix_from_rows(r, where=f"rho[{i}]") for i, r in enumerate(rho)]
     for i, row in enumerate(mu):
         if not isinstance(row, list) or len(row) != alg.dim:
             raise ParseError(f"mu[{i}] must list dim matrices")
-        mu_m.append([matrix_from_rows(x, where=f"mu[{i}][{j}]") for j, x in enumerate(row)])
-    rep = Representation(alg.dim, m, rho_m, mu_m)
-    return alg, rep
+        mats.extend(matrix_from_rows(x, where=f"mu[{i}][{j}]") for j, x in enumerate(row))
+    if any(mat.arr.shape != (m, m) for mat in mats):
+        raise DimMismatchError(f"representation matrices must be {m}x{m}")
+    # rho(e_0), ..., then mu(e_0, e_0), mu(e_0, e_1), ...
+    table = np.stack([mat.arr for mat in mats]) if mats else np.zeros((0, m, m), dtype=object)
+    n = alg.dim
+    return alg, Representation(n, m, table[:n], table[n:].reshape(n, n, m, m))
 
 
 def load_pair(path, validate=True) -> LieYRepPair:
@@ -264,8 +258,8 @@ def pair_to_dict(pair: LieYRepPair, inline_algebra=True):
     return {
         "algebra": algebra_to_dict(pair.algebra),
         "module_dim": pair.dim_v,
-        "rho": [matrix_to_rows(m) for m in pair.rep.rho],
-        "mu": [[matrix_to_rows(m) for m in row] for row in pair.rep.mu],
+        "rho": array_to_text(pair.rep.rho_arr),
+        "mu": array_to_text(pair.rep.mu_arr),
     }
 
 

@@ -1,37 +1,36 @@
-"""Dense exact matrices, tensors, and linear algebra over the scalar ring.
+"""Exact arrays, matrices and linear algebra over the scalar ring.
 
-Matrices act on coordinate columns: column k of a map's matrix is the
-image of the k-th basis vector.  Vectors are plain tuples of scalars.
-
-The laws of the package are evaluated on exact arrays (`exact_array`,
-`Matrix.arr`, `Tensor.arr`).  An array whose entries are all rational is
-an ExactArray: integer numerators over one common denominator, int64
-while a bound on their magnitude carried through every operation stays
-below INT64_LIMIT, Python ints in an object array beyond it.  An array
-with genuine polynomials in t is a numpy array of dtype=object holding
-ints, Fractions and Polys.  Entries leave either kind as ints (integral
-values), Fractions or Polys.
+Every value of the package is an exact array (`exact_array`, `exact`).
+An array whose entries are all rational is an ExactArray: integer
+numerators over one common denominator, int64 while a bound on their
+magnitude carried through every operation stays below INT64_LIMIT,
+Python ints in an object array beyond it.  An array with genuine
+polynomials in t is a numpy array of dtype=object holding ints,
+Fractions and Polys.  Entries leave either kind as ints (integral
+values), Fractions or Polys.  A Matrix is a 2-d exact array with a
+checked shape; matrices act on coordinate columns: column k of a map's
+matrix is the image of the k-th basis vector.
 
 rank / nullspace / inverse are only defined over the rationals; matrices
 with genuine polynomial entries are rejected (evaluate t first).  All
-three run on one exact elimination, `_echelon`: each row is scaled by
-the lcm of its denominators to integers, only its nonzero entries are
-kept in a {column: int} dict, and the rows are brought to reduced
-echelon form by fraction-free elimination with content removal (every
-row divided by the gcd of its entries after each step).  Coboundary
-matrices are mostly zeros, and the dict rows never touch those.
+three run on one exact elimination, `_echelon`: the rows of the
+numerator array (each row of the matrix times the common denominator)
+keep only their nonzero entries in a {column: int} dict, and are brought
+to reduced echelon form by fraction-free elimination with content
+removal (every row divided by the gcd of its entries after each step).
+Coboundary matrices are mostly zeros, and the dict rows never touch
+those.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
 from math import gcd, lcm, prod
 
 import numpy as np
 
 from .errors import DimMismatchError, PolynomialEntriesError, SingularMatrixError
-from .scalars import Poly, as_fraction, is_zero
+from .scalars import Poly
 
 # ---------------------------------------------------------------------------
 # exact arrays
@@ -313,7 +312,11 @@ def exact(arr):
     """The entries of an array as an exact array (see exact_array)."""
     if isinstance(arr, ExactArray):
         return arr
-    return exact_array(np.asarray(arr).ravel(), np.shape(arr))
+    try:
+        arr = np.asarray(arr)
+    except ValueError as exc:  # nested sequences of unequal lengths
+        raise DimMismatchError(f"ragged array: {exc}") from exc
+    return exact_array(arr.ravel(), arr.shape)
 
 
 def exact_array(entries, shape):
@@ -345,167 +348,113 @@ def exact_array(entries, shape):
 
 
 # ---------------------------------------------------------------------------
-# vectors
-
-
-def vzero(n):
-    return (Fraction(0),) * n
-
-
-def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vneg(a):
-    return tuple(-x for x in a)
-
-
-def vscale(s, a):
-    return tuple(s * x for x in a)
-
-
-def vec_is_zero(a) -> bool:
-    return all(is_zero(x) for x in a)
-
-
-# ---------------------------------------------------------------------------
 # matrices
 
 
 class Matrix:
-    """Immutable dense matrix with exact entries.
+    """Immutable exact matrix: a shape-checked wrapper over its exact array
+    `arr` (an ExactArray over the rationals, an object array over Q[t]).
 
-    The column count is read off the rows; a matrix with no rows takes it
-    from `cols` (default 0), so 0 x n maps keep their domain.
+    Matrix(rows, cols=0) builds one from Python rows, at the input
+    boundary; the column count is read off the rows, and a matrix with no
+    rows takes it from `cols`, so 0 x n maps keep their domain.  The
+    shape, the arithmetic, the comparisons and the integer rows of the
+    elimination all come from `arr`; `data` is its entries as tuple rows,
+    computed on access.
     """
 
-    __slots__ = ("rows", "cols", "data", "_arr")
+    __slots__ = ("arr",)
 
     def __init__(self, data, cols=0):
-        data = tuple(tuple(r) for r in data)
-        self.rows = len(data)
-        self.cols = len(data[0]) if data else cols
-        for r in data:
-            if len(r) != self.cols:
-                raise DimMismatchError("ragged matrix rows")
-        self.data = data
-        self._arr = None
+        data = [tuple(r) for r in data]
+        cols = len(data[0]) if data else cols
+        if any(len(r) != cols for r in data):
+            raise DimMismatchError("ragged matrix rows")
+        self.arr = exact_array([x for r in data for x in r], (len(data), cols))
 
     @classmethod
     def from_array(cls, arr):
-        """The matrix of a 2-d array, which it keeps as its `arr` (an exact
-        array: an ExactArray over the rationals, an object array over Q[t])."""
-        arr = exact_array(arr.ravel(), arr.shape)
-        out = cls(arr.tolist(), arr.shape[1])
-        out._arr = arr
+        """The matrix of a 2-d array, which it keeps (as an exact array) as its `arr`."""
+        arr = exact(arr)
+        if len(arr.shape) != 2:
+            raise DimMismatchError(f"a matrix needs a 2-d array, got shape {arr.shape}")
+        out = cls.__new__(cls)
+        out.arr = arr
         return out
 
+    rows = property(lambda self: self.arr.shape[0])
+    cols = property(lambda self: self.arr.shape[1])
+
     @property
-    def arr(self):
-        """The entries as an exact array (an ExactArray over the rationals, an
-        object array over Q[t]), built once."""
-        if self._arr is None:
-            self._arr = exact_array([x for r in self.data for x in r], (self.rows, self.cols))
-        return self._arr
+    def data(self):
+        """The entries as tuple rows (ints, Fractions, or Polys over Q[t])."""
+        return tuple(map(tuple, self.arr.tolist()))
 
     @classmethod
     def zero(cls, rows, cols=None):
         cols = rows if cols is None else cols
-        return cls(((Fraction(0),) * cols,) * rows, cols)
+        return cls.from_array(ExactArray(np.zeros((rows, cols), dtype=np.int64), 1, 0))
 
     @classmethod
     def identity(cls, n):
-        return cls(tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)))
+        return cls.from_array(ExactArray(np.identity(n, dtype=np.int64), 1, 1))
 
     @classmethod
     def diag(cls, entries):
         entries = list(entries)
-        n = len(entries)
-        return cls(tuple(tuple(entries[i] if i == j else Fraction(0) for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def from_cols(cls, cols):
-        cols = [tuple(c) for c in cols]
-        return cls(tuple(zip(*cols))) if cols else cls(())
+        out = np.zeros((len(entries),) * 2, dtype=object)
+        out[np.diag_indices(len(entries))] = entries
+        return cls.from_array(out)
 
     def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
-
-    def col(self, j):
-        return tuple(r[j] for r in self.data)
+        return self.arr[ij]
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.rows != other.rows or self.cols != other.cols:
-            return False
-        return all(
-            is_zero(a - b) for ra, rb in zip(self.data, other.data) for a, b in zip(ra, rb)
-        )
+        return self.arr.shape == other.arr.shape and not (self.arr - other.arr != 0).any()
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.arr.shape, self.data))
 
     def __add__(self, other):
         self._same_shape(other)
-        return Matrix(tuple(vadd(a, b) for a, b in zip(self.data, other.data)))
+        return Matrix.from_array(self.arr + other.arr)
 
     def __sub__(self, other):
         self._same_shape(other)
-        return Matrix(tuple(vsub(a, b) for a, b in zip(self.data, other.data)))
+        return Matrix.from_array(self.arr - other.arr)
 
     def __neg__(self):
-        return Matrix(tuple(vneg(r) for r in self.data))
+        return Matrix.from_array(-self.arr)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise DimMismatchError(f"matmul {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-            bt = tuple(zip(*other.data))
-            return Matrix(
-                tuple(
-                    tuple(_dot(row, col) for col in bt)
-                    for row in self.data
-                )
-            )
+            return Matrix.from_array(self.arr @ other.arr)
         return self.scale(other)
 
     def __rmul__(self, s):
         return self.scale(s)
 
     def scale(self, s):
-        return Matrix(tuple(vscale(s, r) for r in self.data))
-
-    def apply(self, vec):
-        """Matrix-vector product (vector of length cols)."""
-        if len(vec) != self.cols:
-            raise DimMismatchError(f"apply {self.rows}x{self.cols} to vector of length {len(vec)}")
-        return tuple(_dot(row, vec) for row in self.data)
+        return Matrix.from_array(self.arr * exact_array([s], ()))
 
     def transpose(self):
-        if not self.rows:
-            return Matrix(((),) * self.cols)
-        return Matrix(tuple(zip(*self.data)), self.rows)
+        return Matrix.from_array(self.arr.T)
 
     def is_zero(self):
-        return all(is_zero(x) for r in self.data for x in r)
+        return not (self.arr != 0).any()
 
     def is_square(self):
         return self.rows == self.cols
 
     def has_poly_entries(self):
-        return any(isinstance(x, Poly) and x.degree > 0 for r in self.data for x in r)
-
-    def map(self, fn):
-        return Matrix(tuple(tuple(fn(x) for x in r) for r in self.data))
+        return not isinstance(self.arr, ExactArray)
 
     def _same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
+        if self.arr.shape != other.arr.shape:
             raise DimMismatchError(
                 f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
@@ -518,21 +467,18 @@ class Matrix:
 
     def rational_rows(self):
         """Rows as Fractions (rejecting genuine polynomials)."""
-        return [[as_fraction(x) for x in r] for r in self.data]
+        self._require_rational()
+        return [[Fraction(x) for x in r] for r in self.arr.tolist()]
 
     def _integer_rows(self):
-        """Each row scaled by its denominator lcm, as a dict of its nonzeros.
-
-        A genuine polynomial is nonzero, so this one scan also rejects it.
-        """
-        out = []
-        for r in self.data:
-            nonzero = {j: r[j] for j in compress(range(self.cols), r)}
-            if any(isinstance(x, Poly) for x in nonzero.values()):
-                self._require_rational()
-                nonzero = {j: as_fraction(x) for j, x in nonzero.items()}
-            mult = lcm(*(x.denominator for x in nonzero.values()))
-            out.append({j: x.numerator * (mult // x.denominator) for j, x in nonzero.items()})
+        """The numerator rows (each row times the common denominator), as
+        dicts of their nonzeros."""
+        self._require_rational()
+        num = self.arr.num
+        out = [{} for _ in range(self.rows)]
+        i, j = np.nonzero(num)
+        for r, c, x in zip(i.tolist(), j.tolist(), num[i, j].tolist()):
+            out[r][c] = x
         return out
 
     # -- exact linear algebra ------------------------------------------------
@@ -542,7 +488,7 @@ class Matrix:
         return len(_echelon(self._integer_rows()))
 
     def nullspace_basis(self):
-        """Exact basis of the right kernel, as a list of vectors.
+        """Exact basis of the right kernel, as a list of vectors (tuples of Fractions).
 
         One vector per non-pivot column j of the reduced echelon form:
         1 at j, minus the (normalized) pivot rows' column j at the pivots.
@@ -569,8 +515,10 @@ class Matrix:
         if not self.is_square():
             raise DimMismatchError("inverse of a non-square matrix")
         n = self.rows
-        aug = Matrix(tuple(r) + tuple(int(i == j) for j in range(n)) for i, r in enumerate(self.data))
-        pivots = _echelon(aug._integer_rows())
+        aug = self._integer_rows()  # the rows of den * A, so [den * A | den * I]
+        for i, row in enumerate(aug):
+            row[n + i] = self.arr.den
+        pivots = _echelon(aug)
         if any(p >= n for p in pivots):
             raise SingularMatrixError("matrix is singular")
         return Matrix(
@@ -580,16 +528,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({[list(r) for r in self.data]!r})"
-
-
-def _dot(row, vec):
-    acc = None
-    for a, b in zip(row, vec):
-        if is_zero(a) or is_zero(b):
-            continue
-        term = a * b
-        acc = term if acc is None else acc + term
-    return Fraction(0) if acc is None else acc
 
 
 def _echelon(rows):
@@ -640,100 +578,3 @@ def exact_product_is_zero(a: Matrix, b: Matrix) -> bool:
     if a.cols != b.rows:
         raise DimMismatchError("incompatible shapes")
     return not (a.arr @ b.arr != 0).any()
-
-
-# ---------------------------------------------------------------------------
-# tensors
-
-
-class Tensor:
-    """Dense tensor: shape plus row-major flat entries."""
-
-    __slots__ = ("shape", "entries", "_arr")
-
-    def __init__(self, shape, entries):
-        self.shape = tuple(int(s) for s in shape)
-        self.entries = tuple(entries)
-        size = prod(self.shape)
-        if len(self.entries) != size:
-            raise DimMismatchError(
-                f"tensor with shape {self.shape} needs {size} entries, got {len(self.entries)}"
-            )
-        self._arr = None
-
-    @classmethod
-    def from_array(cls, arr):
-        """The tensor of an array, which it keeps as its `arr` (an exact array:
-        an ExactArray over the rationals, an object array over Q[t])."""
-        arr = exact_array(arr.ravel(), arr.shape)
-        out = cls(arr.shape, arr.ravel().tolist())
-        out._arr = arr
-        return out
-
-    @property
-    def arr(self):
-        """The entries as an exact array of the tensor's shape (an ExactArray
-        over the rationals, an object array over Q[t]), built once."""
-        if self._arr is None:
-            self._arr = exact_array(self.entries, self.shape)
-        return self._arr
-
-    @classmethod
-    def zeros(cls, shape):
-        return cls(shape, (Fraction(0),) * prod(shape))
-
-    @classmethod
-    def from_nested(cls, nested):
-        shape = []
-        probe = nested
-        while isinstance(probe, (list, tuple)):
-            shape.append(len(probe))
-            probe = probe[0]
-        flat = []
-
-        def walk(x, depth):
-            if depth == len(shape):
-                flat.append(x)
-                return
-            if len(x) != shape[depth]:
-                raise DimMismatchError("ragged nested tensor")
-            for y in x:
-                walk(y, depth + 1)
-
-        walk(nested, 0)
-        return cls(shape, flat)
-
-    def flat_index(self, idx):
-        if len(idx) != len(self.shape):
-            raise DimMismatchError("wrong tensor index arity")
-        pos = 0
-        for i, s in zip(idx, self.shape):
-            pos = pos * s + i
-        return pos
-
-    def at(self, *idx):
-        return self.entries[self.flat_index(idx)]
-
-    def slice_vector(self, *idx):
-        """Last-axis vector at the given leading multi-index."""
-        last = self.shape[-1]
-        pos = 0
-        for i, s in zip(idx, self.shape[:-1]):
-            pos = pos * s + i
-        return self.entries[pos * last:(pos + 1) * last]
-
-    def is_zero(self):
-        return all(is_zero(x) for x in self.entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return self.shape == other.shape and all(
-            is_zero(a - b) for a, b in zip(self.entries, other.entries)
-        )
-
-    def __hash__(self):
-        return hash((self.shape, self.entries))
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape})"

@@ -44,6 +44,7 @@ The coboundary has two implementations:
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -54,9 +55,8 @@ from .errors import (
     NotInSubcomplexError,
     UnsupportedDegreeError,
 )
-from .linalg import Matrix, vadd, vneg, vscale, vsub, vzero
+from .linalg import INT64_LIMIT, ExactArray, Matrix, exact
 from .reps import LieYRepPair, _assert_adjoint_d, adjoint_rep
-from .scalars import is_zero
 from .yamaguti import (
     YamagutiCochain,
     _apply,
@@ -70,10 +70,6 @@ from .yamaguti import (
 )
 
 DEFAULT_PAIR_CAP = 3
-
-
-def _unit_v(m, b):
-    return tuple(1 if i == b else 0 for i in range(m))
 
 
 def _block_shapes(degree, n, m):
@@ -104,116 +100,72 @@ def _size(shape):
 
 
 class PairCochain:
-    """A cochain of the pair complex, stored as named dense blocks."""
+    """A cochain of the pair complex: one flat object array `flat`, in the
+    canonical block order, and its named blocks as views of it, each of
+    its block shape (arguments first, the value last)."""
 
-    def __init__(self, degree, dim_g, dim_v, blocks=None):
+    def __init__(self, degree, dim_g, dim_v, flat=None):
+        """The cochain of flat coordinates (zero by default); an object
+        array is kept, not copied."""
         self.degree = int(degree)
         self.n = dim_g
         self.m = dim_v
-        self.w = wedge_dim(dim_g)
-        self.mx = dim_g * dim_v
         self.shapes = dict(_block_shapes(self.degree, dim_g, dim_v))
-        self.blocks = {}
+        size = sum(_size(shape) for shape in self.shapes.values())
+        self.flat = np.zeros(size, dtype=object) if flat is None else _flat(flat)
+        if len(self.flat) != size:
+            raise DimMismatchError("wrong coordinate count for pair cochain")
+        self.blocks, pos = {}, 0
         for name, shape in self.shapes.items():
-            if blocks is not None and name in blocks:
-                data = list(blocks[name])
-                if len(data) != _size(shape):
-                    raise DimMismatchError(f"block {name} needs {_size(shape)} entries")
-            else:
-                data = [0] * _size(shape)
-            self.blocks[name] = data
+            self.blocks[name] = self.flat[pos:pos + _size(shape)].reshape(shape)
+            pos += _size(shape)
+
+    @classmethod
+    def from_blocks(cls, degree, dim_g, dim_v, blocks):
+        """The cochain with the given blocks (arrays of their block shapes), zero elsewhere."""
+        out = cls(degree, dim_g, dim_v)
+        for name, block in blocks.items():
+            if block.shape != out.shapes[name]:
+                raise DimMismatchError(f"block {name} needs shape {out.shapes[name]}")
+            out.blocks[name][...] = np.asarray(block)
+        return out
 
     @classmethod
     def degree1(cls, f1: Matrix, f2: Matrix):
-        n, m = f1.rows, f2.rows
         if not f1.is_square() or not f2.is_square():
             raise DimMismatchError("degree-1 pair cochain needs square matrices")
-        return cls(1, n, m, blocks={
-            "f1": [f1[i, j] for i in range(n) for j in range(n)],
-            "f2": [f2[i, j] for i in range(m) for j in range(m)],
-        })
-
-    @property
-    def f1_matrix(self) -> Matrix:
-        n = self.n
-        data = self.blocks["f1"]
-        return Matrix(tuple(tuple(data[i * n + j] for j in range(n)) for i in range(n)))
-
-    @property
-    def f2_matrix(self) -> Matrix:
-        m = self.m
-        data = self.blocks["f2"]
-        return Matrix(tuple(tuple(data[i * m + j] for j in range(m)) for i in range(m)))
-
-    def value(self, name, idx):
-        """Output vector of a block at a leading multi-index."""
-        shape = self.shapes[name]
-        last = shape[-1]
-        pos = 0
-        for i, s in zip(idx, shape[:-1]):
-            pos = pos * s + i
-        data = self.blocks[name]
-        return data[pos * last:(pos + 1) * last]
-
-    def set_value(self, name, idx, vec):
-        shape = self.shapes[name]
-        last = shape[-1]
-        pos = 0
-        for i, s in zip(idx, shape[:-1]):
-            pos = pos * s + i
-        data = self.blocks[name]
-        data[pos * last:(pos + 1) * last] = list(vec)
+        return cls.from_blocks(1, f1.rows, f2.rows, {"f1": f1.arr, "f2": f2.arr})
 
     def is_zero(self):
-        return all(is_zero(x) for data in self.blocks.values() for x in data)
+        return not (self.flat != 0).any()
 
     def __eq__(self, other):
         if not isinstance(other, PairCochain):
             return NotImplemented
         if (self.degree, self.n, self.m) != (other.degree, other.n, other.m):
             return False
-        return all(
-            is_zero(a - b)
-            for name in self.shapes
-            for a, b in zip(self.blocks[name], other.blocks[name])
-        )
+        return not (self.flat - other.flat != 0).any()
 
     def __add__(self, other):
         self._same_shape(other)
-        return PairCochain(self.degree, self.n, self.m, blocks={
-            name: [a + b for a, b in zip(self.blocks[name], other.blocks[name])]
-            for name in self.shapes
-        })
+        return PairCochain(self.degree, self.n, self.m, self.flat + other.flat)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, s):
-        return PairCochain(self.degree, self.n, self.m, blocks={
-            name: [s * x for x in self.blocks[name]] for name in self.shapes
-        })
+        return PairCochain(self.degree, self.n, self.m, self.flat * s)
 
     def _same_shape(self, other):
         if (self.degree, self.n, self.m) != (other.degree, other.n, other.m):
             raise DimMismatchError("pair cochain shape mismatch")
 
     def flatten(self):
-        out = []
-        for name, _ in _block_shapes(self.degree, self.n, self.m):
-            out.extend(self.blocks[name])
-        return out
+        return self.flat.tolist()
 
     @classmethod
     def unflatten(cls, degree, dim_g, dim_v, coords):
-        blocks = {}
-        pos = 0
-        for name, shape in _block_shapes(degree, dim_g, dim_v):
-            sz = _size(shape)
-            blocks[name] = list(coords[pos:pos + sz])
-            pos += sz
-        if pos != len(coords):
-            raise DimMismatchError("wrong coordinate count for pair cochain")
-        return cls(degree, dim_g, dim_v, blocks=blocks)
+        return cls(degree, dim_g, dim_v, coords)
 
     def __repr__(self):
         return f"PairCochain(degree={self.degree}, dim_g={self.n}, dim_v={self.m})"
@@ -330,15 +282,15 @@ class _IndexMap:
             out.append((rows[t >= 0], self.src[t[t >= 0]], self.sign[t[t >= 0]] * vals[t >= 0]))
         return [np.concatenate(parts) for parts in zip(*out)]
 
-    def verify(self, rows, vals, cols=None):
+    def verify(self, rows, vals, cols=None, den=1):
         """Raise NotInSubcomplexError unless the entries vanish off the home
         coordinates.
 
         The entries are a cochain's values at the coordinates `rows`, or
         with `cols` the (repeatable) triples of a matrix, whose columns are
-        then checked at once.  The witness is the lowest offending column,
-        then the first offending entry: the lowest flat index (row-major
-        entry at degree 1).
+        then checked at once; their values are vals / den.  The witness is
+        the lowest offending column, then the first offending entry: the
+        lowest flat index (row-major entry at degree 1).
         """
         off = self.coordinate[rows] < 0
         rows, vals = rows[off], vals[off]
@@ -361,7 +313,11 @@ class _IndexMap:
             part = "f" if pos < self.f_size else "g"
             message = f"semidirect cochain is not in the lifted subspace ({part} part)"
             where = {"flat_index": pos if pos < self.f_size else pos - self.f_size}
-        witness = {**where, "expected": 0, "found": vals[first]}
+        found = vals[first].item() if isinstance(vals[first], np.generic) else vals[first]
+        if den != 1:
+            found = Fraction(found, den)
+            found = found.numerator if found.denominator == 1 else found
+        witness = {**where, "expected": 0, "found": found}
         raise NotInSubcomplexError(message, witness=witness if cols is None else {"column": col, **witness})
 
 
@@ -396,7 +352,7 @@ def _lift(pc: _PairComplex, c: PairCochain):
     """L c as a flat object array."""
     if (c.n, c.m) != (pc.n, pc.m):
         raise DimMismatchError("cochain does not match the pair")
-    return pc.index_map(c.degree).lift(_flat(c.flatten()))
+    return pc.index_map(c.degree).lift(c.flat)
 
 
 def _project(pc: _PairComplex, degree, x) -> PairCochain:
@@ -404,13 +360,13 @@ def _project(pc: _PairComplex, degree, x) -> PairCochain:
     im = pc.index_map(degree)
     nonzero = np.flatnonzero(x)
     im.verify(nonzero, x[nonzero])
-    return PairCochain.unflatten(degree, pc.n, pc.m, im.unmix(x[im.home]).tolist())
+    return PairCochain(degree, pc.n, pc.m, im.unmix(x[im.home]))
 
 
 def lift(pair: LieYRepPair, c: PairCochain) -> YamagutiCochain:
     """Embed a pair cochain into the semidirect Yamaguti complex."""
     pc = _pc(pair)
-    return YamagutiCochain.unflatten(c.degree, pc.dimE, pc.dimE, _lift(pc, c).tolist())
+    return YamagutiCochain.unflatten(c.degree, pc.dimE, pc.dimE, _lift(pc, c))
 
 
 def project(pair: LieYRepPair, lifted: YamagutiCochain) -> PairCochain:
@@ -418,7 +374,7 @@ def project(pair: LieYRepPair, lifted: YamagutiCochain) -> PairCochain:
     pc = _pc(pair)
     if lifted.adim != pc.dimE or lifted.mdim != pc.dimE:
         raise DimMismatchError("lifted cochain does not live on the semidirect algebra")
-    return _project(pc, lifted.degree, _flat(lifted.flatten()))
+    return _project(pc, lifted.degree, lifted.flat)
 
 
 # ---------------------------------------------------------------------------
@@ -445,18 +401,24 @@ def pair_delta_matrix(pair: LieYRepPair, degree: int,
     The semidirect term table's triples, composed with L on the right,
     are the triples of M = delta_E L.  M = L P M holds exactly when M
     vanishes off the home rows, which is checked for every column at
-    once; the home rows are summed into the matrix and P subtracts their
-    overlaps.
+    once; the home rows are summed into the matrix's numerator array and
+    P subtracts their overlaps.
     """
     _check_cap(degree, cap)
     pc = _pc(pair)
     into, onto = pc.index_map(degree), pc.index_map(degree + 1)
     rows, cols, vals = into.compose(pc.terms.triples(degree))
-    onto.verify(rows, vals, cols)
+    if vals.size and int(abs(vals).max()) * vals.size >= INT64_LIMIT:
+        vals = vals.astype(object)  # their sums (in verify and the matrix) may leave int64
+    onto.verify(rows, vals, cols, pc.terms.den)
     rows = onto.coordinate[rows]
     home = rows >= 0
-    summed = _assemble(len(onto.home), len(into.home), [(rows[home], cols[home], vals[home])])
-    return Matrix(onto.unmix(summed).tolist(), len(into.home))
+    summed = _assemble(len(onto.home), len(into.home), [(rows[home], cols[home], vals[home])],
+                       pc.terms.den)
+    # P subtracts at most one home row from each: twice the bound
+    bound = 2 * summed.bound
+    num = summed.num if bound < INT64_LIMIT else summed.num.astype(object)
+    return Matrix.from_array(ExactArray(onto.unmix(num), summed.den, bound))
 
 
 def pair_cohomology_dim(pair: LieYRepPair, degree: int,
@@ -490,230 +452,150 @@ def pair_delta_direct(pair: LieYRepPair, c: PairCochain) -> PairCochain:
 
 
 def _direct_deg1(pair: LieYRepPair, c: PairCochain) -> PairCochain:
-    alg, rep, d = pair.algebra, pair.rep, pair.d
+    """delta (f1, f2) at degree 1.  Arguments: X = x ^ y a wedge of g, z in g,
+    v_b a basis vector of V; f1[:, x] = f1(x) and f2[:, b] = f2(v_b)."""
+    b, t, rho, mu, dd = _structure(pair)
     n, m = pair.dim_g, pair.dim_v
-    f1, f2 = c.f1_matrix, c.f2_matrix
-    f1c = [f1.col(i) for i in range(n)]
-    f2c = [f2.col(i) for i in range(m)]
-    out = PairCochain(2, n, m)
-    pairs_g = wedge_pairs(n)
-    e = [alg.basis_vector(i) for i in range(n)]
+    x, y = np.triu_indices(n, 1)
+    f1, f2 = (exact(c.blocks[name]) for name in ("f1", "f2"))
 
-    # comp1: the adjoint-coefficient coboundary of f1
-    for w, (x, y) in enumerate(pairs_g):
-        v = vsub(vadd(alg.bracket(e[x], f1c[y]), alg.bracket(f1c[x], e[y])), f1.apply(alg.b[x][y]))
-        out.set_value("c1f", (w,), v)
-        for z in range(n):
-            gv = vadd(alg.triple(e[x], e[y], f1c[z]), alg.triple(f1c[x], e[y], e[z]))
-            gv = vadd(gv, alg.triple(e[x], f1c[y], e[z]))
-            gv = vsub(gv, f1.apply(alg.t[x][y][z]))
-            out.set_value("c1g", (w, z), gv)
+    # comp1 f: [x, f1 y] + [f1 x, y] - f1[x, y], over (x, y, k)
+    c1f = (np.einsum("cy,xck->xyk", f1, b) + np.einsum("cx,cyk->xyk", f1, b)
+           - np.einsum("kc,xyc->xyk", f1, b))
+    # comp1 g: <<x, y, f1 z>> + <<f1 x, y, z>> + <<x, f1 y, z>> - f1<<x, y, z>>, over (x, y, z, l)
+    c1g = (np.einsum("cz,xycl->xyzl", f1, t) + np.einsum("cx,cyzl->xyzl", f1, t)
+           + np.einsum("cy,xczl->xyzl", f1, t) - np.einsum("lc,xyzc->xyzl", f1, t))
+    # comp2 f: rho(x) f2 v_b + rho(f1 x) v_b - f2(rho(x) v_b), over (x, o, b)
+    c2f = rho @ f2 + np.einsum("cx,cob->xob", f1, rho) - f2 @ rho
 
-    # comp2, f part: rho(x)f2(v) + rho(f1 x)v - f2(rho(x)v)
-    for x in range(n):
-        rho_f1x = rep.rho_vec(f1c[x])
-        for b in range(m):
-            v = vadd(rep.rho[x].apply(f2c[b]), rho_f1x.col(b))
-            v = vsub(v, f2.apply(rep.rho[x].col(b)))
-            out.set_value("c2f", (x * m + b,), v)
+    def bilinear(op):
+        # X(x, z) f2 v_b + X(f1 x, z) v_b + X(x, f1 z) v_b - f2(X(x, z) v_b), over (x, z, o, b)
+        return (op @ f2 + np.einsum("cx,czob->xzob", f1, op) + np.einsum("cz,xcob->xzob", f1, op)
+                - f2 @ op)
 
-    # comp2, g part: D(x,y)f2(v) + D(f1 x,y)v + D(x,f1 y)v - f2(D(x,y)v)
-    for w, (x, y) in enumerate(pairs_g):
-        dxy = d.at(x, y)
-        dfx = d.vec(f1c[x], e[y])
-        dfy = d.vec(f1c[y], e[x])  # D(f1 y, x) = -D(x, f1 y)
-        for b in range(m):
-            v = vadd(dxy.apply(f2c[b]), dfx.col(b))
-            v = vsub(v, dfy.col(b))
-            v = vsub(v, f2.apply(dxy.col(b)))
-            out.set_value("c2g", (w, b), v)
-
-    # comp3 (one member): the D-shaped minus the mu-shaped expression
-    for x in range(n):
-        for b in range(m):
-            for z in range(n):
-                dxz = d.at(x, z)
-                gd = vadd(dxz.apply(f2c[b]), d.vec(f1c[x], e[z]).col(b))
-                gd = vsub(gd, d.vec(f1c[z], e[x]).col(b))  # + D(x, f1 z) v
-                gd = vsub(gd, f2.apply(dxz.col(b)))
-                mxz = rep.mu[x][z]
-                gm = vadd(mxz.apply(f2c[b]), rep.mu_vec(f1c[x], e[z]).col(b))
-                gm = vadd(gm, rep.mu_vec(e[x], f1c[z]).col(b))
-                gm = vsub(gm, f2.apply(mxz.col(b)))
-                out.set_value("c3g1", (x * m + b, z), vsub(gd, gm))
-    return out
+    # comp2 g: the D-shaped expression at X = x ^ y; comp3: the D-shaped minus
+    # the mu-shaped one at (x ^ v_b, z)
+    d_part = bilinear(dd)
+    return _cochain(pair, 2, {
+        "c1f": c1f[x, y],
+        "c1g": c1g[x, y],
+        "c2f": c2f.transpose(0, 2, 1).reshape(n * m, m),
+        "c2g": d_part[x, y].transpose(0, 2, 1),
+        "c3g1": (d_part - bilinear(mu)).transpose(0, 3, 1, 2).reshape(n * m, n, m),
+    })
 
 
 def _direct_deg2(pair: LieYRepPair, c: PairCochain) -> PairCochain:
-    alg, rep, d = pair.algebra, pair.rep, pair.d
+    """delta (f1, g1; f2, g2; g3) at degree 2, component by component.
+
+    Arguments: X1 = x1 ^ y1 and X2 = x2 ^ y2 wedges of g (axes u and v),
+    z in g, x ^ v_b a mixed argument.  The input blocks read
+    f1(X) = F1[X], g1(X, z) = G1[X, z], f2(x ^ v_b) = F2[x, b],
+    g2(X, v_b) = G2[X, b] and g3(x ^ v_b, z) = G3[x, b, z]; G1w, G2w
+    extend g1 and g2 to all wedges a ^ c of basis vectors, and
+    X1 o X2 = <<x1, y1, x2>> ^ y2 + x2 ^ <<x1, y1, y2>>.
+    """
+    b, t, rho, mu, dd = _structure(pair)
     n, m = pair.dim_g, pair.dim_v
-    pairs_g = wedge_pairs(n)
-    widx = wedge_index_map(n)
-    w = wedge_dim(n)
-    out = PairCochain(3, n, m)
+    x, y = np.triu_indices(n, 1)
+    w = len(x)
+    F1, G1, G2 = (exact(c.blocks[name]) for name in ("c1f", "c1g", "c2g"))
+    F2 = exact(c.blocks["c2f"].reshape(n, m, m))
+    G3 = exact(c.blocks["c3g1"].reshape(n, m, n, m))
+    # wedge[a, c, X] = the coefficient of X in a ^ c
+    wedge = np.zeros((n, n, w), dtype=np.int64)
+    wedge[x, y, np.arange(w)], wedge[y, x, np.arange(w)] = 1, -1
+    wedge = exact(wedge)
+    F1w = np.einsum("acw,wk->ack", wedge, F1)
+    G1w = np.einsum("acw,wzk->aczk", wedge, G1)
+    G2w = np.einsum("acw,wbo->acbo", wedge, G2)
+    # the structure at X = x ^ y: [x, y], <<x, y, .>> and D(x, y)
+    BX, TX, DX = b[x, y], t[x, y], dd[x, y]
 
-    def f1_at(wi):
-        return c.value("c1f", (wi,))
+    # ---- comp1: the Yamaguti coboundary of (f1, g1) with adjoint coefficients
+    # f'(X1, X2) = -[x2, g1(X1, y2)] + [y2, g1(X1, x2)] + g1(X1, [x2, y2])
+    #              + <<x1, y1, f1(X2)>> - f1(X1 o X2)
+    c1f = (-np.einsum("uvc,vck->uvk", G1[:, y], b[x]) + np.einsum("uvc,vck->uvk", G1[:, x], b[y])
+           + np.einsum("vz,uzk->uvk", BX, G1) + np.einsum("uck,vc->uvk", TX, F1)
+           - np.einsum("uvc,cvk->uvk", TX[:, x], F1w[:, y]) - np.einsum("uvc,vck->uvk", TX[:, y], F1w[x]))
+    # g'(X1, X2, z) = -<<g1(X1, x2), y2, z>> + <<g1(X1, y2), x2, z>> - <<x2, y2, g1(X1, z)>>
+    #                 + g1(X1, <<x2, y2, z>>) + <<x1, y1, g1(X2, z)>> - g1(X2, <<x1, y1, z>>)
+    #                 - g1(X1 o X2, z)
+    c1g = (-np.einsum("uvc,cvzk->uvzk", G1[:, x], t[:, y]) + np.einsum("uvc,cvzk->uvzk", G1[:, y], t[:, x])
+           - np.einsum("vck,uzc->uvzk", TX, G1) + np.einsum("vzc,uck->uvzk", TX, G1)
+           + np.einsum("uck,vzc->uvzk", TX, G1) - np.einsum("uzc,vck->uvzk", TX, G1)
+           - np.einsum("uvc,cvzk->uvzk", TX[:, x], G1w[:, y]) - np.einsum("uvc,vczk->uvzk", TX[:, y], G1w[x]))
 
-    def g1_at(wi, z):
-        return c.value("c1g", (wi, z))
+    # ---- comp2 f at (X1, x ^ v_b): -rho(x) g2(X1, v_b) - rho(g1(X1, x)) v_b
+    #      + g2(X1, rho(x) v_b) + D(X1) f2(x ^ v_b) - f2(<<x1, y1, x>> ^ v_b) - f2(x ^ D(X1) v_b)
+    c2f = (-np.einsum("xoa,uba->uxbo", rho, G2) - np.einsum("uxc,cob->uxbo", G1, rho)
+           + np.einsum("xab,uao->uxbo", rho, G2) + np.einsum("uoa,xba->uxbo", DX, F2)
+           - np.einsum("uxc,cbo->uxbo", TX, F2) - np.einsum("uab,xao->uxbo", DX, F2))
 
-    def f2_at(x, b):
-        return c.value("c2f", (x * m + b,))
+    # ---- comp2 g at (X1, X2, v_b): -D(g1(X1, x2), y2) v_b + D(g1(X1, y2), x2) v_b
+    #      + D(X1) g2(X2, v_b) - D(X2) g2(X1, v_b) - g2(X1 o X2, v_b)
+    #      - g2(X2, D(X1) v_b) + g2(X1, D(X2) v_b)
+    c2g = (-np.einsum("uvc,cvob->uvbo", G1[:, x], dd[:, y]) + np.einsum("uvc,cvob->uvbo", G1[:, y], dd[:, x])
+           + np.einsum("uoa,vba->uvbo", DX, G2) - np.einsum("voa,uba->uvbo", DX, G2)
+           - np.einsum("uvc,cvbo->uvbo", TX[:, x], G2w[:, y]) - np.einsum("uvc,vcbo->uvbo", TX[:, y], G2w[x])
+           - np.einsum("uab,vao->uvbo", DX, G2) + np.einsum("vab,uao->uvbo", DX, G2))
 
-    def f2_mix(gvec, vvec):
-        acc = vzero(m)
-        for x, sx in enumerate(gvec):
-            if is_zero(sx):
-                continue
-            for b, sb in enumerate(vvec):
-                if not is_zero(sb):
-                    acc = vadd(acc, vscale(sx * sb, f2_at(x, b)))
-        return acc
+    # ---- comp3 f at (x ^ v_b, X2): -rho(x2) g2(y2 ^ x, v_b) - rho(x2) g3(x ^ v_b, y2)
+    #      + rho(y2) g2(x2 ^ x, v_b) + rho(y2) g3(x ^ v_b, x2) + g2([x2, y2] ^ x, v_b)
+    #      + g3(x ^ v_b, [x2, y2]) - mu(x, f1(X2)) v_b + f2(x2 ^ mu(x, y2) v_b) - f2(y2 ^ mu(x, x2) v_b)
+    c3f1 = (-np.einsum("voa,vxba->xbvo", rho[x], G2w[y]) - np.einsum("voa,xbva->xbvo", rho[x], G3[:, :, y])
+            + np.einsum("voa,vxba->xbvo", rho[y], G2w[x]) + np.einsum("voa,xbva->xbvo", rho[y], G3[:, :, x])
+            + np.einsum("vc,cxbo->xbvo", BX, G2w) + np.einsum("vc,xbco->xbvo", BX, G3)
+            - np.einsum("vc,xcob->xbvo", F1, mu)
+            + np.einsum("xvab,vao->xbvo", mu[:, y], F2[x]) - np.einsum("xvab,vao->xbvo", mu[:, x], F2[y]))
 
-    def g2_at(wi, b):
-        return c.value("c2g", (wi, b))
+    # ---- comp3 g, mixed slot first, at (x ^ v_b, X2, z):
+    #      -mu(y2, z) g2(x2 ^ x, v_b) - mu(y2, z) g3(x ^ v_b, x2)
+    #      + mu(x2, z) g2(y2 ^ x, v_b) + mu(x2, z) g3(x ^ v_b, y2) - mu(x, g1(X2, z)) v_b
+    #      - D(X2) g2(z ^ x, v_b) - D(X2) g3(x ^ v_b, z)
+    #      - g2(z ^ y2, mu(x, x2) v_b) - g3(y2 ^ mu(x, x2) v_b, z)
+    #      + g2(z ^ x2, mu(x, y2) v_b) + g3(x2 ^ mu(x, y2) v_b, z) + g2(X2, mu(x, z) v_b)
+    #      + g3(x ^ v_b, <<x2, y2, z>>) + g2(<<x2, y2, z>> ^ x, v_b)
+    c3g1 = (-np.einsum("vzoa,vxba->xbvzo", mu[y], G2w[x]) - np.einsum("vzoa,xbva->xbvzo", mu[y], G3[:, :, x])
+            + np.einsum("vzoa,vxba->xbvzo", mu[x], G2w[y]) + np.einsum("vzoa,xbva->xbvzo", mu[x], G3[:, :, y])
+            - np.einsum("vzc,xcob->xbvzo", G1, mu)
+            - np.einsum("voa,zxba->xbvzo", DX, G2w) - np.einsum("voa,xbza->xbvzo", DX, G3)
+            - np.einsum("xvab,zvao->xbvzo", mu[:, x], G2w[:, y]) - np.einsum("xvab,vazo->xbvzo", mu[:, x], G3[y])
+            + np.einsum("xvab,zvao->xbvzo", mu[:, y], G2w[:, x]) + np.einsum("xvab,vazo->xbvzo", mu[:, y], G3[x])
+            + np.einsum("xzab,vao->xbvzo", mu, G2)
+            + np.einsum("vzc,xbco->xbvzo", TX, G3) + np.einsum("vzc,cxbo->xbvzo", TX, G2w))
 
-    def g2_wedge(terms, vvec):
-        """g2 at a wedge expansion [(wi, coeff)] and a V vector."""
-        acc = vzero(m)
-        for wi, cf in terms:
-            for b, sb in enumerate(vvec):
-                if not is_zero(sb):
-                    acc = vadd(acc, vscale(cf * sb, g2_at(wi, b)))
-        return acc
+    # ---- comp3 g, mixed slot second, at (X1, x ^ v_b, z): +mu(g1(X1, x), z) v_b
+    #      + mu(x, z) g2(X1, v_b) + mu(x, g1(X1, z)) v_b + D(X1) g2(z ^ x, v_b) + D(X1) g3(x ^ v_b, z)
+    #      + g2(<<x1, y1, x>> ^ z, v_b) - g3(<<x1, y1, x>> ^ v_b, z) + g2(x ^ z, D(X1) v_b)
+    #      - g3(x ^ D(X1) v_b, z) - g2(<<x1, y1, z>> ^ x, v_b) - g3(x ^ v_b, <<x1, y1, z>>)
+    #      - g2(X1, mu(x, z) v_b), minus the comp2 g overlap at (X1, z ^ x, v_b)
+    c3g2 = (np.einsum("uxc,czob->uxbzo", G1, mu) + np.einsum("xzoa,uba->uxbzo", mu, G2)
+            + np.einsum("uzc,xcob->uxbzo", G1, mu)
+            + np.einsum("uoa,zxba->uxbzo", DX, G2w) + np.einsum("uoa,xbza->uxbzo", DX, G3)
+            + np.einsum("uxc,czbo->uxbzo", TX, G2w) - np.einsum("uxc,cbzo->uxbzo", TX, G3)
+            + np.einsum("uab,xzao->uxbzo", DX, G2w) - np.einsum("uab,xazo->uxbzo", DX, G3)
+            - np.einsum("uzc,cxbo->uxbzo", TX, G2w) - np.einsum("uzc,xbco->uxbzo", TX, G3)
+            - np.einsum("xzab,uao->uxbzo", mu, G2)
+            - np.einsum("zxw,uwbo->uxbzo", wedge, c2g))
 
-    def g3_at(x, b, z):
-        return c.value("c3g1", (x * m + b, z))
+    return _cochain(pair, 3, {
+        "c1f": c1f,
+        "c1g": c1g,
+        "c2f": c2f.reshape(w, n * m, m),
+        "c2g": c2g,
+        "c3f1": c3f1.reshape(n * m, w, m),
+        "c3g1": c3g1.reshape(n * m, w, n, m),
+        "c3g2": c3g2.reshape(w, n * m, n, m),
+    })
 
-    def g3_mix(gvec, vvec, z):
-        acc = vzero(m)
-        for x, sx in enumerate(gvec):
-            if is_zero(sx):
-                continue
-            for b, sb in enumerate(vvec):
-                if not is_zero(sb):
-                    acc = vadd(acc, vscale(sx * sb, g3_at(x, b, z)))
-        return acc
 
-    def g3_final(x, b, gvec):
-        acc = vzero(m)
-        for z, s in enumerate(gvec):
-            if not is_zero(s):
-                acc = vadd(acc, vscale(s, g3_at(x, b, z)))
-        return acc
+def _structure(pair: LieYRepPair):
+    """The pair's [.,.], <<.,.,.>>, rho, mu and D as exact arrays."""
+    alg, rep = pair.algebra, pair.rep
+    return alg.b_arr, alg.t_arr, rep.rho_arr, rep.mu_arr, pair.d.arr
 
-    def wexp(cvec, x):
-        """Wedge expansion of (vector) ^ e_x as [(index, coeff)]."""
-        outv = []
-        for cidx, s in enumerate(cvec):
-            if is_zero(s) or cidx == x:
-                continue
-            if cidx < x:
-                outv.append((widx[(cidx, x)], s))
-            else:
-                outv.append((widx[(x, cidx)], -s))
-        return outv
 
-    ebas = [alg.basis_vector(i) for i in range(n)]
-
-    # the classical complex of g with adjoint coefficients: comp1 is its
-    # coboundary of (f1, g1), and comp2 g reads its composite X1 o X2
-    terms = _terms(alg, adjoint_rep(alg, check=False))
-
-    # ---- comp1: Yamaguti coboundary of (f1, g1) with adjoint coefficients
-    comp1 = _apply(terms, 2, _flat(c.blocks["c1f"] + c.blocks["c1g"])).tolist()
-    f_size = len(out.blocks["c1f"])
-    out.blocks["c1f"], out.blocks["c1g"] = comp1[:f_size], comp1[f_size:]
-
-    # ---- comp2 f: arguments (W1, (x,v))
-    for w1, (x1, y1) in enumerate(pairs_g):
-        d11 = d.at(x1, y1)
-        for x in range(n):
-            for b in range(m):
-                val = vneg(rep.rho[x].apply(g2_at(w1, b)))
-                val = vsub(val, rep.rho_vec(g1_at(w1, x)).col(b))
-                val = vadd(val, g2_wedge([(w1, 1)], rep.rho[x].col(b)))
-                val = vadd(val, d11.apply(f2_at(x, b)))
-                val = vsub(val, f2_mix(alg.t[x1][y1][x], _unit_v(m, b)))
-                val = vsub(val, f2_mix(ebas[x], d11.col(b)))
-                out.set_value("c2f", (w1, x * m + b), val)
-
-    # ---- comp2 g: arguments (W1, W2, v)
-    for w1, (x1, y1) in enumerate(pairs_g):
-        d11 = d.at(x1, y1)
-        for w2, (x2, y2) in enumerate(pairs_g):
-            d22 = d.at(x2, y2)
-            circ = [(wi, cf) for wi, cf in enumerate(terms.circ[w1, w2]) if cf]
-            for b in range(m):
-                val = vneg(d.vec(g1_at(w1, x2), ebas[y2]).col(b))
-                val = vadd(val, d.vec(g1_at(w1, y2), ebas[x2]).col(b))
-                val = vadd(val, d11.apply(g2_at(w2, b)))
-                val = vsub(val, d22.apply(g2_at(w1, b)))
-                val = vsub(val, g2_wedge(circ, _unit_v(m, b)))
-                val = vsub(val, g2_wedge([(w2, 1)], d11.col(b)))
-                val = vadd(val, g2_wedge([(w1, 1)], d22.col(b)))
-                out.set_value("c2g", (w1, w2, b), val)
-
-    # ---- comp3 f (position 1): arguments ((x,v), W2)
-    for x in range(n):
-        for b in range(m):
-            for w2, (x2, y2) in enumerate(pairs_g):
-                val = vneg(rep.rho[x2].apply(g2_wedge(wexp(ebas[y2], x), _unit_v(m, b))))
-                val = vsub(val, rep.rho[x2].apply(g3_at(x, b, y2)))
-                val = vadd(val, rep.rho[y2].apply(g2_wedge(wexp(ebas[x2], x), _unit_v(m, b))))
-                val = vadd(val, rep.rho[y2].apply(g3_at(x, b, x2)))
-                val = vadd(val, g2_wedge(wexp(alg.b[x2][y2], x), _unit_v(m, b)))
-                val = vadd(val, g3_final(x, b, alg.b[x2][y2]))
-                val = vsub(val, rep.mu_vec(ebas[x], f1_at(w2)).col(b))
-                val = vadd(val, f2_mix(ebas[x2], rep.mu[x][y2].col(b)))
-                val = vsub(val, f2_mix(ebas[y2], rep.mu[x][x2].col(b)))
-                out.set_value("c3f1", (x * m + b, w2), val)
-
-    # ---- comp3 g (position 1): arguments ((x,v), W2, z)
-    for x in range(n):
-        for b in range(m):
-            for w2, (x2, y2) in enumerate(pairs_g):
-                d22 = d.at(x2, y2)
-                for z in range(n):
-                    val = vneg(rep.mu[y2][z].apply(g2_wedge(wexp(ebas[x2], x), _unit_v(m, b))))
-                    val = vsub(val, rep.mu[y2][z].apply(g3_at(x, b, x2)))
-                    val = vadd(val, rep.mu[x2][z].apply(g2_wedge(wexp(ebas[y2], x), _unit_v(m, b))))
-                    val = vadd(val, rep.mu[x2][z].apply(g3_at(x, b, y2)))
-                    val = vsub(val, rep.mu_vec(ebas[x], g1_at(w2, z)).col(b))
-                    val = vsub(val, d22.apply(g2_wedge(wexp(ebas[z], x), _unit_v(m, b))))
-                    val = vsub(val, d22.apply(g3_at(x, b, z)))
-                    val = vsub(val, g2_wedge(wexp(ebas[z], y2), rep.mu[x][x2].col(b)))
-                    val = vsub(val, g3_mix(ebas[y2], rep.mu[x][x2].col(b), z))
-                    val = vadd(val, g2_wedge(wexp(ebas[z], x2), rep.mu[x][y2].col(b)))
-                    val = vadd(val, g3_mix(ebas[x2], rep.mu[x][y2].col(b), z))
-                    val = vadd(val, g2_wedge([(w2, 1)], rep.mu[x][z].col(b)))
-                    val = vadd(val, g3_final(x, b, alg.t[x2][y2][z]))
-                    val = vadd(val, g2_wedge(wexp(alg.t[x2][y2][z], x), _unit_v(m, b)))
-                    out.set_value("c3g1", (x * m + b, w2, z), val)
-
-    # ---- comp3 g (position 2): arguments (W1, (x,v), z), with the
-    # item-(b) overlap on the last slot subtracted
-    for w1, (x1, y1) in enumerate(pairs_g):
-        d11 = d.at(x1, y1)
-        for x in range(n):
-            for b in range(m):
-                for z in range(n):
-                    val = rep.mu_vec(g1_at(w1, x), ebas[z]).col(b)
-                    val = vadd(val, rep.mu[x][z].apply(g2_at(w1, b)))
-                    val = vadd(val, rep.mu_vec(ebas[x], g1_at(w1, z)).col(b))
-                    val = vadd(val, d11.apply(g2_wedge(wexp(ebas[z], x), _unit_v(m, b))))
-                    val = vadd(val, d11.apply(g3_at(x, b, z)))
-                    val = vadd(val, g2_wedge(wexp(alg.t[x1][y1][x], z), _unit_v(m, b)))
-                    val = vsub(val, g3_mix(alg.t[x1][y1][x], _unit_v(m, b), z))
-                    val = vadd(val, g2_wedge(wexp(ebas[x], z), d11.col(b)))
-                    val = vsub(val, g3_mix(ebas[x], d11.col(b), z))
-                    val = vsub(val, g2_wedge(wexp(alg.t[x1][y1][z], x), _unit_v(m, b)))
-                    val = vsub(val, g3_final(x, b, alg.t[x1][y1][z]))
-                    val = vsub(val, g2_wedge([(w1, 1)], rep.mu[x][z].col(b)))
-                    # subtract the comp2-g overlap evaluated at (W1, z^x, v)
-                    for wzx, sgn in wexp(ebas[z], x):
-                        term = out.value("c2g", (w1, wzx, b))
-                        val = [a - sgn * t for a, t in zip(val, term)]
-                    out.set_value("c3g2", (w1, x * m + b, z), val)
-    return out
+def _cochain(pair: LieYRepPair, degree, blocks) -> PairCochain:
+    """The pair cochain of the given blocks (exact arrays of their block shapes)."""
+    return PairCochain.from_blocks(degree, pair.dim_g, pair.dim_v, blocks)

@@ -2,8 +2,8 @@
 
 A representation of a Lie-Yamaguti algebra g on V is a pair of maps
 rho: g -> gl(V) and mu: (x,y) -> gl(V) (mu is on ordered pairs, no
-symmetry) subject to five conditions; we store rho as a list of
-module-size matrices and mu as a full dim x dim table of matrices.
+symmetry) subject to five conditions; rho is stored as one array of the
+matrices rho(e_i) and mu as one array of the matrices mu(e_i, e_j).
 
 The derived operator is
 
@@ -11,9 +11,9 @@ The derived operator is
 
 and is skew-symmetric by construction.
 
-rho, mu and D are kept as exact arrays (rho_arr[i], mu_arr[i, j],
-D.arr[i, j]; see linalg.exact_array: ExactArrays over the rationals,
-object arrays over Q[t]), and every law is written once as
+rho, mu and D are kept as exact arrays, and only as those (rho_arr[i],
+mu_arr[i, j], D.arr[i, j]; see linalg.exact_array: ExactArrays over the
+rationals, object arrays over Q[t]), and every law is written once as
 a residual array per first basis index, contracted with np.einsum and
 scanned by report.first_violation: rep1-rep5 and der1-der3 (the table
 _law_residuals, behind check_representation and
@@ -30,13 +30,12 @@ Conventions fixed here and relied on elsewhere:
 
 from __future__ import annotations
 
-from functools import cached_property
 
 import numpy as np
 
 from .algebra import LieYamagutiAlgebra, homomorphism_witness
 from .errors import DimMismatchError, InternalConsistencyError, InvalidRepresentationError
-from .linalg import ExactArray, Matrix, exact, exact_array
+from .linalg import Matrix, exact
 from .report import VerificationReport, first_violation
 
 REP_LAWS = {
@@ -52,11 +51,11 @@ REP_LAWS = {
 
 
 class Representation:
-    """(V; rho, mu) given by matrices on basis coordinates.
+    """(V; rho, mu) given by the arrays rho_arr[i] = rho(e_i), of shape
+    (n, m, m), and mu_arr[i, j] = mu(e_i, e_j), of shape (n, n, m, m).
 
-    rho and mu are lists of Matrices (rho[i], mu[i][j]), or arrays of
-    shape (n, m, m) and (n, n, m, m); either way both forms are available,
-    the arrays as rho_arr and mu_arr.
+    rho and mu may be given as any arrays (or nested sequences) of those
+    shapes; they are kept as exact arrays.
     """
 
     def __init__(self, algebra_dim, module_dim, rho, mu):
@@ -66,58 +65,14 @@ class Representation:
         # each built on first use and freed with the representation
         self._coboundary_terms = None
         self._derived = None
-        if isinstance(rho, (np.ndarray, ExactArray)):
-            if rho.shape != (n, m, m) or mu.shape != (n, n, m, m):
-                raise DimMismatchError(f"rho/mu arrays must have shapes {(n, m, m)} and {(n, n, m, m)}")
-            self.rho_arr, self.mu_arr = exact(rho), exact(mu)
-            return
-        self.rho = list(rho)
-        self.mu = [list(row) for row in mu]
-        if len(self.rho) != n or len(self.mu) != n:
-            raise DimMismatchError("rho/mu tables must have one entry per basis vector")
-        for mat in self.rho:
-            self._check_mat(mat)
-        for row in self.mu:
-            if len(row) != n:
-                raise DimMismatchError("mu table must be dim x dim")
-            for mat in row:
-                self._check_mat(mat)
-        self.rho_arr = exact_array([x for mat in self.rho for r in mat.data for x in r], (n, m, m))
-        self.mu_arr = exact_array([x for row in self.mu for mat in row for r in mat.data for x in r],
-                                  (n, n, m, m))
-
-    def _check_mat(self, m):
-        if m.rows != self.module_dim or m.cols != self.module_dim:
-            raise DimMismatchError(
-                f"representation matrices must be {self.module_dim}x{self.module_dim}"
-            )
-
-    @cached_property
-    def rho(self):
-        return [Matrix.from_array(a) for a in self.rho_arr]
-
-    @cached_property
-    def mu(self):
-        return [[Matrix.from_array(a) for a in row] for row in self.mu_arr]
+        self.rho_arr, self.mu_arr = exact(rho), exact(mu)
+        if self.rho_arr.shape != (n, m, m) or self.mu_arr.shape != (n, n, m, m):
+            raise DimMismatchError(f"rho/mu arrays must have shapes {(n, m, m)} and {(n, n, m, m)}")
 
     @classmethod
     def zero(cls, algebra_dim, module_dim):
         n, m = algebra_dim, module_dim
         return cls(n, m, np.zeros((n, m, m), dtype=object), np.zeros((n, n, m, m), dtype=object))
-
-    def rho_vec(self, x):
-        """rho(x) for a coordinate vector x."""
-        return Matrix.from_array(np.einsum("i,iab->ab", np.array(x, dtype=object), self.rho_arr))
-
-    def mu_vec(self, x, y):
-        """mu(x, y) for coordinate vectors."""
-        return _bilinear_vec(self.mu_arr, x, y)
-
-
-def _bilinear_vec(table, x, y) -> Matrix:
-    """X(x, y) for coordinate vectors, X given by its array X[i, j]."""
-    xt = np.einsum("i,ijab->jab", np.array(x, dtype=object), table)
-    return Matrix.from_array(np.einsum("j,jab->ab", np.array(y, dtype=object), xt))
 
 
 class DerivedD:
@@ -126,17 +81,6 @@ class DerivedD:
     def __init__(self, arr):
         self.arr = exact(arr)
         self.module_dim = arr.shape[-1]
-
-    @cached_property
-    def table(self):
-        return [[Matrix.from_array(a) for a in row] for row in self.arr]
-
-    def at(self, i, j) -> Matrix:
-        return self.table[i][j]
-
-    def vec(self, x, y) -> Matrix:
-        """D(x, y) for coordinate vectors."""
-        return _bilinear_vec(self.arr, x, y)
 
 
 def derived_D(alg: LieYamagutiAlgebra, rep: Representation) -> DerivedD:

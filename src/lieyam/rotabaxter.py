@@ -50,7 +50,7 @@ from .errors import (
     NotCompatibleError,
     PreconditionFailedError,
 )
-from .linalg import Matrix, Tensor
+from .linalg import Matrix, exact
 from .reps import LieYRepPair
 from .report import VerificationReport, first_violation
 
@@ -195,7 +195,7 @@ def pre_ly_products(top: RelativeRBOperator):
            - np.einsum("uvc,cwx->uvwx", sub.b_arr, star))
     if (want - got != 0).any():
         raise ConsequenceViolatedError("derived-operator part does not expand through star/brace")
-    return Tensor.from_array(star), Tensor.from_array(brace)
+    return exact(star), exact(brace)
 
 
 def s_deformed_brackets(top: RelativeRBOperator, smap: Matrix):
@@ -211,15 +211,15 @@ def hat_deformed_brackets(top: RelativeRBOperator, ns: NijenhuisStructure):
     """
     hat = _hat_pair(top.pair, ns)
     out = _induced_algebra(hat.rep, hat.d, top.tmap)
-    return out.binary_tensor, out.ternary_tensor
+    return out.b_arr, out.t_arr
 
 
 def _deformed_vs_induced(deformed, rep, d, tmap: Matrix, arity, **tags):
     """First tuple where the deformed brackets differ from those T induces via (rep, d).
 
-    deformed is the pair (binary, ternary) of tensors; arity 2 or 3 picks one.
+    deformed is the pair (binary, ternary) of arrays; arity 2 or 3 picks one.
     """
-    diff = deformed[arity - 2].arr - _induced_brackets(rep, d, tmap.arr, arity)
+    diff = deformed[arity - 2] - _induced_brackets(rep, d, tmap.arr, arity)
     return first_violation(diff.__getitem__, (tmap.cols,) * arity, **tags)
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .algebra import LieYamagutiAlgebra, _nijenhuis_residual
 from .errors import ConsequenceViolatedError, DimMismatchError
-from .linalg import Matrix, _echelon, exact_array, vzero
+from .linalg import Matrix, _echelon, exact_array
 from .quadratic import QuadraticForm, is_invariant_form, is_rb_nijenhuis, is_skew_endomorphism
 from .report import vanishing
 from .reps import LieYRepPair, Representation, adjoint_rep, coadjoint_rep
@@ -41,13 +41,11 @@ from .rotabaxter import _rb_residual, _rbn_report, is_relative_rb
 
 
 def _antisym_table(n, entries):
-    out = [[vzero(n) for _ in range(n)] for _ in range(n)]
+    """Binary constants with [e_i, e_j] = sum_k c_k e_k for entries {(i, j): {k: c_k}}."""
+    out = np.zeros((n, n, n), dtype=object)
     for (i, j), comp in entries.items():
-        vec = [Fraction(0)] * n
         for k, c in comp.items():
-            vec[k] = Fraction(c)
-        out[i][j] = tuple(vec)
-        out[j][i] = tuple(-x for x in vec)
+            out[i, j, k], out[j, i, k] = c, -c
     return out
 
 
@@ -57,14 +55,11 @@ def catalog_algebra(name: str) -> LieYamagutiAlgebra:
         return LieYamagutiAlgebra.abelian(int(name[len("abelian"):]))
     if name == "a2":
         # [e1,e2] = e1, <<e1,e2,e2>> = e1
-        n = 2
-        binary = _antisym_table(n, {(0, 1): {0: 1}})
-        ternary = [[[vzero(n)] * n for _ in range(n)] for _ in range(n)]
-        ternary[0][1] = [vzero(n), (Fraction(1), Fraction(0))]
-        ternary[1][0] = [vzero(n), (Fraction(-1), Fraction(0))]
-        return LieYamagutiAlgebra(n, binary, ternary)
+        ternary = np.zeros((2,) * 4, dtype=object)
+        ternary[0, 1, 1, 0], ternary[1, 0, 1, 0] = 1, -1
+        return LieYamagutiAlgebra(2, _antisym_table(2, {(0, 1): {0: 1}}), ternary)
     if name == "a2lts":
-        return LieYamagutiAlgebra.from_triple_system(2, catalog_algebra("a2").ternary_tensor)
+        return LieYamagutiAlgebra.from_triple_system(2, catalog_algebra("a2").t_arr)
     if name == "heis3":
         return LieYamagutiAlgebra.from_lie_algebra(3, _antisym_table(3, {(0, 1): {2: 1}}))
     if name == "sl2":
@@ -76,9 +71,9 @@ def catalog_algebra(name: str) -> LieYamagutiAlgebra:
             3, _antisym_table(3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}})
         )
     if name == "so3lts":
-        return LieYamagutiAlgebra.from_triple_system(3, catalog_algebra("so3").ternary_tensor)
+        return LieYamagutiAlgebra.from_triple_system(3, catalog_algebra("so3").t_arr)
     if name == "sl2lts":
-        return LieYamagutiAlgebra.from_triple_system(3, catalog_algebra("sl2").ternary_tensor)
+        return LieYamagutiAlgebra.from_triple_system(3, catalog_algebra("sl2").t_arr)
     raise KeyError(f"unknown catalog algebra {name!r}")
 
 
@@ -98,11 +93,6 @@ CATALOG_FORMS = {
 def _matrices(rows, cols, values):
     for entries in product(values, repeat=rows * cols):
         yield Matrix([entries[i * cols:(i + 1) * cols] for i in range(rows)])
-
-
-def _grid_matrix(key, rows, cols, values):
-    """The grid matrix whose entries, row by row, are values[key[0]], values[key[1]], ..."""
-    return Matrix([[values[i] for i in key[r * cols:(r + 1) * cols]] for r in range(rows)])
 
 
 #: Most candidates a grid scan stacks into one array.
@@ -130,7 +120,7 @@ def _scan(rows, cols, values, residual, first, limit):
             if alive.size:
                 alive = alive[vanishing(residual(stack[alive], arity), (first,) * arity, alive.size)]
         for k in alive:
-            hits.append(_grid_matrix(block[k], rows, cols, values))
+            hits.append(Matrix.from_array(stack[k]))
             if limit is not None and len(hits) >= limit:
                 return hits
         size = min(2 * size, SCAN_BLOCK)
@@ -149,16 +139,15 @@ class _LinearSystem:
 
     def __init__(self, fn, rows, cols):
         size = rows * cols
-        images = [_flat(fn(Matrix([[int(i * cols + j == k) for j in range(cols)] for i in range(rows)])))
-                  for k in range(size)]
-        eqs = len(_flat(fn(Matrix.zero(rows, cols))))
-        system = Matrix([[m[e] for m in images] + [int(e == f) for f in range(eqs)] for e in range(eqs)],
-                        size + eqs)
-        self.pivots = _echelon(system._integer_rows())
-
-
-def _flat(x):
-    return [v for r in x.data for v in r]
+        units = Matrix.identity(size).arr.reshape(size, rows, cols)
+        images = [fn(Matrix.from_array(u)).arr.ravel() for u in units]
+        system = Matrix.from_array(np.stack(images).T) if images else \
+            Matrix.zero(fn(Matrix.zero(rows, cols)).arr.size, 0)
+        # the rows of den * [A | I]
+        integer_rows = system._integer_rows()
+        for e, row in enumerate(integer_rows):
+            row[size + e] = system.arr.den
+        self.pivots = _echelon(integer_rows)
 
 
 def _grid_solutions(fn, rows, cols, values, rhs=None):
@@ -173,7 +162,7 @@ def _grid_solutions(fn, rows, cols, values, rhs=None):
     """
     system = fn if isinstance(fn, _LinearSystem) else _LinearSystem(fn, rows, cols)
     size = rows * cols
-    target = None if rhs is None else _flat(rhs)
+    target = None if rhs is None else rhs.arr.ravel().tolist()
 
     def combine(row):  # c . rhs for the reduced row (a | c)
         return 0 if target is None else sum(c * target[k - size] for k, c in row.items() if k >= size)
@@ -198,7 +187,8 @@ def _grid_solutions(fn, rows, cols, values, rhs=None):
         else:
             keys.append(key)
     keys.sort()
-    return [_grid_matrix(key, rows, cols, values) for key in keys]
+    grid = exact_array(values, (len(values),))
+    return [Matrix.from_array(grid[np.array(key, dtype=np.intp).reshape(rows, cols)]) for key in keys]
 
 
 def _confirm(holds, x, condition):
@@ -286,7 +276,8 @@ def search_quadratic_fixtures(names=("abelian2", "abelian3", "so3lts", "sl2lts")
                 continue
             match = None
             linear = _grid_solutions(
-                lambda x: Matrix((bs * x.transpose() - x * bs).data + (x * rmap - rmap * x).data),
+                lambda x: Matrix.from_array(np.stack([(bs * x.transpose() - x * bs).arr,
+                                                      (x * rmap - rmap * x).arr]).reshape(-1, alg.dim)),
                 alg.dim, alg.dim, values)
             for nmap in linear:
                 if nmap.is_zero():
@@ -310,36 +301,35 @@ def search_quadratic_fixtures(names=("abelian2", "abelian3", "so3lts", "sl2lts")
 
 
 def change_basis(alg: LieYamagutiAlgebra, p: Matrix) -> LieYamagutiAlgebra:
-    """Transport the structure constants along an invertible map."""
+    """Transport the structure constants along an invertible map P: the
+    constants X[..., k] become P^-1 X(P., ..., P.), each input slot
+    contracted with P and the output slot with P^-1."""
     if p.rows != alg.dim or p.cols != alg.dim:
         raise DimMismatchError("basis change must be square of the algebra dimension")
-    pinv = p.invert()
-    n = alg.dim
-    cols = [p.col(i) for i in range(n)]
-    binary = [[pinv.apply(alg.bracket(cols[i], cols[j])) for j in range(n)] for i in range(n)]
-    ternary = [
-        [
-            [pinv.apply(alg.triple(cols[i], cols[j], cols[k])) for k in range(n)]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return LieYamagutiAlgebra(n, binary, ternary, alg.basis_names)
+    pt, pinv = p.arr, p.invert().arr
+
+    def transport(x):
+        # contract the first axis and append the new one: after every
+        # slot has had its turn, the slots are back in their order
+        ndim = len(x.shape)
+        for axis in range(ndim):
+            x = np.einsum("a...,ai->...i", x, pt if axis < ndim - 1 else pinv.T)
+        return x
+
+    return LieYamagutiAlgebra(alg.dim, transport(alg.b_arr), transport(alg.t_arr), alg.basis_names)
 
 
 def random_invertible(dim, rng, values=(-2, -1, 0, 1, 2)):
     """Random invertible integer matrix (product of elementary operations)."""
-    mat = Matrix.identity(dim)
+    mat = np.identity(dim, dtype=object)
     for _ in range(3 * dim):
         i = rng.randrange(dim)
         j = rng.randrange(dim)
         if i == j:
             continue
         c = rng.choice([v for v in values if v])
-        rows = [list(r) for r in mat.data]
-        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-        mat = Matrix(rows)
-    return mat
+        mat[i] = mat[i] + c * mat[j]
+    return Matrix.from_array(mat)
 
 
 RANDOM_SEEDS = ("abelian2", "abelian3", "a2", "a2lts", "heis3", "sl2", "so3", "so3lts", "sl2lts")

@@ -33,22 +33,24 @@ At p = 1 (n = 0) the same formulas hold with g := f and no f input.
 Each term above is an exact coefficient array over the slots it reads
 and writes, times the identity on the other slots (`_Terms`).  Its
 nonzero entries, broadcast against the row-major strides of the flat
-input and output layouts, are the term's (row, column, value) triples:
-delta_matrix sums them into a matrix, and `_apply` applies them one
+input and output layouts, are the term's (row, column, value) triples,
+the values as integer numerators over one denominator of the table:
+delta_matrix sums them into the numerator array of its matrix (int64
+under the bound their magnitudes give), and `_apply` applies them one
 term at a time to a flat cochain, without building the whole operator.
 """
 
 from __future__ import annotations
 
-from math import prod
+from fractions import Fraction
+from math import lcm, prod
 
 import numpy as np
 
 from .algebra import LieYamagutiAlgebra
-from .errors import DegreeCapExceededError, DimMismatchError
-from .linalg import Matrix, normalize
+from .errors import DegreeCapExceededError, DimMismatchError, PolynomialEntriesError
+from .linalg import INT64_LIMIT, ExactArray, Matrix, exact, normalize
 from .reps import Representation, _derived
-from .scalars import is_zero
 
 DEFAULT_DEGREE_CAP = 4
 
@@ -67,34 +69,47 @@ def wedge_dim(dim):
 
 
 class YamagutiCochain:
-    """A cochain of the Yamaguti complex, stored densely.
+    """A cochain of the Yamaguti complex: one flat object array `flat` in
+    the canonical coordinate order (the one delta_matrix uses).
 
-    degree 1: ``f`` is a module_dim x dim matrix (columns = values on
-    basis vectors), ``g`` is None.  degree p = n+1 >= 2: ``f_flat`` has
-    wdim^n * mdim entries, ``g_flat`` has wdim^n * adim * mdim entries,
-    both in row-major order with the output coordinate last.
+    degree 1: flat[x * mdim + o] is f(e_x)_o, and ``f`` is the map as a
+    module_dim x dim Matrix (columns = values on basis vectors), built on
+    access.  degree p = n+1 >= 2: ``f_flat`` (wdim^n * mdim entries) and
+    ``g_flat`` (wdim^n * adim * mdim entries) are views of flat, both in
+    row-major order with the output coordinate last.
     """
 
     def __init__(self, degree, adim, mdim, f=None, g=None):
-        self.degree = int(degree)
-        self.adim = adim
-        self.mdim = mdim
-        self.wdim = wedge_dim(adim)
-        if self.degree < 1:
+        """degree 1: f a Matrix; degree >= 2: f and g flat entry sequences.  Zero by default."""
+        if int(degree) < 1:
             raise DimMismatchError("cochain degree must be >= 1")
-        self.n = self.degree - 1
-        if self.degree == 1:
-            self.f = f if f is not None else Matrix.zero(mdim, adim)
-            if self.f.rows != mdim or self.f.cols != adim:
+        if int(degree) == 1:
+            f = Matrix.zero(mdim, adim) if f is None else f
+            if f.rows != mdim or f.cols != adim:
                 raise DimMismatchError("degree-1 cochain matrix must be module_dim x dim")
-            self.g = None
+            flat = np.asarray(f.arr).T.flatten()
         else:
-            fsize = self.wdim**self.n * mdim
-            gsize = self.wdim**self.n * adim * mdim
-            self.f_flat = list(f) if f is not None else [0] * fsize
-            self.g_flat = list(g) if g is not None else [0] * gsize
-            if len(self.f_flat) != fsize or len(self.g_flat) != gsize:
+            fsize, gsize = _fg_sizes(int(degree), adim, mdim)
+            f = np.zeros(fsize, dtype=object) if f is None else _flat(f)
+            g = np.zeros(gsize, dtype=object) if g is None else _flat(g)
+            if len(f) != fsize or len(g) != gsize:
                 raise DimMismatchError("cochain storage does not match the degree")
+            flat = np.concatenate([f, g])
+        self._keep(int(degree), adim, mdim, flat)
+
+    def _keep(self, degree, adim, mdim, flat):
+        self.degree, self.adim, self.mdim = degree, adim, mdim
+        self.wdim = wedge_dim(adim)
+        self.n = degree - 1
+        self.flat = flat
+        if degree > 1:
+            fsize = _fg_sizes(degree, adim, mdim)[0]
+            self.f_flat, self.g_flat = flat[:fsize], flat[fsize:]
+
+    @property
+    def f(self):
+        """The degree-1 map as a module_dim x dim Matrix."""
+        return Matrix.from_array(self.flat.reshape(self.adim, self.mdim).T)
 
     # -- evaluation (degree >= 2) ---------------------------------------------
 
@@ -115,42 +130,24 @@ class YamagutiCochain:
     # -- structure -------------------------------------------------------------
 
     def is_zero(self):
-        if self.degree == 1:
-            return self.f.is_zero()
-        return all(is_zero(x) for x in self.f_flat) and all(is_zero(x) for x in self.g_flat)
+        return not (self.flat != 0).any()
 
     def __eq__(self, other):
         if not isinstance(other, YamagutiCochain):
             return NotImplemented
         if (self.degree, self.adim, self.mdim) != (other.degree, other.adim, other.mdim):
             return False
-        if self.degree == 1:
-            return self.f == other.f
-        return all(is_zero(a - b) for a, b in zip(self.f_flat, other.f_flat)) and all(
-            is_zero(a - b) for a, b in zip(self.g_flat, other.g_flat)
-        )
+        return not (self.flat - other.flat != 0).any()
 
     def __add__(self, other):
         self._same_shape(other)
-        if self.degree == 1:
-            return YamagutiCochain(1, self.adim, self.mdim, f=self.f + other.f)
-        return YamagutiCochain(
-            self.degree, self.adim, self.mdim,
-            f=[a + b for a, b in zip(self.f_flat, other.f_flat)],
-            g=[a + b for a, b in zip(self.g_flat, other.g_flat)],
-        )
+        return YamagutiCochain.unflatten(self.degree, self.adim, self.mdim, self.flat + other.flat)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, s):
-        if self.degree == 1:
-            return YamagutiCochain(1, self.adim, self.mdim, f=self.f.scale(s))
-        return YamagutiCochain(
-            self.degree, self.adim, self.mdim,
-            f=[s * x for x in self.f_flat],
-            g=[s * x for x in self.g_flat],
-        )
+        return YamagutiCochain.unflatten(self.degree, self.adim, self.mdim, self.flat * s)
 
     def _same_shape(self, other):
         if (self.degree, self.adim, self.mdim) != (other.degree, other.adim, other.mdim):
@@ -159,21 +156,28 @@ class YamagutiCochain:
     # -- flattening (fixed coordinate order shared with delta_matrix) ----------
 
     def flatten(self):
-        if self.degree == 1:
-            return [self.f[o, x] for x in range(self.adim) for o in range(self.mdim)]
-        return list(self.f_flat) + list(self.g_flat)
+        return self.flat.tolist()
 
     @classmethod
     def unflatten(cls, degree, adim, mdim, coords):
-        if degree == 1:
-            f = Matrix(tuple(tuple(coords[x * mdim + o] for x in range(adim)) for o in range(mdim)), adim)
-            return cls(1, adim, mdim, f=f)
-        n = degree - 1
-        fsize = wedge_dim(adim)**n * mdim
-        return cls(degree, adim, mdim, f=coords[:fsize], g=coords[fsize:])
+        """The cochain of flat coordinates; an object array is kept, not copied."""
+        if int(degree) < 1:
+            raise DimMismatchError("cochain degree must be >= 1")
+        flat = _flat(coords)
+        if len(flat) != cochain_dim(adim, mdim, degree):
+            raise DimMismatchError("cochain storage does not match the degree")
+        out = cls.__new__(cls)
+        out._keep(int(degree), adim, mdim, flat)
+        return out
 
     def __repr__(self):
         return f"YamagutiCochain(degree={self.degree}, adim={self.adim}, mdim={self.mdim})"
+
+
+def _fg_sizes(degree, adim, mdim):
+    """The entry counts of the f and g parts of a degree >= 2 cochain."""
+    w = wedge_dim(adim) ** (degree - 1)
+    return w * mdim, w * adim * mdim
 
 
 def cochain_dim(adim, mdim, degree):
@@ -212,6 +216,10 @@ class _Terms:
     * dt[w, z, o, s, a]: D(X_w) g(.., z) - g(.., <<x_w, y_w, z>>);
     * d[w, o, a]: D(X_w) f(..);
     * circ[k, l, w]: the coefficient of wedge w in X_k o X_l.
+
+    The arrays are ExactArrays; the table keeps the numerators of their
+    nonzero entries over one common denominator `den` (int64 when they
+    fit, Python ints otherwise).
     """
 
     def __init__(self, alg: LieYamagutiAlgebra, rep: Representation):
@@ -219,17 +227,14 @@ class _Terms:
         self.adim, self.mdim, self.wdim = alg.dim, rep.module_dim, wedge_dim(alg.dim)
         self.d = _derived(alg, rep)
         x, y = np.triu_indices(alg.dim, 1)
-        ia, im = np.identity(alg.dim, dtype=object), np.identity(rep.module_dim, dtype=object)
-        # the table holds exact object arrays: its values multiply cochain entries
-        rho, mu, d, t, b = (np.asarray(a) for a in (rep.rho_arr, rep.mu_arr, self.d.arr[x, y],
-                                                    alg.t_arr[x, y], alg.b_arr[x, y]))
+        ia, im = (exact(np.identity(k, dtype=np.int64)) for k in (alg.dim, rep.module_dim))
+        rho, mu, d, t, b = rep.rho_arr, rep.mu_arr, self.d.arr[x, y], alg.t_arr[x, y], alg.b_arr[x, y]
         dt = np.einsum("zs,woa->wzosa", ia, d) - np.einsum("wzs,oa->wzosa", t, im)
         # X_k o X_l: <<X_k, e_c>> is t[k, c], and e_c ^ e_j is wedge[c, j]
-        wedge = np.zeros((alg.dim, alg.dim, self.wdim), dtype=object)
+        wedge = np.zeros((alg.dim, alg.dim, self.wdim), dtype=np.int64)
         wedge[x, y, np.arange(self.wdim)] = 1
         wedge[y, x, np.arange(self.wdim)] = -1
-        self.circ = (np.einsum("klc,clw->klw", t[:, x], wedge[:, y])
-                     + np.einsum("klc,lcw->klw", t[:, y], wedge[x]))
+        wedge = exact(wedge)
         arrays = {
             "rho_b": np.einsum("ws,woa->wosa", ia[y], rho[x]) - np.einsum("ws,woa->wosa", ia[x], rho[y])
             - np.einsum("ws,oa->wosa", b, im),
@@ -237,21 +242,30 @@ class _Terms:
             + dt,
             "dt": dt,
             "d": d,
-            "circ": self.circ,
+            "circ": np.einsum("klc,clw->klw", t[:, x], wedge[:, y]) + np.einsum("klc,lcw->klw", t[:, y], wedge[x]),
         }
+        if not all(isinstance(a, ExactArray) for a in arrays.values()):
+            raise PolynomialEntriesError("the coboundary needs rational structure constants; evaluate t first")
         # per array: its nonzero positions (one row per axis, then a row of
-        # ones that picks up the block offsets) and their values
+        # ones that picks up the block offsets) and their numerators over
+        # the table's one denominator
+        self.den = lcm(*(a.den for a in arrays.values()))
         self.nonzeros = {}
         for name, arr in arrays.items():
-            pos = np.array(np.nonzero(arr)).reshape(arr.ndim, -1)
-            self.nonzeros[name] = (np.vstack([pos, np.ones_like(pos[:1])]), normalize(arr[tuple(pos)]))
+            pos = np.array(np.nonzero(arr.num)).reshape(arr.num.ndim, -1)
+            scale = self.den // arr.den
+            num = arr.num[tuple(pos)]
+            if arr.bound * scale >= INT64_LIMIT:
+                num = num.astype(object)
+            self.nonzeros[name] = (np.vstack([pos, np.ones_like(pos[:1])]), num * scale)
 
     def triples(self, p):
         """(rows, cols, vals) of each term of delta_p in the flat layouts.
 
         A term is one coefficient array at each of its K slot placements:
-        rows and cols are (K, E, I) arrays and vals a (K, E) array, for
-        nonzero entry e of the array and identity index i.  Within one
+        rows and cols are (K, E, I) arrays and vals a (K, E) array of
+        numerators over `den`, for nonzero entry e of the array and
+        identity index i.  Within one
         placement every (row, col) occurs once, and the entries with
         the same output slots share their rows and are consecutive.
         """
@@ -287,7 +301,7 @@ class _Terms:
         grid = np.indices(sizes).reshape(len(sizes), prod(sizes))
         offsets = np.array(ident, dtype=np.int64) @ grid
         index = (np.array(local, dtype=np.int64) @ pos)[..., None] + offsets[:, :, None, :]
-        return index[:, 0], index[:, 1], np.array(signs, dtype=object)[:, None] * vals
+        return index[:, 0], index[:, 1], np.array(signs)[:, None] * vals
 
 
 def _strides(shape):
@@ -306,7 +320,9 @@ def _terms(alg: LieYamagutiAlgebra, rep: Representation) -> _Terms:
 
 
 def _flat(entries):
-    """A list of cochain entries as a flat object array."""
+    """Cochain entries as a flat object array: an object array as it is, a sequence copied."""
+    if type(entries) is np.ndarray and entries.dtype == object:
+        return entries
     out = np.empty(len(entries), dtype=object)
     out[:] = entries
     return out
@@ -322,7 +338,7 @@ def _apply(terms: _Terms, p: int, x):
             sums = np.add.reduceat(vals[:, :, None] * x[cols], starts, axis=1)
             for r, v in zip(rows[:, starts], sums):
                 out[r] += v
-    return out
+    return out if terms.den == 1 else normalize(out * Fraction(1, terms.den))
 
 
 def delta(alg: LieYamagutiAlgebra, rep: Representation, c: YamagutiCochain,
@@ -332,8 +348,8 @@ def delta(alg: LieYamagutiAlgebra, rep: Representation, c: YamagutiCochain,
         raise DegreeCapExceededError(f"degree {c.degree + 1} exceeds cap {cap}")
     if c.adim != alg.dim or c.mdim != rep.module_dim:
         raise DimMismatchError("cochain does not match the complex")
-    out = _apply(_terms(alg, rep), c.degree, _flat(c.flatten()))
-    return YamagutiCochain.unflatten(c.degree + 1, alg.dim, rep.module_dim, out.tolist())
+    out = _apply(_terms(alg, rep), c.degree, c.flat)
+    return YamagutiCochain.unflatten(c.degree + 1, alg.dim, rep.module_dim, out)
 
 
 def delta_matrix(alg: LieYamagutiAlgebra, rep: Representation, p: int,
@@ -345,17 +361,21 @@ def delta_matrix(alg: LieYamagutiAlgebra, rep: Representation, p: int,
     if p < 1:
         raise DimMismatchError("cochain degree must be >= 1")
     rows, cols = (cochain_dim(alg.dim, rep.module_dim, q) for q in (p + 1, p))
-    triples = ((r, c, np.broadcast_to(v[..., None], r.shape)) for r, c, v in _terms(alg, rep).triples(p))
-    return Matrix(_assemble(rows, cols, triples).tolist(), cols)
+    terms = _terms(alg, rep)
+    triples = [(r, c, np.broadcast_to(v[..., None], r.shape)) for r, c, v in terms.triples(p)]
+    return Matrix.from_array(_assemble(rows, cols, triples, terms.den))
 
 
-def _assemble(rows, cols, triples):
-    """The dense (rows, cols) object array that sums the triples (row
-    indices, column indices, values: arrays of one shape; repeats add up)."""
-    flat = np.zeros(rows * cols, dtype=object)
+def _assemble(rows, cols, triples, den):
+    """The (rows, cols) ExactArray over `den` that sums the triples (row
+    indices, column indices, integer numerators: arrays of one shape;
+    repeats add up).  No entry exceeds the sum of the numerators'
+    magnitudes, which is its bound."""
+    bound = sum(int(abs(v).max()) * v.size for _, _, v in triples if v.size)
+    num = np.zeros(rows * cols, dtype=np.int64 if bound < INT64_LIMIT else object)
     for r, c, vals in triples:
-        np.add.at(flat, (r * cols + c).ravel(), vals.ravel())
-    return flat.reshape(rows, cols)
+        np.add.at(num, (r * cols + c).ravel(), vals.ravel())
+    return ExactArray(num.reshape(rows, cols), den, bound)
 
 
 def cohomology_dim(alg: LieYamagutiAlgebra, rep: Representation, p: int,

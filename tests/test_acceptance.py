@@ -10,6 +10,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import sympy
 
 from lieyam import (
@@ -251,18 +252,17 @@ def search_case_iter(base_cases):
 
 
 def _mutated_algebra(alg, i, j, k, out, delta):
-    tern = [[[list(alg.t[a][b][c]) for c in range(alg.dim)] for b in range(alg.dim)]
-            for a in range(alg.dim)]
-    tern[i][j][k][out] += delta
-    tern[j][i][k][out] -= delta
-    return LieYamagutiAlgebra(alg.dim, alg.b, tern)
+    tern = np.array(alg.t_arr, dtype=object)
+    tern[i, j, k, out] += delta
+    tern[j, i, k, out] -= delta
+    return LieYamagutiAlgebra(alg.dim, alg.b_arr, tern)
 
 
 def _mutated_binary(alg, i, j, out, delta):
-    binary = [[list(alg.b[a][b]) for b in range(alg.dim)] for a in range(alg.dim)]
-    binary[i][j][out] += delta
-    binary[j][i][out] -= delta
-    return LieYamagutiAlgebra(alg.dim, binary, alg.t)
+    binary = np.array(alg.b_arr, dtype=object)
+    binary[i, j, out] += delta
+    binary[j, i, out] -= delta
+    return LieYamagutiAlgebra(alg.dim, binary, alg.t_arr)
 
 
 def test_criterion_9_negative_controls():

@@ -263,12 +263,12 @@ def test_seed_appears_and_reports_deterministic(capsys):
 def test_serialization_roundtrip_semantic():
     alg = load_algebra(fx("A2.json"))
     again = algebra_from_dict(algebra_to_dict(alg))
-    assert again.binary_tensor == alg.binary_tensor
-    assert again.ternary_tensor == alg.ternary_tensor
+    assert again.b_arr.tolist() == alg.b_arr.tolist()
+    assert again.t_arr.tolist() == alg.t_arr.tolist()
     # i > j entries load through antisymmetrization
     swapped = load_algebra(fx("A2-swapped.json"))
-    assert swapped.binary_tensor == alg.binary_tensor
-    assert swapped.ternary_tensor == alg.ternary_tensor
+    assert swapped.b_arr.tolist() == alg.b_arr.tolist()
+    assert swapped.t_arr.tolist() == alg.t_arr.tolist()
 
 
 def test_conflicting_duplicate_detected():
@@ -285,9 +285,10 @@ def test_pair_file_roundtrip(tmp_path):
     path = tmp_path / "pair.json"
     dump_json(pair_to_dict(pair), path)
     again = load_pair(str(path))
-    assert again.algebra.binary_tensor == pair.algebra.binary_tensor
-    assert all(again.rep.rho[i] == pair.rep.rho[i] for i in range(2))
-    assert all(again.rep.mu[i][j] == pair.rep.mu[i][j] for i in range(2) for j in range(2))
+    assert again.algebra.b_arr.tolist() == pair.algebra.b_arr.tolist()
+    assert again.algebra.t_arr.tolist() == pair.algebra.t_arr.tolist()
+    assert again.rep.rho_arr.tolist() == pair.rep.rho_arr.tolist()
+    assert again.rep.mu_arr.tolist() == pair.rep.mu_arr.tolist()
 
 
 def test_consequence_violation_exit3(monkeypatch, capsys):

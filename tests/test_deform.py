@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lieyam import Matrix
@@ -22,6 +23,7 @@ from lieyam.deform import (
     trivial_deformation_from,
 )
 from lieyam.errors import NotNijenhuisError
+from lieyam.linalg import exact
 from lieyam.paircomplex import PairCochain, pair_delta_direct, pair_delta_lifted
 from lieyam.reps import check_representation
 from lieyam.scalars import Poly
@@ -82,24 +84,16 @@ def test_scalar_rescaling_structure(a2_adjoint):
     d = trivial_deformation_from(a2_adjoint, ns)
     # phi = 2 lambda [x,y] - lambda [x,y] = lambda [x,y]
     alg = a2_adjoint.algebra
-    for i in range(2):
-        for j in range(2):
-            assert d.phi.slice_vector(i, j) == tuple(lam * v for v in alg.b[i][j])
+    assert d.phi.tolist() == (np.array(alg.b_arr, dtype=object) * lam).tolist()
 
 
 def test_noncocycle_perturbation_reports_witness(a2_adjoint):
     P = a2_adjoint
     d = DeformationData.zero(P)
-    phi = [[list(v) for v in row] for row in
-           [[d.phi.slice_vector(i, j) for j in range(2)] for i in range(2)]]
-    phi[0][1][1] += 1
-    phi[1][0][1] -= 1
-    from lieyam.linalg import Tensor
-
-    bad = DeformationData(
-        Tensor((2, 2, 2), [x for row in phi for v in row for x in v]),
-        d.phi1, d.phi2, d.varrho, d.varpi1, d.varpi2,
-    )
+    phi = np.array(d.phi, dtype=object)
+    phi[0, 1, 1] += 1
+    phi[1, 0, 1] -= 1
+    bad = DeformationData(exact(phi), d.phi1, d.phi2, d.varrho, d.varpi1, d.varpi2)
     rep = linear_deformation_report(P, bad)
     assert not rep.passed
     failing = [c for c in rep.checks if not c.ok]
@@ -127,8 +121,6 @@ def test_nilpotent_family_degenerates_to_zero(a2_adjoint):
 
 def _random_deformation(P, rng):
     """Antisymmetry-respecting but otherwise arbitrary deformation data."""
-    from lieyam.linalg import Tensor
-
     n = P.dim_g
 
     def anti3():
@@ -138,7 +130,7 @@ def _random_deformation(P, rng):
                 v = [rng.randint(-2, 2) for _ in range(n)]
                 flat[i][j] = v
                 flat[j][i] = [-x for x in v]
-        return Tensor((n, n, n), [x for a in flat for b in a for x in b])
+        return exact(flat)
 
     def anti4():
         flat = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
@@ -148,15 +140,15 @@ def _random_deformation(P, rng):
                     v = [rng.randint(-2, 2) for _ in range(n)]
                     flat[i][j][k] = v
                     flat[j][i][k] = [-x for x in v]
-        return Tensor((n,) * 4, [x for a in flat for b in a for c in b for x in c])
+        return exact(flat)
 
     m = P.dim_v
-    rnd_mat = lambda: Matrix([[rng.randint(-2, 2) for _ in range(m)] for _ in range(m)])  # noqa: E731
+    rnd_mat = lambda: [[rng.randint(-2, 2) for _ in range(m)] for _ in range(m)]  # noqa: E731
     return DeformationData(
         anti3(), anti4(), anti4(),
-        [rnd_mat() for _ in range(n)],
-        [[rnd_mat() for _ in range(n)] for _ in range(n)],
-        [[rnd_mat() for _ in range(n)] for _ in range(n)],
+        exact([rnd_mat() for _ in range(n)]),
+        exact([[rnd_mat() for _ in range(n)] for _ in range(n)]),
+        exact([[rnd_mat() for _ in range(n)] for _ in range(n)]),
     )
 
 
@@ -181,13 +173,12 @@ def test_hat_rep_cases(a2_adjoint):
     P = a2_adjoint
     zero = NijenhuisStructure(P, Matrix.zero(2), Matrix.zero(2))
     h0 = hat_rep(P, zero)
-    assert all(m.is_zero() for m in h0.rho)
-    assert all(m.is_zero() for row in h0.mu for m in row)
+    assert not (h0.rho_arr != 0).any() and not (h0.mu_arr != 0).any()
 
     ident = NijenhuisStructure(P, Matrix.identity(2), Matrix.identity(2))
     h1 = hat_rep(P, ident)
-    assert all(h1.rho[i] == P.rep.rho[i] for i in range(2))
-    assert all(h1.mu[i][j] == P.rep.mu[i][j] for i in range(2) for j in range(2))
+    assert h1.rho_arr.tolist() == P.rep.rho_arr.tolist()
+    assert h1.mu_arr.tolist() == P.rep.mu_arr.tolist()
 
     ns = NijenhuisStructure(P, NMAT, NMAT)
     hn = hat_rep(P, ns)  # all consequence asserts run inside
@@ -211,9 +202,9 @@ def test_derived_deformation_terms_match_polynomial_route(a2_adjoint):
         for j in range(2):
             for r in range(2):
                 for c in range(2):
-                    poly = dt.at(i, j)[r, c]
+                    poly = dt.arr[i, j, r, c]
                     p = poly if isinstance(poly, Poly) else Poly([poly])
-                    assert p.coeff(0) == P.d.at(i, j)[r, c]
+                    assert p.coeff(0) == P.d.arr[i, j, r, c]
                     assert p.coeff(1) == d1[i][j][r, c]
                     assert p.coeff(2) == d2[i][j][r, c]
 
@@ -231,15 +222,9 @@ def test_equivalence_maps_are_pair_homomorphisms_at_sampled_t(a2_adjoint):
     d = trivial_deformation_from(P, ns)
     alg_t, rep_t = deformed_pair_structures(P, d)
     for t0 in (Fraction(1, 2), Fraction(-1, 3)):
-        ev = lambda s: s.eval(t0) if isinstance(s, Poly) else s  # noqa: E731
-        alg0 = type(P.algebra)(
-            2,
-            [[tuple(map(ev, v)) for v in row] for row in alg_t.b],
-            [[[tuple(map(ev, v)) for v in row] for row in plane] for plane in alg_t.t],
-        )
-        rep0 = type(P.rep)(2, 2,
-                           [m.map(ev) for m in rep_t.rho],
-                           [[m.map(ev) for m in row] for row in rep_t.mu])
+        ev = np.frompyfunc(lambda s: s.eval(t0) if isinstance(s, Poly) else s, 1, 1)
+        alg0 = type(P.algebra)(2, ev(np.asarray(alg_t.b_arr)), ev(np.asarray(alg_t.t_arr)))
+        rep0 = type(P.rep)(2, 2, ev(np.asarray(rep_t.rho_arr)), ev(np.asarray(rep_t.mu_arr)))
         deformed_at_t = LieYRepPair(alg0, rep0)
         phi = Matrix.identity(2) + ns.nmap.scale(t0)
         psi = Matrix.identity(2) + ns.smap.scale(t0)

@@ -27,6 +27,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from lieyam import LieYamagutiAlgebra, LieYRepPair, Matrix, adjoint_rep, coadjoint_rep, semidirect
 from lieyam.algebra import homomorphism_witness, nijenhuis_witness
 from lieyam.deform import (
@@ -85,19 +87,18 @@ def _bump(m: Matrix, rng, times=1) -> Matrix:
 
 def _perturbed_algebra(alg, rng, ternary_only=False):
     n = alg.dim
-    binary = [[list(alg.b[i][j]) for j in range(n)] for i in range(n)]
-    ternary = [[[list(alg.t[i][j][k]) for k in range(n)] for j in range(n)] for i in range(n)]
+    binary, ternary = np.array(alg.b_arr, dtype=object), np.array(alg.t_arr, dtype=object)
     for _ in range(rng.randint(1, 2)):
         i, j = rng.sample(range(n), 2)
         step = rng.choice(STEPS)
         if not ternary_only and rng.random() < 0.4:
             out = rng.randrange(n)
-            binary[i][j][out] += step
-            binary[j][i][out] -= step
+            binary[i, j, out] += step
+            binary[j, i, out] -= step
         else:
             k, out = rng.randrange(n), rng.randrange(n)
-            ternary[i][j][k][out] += step
-            ternary[j][i][k][out] -= step
+            ternary[i, j, k, out] += step
+            ternary[j, i, k, out] -= step
     return LieYamagutiAlgebra(n, binary, ternary)
 
 

@@ -18,8 +18,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from lieyam import (
-    Matrix,
     Representation,
     adjoint_rep,
     check_derived_identities,
@@ -44,24 +45,17 @@ CASES_PER_REP = 3
 STEPS = (Fraction(1), Fraction(-1), Fraction(1, 2))
 
 
-def _bump(m: Matrix, r, c, step) -> Matrix:
-    rows = [list(row) for row in m.data]
-    rows[r][c] += step
-    return Matrix(rows)
-
-
 def _perturbed(rep: Representation, rng: random.Random) -> Representation:
     n, dv = rep.algebra_dim, rep.module_dim
-    rho = list(rep.rho)
-    mu = [list(row) for row in rep.mu]
+    rho, mu = np.array(rep.rho_arr, dtype=object), np.array(rep.mu_arr, dtype=object)
     for _ in range(rng.randint(1, 3)):
         r, c, step = rng.randrange(dv), rng.randrange(dv), rng.choice(STEPS)
         if rng.random() < 0.4:
             i = rng.randrange(n)
-            rho[i] = _bump(rho[i], r, c, step)
+            rho[i, r, c] += step
         else:
             i, j = rng.randrange(n), rng.randrange(n)
-            mu[i][j] = _bump(mu[i][j], r, c, step)
+            mu[i, j, r, c] += step
     return Representation(n, dv, rho, mu)
 
 

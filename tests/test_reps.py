@@ -1,6 +1,6 @@
 from fractions import Fraction
-from itertools import product
 
+import numpy as np
 import pytest
 
 from lieyam import (
@@ -19,42 +19,52 @@ from lieyam import (
     semidirect,
 )
 from lieyam.errors import DimMismatchError, InternalConsistencyError, InvalidRepresentationError
+from lieyam.linalg import exact
 from lieyam.reps import REP_LAWS
+
+
+def _with(arr, idx, delta):
+    """A writable object-array copy of the exact array `arr`, with `delta` added at `idx`."""
+    out = np.array(arr, dtype=object)
+    out[idx] = out[idx] + np.array(delta, dtype=object)
+    return out
+
+
+def _vanishes(arr):
+    return not (arr != 0).any()
 
 
 def test_adjoint_matrices(a2):
     adj = adjoint_rep(a2)
-    assert adj.rho[0] == Matrix([[0, 1], [0, 0]])
-    assert adj.rho[1] == Matrix([[-1, 0], [0, 0]])
-    assert adj.mu[1][1] == Matrix([[1, 0], [0, 0]])
-    assert adj.mu[1][0].is_zero()
-    assert adj.mu[0][0].is_zero()
-    assert adj.mu[0][1] == Matrix([[0, -1], [0, 0]])
+    assert adj.rho_arr.tolist() == [[[0, 1], [0, 0]], [[-1, 0], [0, 0]]]
+    assert adj.mu_arr[1, 1].tolist() == [[1, 0], [0, 0]]
+    assert _vanishes(adj.mu_arr[1, 0])
+    assert _vanishes(adj.mu_arr[0, 0])
+    assert adj.mu_arr[0, 1].tolist() == [[0, -1], [0, 0]]
 
 
 def test_derived_d_adjoint(a2):
     adj = adjoint_rep(a2)
     d = derived_D(a2, adj)
     # D(e1,e2) acts as z -> <<e1,e2,z>>: e2 -> e1, e1 -> 0
-    assert d.at(0, 1) == Matrix([[0, 1], [0, 0]])
-    assert d.at(1, 0) == Matrix([[0, -1], [0, 0]])
-    assert d.at(0, 0).is_zero()
+    assert d.arr[0, 1].tolist() == [[0, 1], [0, 0]]
+    assert d.arr[1, 0].tolist() == [[0, -1], [0, 0]]
+    assert _vanishes(d.arr[0, 0])
 
 
 def test_derived_d_zero_rep(a2):
     zero = Representation.zero(2, 3)
     d = derived_D(a2, zero)
-    assert all(d.at(i, j).is_zero() for i in range(2) for j in range(2))
+    assert _vanishes(d.arr) and d.arr.shape == (2, 2, 3, 3)
 
 
 def test_derived_d_cancellation():
     # symmetric mu and commuting rho with rho([x,y]) = 0 force D = 0
     ab = LieYamagutiAlgebra.abelian(2)
-    mu = Matrix([[1, 2], [2, 1]])
-    rep = Representation(2, 2, [Matrix.identity(2), Matrix.identity(2).scale(3)],
-                         [[mu, mu], [mu, mu]])
+    mu = [[1, 2], [2, 1]]
+    rep = Representation(2, 2, [[[1, 0], [0, 1]], [[3, 0], [0, 3]]], [[mu, mu], [mu, mu]])
     d = derived_D(ab, rep)
-    assert all(d.at(i, j).is_zero() for i in range(2) for j in range(2))
+    assert _vanishes(d.arr)
 
 
 def test_check_representation_fixtures(a2, so3, sl2):
@@ -66,9 +76,7 @@ def test_check_representation_fixtures(a2, so3, sl2):
 
 def test_check_representation_perturbed(a2):
     adj = adjoint_rep(a2)
-    mu = [row[:] for row in adj.mu]
-    mu[1][1] = mu[1][1] + Matrix([[0, 0], [1, 0]])
-    broken = Representation(2, 2, adj.rho, mu)
+    broken = Representation(2, 2, adj.rho_arr, _with(adj.mu_arr, (1, 1), [[0, 0], [1, 0]]))
     rep = check_representation(a2, broken)
     assert not rep.passed
     failing = [c for c in rep.checks if not c.ok]
@@ -77,10 +85,9 @@ def test_check_representation_perturbed(a2):
 
 def test_adjoint_consistency_guard(so3):
     # on an invalid algebra the adjoint derived-D identity fails loudly
-    tern = [[[list(so3.t[a][b][c]) for c in range(3)] for b in range(3)] for a in range(3)]
-    tern[0][1][2][0] += 1
-    tern[1][0][2][0] -= 1
-    bad = LieYamagutiAlgebra(3, so3.b, tern)
+    tern = _with(so3.t_arr, (0, 1, 2, 0), 1)
+    tern[1, 0, 2, 0] -= 1
+    bad = LieYamagutiAlgebra(3, so3.b_arr, tern)
     assert not bad.check_axioms().passed
     with pytest.raises(InternalConsistencyError):
         adjoint_rep(bad)
@@ -91,17 +98,15 @@ def test_dual_rep_involution(a2, so3):
     for alg in (a2, so3):
         rep = adjoint_rep(alg)
         dd = dual_rep(dual_rep(rep))
-        assert all(dd.rho[i] == rep.rho[i] for i in range(alg.dim))
-        assert all(
-            dd.mu[i][j] == rep.mu[i][j] for i in range(alg.dim) for j in range(alg.dim)
-        )
+        assert dd.rho_arr.tolist() == rep.rho_arr.tolist()
+        assert dd.mu_arr.tolist() == rep.mu_arr.tolist()
 
 
 def test_dual_of_zero_is_zero():
     z = Representation.zero(3, 2)
     dz = dual_rep(z)
-    assert all(m.is_zero() for m in dz.rho)
-    assert all(m.is_zero() for row in dz.mu for m in row)
+    assert _vanishes(dz.rho_arr) and dz.rho_arr.shape == (3, 2, 2)
+    assert _vanishes(dz.mu_arr) and dz.mu_arr.shape == (3, 3, 2, 2)
 
 
 def test_coadjoint_valid(a2, so3, sl2):
@@ -117,7 +122,7 @@ def test_semidirect_fixtures(a2):
         assert sd.check_axioms().passed
     ab = LieYamagutiAlgebra.abelian(2)
     sd = semidirect(ab, Representation.zero(2, 2))
-    assert sd.binary_tensor.is_zero() and sd.ternary_tensor.is_zero()
+    assert _vanishes(sd.b_arr) and _vanishes(sd.t_arr)
 
 
 def test_pair_semidirect_reuses_its_d(a2, monkeypatch):
@@ -131,15 +136,13 @@ def test_pair_semidirect_reuses_its_d(a2, monkeypatch):
     monkeypatch.undo()
     assert not calls
     want = semidirect(a2, coadjoint_rep(a2))
-    assert sd.binary_tensor == want.binary_tensor and sd.ternary_tensor == want.ternary_tensor
+    assert sd.b_arr.tolist() == want.b_arr.tolist() and sd.t_arr.tolist() == want.t_arr.tolist()
     assert sd.basis_names == want.basis_names
 
 
 def test_semidirect_rejects_invalid_rep(a2):
     adj = adjoint_rep(a2)
-    mu = [row[:] for row in adj.mu]
-    mu[0][1] = mu[0][1] + Matrix([[1, 0], [0, 0]])
-    broken = Representation(2, 2, adj.rho, mu)
+    broken = Representation(2, 2, adj.rho_arr, _with(adj.mu_arr, (0, 1), [[1, 0], [0, 0]]))
     with pytest.raises(InvalidRepresentationError):
         semidirect(a2, broken)
 
@@ -149,10 +152,10 @@ def test_semidirect_iff_fuzz(a2, rng):
     adj = adjoint_rep(a2)
     checked_invalid = 0
     for _ in range(40):
-        rho = [m + Matrix([[rng.randint(-1, 1) for _ in range(2)] for _ in range(2)])
-               for m in adj.rho]
-        mu = [[m + Matrix([[rng.randint(-1, 1) for _ in range(2)] for _ in range(2)])
-               for m in row] for row in adj.mu]
+        rho = [_with(m, (), [[rng.randint(-1, 1) for _ in range(2)] for _ in range(2)])
+               for m in adj.rho_arr]
+        mu = [[_with(m, (), [[rng.randint(-1, 1) for _ in range(2)] for _ in range(2)])
+               for m in row] for row in adj.mu_arr]
         cand = Representation(2, 2, rho, mu)
         valid = check_representation(a2, cand).passed
         sd = semidirect(a2, cand, validate_rep=False)
@@ -174,23 +177,20 @@ def test_pair_homomorphism_examples(a2_adjoint):
 def test_lieyrep_pair_validates(a2):
     adj = adjoint_rep(a2)
     LieYRepPair(a2, adj)
-    mu = [row[:] for row in adj.mu]
-    mu[1][1] = mu[1][1] + Matrix([[0, 0], [1, 0]])
+    mu = _with(adj.mu_arr, (1, 1), [[0, 0], [1, 0]])
     with pytest.raises(InvalidRepresentationError):
-        LieYRepPair(a2, Representation(2, 2, adj.rho, mu))
+        LieYRepPair(a2, Representation(2, 2, adj.rho_arr, mu))
 
 
 def test_mu_stored_on_ordered_pairs(a2):
     # mu is on ordered pairs: mu(e2,e2) nonzero while mu(e2,e1) zero
     adj = adjoint_rep(a2)
-    assert adj.mu[1][1] != adj.mu[1][0]
-    # and mu_vec is genuinely bilinear in both slots
-    x = (Fraction(2), Fraction(-1))
-    y = (Fraction(1, 2), Fraction(3))
-    acc = Matrix.zero(2)
-    for i, j in product(range(2), repeat=2):
-        acc = acc + adj.mu[i][j].scale(x[i] * y[j])
-    assert adj.mu_vec(x, y) == acc
+    assert adj.mu_arr[1, 1].tolist() != adj.mu_arr[1, 0].tolist()
+    # and the pair's mu is not symmetrized: mu(x, y) = mu(y, x) fails on vectors
+    x, y = exact([Fraction(2), Fraction(-1)]), exact([Fraction(1, 2), Fraction(3)])
+    mu_xy = np.einsum("j,jab->ab", y, np.einsum("i,ijab->jab", x, adj.mu_arr))
+    mu_yx = np.einsum("j,jab->ab", x, np.einsum("i,ijab->jab", y, adj.mu_arr))
+    assert (mu_xy != mu_yx).any()
 
 
 def test_pair_homomorphism_witness_names_law_and_first_tuple(a2, a2_adjoint):
@@ -200,8 +200,7 @@ def test_pair_homomorphism_witness_names_law_and_first_tuple(a2, a2_adjoint):
     wit = pair_homomorphism_witness(Matrix([[0, 1], [1, 0]]), ident, a2_adjoint, a2_adjoint)
     assert (wit["identity"], wit["tuple"], wit["residual"]) == ("binary", (0, 1), (1, 1))
     # ternary: same bracket, ternary bracket doubled on the target
-    doubled = LieYamagutiAlgebra(2, a2.b, [[[tuple(2 * x for x in v) for v in row] for row in plane]
-                                           for plane in a2.t])
+    doubled = LieYamagutiAlgebra(2, a2.b_arr, np.array(a2.t_arr, dtype=object) * 2)
     target = LieYRepPair(doubled, a2_adjoint.rep, validate=False)
     wit = pair_homomorphism_witness(ident, ident, a2_adjoint, target)
     assert (wit["identity"], wit["tuple"], wit["residual"]) == ("ternary", (0, 1, 1), (-1, 0))
@@ -209,9 +208,8 @@ def test_pair_homomorphism_witness_names_law_and_first_tuple(a2, a2_adjoint):
     wit = pair_homomorphism_witness(ident, Matrix.diag([1, 2]), a2_adjoint, a2_adjoint)
     assert (wit["identity"], wit["tuple"], wit["residual"]) == ("rho", (0,), ((0, -1), (0, 0)))
     # mu: the target differs from the source only in mu(e2, e1)
-    mu = [row[:] for row in a2_adjoint.rep.mu]
-    mu[1][0] = mu[1][0] + Matrix([[1, 0], [0, 0]])
-    target = LieYRepPair(a2, Representation(2, 2, a2_adjoint.rep.rho, mu), validate=False)
+    mu = _with(a2_adjoint.rep.mu_arr, (1, 0), [[1, 0], [0, 0]])
+    target = LieYRepPair(a2, Representation(2, 2, a2_adjoint.rep.rho_arr, mu), validate=False)
     wit = pair_homomorphism_witness(ident, ident, a2_adjoint, target)
     assert (wit["identity"], wit["tuple"], wit["residual"]) == ("mu", (1, 0), ((-1, 0), (0, 0)))
     assert not is_pair_homomorphism(ident, ident, a2_adjoint, target)
@@ -221,9 +219,8 @@ def test_pair_homomorphism_witness_names_law_and_first_tuple(a2, a2_adjoint):
 
 def test_derived_identity_failures_carry_witness(so3):
     adj = adjoint_rep(so3)
-    mu = [row[:] for row in adj.mu]
-    mu[0][2] = mu[0][2] + Matrix([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
-    report = check_derived_identities(so3, Representation(3, 3, adj.rho, mu))
+    mu = _with(adj.mu_arr, (0, 2), [[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+    report = check_derived_identities(so3, Representation(3, 3, adj.rho_arr, mu))
     failing = [c for c in report.checks if not c.ok]
     assert failing
     for c in failing:

@@ -37,13 +37,14 @@ def test_change_basis_involution(rng):
         moved = change_basis(alg, p)
         assert moved.check_axioms().passed
         back = change_basis(moved, p.invert())
-        assert back.binary_tensor == alg.binary_tensor
-        assert back.ternary_tensor == alg.ternary_tensor
+        assert back.b_arr.tolist() == alg.b_arr.tolist()
+        assert back.t_arr.tolist() == alg.t_arr.tolist()
 
 
 def test_change_basis_identity(a2):
     same = change_basis(a2, Matrix.identity(2))
-    assert same.binary_tensor == a2.binary_tensor
+    assert same.b_arr.tolist() == a2.b_arr.tolist()
+    assert same.t_arr.tolist() == a2.t_arr.tolist()
 
 
 def test_random_valid_pairs_validate(rng):

@@ -8,6 +8,8 @@ asserts that every one of the 100 cases fails its check.
 
 import random
 
+import numpy as np
+
 from lieyam import (
     LieYamagutiAlgebra,
     LieYRepPair,
@@ -19,25 +21,24 @@ from lieyam import (
 )
 from lieyam.algebra import is_nijenhuis
 from lieyam.deform import DeformationData, linear_deformation_report
-from lieyam.linalg import Tensor
+from lieyam.linalg import exact
 from lieyam.quadratic import QuadraticForm, is_rb_nijenhuis, is_skew_endomorphism
 from lieyam.rotabaxter import is_relative_rb
 from lieyam.search import catalog_algebra
 
 
 def _mutate_ternary(alg, i, j, k, out, delta):
-    tern = [[[list(alg.t[a][b][c]) for c in range(alg.dim)] for b in range(alg.dim)]
-            for a in range(alg.dim)]
-    tern[i][j][k][out] += delta
-    tern[j][i][k][out] -= delta
-    return LieYamagutiAlgebra(alg.dim, alg.b, tern)
+    tern = np.array(alg.t_arr, dtype=object)
+    tern[i, j, k, out] += delta
+    tern[j, i, k, out] -= delta
+    return LieYamagutiAlgebra(alg.dim, alg.b_arr, tern)
 
 
 def _mutate_binary(alg, i, j, out, delta):
-    binary = [[list(alg.b[a][b]) for b in range(alg.dim)] for a in range(alg.dim)]
-    binary[i][j][out] += delta
-    binary[j][i][out] -= delta
-    return LieYamagutiAlgebra(alg.dim, binary, alg.t)
+    binary = np.array(alg.b_arr, dtype=object)
+    binary[i, j, out] += delta
+    binary[j, i, out] -= delta
+    return LieYamagutiAlgebra(alg.dim, binary, alg.t_arr)
 
 
 def random_noncocycle_deformation(pair: LieYRepPair, rng: random.Random) -> DeformationData:
@@ -51,7 +52,7 @@ def random_noncocycle_deformation(pair: LieYRepPair, rng: random.Random) -> Defo
     delta = rng.choice((1, -1, 2))
     flat[i][j][k][out] = delta
     flat[j][i][k][out] = -delta
-    phi1 = Tensor((n,) * 4, [x for a in flat for b in a for c in b for x in c])
+    phi1 = exact(flat)
     return DeformationData(d.phi, phi1, d.phi2, d.varrho, d.varpi1, d.varpi2)
 
 
@@ -92,16 +93,16 @@ def mutation_cases(rng: random.Random):
         bump = [[0] * 3 for _ in range(3)]
         bump[r][c] = delta
         if which == "rho":
-            rho = [m for m in adj3.rho]
+            rho = np.array(adj3.rho_arr, dtype=object)
             ix = rng.randrange(3)
-            rho = [m + Matrix(bump) if pos == ix else m for pos, m in enumerate(rho)]
-            cand = Representation(3, 3, rho, adj3.mu)
+            rho[ix] += np.array(bump)
+            cand = Representation(3, 3, rho, adj3.mu_arr)
             label = f"rho[{ix}][{r}{c}]+{delta}"
         else:
             i, j = rng.randrange(3), rng.randrange(3)
-            mu = [[m for m in row] for row in adj3.mu]
-            mu[i][j] = mu[i][j] + Matrix(bump)
-            cand = Representation(3, 3, adj3.rho, mu)
+            mu = np.array(adj3.mu_arr, dtype=object)
+            mu[i, j] += np.array(bump)
+            cand = Representation(3, 3, adj3.rho_arr, mu)
             label = f"mu[{i}{j}][{r}{c}]+{delta}"
         failed = not (check_representation(so3, cand).passed
                       and check_derived_identities(so3, cand).passed)
