@@ -17,6 +17,9 @@ a Nijenhuis operator and two compatibility conditions tie S to the
 representation; every such pair generates a linear deformation that is
 trivial, witnessed by (Id + tN, Id + tS).
 
+DeformationData holds the six terms as exact arrays indexed by the basis
+of g (phi[x, y], varrho[x], varpi1[x, y], ...).
+
 The reshaped representation of (N, S) is written in one place:
 _hat_linear holds hat-rho(x) = rho(Nx) + rho(x)S - S rho(x) and the
 degree-1 term varpi1, _hat_bilinear holds hat-mu = varpi2 and the closed

@@ -125,7 +125,8 @@ def algebra_from_dict(data) -> LieYamagutiAlgebra:
             raise ConflictingEntryError(f"{where}: conflicting duplicate for ({shown})")
         table[idx], seen[idx] = vec, True
         if seen[mirror] and (table[mirror] + vec != 0).any():
-            raise ConflictingEntryError(f"{where}: entry ({','.join(map(str, mirror))}) violates antisymmetry")
+            shown = ",".join(map(str, mirror))
+            raise ConflictingEntryError(f"{where}: entry ({shown}) violates antisymmetry")
         table[mirror], seen[mirror] = -vec, True
 
     for pos, entry in enumerate(data.get("binary", [])):

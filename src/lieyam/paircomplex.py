@@ -12,7 +12,9 @@ Cochains of degree n+1 >= 2 have three components:
 Degree 1 is a pair of square matrices (one on g, one on V).
 
 A mixed slot holds an element of g^V, indexed by (basis of g) x (basis
-of V); the element e_x ^ v_beta has mixed index x*dim(V) + beta.
+of V); the element e_x ^ v_beta has mixed index x*dim(V) + beta.  A
+cochain is one flat object array in the canonical block order, and its
+blocks are views of it in their block shapes.
 
 The coboundary has two implementations:
 
@@ -36,10 +38,13 @@ The coboundary has two implementations:
   semidirect product, its term table and the index maps are built once
   per pair and kept on it.
 * the *direct* path: closed formulas at degrees 1 and 2, written out
-  component by component.  Published versions of these formulas leave
-  several index conventions ambiguous; the expansions implemented here
-  were fixed against the lifted path, and the two paths are asserted to
-  agree entry-for-entry in the test suite.
+  component by component, one commented sum of two-operand einsums per
+  component, on the structure arrays (b_arr, t_arr, rho_arr, mu_arr,
+  D.arr) and the cochain's blocks.  It shares neither the term table nor
+  the index maps with the lifted path.  Published versions of these
+  formulas leave several index conventions ambiguous; the expansions
+  implemented here were fixed against the lifted path, and the two paths
+  are asserted to agree entry-for-entry in the test suite.
 """
 
 from __future__ import annotations
@@ -524,7 +529,8 @@ def _direct_deg2(pair: LieYRepPair, c: PairCochain) -> PairCochain:
     c1g = (-np.einsum("uvc,cvzk->uvzk", G1[:, x], t[:, y]) + np.einsum("uvc,cvzk->uvzk", G1[:, y], t[:, x])
            - np.einsum("vck,uzc->uvzk", TX, G1) + np.einsum("vzc,uck->uvzk", TX, G1)
            + np.einsum("uck,vzc->uvzk", TX, G1) - np.einsum("uzc,vck->uvzk", TX, G1)
-           - np.einsum("uvc,cvzk->uvzk", TX[:, x], G1w[:, y]) - np.einsum("uvc,vczk->uvzk", TX[:, y], G1w[x]))
+           - np.einsum("uvc,cvzk->uvzk", TX[:, x], G1w[:, y])
+           - np.einsum("uvc,vczk->uvzk", TX[:, y], G1w[x]))
 
     # ---- comp2 f at (X1, x ^ v_b): -rho(x) g2(X1, v_b) - rho(g1(X1, x)) v_b
     #      + g2(X1, rho(x) v_b) + D(X1) f2(x ^ v_b) - f2(<<x1, y1, x>> ^ v_b) - f2(x ^ D(X1) v_b)
@@ -535,9 +541,11 @@ def _direct_deg2(pair: LieYRepPair, c: PairCochain) -> PairCochain:
     # ---- comp2 g at (X1, X2, v_b): -D(g1(X1, x2), y2) v_b + D(g1(X1, y2), x2) v_b
     #      + D(X1) g2(X2, v_b) - D(X2) g2(X1, v_b) - g2(X1 o X2, v_b)
     #      - g2(X2, D(X1) v_b) + g2(X1, D(X2) v_b)
-    c2g = (-np.einsum("uvc,cvob->uvbo", G1[:, x], dd[:, y]) + np.einsum("uvc,cvob->uvbo", G1[:, y], dd[:, x])
+    c2g = (-np.einsum("uvc,cvob->uvbo", G1[:, x], dd[:, y])
+           + np.einsum("uvc,cvob->uvbo", G1[:, y], dd[:, x])
            + np.einsum("uoa,vba->uvbo", DX, G2) - np.einsum("voa,uba->uvbo", DX, G2)
-           - np.einsum("uvc,cvbo->uvbo", TX[:, x], G2w[:, y]) - np.einsum("uvc,vcbo->uvbo", TX[:, y], G2w[x])
+           - np.einsum("uvc,cvbo->uvbo", TX[:, x], G2w[:, y])
+           - np.einsum("uvc,vcbo->uvbo", TX[:, y], G2w[x])
            - np.einsum("uab,vao->uvbo", DX, G2) + np.einsum("vab,uao->uvbo", DX, G2))
 
     # ---- comp3 f at (x ^ v_b, X2): -rho(x2) g2(y2 ^ x, v_b) - rho(x2) g3(x ^ v_b, y2)
@@ -556,12 +564,16 @@ def _direct_deg2(pair: LieYRepPair, c: PairCochain) -> PairCochain:
     #      - g2(z ^ y2, mu(x, x2) v_b) - g3(y2 ^ mu(x, x2) v_b, z)
     #      + g2(z ^ x2, mu(x, y2) v_b) + g3(x2 ^ mu(x, y2) v_b, z) + g2(X2, mu(x, z) v_b)
     #      + g3(x ^ v_b, <<x2, y2, z>>) + g2(<<x2, y2, z>> ^ x, v_b)
-    c3g1 = (-np.einsum("vzoa,vxba->xbvzo", mu[y], G2w[x]) - np.einsum("vzoa,xbva->xbvzo", mu[y], G3[:, :, x])
-            + np.einsum("vzoa,vxba->xbvzo", mu[x], G2w[y]) + np.einsum("vzoa,xbva->xbvzo", mu[x], G3[:, :, y])
+    c3g1 = (-np.einsum("vzoa,vxba->xbvzo", mu[y], G2w[x])
+            - np.einsum("vzoa,xbva->xbvzo", mu[y], G3[:, :, x])
+            + np.einsum("vzoa,vxba->xbvzo", mu[x], G2w[y])
+            + np.einsum("vzoa,xbva->xbvzo", mu[x], G3[:, :, y])
             - np.einsum("vzc,xcob->xbvzo", G1, mu)
             - np.einsum("voa,zxba->xbvzo", DX, G2w) - np.einsum("voa,xbza->xbvzo", DX, G3)
-            - np.einsum("xvab,zvao->xbvzo", mu[:, x], G2w[:, y]) - np.einsum("xvab,vazo->xbvzo", mu[:, x], G3[y])
-            + np.einsum("xvab,zvao->xbvzo", mu[:, y], G2w[:, x]) + np.einsum("xvab,vazo->xbvzo", mu[:, y], G3[x])
+            - np.einsum("xvab,zvao->xbvzo", mu[:, x], G2w[:, y])
+            - np.einsum("xvab,vazo->xbvzo", mu[:, x], G3[y])
+            + np.einsum("xvab,zvao->xbvzo", mu[:, y], G2w[:, x])
+            + np.einsum("xvab,vazo->xbvzo", mu[:, y], G3[x])
             + np.einsum("xzab,vao->xbvzo", mu, G2)
             + np.einsum("vzc,xbco->xbvzo", TX, G3) + np.einsum("vzc,cxbo->xbvzo", TX, G2w))
 

@@ -242,10 +242,12 @@ class _Terms:
             + dt,
             "dt": dt,
             "d": d,
-            "circ": np.einsum("klc,clw->klw", t[:, x], wedge[:, y]) + np.einsum("klc,lcw->klw", t[:, y], wedge[x]),
+            "circ": np.einsum("klc,clw->klw", t[:, x], wedge[:, y])
+            + np.einsum("klc,lcw->klw", t[:, y], wedge[x]),
         }
         if not all(isinstance(a, ExactArray) for a in arrays.values()):
-            raise PolynomialEntriesError("the coboundary needs rational structure constants; evaluate t first")
+            raise PolynomialEntriesError("the coboundary needs rational structure constants; "
+                                         "evaluate t first")
         # per array: its nonzero positions (one row per axis, then a row of
         # ones that picks up the block offsets) and their numerators over
         # the table's one denominator

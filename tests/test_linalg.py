@@ -1,17 +1,20 @@
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lieyam import LieYRepPair, coadjoint_rep
 from lieyam.algebra import LieYamagutiAlgebra
 from lieyam.errors import DimMismatchError, PolynomialEntriesError, SingularMatrixError
-from lieyam.linalg import Matrix, exact, exact_product_is_zero
+from lieyam.linalg import INT64_LIMIT, Matrix, exact, exact_product_is_zero
 from lieyam.paircomplex import pair_delta_matrix
 from lieyam.reps import adjoint_rep
 from lieyam.scalars import T
-from lieyam.search import catalog_algebra
+from lieyam.search import catalog_algebra, change_basis, random_invertible
 from lieyam.yamaguti import cohomology_dim, delta_matrix
 
 
@@ -205,3 +208,64 @@ def test_tensor_basics():
     with pytest.raises(DimMismatchError):
         exact([[1, 2], [3]])
     assert not (exact([[0] * 3] * 2) != 0).any()
+
+
+def _domain_rank(m):
+    """The rank by sympy's DomainMatrix over QQ, an elimination independent of lieyam's."""
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    if not m.rows or not m.cols:
+        return 0
+    rows = [[QQ(x.numerator, x.denominator) for x in row] for row in m.rational_rows()]
+    return DomainMatrix(rows, (m.rows, m.cols), QQ).rank()
+
+
+def test_coboundary_numerators_by_kind():
+    """Coboundaries are assembled as numerators over one denominator: int64
+    on integer catalog pairs, over a denominator > 1 on a rational basis,
+    and Python ints once the structure constants pass 2**62.  Rank and
+    nullity equal sympy's in all three cases."""
+    heis = catalog_algebra("heis3")
+    rational = change_basis(heis, random_invertible(3, random.Random(0)) * Matrix.diag([1, 1, 2]))
+    # the basis 2**31 e_i multiplies [.,.] by 2**31 and <<.,.,.>> by 2**62
+    huge = change_basis(catalog_algebra("sl2"), Matrix.identity(3).scale(2**31))
+    assert max(abs(x) for x in np.asarray(huge.t_arr).ravel()) >= INT64_LIMIT
+    cases = [  # (algebra, representation, numerator dtype, denominator test, pair degrees)
+        (catalog_algebra("a2"), adjoint_rep, np.int64, lambda den: den == 1, (1, 2)),
+        (catalog_algebra("sl2"), coadjoint_rep, np.int64, lambda den: den == 1, (1,)),
+        (rational, coadjoint_rep, np.int64, lambda den: den > 1, (1,)),
+        (huge, adjoint_rep, object, lambda den: True, (1, 2)),
+    ]
+    for alg, rep_of, dtype, den_ok, degrees in cases:
+        pair = LieYRepPair(alg, rep_of(alg))
+        mats = [delta_matrix(alg, pair.rep, 2)] + [pair_delta_matrix(pair, p) for p in degrees]
+        for m in mats:
+            assert m.arr.num.dtype == dtype and den_ok(m.arr.den)
+            rank = _domain_rank(m)
+            assert (m.rank(), m.nullspace_dim()) == (rank, m.cols - rank)
+
+
+def test_matrix_surface_read_by_the_benchmark():
+    """The names perfbench/ (gen, oracle, tracer, worker) reads, which no
+    other tier-1 test covers by name."""
+    import lieyam
+    from lieyam import jsonio, search
+
+    for name in ("rank", "nullspace_dim", "nullspace_basis", "invert"):
+        assert callable(Matrix.__dict__[name])  # the tracer patches them by name
+    assert isinstance(lieyam.KERNEL_BACKEND, str)
+    for fn in (search.change_basis, search.random_invertible, jsonio.algebra_to_dict,
+               jsonio.operator_to_dict):
+        assert callable(fn)
+    empty = Matrix([], 3)
+    assert (empty.rows, empty.cols, empty.data) == (0, 3, ())
+    p = Matrix([[1, 2], [0, 1]])
+    q = (p.transpose() * Matrix.identity(2).scale(Fraction(3, 2)) * p).invert()
+    assert (q.rows, q.cols) == (2, 2)
+    for mat in (p, q, p.scale(2), p * q, Matrix([[Fraction(4, 2), Fraction(1, 3)]])):
+        assert type(mat.data) is tuple and all(type(row) is tuple for row in mat.data)
+        assert all(type(x) in (int, Fraction) for row in mat.data for x in row)
+        assert mat.rational_rows() == [[Fraction(x) for x in row] for row in mat.data]
+    assert q * (p.transpose() * p).scale(Fraction(3, 2)) == Matrix.identity(2)
+    assert q.data == ((Fraction(10, 3), Fraction(-4, 3)), (Fraction(-4, 3), Fraction(2, 3)))
