@@ -183,10 +183,6 @@ def array_to_text(arr):
     return text(arr.tolist())
 
 
-def matrix_to_rows(mat: Matrix):
-    return array_to_text(mat.arr)
-
-
 def load_operator(path) -> Matrix:
     data = _read_json(path)
     if not isinstance(data, dict) or "entries" not in data:

@@ -481,7 +481,7 @@ def _direct_deg1(pair: LieYRepPair, c: PairCochain) -> PairCochain:
     # comp2 g: the D-shaped expression at X = x ^ y; comp3: the D-shaped minus
     # the mu-shaped one at (x ^ v_b, z)
     d_part = bilinear(dd)
-    return _cochain(pair, 2, {
+    return PairCochain.from_blocks(2, n, m, {
         "c1f": c1f[x, y],
         "c1g": c1g[x, y],
         "c2f": c2f.transpose(0, 2, 1).reshape(n * m, m),
@@ -591,7 +591,7 @@ def _direct_deg2(pair: LieYRepPair, c: PairCochain) -> PairCochain:
             - np.einsum("xzab,uao->uxbzo", mu, G2)
             - np.einsum("zxw,uwbo->uxbzo", wedge, c2g))
 
-    return _cochain(pair, 3, {
+    return PairCochain.from_blocks(3, n, m, {
         "c1f": c1f,
         "c1g": c1g,
         "c2f": c2f.reshape(w, n * m, m),
@@ -606,8 +606,3 @@ def _structure(pair: LieYRepPair):
     """The pair's [.,.], <<.,.,.>>, rho, mu and D as exact arrays."""
     alg, rep = pair.algebra, pair.rep
     return alg.b_arr, alg.t_arr, rep.rho_arr, rep.mu_arr, pair.d.arr
-
-
-def _cochain(pair: LieYRepPair, degree, blocks) -> PairCochain:
-    """The pair cochain of the given blocks (exact arrays of their block shapes)."""
-    return PairCochain.from_blocks(degree, pair.dim_g, pair.dim_v, blocks)
