@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import AntisymmetryError, DimMismatchError
-from .linalg import Matrix, exact
+from .linalg import Matrix, exact, reduced
 from .report import VerificationReport, first_violation
 
 LAWS = {
@@ -45,9 +45,10 @@ LAWS = {
 
 
 def _constants(value, dim, arity, name):
-    """Structure constants (an array, or nested sequences) as an exact array."""
+    """Structure constants (an array, or nested sequences) as an exact array
+    in lowest terms (see linalg.reduced)."""
     shape = (dim,) * (arity + 1)
-    value = exact(value)
+    value = reduced(exact(value))
     if value.shape != shape:
         raise DimMismatchError(f"{name} tensor shape {value.shape} != {shape}")
     return value

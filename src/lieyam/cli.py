@@ -12,6 +12,9 @@ report that uses randomness.
 from __future__ import annotations
 
 import argparse
+import functools
+import json
+import os
 import sys
 import time
 
@@ -66,8 +69,6 @@ from .rotabaxter import (
 from .search import search_quadratic_fixtures, search_rb_operators, search_rbn_triples
 from .yamaguti import cochain_dim, cohomology_dim
 
-import os
-
 #: Largest --degree (and, plus one, --degree-cap) that `cohomology` takes.
 MAX_DEGREE = 16
 #: Largest coboundary C^p -> C^{p+1} that `cohomology` assembles, counted as
@@ -88,7 +89,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"input error: {self.prog}: {message}\n")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and returned by every later one.
+
+    `main` reuses it for every call in a process.  That is safe because
+    parsing keeps no state between calls: every default is immutable (a
+    str, None, False or the int 0 of --seed); parse_args returns a fresh
+    Namespace, and `_run` mutates only that; `_Parser.error` and the
+    --version action write to the sys.stderr / sys.stdout of the current
+    call and exit.  Nothing may add to or change the parser after this
+    returns.
+    """
     p = _Parser(prog="lieyam", description="exact verification of Lie-Yamaguti operator structures")
     p.add_argument("--version", action="version", version=f"lieyam {__version__}")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -170,8 +182,6 @@ def _emit(report: VerificationReport, args, extra=None):
         payload = report.to_dict()
         if extra:
             payload.update(extra)
-        import json
-
         print(json.dumps(payload))
     else:
         print(report.to_text())
@@ -409,8 +419,7 @@ def os_dirname(path):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _run(args)
     except (ConsequenceViolatedError, InternalConsistencyError) as exc:

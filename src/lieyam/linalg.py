@@ -75,7 +75,8 @@ class ExactArray:
     indexing, transposing and negating keep it.  The numerators are int64
     while the bound is below INT64_LIMIT, so no int64 operation can
     overflow, and Python ints in an object array otherwise.  The
-    denominator is not reduced; the entries leave the array (tolist,
+    arithmetic does not reduce the denominator (`reduced` does, once, where
+    structure constants are stored); the entries leave the array (tolist,
     iteration, scalar indexing, np.asarray) as ints and Fractions.
 
     The law code reads these arrays as it would numpy arrays: np.einsum
@@ -318,6 +319,24 @@ def exact(arr):
         raise DimMismatchError(f"ragged array: {exc}") from exc
     return exact_array(arr.ravel(), arr.shape)
 
+
+def reduced(arr):
+    """An exact array with the common factor of its denominator and its
+    numerators divided out, and its bound recomputed from the numerators.
+
+    The arithmetic never reduces (a contraction multiplies denominators, a
+    sum takes their lcm), so this runs once where structure constants are
+    stored.  An ExactArray over den 1 and an array over Q[t] are returned
+    as they are."""
+    if type(arr) is not ExactArray or arr.den == 1:
+        return arr
+    nums = arr.num.ravel().tolist()
+    g = gcd(arr.den, *nums)
+    if g == 1:
+        return arr
+    num = arr.num // g
+    num.flags.writeable = False
+    return _result(num, arr.den // g, max(map(abs, nums)) // g)
 
 def exact_array(entries, shape):
     """Row-major `entries` as an exact array of `shape`.

@@ -35,7 +35,7 @@ import numpy as np
 
 from .algebra import LieYamagutiAlgebra, homomorphism_witness
 from .errors import DimMismatchError, InternalConsistencyError, InvalidRepresentationError
-from .linalg import Matrix, exact
+from .linalg import Matrix, exact, reduced
 from .report import VerificationReport, first_violation
 
 REP_LAWS = {
@@ -55,7 +55,8 @@ class Representation:
     (n, m, m), and mu_arr[i, j] = mu(e_i, e_j), of shape (n, n, m, m).
 
     rho and mu may be given as any arrays (or nested sequences) of those
-    shapes; they are kept as exact arrays.
+    shapes; they are kept as exact arrays in lowest terms (see
+    linalg.reduced).
     """
 
     def __init__(self, algebra_dim, module_dim, rho, mu):
@@ -65,7 +66,7 @@ class Representation:
         # each built on first use and freed with the representation
         self._coboundary_terms = None
         self._derived = None
-        self.rho_arr, self.mu_arr = exact(rho), exact(mu)
+        self.rho_arr, self.mu_arr = reduced(exact(rho)), reduced(exact(mu))
         if self.rho_arr.shape != (n, m, m) or self.mu_arr.shape != (n, n, m, m):
             raise DimMismatchError(f"rho/mu arrays must have shapes {(n, m, m)} and {(n, n, m, m)}")
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lieyam.cli import main
+from lieyam import __version__
+from lieyam.cli import build_parser, main
 from lieyam.jsonio import (
     MAX_DIM,
     algebra_from_dict,
@@ -102,6 +103,65 @@ def test_usage_error_exit2():
     )
     assert proc.returncode == 2
 
+
+
+def _without_runtime(stdout):
+    """A JSON report line with its runtime_ms dropped (the one field that varies)."""
+    if not stdout:
+        return stdout
+    payload = json.loads(stdout)
+    payload.pop("runtime_ms")
+    return payload
+
+
+def test_one_parser_per_process(capsys):
+    """main builds the parser on its first call and reuses it on every later one."""
+    build_parser.cache_clear()
+    for _ in range(3):
+        code, _ = run_cli("check", "algebra", fx("A2.json"), capsys=capsys)
+        assert code == 0
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_output_equals_a_fresh_process(capsys):
+    """An option of one call does not carry over to the next: each output of a
+    sequence of calls in one process equals that of a fresh process, and
+    --degree-cap 2 refuses degree 2 in one call only."""
+    base = ["cohomology", "--pair", fx("A2-adjoint.json"), "--degree", "2"]
+    argvs = {cap: ["--format", "json", *(["--degree-cap", cap] if cap else []), *base]
+             for cap in ("5", None, "2")}
+    fresh = {}
+    for cap, argv in argvs.items():
+        proc = subprocess.run([sys.executable, "-m", "lieyam.cli", *argv],
+                              capture_output=True, text=True, cwd=os.path.dirname(FIXTURES))
+        fresh[cap] = (proc.returncode, _without_runtime(proc.stdout), proc.stderr)
+    assert fresh["5"][0] == fresh[None][0] == 0 and fresh["2"][0] == 2
+    for cap in ("5", None, "2", None):
+        code, out = run_cli(*argvs[cap], capsys=capsys)
+        assert (code, _without_runtime(out.out), out.err) == fresh[cap]
+
+
+def test_usage_error_between_calls_changes_nothing(capsys):
+    """A usage error that has already parsed --seed leaves the next call as it was."""
+    argv = ("--format", "json", "check", "pair", fx("A2-adjoint.json"))
+    code, first = run_cli(*argv, capsys=capsys)
+    assert code == 0
+    code, out = run_cli("--seed", "5", "check", "nothing", fx("A2.json"), capsys=capsys)
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("input error: ") and len(out.err.strip().splitlines()) == 1
+    code, second = run_cli(*argv, capsys=capsys)
+    assert code == 0 and second.err == ""
+    assert _without_runtime(second.out) == _without_runtime(first.out)
+    assert _without_runtime(second.out)["seed"] == 0
+
+
+def test_version_on_a_reused_parser(capsys):
+    run_cli("check", "algebra", fx("A2.json"), capsys=capsys)
+    for _ in range(2):
+        code, out = run_cli("--version", capsys=capsys)
+        assert code == 0 and out.out == f"lieyam {__version__}\n" and out.err == ""
 
 def test_check_pair_and_rep(capsys):
     code, out = run_cli("check", "pair", fx("A2-adjoint.json"), capsys=capsys)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from lieyam import LieYRepPair, coadjoint_rep
 from lieyam.algebra import LieYamagutiAlgebra
 from lieyam.errors import DimMismatchError, PolynomialEntriesError, SingularMatrixError
-from lieyam.linalg import INT64_LIMIT, Matrix, exact, exact_product_is_zero
+from lieyam.linalg import INT64_LIMIT, Matrix, exact, exact_product_is_zero, reduced
 from lieyam.paircomplex import pair_delta_matrix
 from lieyam.reps import adjoint_rep
 from lieyam.scalars import T
@@ -245,6 +245,20 @@ def test_coboundary_numerators_by_kind():
             rank = _domain_rank(m)
             assert (m.rank(), m.nullspace_dim()) == (rank, m.cols - rank)
 
+
+
+def test_stored_structure_constants_in_lowest_terms():
+    """The basis 2 e_i gives integer structure constants: the algebra and the
+    representation store them over den 1, and the classical delta_2 built
+    from them is over den 1 too.  A genuine half keeps its denominator."""
+    alg = change_basis(catalog_algebra("sl2"), Matrix.identity(3).scale(2))
+    rep = adjoint_rep(alg)
+    for arr in (alg.b_arr, alg.t_arr, rep.rho_arr, rep.mu_arr, delta_matrix(alg, rep, 2).arr):
+        assert arr.den == 1 and arr.num.dtype == np.int64
+    whole = reduced(exact([Fraction(1, 2), 3]) * exact([2, 2]))  # [2, 12] over den 2 at first
+    assert (whole.den, whole.num.tolist(), whole.bound) == (1, [1, 6], 6)
+    kept = reduced(exact([Fraction(1, 2), 1]))
+    assert (kept.den, kept.tolist()) == (2, [Fraction(1, 2), 1])
 
 def test_matrix_surface_read_by_the_benchmark():
     """The names perfbench/ (gen, oracle, tracer, worker) reads, which no
