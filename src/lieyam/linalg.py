@@ -324,19 +324,17 @@ def reduced(arr):
     """An exact array with the common factor of its denominator and its
     numerators divided out, and its bound recomputed from the numerators.
 
-    The arithmetic never reduces (a contraction multiplies denominators, a
-    sum takes their lcm), so this runs once where structure constants are
-    stored.  An ExactArray over den 1 and an array over Q[t] are returned
-    as they are."""
+    The constructors of algebras and representations call it once on their
+    structure constants; the arithmetic itself never reduces.  An
+    ExactArray over den 1 and an array over Q[t] are returned as they are."""
     if type(arr) is not ExactArray or arr.den == 1:
         return arr
     nums = arr.num.ravel().tolist()
     g = gcd(arr.den, *nums)
     if g == 1:
         return arr
-    num = arr.num // g
-    num.flags.writeable = False
-    return _result(num, arr.den // g, max(map(abs, nums)) // g)
+    return _result(arr.num // g, arr.den // g, max(map(abs, nums)) // g)
+
 
 def exact_array(entries, shape):
     """Row-major `entries` as an exact array of `shape`.

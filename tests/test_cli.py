@@ -104,7 +104,6 @@ def test_usage_error_exit2():
     assert proc.returncode == 2
 
 
-
 def _without_runtime(stdout):
     """A JSON report line with its runtime_ms dropped (the one field that varies)."""
     if not stdout:
@@ -162,6 +161,7 @@ def test_version_on_a_reused_parser(capsys):
     for _ in range(2):
         code, out = run_cli("--version", capsys=capsys)
         assert code == 0 and out.out == f"lieyam {__version__}\n" and out.err == ""
+
 
 def test_check_pair_and_rep(capsys):
     code, out = run_cli("check", "pair", fx("A2-adjoint.json"), capsys=capsys)

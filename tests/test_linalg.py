@@ -246,7 +246,6 @@ def test_coboundary_numerators_by_kind():
             assert (m.rank(), m.nullspace_dim()) == (rank, m.cols - rank)
 
 
-
 def test_stored_structure_constants_in_lowest_terms():
     """The basis 2 e_i gives integer structure constants: the algebra and the
     representation store them over den 1, and the classical delta_2 built
@@ -259,6 +258,7 @@ def test_stored_structure_constants_in_lowest_terms():
     assert (whole.den, whole.num.tolist(), whole.bound) == (1, [1, 6], 6)
     kept = reduced(exact([Fraction(1, 2), 1]))
     assert (kept.den, kept.tolist()) == (2, [Fraction(1, 2), 1])
+
 
 def test_matrix_surface_read_by_the_benchmark():
     """The names perfbench/ (gen, oracle, tracer, worker) reads, which no
