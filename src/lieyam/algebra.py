@@ -13,10 +13,10 @@ All operations are multilinear, so every identity is verified on all
 basis tuples.  The structure constants are kept as exact arrays, and
 only as those (``b_arr``, ``t_arr``; see linalg.exact_array: an
 ExactArray of int64 or Python-int numerators over rationals, an object
-array over Q[t]), and each axiom is one residual array per first basis
-index, contracted with np.einsum (two operands per call) and scanned by
-report.first_violation.  The code is
-generic over the scalar ring (rationals or polynomials in t), enabling
+array over Q[t]), and each axiom is one residual array over a block of
+first basis indices (the first einsum axis), contracted with np.einsum
+(two operands per call) and scanned by report.first_violation.  The
+code is generic over the scalar ring (rationals or polynomials in t), enabling
 "for all t" checks by polynomial arithmetic.
 
 The homomorphism and Nijenhuis laws take their maps as arrays that may
@@ -101,18 +101,20 @@ class LieYamagutiAlgebra:
 
     # -- evaluation ------------------------------------------------------------
 
-    # slabs of the brackets of images: maps into g are arrays whose column u
-    # is the image of the u-th basis vector, with the same leading batch
-    # axes `...` (none for one map)
+    # brackets of images: maps into g are arrays whose column u is the
+    # image of the u-th basis vector, with the same leading batch axes
+    # `...` (none for one map); a block of first indices u is the columns
+    # a[..., :, s] of the first map
 
-    def bracket_images(self, a, b, u):
-        """[a e_u, b e_v] for every v, as a (..., v, k) array."""
-        return np.einsum("...bv,...bk->...vk", b, np.einsum("...a,abk->...bk", a[..., :, u], self.b_arr))
+    def bracket_images(self, a, b):
+        """[a e_u, b e_v] for every column u of a and every v, as a (..., u, v, k) array."""
+        return np.einsum("...bv,...ubk->...uvk", b, np.einsum("...au,abk->...ubk", a, self.b_arr))
 
-    def triple_images(self, a, b, c, u):
-        """<<a e_u, b e_v, c e_w>> for every (v, w), as a (..., v, w, l) array."""
-        x = np.einsum("...bv,...bcl->...vcl", b, np.einsum("...a,abcl->...bcl", a[..., :, u], self.t_arr))
-        return np.einsum("...cw,...vcl->...vwl", c, x)
+    def triple_images(self, a, b, c):
+        """<<a e_u, b e_v, c e_w>> for every column u of a and every (v, w), as a
+        (..., u, v, w, l) array."""
+        x = np.einsum("...bv,...ubcl->...uvcl", b, np.einsum("...au,abcl->...ubcl", a, self.t_arr))
+        return np.einsum("...cw,...uvcl->...uvwl", c, x)
 
     # -- axioms ----------------------------------------------------------------
 
@@ -123,15 +125,17 @@ class LieYamagutiAlgebra:
         b, t = self.b_arr, self.t_arr
         # [[x,y],z] + <<x,y,z>>, summed cyclically by LY1
         bbt = np.einsum("ijm,mkl->ijkl", b, b) + t
+        # each residual runs over a block s of first indices x = e_i
         laws = (
-            ("LY1", 3, lambda i: bbt[i] + bbt[:, :, i] + bbt[:, i].transpose(1, 0, 2)),
-            ("LY2", 4, lambda i: np.einsum("jm,mkwl->jkwl", b[i], t)
-             + np.einsum("jkm,mwl->jkwl", b, t[:, i]) + np.einsum("km,mjwl->jkwl", b[:, i], t)),
-            ("LY3", 4, lambda i: np.einsum("kwm,jml->jkwl", b, t[i])
-             - np.einsum("jkm,mwl->jkwl", t[i], b) - np.einsum("jwm,kml->jkwl", t[i], b)),
-            ("LY4", 5, lambda i: np.einsum("kwsm,jml->jkwsl", t, t[i])
-             - np.einsum("jkm,mwsl->jkwsl", t[i], t) - np.einsum("jwm,kmsl->jkwsl", t[i], t)
-             - np.einsum("jsm,kwml->jkwsl", t[i], t)),
+            ("LY1", 3, lambda s: bbt[s] + bbt[:, :, s].transpose(2, 0, 1, 3)
+             + bbt[:, s].transpose(1, 2, 0, 3)),
+            ("LY2", 4, lambda s: np.einsum("ijm,mkwl->ijkwl", b[s], t)
+             + np.einsum("jkm,miwl->ijkwl", b, t[:, s]) + np.einsum("kim,mjwl->ijkwl", b[:, s], t)),
+            ("LY3", 4, lambda s: np.einsum("kwm,ijml->ijkwl", b, t[s])
+             - np.einsum("ijkm,mwl->ijkwl", t[s], b) - np.einsum("ijwm,kml->ijkwl", t[s], b)),
+            ("LY4", 5, lambda s: np.einsum("kwsm,ijml->ijkwsl", t, t[s])
+             - np.einsum("ijkm,mwsl->ijkwsl", t[s], t) - np.einsum("ijwm,kmsl->ijkwsl", t[s], t)
+             - np.einsum("ijsm,kwml->ijkwsl", t[s], t)),
         )
         for name, arity, residual in laws:
             witness = first_violation(residual, (n,) * arity)
@@ -140,23 +144,24 @@ class LieYamagutiAlgebra:
 
 
 def _homomorphism_residual(p, src, dst: LieYamagutiAlgebra, arity):
-    """The slabs, per first basis index i, of the homomorphism law of one arity for the map p:
+    """The homomorphism law of one arity for the map p, over a block s of first basis indices:
 
-    phi[x,y] - [phi x, phi y]                  arity 2, over (..., y, k)
-    phi<<x,y,z>> - <<phi x, phi y, phi z>>     arity 3, over (..., y, z, l)
+    phi[x,y] - [phi x, phi y]                  arity 2, over (..., x in s, y, k)
+    phi<<x,y,z>> - <<phi x, phi y, phi z>>     arity 3, over (..., x in s, y, z, l)
 
     src is the source's structure constants of that arity (b_arr or t_arr).
-    p and src may carry the same leading batch axes; a slab takes the maps
-    `sel` of a stack (report.vanishing).  phi applied to the last axis is
-    a matmul with p.mT, given one more axis per extra index of the slab.
+    p and src may carry the same leading batch axes; a block takes the
+    maps `sel` of a stack (report.vanishing).  phi applied to the last
+    axis is a matmul with p.mT, given one more axis per other index.
     """
-    def binary(i, sel=Ellipsis):
+    def binary(s, sel=Ellipsis):
         q = p[sel]
-        return src[sel][..., i, :, :] @ q.mT - dst.bracket_images(q, q, i)
+        return src[sel][..., s, :, :] @ q.mT[..., None, :, :] - dst.bracket_images(q[..., :, s], q)
 
-    def ternary(i, sel=Ellipsis):
+    def ternary(s, sel=Ellipsis):
         q = p[sel]
-        return src[sel][..., i, :, :, :] @ q.mT[..., None, :, :] - dst.triple_images(q, q, q, i)
+        return (src[sel][..., s, :, :, :] @ q.mT[..., None, None, :, :]
+                - dst.triple_images(q[..., :, s], q, q))
 
     return binary if arity == 2 else ternary
 
@@ -239,7 +244,7 @@ def deformed_algebra(alg: LieYamagutiAlgebra, nmap: Matrix, validate=False) -> L
 
 
 def _nijenhuis_residual(alg: LieYamagutiAlgebra, na, arity):
-    """The slabs, per first basis index, of the Nijenhuis law of one arity:
+    """The Nijenhuis law of one arity, over a block of first basis indices:
 
     N[x,y]_N = [Nx,Ny]              arity 2
     N<<x,y,z>>_N = <<Nx,Ny,Nz>>     arity 3

@@ -33,6 +33,7 @@ from .errors import (
     ConsequenceViolatedError,
     InternalConsistencyError,
     LieyamError,
+    NotNijenhuisError,
     ParseError,
     PreconditionFailedError,
 )
@@ -52,7 +53,6 @@ from .paircomplex import pair_cochain_dim, pair_cohomology_dim
 from .quadratic import (
     QuadraticForm,
     invariance_transport,
-    invariant_form_report,
     rbn_to_rmn,
     rmn_to_rbn,
 )
@@ -288,10 +288,13 @@ def _run(args) -> int:
     if args.command == "deform":
         pair = load_pair(args.pair)
         nmap, smap = load_operator(args.N), load_operator(args.S)
-        report = nijenhuis_structure_report(pair, nmap, smap)
         extra = None
-        if report.passed:
+        try:
             ns = NijenhuisStructure(pair, nmap, smap)
+        except NotNijenhuisError as exc:
+            report = exc.report
+        else:
+            report = ns.report
             d = trivial_deformation_from(pair, ns)
             report.extend(linear_deformation_report(pair, d))
             wit = equivalence_witness(pair, d, DeformationData.zero(pair), nmap, smap)
@@ -311,9 +314,13 @@ def _run(args) -> int:
         alg = load_algebra(args.algebra)
         b = load_operator(args.B)
         if args.qcommand == "check-form":
-            report = invariant_form_report(alg, b)
-            if report.passed:
-                report.extend(invariance_transport(QuadraticForm(alg, b)))
+            try:
+                qf = QuadraticForm(alg, b)
+            except PreconditionFailedError as exc:
+                report = exc.report
+            else:
+                report = qf.report
+                report.extend(invariance_transport(qf))
             report.runtime_ms = (time.perf_counter() - t0) * 1000
             return _emit(report, args)
         qf = QuadraticForm(alg, b)

@@ -271,11 +271,17 @@ def is_nijenhuis_structure(pair: LieYRepPair, nmap: Matrix, smap: Matrix) -> boo
 
 
 class NijenhuisStructure:
-    """Validated (N, S) pair; downstream constructors accept only this."""
+    """Validated (N, S) pair; downstream constructors accept only this.
+
+    Keeps the passing report of its defining conditions; a failing report
+    travels with the NotNijenhuisError.
+    """
 
     def __init__(self, pair: LieYRepPair, nmap: Matrix, smap: Matrix):
-        if not is_nijenhuis_structure(pair, nmap, smap):
-            raise NotNijenhuisError("(N, S) is not a Nijenhuis structure on this pair")
+        report = nijenhuis_structure_report(pair, nmap, smap)
+        if not report.passed:
+            raise NotNijenhuisError("(N, S) is not a Nijenhuis structure on this pair", report=report)
+        self.report = report
         self.pair = pair
         self.nmap = nmap
         self.smap = smap

@@ -45,7 +45,11 @@ class NotInSubcomplexError(LieyamError):
 
 
 class NotNijenhuisError(LieyamError):
-    """Operator pair fails the Nijenhuis-structure conditions."""
+    """Operator pair fails the Nijenhuis-structure conditions; carries the failing report."""
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class NotCompatibleError(LieyamError):

@@ -57,10 +57,10 @@ def invariant_form_report(alg: LieYamagutiAlgebra, b: Matrix) -> VerificationRep
     report.add("nondegenerate", rank == n, "det B != 0", {"rank": rank})
     form, bt, t = b.arr, alg.b_arr, alg.t_arr
     wit = first_violation(
-        lambda i: bt[i] @ form + form @ bt[i].T, (n,) * 3)              # B([x,y],z) + B(y,[x,z])
+        lambda s: bt[s] @ form + form @ bt[s].mT, (n,) * 3)             # B([x,y],z) + B(y,[x,z])
     report.add("binary-invariance", wit is None, "B([x,y],z) = -B(y,[x,z])", wit)
     wit = first_violation(
-        lambda i: t[i] @ form - np.einsum("l,wkjl->jkw", form[i], t), (n,) * 4)
+        lambda s: t[s] @ form - np.einsum("il,wkjl->ijkw", form[s], t), (n,) * 4)
     report.add("ternary-invariance", wit is None, "B(<<x,y,z>>,w) = B(x,<<w,z,y>>)", wit)
     return report
 
@@ -70,16 +70,21 @@ def is_invariant_form(alg: LieYamagutiAlgebra, b: Matrix) -> bool:
 
 
 class QuadraticForm:
-    """Validated nondegenerate symmetric invariant form with its index map."""
+    """Validated nondegenerate symmetric invariant form with its index map.
+
+    Keeps the passing report of its defining conditions; a failing report
+    travels with the PreconditionFailedError.
+    """
 
     def __init__(self, alg: LieYamagutiAlgebra, b: Matrix):
-        rep = invariant_form_report(alg, b)
-        if not rep.passed:
+        report = invariant_form_report(alg, b)
+        if not report.passed:
             raise PreconditionFailedError(
                 f"form is not a valid invariant quadratic form; failing: "
-                f"{[c.name for c in rep.checks if not c.ok]}",
-                which="quadratic-form",
+                f"{[c.name for c in report.checks if not c.ok]}",
+                which="quadratic-form", report=report,
             )
+        self.report = report
         self.alg = alg
         self.b = b
         self.b_sharp = b.invert()
@@ -105,11 +110,11 @@ def invariance_transport(qf: QuadraticForm, which: str = "all",
     report = VerificationReport(subject="invariance transport")
     laws = {
         "ad": ("transport-ad", "B#(ad*_x a) = ad_x(B# a)", 1,
-               lambda x: -(bs @ b[x]) - ad[x] @ bs),
+               lambda s: -(bs @ b[s]) - ad[s] @ bs),
         "right": ("transport-right", "-B#(right*(y,x) a) = right(x,y)(B# a)", 2,
-                  lambda x: bs @ right[:, x].transpose(0, 2, 1) - right[x] @ bs),
+                  lambda s: bs @ right[:, s].transpose(1, 0, 3, 2) - right[s] @ bs),
         "left": ("transport-left", "B#(left*(x,y) a) = left(x,y)(B# a)", 2,
-                 lambda x: -(bs @ t[x]) - left[x] @ bs),
+                 lambda s: -(bs @ t[s]) - left[s] @ bs),
     }
     for key, (name, law, arity, residual) in laws.items():
         if which in (key, "all"):

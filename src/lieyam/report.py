@@ -8,15 +8,18 @@ A check that bundles several laws also names the failing one
 (``identity``, ``arrow`` or ``check``).
 
 A law is evaluated as exact arrays of residuals (linalg.ExactArray, or
-object arrays over Q[t]), one slab per first basis index
-(first_violation): the slabs are computed in order and the scan stops at
-the first one with a nonzero entry, whose first nonzero position is the
-witness, its residual turned back into Fractions.  So the witness is the
-lexicographically first violating tuple, and a law that computes each
-slab on demand holds only one in memory.
+object arrays over Q[t]), one block of first basis indices at a time
+(first_violation): a block holds every tuple whose first index lies in a
+slice of them, at most BLOCK_TUPLES tuples, so the laws at small
+dimensions are one block and a block of a large law shrinks to the
+tuples of one first index.  The blocks are computed in order and the
+scan stops at the first one with a nonzero entry, whose first nonzero
+position is the witness, its residual turned back into Fractions.  So
+the witness is the lexicographically first violating tuple, and a law
+that computes each block on demand holds only one in memory.
 
 A grid search asks the same question of many operators at once: the
-slabs of a stack of operators carry one more leading axis, over the
+blocks of a stack of operators carry one more leading axis, over the
 stack, and vanishing tells which of them satisfy the law.
 """
 
@@ -53,42 +56,59 @@ def _witness_value(value):
     return Fraction(value) if isinstance(value, int) else value
 
 
+#: Most basis tuples one block of a law holds (first_violation), and most
+#: (candidate, tuple) pairs of a block of a stack (vanishing).
+BLOCK_TUPLES = 2048
+
+
+def _block(per_index):
+    """How many first indices one block takes when each carries `per_index` tuples."""
+    return max(1, BLOCK_TUPLES // max(1, per_index))
+
+
 def first_violation(residual, shape, **tags):
     """The first index tuple over `shape`, in lexicographic order, with a nonzero residual.
 
-    residual(i) is the exact array of the residuals at every tuple
-    with first index i: its leading axes run over shape[1:], the others
-    hold the value (a vector, a matrix, or none for a scalar).  The slabs
-    are evaluated for i = 0, 1, ... until one has a nonzero entry.
-    Returns the witness {**tags, "tuple": idx, "residual": r} (a vector as
-    a tuple, a matrix as a tuple of rows), or None when every residual
-    vanishes.
+    residual(s) is the exact array of the residuals at every tuple whose
+    first index lies in the slice s: its leading axes run over s and
+    shape[1:], the others hold the value (a vector, a matrix, or none for
+    a scalar).  The blocks of first indices, each of at most BLOCK_TUPLES
+    tuples, are evaluated in increasing order until one has a nonzero
+    entry.  Returns the witness {**tags, "tuple": idx, "residual": r} (a
+    vector as a tuple, a matrix as a tuple of rows), or None when every
+    residual vanishes.
     """
-    lead = shape[1:]
-    for i in range(shape[0]):
-        slab = residual(i)
-        if not slab.size:
+    per_index = prod(shape[1:])
+    step = _block(per_index)
+    for start in range(0, shape[0], step):
+        block = residual(slice(start, start + step))
+        if not block.size:
             continue
-        hits = np.flatnonzero((slab != 0).reshape(prod(lead), -1).any(axis=1))
+        hits = np.flatnonzero((block != 0).reshape(len(block) * per_index, -1).any(axis=1))
         if hits.size:
-            pos = tuple(int(k) for k in np.unravel_index(hits[0], lead))
-            return {**tags, "tuple": (i, *pos), "residual": _witness_value(slab[pos])}
+            pos = tuple(int(k) for k in np.unravel_index(hits[0], block.shape[:len(shape)]))
+            return {**tags, "tuple": (start + pos[0], *pos[1:]), "residual": _witness_value(block[pos])}
     return None
 
 
 def vanishing(residual, shape, batch):
     """The operators of a stack of `batch` that satisfy a law over the index tuples of `shape`.
 
-    residual(i, sel) is first_violation's slab of first index i for the
-    operators `sel` (an index array) of the stack, with one more leading
-    axis running over them.  A slab is evaluated only on the operators
-    that passed the earlier ones.  Returns the indices of the operators on
-    which every residual vanishes, in order.
+    residual(s, sel) is first_violation's block of the first indices in
+    the slice s for the operators `sel` (an index array) of the stack,
+    with one more leading axis running over them.  A block holds at most
+    BLOCK_TUPLES (operator, tuple) pairs, and is evaluated only on the
+    operators that passed the earlier ones.  Returns the indices of the
+    operators on which every residual vanishes, in order.
     """
     alive = np.arange(batch)
-    for i in range(shape[0]):
-        if alive.size:
-            alive = alive[~(residual(i, alive) != 0).reshape(alive.size, -1).any(axis=1)]
+    per_index = prod(shape[1:])
+    start = 0
+    while start < shape[0] and alive.size:
+        step = _block(per_index * alive.size)
+        block = residual(slice(start, start + step), alive)
+        alive = alive[~(block != 0).reshape(alive.size, -1).any(axis=1)]
+        start += step
     return alive
 
 

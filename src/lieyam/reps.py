@@ -14,8 +14,8 @@ and is skew-symmetric by construction.
 rho, mu and D are kept as exact arrays, and only as those (rho_arr[i],
 mu_arr[i, j], D.arr[i, j]; see linalg.exact_array: ExactArrays over the
 rationals, object arrays over Q[t]), and every law is written once as
-a residual array per first basis index, contracted with np.einsum and
-scanned by report.first_violation: rep1-rep5 and der1-der3 (the table
+a residual array over a block of first basis indices (the first einsum
+axis), contracted with np.einsum and scanned by report.first_violation: rep1-rep5 and der1-der3 (the table
 _law_residuals, behind check_representation and
 check_derived_identities) and the pair-homomorphism law
 (pair_homomorphism_witness, behind is_pair_homomorphism).
@@ -105,33 +105,34 @@ def _derived(alg: LieYamagutiAlgebra, rep: Representation) -> DerivedD:
 
 
 def _law_residuals(alg: LieYamagutiAlgebra, rep: Representation, d: DerivedD):
-    """(arity, residual) of every law of REP_LAWS, one slab per first index x = e_i.
+    """(arity, residual) of every law of REP_LAWS, over a block s of first indices x = e_i.
 
     Matrix products X(..) Y(..) over free indices are einsums "..ab,..bc->..ac".
     """
     b, t, rho, mu, dd = alg.b_arr, alg.t_arr, rep.rho_arr, rep.mu_arr, d.arr
 
-    def mu_t(i):  # mu(<<x,y,z>>, w) over (j, k, w)
-        return np.einsum("jkm,mwab->jkwab", t[i], mu)
+    def mu_t(s):  # mu(<<x,y,z>>, w) over (i, j, k, w)
+        return np.einsum("ijkm,mwab->ijkwab", t[s], mu)
 
     return {
-        "rep1": (3, lambda i: np.einsum("jm,mkab->jkab", b[i], mu)
-                 - np.einsum("kab,jbc->jkac", mu[i], rho) + np.einsum("jkab,bc->jkac", mu, rho[i])),
-        "rep2": (3, lambda i: np.einsum("jkm,mab->jkab", b, mu[i])
-                 - np.einsum("jab,kbc->jkac", rho, mu[i]) + np.einsum("kab,jbc->jkac", rho, mu[i])),
-        "rep3": (3, lambda i: np.einsum("jkm,mab->jkab", t[i], rho)
-                 - np.einsum("jab,kbc->jkac", dd[i], rho) + np.einsum("kab,jbc->jkac", rho, dd[i])),
-        "rep4": (4, lambda i: np.einsum("kwab,jbc->jkwac", mu, mu[i])
-                 - np.einsum("jwab,kbc->jkwac", mu, mu[i]) - np.einsum("jkwm,mab->jkwab", t, mu[i])
-                 + np.einsum("jkab,wbc->jkwac", dd, mu[i])),
-        "rep5": (4, lambda i: mu_t(i) + np.einsum("jwm,kmab->jkwab", t[i], mu)
-                 - np.einsum("jab,kwbc->jkwac", dd[i], mu) + np.einsum("kwab,jbc->jkwac", mu, dd[i])),
-        "der1": (3, lambda i: np.einsum("jm,mkab->jkab", b[i], dd)
-                 + np.einsum("jkm,mab->jkab", b, dd[:, i]) + np.einsum("km,mjab->jkab", b[:, i], dd)),
-        "der2": (4, lambda i: np.einsum("jkm,mwab->jkwab", t[i], dd) + np.einsum("jwm,kmab->jkwab", t[i], dd)
-                 - np.einsum("jab,kwbc->jkwac", dd[i], dd) + np.einsum("kwab,jbc->jkwac", dd, dd[i])),
-        "der3": (4, lambda i: mu_t(i) - np.einsum("wab,kjbc->jkwac", mu[i], mu)
-                 + np.einsum("jwab,kbc->jkwac", mu, mu[:, i]) + np.einsum("kwab,jbc->jkwac", mu, dd[i])),
+        "rep1": (3, lambda s: np.einsum("ijm,mkab->ijkab", b[s], mu)
+                 - np.einsum("ikab,jbc->ijkac", mu[s], rho) + np.einsum("jkab,ibc->ijkac", mu, rho[s])),
+        "rep2": (3, lambda s: np.einsum("jkm,imab->ijkab", b, mu[s])
+                 - np.einsum("jab,ikbc->ijkac", rho, mu[s]) + np.einsum("kab,ijbc->ijkac", rho, mu[s])),
+        "rep3": (3, lambda s: np.einsum("ijkm,mab->ijkab", t[s], rho)
+                 - np.einsum("ijab,kbc->ijkac", dd[s], rho) + np.einsum("kab,ijbc->ijkac", rho, dd[s])),
+        "rep4": (4, lambda s: np.einsum("kwab,ijbc->ijkwac", mu, mu[s])
+                 - np.einsum("jwab,ikbc->ijkwac", mu, mu[s]) - np.einsum("jkwm,imab->ijkwab", t, mu[s])
+                 + np.einsum("jkab,iwbc->ijkwac", dd, mu[s])),
+        "rep5": (4, lambda s: mu_t(s) + np.einsum("ijwm,kmab->ijkwab", t[s], mu)
+                 - np.einsum("ijab,kwbc->ijkwac", dd[s], mu) + np.einsum("kwab,ijbc->ijkwac", mu, dd[s])),
+        "der1": (3, lambda s: np.einsum("ijm,mkab->ijkab", b[s], dd)
+                 + np.einsum("jkm,miab->ijkab", b, dd[:, s]) + np.einsum("kim,mjab->ijkab", b[:, s], dd)),
+        "der2": (4, lambda s: np.einsum("ijkm,mwab->ijkwab", t[s], dd)
+                 + np.einsum("ijwm,kmab->ijkwab", t[s], dd)
+                 - np.einsum("ijab,kwbc->ijkwac", dd[s], dd) + np.einsum("kwab,ijbc->ijkwac", dd, dd[s])),
+        "der3": (4, lambda s: mu_t(s) - np.einsum("iwab,kjbc->ijkwac", mu[s], mu)
+                 + np.einsum("jwab,kibc->ijkwac", mu, mu[:, s]) + np.einsum("kwab,ijbc->ijkwac", mu, dd[s])),
     }
 
 
@@ -175,7 +176,7 @@ def adjoint_rep(alg: LieYamagutiAlgebra, check=True) -> Representation:
 def _assert_adjoint_d(alg: LieYamagutiAlgebra, d: DerivedD):
     """Raise unless d, the derived D of alg's adjoint representation, is z -> <<x,y,z>>."""
     left = alg.t_arr.transpose(0, 1, 3, 2)
-    wit = first_violation(lambda i: d.arr[i] - left[i], (alg.dim,) * 2)
+    wit = first_violation(lambda s: d.arr[s] - left[s], (alg.dim,) * 2)
     if wit is not None:
         raise InternalConsistencyError(
             "derived D of the adjoint representation does not equal the left triple "
@@ -282,19 +283,19 @@ def pair_homomorphism_witness(phi: Matrix, psi: Matrix, src: LieYRepPair, dst: L
     n, p, q = src.dim_g, phi.arr, psi.arr
 
     return homomorphism_witness(phi, src.algebra, dst.algebra) or first_violation(
-        lambda i: q @ src.rep.rho_arr[i] - np.einsum("a,axy->xy", p[:, i], dst.rep.rho_arr) @ q, (n,),
+        lambda s: q @ src.rep.rho_arr[s] - np.einsum("ai,axy->ixy", p[:, s], dst.rep.rho_arr) @ q, (n,),
         identity="rho",
     ) or first_violation(
-        lambda i: _pair_bilinear(p, q, i, src.rep.mu_arr, dst.rep.mu_arr), (n, n), identity="mu",
+        lambda s: _pair_bilinear(p, q, s, src.rep.mu_arr, dst.rep.mu_arr), (n, n), identity="mu",
     ) or first_violation(
-        lambda i: _pair_bilinear(p, q, i, src.d.arr, dst.d.arr), (n, n), identity="D",
+        lambda s: _pair_bilinear(p, q, s, src.d.arr, dst.d.arr), (n, n), identity="D",
     )
 
 
-def _pair_bilinear(p, q, i, x, x_dst):
-    """psi X(e_i, e_j) - X'(phi e_i, phi e_j) psi over j, for phi = p and psi = q."""
-    img = np.einsum("bj,bxy->jxy", p, np.einsum("a,abxy->bxy", p[:, i], x_dst))
-    return q @ x[i] - img @ q
+def _pair_bilinear(p, q, s, x, x_dst):
+    """psi X(e_i, e_j) - X'(phi e_i, phi e_j) psi over (i in s, j), for phi = p and psi = q."""
+    img = np.einsum("bj,ibxy->ijxy", p, np.einsum("ai,abxy->ibxy", p[:, s], x_dst))
+    return q @ x[s] - img @ q
 
 
 def is_pair_homomorphism(phi: Matrix, psi: Matrix, src: LieYRepPair, dst: LieYRepPair) -> bool:

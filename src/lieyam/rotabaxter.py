@@ -19,7 +19,7 @@ The induced brackets [u,v]^T = rho(Tu)v - rho(Tv)u and <<u,v,w>>^T =
 D(Tu,Tv)w + mu(Tv,Tw)u - mu(Tu,Tw)v are written once, in _induced_brackets,
 as exact arrays over all basis tuples of V.  Each law has one function
 that returns its first violating tuple with the exact residual, or None
-(a residual array per first basis index, scanned by
+(a residual array over a block of first basis indices, scanned by
 report.first_violation); the bool predicates, the reports, the validated
 wrappers and the CLI all call it.
 
@@ -101,21 +101,28 @@ RB_LAWS = {
 
 
 def _rb_residual(pair: LieYRepPair, tarr, arity):
-    """The slabs, per first basis index u of V, of the Rota-Baxter identity of one arity:
+    """The Rota-Baxter identity of one arity, over a block s of first basis indices u of V:
 
-    [Tu,Tv] - T([u,v]^T)               arity 2, over (..., v, k)
-    <<Tu,Tv,Tw>> - T(<<u,v,w>>^T)      arity 3, over (..., v, w, l)
+    [Tu,Tv] - T([u,v]^T)               arity 2, over (..., u in s, v, k)
+    <<Tu,Tv,Tw>> - T(<<u,v,w>>^T)      arity 3, over (..., u in s, v, w, l)
 
     for tarr the array of T, or a stack of them with leading batch axes.
-    A slab takes the operators `sel` of a stack (report.vanishing).
+    A block takes the operators `sel` of a stack (report.vanishing).
     """
     alg, t = pair.algebra, tarr
     if arity == 2:
         image = _induced_brackets(pair.rep, pair.d, t, 2) @ t.mT[..., None, :, :]       # T([u,v]^T)
-        return lambda u, sel=Ellipsis: alg.bracket_images(t[sel], t[sel], u) - image[sel][..., u, :, :]
+
+        def binary(s, sel=Ellipsis):
+            q = t[sel]
+            return alg.bracket_images(q[..., :, s], q) - image[sel][..., s, :, :]
+        return binary
     image = _induced_brackets(pair.rep, pair.d, t, 3) @ t.mT[..., None, None, :, :]     # T(<<u,v,w>>^T)
-    return lambda u, sel=Ellipsis: (alg.triple_images(t[sel], t[sel], t[sel], u)
-                                    - image[sel][..., u, :, :, :])
+
+    def ternary(s, sel=Ellipsis):
+        q = t[sel]
+        return alg.triple_images(q[..., :, s], q, q) - image[sel][..., s, :, :, :]
+    return ternary
 
 
 def _rb_residuals(pair: LieYRepPair, tmap: Matrix, arities=(2, 3)):
@@ -233,7 +240,7 @@ def append_twist_conditions(report: VerificationReport, pair: LieYRepPair,
     is V^T when an earlier call for the same T already built and asserted it.
     """
     twist = nmap.arr @ tmap.arr - tmap.arr @ smap.arr
-    wit = first_violation(lambda u: twist[:, u], (pair.dim_v,))
+    wit = first_violation(twist.T.__getitem__, (pair.dim_v,))
     report.add("twist-compat", wit is None, "N T = T S", wit)
     if sub is None:
         sub = _assert_subadjacent(_induced_algebra(pair.rep, pair.d, tmap), tmap, pair)
@@ -384,7 +391,7 @@ def _compat_residual(pair: LieYRepPair, t1: Matrix, t2: Matrix):
     a1, a2 = t1.arr, t2.arr
     rhs = _induced_brackets(rep, d, a2, 2) @ a1.T + _induced_brackets(rep, d, a1, 2) @ a2.T
     wit = first_violation(
-        lambda u: alg.bracket_images(a1, a2, u) + alg.bracket_images(a2, a1, u) - rhs[u], (m,) * 2,
+        lambda s: alg.bracket_images(a1[:, s], a2) + alg.bracket_images(a2[:, s], a1) - rhs[s], (m,) * 2,
         identity="binary")
     if wit is not None:
         return wit
@@ -393,8 +400,8 @@ def _compat_residual(pair: LieYRepPair, t1: Matrix, t2: Matrix):
     for i, j, ti, tj in ((1, 2, a1, a2), (2, 1, a2, a1)):
         rhs = mixed @ ti.T + pure[i] @ tj.T
         wit = first_violation(
-            lambda u: alg.triple_images(ti, ti, tj, u) + alg.triple_images(ti, tj, ti, u)
-            + alg.triple_images(tj, ti, ti, u) - rhs[u], (m,) * 3, identity=f"ternary-{i}{j}")
+            lambda s: alg.triple_images(ti[:, s], ti, tj) + alg.triple_images(ti[:, s], tj, ti)
+            + alg.triple_images(tj[:, s], ti, ti) - rhs[s], (m,) * 3, identity=f"ternary-{i}{j}")
         if wit is not None:
             return wit
     return None
@@ -438,8 +445,8 @@ def strong_witness(pair: LieYRepPair, top: RelativeRBOperator, smap: Matrix):
     d_t, mu_t = _images(pair.d.arr, tarr), _images(pair.rep.mu_arr, tarr)
     rhs = subadjacent(top).t_arr @ sarr.T
     return first_violation(
-        lambda u: np.einsum("vxy,yw->vwx", d_t[u], sarr) + np.einsum("vwxy,y->vwx", mu_t, sarr[:, u])
-        - np.einsum("wxy,yv->vwx", mu_t[u], sarr) - rhs[u], (pair.dim_v,) * 3)
+        lambda s: np.einsum("uvxy,yw->uvwx", d_t[s], sarr) + np.einsum("vwxy,yu->uvwx", mu_t, sarr[:, s])
+        - np.einsum("uwxy,yv->uvwx", mu_t[s], sarr) - rhs[s], (pair.dim_v,) * 3)
 
 
 def strong_condition(pair: LieYRepPair, top: RelativeRBOperator, smap: Matrix) -> bool:

@@ -102,9 +102,9 @@ SCAN_BLOCK = 1024
 def _scan(rows, cols, values, residual, first, limit):
     """The rows x cols grid matrices that satisfy a law, in `_matrices` order.
 
-    residual(stack, arity) gives the slabs (report.vanishing) of the law's
-    identity of that arity, 2 or 3, on a stack of candidates; their first
-    basis index runs over range(first).  The grid is walked in blocks of
+    residual(stack, arity) gives the blocks of first basis indices
+    (report.vanishing) of the law's identity of that arity, 2 or 3, on a
+    stack of candidates; the first index runs over range(first).  The grid is walked in blocks of
     1, 2, 4, ... SCAN_BLOCK candidates; the binary identity runs on the
     whole block and the ternary one on its survivors.  At most `limit`
     hits are returned.

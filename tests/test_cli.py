@@ -15,6 +15,7 @@ from lieyam.jsonio import (
     algebra_to_dict,
     dump_json,
     load_algebra,
+    load_operator,
     load_pair,
     operator_to_dict,
 )
@@ -686,3 +687,71 @@ def test_cohomology_has_no_cap_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["cohomology", "--pair", fx("A2-adjoint.json"), "--degree", "1", "--cap", "3"])
     assert exc.value.code == 2
+
+
+def test_deform_and_check_form_build_their_premise_report_once(tmp_path, capsys, monkeypatch):
+    """deform and quadratic check-form build their premise report (of the
+    Nijenhuis structure, of the invariant form) once per call, in the
+    validating constructor, and print it followed by the other checks."""
+    from lieyam import cli, deform, quadratic
+    from lieyam.search import catalog_algebra
+
+    def op(name, rows):
+        dump_json(operator_to_dict(Matrix(rows)), tmp_path / f"{name}.json")
+        return str(tmp_path / f"{name}.json")
+
+    dump_json(algebra_to_dict(catalog_algebra("abelian2")), tmp_path / "ab2.json")
+    pair = load_pair(fx("A2-adjoint.json"))
+    n_lam, s_lam, bad_s = fx("N-lam2.json"), fx("S-lam2.json"), op("S-bad", [[-1, -1], [-1, -1]])
+    identity = op("Id", [[1, 0], [0, 1]])
+
+    def deform_checks(s_path):
+        nmap, smap = load_operator(n_lam), load_operator(s_path)
+        report = deform.nijenhuis_structure_report(pair, nmap, smap)
+        if report.passed:
+            d = deform.trivial_deformation_from(pair, deform.NijenhuisStructure(pair, nmap, smap))
+            report.extend(deform.linear_deformation_report(pair, d))
+            wit = deform.equivalence_witness(pair, d, deform.DeformationData.zero(pair), nmap, smap)
+            report.add("triviality-witness", wit is None,
+                       "(Id + tN, Id + tS) intertwines the family with the undeformed pair", wit)
+            wit = deform.cocycle_witness(pair, d)
+            report.add("cocycle-closed", wit is None, "the first-order data is a closed 2-cochain", wit)
+        return report
+
+    def form_checks(alg_path):
+        alg, b = load_algebra(alg_path), load_operator(identity)
+        report = quadratic.invariant_form_report(alg, b)
+        if report.passed:
+            report.extend(quadratic.invariance_transport(quadratic.QuadraticForm(alg, b)))
+        return report
+
+    cases = [
+        (["deform", "--pair", fx("A2-adjoint.json"), "--from-nijenhuis", "--N", n_lam, "--S", s_lam],
+         "nijenhuis_structure_report", deform_checks(s_lam)),
+        (["deform", "--pair", fx("A2-adjoint.json"), "--from-nijenhuis", "--N", n_lam, "--S", bad_s],
+         "nijenhuis_structure_report", deform_checks(bad_s)),
+        (["quadratic", "check-form", "--algebra", str(tmp_path / "ab2.json"), "--B", identity],
+         "invariant_form_report", form_checks(str(tmp_path / "ab2.json"))),
+        (["quadratic", "check-form", "--algebra", fx("A2.json"), "--B", identity],
+         "invariant_form_report", form_checks(fx("A2.json"))),
+    ]
+    assert [want.passed for _, _, want in cases] == [True, False, True, False]
+
+    calls = {}
+    for name, home in (("nijenhuis_structure_report", deform), ("invariant_form_report", quadratic)):
+        original = getattr(home, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+
+        for module in (cli, deform, quadratic):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    for argv, premise, want in cases:
+        calls.clear()
+        code, out = run_cli("--format", "json", *argv, capsys=capsys)
+        assert calls == {premise: 1}, argv
+        assert code == (0 if want.passed else 1)
+        payload = json.loads(out.out)
+        assert payload["checks"] == want.to_dict()["checks"], argv

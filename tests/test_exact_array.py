@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import test_law_golden
 import test_rep_golden
 import test_scan_golden
-from lieyam import LieYRepPair, Matrix, adjoint_rep, linalg
+from lieyam import LieYRepPair, Matrix, adjoint_rep, linalg, report
 from lieyam.algebra import nijenhuis_witness
 from lieyam.linalg import INT64_LIMIT, ExactArray, exact_array
 from lieyam.rotabaxter import relative_rb_report
@@ -114,6 +114,19 @@ def test_golden_generators_on_object_numerators(monkeypatch, module, cases):
     before = _ops()
     assert module.render(getattr(module, cases)()) == module.GOLDEN.read_text()
     assert _ran(before)["int64"] == 0
+
+
+@pytest.mark.parametrize("budget", [1, 10**9])
+@pytest.mark.parametrize("module, cases", [
+    (test_law_golden, "witness_cases"),
+    (test_rep_golden, "witness_cases"),
+    (test_scan_golden, "scan_cases"),
+])
+def test_golden_generators_at_any_block_budget(monkeypatch, module, cases, budget):
+    """The golden files come out byte for byte whether every block of a law
+    holds one first index (budget 1) or the whole law (an unbounded budget)."""
+    monkeypatch.setattr(report, "BLOCK_TUPLES", budget)
+    assert module.render(getattr(module, cases)()) == module.GOLDEN.read_text()
 
 
 # -- arithmetic against Fractions -------------------------------------------
