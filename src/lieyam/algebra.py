@@ -16,8 +16,8 @@ ExactArray of int64 or Python-int numerators over rationals, an object
 array over Q[t]), and each axiom is one residual array over a block of
 first basis indices (the first einsum axis), contracted with np.einsum
 (two operands per call) and scanned by report.first_violation.  The
-code is generic over the scalar ring (rationals or polynomials in t), enabling
-"for all t" checks by polynomial arithmetic.
+code is generic over the scalar ring (rationals or polynomials in t),
+enabling "for all t" checks by polynomial arithmetic.
 
 The homomorphism and Nijenhuis laws take their maps as arrays that may
 carry leading batch axes (the ``...`` of every einsum): one map is the

@@ -57,7 +57,11 @@ def _witness_value(value):
 
 
 #: Most basis tuples one block of a law holds (first_violation), and most
-#: (candidate, tuple) pairs of a block of a stack (vanishing).
+#: (candidate, tuple) pairs of a block of a stack (vanishing); a block
+#: holds one first index when that alone carries more.  At dims <= 4 every
+#: law (LY4 has 4^5 = 1,024 tuples) is one block; at dim 12 the
+#: matrix-valued laws of four indices (1,728 tuples per first index) keep
+#: one first index per block, so their memory stays that of one index.
 BLOCK_TUPLES = 2048
 
 
@@ -73,8 +77,8 @@ def first_violation(residual, shape, **tags):
     first index lies in the slice s: its leading axes run over s and
     shape[1:], the others hold the value (a vector, a matrix, or none for
     a scalar).  The blocks of first indices, each of at most BLOCK_TUPLES
-    tuples, are evaluated in increasing order until one has a nonzero
-    entry.  Returns the witness {**tags, "tuple": idx, "residual": r} (a
+    tuples or of one first index, are evaluated in increasing order until
+    one has a nonzero entry.  Returns the witness {**tags, "tuple": idx, "residual": r} (a
     vector as a tuple, a matrix as a tuple of rows), or None when every
     residual vanishes.
     """
