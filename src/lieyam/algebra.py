@@ -12,8 +12,8 @@ defining axioms are *not* assumed: run check_axioms.
 All operations are multilinear, so every identity is verified on all
 basis tuples.  The structure constants are kept as exact arrays, and
 only as those (``b_arr``, ``t_arr``; see linalg.exact_array: an
-ExactArray of int64 or Python-int numerators over rationals, an object
-array over Q[t]), and each axiom is one residual array over a block of
+ExactArray of int64 or Python-int numerators over the rationals, with a
+leading coefficient axis over Q[t]), and each axiom is one residual array over a block of
 first basis indices (the first einsum axis), contracted with np.einsum
 (two operands per call) and scanned by report.first_violation.  The
 code is generic over the scalar ring (rationals or polynomials in t),

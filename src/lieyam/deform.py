@@ -9,8 +9,10 @@ varpi2) defining the one-parameter family
     mu_t(x,y)    = mu(x,y) + t varpi1(x,y) + t^2 varpi2(x,y)
 
 "Holds for all t" is decided structurally: the family is built over the
-polynomial scalar ring and every axiom residual must be the zero
-polynomial (degree up to 4 in t), never by sampling.
+polynomial scalar ring, as exact arrays over Q[t] (integer numerators of
+the coefficients of t^0, t^1, ... over one denominator, see
+linalg.ExactArray), and every axiom residual must be the zero polynomial
+(degree up to 4 in t), never by sampling.
 
 A Nijenhuis structure is a pair of maps (N on g, S on V) such that N is
 a Nijenhuis operator and two compatibility conditions tie S to the

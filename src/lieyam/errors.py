@@ -77,12 +77,14 @@ class InternalConsistencyError(LieyamError):
 
 
 class PreconditionFailedError(LieyamError):
-    """An eagerly checked precondition failed; carries its failing report, if any."""
+    """An eagerly checked precondition failed; carries its failing report or
+    witness, if any."""
 
-    def __init__(self, message, which=None, report=None):
+    def __init__(self, message, which=None, report=None, witness=None):
         super().__init__(message)
         self.which = which
         self.report = report
+        self.witness = witness
 
 
 class NotSymmetricError(LieyamError):

@@ -1,15 +1,15 @@
 """Exact arrays, matrices and linear algebra over the scalar ring.
 
-Every value of the package is an exact array (`exact_array`, `exact`).
-An array whose entries are all rational is an ExactArray: integer
-numerators over one common denominator, int64 while a bound on their
-magnitude carried through every operation stays below INT64_LIMIT,
-Python ints in an object array beyond it.  An array with genuine
-polynomials in t is a numpy array of dtype=object holding ints,
-Fractions and Polys.  Entries leave either kind as ints (integral
-values), Fractions or Polys.  A Matrix is a 2-d exact array with a
-checked shape; matrices act on coordinate columns: column k of a map's
-matrix is the image of the k-th basis vector.
+Every value of the package is an exact array (`exact_array`, `exact`),
+an ExactArray: integer numerators over one common denominator, int64
+while a bound on their magnitude carried through every operation stays
+below INT64_LIMIT, Python ints in an object array beyond it.  An array
+over Q[t] (genuine polynomials in t among its entries) is the same type
+with one more, leading, axis of numerators: those of the coefficients of
+t^0, t^1, ... over the one denominator.  Entries leave an array as ints
+(integral values), Fractions or Polys.  A Matrix is a 2-d exact array
+with a checked shape; matrices act on coordinate columns: column k of a
+map's matrix is the image of the k-th basis vector.
 
 rank / nullspace / inverse are only defined over the rationals; matrices
 with genuine polynomial entries are rejected (evaluate t first).  All
@@ -67,7 +67,7 @@ _over = np.frompyfunc(_ratio, 2, 1)
 
 
 class ExactArray:
-    """An array of rationals: integer numerators `num` over one denominator `den`.
+    """An exact array: integer numerators `num` over one denominator `den`.
 
     `bound` is an upper bound on |num|, carried through every operation
     without reading the entries: a contraction over K summed terms has
@@ -77,61 +77,105 @@ class ExactArray:
     overflow, and Python ints in an object array otherwise.  The
     arithmetic does not reduce the denominator (`reduced` does, once, where
     structure constants are stored); the entries leave the array (tolist,
-    iteration, scalar indexing, np.asarray) as ints and Fractions.
+    iteration, scalar indexing, np.asarray) as ints, Fractions and Polys.
+
+    An array over Q[t] has `poly`, a bool array of its shape, and one more
+    leading axis of `num`: num[k] holds the numerators of the coefficients
+    of t^k.  A contraction pairs the coefficient axes and sums the
+    anti-diagonals (the product of two polynomials), so its bound also
+    grows by the number of coefficient pairs one coefficient sums; a sum
+    pads the shorter coefficient axis with zeros.  `poly` marks the
+    entries that leave the array as Poly: at the input boundary (exact,
+    exact_array) the genuine polynomials, and in arithmetic every entry
+    whose terms met a Poly, as entries of Python's Poly arithmetic would
+    (0 * t is Poly([]), not 0).  Over the rationals `poly` is None.
 
     The law code reads these arrays as it would numpy arrays: np.einsum
     (with explicit output subscripts), np.stack, +, -, *, @, indexing, .T,
     .mT, transpose, reshape and comparison with zero run on the
-    numerators; any other numpy function or operand (a Poly array, say)
+    numerators; any other numpy function or operand (an object array, say)
     gets the entries as an exact object array instead.
     """
 
-    __slots__ = ("num", "den", "bound", "_obj")
+    __slots__ = ("num", "den", "bound", "poly", "_obj")
 
-    def __init__(self, num, den, bound):
-        self.num, self.den, self.bound, self._obj = num, den, bound, None
+    def __init__(self, num, den, bound, poly=None):
+        self.num, self.den, self.bound, self.poly, self._obj = num, den, bound, poly, None
 
     # -- shape and views -----------------------------------------------------
 
-    shape = property(lambda self: self.num.shape)
-    size = property(lambda self: self.num.size)
-    T = property(lambda self: ExactArray(self.num.T, self.den, self.bound))
-    mT = property(lambda self: ExactArray(self.num.mT, self.den, self.bound))
+    shape = property(lambda self: self.num.shape if self.poly is None else self.poly.shape)
+    size = property(lambda self: self.num.size if self.poly is None else self.poly.size)
+
+    @property
+    def T(self):
+        return ExactArray(self.num.T, self.den, self.bound) if self.poly is None else self.transpose()
+
+    @property
+    def mT(self):
+        poly = self.poly
+        return ExactArray(self.num.mT, self.den, self.bound, poly if poly is None else poly.mT)
 
     def __len__(self):
-        return len(self.num)
+        return len(self.num if self.poly is None else self.poly)
 
     def __getitem__(self, idx):
-        num = self.num[idx]
-        if type(num) is np.ndarray:
-            return ExactArray(num, self.den, self.bound)
-        return int(num) if self.den == 1 else _ratio(int(num), self.den)
+        num, poly = self.num, self.poly
+        if poly is None:
+            num = num[idx]
+            if type(num) is np.ndarray:
+                return ExactArray(num, self.den, self.bound)
+            return int(num) if self.den == 1 else _ratio(int(num), self.den)
+        poly = poly[idx]
+        num = num[(slice(None), *idx) if type(idx) is tuple else (slice(None), idx)]
+        if type(poly) is not np.ndarray:
+            return _entry(num.tolist(), self.den, poly)
+        if num.shape[1:] != poly.shape:  # advanced indices apart: their axes went first
+            num = np.stack([plane[idx] for plane in self.num])
+        return ExactArray(num, self.den, self.bound, poly)
 
     def __iter__(self):
-        return (self[i] for i in range(len(self.num)))
+        return (self[i] for i in range(len(self)))
 
     def transpose(self, *axes):
-        return ExactArray(self.num.transpose(*axes), self.den, self.bound)
+        if self.poly is None:
+            return ExactArray(self.num.transpose(*axes), self.den, self.bound)
+        poly = self.poly.transpose(*axes)
+        axes = axes[0] if len(axes) == 1 and not isinstance(axes[0], int) else axes
+        nd = poly.ndim
+        axes = [a % nd for a in axes] if axes else range(nd - 1, -1, -1)
+        return ExactArray(self.num.transpose(0, *(a + 1 for a in axes)), self.den, self.bound, poly)
 
     def reshape(self, *shape):
-        return ExactArray(self.num.reshape(*shape), self.den, self.bound)
+        if self.poly is None:
+            return ExactArray(self.num.reshape(*shape), self.den, self.bound)
+        poly = self.poly.reshape(*shape)
+        return ExactArray(self.num.reshape(len(self.num), *poly.shape), self.den, self.bound, poly)
 
     def ravel(self):
-        return ExactArray(self.num.ravel(), self.den, self.bound)
+        return self.reshape(-1)
 
     # -- leaving the array ---------------------------------------------------
 
     def __array__(self, dtype=None, copy=None):
-        """The entries as a read-only object array of ints and Fractions."""
+        """The entries as a read-only object array of ints, Fractions and Polys."""
         if self._obj is None:
-            obj = self.num.astype(object)
-            self._obj = obj if self.den == 1 else np.asarray(_over(obj, self.den), dtype=object)
-            self._obj.flags.writeable = False
+            if self.poly is not None:
+                obj = np.empty(self.poly.size, dtype=object)
+                obj[:] = [_entry(c, self.den, p) for c, p in
+                          zip(self.num.reshape(len(self.num), -1).T.tolist(), self.poly.ravel().tolist())]
+                obj = obj.reshape(self.poly.shape)
+            else:
+                obj = self.num.astype(object)
+                if self.den != 1:
+                    obj = np.asarray(_over(obj, self.den), dtype=object)
+            obj.flags.writeable = False
+            self._obj = obj
         out = self._obj if dtype is None else self._obj.astype(dtype)
         return out.copy() if copy and out is self._obj else out
 
     def tolist(self):
-        return self.num.tolist() if self.den == 1 else np.asarray(self).tolist()
+        return self.num.tolist() if self.den == 1 and self.poly is None else np.asarray(self).tolist()
 
     def __repr__(self):
         return f"ExactArray({np.asarray(self)!r})"
@@ -139,7 +183,7 @@ class ExactArray:
     # -- arithmetic ----------------------------------------------------------
 
     def __neg__(self):
-        return ExactArray(-self.num, self.den, self.bound)
+        return ExactArray(-self.num, self.den, self.bound, self.poly)
 
     def __add__(self, other):
         return _sum(self, other, 1)
@@ -160,16 +204,16 @@ class ExactArray:
         return _contract(np.multiply, (other, self), 1)
 
     def __matmul__(self, other):
-        return _contract(np.matmul, (self, other), self.num.shape[-1])
+        return _contract(np.matmul, (self, other), self.shape[-1])
 
     def __eq__(self, other):
         if type(other) is int and other == 0:
-            return self.num == 0
+            return self.num == 0 if self.poly is None else ~(self.num != 0).any(axis=0)
         return np.asarray(self) == _plain(other)
 
     def __ne__(self, other):
         if type(other) is int and other == 0:
-            return self.num != 0
+            return self.num != 0 if self.poly is None else (self.num != 0).any(axis=0)
         return np.asarray(self) != _plain(other)
 
     __hash__ = None
@@ -189,6 +233,15 @@ class ExactArray:
         return func(*_plain(args), **_plain(kwargs)) if out is None else out
 
 
+def _entry(coeffs, den, poly):
+    """One entry from the numerators of its coefficients (lowest degree
+    first): a Poly where `poly` is set, else the constant term."""
+    if poly:
+        return Poly([Fraction(c, den) for c in coeffs])
+    c = coeffs[0]
+    return int(c) if den == 1 else _ratio(int(c), den)
+
+
 def _plain(x):
     """x with every ExactArray in it (in nested lists, tuples and dicts) as an object array."""
     if isinstance(x, ExactArray):
@@ -200,14 +253,32 @@ def _plain(x):
     return x
 
 
+def _operands(operands):
+    """The operands with each scalar (int, Fraction, Poly) as a 0-d ExactArray,
+    or None when one is neither that nor an ExactArray.  A Poly scalar is an
+    entry that leaves as Poly even when it is constant, as in Poly arithmetic."""
+    out = []
+    for x in operands:
+        if type(x) is Poly:
+            den = lcm(*(c.denominator for c in x.coeffs))
+            nums = [c.numerator * (den // c.denominator) for c in x.coeffs] or [0]
+            x = _result(nums, den, max(map(abs, nums)), np.ones((), dtype=bool))
+        elif type(x) in (int, Fraction):
+            x = exact_array([x], ())
+        elif type(x) is not ExactArray:
+            return None
+        out.append(x)
+    return out
+
+
 def _contract(func, operands, terms, *head):
     """func(*head, *numerators) over the product of the denominators, for a
     result each of whose entries sums `terms` products of one entry of each
     operand."""
     bound, den = terms, 1
     for x in operands:
-        if type(x) is not ExactArray:
-            return func(*head, *_plain(operands))
+        if type(x) is not ExactArray or x.poly is not None:
+            return _contract_poly(func, operands, terms, head)
         bound *= x.bound
         den *= x.den
     if bound < INT64_LIMIT:
@@ -218,10 +289,96 @@ def _contract(func, operands, terms, *head):
     return ExactArray(np.asarray(num, dtype=object), den, bound)
 
 
+#: the einsum subscripts of np.multiply and np.matmul
+_SUBSCRIPTS = {np.multiply: "...,...->...", np.matmul: "...ij,...jk->...ik"}
+
+
+def _contract_poly(func, operands, terms, head):
+    """_contract with an operand over Q[t] or a scalar among the operands.
+
+    The contraction runs as one einsum with a coefficient axis Z on the
+    result.  With one operand over Q[t], Z is its coefficient axis.  With
+    two, the smaller one is laid out as the Toeplitz array (Z, Y) of its
+    coefficients, entry [k, q] the coefficient of t^(k-q), and contracted
+    with the coefficient axis Y of the other: num[k] sums the products of
+    the coefficients of t^p and t^q over p + q = k.
+    """
+    ops = _operands(operands)
+    if ops is None or (func is np.matmul and min(len(x.shape) for x in ops) < 2):
+        return func(*head, *_plain(operands))
+    polys = [k for k, x in enumerate(ops) if x.poly is not None]
+    if not polys:
+        return _contract(func, ops, terms, *head)
+    if len(polys) > 2:
+        return func(*head, *_plain(operands))
+    if len(polys) == 2 and ops[polys[0]].size > ops[polys[1]].size:
+        polys.reverse()
+    subscripts = head[0] if head else _SUBSCRIPTS[func]
+    key = (subscripts, *polys)
+    coefficient_subscripts = _POLY_SUBSCRIPTS.get(key)
+    if coefficient_subscripts is None:
+        coefficient_subscripts = _POLY_SUBSCRIPTS[key] = _poly_subscripts(subscripts, polys)
+    nums = [x.num for x in ops]
+    bound, den = terms, 1
+    for x in ops:
+        bound *= x.bound
+        den *= x.den
+    if len(polys) == 2:
+        e, o = polys
+        bound *= min(len(nums[e]), len(nums[o]))
+        nums[e] = _toeplitz(nums[e], len(nums[o]))
+    if bound < INT64_LIMIT:
+        NUMERATOR_OPS["int64"] += 1
+    else:
+        NUMERATOR_OPS["object"] += 1
+        nums = [x.astype(object) for x in nums]
+    num = _c_einsum(coefficient_subscripts, *nums)
+    # an entry leaves as Poly when one of its terms has a factor that does:
+    # with u = 1 + poly per operand, its sum of products of u exceeds `terms`
+    mask = _c_einsum(subscripts, *[np.ones(x.shape, dtype=np.int64) if x.poly is None else x.poly + 1
+                                   for x in ops]) > terms
+    return _result(num, den, bound, mask if type(mask) is np.ndarray else np.asarray(mask))
+
+
+# (subscripts, operands over Q[t]) -> the subscripts with their coefficient axes
+_POLY_SUBSCRIPTS = {}
+
+
+def _poly_subscripts(subscripts, polys):
+    """subscripts with a coefficient axis Z on the result and on the one
+    operand over Q[t] in polys, or with the Toeplitz axes Z, Y on the first
+    of two and Y on the second."""
+    ins, out = subscripts.replace(" ", "").split("->")
+    ins = ins.split(",")
+    z, y = [c for c in "ZYXWV" if c not in subscripts][:2]
+    if len(polys) == 1:
+        ins[polys[0]] = z + ins[polys[0]]
+    else:
+        e, o = polys
+        ins[e], ins[o] = z + y + ins[e], y + ins[o]
+    return ",".join(ins) + "->" + z + out
+
+
+# (coefficients, coefficients of the other factor) -> the gather index of the Toeplitz layout
+_TOEPLITZ = {}
+
+
+def _toeplitz(num, other):
+    """The (len(num) + other - 1, other, ...) array whose [k, q] is num[k - q],
+    zero where k - q is not a coefficient of num."""
+    k = len(num)
+    idx = _TOEPLITZ.get((k, other))
+    if idx is None:
+        kq = np.subtract.outer(np.arange(k + other - 1), np.arange(other))
+        idx = _TOEPLITZ[k, other] = np.where((kq >= 0) & (kq < k), kq, k)
+    return np.concatenate([num, np.zeros((1, *num.shape[1:]), dtype=num.dtype)])[idx]
+
+
 def _sum(a, b, sign):
     """a + b for sign 1, a - b for sign -1."""
-    if type(a) is not ExactArray or type(b) is not ExactArray:
-        return (np.add if sign > 0 else np.subtract)(*_plain((a, b)))
+    if type(a) is not ExactArray or type(b) is not ExactArray or a.poly is not None \
+            or b.poly is not None:
+        return _sum_poly(a, b, sign)
     den = a.den if a.den == b.den else lcm(a.den, b.den)
     fa, fb = den // a.den, den // b.den
     bound = a.bound * fa + b.bound * fb
@@ -238,27 +395,83 @@ def _sum(a, b, sign):
     return _result(p + q if sign > 0 else p - q, den, bound)
 
 
-def _result(num, den, bound):
+def _sum_poly(a, b, sign):
+    """_sum with an operand over Q[t] or a scalar: the coefficients of each
+    operand (one, t^0, for a rational one) on a common number of axes, the
+    shorter coefficient axis padded with zeros."""
+    ops = _operands((a, b))
+    if ops is None:
+        return (np.add if sign > 0 else np.subtract)(*_plain((a, b)))
+    a, b = ops
+    if a.poly is None and b.poly is None:
+        return _sum(a, b, sign)
+    den = a.den if a.den == b.den else lcm(a.den, b.den)
+    fa, fb = den // a.den, den // b.den
+    bound = a.bound * fa + b.bound * fb
+    fits = max(bound, fa, fb) < INT64_LIMIT
+    NUMERATOR_OPS["int64" if fits else "object"] += 1
+    nd = max(len(a.shape), len(b.shape))
+    p, q = (_coefficients(x, nd, fits) for x in (a, b))
+    if fa != 1:
+        p = p * fa
+    if fb != 1:
+        q = q * fb
+    if len(p) < len(q):
+        p = _padded(p, len(q))
+    elif len(q) < len(p):
+        q = _padded(q, len(p))
+    num = p + q if sign > 0 else p - q
+    if a.poly is None or b.poly is None:
+        mask = a.poly if b.poly is None else b.poly
+        if mask.shape != num.shape[1:]:
+            mask = np.broadcast_to(mask, num.shape[1:])
+    else:
+        mask = a.poly | b.poly
+    return _result(num, den, bound, mask)
+
+
+def _coefficients(x, nd, fits):
+    """The numerators of x with a leading coefficient axis and `nd` entry axes."""
+    num = x.num if fits else x.num.astype(object)
+    shape = x.shape
+    if x.poly is None:
+        return num.reshape(1, *(1,) * (nd - len(shape)), *shape)
+    return num if len(shape) == nd else num.reshape(len(num), *(1,) * (nd - len(shape)), *shape)
+
+
+def _padded(num, k):
+    """num with zero coefficient planes appended up to k."""
+    return np.concatenate([num, np.zeros((k - len(num), *num.shape[1:]), dtype=num.dtype)])
+
+
+def _result(num, den, bound, poly=None):
     """The ExactArray of a result's numerators, int64 exactly when its bound fits."""
     dtype = _INT64 if bound < INT64_LIMIT else _OBJECT
     if type(num) is not np.ndarray or num.dtype is not dtype:
         num = np.asarray(num, dtype=dtype)
-    return ExactArray(num, den, bound)
+    return ExactArray(num, den, bound, poly)
 
 
 _INT64, _OBJECT = np.dtype(np.int64), np.dtype(object)
 
 
 def _stack(arrays):
-    """np.stack of ExactArrays on their common denominator."""
+    """np.stack of ExactArrays on their common denominator (and, over Q[t],
+    their common number of coefficients)."""
     if not arrays or any(type(x) is not ExactArray for x in arrays):
         return np.stack(_plain(arrays))
     den = lcm(*(x.den for x in arrays))
     bound = max(x.bound * (den // x.den) for x in arrays)
     fits = max(bound, den) < INT64_LIMIT
     NUMERATOR_OPS["int64" if fits else "object"] += 1
-    return _result(np.stack([(x.num if fits else x.num.astype(object)) * (den // x.den)
-                             for x in arrays]), den, bound)
+    if all(x.poly is None for x in arrays):
+        return _result(np.stack([(x.num if fits else x.num.astype(object)) * (den // x.den)
+                                 for x in arrays]), den, bound)
+    shape = arrays[0].shape
+    k = max(len(x.num) for x in arrays if x.poly is not None)
+    planes = [_padded(_coefficients(x, len(shape), fits) * (den // x.den), k) for x in arrays]
+    masks = [np.zeros(shape, dtype=bool) if x.poly is None else x.poly for x in arrays]
+    return _result(np.stack(planes, axis=1), den, bound, np.stack(masks))
 
 
 _UFUNCS = {
@@ -303,21 +516,35 @@ def _einsum(subscripts, operands):
         axes = _SUMMED[subscripts] = _summed_axes(subscripts)
     terms = 1
     for k, p in axes:
-        if type(operands[k]) is not ExactArray:
+        x = operands[k]
+        if type(x) is not ExactArray:
             return None
-        terms *= operands[k].num.shape[p]
+        terms *= (x.num if x.poly is None else x.poly).shape[p]
     return _contract(_c_einsum, operands, terms, subscripts)
 
 
 def exact(arr):
-    """The entries of an array as an exact array (see exact_array)."""
+    """The entries of an array as an exact array (see exact_array).
+
+    An ExactArray over Q[t] is normalized as exact_array normalizes its
+    entries: trailing zero coefficients are dropped, only the genuine
+    polynomials leave as Poly, and an array of constants is one over Q."""
     if isinstance(arr, ExactArray):
-        return arr
+        return arr if arr.poly is None else _normalized(arr)
     try:
         arr = np.asarray(arr)
     except ValueError as exc:  # nested sequences of unequal lengths
         raise DimMismatchError(f"ragged array: {exc}") from exc
     return exact_array(arr.ravel(), arr.shape)
+
+
+def _normalized(arr):
+    nonzero = arr.num != 0
+    planes = np.flatnonzero(nonzero.reshape(len(nonzero), -1).any(axis=1))
+    k = int(planes[-1]) + 1 if planes.size else 0
+    if k <= 1:
+        return ExactArray(arr.num[0], arr.den, arr.bound)
+    return ExactArray(arr.num[:k], arr.den, arr.bound, nonzero[1:k].any(axis=0))
 
 
 def reduced(arr):
@@ -326,42 +553,61 @@ def reduced(arr):
 
     The constructors of algebras and representations call it once on their
     structure constants; the arithmetic itself never reduces.  An
-    ExactArray over den 1 and an array over Q[t] are returned as they are."""
+    ExactArray over den 1 is returned as it is."""
     if type(arr) is not ExactArray or arr.den == 1:
         return arr
     nums = arr.num.ravel().tolist()
     g = gcd(arr.den, *nums)
     if g == 1:
         return arr
-    return _result(arr.num // g, arr.den // g, max(map(abs, nums)) // g)
+    return _result(arr.num // g, arr.den // g, max(map(abs, nums)) // g, arr.poly)
 
 
 def exact_array(entries, shape):
     """Row-major `entries` as an exact array of `shape`.
 
     Every entry is normalized (integral Fractions to ints, constant
-    polynomials to rationals).  When all are rational the result is an
-    ExactArray over the lcm of their denominators; otherwise (genuine
-    polynomials in t) it is a read-only object array.
+    polynomials to rationals).  The result is an ExactArray over the lcm
+    of the denominators of the entries (and of their coefficients): over
+    Q when all are rational, over Q[t] when some are genuine polynomials.
     """
     if isinstance(entries, ExactArray):
         return entries.reshape(shape)
     flat = np.empty(prod(shape), dtype=object)
     flat[:] = entries
     flat = normalize(flat)
-    den = 1
+    den, deg = 1, 0
     for x in flat:
         if type(x) is Fraction:
             den = lcm(den, x.denominator)
+        elif type(x) is Poly:
+            den = lcm(den, *(c.denominator for c in x.coeffs))
+            deg = max(deg, x.degree)
         elif type(x) is not int:
             out = flat.reshape(shape)
             out.flags.writeable = False
             return out
+    if deg:
+        return _poly_array(flat, shape, den, deg)
     nums = flat.tolist() if den == 1 else [x.numerator * (den // x.denominator) for x in flat]
     bound = max(map(abs, nums), default=0)
     num = np.array(nums, dtype=np.int64 if bound < INT64_LIMIT else object).reshape(shape)
     num.flags.writeable = False
     return ExactArray(num, den, bound)
+
+
+def _poly_array(flat, shape, den, deg):
+    """The ExactArray over Q[t] of normalized entries, of degree at most deg, over den."""
+    rows = []
+    for x in flat:
+        coeffs = x.coeffs if type(x) is Poly else (Fraction(x),)
+        row = [c.numerator * (den // c.denominator) for c in coeffs]
+        rows.append(row + [0] * (deg + 1 - len(row)))
+    bound = max(abs(c) for row in rows for c in row)
+    num = np.array(rows, dtype=np.int64 if bound < INT64_LIMIT else object).T.reshape(deg + 1, *shape)
+    num.flags.writeable = False
+    poly = np.array([type(x) is Poly for x in flat], dtype=bool).reshape(shape)
+    return ExactArray(num, den, bound, poly)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +616,7 @@ def exact_array(entries, shape):
 
 class Matrix:
     """Immutable exact matrix: a shape-checked wrapper over its exact array
-    `arr` (an ExactArray over the rationals, an object array over Q[t]).
+    `arr` (an ExactArray, over the rationals or over Q[t]).
 
     Matrix(rows, cols=0) builds one from Python rows, at the input
     boundary; the column count is read off the rows, and a matrix with no
@@ -468,7 +714,7 @@ class Matrix:
         return self.rows == self.cols
 
     def has_poly_entries(self):
-        return not isinstance(self.arr, ExactArray)
+        return not isinstance(self.arr, ExactArray) or self.arr.poly is not None
 
     def _same_shape(self, other):
         if self.arr.shape != other.arr.shape:

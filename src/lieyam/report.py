@@ -7,8 +7,8 @@ lexicographic order, with its exact residual (``tuple``, ``residual``).
 A check that bundles several laws also names the failing one
 (``identity``, ``arrow`` or ``check``).
 
-A law is evaluated as exact arrays of residuals (linalg.ExactArray, or
-object arrays over Q[t]), one block of first basis indices at a time
+A law is evaluated as exact arrays of residuals (linalg.ExactArray, over
+the rationals or over Q[t]), one block of first basis indices at a time
 (first_violation): a block holds every tuple whose first index lies in a
 slice of them, at most BLOCK_TUPLES tuples, so the laws at small
 dimensions are one block and a block of a large law shrinks to the

@@ -13,7 +13,7 @@ and is skew-symmetric by construction.
 
 rho, mu and D are kept as exact arrays, and only as those (rho_arr[i],
 mu_arr[i, j], D.arr[i, j]; see linalg.exact_array: ExactArrays over the
-rationals, object arrays over Q[t]), and every law is written once as
+rationals or over Q[t]), and every law is written once as
 a residual array over a block of first basis indices (the first einsum
 axis), contracted with np.einsum and scanned by report.first_violation: rep1-rep5 and der1-der3 (the table
 _law_residuals, behind check_representation and

@@ -48,6 +48,7 @@ from .errors import (
     DimMismatchError,
     IncompatibleCrossCheckError,
     NotCompatibleError,
+    NotNijenhuisError,
     PreconditionFailedError,
 )
 from .linalg import Matrix, exact
@@ -161,7 +162,7 @@ class RelativeRBOperator:
         if wit is not None:
             raise PreconditionFailedError(
                 f"T fails the {wit['identity']} Rota-Baxter identity at {wit['tuple']}",
-                which="relative-rb",
+                which="relative-rb", witness=wit,
             )
         self.pair = pair
         self.tmap = tmap
@@ -254,7 +255,7 @@ def append_twist_conditions(report: VerificationReport, pair: LieYRepPair,
 
 
 def _rbn_report(pair: LieYRepPair, tmap: Matrix, smap: Matrix, nmap: Matrix, verified=False,
-                sub=None):
+                sub=None, premises=None):
     """The defining report of a triple, and V^T when the twist conditions were reached.
 
     verified says that T is already known to be Rota-Baxter and N to be
@@ -262,16 +263,17 @@ def _rbn_report(pair: LieYRepPair, tmap: Matrix, smap: Matrix, nmap: Matrix, ver
     again, only the conditions on S and the twist conditions are
     evaluated, and every consequence is still asserted.  `sub` is V^T,
     already asserted, when it is known (append_twist_conditions).
+    `premises` is (the Rota-Baxter witness of T, the first failure of the
+    Nijenhuis-structure report) when the caller has evaluated them.
     """
     report = VerificationReport(subject="relative Rota-Baxter-Nijenhuis structure")
     if verified:
         ns = _append_s_conditions(VerificationReport(subject="nijenhuis structure (N, S)"),
-                                  pair, nmap, smap)
+                                  pair, nmap, smap).first_failure()
     else:
-        rb = _rb_residuals(pair, tmap)
+        rb, ns = premises or (_rb_residuals(pair, tmap),
+                              nijenhuis_structure_report(pair, nmap, smap).first_failure())
         report.add("rb-operator", rb is None, "T is a relative Rota-Baxter operator", rb)
-        ns = nijenhuis_structure_report(pair, nmap, smap)
-    ns = ns.first_failure()
     report.add("nijenhuis-structure", ns is None, "(N, S) is a Nijenhuis structure", ns)
     if not report.passed:
         return report, None
@@ -292,11 +294,21 @@ class RBNTriple:
 
     Keeps the passing report of its defining conditions and the
     sub-adjacent algebra V^T built for them; a failing report travels with
-    the PreconditionFailedError.
+    the PreconditionFailedError.  The premises are decided once, by the
+    validating constructors of T and of (N, S), and the report takes their
+    verdicts.
     """
 
     def __init__(self, pair: LieYRepPair, tmap: Matrix, smap: Matrix, nmap: Matrix):
-        report, sub = _rbn_report(pair, tmap, smap, nmap)
+        try:
+            self.operator, rb = RelativeRBOperator(pair, tmap), None
+        except PreconditionFailedError as exc:
+            self.operator, rb = None, exc.witness
+        try:
+            self.structure, ns = NijenhuisStructure(pair, nmap, smap), None
+        except NotNijenhuisError as exc:
+            self.structure, ns = None, exc.report.first_failure()
+        report, sub = _rbn_report(pair, tmap, smap, nmap, premises=(rb, ns))
         if not report.passed:
             raise PreconditionFailedError(
                 f"not a relative Rota-Baxter-Nijenhuis structure; failing: "
@@ -309,8 +321,6 @@ class RBNTriple:
         self.nmap = nmap
         self.report = report
         self.subadjacent = sub
-        self.operator = RelativeRBOperator(pair, tmap)
-        self.structure = NijenhuisStructure(pair, nmap, smap)
 
 
 def rbn_consequences(triple: RBNTriple, raise_on_failure: bool = True) -> VerificationReport:

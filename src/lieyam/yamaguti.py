@@ -245,7 +245,7 @@ class _Terms:
             "circ": np.einsum("klc,clw->klw", t[:, x], wedge[:, y])
             + np.einsum("klc,lcw->klw", t[:, y], wedge[x]),
         }
-        if not all(isinstance(a, ExactArray) for a in arrays.values()):
+        if any(a.poly is not None for a in arrays.values()):
             raise PolynomialEntriesError("the coboundary needs rational structure constants; "
                                          "evaluate t first")
         # per array: its nonzero positions (one row per axis, then a row of

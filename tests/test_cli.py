@@ -366,6 +366,44 @@ def test_consequence_violation_exit3(monkeypatch, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("smap, code", [([[0, 2], [0, 0]], 0), ([[-1, -1], [-1, -1]], 1)])
+def test_verify_rbn_decides_each_premise_once(monkeypatch, capsys, tmp_path, smap, code):
+    """verify-rbn evaluates the Rota-Baxter identities of T and the
+    Nijenhuis-structure report of (N, S) once each: the validating
+    constructors decide them and the triple's report takes their verdicts
+    (the consequences check other operators, N T among them)."""
+    import lieyam.cli as cli
+    from lieyam import deform, rotabaxter
+
+    tmap = load_operator(fx("T-a1.json"))
+    loaded, rb_calls, ns_calls = [], [], []
+    load, rb_residuals, ns_report = cli.load_pair, rotabaxter._rb_residuals, \
+        deform.nijenhuis_structure_report
+
+    def counted_load(*args, **kwargs):
+        loaded.append(load(*args, **kwargs))
+        return loaded[-1]
+
+    def counted_rb(pair, t, *args):
+        rb_calls.append(pair is loaded[0] and t == tmap)
+        return rb_residuals(pair, t, *args)
+
+    def counted_ns(*args):
+        ns_calls.append(args)
+        return ns_report(*args)
+
+    monkeypatch.setattr(cli, "load_pair", counted_load)
+    monkeypatch.setattr(rotabaxter, "_rb_residuals", counted_rb)
+    for module in (deform, rotabaxter):
+        monkeypatch.setattr(module, "nijenhuis_structure_report", counted_ns)
+    dump_json(operator_to_dict(Matrix(smap)), tmp_path / "S.json")
+    argv = ["verify-rbn", "--pair", fx("A2-adjoint.json"), "--T", fx("T-a1.json"),
+            "--S", str(tmp_path / "S.json"), "--N", fx("N-lam2.json")]
+    assert cli.main(argv) == code
+    capsys.readouterr()
+    assert sum(rb_calls) == 1 and len(ns_calls) == 1
+
+
 def test_search_bad_values_exit2(capsys):
     code, out = run_cli("search", "rbo", "--pair", fx("A2-adjoint.json"), "--values=a",
                         capsys=capsys)

@@ -9,6 +9,7 @@ linalg.NUMERATOR_OPS which kind ran.
 """
 
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,14 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_law_golden
+import test_poly_golden
 import test_rep_golden
 import test_scan_golden
-from lieyam import LieYRepPair, Matrix, adjoint_rep, linalg, report
+from lieyam import LieYamagutiAlgebra, LieYRepPair, Matrix, adjoint_rep, linalg, report, yamaguti
 from lieyam.algebra import nijenhuis_witness
-from lieyam.linalg import INT64_LIMIT, ExactArray, exact_array
+from lieyam.errors import PolynomialEntriesError
+from lieyam.jsonio import dump_json, operator_to_dict
+from lieyam.linalg import INT64_LIMIT, ExactArray, exact, exact_array
 from lieyam.rotabaxter import relative_rb_report
 from lieyam.search import catalog_algebra
-from lieyam.scalars import T
+from lieyam.scalars import Poly, T
 
 
 def _ops():
@@ -43,12 +47,66 @@ def test_rational_entries_share_one_denominator():
     assert [type(x) for x in arr.ravel()] == [Fraction, int, Fraction, int]
 
 
-def test_polynomial_entries_stay_object_arrays():
+def test_polynomial_entries_take_a_coefficient_axis():
+    """Over Q[t] the numerators carry one leading axis, over the coefficients
+    of t^0, t^1, ...; the entries still leave as Poly, int and Fraction, and
+    what needs rational entries still refuses them."""
     arr = exact_array([T, 1, Fraction(1, 2), 0], (2, 2))
-    assert type(arr) is np.ndarray and arr.dtype == object
+    assert type(arr) is ExactArray and arr.shape == (2, 2) and arr.den == 2
+    assert arr.num.tolist() == [[[0, 2], [1, 0]], [[2, 0], [0, 0]]]
+    assert arr.poly.tolist() == [[True, False], [False, False]]
+    assert [type(x) for x in arr.ravel()] == [Poly, int, Fraction, int]
     mixed = exact_array([1, 2], (2,)) + arr[0]
-    assert type(mixed) is np.ndarray and mixed.dtype == object
-    assert mixed[0] == T + 1 and mixed[1] == 3
+    assert type(mixed) is ExactArray and mixed.poly is not None
+    assert mixed[0] == T + 1 and type(mixed[0]) is Poly
+    assert mixed[1] == 3 and type(mixed[1]) is int
+    with pytest.raises(PolynomialEntriesError):
+        Matrix.from_array(arr).rank()
+    a2 = catalog_algebra("a2")
+    alg_t = LieYamagutiAlgebra(2, a2.b_arr * (T + 1), a2.t_arr)
+    with pytest.raises(PolynomialEntriesError):
+        yamaguti._Terms(alg_t, adjoint_rep(alg_t, check=False))
+
+
+def test_passing_deform_runs_on_int64_coefficients(monkeypatch, capsys, tmp_path):
+    """A passing deform on A2-adjoint decides its t-family and its equivalence
+    witness on int64 coefficient arrays: no operation runs on Python-int
+    numerators, no law block is an object array of Polys (the cocycle's
+    blocks are rational cochains), and no array over Q[t] leaves as one."""
+    from lieyam import algebra, cli, deform, reps
+
+    blocks = []
+
+    def recorded(residual, shape, **tags):
+        def block(*args):
+            out = residual(*args)
+            if type(out) is ExactArray:
+                blocks.append("Q[t]" if out.poly is not None else "Q")
+            else:
+                blocks.append("Poly objects" if any(type(x) is Poly for x in out.ravel()) else "Q")
+            return out
+        return report.first_violation(block, shape, **tags)
+
+    leave = ExactArray.__array__
+
+    def rational_only(self, *args, **kwargs):
+        assert self.poly is None, "an array over Q[t] left as an object array"
+        return leave(self, *args, **kwargs)
+
+    for module in (algebra, reps, deform):
+        monkeypatch.setattr(module, "first_violation", recorded)
+    monkeypatch.setattr(ExactArray, "__array__", rational_only)
+    lam = tmp_path / "lam.json"  # N = S = 3/2 Id: phi = 3/2 [.,.], so the family is genuinely in t
+    dump_json(operator_to_dict(Matrix.identity(2).scale(Fraction(3, 2))), lam)
+    pair = Path(__file__).parent.parent / "fixtures" / "A2-adjoint.json"
+    before = _ops()
+    assert cli.main(["deform", "--pair", str(pair), "--from-nijenhuis", "--N", str(lam),
+                     "--S", str(lam)]) == 0
+    capsys.readouterr()
+    ran = _ran(before)
+    assert ran["int64"] > 0 and ran["object"] == 0
+    assert "Poly objects" not in blocks
+    assert blocks.count("Q[t]") >= 9 + 5  # LY1-LY4, rep1-rep5, the equivalence laws
 
 
 def test_small_integer_laws_run_on_int64():
@@ -106,6 +164,7 @@ def test_zero_operand_against_object_numerators():
     (test_law_golden, "witness_cases"),
     (test_rep_golden, "witness_cases"),
     (test_scan_golden, "scan_cases"),
+    (test_poly_golden, "witness_cases"),
 ])
 def test_golden_generators_on_object_numerators(monkeypatch, module, cases):
     """With no int64 numerators allowed, every law runs on Python ints and the
@@ -190,3 +249,63 @@ def test_arithmetic_matches_fractions(data):
     assert ((a != 0) == (oa != 0)).all()
     idx = tuple(data.draw(st.integers(0, s - 1)) for s in sa)
     assert a[idx] == oa[idx] and type(a[idx]) is type(oa[idx])
+
+
+# -- arithmetic over Q[t] against Poly objects ---------------------------------
+
+# rational coefficients, and polynomials of degree 0-4 in them; a scale of
+# 2^61 puts some arrays on Python-int numerators from the start
+_COEFFICIENTS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_SCALARS = st.one_of(_COEFFICIENTS, st.lists(_COEFFICIENTS, min_size=1, max_size=5).map(Poly))
+
+
+@st.composite
+def _ring_array(draw, shape):
+    """An exact array of `shape`: over Q[t] or, one time in three, over Q."""
+    scalars = _COEFFICIENTS if draw(st.integers(0, 2)) == 0 else _SCALARS
+    scale = draw(st.sampled_from([1, 1, 2**61]))
+    return exact_array([x * scale for x in draw(st.lists(scalars, min_size=int(np.prod(shape)),
+                                                            max_size=int(np.prod(shape))))], shape)
+
+
+def _check_entries(got, want):
+    """got holds the entries of want, each a Poly exactly where want's is."""
+    if isinstance(got, ExactArray):
+        assert max(map(abs, got.num.ravel().tolist()), default=0) <= got.bound
+        assert (got.num.dtype == np.int64) == (got.bound < INT64_LIMIT)
+        got = np.asarray(got)
+    want = np.asarray(want, dtype=object)
+    assert got.shape == want.shape
+    for g, w in zip(got.ravel().tolist(), want.ravel().tolist()):
+        assert g == w and (type(g) is Poly) == (type(w) is Poly), (g, w)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_polynomial_arithmetic_matches_poly_objects(data):
+    """The kind over Q[t] gives the entries of Python's Poly arithmetic on the
+    same entries as object arrays, Poly where that gives a Poly (0 * t
+    included), mixed with arrays over Q and on either numerator kind."""
+    a, b = data.draw(_ring_array((2, 3))), data.draw(_ring_array((2, 3)))
+    c = data.draw(_ring_array((3, 2)))
+    oa, ob, oc = np.asarray(a), np.asarray(b), np.asarray(c)
+    _check_entries(a + b, oa + ob)
+    _check_entries(a - b, oa - ob)
+    _check_entries(-a + b.mT.mT, -oa + ob)
+    _check_entries(a * b, oa * ob)
+    _check_entries(a @ c, oa @ oc)
+    _check_entries(a.mT @ b, oa.T @ ob)
+    _check_entries(c.T, oc.T)
+    _check_entries(np.einsum("ij,jk->ik", a, c), np.einsum("ij,jk->ik", oa, oc))
+    _check_entries(np.einsum("...j,...j->...", a, b), np.einsum("...j,...j->...", oa, ob))
+    _check_entries(np.einsum("ij,ij->", a, b), np.einsum("ij,ij->", oa, ob))
+    _check_entries(np.einsum("ij,ki->jk", a, c), np.einsum("ij,ki->jk", oa, oc))
+    _check_entries(np.stack([a, b]), np.stack([oa, ob]))
+    _check_entries(a[1], oa[1])
+    _check_entries(a[:, 1:], oa[:, 1:])
+    _check_entries(c.transpose(1, 0)[::-1], oc.T[::-1])
+    _check_entries(a.reshape(3, 2), oa.reshape(3, 2))
+    assert ((a != 0) == (oa != 0)).all() and ((a == 0) == (oa == 0)).all()
+    i, j = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 2))
+    assert a[i, j] == oa[i, j] and (type(a[i, j]) is Poly) == (type(oa[i, j]) is Poly)
+    _check_entries(exact(a + b), np.asarray(exact(oa + ob)))
