@@ -238,8 +238,7 @@ def _entry(coeffs, den, poly):
     first): a Poly where `poly` is set, else the constant term."""
     if poly:
         return Poly([Fraction(c, den) for c in coeffs])
-    c = coeffs[0]
-    return int(c) if den == 1 else _ratio(int(c), den)
+    return coeffs[0] if den == 1 else _ratio(coeffs[0], den)
 
 
 def _plain(x):
@@ -260,9 +259,7 @@ def _operands(operands):
     out = []
     for x in operands:
         if type(x) is Poly:
-            den = lcm(*(c.denominator for c in x.coeffs))
-            nums = [c.numerator * (den // c.denominator) for c in x.coeffs] or [0]
-            x = _result(nums, den, max(map(abs, nums)), np.ones((), dtype=bool))
+            x = _poly_array([x], (), lcm(*(c.denominator for c in x.coeffs)), max(x.degree, 0))
         elif type(x) in (int, Fraction):
             x = exact_array([x], ())
         elif type(x) is not ExactArray:
@@ -597,7 +594,8 @@ def exact_array(entries, shape):
 
 
 def _poly_array(flat, shape, den, deg):
-    """The ExactArray over Q[t] of normalized entries, of degree at most deg, over den."""
+    """The ExactArray over Q[t] of entries of degree at most deg over den, each
+    Poly among them an entry that leaves as Poly."""
     rows = []
     for x in flat:
         coeffs = x.coeffs if type(x) is Poly else (Fraction(x),)
