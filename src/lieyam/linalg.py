@@ -301,13 +301,11 @@ def _contract_poly(func, operands, terms, head):
     the coefficients of t^p and t^q over p + q = k.
     """
     ops = _operands(operands)
-    if ops is None or (func is np.matmul and min(len(x.shape) for x in ops) < 2):
+    polys = [] if ops is None else [k for k, x in enumerate(ops) if x.poly is not None]
+    if ops is None or len(polys) > 2 or (func is np.matmul and min(len(x.shape) for x in ops) < 2):
         return func(*head, *_plain(operands))
-    polys = [k for k, x in enumerate(ops) if x.poly is not None]
     if not polys:
         return _contract(func, ops, terms, *head)
-    if len(polys) > 2:
-        return func(*head, *_plain(operands))
     if len(polys) == 2 and ops[polys[0]].size > ops[polys[1]].size:
         polys.reverse()
     subscripts = head[0] if head else _SUBSCRIPTS[func]
@@ -372,59 +370,43 @@ def _toeplitz(num, other):
 
 
 def _sum(a, b, sign):
-    """a + b for sign 1, a - b for sign -1."""
-    if type(a) is not ExactArray or type(b) is not ExactArray or a.poly is not None \
-            or b.poly is not None:
-        return _sum_poly(a, b, sign)
-    den = a.den if a.den == b.den else lcm(a.den, b.den)
-    fa, fb = den // a.den, den // b.den
-    bound = a.bound * fa + b.bound * fb
-    p, q = a.num, b.num
-    if max(bound, fa, fb) < INT64_LIMIT:
-        NUMERATOR_OPS["int64"] += 1
-    else:
-        NUMERATOR_OPS["object"] += 1
-        p, q = p.astype(object), q.astype(object)
-    if fa != 1:
-        p = p * fa
-    if fb != 1:
-        q = q * fb
-    return _result(p + q if sign > 0 else p - q, den, bound)
-
-
-def _sum_poly(a, b, sign):
-    """_sum with an operand over Q[t] or a scalar: the coefficients of each
-    operand (one, t^0, for a rational one) on a common number of axes, the
-    shorter coefficient axis padded with zeros."""
-    ops = _operands((a, b))
-    if ops is None:
-        return (np.add if sign > 0 else np.subtract)(*_plain((a, b)))
-    a, b = ops
-    if a.poly is None and b.poly is None:
-        return _sum(a, b, sign)
+    """a + b for sign 1, a - b for sign -1.  Over Q[t] the coefficients of
+    each operand (one, t^0, for an operand over Q) go on a common number of
+    axes, the shorter coefficient axis padded with zeros."""
+    if type(a) is not ExactArray or type(b) is not ExactArray:
+        ops = _operands((a, b))
+        if ops is None:
+            return (np.add if sign > 0 else np.subtract)(*_plain((a, b)))
+        a, b = ops
     den = a.den if a.den == b.den else lcm(a.den, b.den)
     fa, fb = den // a.den, den // b.den
     bound = a.bound * fa + b.bound * fb
     fits = max(bound, fa, fb) < INT64_LIMIT
     NUMERATOR_OPS["int64" if fits else "object"] += 1
-    nd = max(len(a.shape), len(b.shape))
-    p, q = (_coefficients(x, nd, fits) for x in (a, b))
+    poly = a.poly is not None or b.poly is not None
+    if poly:
+        nd = max(len(a.shape), len(b.shape))
+        p, q = _coefficients(a, nd, fits), _coefficients(b, nd, fits)
+        if len(p) < len(q):
+            p = _padded(p, len(q))
+        elif len(q) < len(p):
+            q = _padded(q, len(p))
+    else:
+        p, q = (a.num, b.num) if fits else (a.num.astype(object), b.num.astype(object))
     if fa != 1:
         p = p * fa
     if fb != 1:
         q = q * fb
-    if len(p) < len(q):
-        p = _padded(p, len(q))
-    elif len(q) < len(p):
-        q = _padded(q, len(p))
     num = p + q if sign > 0 else p - q
-    if a.poly is None or b.poly is None:
-        mask = a.poly if b.poly is None else b.poly
-        if mask.shape != num.shape[1:]:
-            mask = np.broadcast_to(mask, num.shape[1:])
-    else:
-        mask = a.poly | b.poly
-    return _result(num, den, bound, mask)
+    return _result(num, den, bound, _sum_mask(a.poly, b.poly, num.shape[1:]) if poly else None)
+
+
+def _sum_mask(pa, pb, shape):
+    """The entries of a sum of `shape` that leave as Poly: those where a term does."""
+    if pa is not None and pb is not None:
+        return pa | pb
+    mask = pa if pb is None else pb
+    return mask if mask.shape == shape else np.broadcast_to(mask, shape)
 
 
 def _coefficients(x, nd, fits):
