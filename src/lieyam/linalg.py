@@ -91,10 +91,10 @@ class ExactArray:
     (0 * t is Poly([]), not 0).  Over the rationals `poly` is None.
 
     The law code reads these arrays as it would numpy arrays: np.einsum
-    (with explicit output subscripts), np.stack, +, -, *, @, indexing, .T,
-    .mT, transpose, reshape and comparison with zero run on the
-    numerators; any other numpy function or operand (an object array, say)
-    gets the entries as an exact object array instead.
+    (with explicit output subscripts), np.stack, np.concatenate, +, -, *,
+    @, indexing, .T, .mT, transpose, reshape and comparison with zero run
+    on the numerators; any other numpy function or operand (an object
+    array, say) gets the entries as an exact object array instead.
     """
 
     __slots__ = ("num", "den", "bound", "poly", "_obj")
@@ -228,8 +228,8 @@ class ExactArray:
         out = None
         if func is np.einsum and not kwargs:
             out = _einsum(args[0], args[1:])
-        elif func is np.stack and not kwargs and len(args) == 1:
-            out = _stack(args[0])
+        elif func in (np.stack, np.concatenate) and not kwargs and len(args) == 1:
+            out = _stack(func, args[0])
         return func(*_plain(args), **_plain(kwargs)) if out is None else out
 
 
@@ -434,23 +434,22 @@ def _result(num, den, bound, poly=None):
 _INT64, _OBJECT = np.dtype(np.int64), np.dtype(object)
 
 
-def _stack(arrays):
-    """np.stack of ExactArrays on their common denominator (and, over Q[t],
-    their common number of coefficients)."""
+def _stack(func, arrays):
+    """np.stack or np.concatenate (func) of ExactArrays on their common
+    denominator (and, over Q[t], their common number of coefficients)."""
     if not arrays or any(type(x) is not ExactArray for x in arrays):
-        return np.stack(_plain(arrays))
+        return func(_plain(arrays))
     den = lcm(*(x.den for x in arrays))
     bound = max(x.bound * (den // x.den) for x in arrays)
     fits = max(bound, den) < INT64_LIMIT
     NUMERATOR_OPS["int64" if fits else "object"] += 1
     if all(x.poly is None for x in arrays):
-        return _result(np.stack([(x.num if fits else x.num.astype(object)) * (den // x.den)
-                                 for x in arrays]), den, bound)
-    shape = arrays[0].shape
+        return _result(func([(x.num if fits else x.num.astype(object)) * (den // x.den)
+                             for x in arrays]), den, bound)
     k = max(len(x.num) for x in arrays if x.poly is not None)
-    planes = [_padded(_coefficients(x, len(shape), fits) * (den // x.den), k) for x in arrays]
-    masks = [np.zeros(shape, dtype=bool) if x.poly is None else x.poly for x in arrays]
-    return _result(np.stack(planes, axis=1), den, bound, np.stack(masks))
+    planes = [_padded(_coefficients(x, len(x.shape), fits) * (den // x.den), k) for x in arrays]
+    masks = [np.zeros(x.shape, dtype=bool) if x.poly is None else x.poly for x in arrays]
+    return _result(func(planes, axis=1), den, bound, func(masks))
 
 
 _UFUNCS = {
@@ -505,15 +504,22 @@ def _einsum(subscripts, operands):
 def exact(arr):
     """The entries of an array as an exact array (see exact_array).
 
-    An ExactArray over Q[t] is normalized as exact_array normalizes its
-    entries: trailing zero coefficients are dropped, only the genuine
-    polynomials leave as Poly, and an array of constants is one over Q."""
+    An integer ndarray becomes its own numerators over 1, copied and
+    read-only, with no entry normalized.  An ExactArray over Q[t] is
+    normalized as exact_array normalizes its entries: trailing zero
+    coefficients are dropped, only the genuine polynomials leave as Poly,
+    and an array of constants is one over Q."""
     if isinstance(arr, ExactArray):
         return arr if arr.poly is None else _normalized(arr)
     try:
         arr = np.asarray(arr)
     except ValueError as exc:  # nested sequences of unequal lengths
         raise DimMismatchError(f"ragged array: {exc}") from exc
+    if arr.dtype.kind in "iu":  # integers: the numerators themselves, over 1
+        bound = max(int(arr.max()), -int(arr.min())) if arr.size else 0
+        num = np.array(arr, dtype=np.int64 if bound < INT64_LIMIT else object)
+        num.flags.writeable = False
+        return ExactArray(num, 1, bound)
     return exact_array(arr.ravel(), arr.shape)
 
 

@@ -13,8 +13,8 @@ Degree 1 is a pair of square matrices (one on g, one on V).
 
 A mixed slot holds an element of g^V, indexed by (basis of g) x (basis
 of V); the element e_x ^ v_beta has mixed index x*dim(V) + beta.  A
-cochain is one flat object array in the canonical block order, and its
-blocks are views of it in their block shapes.
+cochain (yamaguti.Cochain) is one 1-d ExactArray in the canonical block
+order, and its blocks are ExactArray views of it in their block shapes.
 
 The coboundary has two implementations:
 
@@ -30,8 +30,8 @@ The coboundary has two implementations:
   subspace exactly when it vanishes off the home coordinates; project
   checks that, and raises NotInSubcomplexError with the first offending
   entry as witness otherwise.  The coboundary is the semidirect
-  product's term table (yamaguti._Terms): applied term by term to one
-  lifted cochain (pair_delta_lifted), or, for the whole matrix, its
+  product's term table (yamaguti._Terms): applied to the numerators of
+  one lifted cochain (pair_delta_lifted), or, for the whole matrix, its
   (row, column, value) triples composed with L on the right, checked on
   every column at once (the witness names the lowest offending column),
   summed on the home rows and unmixed by P (pair_delta_matrix).  The
@@ -51,6 +51,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from math import prod
 
 import numpy as np
 
@@ -63,10 +64,11 @@ from .errors import (
 from .linalg import INT64_LIMIT, ExactArray, Matrix, exact
 from .reps import LieYRepPair, _assert_adjoint_d, adjoint_rep
 from .yamaguti import (
+    Cochain,
     YamagutiCochain,
     _apply,
     _assemble,
-    _flat,
+    _scatter,
     _terms,
     cochain_dim,
     wedge_dim,
@@ -97,43 +99,14 @@ def _block_shapes(degree, n, m):
     return blocks
 
 
-def _size(shape):
-    s = 1
-    for x in shape:
-        s *= x
-    return s
+class PairCochain(Cochain):
+    """A cochain of the pair complex of a dim-`n` algebra and a dim-`m`
+    module: the blocks of _block_shapes over one flat ExactArray."""
 
-
-class PairCochain:
-    """A cochain of the pair complex: one flat object array `flat`, in the
-    canonical block order, and its named blocks as views of it, each of
-    its block shape (arguments first, the value last)."""
-
-    def __init__(self, degree, dim_g, dim_v, flat=None):
-        """The cochain of flat coordinates (zero by default); an object
-        array is kept, not copied."""
-        self.degree = int(degree)
-        self.n = dim_g
-        self.m = dim_v
-        self.shapes = dict(_block_shapes(self.degree, dim_g, dim_v))
-        size = sum(_size(shape) for shape in self.shapes.values())
-        self.flat = np.zeros(size, dtype=object) if flat is None else _flat(flat)
-        if len(self.flat) != size:
-            raise DimMismatchError("wrong coordinate count for pair cochain")
-        self.blocks, pos = {}, 0
-        for name, shape in self.shapes.items():
-            self.blocks[name] = self.flat[pos:pos + _size(shape)].reshape(shape)
-            pos += _size(shape)
-
-    @classmethod
-    def from_blocks(cls, degree, dim_g, dim_v, blocks):
-        """The cochain with the given blocks (arrays of their block shapes), zero elsewhere."""
-        out = cls(degree, dim_g, dim_v)
-        for name, block in blocks.items():
-            if block.shape != out.shapes[name]:
-                raise DimMismatchError(f"block {name} needs shape {out.shapes[name]}")
-            out.blocks[name][...] = np.asarray(block)
-        return out
+    dim_names = ("dim_g", "dim_v")
+    n = property(lambda self: self.dims[0])
+    m = property(lambda self: self.dims[1])
+    block_shapes = staticmethod(_block_shapes)
 
     @classmethod
     def degree1(cls, f1: Matrix, f2: Matrix):
@@ -141,43 +114,9 @@ class PairCochain:
             raise DimMismatchError("degree-1 pair cochain needs square matrices")
         return cls.from_blocks(1, f1.rows, f2.rows, {"f1": f1.arr, "f2": f2.arr})
 
-    def is_zero(self):
-        return not (self.flat != 0).any()
-
-    def __eq__(self, other):
-        if not isinstance(other, PairCochain):
-            return NotImplemented
-        if (self.degree, self.n, self.m) != (other.degree, other.n, other.m):
-            return False
-        return not (self.flat - other.flat != 0).any()
-
-    def __add__(self, other):
-        self._same_shape(other)
-        return PairCochain(self.degree, self.n, self.m, self.flat + other.flat)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, s):
-        return PairCochain(self.degree, self.n, self.m, self.flat * s)
-
-    def _same_shape(self, other):
-        if (self.degree, self.n, self.m) != (other.degree, other.n, other.m):
-            raise DimMismatchError("pair cochain shape mismatch")
-
-    def flatten(self):
-        return self.flat.tolist()
-
-    @classmethod
-    def unflatten(cls, degree, dim_g, dim_v, coords):
-        return cls(degree, dim_g, dim_v, coords)
-
-    def __repr__(self):
-        return f"PairCochain(degree={self.degree}, dim_g={self.n}, dim_v={self.m})"
-
 
 def pair_cochain_dim(dim_g, dim_v, degree):
-    return sum(_size(shape) for _, shape in _block_shapes(degree, dim_g, dim_v))
+    return sum(prod(shape) for _, shape in _block_shapes(degree, dim_g, dim_v))
 
 
 def zero_pair_cochain(pair: LieYRepPair, degree):
@@ -238,7 +177,7 @@ class _IndexMap:
             }
         shapes = _block_shapes(degree, n, m)
         starts = dict(zip((name for name, _ in shapes),
-                          np.cumsum([0] + [_size(s) for _, s in shapes]).tolist()))
+                          np.cumsum([0] + [prod(s) for _, s in shapes]).tolist()))
         self.home = np.concatenate([
             off + reduce(np.add.outer, [stride * index for stride, index in placed]).ravel()
             for off, placed in (axes[name] for name, _ in shapes)]).astype(np.int64)
@@ -249,7 +188,7 @@ class _IndexMap:
             c2g, c3g = dict(shapes)["c2g"], dict(shapes)[f"c3g{k}"]
             *rest, w, beta, o = np.indices(c2g).reshape(len(c2g), -1)
             a, b = np.array(wedge_pairs(n), dtype=np.int64).reshape(-1, 2).T
-            src = starts["c2g"] + np.arange(_size(c2g))
+            src = starts["c2g"] + np.arange(prod(c2g))
             self.src = np.concatenate([src, src])
             self.dst = starts[f"c3g{k}"] + np.concatenate([
                 np.ravel_multi_index((*rest, x[w] * m + beta, z[w], o), c3g) for x, z in ((b, a), (a, b))])
@@ -261,19 +200,22 @@ class _IndexMap:
         self.overlap = np.full(self.size, -1, dtype=np.int64)
         self.overlap[self.home[self.dst]] = np.arange(len(self.dst))
 
-    def lift(self, x):
-        """L x for the flat object array x of a pair cochain."""
-        out = np.zeros(self.size, dtype=object)
-        out[self.home] = x
-        out[self.home[self.dst]] += self.sign * x[self.src]
-        return out
+    def lift(self, x: ExactArray) -> ExactArray:
+        """L x for the flat coordinates x of a pair cochain: a semidirect
+        coordinate takes at most a home value and an overlap."""
+        return _scatter(self.size, [(self.home, x.num), (self.home[self.dst], self.sign * x.num[self.src])],
+                        x.den, 2 * x.bound)
 
-    def unmix(self, y):
-        """Subtract the overlaps from rows y[j] = x[home[j]] (a vector or a
-        matrix with one row per pair coordinate): P x, in place."""
-        sign = self.sign if y.ndim == 1 else self.sign[:, None]
-        y[self.dst] -= sign * y[self.src]
-        return y
+    def unmix(self, y: ExactArray) -> ExactArray:
+        """P x from the rows y[j] = x[home[j]] (a vector or a matrix with one
+        row per pair coordinate), whose numerators it takes over: the
+        overlaps subtracted.  A row loses at most one other, so the bound
+        doubles."""
+        bound = 2 * y.bound
+        num = y.num if bound < INT64_LIMIT else y.num.astype(object)
+        sign = self.sign if num.ndim == 1 else self.sign[:, None]
+        num[self.dst] -= sign * num[self.src]
+        return ExactArray(num, y.den, bound)
 
     def compose(self, triples):
         """The triples (rows, cols, vals) of a map on the semidirect cochains,
@@ -353,25 +295,25 @@ def _pc(pair: LieYRepPair) -> _PairComplex:
     return pair._pair_complex
 
 
-def _lift(pc: _PairComplex, c: PairCochain):
-    """L c as a flat object array."""
+def _lift(pc: _PairComplex, c: PairCochain) -> ExactArray:
+    """L c as a flat ExactArray."""
     if (c.n, c.m) != (pc.n, pc.m):
         raise DimMismatchError("cochain does not match the pair")
     return pc.index_map(c.degree).lift(c.flat)
 
 
-def _project(pc: _PairComplex, degree, x) -> PairCochain:
-    """P x for the flat object array x; NotInSubcomplexError unless x = L P x."""
+def _project(pc: _PairComplex, degree, x: ExactArray) -> PairCochain:
+    """P x for the flat ExactArray x; NotInSubcomplexError unless x = L P x."""
     im = pc.index_map(degree)
-    nonzero = np.flatnonzero(x)
-    im.verify(nonzero, x[nonzero])
+    nonzero = np.flatnonzero(x.num)
+    im.verify(nonzero, x.num[nonzero], den=x.den)
     return PairCochain(degree, pc.n, pc.m, im.unmix(x[im.home]))
 
 
 def lift(pair: LieYRepPair, c: PairCochain) -> YamagutiCochain:
     """Embed a pair cochain into the semidirect Yamaguti complex."""
     pc = _pc(pair)
-    return YamagutiCochain.unflatten(c.degree, pc.dimE, pc.dimE, _lift(pc, c))
+    return YamagutiCochain(c.degree, pc.dimE, pc.dimE, _lift(pc, c))
 
 
 def project(pair: LieYRepPair, lifted: YamagutiCochain) -> PairCochain:
@@ -420,10 +362,7 @@ def pair_delta_matrix(pair: LieYRepPair, degree: int,
     home = rows >= 0
     summed = _assemble(len(onto.home), len(into.home), [(rows[home], cols[home], vals[home])],
                        pc.terms.den)
-    # P subtracts at most one home row from each: twice the bound
-    bound = 2 * summed.bound
-    num = summed.num if bound < INT64_LIMIT else summed.num.astype(object)
-    return Matrix.from_array(ExactArray(onto.unmix(num), summed.den, bound))
+    return Matrix.from_array(onto.unmix(summed))
 
 
 def pair_cohomology_dim(pair: LieYRepPair, degree: int,
@@ -462,7 +401,7 @@ def _direct_deg1(pair: LieYRepPair, c: PairCochain) -> PairCochain:
     b, t, rho, mu, dd = _structure(pair)
     n, m = pair.dim_g, pair.dim_v
     x, y = np.triu_indices(n, 1)
-    f1, f2 = (exact(c.blocks[name]) for name in ("f1", "f2"))
+    f1, f2 = c.blocks["f1"], c.blocks["f2"]
 
     # comp1 f: [x, f1 y] + [f1 x, y] - f1[x, y], over (x, y, k)
     c1f = (np.einsum("cy,xck->xyk", f1, b) + np.einsum("cx,cyk->xyk", f1, b)
@@ -504,9 +443,9 @@ def _direct_deg2(pair: LieYRepPair, c: PairCochain) -> PairCochain:
     n, m = pair.dim_g, pair.dim_v
     x, y = np.triu_indices(n, 1)
     w = len(x)
-    F1, G1, G2 = (exact(c.blocks[name]) for name in ("c1f", "c1g", "c2g"))
-    F2 = exact(c.blocks["c2f"].reshape(n, m, m))
-    G3 = exact(c.blocks["c3g1"].reshape(n, m, n, m))
+    F1, G1, G2 = (c.blocks[name] for name in ("c1f", "c1g", "c2g"))
+    F2 = c.blocks["c2f"].reshape(n, m, m)
+    G3 = c.blocks["c3g1"].reshape(n, m, n, m)
     # wedge[a, c, X] = the coefficient of X in a ^ c
     wedge = np.zeros((n, n, w), dtype=np.int64)
     wedge[x, y, np.arange(w)], wedge[y, x, np.arange(w)] = 1, -1

@@ -30,26 +30,31 @@ with the composite argument
 
 At p = 1 (n = 0) the same formulas hold with g := f and no f input.
 
+A cochain (`Cochain`, here `YamagutiCochain`) is one 1-d ExactArray of
+its coordinates, with its blocks (f, and g at p >= 2) as ExactArray
+views of it, each of its block shape with the value last.
+
 Each term above is an exact coefficient array over the slots it reads
 and writes, times the identity on the other slots (`_Terms`).  Its
 nonzero entries, broadcast against the row-major strides of the flat
 input and output layouts, are the term's (row, column, value) triples,
-the values as integer numerators over one denominator of the table:
-delta_matrix sums them into the numerator array of its matrix (int64
-under the bound their magnitudes give), and `_apply` applies them one
-term at a time to a flat cochain, without building the whole operator.
+the values as integer numerators over one denominator of the table.
+One scatter-add (`_scatter`) sums them: delta_matrix sums the values
+into the numerator array of its matrix, and `_apply` sums the values
+times a cochain's numerators at their columns, without building the
+whole operator.  Both are int64 under the bound the magnitudes give
+and Python ints beyond it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm, prod
 
 import numpy as np
 
 from .algebra import LieYamagutiAlgebra
 from .errors import DegreeCapExceededError, DimMismatchError, PolynomialEntriesError
-from .linalg import INT64_LIMIT, ExactArray, Matrix, exact, normalize
+from .linalg import INT64_LIMIT, NUMERATOR_OPS, ExactArray, Matrix, exact
 from .reps import Representation, _derived
 
 DEFAULT_DEGREE_CAP = 4
@@ -68,125 +73,122 @@ def wedge_dim(dim):
     return dim * (dim - 1) // 2
 
 
-class YamagutiCochain:
-    """A cochain of the Yamaguti complex: one flat object array `flat` in
-    the canonical coordinate order (the one delta_matrix uses).
+class Cochain:
+    """A cochain: its coordinates as one 1-d ExactArray `flat`, in the
+    canonical order (the one the coboundary matrices use), and its named
+    blocks as ExactArray views of it (`blocks`), each of its block shape,
+    arguments first and the value last.
 
-    degree 1: flat[x * mdim + o] is f(e_x)_o, and ``f`` is the map as a
-    module_dim x dim Matrix (columns = values on basis vectors), built on
-    access.  degree p = n+1 >= 2: ``f_flat`` (wdim^n * mdim entries) and
-    ``g_flat`` (wdim^n * adim * mdim entries) are views of flat, both in
-    row-major order with the output coordinate last.
+    A subclass gives the ordered (name, shape) blocks of a degree
+    (`block_shapes`) and the names of its two dimensions (`dim_names`);
+    `dims` holds their values.  Cochains are not written to: the
+    arithmetic returns new ones.
     """
 
-    def __init__(self, degree, adim, mdim, f=None, g=None):
-        """degree 1: f a Matrix; degree >= 2: f and g flat entry sequences.  Zero by default."""
-        if int(degree) < 1:
+    dim_names = ()
+
+    def __init__(self, degree, dim1, dim2, flat=None):
+        """The cochain of flat coordinates (zero by default); an ExactArray
+        is kept, not copied."""
+        self.degree, self.dims = int(degree), (dim1, dim2)
+        if self.degree < 1:
             raise DimMismatchError("cochain degree must be >= 1")
-        if int(degree) == 1:
-            f = Matrix.zero(mdim, adim) if f is None else f
-            if f.rows != mdim or f.cols != adim:
-                raise DimMismatchError("degree-1 cochain matrix must be module_dim x dim")
-            flat = np.asarray(f.arr).T.flatten()
-        else:
-            fsize, gsize = _fg_sizes(int(degree), adim, mdim)
-            f = np.zeros(fsize, dtype=object) if f is None else _flat(f)
-            g = np.zeros(gsize, dtype=object) if g is None else _flat(g)
-            if len(f) != fsize or len(g) != gsize:
-                raise DimMismatchError("cochain storage does not match the degree")
-            flat = np.concatenate([f, g])
-        self._keep(int(degree), adim, mdim, flat)
+        self.shapes = dict(self.block_shapes(self.degree, dim1, dim2))
+        sizes = [prod(shape) for shape in self.shapes.values()]
+        flat = exact(np.zeros(sum(sizes), dtype=np.int64) if flat is None else flat)
+        if type(flat) is not ExactArray:
+            raise TypeError("cochain entries must be ints or Fractions")
+        if flat.poly is not None:
+            raise PolynomialEntriesError("cochain entries must be rational; evaluate t first")
+        if flat.shape != (sum(sizes),):
+            raise DimMismatchError("cochain storage does not match the degree")
+        self.flat, self.blocks, pos = flat, {}, 0
+        for (name, shape), size in zip(self.shapes.items(), sizes):
+            self.blocks[name] = flat[pos:pos + size].reshape(shape)
+            pos += size
 
-    def _keep(self, degree, adim, mdim, flat):
-        self.degree, self.adim, self.mdim = degree, adim, mdim
-        self.wdim = wedge_dim(adim)
-        self.n = degree - 1
-        self.flat = flat
-        if degree > 1:
-            fsize = _fg_sizes(degree, adim, mdim)[0]
-            self.f_flat, self.g_flat = flat[:fsize], flat[fsize:]
+    @classmethod
+    def unflatten(cls, degree, dim1, dim2, coords):
+        return cls(degree, dim1, dim2, coords)
 
-    @property
-    def f(self):
-        """The degree-1 map as a module_dim x dim Matrix."""
-        return Matrix.from_array(self.flat.reshape(self.adim, self.mdim).T)
+    @classmethod
+    def from_blocks(cls, degree, dim1, dim2, blocks):
+        """The cochain with the given blocks (arrays of their block shapes),
+        zero elsewhere, on the blocks' common denominator."""
+        out = cls(degree, dim1, dim2)
+        parts = dict(out.blocks)
+        for name, block in blocks.items():
+            parts[name] = exact(block)
+            if parts[name].shape != out.shapes[name]:
+                raise DimMismatchError(f"block {name} needs shape {out.shapes[name]}")
+        return cls(degree, dim1, dim2, np.concatenate([x.ravel() for x in parts.values()]))
 
-    # -- evaluation (degree >= 2) ---------------------------------------------
-
-    def _fpos(self, wtup):
-        pos = 0
-        for w in wtup:
-            pos = pos * self.wdim + w
-        return pos
-
-    def f_at(self, wtup):
-        pos = self._fpos(wtup) * self.mdim
-        return self.f_flat[pos:pos + self.mdim]
-
-    def g_at(self, wtup, z):
-        pos = (self._fpos(wtup) * self.adim + z) * self.mdim
-        return self.g_flat[pos:pos + self.mdim]
-
-    # -- structure -------------------------------------------------------------
+    def flatten(self):
+        return self.flat.tolist()
 
     def is_zero(self):
         return not (self.flat != 0).any()
 
     def __eq__(self, other):
-        if not isinstance(other, YamagutiCochain):
+        if type(other) is not type(self):
             return NotImplemented
-        if (self.degree, self.adim, self.mdim) != (other.degree, other.adim, other.mdim):
-            return False
-        return not (self.flat - other.flat != 0).any()
+        return (self.degree, self.dims) == (other.degree, other.dims) and (self - other).is_zero()
 
     def __add__(self, other):
         self._same_shape(other)
-        return YamagutiCochain.unflatten(self.degree, self.adim, self.mdim, self.flat + other.flat)
+        return type(self)(self.degree, *self.dims, self.flat + other.flat)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        self._same_shape(other)
+        return type(self)(self.degree, *self.dims, self.flat - other.flat)
 
     def scale(self, s):
-        return YamagutiCochain.unflatten(self.degree, self.adim, self.mdim, self.flat * s)
+        return type(self)(self.degree, *self.dims, self.flat * s)
 
     def _same_shape(self, other):
-        if (self.degree, self.adim, self.mdim) != (other.degree, other.adim, other.mdim):
+        if type(other) is not type(self) or (self.degree, self.dims) != (other.degree, other.dims):
             raise DimMismatchError("cochain shape mismatch")
 
-    # -- flattening (fixed coordinate order shared with delta_matrix) ----------
-
-    def flatten(self):
-        return self.flat.tolist()
-
-    @classmethod
-    def unflatten(cls, degree, adim, mdim, coords):
-        """The cochain of flat coordinates; an object array is kept, not copied."""
-        if int(degree) < 1:
-            raise DimMismatchError("cochain degree must be >= 1")
-        flat = _flat(coords)
-        if len(flat) != cochain_dim(adim, mdim, degree):
-            raise DimMismatchError("cochain storage does not match the degree")
-        out = cls.__new__(cls)
-        out._keep(int(degree), adim, mdim, flat)
-        return out
-
     def __repr__(self):
-        return f"YamagutiCochain(degree={self.degree}, adim={self.adim}, mdim={self.mdim})"
+        dims = ", ".join(f"{k}={v}" for k, v in zip(self.dim_names, self.dims))
+        return f"{type(self).__name__}(degree={self.degree}, {dims})"
 
 
-def _fg_sizes(degree, adim, mdim):
-    """The entry counts of the f and g parts of a degree >= 2 cochain."""
-    w = wedge_dim(adim) ** (degree - 1)
-    return w * mdim, w * adim * mdim
+class YamagutiCochain(Cochain):
+    """A cochain of the Yamaguti complex of a dim-`adim` algebra with values
+    in a dim-`mdim` module.
+
+    degree 1: block f[x, o] = f(e_x)_o, and ``f`` is the map as an
+    mdim x adim Matrix (columns = values on basis vectors).  degree
+    p = n+1 >= 2: blocks f[w_1, .., w_n, o] and g[w_1, .., w_n, z, o].
+    """
+
+    dim_names = ("adim", "mdim")
+    adim = property(lambda self: self.dims[0])
+    mdim = property(lambda self: self.dims[1])
+
+    @staticmethod
+    def block_shapes(degree, adim, mdim):
+        if degree == 1:
+            return [("f", (adim, mdim))]
+        wedges = (wedge_dim(adim),) * (degree - 1)
+        return [("f", wedges + (mdim,)), ("g", wedges + (adim, mdim))]
+
+    @property
+    def f(self):
+        """The degree-1 map as a module_dim x dim Matrix."""
+        return Matrix.from_array(self.blocks["f"].T)
+
+    def f_at(self, wtup):
+        return self.blocks["f"][tuple(wtup)]
+
+    def g_at(self, wtup, z):
+        return self.blocks["g"][(*wtup, z)]
 
 
 def cochain_dim(adim, mdim, degree):
     """Dimension of the degree-p cochain space."""
-    if degree == 1:
-        return adim * mdim
-    n = degree - 1
-    w = wedge_dim(adim)
-    return w**n * mdim + w**n * adim * mdim
+    return sum(prod(shape) for _, shape in YamagutiCochain.block_shapes(degree, adim, mdim))
 
 
 def zero_cochain(alg, rep, degree):
@@ -321,26 +323,16 @@ def _terms(alg: LieYamagutiAlgebra, rep: Representation) -> _Terms:
     return rep._coboundary_terms
 
 
-def _flat(entries):
-    """Cochain entries as a flat object array: an object array as it is, a sequence copied."""
-    if type(entries) is np.ndarray and entries.dtype == object:
-        return entries
-    out = np.empty(len(entries), dtype=object)
-    out[:] = entries
-    return out
-
-
-def _apply(terms: _Terms, p: int, x):
-    """delta_p of the flat cochain x (an object array), one term at a time."""
-    out = np.zeros(cochain_dim(terms.adim, terms.mdim, p + 1), dtype=object)
-    for rows, cols, vals in terms.triples(p):
-        if rows.size:
-            # one sum per run of equal rows, i.e. per value of the output slots
-            starts = np.flatnonzero(np.diff(rows[0, :, 0], prepend=-1))
-            sums = np.add.reduceat(vals[:, :, None] * x[cols], starts, axis=1)
-            for r, v in zip(rows[:, starts], sums):
-                out[r] += v
-    return out if terms.den == 1 else normalize(out * Fraction(1, terms.den))
+def _apply(terms: _Terms, p: int, x: ExactArray) -> ExactArray:
+    """delta_p of the flat cochain x: the triples' values times the
+    numerators of x at their columns, summed at their rows.  An output
+    entry takes at most one product per value (k, e) of a term, so the
+    sum of the values' magnitudes times the bound of x bounds it."""
+    triples = list(terms.triples(p))
+    bound = x.bound * sum(int(abs(v).max()) * v.size for _, _, v in triples if v.size)
+    num = x.num if bound < INT64_LIMIT else x.num.astype(object)
+    return _scatter(cochain_dim(terms.adim, terms.mdim, p + 1),
+                    [(r, v[..., None] * num[c]) for r, c, v in triples], terms.den * x.den, bound)
 
 
 def delta(alg: LieYamagutiAlgebra, rep: Representation, c: YamagutiCochain,
@@ -351,7 +343,7 @@ def delta(alg: LieYamagutiAlgebra, rep: Representation, c: YamagutiCochain,
     if c.adim != alg.dim or c.mdim != rep.module_dim:
         raise DimMismatchError("cochain does not match the complex")
     out = _apply(_terms(alg, rep), c.degree, c.flat)
-    return YamagutiCochain.unflatten(c.degree + 1, alg.dim, rep.module_dim, out)
+    return YamagutiCochain(c.degree + 1, alg.dim, rep.module_dim, out)
 
 
 def delta_matrix(alg: LieYamagutiAlgebra, rep: Representation, p: int,
@@ -374,10 +366,19 @@ def _assemble(rows, cols, triples, den):
     repeats add up).  No entry exceeds the sum of the numerators'
     magnitudes, which is its bound."""
     bound = sum(int(abs(v).max()) * v.size for _, _, v in triples if v.size)
-    num = np.zeros(rows * cols, dtype=np.int64 if bound < INT64_LIMIT else object)
-    for r, c, vals in triples:
-        np.add.at(num, (r * cols + c).ravel(), vals.ravel())
-    return ExactArray(num.reshape(rows, cols), den, bound)
+    return _scatter(rows * cols, [(r * cols + c, v) for r, c, v in triples], den, bound).reshape(rows, cols)
+
+
+def _scatter(size, pairs, den, bound):
+    """The 1-d ExactArray of `size` entries over `den` that sums the pairs
+    (flat indices, integer numerators: arrays of one shape; repeats add
+    up) at their indices, for sums known to stay within `bound`."""
+    fits = bound < INT64_LIMIT
+    NUMERATOR_OPS["int64" if fits else "object"] += 1
+    num = np.zeros(size, dtype=np.int64 if fits else object)
+    for index, vals in pairs:
+        np.add.at(num, index.ravel(), vals.ravel())
+    return ExactArray(num, den, bound)
 
 
 def cohomology_dim(alg: LieYamagutiAlgebra, rep: Representation, p: int,

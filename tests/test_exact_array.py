@@ -69,10 +69,11 @@ def test_polynomial_entries_take_a_coefficient_axis():
 
 
 def test_passing_deform_runs_on_int64_coefficients(monkeypatch, capsys, tmp_path):
-    """A passing deform on A2-adjoint decides its t-family and its equivalence
-    witness on int64 coefficient arrays: no operation runs on Python-int
-    numerators, no law block is an object array of Polys (the cocycle's
-    blocks are rational cochains), and no array over Q[t] leaves as one."""
+    """A passing deform on A2-adjoint decides its t-family, its equivalence
+    witness and its cocycle on int64 numerators: no operation runs on
+    Python-int numerators, every law block is an ExactArray (the cocycle's
+    blocks, views of a rational cochain, included), and no array over Q[t]
+    leaves as an object array."""
     from lieyam import algebra, cli, deform, reps
 
     blocks = []
@@ -80,10 +81,9 @@ def test_passing_deform_runs_on_int64_coefficients(monkeypatch, capsys, tmp_path
     def recorded(residual, shape, **tags):
         def block(*args):
             out = residual(*args)
-            if type(out) is ExactArray:
-                blocks.append("Q[t]" if out.poly is not None else "Q")
-            else:
-                blocks.append("Poly objects" if any(type(x) is Poly for x in out.ravel()) else "Q")
+            kind = (("Q[t]" if out.poly is not None else "Q") if type(out) is ExactArray
+                    else type(out).__name__)
+            blocks.append((kind, "block" in tags))
             return out
         return report.first_violation(block, shape, **tags)
 
@@ -105,8 +105,32 @@ def test_passing_deform_runs_on_int64_coefficients(monkeypatch, capsys, tmp_path
     capsys.readouterr()
     ran = _ran(before)
     assert ran["int64"] > 0 and ran["object"] == 0
-    assert "Poly objects" not in blocks
-    assert blocks.count("Q[t]") >= 9 + 5  # LY1-LY4, rep1-rep5, the equivalence laws
+    kinds = [kind for kind, _ in blocks]
+    assert set(kinds) == {"Q", "Q[t]"}
+    assert kinds.count("Q[t]") >= 9 + 5  # LY1-LY4, rep1-rep5, the equivalence laws
+    assert [kind for kind, cocycle in blocks if cocycle] == ["Q"] * 7  # the 7 blocks of a pair 3-cochain
+
+
+def test_integer_arrays_skip_the_per_entry_path(monkeypatch):
+    """exact on an integer ndarray takes its entries as numerators over 1, as
+    the per-entry path would, without normalizing an entry."""
+    arrays = [np.arange(-3, 3).reshape(2, 3), np.array([2**62, -5]), np.array([-(2**63)]),
+              np.array([2**64 - 1], dtype=np.uint64), np.zeros((0, 2), dtype=np.int8)]
+    want = [exact_array(a.ravel().tolist(), a.shape) for a in arrays]
+
+    def refuse(*args):
+        raise AssertionError("an entry was normalized")
+
+    monkeypatch.setattr(linalg, "normalize", refuse)
+    for a, w in zip(arrays, want):
+        got = exact(a)
+        assert (got.num.dtype, got.den, got.bound, got.shape) == (w.num.dtype, w.den, w.bound, w.shape)
+        assert got.num.tolist() == w.num.tolist() and not got.num.flags.writeable
+        if a.size:
+            a[...] = 0
+            assert got.num.tolist() == w.num.tolist()  # a copy
+    with pytest.raises(AssertionError, match="normalized"):
+        exact(np.array([Fraction(1, 2)]))
 
 
 def test_small_integer_laws_run_on_int64():

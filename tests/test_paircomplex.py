@@ -1,13 +1,19 @@
 import gc
 import random
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
 
 from lieyam import LieYRepPair, Matrix, Representation, adjoint_rep, coadjoint_rep
-from lieyam.errors import DegreeCapExceededError, NotInSubcomplexError, UnsupportedDegreeError
+from lieyam.errors import (
+    DegreeCapExceededError,
+    NotInSubcomplexError,
+    PolynomialEntriesError,
+    UnsupportedDegreeError,
+)
 from lieyam.paircomplex import (
     PairCochain,
     _pc,
@@ -21,8 +27,9 @@ from lieyam.paircomplex import (
     random_pair_cochain,
     zero_pair_cochain,
 )
+from lieyam.scalars import T
 from lieyam.search import catalog_algebra
-from lieyam.yamaguti import YamagutiCochain
+from lieyam.yamaguti import YamagutiCochain, delta, random_cochain
 
 
 @pytest.fixture(scope="module")
@@ -47,9 +54,9 @@ def test_lift_zero_and_identity(pairs):
 def test_lift_comp1_only_matches_hand_expansion(pairs):
     """A comp1-only degree-2 cochain lifts to (f on the g part, 0)."""
     P = pairs[0]
-    c = PairCochain(2, 2, 2)
-    c.blocks["c1f"][0] = (3, 5)
-    c.blocks["c1g"][0, 1] = (7, 0)
+    c1f, c1g = np.zeros((1, 2), dtype=np.int64), np.zeros((1, 2, 2), dtype=np.int64)
+    c1f[0], c1g[0, 1] = (3, 5), (7, 0)
+    c = PairCochain.from_blocks(2, 2, 2, {"c1f": c1f, "c1g": c1g})
     lifted = lift(P, c)
     # pure wedge e1^e2 of the semidirect is index 0 in its wedge basis
     assert tuple(lifted.f_at((0,))) == (3, 5, 0, 0)
@@ -81,18 +88,20 @@ def test_not_in_subcomplex_detected(pairs):
     P = pairs[0]
     bad = Matrix([[0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
     with pytest.raises(NotInSubcomplexError) as err:
-        project(P, YamagutiCochain(1, 4, 4, f=bad))
+        project(P, YamagutiCochain.from_blocks(1, 4, 4, {"f": bad.arr.T}))
     assert err.value.witness is not None
 
     # a g-part output on a mixed (g^V) wedge input cannot come from a lift:
     # wedge index 1 of the semidirect is e1 ^ v1
-    raw = YamagutiCochain(2, 4, 4)
-    raw.g_flat[(1 * 4 + 0) * 4 + 0] = 1
+    g = np.zeros((6, 4, 4), dtype=np.int64)
+    g[1, 0, 0] = 1
+    raw = YamagutiCochain.from_blocks(2, 4, 4, {"g": g})
     with pytest.raises(NotInSubcomplexError):
         project(P, raw)
     # nor can any value on a pure-V wedge (index 5 is v1 ^ v2)
-    raw2 = YamagutiCochain(2, 4, 4)
-    raw2.f_flat[5 * 4 + 2] = 1
+    f = np.zeros((6, 4), dtype=np.int64)
+    f[5, 2] = 1
+    raw2 = YamagutiCochain.from_blocks(2, 4, 4, {"f": f})
     with pytest.raises(NotInSubcomplexError):
         project(P, raw2)
 
@@ -133,6 +142,60 @@ def test_coboundary_leaving_the_subspace_is_caught(monkeypatch):
     with pytest.raises(NotInSubcomplexError, match=r"\(f part\)") as err:
         pair_delta_lifted(P, e_col)
     assert err.value.witness == {"flat_index": off, "expected": 0, "found": 5}
+
+
+@pytest.mark.parametrize("scale", [2**60, 2**70, Fraction(1, 3), Fraction(2**70, 3)])
+def test_numerator_paths_commute_with_scaling(pairs, scale):
+    """delta, lift, project and pair_delta_lifted of a scaled cochain are the
+    scaled results: over a denominator, and past INT64_LIMIT, where the
+    numerators of 2^60 times a cochain leave int64 on the way (those of
+    2^40 times one would stay below 2^53) and those of 2^70 start out as
+    Python ints."""
+    rng = random.Random(16)
+    big = scale >= 2**60
+    for P in pairs[:2]:  # a2 with the adjoint and the coadjoint representation
+        alg, rep = P.algebra, P.rep
+        for degree in (1, 2):
+            c = random_cochain(alg, rep, degree, rng)
+            got = delta(alg, rep, c.scale(scale), cap=9)
+            assert got == delta(alg, rep, c, cap=9).scale(scale)
+            assert (got.flat.num.dtype == object) == big
+            pc = random_pair_cochain(P, degree, rng)
+            lifted = lift(P, pc.scale(scale))
+            assert lifted == lift(P, pc).scale(scale)
+            assert (lifted.flat.num.dtype == object) == big and lifted.flat.den == Fraction(scale).denominator
+            assert project(P, lifted) == pc.scale(scale)
+            got = pair_delta_lifted(P, pc.scale(scale), cap=9)
+            assert got == pair_delta_lifted(P, pc, cap=9).scale(scale)
+            assert (got.flat.num.dtype == object) == big
+    # a big lift bumped off the home coordinates: the witness holds the exact value
+    off = int(np.flatnonzero(_pc(P).index_map(2).coordinate < 0)[0])
+    coords = lifted.flatten()
+    coords[off] += scale + 1
+    with pytest.raises(NotInSubcomplexError) as err:
+        project(P, YamagutiCochain.unflatten(2, 4, 4, coords))
+    assert err.value.witness == {"flat_index": off, "expected": 0, "found": scale + 1}
+
+
+def test_project_bounds_the_unmixed_numerators(pairs):
+    """P subtracts an overlap from a home coordinate, which can double the
+    largest entry; the carried bound covers that, past INT64_LIMIT on
+    Python ints."""
+    im = _pc(pairs[0]).index_map(2)
+    for a in (3, 2**61):
+        y = [0] * im.size
+        y[im.home[im.dst[0]]], y[im.home[im.src[0]]] = a, -int(im.sign[0]) * a
+        got = project(pairs[0], YamagutiCochain.unflatten(2, 4, 4, y)).flat
+        assert max(map(abs, got.num.tolist())) == 2 * a <= got.bound
+        assert (got.num.dtype == object) == (a == 2**61)
+
+
+def test_cochains_over_polynomials_are_refused(pairs):
+    """A cochain is rational, as the coboundary's term table is."""
+    with pytest.raises(PolynomialEntriesError):
+        PairCochain.unflatten(1, 2, 2, [T] + [0] * 7)
+    with pytest.raises(PolynomialEntriesError):
+        YamagutiCochain.unflatten(1, 2, 2, [0, 1 + T, 0, 0])
 
 
 def test_delta_lifted_squares_to_zero(pairs, rng):

@@ -29,7 +29,7 @@ def test_delta_of_zero(a2):
 def test_delta_identity_degree1(a2):
     """delta of the identity map against hand expansion."""
     adj = adjoint_rep(a2)
-    c = YamagutiCochain(1, 2, 2, f=Matrix.identity(2))
+    c = YamagutiCochain.from_blocks(1, 2, 2, {"f": Matrix.identity(2).arr.T})
     out = delta(a2, adj, c)
     for w, (x, y) in enumerate(wedge_pairs(2)):
         # first component: [x,y] + [x,y] - [x,y] = [x,y]
