@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 
@@ -35,19 +34,19 @@ from .errors import (
     LieyamError,
     NotNijenhuisError,
     ParseError,
+    PolynomialEntriesError,
     PreconditionFailedError,
 )
 from .jsonio import (
     _int_field,
-    _read_json,
     algebra_to_dict,
     array_to_text,
     dump_json,
     load_algebra,
     load_operator,
     load_pair,
+    load_representation,
     operator_to_dict,
-    representation_from_dict,
 )
 from .paircomplex import pair_cochain_dim, pair_cohomology_dim
 from .quadratic import (
@@ -203,8 +202,7 @@ def _run(args) -> int:
             alg = load_algebra(args.path)
             report = alg.check_axioms()
         elif args.kind == "rep":
-            alg, rep = representation_from_dict(_read_json(args.path),
-                                                base_dir=os_dirname(args.path))
+            alg, rep = load_representation(args.path)
             report = check_representation(alg, rep)
         else:
             pair = load_pair(args.path, validate=False)
@@ -219,7 +217,7 @@ def _run(args) -> int:
         degree = _int_field({"--degree": args.degree}, "--degree", "cohomology",
                             minimum=1, maximum=MAX_DEGREE)
         cap = args.degree_cap
-        alg, rep = representation_from_dict(_read_json(args.pair), base_dir=os_dirname(args.pair))
+        alg, rep = load_representation(args.pair)
         _check_coboundary_size(args.complex, alg.dim, rep.module_dim, degree)
         pair = LieYRepPair(alg, rep)
         if args.complex == "pair":
@@ -288,6 +286,9 @@ def _run(args) -> int:
     if args.command == "deform":
         pair = load_pair(args.pair)
         nmap, smap = load_operator(args.N), load_operator(args.S)
+        for name, mat in (("N", nmap), ("S", smap)):
+            if mat.has_poly_entries():  # the deformation parameter is t itself
+                raise PolynomialEntriesError(f"deform: {name} has entries in Q[t]; evaluate t first")
         extra = None
         try:
             ns = NijenhuisStructure(pair, nmap, smap)
@@ -356,7 +357,7 @@ def _run(args) -> int:
         report = VerificationReport(subject=f"search {args.what}")
         found: list = []
         if args.what != "quadratic":
-            alg, rep = representation_from_dict(_read_json(args.pair), base_dir=os_dirname(args.pair))
+            alg, rep = load_representation(args.pair)
             _check_grid_size(args.what, len(values), alg.dim, rep.module_dim)
             pair = LieYRepPair(alg, rep)
         if args.what == "rbo":
@@ -419,10 +420,6 @@ def _deformation_to_dict(d):
         "varpi1": array_to_text(d.varpi1),
         "varpi2": array_to_text(d.varpi2),
     }
-
-
-def os_dirname(path):
-    return os.path.dirname(path) or "."
 
 
 def main(argv=None) -> int:

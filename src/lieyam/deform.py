@@ -71,10 +71,14 @@ class DeformationData:
     varpi1: object       # (n, n, m, m): varpi1(e_x, e_y)
     varpi2: object       # (n, n, m, m)
 
+    def __post_init__(self):
+        (self.phi, self.phi1, self.phi2,
+         self.varrho, self.varpi1, self.varpi2) = map(exact, self.arrays())
+
     @classmethod
     def zero(cls, pair: LieYRepPair):
         n, m = pair.dim_g, pair.dim_v
-        return cls(*(exact(np.zeros(shape, dtype=np.int64)) for shape in _shapes(n, m)))
+        return cls(*(np.zeros(shape, dtype=np.int64) for shape in _shapes(n, m)))
 
     def arrays(self):
         return self.phi, self.phi1, self.phi2, self.varrho, self.varpi1, self.varpi2
@@ -301,7 +305,7 @@ def trivial_deformation_from(pair: LieYRepPair, ns: NijenhuisStructure) -> Defor
     phi, phi1, phi2 = nijenhuis_deformation_tensors(pair.algebra, ns.nmap)
     varrho = _hat_linear(sarr, *_rho_parts(rep.rho_arr, narr))
     varpi1, varpi2 = _hat_bilinear(sarr, *_bilinear_parts(rep.mu_arr, narr))
-    return DeformationData(phi, phi1, phi2, exact(varrho), exact(varpi1), exact(varpi2))
+    return DeformationData(phi, phi1, phi2, varrho, varpi1, varpi2)
 
 
 def _family_pair(pair: LieYRepPair, d: DeformationData) -> LieYRepPair:

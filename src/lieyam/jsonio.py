@@ -246,9 +246,13 @@ def representation_from_dict(data, base_dir=".") -> tuple[LieYamagutiAlgebra, Re
     return alg, Representation(n, m, table[:n], table[n:].reshape(n, n, m, m))
 
 
+def load_representation(path) -> tuple[LieYamagutiAlgebra, Representation]:
+    """The (algebra, representation) of a file, its algebra path relative to the file."""
+    return representation_from_dict(_read_json(path), base_dir=os.path.dirname(path) or ".")
+
+
 def load_pair(path, validate=True) -> LieYRepPair:
-    alg, rep = representation_from_dict(_read_json(path), base_dir=os.path.dirname(path) or ".")
-    return LieYRepPair(alg, rep, validate=validate)
+    return LieYRepPair(*load_representation(path), validate=validate)
 
 
 def pair_to_dict(pair: LieYRepPair, inline_algebra=True):

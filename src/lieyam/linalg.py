@@ -1,15 +1,17 @@
 """Exact arrays, matrices and linear algebra over the scalar ring.
 
-Every value of the package is an exact array (`exact_array`, `exact`),
-an ExactArray: integer numerators over one common denominator, int64
-while a bound on their magnitude carried through every operation stays
-below INT64_LIMIT, Python ints in an object array beyond it.  An array
-over Q[t] (genuine polynomials in t among its entries) is the same type
-with one more, leading, axis of numerators: those of the coefficients of
-t^0, t^1, ... over the one denominator.  Entries leave an array as ints
-(integral values), Fractions or Polys.  A Matrix is a 2-d exact array
-with a checked shape; matrices act on coordinate columns: column k of a
-map's matrix is the image of the k-th basis vector.
+Every value of the package is an exact array, an ExactArray: integer
+numerators over one common denominator, int64 while a bound on their
+magnitude carried through every operation stays below INT64_LIMIT,
+Python ints in an object array beyond it.  An array over Q[t] (genuine
+polynomials in t among its entries) is the same type with one more,
+leading, axis of numerators: those of the coefficients of t^0, t^1, ...
+over the one denominator.  The type is closed: values enter only through
+`exact` (entry by entry, `exact_array`), which refuses anything but ints,
+Fractions and Polys, and leave only as ints (integral values), Fractions
+or Polys.  A Matrix is a 2-d exact array with a checked shape; matrices
+act on coordinate columns: column k of a map's matrix is the image of
+the k-th basis vector.
 
 rank / nullspace / inverse are only defined over the rationals; matrices
 with genuine polynomial entries are rejected (evaluate t first).  All
@@ -42,20 +44,6 @@ INT64_LIMIT = 2**62
 #: Arithmetic operations (contractions, sums, products) run so far, by the
 #: kind of numerator they ran on.
 NUMERATOR_OPS = {"int64": 0, "object": 0}
-
-
-def _norm_scalar(x):
-    """Collapse constant polynomials to rationals and integral Fractions to
-    ints (exact, much faster arithmetic)."""
-    if isinstance(x, Poly) and x.degree <= 0:
-        x = x.coeffs[0] if x.coeffs else 0
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else x
-    return x
-
-
-#: _norm_scalar on every entry of an object array (a ufunc: one call per array)
-normalize = np.frompyfunc(_norm_scalar, 1, 1)
 
 
 def _ratio(n, den):
@@ -92,9 +80,9 @@ class ExactArray:
 
     The law code reads these arrays as it would numpy arrays: np.einsum
     (with explicit output subscripts), np.stack, np.concatenate, +, -, *,
-    @, indexing, .T, .mT, transpose, reshape and comparison with zero run
-    on the numerators; any other numpy function or operand (an object
-    array, say) gets the entries as an exact object array instead.
+    @, ==, !=, indexing, .T, .mT, transpose and reshape run on the
+    numerators; any other numpy function, or an operand that is neither
+    an ExactArray nor an exact scalar (an object array, say), is a TypeError.
     """
 
     __slots__ = ("num", "den", "bound", "poly", "_obj")
@@ -207,30 +195,27 @@ class ExactArray:
         return _contract(np.matmul, (self, other), self.shape[-1])
 
     def __eq__(self, other):
-        if type(other) is int and other == 0:
-            return self.num == 0 if self.poly is None else ~(self.num != 0).any(axis=0)
-        return np.asarray(self) == _plain(other)
+        return ~self.__ne__(other)
 
     def __ne__(self, other):
-        if type(other) is int and other == 0:
-            return self.num != 0 if self.poly is None else (self.num != 0).any(axis=0)
-        return np.asarray(self) != _plain(other)
+        """Entrywise self != other, on the numerators of self - other."""
+        diff = self if type(other) is int and other == 0 else _sum(self, other, -1)
+        if diff is NotImplemented:
+            raise TypeError(f"cannot compare an ExactArray with {type(other).__name__}")
+        return diff.num != 0 if diff.poly is None else (diff.num != 0).any(axis=0)
 
     __hash__ = None
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         op = _UFUNCS.get(ufunc) if method == "__call__" and not kwargs else None
-        if op is not None:
-            return op(*inputs)
-        return getattr(ufunc, method)(*_plain(inputs), **_plain(kwargs))
+        return NotImplemented if op is None else op(*inputs)
 
     def __array_function__(self, func, types, args, kwargs):
-        out = None
         if func is np.einsum and not kwargs:
-            out = _einsum(args[0], args[1:])
-        elif func in (np.stack, np.concatenate) and not kwargs and len(args) == 1:
-            out = _stack(func, args[0])
-        return func(*_plain(args), **_plain(kwargs)) if out is None else out
+            return _einsum(args[0], args[1:])
+        if func in (np.stack, np.concatenate) and not kwargs and len(args) == 1:
+            return _stack(func, args[0])
+        return NotImplemented
 
 
 def _entry(coeffs, den, poly):
@@ -241,26 +226,15 @@ def _entry(coeffs, den, poly):
     return coeffs[0] if den == 1 else _ratio(coeffs[0], den)
 
 
-def _plain(x):
-    """x with every ExactArray in it (in nested lists, tuples and dicts) as an object array."""
-    if isinstance(x, ExactArray):
-        return np.asarray(x)
-    if isinstance(x, (list, tuple)):
-        return type(x)(_plain(y) for y in x)
-    if isinstance(x, dict):
-        return {k: _plain(v) for k, v in x.items()}
-    return x
-
-
 def _operands(operands):
-    """The operands with each scalar (int, Fraction, Poly) as a 0-d ExactArray,
-    or None when one is neither that nor an ExactArray.  A Poly scalar is an
-    entry that leaves as Poly even when it is constant, as in Poly arithmetic."""
+    """The operands with each exact scalar (int, numpy integer, Fraction, Poly)
+    as a 0-d ExactArray, or None when one is neither that nor an ExactArray.
+    A Poly scalar leaves as Poly even when constant, as in Poly arithmetic."""
     out = []
     for x in operands:
         if type(x) is Poly:
             x = _poly_array([x], (), lcm(*(c.denominator for c in x.coeffs)), max(x.degree, 0))
-        elif type(x) in (int, Fraction):
+        elif type(x) in (int, Fraction) or isinstance(x, np.integer):
             x = exact_array([x], ())
         elif type(x) is not ExactArray:
             return None
@@ -291,7 +265,8 @@ _SUBSCRIPTS = {np.multiply: "...,...->...", np.matmul: "...ij,...jk->...ik"}
 
 
 def _contract_poly(func, operands, terms, head):
-    """_contract with an operand over Q[t] or a scalar among the operands.
+    """_contract with an operand over Q[t] or a scalar among the operands
+    (NotImplemented for another operand, a 1-d matmul or three over Q[t]).
 
     The contraction runs as one einsum with a coefficient axis Z on the
     result.  With one operand over Q[t], Z is its coefficient axis.  With
@@ -303,7 +278,7 @@ def _contract_poly(func, operands, terms, head):
     ops = _operands(operands)
     polys = [] if ops is None else [k for k, x in enumerate(ops) if x.poly is not None]
     if ops is None or len(polys) > 2 or (func is np.matmul and min(len(x.shape) for x in ops) < 2):
-        return func(*head, *_plain(operands))
+        return NotImplemented
     if not polys:
         return _contract(func, ops, terms, *head)
     if len(polys) == 2 and ops[polys[0]].size > ops[polys[1]].size:
@@ -372,11 +347,12 @@ def _toeplitz(num, other):
 def _sum(a, b, sign):
     """a + b for sign 1, a - b for sign -1.  Over Q[t] the coefficients of
     each operand (one, t^0, for an operand over Q) go on a common number of
-    axes, the shorter coefficient axis padded with zeros."""
+    axes, the shorter coefficient axis padded with zeros.  NotImplemented
+    unless both are ExactArrays or exact scalars."""
     if type(a) is not ExactArray or type(b) is not ExactArray:
         ops = _operands((a, b))
         if ops is None:
-            return (np.add if sign > 0 else np.subtract)(*_plain((a, b)))
+            return NotImplemented
         a, b = ops
     den = a.den if a.den == b.den else lcm(a.den, b.den)
     fa, fb = den // a.den, den // b.den
@@ -435,10 +411,10 @@ _INT64, _OBJECT = np.dtype(np.int64), np.dtype(object)
 
 
 def _stack(func, arrays):
-    """np.stack or np.concatenate (func) of ExactArrays on their common
-    denominator (and, over Q[t], their common number of coefficients)."""
-    if not arrays or any(type(x) is not ExactArray for x in arrays):
-        return func(_plain(arrays))
+    """np.stack or np.concatenate (func) of ExactArrays (NotImplemented for
+    any other) on their common denominator and number of coefficients."""
+    if any(type(x) is not ExactArray for x in arrays):
+        return NotImplemented
     den = lcm(*(x.den for x in arrays))
     bound = max(x.bound * (den // x.den) for x in arrays)
     fits = max(bound, den) < INT64_LIMIT
@@ -457,7 +433,7 @@ _UFUNCS = {
     np.subtract: lambda a, b: _sum(a, b, -1),
     np.negative: lambda a: -a,
     np.multiply: lambda a, b: _contract(np.multiply, (a, b), 1),
-    np.matmul: lambda a, b: _contract(np.matmul, (a, b), a.shape[-1]),
+    np.matmul: lambda a, b: ExactArray.__matmul__(a, b) if type(a) is ExactArray else NotImplemented,
 }
 
 # np.einsum hands its operands to c_einsum when it is not asked to optimize;
@@ -484,11 +460,11 @@ def _summed_axes(subscripts):
 
 
 def _einsum(subscripts, operands):
-    """np.einsum of ExactArrays with explicit output subscripts, or None for
-    any other call.  Each output entry sums one product per value of the
-    indices summed over."""
+    """np.einsum of ExactArrays with explicit output subscripts, or
+    NotImplemented for any other call.  Each output entry sums one product
+    per value of the indices summed over."""
     if type(subscripts) is not str or "->" not in subscripts:
-        return None
+        return NotImplemented
     axes = _SUMMED.get(subscripts)
     if axes is None:
         axes = _SUMMED[subscripts] = _summed_axes(subscripts)
@@ -496,30 +472,28 @@ def _einsum(subscripts, operands):
     for k, p in axes:
         x = operands[k]
         if type(x) is not ExactArray:
-            return None
+            return NotImplemented
         terms *= (x.num if x.poly is None else x.poly).shape[p]
     return _contract(_c_einsum, operands, terms, subscripts)
 
 
 def exact(arr):
-    """The entries of an array as an exact array (see exact_array).
-
-    An integer ndarray becomes its own numerators over 1, copied and
-    read-only, with no entry normalized.  An ExactArray over Q[t] is
-    normalized as exact_array normalizes its entries: trailing zero
-    coefficients are dropped, only the genuine polynomials leave as Poly,
-    and an array of constants is one over Q."""
-    if isinstance(arr, ExactArray):
+    """An array as an ExactArray: the one way in.  An integer ndarray becomes
+    its numerators over 1, copied and read-only, with no entry looked at; an
+    object ndarray or nested sequences go through exact_array; an ndarray of
+    another dtype is a TypeError.  An ExactArray over Q[t] is normalized as
+    exact_array normalizes entries (only genuine polynomials leave as Poly)."""
+    if type(arr) is ExactArray:
         return arr if arr.poly is None else _normalized(arr)
-    try:
-        arr = np.asarray(arr)
-    except ValueError as exc:  # nested sequences of unequal lengths
-        raise DimMismatchError(f"ragged array: {exc}") from exc
-    if arr.dtype.kind in "iu":  # integers: the numerators themselves, over 1
+    if not isinstance(arr, np.ndarray):
+        arr = np.asarray(arr, dtype=object)
+    elif arr.dtype.kind in "iu":  # integers: the numerators themselves, over 1
         bound = max(int(arr.max()), -int(arr.min())) if arr.size else 0
         num = np.array(arr, dtype=np.int64 if bound < INT64_LIMIT else object)
         num.flags.writeable = False
         return ExactArray(num, 1, bound)
+    elif arr.dtype != _OBJECT:
+        raise TypeError(f"exact entries are ints, Fractions or Polys, not a {arr.dtype} array")
     return exact_array(arr.ravel(), arr.shape)
 
 
@@ -533,13 +507,13 @@ def _normalized(arr):
 
 
 def reduced(arr):
-    """An exact array with the common factor of its denominator and its
+    """An ExactArray with the common factor of its denominator and its
     numerators divided out, and its bound recomputed from the numerators.
 
     The constructors of algebras and representations call it once on their
     structure constants; the arithmetic itself never reduces.  An
     ExactArray over den 1 is returned as it is."""
-    if type(arr) is not ExactArray or arr.den == 1:
+    if arr.den == 1:
         return arr
     nums = arr.num.ravel().tolist()
     g = gcd(arr.den, *nums)
@@ -549,32 +523,39 @@ def reduced(arr):
 
 
 def exact_array(entries, shape):
-    """Row-major `entries` as an exact array of `shape`.
-
-    Every entry is normalized (integral Fractions to ints, constant
-    polynomials to rationals).  The result is an ExactArray over the lcm
-    of the denominators of the entries (and of their coefficients): over
-    Q when all are rational, over Q[t] when some are genuine polynomials.
-    """
-    if isinstance(entries, ExactArray):
+    """Row-major `entries` as an ExactArray of `shape`.  The entries are
+    ints (numpy integers too), Fractions or Polys; any other (a float, a
+    bool, a str, None) is a TypeError.  One pass collapses constant Polys to
+    rationals and integral Fractions to ints and takes the lcm of all
+    denominators (coefficients' included) as the array's: over Q when all
+    entries are rational, over Q[t] when some are genuine polynomials."""
+    if type(entries) is ExactArray:
         return entries.reshape(shape)
     flat = np.empty(prod(shape), dtype=object)
     flat[:] = entries
-    flat = normalize(flat)
+    flat = flat.tolist()
     den, deg = 1, 0
-    for x in flat:
+    for k, x in enumerate(flat):
+        if type(x) is int:
+            continue
+        if type(x) is Poly:
+            if x.degree > 0:
+                den, deg = lcm(den, *(c.denominator for c in x.coeffs)), max(deg, x.degree)
+                continue
+            x = x.coeffs[0] if x.coeffs else 0
         if type(x) is Fraction:
             den = lcm(den, x.denominator)
-        elif type(x) is Poly:
-            den = lcm(den, *(c.denominator for c in x.coeffs))
-            deg = max(deg, x.degree)
+            x = x.numerator if x.denominator == 1 else x
+        elif isinstance(x, np.integer):
+            x = int(x)
+        elif isinstance(x, (list, tuple)):  # from nested sequences of unequal lengths
+            raise DimMismatchError("ragged array")
         elif type(x) is not int:
-            out = flat.reshape(shape)
-            out.flags.writeable = False
-            return out
+            raise TypeError(f"exact entries are ints, Fractions or Polys, not {type(x).__name__}")
+        flat[k] = x
     if deg:
         return _poly_array(flat, shape, den, deg)
-    nums = flat.tolist() if den == 1 else [x.numerator * (den // x.denominator) for x in flat]
+    nums = flat if den == 1 else [x.numerator * (den // x.denominator) for x in flat]
     bound = max(map(abs, nums), default=0)
     num = np.array(nums, dtype=np.int64 if bound < INT64_LIMIT else object).reshape(shape)
     num.flags.writeable = False
@@ -651,9 +632,7 @@ class Matrix:
     @classmethod
     def diag(cls, entries):
         entries = list(entries)
-        out = np.zeros((len(entries),) * 2, dtype=object)
-        out[np.diag_indices(len(entries))] = entries
-        return cls.from_array(out)
+        return cls([[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)])
 
     def __getitem__(self, ij):
         return self.arr[ij]
@@ -700,7 +679,7 @@ class Matrix:
         return self.rows == self.cols
 
     def has_poly_entries(self):
-        return not isinstance(self.arr, ExactArray) or self.arr.poly is not None
+        return self.arr.poly is not None
 
     def _same_shape(self, other):
         if self.arr.shape != other.arr.shape:
@@ -729,6 +708,13 @@ class Matrix:
         for r, c, x in zip(i.tolist(), j.tolist(), num[i, j].tolist()):
             out[r][c] = x
         return out
+
+    def _echelon_with_identity(self):
+        """_echelon of the rows of den * [A | I], I one column per row of A."""
+        rows = self._integer_rows()
+        for i, row in enumerate(rows):
+            row[self.cols + i] = self.arr.den
+        return _echelon(rows)
 
     # -- exact linear algebra ------------------------------------------------
 
@@ -764,10 +750,7 @@ class Matrix:
         if not self.is_square():
             raise DimMismatchError("inverse of a non-square matrix")
         n = self.rows
-        aug = self._integer_rows()  # the rows of den * A, so [den * A | den * I]
-        for i, row in enumerate(aug):
-            row[n + i] = self.arr.den
-        pivots = _echelon(aug)
+        pivots = self._echelon_with_identity()
         if any(p >= n for p in pivots):
             raise SingularMatrixError("matrix is singular")
         return Matrix(

@@ -33,7 +33,7 @@ import numpy as np
 
 from .algebra import LieYamagutiAlgebra, _nijenhuis_residual
 from .errors import ConsequenceViolatedError, DimMismatchError
-from .linalg import Matrix, _echelon, exact_array
+from .linalg import Matrix, exact_array
 from .quadratic import QuadraticForm, is_invariant_form, is_rb_nijenhuis, is_skew_endomorphism
 from .report import vanishing
 from .reps import LieYRepPair, Representation, adjoint_rep, coadjoint_rep
@@ -131,10 +131,11 @@ class _LinearSystem:
     """A linear fn on rows x cols matrices, reduced once for `_grid_solutions`.
 
     The images of the unit matrices are the columns of the constraint
-    matrix A, and `_echelon` reduces [A | I] once.  A reduced row (a | c)
-    is a combination of the equations fn(X) = rhs, so a . x = c . rhs: a
-    row with its pivot in A solves that pivot coordinate, and a row with
-    a = 0 is a condition on rhs alone.  The reduction serves every rhs.
+    matrix A, and `Matrix._echelon_with_identity` reduces [A | I] once.  A
+    reduced row (a | c) is a combination of the equations fn(X) = rhs, so
+    a . x = c . rhs: a row with its pivot in A solves that pivot
+    coordinate, and a row with a = 0 is a condition on rhs alone.  The
+    reduction serves every rhs.
     """
 
     def __init__(self, fn, rows, cols):
@@ -143,11 +144,7 @@ class _LinearSystem:
         images = [fn(Matrix.from_array(u)).arr.ravel() for u in units]
         system = Matrix.from_array(np.stack(images).T) if images else \
             Matrix.zero(fn(Matrix.zero(rows, cols)).arr.size, 0)
-        # the rows of den * [A | I]
-        integer_rows = system._integer_rows()
-        for e, row in enumerate(integer_rows):
-            row[size + e] = system.arr.den
-        self.pivots = _echelon(integer_rows)
+        self.pivots = system._echelon_with_identity()
 
 
 def _grid_solutions(fn, rows, cols, values, rhs=None):

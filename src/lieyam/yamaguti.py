@@ -96,8 +96,6 @@ class Cochain:
         self.shapes = dict(self.block_shapes(self.degree, dim1, dim2))
         sizes = [prod(shape) for shape in self.shapes.values()]
         flat = exact(np.zeros(sum(sizes), dtype=np.int64) if flat is None else flat)
-        if type(flat) is not ExactArray:
-            raise TypeError("cochain entries must be ints or Fractions")
         if flat.poly is not None:
             raise PolynomialEntriesError("cochain entries must be rational; evaluate t first")
         if flat.shape != (sum(sizes),):

@@ -352,6 +352,28 @@ def test_pair_file_roundtrip(tmp_path):
     assert again.rep.mu_arr.tolist() == pair.rep.mu_arr.tolist()
 
 
+@pytest.mark.parametrize("which", ["N", "S"])
+def test_deform_refuses_polynomial_operators_on_loading(monkeypatch, capsys, tmp_path, which):
+    """deform takes t as its own parameter: an N or S over Q[t] is refused
+    right after loading, before any premise is decided (exit 2, one line)."""
+    import lieyam.cli as cli
+    from lieyam.scalars import T
+
+    def never(*args):
+        raise AssertionError("NijenhuisStructure was constructed")
+
+    monkeypatch.setattr(cli, "NijenhuisStructure", never)
+    dump_json(operator_to_dict(Matrix.identity(2).scale(T)), tmp_path / "tId.json")
+    ops = {"N": fx("N-lam2.json"), "S": fx("S-lam2.json"), which: str(tmp_path / "tId.json")}
+    code, out = run_cli("deform", "--pair", fx("A2-adjoint.json"), "--from-nijenhuis",
+                        "--N", ops["N"], "--S", ops["S"], capsys=capsys)
+    assert code == 2 and out.out == ""
+    assert out.err.splitlines() == [f"error: deform: {which} has entries in Q[t]; evaluate t first"]
+    assert load_operator(str(tmp_path / "tId.json")).has_poly_entries()
+    assert run_cli("verify-nijenhuis", "--algebra", fx("A2.json"), "--N", str(tmp_path / "tId.json"),
+                   capsys=capsys)[0] == 0
+
+
 def test_consequence_violation_exit3(monkeypatch, capsys):
     import lieyam.cli as cli
     from lieyam.errors import ConsequenceViolatedError

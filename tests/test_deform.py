@@ -260,3 +260,18 @@ def test_equivalence_and_cocycle_witnesses(a2_adjoint):
     assert wit["identity"] == "binary" and wit["tuple"] == (0, 1)
     assert wit["residual"][0] == Poly([0, 2])
     assert cocycle_witness(P, d) is None
+
+
+def test_deformation_data_from_nested_lists(a2_adjoint, rng):
+    """DeformationData takes its six terms through exact: nested lists of
+    ints and Fractions give the report of the same terms as ExactArrays."""
+    lam = Matrix.identity(2).scale(Fraction(3, 2))
+    cases = [trivial_deformation_from(a2_adjoint, NijenhuisStructure(a2_adjoint, lam, lam)),
+             _random_deformation(a2_adjoint, rng)]
+    for d in cases:
+        listed = DeformationData(*(x.tolist() for x in d.arrays()))
+        assert all(type(x) is type(y) for x, y in zip(listed.arrays(), d.arrays()))
+        want = linear_deformation_report(a2_adjoint, d).to_dict()
+        got = linear_deformation_report(a2_adjoint, listed).to_dict()
+        assert {**got, "runtime_ms": 0} == {**want, "runtime_ms": 0}
+    assert [linear_deformation_report(a2_adjoint, d).passed for d in cases] == [True, False]

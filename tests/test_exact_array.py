@@ -20,9 +20,10 @@ import test_law_golden
 import test_poly_golden
 import test_rep_golden
 import test_scan_golden
-from lieyam import LieYamagutiAlgebra, LieYRepPair, Matrix, adjoint_rep, linalg, report, yamaguti
+from lieyam import (LieYamagutiAlgebra, LieYRepPair, Matrix, Representation, adjoint_rep, linalg,
+                    report, yamaguti)
 from lieyam.algebra import nijenhuis_witness
-from lieyam.errors import PolynomialEntriesError
+from lieyam.errors import DimMismatchError, PolynomialEntriesError
 from lieyam.jsonio import dump_json, operator_to_dict
 from lieyam.linalg import INT64_LIMIT, ExactArray, exact, exact_array
 from lieyam.rotabaxter import relative_rb_report
@@ -121,7 +122,7 @@ def test_integer_arrays_skip_the_per_entry_path(monkeypatch):
     def refuse(*args):
         raise AssertionError("an entry was normalized")
 
-    monkeypatch.setattr(linalg, "normalize", refuse)
+    monkeypatch.setattr(linalg, "exact_array", refuse)
     for a, w in zip(arrays, want):
         got = exact(a)
         assert (got.num.dtype, got.den, got.bound, got.shape) == (w.num.dtype, w.den, w.bound, w.shape)
@@ -330,6 +331,80 @@ def test_polynomial_arithmetic_matches_poly_objects(data):
     _check_entries(c.transpose(1, 0)[::-1], oc.T[::-1])
     _check_entries(a.reshape(3, 2), oa.reshape(3, 2))
     assert ((a != 0) == (oa != 0)).all() and ((a == 0) == (oa == 0)).all()
+    assert ((a != b) == (oa != ob)).all()
     i, j = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 2))
     assert a[i, j] == oa[i, j] and (type(a[i, j]) is Poly) == (type(oa[i, j]) is Poly)
     _check_entries(exact(a + b), np.asarray(exact(oa + ob)))
+
+
+# -- the closed type: one way in, no way around ---------------------------------
+
+_NOT_EXACT = [0.5, 1.0, True, np.bool_(False), "1", None, np.float64(2)]
+
+
+@pytest.mark.parametrize("bad", _NOT_EXACT, ids=repr)
+def test_entries_that_are_not_exact_are_refused(bad):
+    """A float, bool, str or None entry is a TypeError at every way in: a
+    list, an object array, exact_array, a Matrix row or a Matrix scalar."""
+    as_object = np.array([1, bad], dtype=object)
+    for make in (lambda: exact([Fraction(1, 2), bad]), lambda: exact([[1, 0], [bad, 1]]),
+                 lambda: exact(as_object), lambda: exact_array([bad], ()),
+                 lambda: Matrix([[1, bad]]), lambda: Matrix.from_array(as_object.reshape(1, 2)),
+                 lambda: Matrix.identity(2).scale(bad)):
+        with pytest.raises(TypeError, match=type(bad).__name__):
+            make()
+
+
+def test_float_and_bool_arrays_are_refused():
+    """Float, bool and str ndarrays are refused by their dtype, by exact and
+    by every constructor that takes arrays: a float 0.3 Id never reaches a
+    law, whose residual would be 1.4e-17 where the exact 3/10 Id passes."""
+    a2 = catalog_algebra("a2")
+    with pytest.raises(TypeError, match="float64 array"):
+        nijenhuis_witness(a2, Matrix.from_array(np.identity(2) * 0.3))
+    assert nijenhuis_witness(a2, Matrix.identity(2).scale(Fraction(3, 10))) is None
+    floats, bools = np.zeros((2,) * 4), np.zeros((2, 2), dtype=bool)
+    for make in (lambda: exact(floats), lambda: exact(bools), lambda: exact(np.array(["1"])),
+                 lambda: LieYamagutiAlgebra(2, a2.b_arr, floats),
+                 lambda: LieYamagutiAlgebra(2, np.zeros((2,) * 3), a2.t_arr),
+                 lambda: Representation(2, 2, np.zeros((2, 2, 2)), np.zeros((2, 2, 2, 2), dtype=int)),
+                 lambda: Representation(2, 2, np.zeros((2, 2, 2), dtype=int), floats),
+                 lambda: yamaguti.YamagutiCochain(1, 2, 2, np.zeros(4)),
+                 lambda: yamaguti.YamagutiCochain(1, 2, 2, [0, 1, 0.5, 0]),
+                 lambda: yamaguti.YamagutiCochain(1, 2, 2, [0, 1, None, 0])):
+        with pytest.raises(TypeError):
+            make()
+    with pytest.raises(DimMismatchError, match="ragged"):
+        exact([[1, 2], [Fraction(1, 2)]])
+
+
+def test_numpy_integer_entries_are_ints():
+    """np.int64 entries convert to ints: the matrix is rational, not a
+    polynomial one, and an operand np.int64 multiplies as an int."""
+    m = Matrix([[np.int64(1), 0], [0, np.uint8(1)]])
+    assert m.rank() == 2 and m == Matrix.identity(2)
+    assert [type(x) for x in m.arr.ravel()] == [int] * 4
+    assert (exact([1, 2]) * np.int64(3)).tolist() == [3, 6]
+    assert exact(np.array([np.int64(2), Fraction(1, 2)], dtype=object)).tolist() == [2, Fraction(1, 2)]
+
+
+def test_no_numpy_detour_around_the_numerators():
+    """An object-ndarray operand, a numpy function other than einsum, stack
+    and concatenate, and a comparison with an ndarray raise TypeError; no
+    call falls back to object-array arithmetic."""
+    a, obj = exact([1, 2]), np.array([1, 2], dtype=object)
+    m, mobj = exact([[1, 2], [3, 4]]), np.array([[1, 2], [3, 4]], dtype=object)
+    calls = [lambda: np.sum(a), lambda: np.cumsum(a), lambda: a + obj, lambda: obj + a,
+             lambda: a - obj, lambda: a * obj, lambda: obj * a, lambda: m @ mobj, lambda: mobj @ m,
+             lambda: np.einsum("i,i->", a, obj), lambda: np.einsum("ij,jk->ik", m, mobj),
+             lambda: np.stack([a, obj]), lambda: np.concatenate([a, obj]),
+             lambda: a == obj, lambda: a != obj, lambda: obj == a, lambda: a == np.array([1, 2]),
+             lambda: a != [1, 2], lambda: a == None, lambda: a + 0.5,  # noqa: E711
+             lambda: exact([[T]]) @ exact([1]),
+             lambda: np.einsum("i,i,i->", *[exact_array([T], (1,))] * 3)]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+    assert (a == exact([1, 3])).tolist() == [True, False]
+    assert (a != Fraction(2)).tolist() == [True, False]
+    assert (exact_array([T, 1], (2,)) == T).tolist() == [True, False]
