@@ -7,6 +7,14 @@ internal consistency error) -- kept separate so CI can gate on it.
 Output goes to stdout, as text or single-line JSON (--format json).
 Reports are deterministic for a fixed --seed, which is echoed in every
 report that uses randomness.
+
+Each command is one private handler, registered on its subparser as the
+`run` default.  A handler loads and checks its inputs and returns its
+report with the extra output fields.  `_run` does what every command
+shares, once: it parses --seed and --degree-cap, calls the handler and
+sets the report's `runtime_ms`; `_emit` then sets its `seed`, prints it
+and picks the exit code, 0 or 1.  `main` turns an error raised on the
+way into exit 2 or 3 and one line on stderr.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from .errors import (
     PreconditionFailedError,
 )
 from .jsonio import (
-    _int_field,
+    _int_value,
     algebra_to_dict,
     array_to_text,
     dump_json,
@@ -107,45 +115,52 @@ def build_parser():
     p.add_argument("--degree-cap", default=None, help="cochain degree cap override")
     sub = p.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("check", help="verify defining identities of a stored object")
+    def command(parent, name, run, **kwargs):
+        c = parent.add_parser(name, **kwargs)
+        c.set_defaults(run=run)
+        return c
+
+    c = command(sub, "check", _check, help="verify defining identities of a stored object")
     c.add_argument("kind", choices=("algebra", "rep", "pair"))
     c.add_argument("path")
 
-    c = sub.add_parser("cohomology", help="cohomology group dimensions")
+    c = command(sub, "cohomology", _cohomology, help="cohomology group dimensions")
     c.add_argument("--pair", required=True)
     c.add_argument("--degree", required=True)
     c.add_argument("--complex", choices=("pair", "classical"), default="pair")
 
-    c = sub.add_parser("verify-nijenhuis", help="Nijenhuis operator on an algebra")
+    c = command(sub, "verify-nijenhuis", _verify_nijenhuis, help="Nijenhuis operator on an algebra")
     c.add_argument("--algebra", required=True)
     c.add_argument("--N", required=True)
 
-    c = sub.add_parser("verify-nijenhuis-structure", help="Nijenhuis structure (N, S) on a pair")
+    c = command(sub, "verify-nijenhuis-structure", _verify_nijenhuis_structure,
+                help="Nijenhuis structure (N, S) on a pair")
     c.add_argument("--pair", required=True)
     c.add_argument("--N", required=True)
     c.add_argument("--S", required=True)
 
-    c = sub.add_parser("verify-rbo", help="relative Rota-Baxter operator")
+    c = command(sub, "verify-rbo", _verify_rbo, help="relative Rota-Baxter operator")
     c.add_argument("--pair", required=True)
     c.add_argument("--T", required=True)
 
-    c = sub.add_parser("verify-rbn", help="relative Rota-Baxter-Nijenhuis triple + consequences")
+    c = command(sub, "verify-rbn", _verify_rbn, help="relative Rota-Baxter-Nijenhuis triple + consequences")
     c.add_argument("--pair", required=True)
     c.add_argument("--T", required=True)
     c.add_argument("--S", required=True)
     c.add_argument("--N", required=True)
 
-    c = sub.add_parser("verify-compatible", help="compatibility of two Rota-Baxter operators")
+    c = command(sub, "verify-compatible", _verify_compatible,
+                help="compatibility of two Rota-Baxter operators")
     c.add_argument("--pair", required=True)
     c.add_argument("--T1", required=True)
     c.add_argument("--T2", required=True)
 
-    c = sub.add_parser("verify-strong", help="the strong compatibility condition of (T, S)")
+    c = command(sub, "verify-strong", _verify_strong, help="the strong compatibility condition of (T, S)")
     c.add_argument("--pair", required=True)
     c.add_argument("--T", required=True)
     c.add_argument("--S", required=True)
 
-    c = sub.add_parser("deform", help="build + certify the deformation of a Nijenhuis structure")
+    c = command(sub, "deform", _deform, help="build + certify the deformation of a Nijenhuis structure")
     c.add_argument("--pair", required=True)
     c.add_argument("--from-nijenhuis", action="store_true", required=True)
     c.add_argument("--N", required=True)
@@ -154,10 +169,10 @@ def build_parser():
 
     c = sub.add_parser("quadratic", help="quadratic forms and the r-matrix correspondence")
     qsub = c.add_subparsers(dest="qcommand", required=True)
-    qc = qsub.add_parser("check-form")
+    qc = command(qsub, "check-form", _check_form)
     qc.add_argument("--algebra", required=True)
     qc.add_argument("--B", required=True)
-    qc = qsub.add_parser("convert")
+    qc = command(qsub, "convert", _convert)
     qc.add_argument("--algebra", required=True)
     qc.add_argument("--B", required=True)
     qc.add_argument("--direction", choices=("rbn-to-rmn", "rmn-to-rbn"), required=True)
@@ -166,7 +181,7 @@ def build_parser():
     qc.add_argument("--N", required=True)
     qc.add_argument("--out", default=None)
 
-    c = sub.add_parser("search", help="deterministic fixture searches")
+    c = command(sub, "search", _search, help="deterministic fixture searches")
     c.add_argument("what", choices=("rbo", "rbn", "quadratic"))
     c.add_argument("--pair", default=None)
     c.add_argument("--values", default="-2,-1,0,1,2")
@@ -175,7 +190,20 @@ def build_parser():
     return p
 
 
-def _emit(report: VerificationReport, args, extra=None):
+def _run(args) -> int:
+    """Parse the global integers, run the command's handler, then time, seed
+    and print its report once."""
+    t0 = time.perf_counter()
+    args.seed = _int_value(args.seed, "--seed", "lieyam")
+    if args.degree_cap is not None:
+        args.degree_cap = _int_value(args.degree_cap, "--degree-cap", "lieyam",
+                                     minimum=1, maximum=MAX_DEGREE + 1)
+    report, extra = args.run(args)
+    report.runtime_ms = (time.perf_counter() - t0) * 1000
+    return _emit(report, args, extra)
+
+
+def _emit(report: VerificationReport, args, extra):
     report.seed = args.seed
     if args.format == "json":
         payload = report.to_dict()
@@ -190,202 +218,174 @@ def _emit(report: VerificationReport, args, extra=None):
     return 0 if report.passed else 1
 
 
-def _run(args) -> int:
-    t0 = time.perf_counter()
-    args.seed = _int_field({"--seed": args.seed}, "--seed", "lieyam")
-    if args.degree_cap is not None:
-        args.degree_cap = _int_field({"--degree-cap": args.degree_cap}, "--degree-cap", "lieyam",
-                                     minimum=1, maximum=MAX_DEGREE + 1)
+def _premise(cls, error, *args):
+    """(the validated cls(*args), its report), or (None, the failing report
+    that its `error` carries)."""
+    try:
+        obj = cls(*args)
+    except error as exc:
+        return None, exc.report
+    return obj, obj.report
 
-    if args.command == "check":
-        if args.kind == "algebra":
-            alg = load_algebra(args.path)
-            report = alg.check_axioms()
-        elif args.kind == "rep":
-            alg, rep = load_representation(args.path)
-            report = check_representation(alg, rep)
-        else:
-            pair = load_pair(args.path, validate=False)
-            report = VerificationReport(subject=f"pair {args.path}")
-            report.extend(pair.algebra.check_axioms())
-            report.extend(check_representation(pair.algebra, pair.rep))
-            report.extend(check_derived_identities(pair.algebra, pair.rep))
-        report.runtime_ms = (time.perf_counter() - t0) * 1000
-        return _emit(report, args)
 
-    if args.command == "cohomology":
-        degree = _int_field({"--degree": args.degree}, "--degree", "cohomology",
-                            minimum=1, maximum=MAX_DEGREE)
-        cap = args.degree_cap
-        alg, rep = load_representation(args.pair)
-        _check_coboundary_size(args.complex, alg.dim, rep.module_dim, degree)
-        pair = LieYRepPair(alg, rep)
-        if args.complex == "pair":
-            dim = pair_cohomology_dim(pair, degree, cap=cap or max(3, degree + 1))
-        else:
-            dim = cohomology_dim(pair.algebra, pair.rep, degree, cap=cap or max(4, degree + 1))
-        report = VerificationReport(subject=f"cohomology of {args.pair}")
-        report.add(f"H^{degree}", True, f"dimension computed over the rationals = {dim}")
-        report.runtime_ms = (time.perf_counter() - t0) * 1000
-        return _emit(report, args, extra={f"dim_H{degree}": dim})
+def _one_check(subject, name, law, witness=None):
+    """A report of one check, which passes unless there is a witness."""
+    report = VerificationReport(subject=subject)
+    report.add(name, witness is None, law, witness)
+    return report
 
-    if args.command == "verify-nijenhuis":
-        alg = load_algebra(args.algebra)
-        nmap = load_operator(args.N)
-        report = VerificationReport(subject="Nijenhuis operator")
-        wit = nijenhuis_witness(alg, nmap)
-        report.add("nijenhuis", wit is None,
-                   "N[x,y]_N = [Nx,Ny] and N<<x,y,z>>_N = <<Nx,Ny,Nz>>", wit)
-        report.runtime_ms = (time.perf_counter() - t0) * 1000
-        return _emit(report, args)
 
-    if args.command == "verify-nijenhuis-structure":
-        pair = load_pair(args.pair)
-        report = nijenhuis_structure_report(pair, load_operator(args.N), load_operator(args.S))
-        report.runtime_ms = (time.perf_counter() - t0) * 1000
-        return _emit(report, args)
+def _check(args):
+    if args.kind == "algebra":
+        return load_algebra(args.path).check_axioms(), None
+    if args.kind == "rep":
+        return check_representation(*load_representation(args.path)), None
+    pair = load_pair(args.path, validate=False)
+    report = VerificationReport(subject=f"pair {args.path}")
+    report.extend(pair.algebra.check_axioms())
+    report.extend(check_representation(pair.algebra, pair.rep))
+    report.extend(check_derived_identities(pair.algebra, pair.rep))
+    return report, None
 
-    if args.command == "verify-rbo":
-        pair = load_pair(args.pair)
-        report = relative_rb_report(pair, load_operator(args.T))
-        report.runtime_ms = (time.perf_counter() - t0) * 1000
-        return _emit(report, args)
 
-    if args.command == "verify-rbn":
-        pair = load_pair(args.pair)
-        tmap, smap, nmap = load_operator(args.T), load_operator(args.S), load_operator(args.N)
-        try:
-            triple = RBNTriple(pair, tmap, smap, nmap)
-        except PreconditionFailedError as exc:
-            report = exc.report
-        else:
-            report = triple.report
-            report.extend(rbn_consequences(triple, raise_on_failure=True), prefix="consequence: ")
-        report.runtime_ms = (time.perf_counter() - t0) * 1000
-        return _emit(report, args)
+def _cohomology(args):
+    degree = _int_value(args.degree, "--degree", "cohomology", minimum=1, maximum=MAX_DEGREE)
+    alg, rep = load_representation(args.pair)
+    _check_coboundary_size(args.complex, alg.dim, rep.module_dim, degree)
+    pair = LieYRepPair(alg, rep)
+    if args.complex == "pair":
+        dim = pair_cohomology_dim(pair, degree, cap=args.degree_cap or max(3, degree + 1))
+    else:
+        dim = cohomology_dim(pair.algebra, pair.rep, degree, cap=args.degree_cap or max(4, degree + 1))
+    report = _one_check(f"cohomology of {args.pair}", f"H^{degree}",
+                        f"dimension computed over the rationals = {dim}")
+    return report, {f"dim_H{degree}": dim}
 
-    if args.command == "verify-compatible":
-        pair = load_pair(args.pair)
-        wit = compatibility_witness(pair, load_operator(args.T1), load_operator(args.T2))
-        report = VerificationReport(subject="compatible Rota-Baxter operators")
-        report.add("compatible", wit is None,
-                   "every combination k1 T1 + k2 T2 is again Rota-Baxter (closed conditions)", wit)
-        report.runtime_ms = (time.perf_counter() - t0) * 1000
-        return _emit(report, args)
 
-    if args.command == "verify-strong":
-        pair = load_pair(args.pair)
-        top = RelativeRBOperator(pair, load_operator(args.T))
-        wit = strong_witness(pair, top, load_operator(args.S))
-        report = VerificationReport(subject="strong compatibility condition")
-        report.add("strong", wit is None,
-                   "D(Tu,Tv)(Sw) + mu(Tv,Tw)(Su) - mu(Tu,Tw)(Sv) = S(<<u,v,w>>^T)", wit)
-        report.runtime_ms = (time.perf_counter() - t0) * 1000
-        return _emit(report, args)
+def _verify_nijenhuis(args):
+    alg, nmap = load_algebra(args.algebra), load_operator(args.N)
+    wit = nijenhuis_witness(alg, nmap)
+    return _one_check("Nijenhuis operator", "nijenhuis",
+                      "N[x,y]_N = [Nx,Ny] and N<<x,y,z>>_N = <<Nx,Ny,Nz>>", wit), None
 
-    if args.command == "deform":
-        pair = load_pair(args.pair)
-        nmap, smap = load_operator(args.N), load_operator(args.S)
-        for name, mat in (("N", nmap), ("S", smap)):
-            if mat.has_poly_entries():  # the deformation parameter is t itself
-                raise PolynomialEntriesError(f"deform: {name} has entries in Q[t]; evaluate t first")
-        extra = None
-        try:
-            ns = NijenhuisStructure(pair, nmap, smap)
-        except NotNijenhuisError as exc:
-            report = exc.report
-        else:
-            report = ns.report
-            d = trivial_deformation_from(pair, ns)
-            report.extend(linear_deformation_report(pair, d))
-            wit = equivalence_witness(pair, d, DeformationData.zero(pair), nmap, smap)
-            report.add("triviality-witness", wit is None,
-                       "(Id + tN, Id + tS) intertwines the family with the undeformed pair", wit)
-            wit = cocycle_witness(pair, d)
-            report.add("cocycle-closed", wit is None, "the first-order data is a closed 2-cochain", wit)
-            if args.out:
-                payload = _deformation_to_dict(d)
-                payload["certificate"] = report.to_dict()
-                dump_json(payload, args.out)
-                extra = {"written": args.out}
-        report.runtime_ms = (time.perf_counter() - t0) * 1000
-        return _emit(report, args, extra=extra)
 
-    if args.command == "quadratic":
-        alg = load_algebra(args.algebra)
-        b = load_operator(args.B)
-        if args.qcommand == "check-form":
-            try:
-                qf = QuadraticForm(alg, b)
-            except PreconditionFailedError as exc:
-                report = exc.report
-            else:
-                report = qf.report
-                report.extend(invariance_transport(qf))
-            report.runtime_ms = (time.perf_counter() - t0) * 1000
-            return _emit(report, args)
-        qf = QuadraticForm(alg, b)
-        nmap = load_operator(args.N)
-        report = VerificationReport(subject=f"correspondence {args.direction}")
-        if args.direction == "rbn-to-rmn":
-            if not args.R:
-                raise ParseError("--R is required for rbn-to-rmn")
-            rm = rbn_to_rmn(alg, qf, load_operator(args.R), nmap)
-            result = operator_to_dict(rm.pi)
-            report.add("converted", True, "pi# = R B#; induced pair verified as r-matrix-Nijenhuis")
-        else:
-            if not args.pi:
-                raise ParseError("--pi is required for rmn-to-rbn")
-            rmap = rmn_to_rbn(alg, qf, load_operator(args.pi), nmap)
-            result = operator_to_dict(rmap)
-            report.add("converted", True,
-                       "R = pi# (B#)^{-1}; verified Rota-Baxter-Nijenhuis with exact round-trip")
-        if args.out:
-            dump_json(result, args.out)
-        report.runtime_ms = (time.perf_counter() - t0) * 1000
-        return _emit(report, args, extra={"result": result})
+def _verify_nijenhuis_structure(args):
+    pair = load_pair(args.pair)
+    return nijenhuis_structure_report(pair, load_operator(args.N), load_operator(args.S)), None
 
-    if args.command == "search":
-        # a repeated grid value would repeat hits: keep first occurrences
-        values = tuple(dict.fromkeys(_int_field({"--values": v}, "--values", "search")
-                                     for v in args.values.split(",")))
-        limit = args.limit
-        if limit is not None:
-            limit = _int_field({"--limit": limit}, "--limit", "search", minimum=1)
-        if args.what != "quadratic" and args.pair is None:
+
+def _verify_rbo(args):
+    pair = load_pair(args.pair)
+    return relative_rb_report(pair, load_operator(args.T)), None
+
+
+def _verify_rbn(args):
+    pair = load_pair(args.pair)
+    triple, report = _premise(RBNTriple, PreconditionFailedError, pair, load_operator(args.T),
+                              load_operator(args.S), load_operator(args.N))
+    if triple is not None:
+        report.extend(rbn_consequences(triple, raise_on_failure=True), prefix="consequence: ")
+    return report, None
+
+
+def _verify_compatible(args):
+    pair = load_pair(args.pair)
+    wit = compatibility_witness(pair, load_operator(args.T1), load_operator(args.T2))
+    return _one_check("compatible Rota-Baxter operators", "compatible",
+                      "every combination k1 T1 + k2 T2 is again Rota-Baxter (closed conditions)", wit), None
+
+
+def _verify_strong(args):
+    pair = load_pair(args.pair)
+    top = RelativeRBOperator(pair, load_operator(args.T))
+    wit = strong_witness(pair, top, load_operator(args.S))
+    return _one_check("strong compatibility condition", "strong",
+                      "D(Tu,Tv)(Sw) + mu(Tv,Tw)(Su) - mu(Tu,Tw)(Sv) = S(<<u,v,w>>^T)", wit), None
+
+
+def _deform(args):
+    pair = load_pair(args.pair)
+    nmap, smap = load_operator(args.N), load_operator(args.S)
+    for name, mat in (("N", nmap), ("S", smap)):
+        if mat.has_poly_entries():  # the deformation parameter is t itself
+            raise PolynomialEntriesError(f"deform: {name} has entries in Q[t]; evaluate t first")
+    ns, report = _premise(NijenhuisStructure, NotNijenhuisError, pair, nmap, smap)
+    if ns is None:
+        return report, None
+    d = trivial_deformation_from(pair, ns)
+    report.extend(linear_deformation_report(pair, d))
+    wit = equivalence_witness(pair, d, DeformationData.zero(pair), nmap, smap)
+    report.add("triviality-witness", wit is None,
+               "(Id + tN, Id + tS) intertwines the family with the undeformed pair", wit)
+    wit = cocycle_witness(pair, d)
+    report.add("cocycle-closed", wit is None, "the first-order data is a closed 2-cochain", wit)
+    if not args.out:
+        return report, None
+    # written before `_run` sets the report's runtime and seed
+    payload = _deformation_to_dict(d)
+    payload["certificate"] = report.to_dict()
+    dump_json(payload, args.out)
+    return report, {"written": args.out}
+
+
+def _check_form(args):
+    qf, report = _premise(QuadraticForm, PreconditionFailedError, load_algebra(args.algebra),
+                          load_operator(args.B))
+    if qf is not None:
+        report.extend(invariance_transport(qf))
+    return report, None
+
+
+#: --direction of `quadratic convert`: the option naming the operator to
+#: convert, the conversion (returning the converted operator; the lambdas
+#: look the functions up in this module at call time) and its law.
+_DIRECTIONS = {
+    "rbn-to-rmn": ("R", lambda *a: rbn_to_rmn(*a).pi,
+                   "pi# = R B#; induced pair verified as r-matrix-Nijenhuis"),
+    "rmn-to-rbn": ("pi", lambda *a: rmn_to_rbn(*a),
+                   "R = pi# (B#)^{-1}; verified Rota-Baxter-Nijenhuis with exact round-trip"),
+}
+
+
+def _convert(args):
+    alg = load_algebra(args.algebra)
+    qf = QuadraticForm(alg, load_operator(args.B))
+    nmap = load_operator(args.N)
+    option, convert, law = _DIRECTIONS[args.direction]
+    path = getattr(args, option)
+    if not path:
+        raise ParseError(f"--{option} is required for {args.direction}")
+    result = operator_to_dict(convert(alg, qf, load_operator(path), nmap))
+    if args.out:
+        dump_json(result, args.out)
+    return _one_check(f"correspondence {args.direction}", "converted", law), {"result": result}
+
+
+def _search(args):
+    # a repeated grid value would repeat hits: keep first occurrences
+    values = tuple(dict.fromkeys(_int_value(v, "--values", "search") for v in args.values.split(",")))
+    limit = None if args.limit is None else _int_value(args.limit, "--limit", "search", minimum=1)
+    if args.what == "quadratic":
+        found = [{"name": f["name"], "algebra": algebra_to_dict(f["algebra"]),
+                  "B": operator_to_dict(f["form"]), "R": operator_to_dict(f["R"]),
+                  "N": operator_to_dict(f["N"])}
+                 for f in search_quadratic_fixtures(values=values)]
+    else:
+        if args.pair is None:
             raise ParseError(f"search {args.what} needs --pair")
-        report = VerificationReport(subject=f"search {args.what}")
-        found: list = []
-        if args.what != "quadratic":
-            alg, rep = load_representation(args.pair)
-            _check_grid_size(args.what, len(values), alg.dim, rep.module_dim)
-            pair = LieYRepPair(alg, rep)
+        alg, rep = load_representation(args.pair)
+        _check_grid_size(args.what, len(values), alg.dim, rep.module_dim)
+        pair = LieYRepPair(alg, rep)
         if args.what == "rbo":
             found = [operator_to_dict(t) for t in search_rb_operators(pair, values, limit=limit)]
-        elif args.what == "rbn":
-            found = [
-                {"T": operator_to_dict(t), "S": operator_to_dict(s), "N": operator_to_dict(n)}
-                for (t, s, n) in search_rbn_triples(pair, values, limit=limit)
-            ]
         else:
-            fixtures = search_quadratic_fixtures(values=values)
-            found = [
-                {
-                    "name": f["name"],
-                    "algebra": algebra_to_dict(f["algebra"]),
-                    "B": operator_to_dict(f["form"]),
-                    "R": operator_to_dict(f["R"]),
-                    "N": operator_to_dict(f["N"]),
-                }
-                for f in fixtures
-            ]
-        report.add("search", True, f"{len(found)} fixture(s) found over the value grid {values}")
-        if args.out:
-            dump_json({"found": found}, args.out)
-        report.runtime_ms = (time.perf_counter() - t0) * 1000
-        return _emit(report, args, extra={"count": len(found)})
-
-    raise AssertionError(f"unhandled command {args.command}")
+            found = [{"T": operator_to_dict(t), "S": operator_to_dict(s), "N": operator_to_dict(n)}
+                     for (t, s, n) in search_rbn_triples(pair, values, limit=limit)]
+    if args.out:
+        dump_json({"found": found}, args.out)
+    report = _one_check(f"search {args.what}", "search",
+                        f"{len(found)} fixture(s) found over the value grid {values}")
+    return report, {"count": len(found)}
 
 
 def _check_coboundary_size(complex_, n, m, degree):
@@ -409,17 +409,11 @@ def _check_grid_size(what, count, n, m):
 
 
 def _deformation_to_dict(d):
-    return {
-        "phi": array_to_text(d.phi.ravel()),
-        "phi_shape": list(d.phi.shape),
-        "phi1": array_to_text(d.phi1.ravel()),
-        "phi1_shape": list(d.phi1.shape),
-        "phi2": array_to_text(d.phi2.ravel()),
-        "phi2_shape": list(d.phi2.shape),
-        "varrho": array_to_text(d.varrho),
-        "varpi1": array_to_text(d.varpi1),
-        "varpi2": array_to_text(d.varpi2),
-    }
+    out = {}
+    for name in ("phi", "phi1", "phi2"):
+        arr = getattr(d, name)
+        out |= {name: array_to_text(arr.ravel()), f"{name}_shape": list(arr.shape)}
+    return out | {name: array_to_text(getattr(d, name)) for name in ("varrho", "varpi1", "varpi2")}
 
 
 def main(argv=None) -> int:

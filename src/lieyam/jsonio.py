@@ -61,13 +61,19 @@ MAX_DIM = 16
 
 
 def _int_field(obj, key, where, default=None, minimum=None, maximum=None):
-    """An integer field of a JSON object; anything else is a ParseError.
+    """The integer field `key` of a JSON object, read by `_int_value`; a
+    missing field takes `default`."""
+    return _int_value(obj.get(key, default), key, where, minimum, maximum)
+
+
+def _int_value(value, key, where, minimum=None, maximum=None):
+    """The integer `value` of a field or command-line option named `key`;
+    anything else is a ParseError.
 
     Takes what int() takes (JSON integers, decimal strings) except bools
-    and fractional floats; a missing field takes `default`.  Values
-    outside [minimum, maximum] are a ParseError too.
+    and fractional floats.  Values outside [minimum, maximum] are a
+    ParseError too.
     """
-    value = obj.get(key, default)
     try:
         if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
             raise TypeError(value)
