@@ -336,26 +336,20 @@ def _check_form(args):
     return report, None
 
 
-#: --direction of `quadratic convert`: the option naming the operator to
-#: convert, the conversion (returning the converted operator; the lambdas
-#: look the functions up in this module at call time) and its law.
-_DIRECTIONS = {
-    "rbn-to-rmn": ("R", lambda *a: rbn_to_rmn(*a).pi,
-                   "pi# = R B#; induced pair verified as r-matrix-Nijenhuis"),
-    "rmn-to-rbn": ("pi", lambda *a: rmn_to_rbn(*a),
-                   "R = pi# (B#)^{-1}; verified Rota-Baxter-Nijenhuis with exact round-trip"),
-}
-
-
 def _convert(args):
     alg = load_algebra(args.algebra)
     qf = QuadraticForm(alg, load_operator(args.B))
     nmap = load_operator(args.N)
-    option, convert, law = _DIRECTIONS[args.direction]
-    path = getattr(args, option)
-    if not path:
-        raise ParseError(f"--{option} is required for {args.direction}")
-    result = operator_to_dict(convert(alg, qf, load_operator(path), nmap))
+    if args.direction == "rbn-to-rmn":
+        if not args.R:
+            raise ParseError("--R is required for rbn-to-rmn")
+        result = operator_to_dict(rbn_to_rmn(alg, qf, load_operator(args.R), nmap).pi)
+        law = "pi# = R B#; induced pair verified as r-matrix-Nijenhuis"
+    else:
+        if not args.pi:
+            raise ParseError("--pi is required for rmn-to-rbn")
+        result = operator_to_dict(rmn_to_rbn(alg, qf, load_operator(args.pi), nmap))
+        law = "R = pi# (B#)^{-1}; verified Rota-Baxter-Nijenhuis with exact round-trip"
     if args.out:
         dump_json(result, args.out)
     return _one_check(f"correspondence {args.direction}", "converted", law), {"result": result}
