@@ -400,7 +400,8 @@ def test_no_numpy_detour_around_the_numerators():
              lambda: np.stack([a, obj]), lambda: np.concatenate([a, obj]),
              lambda: a == obj, lambda: a != obj, lambda: obj == a, lambda: a == np.array([1, 2]),
              lambda: a != [1, 2], lambda: a == None, lambda: a + 0.5,  # noqa: E711
-             lambda: exact([[T]]) @ exact([1]),
+             lambda: exact([[T]]) @ exact([1]), lambda: exact(5) @ exact([[1]]),
+             lambda: exact([[1]]) @ exact(5),
              lambda: np.einsum("i,i,i->", *[exact_array([T], (1,))] * 3)]
     for call in calls:
         with pytest.raises(TypeError):
