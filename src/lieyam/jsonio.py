@@ -261,7 +261,7 @@ def load_pair(path, validate=True) -> LieYRepPair:
     return LieYRepPair(*load_representation(path), validate=validate)
 
 
-def pair_to_dict(pair: LieYRepPair, inline_algebra=True):
+def pair_to_dict(pair: LieYRepPair):
     return {
         "algebra": algebra_to_dict(pair.algebra),
         "module_dim": pair.dim_v,

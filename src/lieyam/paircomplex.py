@@ -123,10 +123,10 @@ def zero_pair_cochain(pair: LieYRepPair, degree):
     return PairCochain(degree, pair.dim_g, pair.dim_v)
 
 
-def random_pair_cochain(pair: LieYRepPair, degree, rng, lo=-3, hi=3):
+def random_pair_cochain(pair: LieYRepPair, degree, rng):
     size = pair_cochain_dim(pair.dim_g, pair.dim_v, degree)
     return PairCochain.unflatten(degree, pair.dim_g, pair.dim_v,
-                                 [rng.randint(lo, hi) for _ in range(size)])
+                                 [rng.randint(-3, 3) for _ in range(size)])
 
 
 # ---------------------------------------------------------------------------

@@ -206,9 +206,9 @@ def search_nijenhuis_operators(alg: LieYamagutiAlgebra, values=(-2, -1, 0, 1, 2)
                  alg.dim, limit)
 
 
-def search_rbn_triples(pair: LieYRepPair, values=(-2, -1, 0, 1, 2), limit=None,
-                       require_nonzero=True):
-    """Triples (T, S, N) over the grid passing the full triple conditions.
+def search_rbn_triples(pair: LieYRepPair, values=(-2, -1, 0, 1, 2), limit=None):
+    """Triples (T, S, N) with T and N nonzero over the grid passing the full
+    triple conditions.
 
     T and N come from the Rota-Baxter and Nijenhuis grid scans, which
     have verified them.  For each nonzero pair the S candidates are the
@@ -224,12 +224,12 @@ def search_rbn_triples(pair: LieYRepPair, values=(-2, -1, 0, 1, 2), limit=None,
     nijs = search_nijenhuis_operators(pair.algebra, values)
     m = pair.dim_v
     for t in rbs:
-        if require_nonzero and t.is_zero():
+        if t.is_zero():
             continue
         ts = _LinearSystem(lambda x: t * x, m, m)
         sub = None
         for n in nijs:
-            if require_nonzero and n.is_zero():
+            if n.is_zero():
                 continue
             nt = n * t
             for s in _grid_solutions(ts, m, m, values, rhs=nt):
@@ -245,7 +245,7 @@ def search_rbn_triples(pair: LieYRepPair, values=(-2, -1, 0, 1, 2), limit=None,
 
 
 def search_quadratic_fixtures(names=("abelian2", "abelian3", "so3lts", "sl2lts"),
-                              values=(-1, 0, 1), per_algebra=2):
+                              values=(-1, 0, 1)):
     """Quadratic algebras with skew Rota-Baxter operators and compatible N.
 
     For each catalog algebra with a validated invariant form, take the
@@ -253,7 +253,7 @@ def search_quadratic_fixtures(names=("abelian2", "abelian3", "so3lts", "sl2lts")
     are Rota-Baxter operators, and pair each with the first nonzero grid
     solution N of B# N^T = N B# and N R = R N that passes the full
     Rota-Baxter-Nijenhuis conditions.  Returns a list of dicts (name,
-    algebra, form, R, N).
+    algebra, form, R, N), at most two per algebra.
     """
     fixtures = []
     for name in names:
@@ -288,7 +288,7 @@ def search_quadratic_fixtures(names=("abelian2", "abelian3", "so3lts", "sl2lts")
                 continue
             fixtures.append({"name": name, "algebra": alg, "form": b, "R": rmap, "N": match})
             n_found += 1
-            if n_found >= per_algebra:
+            if n_found == 2:
                 break
     return fixtures
 

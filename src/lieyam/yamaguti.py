@@ -193,10 +193,10 @@ def zero_cochain(alg, rep, degree):
     return YamagutiCochain(degree, alg.dim, rep.module_dim)
 
 
-def random_cochain(alg, rep, degree, rng, lo=-3, hi=3):
-    """Dense random integer-valued cochain (for property tests)."""
+def random_cochain(alg, rep, degree, rng):
+    """Dense random cochain with integer entries in [-3, 3] (for property tests)."""
     size = cochain_dim(alg.dim, rep.module_dim, degree)
-    coords = [rng.randint(lo, hi) for _ in range(size)]
+    coords = [rng.randint(-3, 3) for _ in range(size)]
     return YamagutiCochain.unflatten(degree, alg.dim, rep.module_dim, coords)
 
 
