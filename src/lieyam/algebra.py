@@ -74,7 +74,7 @@ class LieYamagutiAlgebra:
 
     @classmethod
     def abelian(cls, dim):
-        return cls(dim, np.zeros((dim,) * 3, dtype=object), np.zeros((dim,) * 4, dtype=object))
+        return cls(dim, np.zeros((dim,) * 3, dtype=np.int64), np.zeros((dim,) * 4, dtype=np.int64))
 
     @classmethod
     def from_lie_algebra(cls, dim, binary):
@@ -85,7 +85,7 @@ class LieYamagutiAlgebra:
     @classmethod
     def from_triple_system(cls, dim, ternary):
         """Lie triple system viewed as Lie-Yamaguti ([x,y] = 0)."""
-        return cls(dim, np.zeros((dim,) * 3, dtype=object), ternary)
+        return cls(dim, np.zeros((dim,) * 3, dtype=np.int64), ternary)
 
     def _validate_antisymmetry(self):
         b, t = self.b_arr, self.t_arr

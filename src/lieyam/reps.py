@@ -73,7 +73,7 @@ class Representation:
     @classmethod
     def zero(cls, algebra_dim, module_dim):
         n, m = algebra_dim, module_dim
-        return cls(n, m, np.zeros((n, m, m), dtype=object), np.zeros((n, n, m, m), dtype=object))
+        return cls(n, m, np.zeros((n, m, m), dtype=np.int64), np.zeros((n, n, m, m), dtype=np.int64))
 
 
 class DerivedD:
