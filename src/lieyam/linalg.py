@@ -192,9 +192,10 @@ class ExactArray:
         return _contract(np.multiply, (other, self), 1)
 
     def __matmul__(self, other):
-        if self.shape == () or (type(other) is ExactArray and other.shape == ()):
+        shape = self.shape
+        if not shape or (type(other) is ExactArray and not other.shape):
             return NotImplemented  # numpy's matmul takes no 0-d operand either
-        return _contract(np.matmul, (self, other), self.shape[-1])
+        return _contract(np.matmul, (self, other), shape[-1])
 
     def __eq__(self, other):
         return ~self.__ne__(other)
