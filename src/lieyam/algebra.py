@@ -19,10 +19,10 @@ first basis indices (the first einsum axis), contracted with np.einsum
 code is generic over the scalar ring (rationals or polynomials in t),
 enabling "for all t" checks by polynomial arithmetic.
 
-The homomorphism and Nijenhuis laws take their maps as arrays that may
-carry leading batch axes (the ``...`` of every einsum): one map is the
-case of no batch axis, and a stack of maps (the candidates of a grid
-search, see report.vanishing) is evaluated by the same contractions.
+The homomorphism law, which is also the Nijenhuis and the Rota-Baxter
+law, takes its map as an array that may carry leading batch axes (the
+``...`` of every einsum): one map is the case of no batch axis, and a
+stack of maps (a grid search's candidates, report.vanishing) is evaluated alike.
 """
 
 from __future__ import annotations
@@ -149,7 +149,8 @@ def _homomorphism_residual(p, src, dst: LieYamagutiAlgebra, arity):
     phi[x,y] - [phi x, phi y]                  arity 2, over (..., x in s, y, k)
     phi<<x,y,z>> - <<phi x, phi y, phi z>>     arity 3, over (..., x in s, y, z, l)
 
-    src is the source's structure constants of that arity (b_arr or t_arr).
+    src is the source's bracket of that arity: b_arr or t_arr, or the bracket
+    a map induces (_nijenhuis_residual, rotabaxter._rb_residual).
     p and src may carry the same leading batch axes; a block takes the
     maps `sel` of a stack (report.vanishing).  phi applied to the last
     axis is a matmul with p.mT, given one more axis per other index.
@@ -166,6 +167,20 @@ def _homomorphism_residual(p, src, dst: LieYamagutiAlgebra, arity):
     return binary if arity == 2 else ternary
 
 
+def _preservation_witness(residual, n, arities=(2, 3), negate=False):
+    """First violating basis tuple of the law residual(arity) (_homomorphism_residual), or None.
+
+    The source has dimension n.  The arities are tried in order, each residual built only
+    when the ones before hold.  The witness is {"identity", "tuple", "residual"}, its residual
+    negated when `negate` is set.
+    """
+    for arity in arities:
+        wit = first_violation(residual(arity), (n,) * arity, identity=("binary", "ternary")[arity - 2])
+        if wit is not None:
+            return {**wit, "residual": tuple(-x for x in wit["residual"])} if negate else wit
+    return None
+
+
 def homomorphism_witness(phi: Matrix, src: LieYamagutiAlgebra, dst: LieYamagutiAlgebra):
     """First basis tuple where phi fails to preserve a bracket, or None.
 
@@ -176,12 +191,8 @@ def homomorphism_witness(phi: Matrix, src: LieYamagutiAlgebra, dst: LieYamagutiA
         raise DimMismatchError(
             f"homomorphism matrix must be {dst.dim}x{src.dim}, got {phi.rows}x{phi.cols}"
         )
-    n, p = src.dim, phi.arr
-    return first_violation(
-        _homomorphism_residual(p, src.b_arr, dst, 2), (n,) * 2, identity="binary",
-    ) or first_violation(
-        _homomorphism_residual(p, src.t_arr, dst, 3), (n,) * 3, identity="ternary",
-    )
+    return _preservation_witness(
+        lambda arity: _homomorphism_residual(phi.arr, (src.b_arr, src.t_arr)[arity - 2], dst, arity), src.dim)
 
 
 def is_homomorphism(phi: Matrix, src: LieYamagutiAlgebra, dst: LieYamagutiAlgebra) -> bool:
@@ -237,10 +248,10 @@ def deformed_brackets(alg: LieYamagutiAlgebra, nmap: Matrix):
     return phi, phi2
 
 
-def deformed_algebra(alg: LieYamagutiAlgebra, nmap: Matrix, validate=False) -> LieYamagutiAlgebra:
+def deformed_algebra(alg: LieYamagutiAlgebra, nmap: Matrix) -> LieYamagutiAlgebra:
     """The algebra carrying the N-deformed brackets (antisymmetry always holds)."""
     b2, t2 = deformed_brackets(alg, nmap)
-    return LieYamagutiAlgebra(alg.dim, b2, t2, alg.basis_names, validate=validate)
+    return LieYamagutiAlgebra(alg.dim, b2, t2, alg.basis_names, validate=False)
 
 
 def _nijenhuis_residual(alg: LieYamagutiAlgebra, na, arity):
@@ -266,11 +277,7 @@ def nijenhuis_witness(alg: LieYamagutiAlgebra, nmap: Matrix):
     n = alg.dim
     if nmap.rows != n or nmap.cols != n:
         raise DimMismatchError("operator must be square of the algebra dimension")
-    return first_violation(
-        _nijenhuis_residual(alg, nmap.arr, 2), (n,) * 2, identity="binary",
-    ) or first_violation(
-        _nijenhuis_residual(alg, nmap.arr, 3), (n,) * 3, identity="ternary",
-    )
+    return _preservation_witness(lambda arity: _nijenhuis_residual(alg, nmap.arr, arity), n)
 
 
 def is_nijenhuis(alg: LieYamagutiAlgebra, nmap: Matrix) -> bool:

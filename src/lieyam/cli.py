@@ -10,9 +10,11 @@ report that uses randomness.
 
 Each command is one private handler, registered on its subparser as the
 `run` default.  A handler loads and checks its inputs and returns its
-report with the extra output fields.  `_run` does what every command
-shares, once: it parses --seed and --degree-cap, calls the handler and
-sets the report's `runtime_ms`; `_emit` then sets its `seed`, prints it
+report, the extra output fields and what to write to --out (None, or a
+function giving the JSON payload).  `_run` does what every command
+shares, once: it parses --seed, calls the handler, sets the report's
+`runtime_ms` and `seed`, then writes the --out file, so that a
+certificate in it equals the printed report; `_emit` prints the report
 and picks the exit code, 0 or 1.  `main` turns an error raised on the
 way into exit 2 or 3 and one line on stderr.
 """
@@ -76,7 +78,7 @@ from .rotabaxter import (
 from .search import search_quadratic_fixtures, search_rb_operators, search_rbn_triples
 from .yamaguti import cochain_dim, cohomology_dim
 
-#: Largest --degree (and, plus one, --degree-cap) that `cohomology` takes.
+#: Largest --degree that `cohomology` takes.
 MAX_DEGREE = 16
 #: Largest coboundary C^p -> C^{p+1} that `cohomology` assembles, counted as
 #: dense entries dim C^p * dim C^{p+1}.  The largest tier-1 or benchmark
@@ -112,7 +114,6 @@ def build_parser():
     p.add_argument("--version", action="version", version=f"lieyam {__version__}")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--seed", default=0, help="seed echoed in reports; fixes randomized suites")
-    p.add_argument("--degree-cap", default=None, help="cochain degree cap override")
     sub = p.add_subparsers(dest="command", required=True)
 
     def command(parent, name, run, **kwargs):
@@ -191,20 +192,19 @@ def build_parser():
 
 
 def _run(args) -> int:
-    """Parse the global integers, run the command's handler, then time, seed
-    and print its report once."""
+    """Parse --seed, run the command's handler, then time and seed its
+    report, write its --out file and print it, once each."""
     t0 = time.perf_counter()
     args.seed = _int_value(args.seed, "--seed", "lieyam")
-    if args.degree_cap is not None:
-        args.degree_cap = _int_value(args.degree_cap, "--degree-cap", "lieyam",
-                                     minimum=1, maximum=MAX_DEGREE + 1)
-    report, extra = args.run(args)
+    report, extra, out = args.run(args)
     report.runtime_ms = (time.perf_counter() - t0) * 1000
+    report.seed = args.seed
+    if out is not None:
+        dump_json(out(), args.out)
     return _emit(report, args, extra)
 
 
 def _emit(report: VerificationReport, args, extra):
-    report.seed = args.seed
     if args.format == "json":
         payload = report.to_dict()
         if extra:
@@ -237,15 +237,15 @@ def _one_check(subject, name, law, witness=None):
 
 def _check(args):
     if args.kind == "algebra":
-        return load_algebra(args.path).check_axioms(), None
+        return load_algebra(args.path).check_axioms(), None, None
     if args.kind == "rep":
-        return check_representation(*load_representation(args.path)), None
+        return check_representation(*load_representation(args.path)), None, None
     pair = load_pair(args.path, validate=False)
     report = VerificationReport(subject=f"pair {args.path}")
     report.extend(pair.algebra.check_axioms())
     report.extend(check_representation(pair.algebra, pair.rep))
     report.extend(check_derived_identities(pair.algebra, pair.rep))
-    return report, None
+    return report, None, None
 
 
 def _cohomology(args):
@@ -254,29 +254,29 @@ def _cohomology(args):
     _check_coboundary_size(args.complex, alg.dim, rep.module_dim, degree)
     pair = LieYRepPair(alg, rep)
     if args.complex == "pair":
-        dim = pair_cohomology_dim(pair, degree, cap=args.degree_cap or max(3, degree + 1))
+        dim = pair_cohomology_dim(pair, degree, cap=degree + 1)
     else:
-        dim = cohomology_dim(pair.algebra, pair.rep, degree, cap=args.degree_cap or max(4, degree + 1))
+        dim = cohomology_dim(pair.algebra, pair.rep, degree, cap=degree + 1)
     report = _one_check(f"cohomology of {args.pair}", f"H^{degree}",
                         f"dimension computed over the rationals = {dim}")
-    return report, {f"dim_H{degree}": dim}
+    return report, {f"dim_H{degree}": dim}, None
 
 
 def _verify_nijenhuis(args):
     alg, nmap = load_algebra(args.algebra), load_operator(args.N)
     wit = nijenhuis_witness(alg, nmap)
     return _one_check("Nijenhuis operator", "nijenhuis",
-                      "N[x,y]_N = [Nx,Ny] and N<<x,y,z>>_N = <<Nx,Ny,Nz>>", wit), None
+                      "N[x,y]_N = [Nx,Ny] and N<<x,y,z>>_N = <<Nx,Ny,Nz>>", wit), None, None
 
 
 def _verify_nijenhuis_structure(args):
     pair = load_pair(args.pair)
-    return nijenhuis_structure_report(pair, load_operator(args.N), load_operator(args.S)), None
+    return nijenhuis_structure_report(pair, load_operator(args.N), load_operator(args.S)), None, None
 
 
 def _verify_rbo(args):
     pair = load_pair(args.pair)
-    return relative_rb_report(pair, load_operator(args.T)), None
+    return relative_rb_report(pair, load_operator(args.T)), None, None
 
 
 def _verify_rbn(args):
@@ -285,14 +285,15 @@ def _verify_rbn(args):
                               load_operator(args.S), load_operator(args.N))
     if triple is not None:
         report.extend(rbn_consequences(triple, raise_on_failure=True), prefix="consequence: ")
-    return report, None
+    return report, None, None
 
 
 def _verify_compatible(args):
     pair = load_pair(args.pair)
     wit = compatibility_witness(pair, load_operator(args.T1), load_operator(args.T2))
-    return _one_check("compatible Rota-Baxter operators", "compatible",
-                      "every combination k1 T1 + k2 T2 is again Rota-Baxter (closed conditions)", wit), None
+    report = _one_check("compatible Rota-Baxter operators", "compatible",
+                        "every combination k1 T1 + k2 T2 is again Rota-Baxter (closed conditions)", wit)
+    return report, None, None
 
 
 def _verify_strong(args):
@@ -300,7 +301,7 @@ def _verify_strong(args):
     top = RelativeRBOperator(pair, load_operator(args.T))
     wit = strong_witness(pair, top, load_operator(args.S))
     return _one_check("strong compatibility condition", "strong",
-                      "D(Tu,Tv)(Sw) + mu(Tv,Tw)(Su) - mu(Tu,Tw)(Sv) = S(<<u,v,w>>^T)", wit), None
+                      "D(Tu,Tv)(Sw) + mu(Tv,Tw)(Su) - mu(Tu,Tw)(Sv) = S(<<u,v,w>>^T)", wit), None, None
 
 
 def _deform(args):
@@ -311,7 +312,7 @@ def _deform(args):
             raise PolynomialEntriesError(f"deform: {name} has entries in Q[t]; evaluate t first")
     ns, report = _premise(NijenhuisStructure, NotNijenhuisError, pair, nmap, smap)
     if ns is None:
-        return report, None
+        return report, None, None
     d = trivial_deformation_from(pair, ns)
     report.extend(linear_deformation_report(pair, d))
     wit = equivalence_witness(pair, d, DeformationData.zero(pair), nmap, smap)
@@ -320,12 +321,8 @@ def _deform(args):
     wit = cocycle_witness(pair, d)
     report.add("cocycle-closed", wit is None, "the first-order data is a closed 2-cochain", wit)
     if not args.out:
-        return report, None
-    # written before `_run` sets the report's runtime and seed
-    payload = _deformation_to_dict(d)
-    payload["certificate"] = report.to_dict()
-    dump_json(payload, args.out)
-    return report, {"written": args.out}
+        return report, None, None
+    return report, {"written": args.out}, lambda: _deformation_to_dict(d) | {"certificate": report.to_dict()}
 
 
 def _check_form(args):
@@ -333,7 +330,7 @@ def _check_form(args):
                           load_operator(args.B))
     if qf is not None:
         report.extend(invariance_transport(qf))
-    return report, None
+    return report, None, None
 
 
 def _convert(args):
@@ -350,9 +347,8 @@ def _convert(args):
             raise ParseError("--pi is required for rmn-to-rbn")
         result = operator_to_dict(rmn_to_rbn(alg, qf, load_operator(args.pi), nmap))
         law = "R = pi# (B#)^{-1}; verified Rota-Baxter-Nijenhuis with exact round-trip"
-    if args.out:
-        dump_json(result, args.out)
-    return _one_check(f"correspondence {args.direction}", "converted", law), {"result": result}
+    return (_one_check(f"correspondence {args.direction}", "converted", law), {"result": result},
+            (lambda: result) if args.out else None)
 
 
 def _search(args):
@@ -363,7 +359,7 @@ def _search(args):
         found = [{"name": f["name"], "algebra": algebra_to_dict(f["algebra"]),
                   "B": operator_to_dict(f["form"]), "R": operator_to_dict(f["R"]),
                   "N": operator_to_dict(f["N"])}
-                 for f in search_quadratic_fixtures(values=values)]
+                 for f in search_quadratic_fixtures(values=values)[:limit]]
     else:
         if args.pair is None:
             raise ParseError(f"search {args.what} needs --pair")
@@ -375,11 +371,9 @@ def _search(args):
         else:
             found = [{"T": operator_to_dict(t), "S": operator_to_dict(s), "N": operator_to_dict(n)}
                      for (t, s, n) in search_rbn_triples(pair, values, limit=limit)]
-    if args.out:
-        dump_json({"found": found}, args.out)
     report = _one_check(f"search {args.what}", "search",
                         f"{len(found)} fixture(s) found over the value grid {values}")
-    return report, {"count": len(found)}
+    return report, {"count": len(found)}, (lambda: {"found": found}) if args.out else None
 
 
 def _check_coboundary_size(complex_, n, m, degree):

@@ -90,8 +90,7 @@ class QuadraticForm:
         self.b_sharp = b.invert()
 
 
-def invariance_transport(qf: QuadraticForm, which: str = "all",
-                         raise_on_failure: bool = True) -> VerificationReport:
+def invariance_transport(qf: QuadraticForm, raise_on_failure: bool = True) -> VerificationReport:
     """Index-map transport identities of a validated form.
 
     ad:    B# (-ad_x^T)        = ad_x B#
@@ -108,18 +107,15 @@ def invariance_transport(qf: QuadraticForm, which: str = "all",
     right = np.einsum("kxyl->xylk", t)        # right[x, y] = right(x,y)
     left = t.transpose(0, 1, 3, 2)            # left[x, y] = left(x,y), whose transpose is t[x, y]
     report = VerificationReport(subject="invariance transport")
-    laws = {
-        "ad": ("transport-ad", "B#(ad*_x a) = ad_x(B# a)", 1,
-               lambda s: -(bs @ b[s]) - ad[s] @ bs),
-        "right": ("transport-right", "-B#(right*(y,x) a) = right(x,y)(B# a)", 2,
-                  lambda s: bs @ right[:, s].transpose(1, 0, 3, 2) - right[s] @ bs),
-        "left": ("transport-left", "B#(left*(x,y) a) = left(x,y)(B# a)", 2,
-                 lambda s: -(bs @ t[s]) - left[s] @ bs),
-    }
-    for key, (name, law, arity, residual) in laws.items():
-        if which in (key, "all"):
-            wit = first_violation(residual, (n,) * arity)
-            report.add(name, wit is None, law, wit)
+    laws = (
+        ("transport-ad", "B#(ad*_x a) = ad_x(B# a)", 1, lambda s: -(bs @ b[s]) - ad[s] @ bs),
+        ("transport-right", "-B#(right*(y,x) a) = right(x,y)(B# a)", 2,
+         lambda s: bs @ right[:, s].transpose(1, 0, 3, 2) - right[s] @ bs),
+        ("transport-left", "B#(left*(x,y) a) = left(x,y)(B# a)", 2, lambda s: -(bs @ t[s]) - left[s] @ bs),
+    )
+    for name, law, arity, residual in laws:
+        wit = first_violation(residual, (n,) * arity)
+        report.add(name, wit is None, law, wit)
     if raise_on_failure and not report.passed:
         raise ConsequenceViolatedError(
             f"transport identities failed on a validated form: "

@@ -194,8 +194,7 @@ def coadjoint_rep(alg: LieYamagutiAlgebra, check=True) -> Representation:
     return dual_rep(adjoint_rep(alg, check=check))
 
 
-def semidirect(alg: LieYamagutiAlgebra, rep: Representation,
-               validate_rep=True) -> LieYamagutiAlgebra:
+def semidirect(alg: LieYamagutiAlgebra, rep: Representation) -> LieYamagutiAlgebra:
     """Semidirect product Lie-Yamaguti algebra on g (+) V.
 
     [x+u, y+v]      = [x,y] + rho(x)v - rho(y)u
@@ -205,13 +204,12 @@ def semidirect(alg: LieYamagutiAlgebra, rep: Representation,
     """
     if rep.algebra_dim != alg.dim:
         raise DimMismatchError("representation does not match the algebra dimension")
-    if validate_rep:
-        rr = check_representation(alg, rep)
-        if not rr.passed:
-            raise InvalidRepresentationError(
-                f"semidirect product needs a valid representation; failing: "
-                f"{[c.name for c in rr.checks if not c.ok]}"
-            )
+    rr = check_representation(alg, rep)
+    if not rr.passed:
+        raise InvalidRepresentationError(
+            f"semidirect product needs a valid representation; failing: "
+            f"{[c.name for c in rr.checks if not c.ok]}"
+        )
     return _semidirect(alg, rep, _derived(alg, rep))
 
 

@@ -23,11 +23,11 @@ that returns its first violating tuple with the exact residual, or None
 report.first_violation); the bool predicates, the reports, the validated
 wrappers and the CLI all call it.
 
-The Rota-Baxter identities are written once, in _rb_residual, for T given
-as an array that may carry leading batch axes (the ``...`` of each
-einsum).  One operator is the case of no batch axis; the grid search
-evaluates a stack of candidate operators with the same contractions and
-asks report.vanishing which of them pass.
+The Rota-Baxter identities are the homomorphism law of algebra, for T
+from the brackets it induces on V to g (_rb_residual), with T an array
+that may carry leading batch axes (the ``...`` of each einsum).  One
+operator is the case of no batch axis; the grid search evaluates a stack
+of candidates with the same contractions and asks report.vanishing which pass.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ import numpy as np
 
 from .algebra import (
     LieYamagutiAlgebra,
+    _homomorphism_residual,
+    _preservation_witness,
     deformed_brackets,
     homomorphism_witness,
     is_homomorphism,
@@ -104,41 +106,25 @@ RB_LAWS = {
 def _rb_residual(pair: LieYRepPair, tarr, arity):
     """The Rota-Baxter identity of one arity, over a block s of first basis indices u of V:
 
-    [Tu,Tv] - T([u,v]^T)               arity 2, over (..., u in s, v, k)
-    <<Tu,Tv,Tw>> - T(<<u,v,w>>^T)      arity 3, over (..., u in s, v, w, l)
+    T([u,v]^T) - [Tu,Tv]               arity 2, over (..., u in s, v, k)
+    T(<<u,v,w>>^T) - <<Tu,Tv,Tw>>      arity 3, over (..., u in s, v, w, l)
 
-    for tarr the array of T, or a stack of them with leading batch axes.
-    A block takes the operators `sel` of a stack (report.vanishing).
+    the homomorphism law (algebra._homomorphism_residual) of T from the
+    induced bracket to g, for tarr the array of T or a stack of them.
     """
-    alg, t = pair.algebra, tarr
-    if arity == 2:
-        image = _induced_brackets(pair.rep, pair.d, t, 2) @ t.mT[..., None, :, :]       # T([u,v]^T)
-
-        def binary(s, sel=Ellipsis):
-            q = t[sel]
-            return alg.bracket_images(q[..., :, s], q) - image[sel][..., s, :, :]
-        return binary
-    image = _induced_brackets(pair.rep, pair.d, t, 3) @ t.mT[..., None, None, :, :]     # T(<<u,v,w>>^T)
-
-    def ternary(s, sel=Ellipsis):
-        q = t[sel]
-        return alg.triple_images(q[..., :, s], q, q) - image[sel][..., s, :, :, :]
-    return ternary
+    return _homomorphism_residual(tarr, _induced_brackets(pair.rep, pair.d, tarr, arity), pair.algebra, arity)
 
 
 def _rb_residuals(pair: LieYRepPair, tmap: Matrix, arities=(2, 3)):
     """First violating tuple of the Rota-Baxter identities of the given arities, or None.
 
     The identities are tried in order and each stops at its first
-    violation; the witness is {"identity", "tuple", "residual"}.
+    violation; the witness is {"identity", "tuple", "residual"}, the
+    residual [Tu,Tv] - T([u,v]^T) (resp. <<Tu,Tv,Tw>> - T(<<u,v,w>>^T)).
     """
     _check_tmap(pair, tmap)
-    for arity in arities:
-        wit = first_violation(_rb_residual(pair, tmap.arr, arity), (pair.dim_v,) * arity,
-                              identity=RB_LAWS[arity][0])
-        if wit is not None:
-            return wit
-    return None
+    return _preservation_witness(lambda arity: _rb_residual(pair, tmap.arr, arity), pair.dim_v, arities,
+                                 negate=True)
 
 
 def relative_rb_report(pair: LieYRepPair, tmap: Matrix) -> VerificationReport:

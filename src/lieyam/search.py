@@ -9,8 +9,8 @@ through the `search` CLI subcommand, not a general solver.
 The nonlinear laws (Rota-Baxter, Nijenhuis) are tested on every grid
 point, one block of candidates at a time (`_scan`): a block is stacked
 into one exact array with a leading batch axis, the law's
-contractions (written once, in rotabaxter._rb_residual and
-algebra._nijenhuis_residual) run on the whole stack, and
+contractions (algebra._homomorphism_residual, through
+rotabaxter._rb_residual and algebra._nijenhuis_residual) run on the whole stack, and
 report.vanishing says which candidates pass.  The binary identity is
 evaluated on the whole block and the ternary one on its survivors only.
 Blocks follow `_matrices` order and grow from one candidate, doubling up

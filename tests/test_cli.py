@@ -128,19 +128,20 @@ def test_one_parser_per_process(capsys):
 def test_reused_parser_output_equals_a_fresh_process(capsys):
     """An option of one call does not carry over to the next: each output of a
     sequence of calls in one process equals that of a fresh process, and
-    --degree-cap 2 refuses degree 2 in one call only."""
+    --seed 5 is echoed, and --seed 1.5 refused, in one call only."""
     base = ["cohomology", "--pair", fx("A2-adjoint.json"), "--degree", "2"]
-    argvs = {cap: ["--format", "json", *(["--degree-cap", cap] if cap else []), *base]
-             for cap in ("5", None, "2")}
+    argvs = {seed: ["--format", "json", *(["--seed", seed] if seed else []), *base]
+             for seed in ("5", None, "1.5")}
     fresh = {}
-    for cap, argv in argvs.items():
+    for seed, argv in argvs.items():
         proc = subprocess.run([sys.executable, "-m", "lieyam.cli", *argv],
                               capture_output=True, text=True, cwd=os.path.dirname(FIXTURES))
-        fresh[cap] = (proc.returncode, _without_runtime(proc.stdout), proc.stderr)
-    assert fresh["5"][0] == fresh[None][0] == 0 and fresh["2"][0] == 2
-    for cap in ("5", None, "2", None):
-        code, out = run_cli(*argvs[cap], capsys=capsys)
-        assert (code, _without_runtime(out.out), out.err) == fresh[cap]
+        fresh[seed] = (proc.returncode, _without_runtime(proc.stdout), proc.stderr)
+    assert fresh["5"][0] == fresh[None][0] == 0 and fresh["1.5"][0] == 2
+    assert (fresh["5"][1]["seed"], fresh[None][1]["seed"]) == (5, 0)
+    for seed in ("5", None, "1.5", None):
+        code, out = run_cli(*argvs[seed], capsys=capsys)
+        assert (code, _without_runtime(out.out), out.err) == fresh[seed]
 
 
 def test_usage_error_between_calls_changes_nothing(capsys):
@@ -263,14 +264,17 @@ def test_verify_commands(capsys):
 
 
 def test_deform_command(tmp_path, capsys):
+    """The --out certificate is the printed report, its seed and runtime included."""
     out_path = tmp_path / "deformation.json"
-    code, out = run_cli("deform", "--pair", fx("A2-adjoint.json"), "--from-nijenhuis",
-                        "--N", fx("N-lam2.json"), "--S", fx("S-lam2.json"),
+    code, out = run_cli("--format", "json", "--seed", "4", "deform", "--pair", fx("A2-adjoint.json"),
+                        "--from-nijenhuis", "--N", fx("N-lam2.json"), "--S", fx("S-lam2.json"),
                         "--out", str(out_path), capsys=capsys)
     assert code == 0
-    assert "triviality-witness" in out.out and "cocycle-closed" in out.out
-    payload = json.loads(out_path.read_text())
-    assert payload["certificate"]["passed"] is True
+    printed = json.loads(out.out)
+    assert {"triviality-witness", "cocycle-closed"} <= {c["name"] for c in printed["checks"]}
+    assert printed.pop("written") == str(out_path)
+    certificate = json.loads(out_path.read_text())["certificate"]
+    assert certificate == printed and certificate["seed"] == 4 and certificate["passed"] is True
 
 
 def test_quadratic_commands(tmp_path, capsys):
@@ -538,8 +542,7 @@ def test_cli_contract_fuzz_values(capsys, values):
 
 @pytest.mark.parametrize("argv, needle", [
     (["cohomology", "--pair", fx("A2-adjoint.json"), "--degree", "x"], "'--degree' must be an integer"),
-    (["--degree-cap", "x", "cohomology", "--pair", fx("A2-adjoint.json"), "--degree", "1"],
-     "'--degree-cap' must be an integer"),
+    (["search", "rbo", "--pair", fx("A2-adjoint.json"), "--limit", "x"], "'--limit' must be an integer"),
     (["--seed", "x", "search", "quadratic"], "'--seed' must be an integer"),
     (["--seed", "1.5", "check", "algebra", fx("A2.json")], "'--seed' must be an integer"),
     (["cohomology", "--pair", fx("A2-adjoint.json")], "required: --degree"),
@@ -711,7 +714,7 @@ def _pair_file(tmp_path, name, alg, special="adjoint"):
 
 
 def test_cohomology_sizes_bounded_exit2(capsys, tmp_path):
-    """--degree, --degree-cap and the coboundary size are bounded before anything is built."""
+    """--degree and the coboundary size are bounded before anything is built."""
     import time
 
     from lieyam import adjoint_rep, semidirect
@@ -724,19 +727,16 @@ def test_cohomology_sizes_bounded_exit2(capsys, tmp_path):
     dim16 = tmp_path / "dim16.json"
     dim16.write_text(json.dumps({"algebra": {"dim": MAX_DIM}, "special": "adjoint"}))
     cases = [
-        (sl2_pair, "12", "pair", []),
-        (sl2_pair, "0", "pair", []),
-        (sl2_pair, str(MAX_DEGREE + 1), "pair", []),
-        (sl2_pair, str(10**9), "classical", []),
-        (sl2_pair, "1", "pair", ["--degree-cap", "0"]),
-        (sl2_pair, "1", "pair", ["--degree-cap", str(10**9)]),
-        (sd6_pair, "2", "pair", []),
-        *((str(dim16), str(d), cx, []) for d in range(1, 10) for cx in ("pair", "classical")),
+        (sl2_pair, "12", "pair"),
+        (sl2_pair, "0", "pair"),
+        (sl2_pair, str(MAX_DEGREE + 1), "pair"),
+        (sl2_pair, str(10**9), "classical"),
+        (sd6_pair, "2", "pair"),
+        *((str(dim16), str(d), cx) for d in range(1, 10) for cx in ("pair", "classical")),
     ]
-    for path, degree, cx, extra in cases:
+    for path, degree, cx in cases:
         t0 = time.perf_counter()
-        code, out = run_cli(*extra, "cohomology", "--pair", path, "--degree", degree, "--complex", cx,
-                            capsys=capsys)
+        code, out = run_cli("cohomology", "--pair", path, "--degree", degree, "--complex", cx, capsys=capsys)
         assert time.perf_counter() - t0 < 1.0, (path, degree, cx)
         assert code == 2, (path, degree, cx, out.out)
         assert out.out == "" and "Traceback" not in out.err

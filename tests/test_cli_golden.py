@@ -9,7 +9,8 @@ exit 2, in both --format json and --format text.  Each record holds
   "(... ms)" dropped from the text `result:` line (the only parts that
   vary between runs);
 * stderr;
-* the text of every --out file the command wrote.
+* the text of every --out file the command wrote, with the `runtime_ms`
+  line of a certificate dropped.
 
 Paths are shown relative to the placeholders {fx} (the fixtures
 directory) and {tmp} (where the inputs are written).  The
@@ -38,6 +39,7 @@ GOLDEN = Path(__file__).with_name("cli.golden.json")
 FIXTURES = os.path.realpath(os.path.join(os.path.dirname(__file__), "..", "fixtures"))
 FORMATS = ("json", "text")
 _RESULT_LINE = re.compile(r"^(result: (?:PASS|FAIL)) \(\d+\.\d ms\)$", re.MULTILINE)
+_RUNTIME_LINE = re.compile(r'^ *"runtime_ms": .*\n', re.MULTILINE)
 
 
 def _inputs(tmp):
@@ -97,9 +99,6 @@ def _cases():
         ("check unknown kind", ["check", "nothing", "{fx}/A2.json"]),
         ("cohomology pair", ["--seed", "2", "cohomology", "--pair", pair, "--degree", "2"]),
         ("cohomology classical", ["cohomology", "--pair", pair, "--degree", "1", "--complex", "classical"]),
-        ("cohomology degree cap", ["--degree-cap", "5", "cohomology", "--pair", pair, "--degree", "2"]),
-        ("cohomology degree over cap", ["--degree-cap", "2", "cohomology", "--pair", pair, "--degree", "2"]),
-        ("cohomology bad cap", ["--degree-cap", "x", "cohomology", "--pair", pair, "--degree", "1"]),
         ("cohomology degree 0", ["cohomology", "--pair", pair, "--degree", "0"]),
         ("cohomology too large", ["cohomology", "--pair", "{tmp}/dim16.json", "--degree", "3"]),
         ("cohomology invalid pair", ["cohomology", "--pair", "{tmp}/bad-pair.json", "--degree", "1"]),
@@ -168,6 +167,8 @@ def _cases():
         ("search rbn", ["search", "rbn", "--pair", pair, "--values=0,1,0", "--limit", "4",
                         "--out", "{tmp}/found-rbn.json"]),
         ("search quadratic", ["search", "quadratic", "--values=0,1", "--out", "{tmp}/found-quadratic.json"]),
+        ("search quadratic limit", ["search", "quadratic", "--values=-1,0,1", "--limit", "1",
+                                    "--out", "{tmp}/found-quadratic.json"]),
         ("search bad values", ["search", "rbo", "--pair", pair, "--values=a"]),
         ("search quadratic bad values", ["search", "quadratic", "--values=0,,1"]),
         ("search bad limit", ["search", "rbo", "--pair", pair, "--values=0,1", "--limit", "0"]),
@@ -217,7 +218,7 @@ def run_cases(tmp, capsys):
             files = {}
             for fname in written:
                 path = os.path.join(tmp, fname)
-                files[fname] = local(Path(path).read_text(encoding="utf-8"))
+                files[fname] = local(_RUNTIME_LINE.sub("", Path(path).read_text(encoding="utf-8")))
                 os.remove(path)
             records.append({"case": name, "argv": argv, "format": fmt, "code": code,
                             "stdout": local(_stdout(out)), "stderr": local(err), "out": files})
@@ -237,7 +238,7 @@ def test_golden_covers_every_command():
     codes = {}
     for r in records:
         words = list(r["argv"])
-        while words and words[0] in ("--seed", "--degree-cap"):
+        while words and words[0] == "--seed":
             del words[:2]
         subcommand = words[:1] in (["check"], ["quadratic"], ["search"])
         command = " ".join(words[:2] if subcommand else words[:1])
@@ -250,7 +251,7 @@ def test_golden_covers_every_command():
         assert codes.pop(command) == {0, 1, 2}, command
     for command in ("cohomology", "quadratic convert", "search rbo", "search rbn", "search quadratic"):
         assert codes.pop(command) == {0, 2}, command
-    assert sum(bool(r["out"]) for r in records) == 2 * 6
+    assert sum(bool(r["out"]) for r in records) == 2 * 7
     assert all("Traceback" not in r["stderr"] for r in records)
 
 

@@ -63,9 +63,9 @@ def test_catalog_forms_validate():
         alg = catalog_algebra(name)
         assert is_invariant_form(alg, b), name
         qf = QuadraticForm(alg, b)
-        assert invariance_transport(qf).passed
-        for which in ("ad", "right", "left"):
-            assert invariance_transport(qf, which=which).passed
+        report = invariance_transport(qf)
+        assert [c.name for c in report.checks] == ["transport-ad", "transport-right", "transport-left"]
+        assert report.passed
 
 
 def test_transport_fails_on_perturbed_form():

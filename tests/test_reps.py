@@ -20,7 +20,7 @@ from lieyam import (
 )
 from lieyam.errors import DimMismatchError, InternalConsistencyError, InvalidRepresentationError
 from lieyam.linalg import exact
-from lieyam.reps import REP_LAWS
+from lieyam.reps import REP_LAWS, _derived, _semidirect
 
 
 def _with(arr, idx, delta):
@@ -158,7 +158,7 @@ def test_semidirect_iff_fuzz(a2, rng):
                for m in row] for row in adj.mu_arr]
         cand = Representation(2, 2, rho, mu)
         valid = check_representation(a2, cand).passed
-        sd = semidirect(a2, cand, validate_rep=False)
+        sd = _semidirect(a2, cand, _derived(a2, cand))
         sd_valid = sd.check_axioms().passed
         assert valid == sd_valid
         checked_invalid += not valid
