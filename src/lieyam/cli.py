@@ -359,7 +359,7 @@ def _search(args):
         found = [{"name": f["name"], "algebra": algebra_to_dict(f["algebra"]),
                   "B": operator_to_dict(f["form"]), "R": operator_to_dict(f["R"]),
                   "N": operator_to_dict(f["N"])}
-                 for f in search_quadratic_fixtures(values=values)[:limit]]
+                 for f in search_quadratic_fixtures(values=values, limit=limit)]
     else:
         if args.pair is None:
             raise ParseError(f"search {args.what} needs --pair")

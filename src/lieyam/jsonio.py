@@ -202,7 +202,7 @@ def load_operator(path) -> Matrix:
     else:
         if len(entries) != rows * cols:
             raise ParseError(f"{path}: need {rows * cols} entries, got {len(entries)}")
-        mat = Matrix([[parse_scalar(entries[i * cols + j]) for j in range(cols)] for i in range(rows)])
+        mat = Matrix([[parse_scalar(entries[i * cols + j]) for j in range(cols)] for i in range(rows)], cols)
     if mat.rows != rows or mat.cols != cols:
         raise ParseError(f"{path}: entry grid does not match rows/cols")
     return mat

@@ -6,10 +6,12 @@ magnitude carried through every operation stays below INT64_LIMIT,
 Python ints in an object array beyond it.  An array over Q[t] (genuine
 polynomials in t among its entries) is the same type with one more,
 leading, axis of numerators: those of the coefficients of t^0, t^1, ...
-over the one denominator.  The type is closed: values enter only through
-`exact` (entry by entry, `exact_array`), which refuses anything but ints,
-Fractions and Polys, and leave only as ints (integral values), Fractions
-or Polys.  A Matrix is a 2-d exact array with a checked shape; matrices
+over the one denominator; a product of two such arrays is one einsum over
+the outer product of their coefficient axes, whose anti-diagonals it sums.
+The type is closed: values enter only through `exact` (entry by entry,
+`exact_array`), which refuses anything but ints, Fractions and Polys, and
+leave only as ints (integral values), Fractions or Polys; numpy's ufuncs
+refuse it.  A Matrix is a 2-d exact array with a checked shape; matrices
 act on coordinate columns: column k of a map's matrix is the image of
 the k-th basis vector.
 
@@ -65,30 +67,34 @@ class ExactArray:
     overflow, and Python ints in an object array otherwise.  The
     arithmetic does not reduce the denominator (`reduced` does, once, where
     structure constants are stored); the entries leave the array (tolist,
-    iteration, scalar indexing, np.asarray) as ints, Fractions and Polys.
+    iteration, scalar indexing, np.asarray) as ints, Fractions and Polys,
+    converted anew on every call.
 
     An array over Q[t] has `poly`, a bool array of its shape, and one more
     leading axis of `num`: num[k] holds the numerators of the coefficients
-    of t^k.  A contraction pairs the coefficient axes and sums the
-    anti-diagonals (the product of two polynomials), so its bound also
-    grows by the number of coefficient pairs one coefficient sums; a sum
-    pads the shorter coefficient axis with zeros.  `poly` marks the
-    entries that leave the array as Poly: at the input boundary (exact,
-    exact_array) the genuine polynomials, and in arithmetic every entry
-    whose terms met a Poly, as entries of Python's Poly arithmetic would
-    (0 * t is Poly([]), not 0).  Over the rationals `poly` is None.
+    of t^k.  A contraction of two such arrays takes the outer product of
+    their coefficient axes and sums its anti-diagonals (the product of two
+    polynomials), so its bound also grows by the number of coefficient
+    pairs one coefficient sums; a sum pads the shorter coefficient axis
+    with zeros.  `poly` marks the entries that leave the array as Poly: at
+    the input boundary (exact, exact_array) the genuine polynomials, and in
+    arithmetic every entry whose terms met a Poly, as entries of Python's
+    Poly arithmetic would (0 * t is Poly([]), not 0).  Over the rationals
+    `poly` is None.
 
     The law code reads these arrays as it would numpy arrays: np.einsum
     (with explicit output subscripts), np.stack, np.concatenate, +, -, *,
     @, ==, !=, indexing, .T, .mT, transpose and reshape run on the
-    numerators; any other numpy function, or an operand that is neither
-    an ExactArray nor an exact scalar (an object array, say), is a TypeError.
+    numerators; any other numpy function, a direct ufunc call (np.add(a,
+    b)), or an operand that is neither an ExactArray nor an exact scalar
+    (an object array, say), is a TypeError.  An operator whose left operand
+    is an ndarray or a numpy scalar comes to the reflected method here.
     """
 
-    __slots__ = ("num", "den", "bound", "poly", "_obj")
+    __slots__ = ("num", "den", "bound", "poly")
 
     def __init__(self, num, den, bound, poly=None):
-        self.num, self.den, self.bound, self.poly, self._obj = num, den, bound, poly, None
+        self.num, self.den, self.bound, self.poly = num, den, bound, poly
 
     # -- shape and views -----------------------------------------------------
 
@@ -146,21 +152,17 @@ class ExactArray:
     # -- leaving the array ---------------------------------------------------
 
     def __array__(self, dtype=None, copy=None):
-        """The entries as a read-only object array of ints, Fractions and Polys."""
-        if self._obj is None:
-            if self.poly is not None:
-                obj = np.empty(self.poly.size, dtype=object)
-                obj[:] = [_entry(c, self.den, p) for c, p in
-                          zip(self.num.reshape(len(self.num), -1).T.tolist(), self.poly.ravel().tolist())]
-                obj = obj.reshape(self.poly.shape)
-            else:
-                obj = self.num.astype(object)
-                if self.den != 1:
-                    obj = np.asarray(_over(obj, self.den), dtype=object)
-            obj.flags.writeable = False
-            self._obj = obj
-        out = self._obj if dtype is None else self._obj.astype(dtype)
-        return out.copy() if copy and out is self._obj else out
+        """The entries as a new object array of ints, Fractions and Polys."""
+        if self.poly is not None:
+            obj = np.empty(self.poly.size, dtype=object)
+            obj[:] = [_entry(c, self.den, p) for c, p in
+                      zip(self.num.reshape(len(self.num), -1).T.tolist(), self.poly.ravel().tolist())]
+            obj = obj.reshape(self.poly.shape)
+        else:
+            obj = self.num.astype(object)
+            if self.den != 1:
+                obj = np.asarray(_over(obj, self.den), dtype=object)
+        return obj if dtype is None else obj.astype(dtype)
 
     def tolist(self):
         return self.num.tolist() if self.den == 1 and self.poly is None else np.asarray(self).tolist()
@@ -208,10 +210,9 @@ class ExactArray:
         return diff.num != 0 if diff.poly is None else (diff.num != 0).any(axis=0)
 
     __hash__ = None
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        op = _UFUNCS.get(ufunc) if method == "__call__" and not kwargs else None
-        return NotImplemented if op is None else op(*inputs)
+    # numpy hands an operator whose left operand is an ndarray or a numpy
+    # scalar to the reflected method, and refuses a direct ufunc call
+    __array_ufunc__ = None
 
     def __array_function__(self, func, types, args, kwargs):
         if func is np.einsum and not kwargs:
@@ -271,12 +272,13 @@ def _contract_poly(func, operands, terms, head):
     """_contract with an operand over Q[t] or a scalar among the operands
     (NotImplemented for another operand, a 1-d matmul or three over Q[t]).
 
-    The contraction runs as one einsum with a coefficient axis Z on the
-    result.  With one operand over Q[t], Z is its coefficient axis.  With
-    two, the smaller one is laid out as the Toeplitz array (Z, Y) of its
-    coefficients, entry [k, q] the coefficient of t^(k-q), and contracted
-    with the coefficient axis Y of the other: num[k] sums the products of
-    the coefficients of t^p and t^q over p + q = k.
+    The contraction runs as one einsum that keeps the coefficient axis of
+    every operand over Q[t] on its result.  With one such operand, that
+    axis is the result's coefficient axis.  With two, the einsum gives the
+    outer product of their coefficients, plane [p, q] from the
+    coefficients of t^p and t^q, and the coefficient of t^k sums the
+    anti-diagonal p + q = k: the product of two polynomials is the
+    convolution of their coefficient sequences.
     """
     ops = _operands(operands)
     polys = [] if ops is None else [k for k, x in enumerate(ops) if x.poly is not None]
@@ -284,8 +286,6 @@ def _contract_poly(func, operands, terms, head):
         return NotImplemented
     if not polys:
         return _contract(func, ops, terms, *head)
-    if len(polys) == 2 and ops[polys[0]].size > ops[polys[1]].size:
-        polys.reverse()
     subscripts = head[0] if head else _SUBSCRIPTS[func]
     key = (subscripts, *polys)
     coefficient_subscripts = _POLY_SUBSCRIPTS.get(key)
@@ -297,15 +297,18 @@ def _contract_poly(func, operands, terms, head):
         bound *= x.bound
         den *= x.den
     if len(polys) == 2:
-        e, o = polys
-        bound *= min(len(nums[e]), len(nums[o]))
-        nums[e] = _toeplitz(nums[e], len(nums[o]))
+        bound *= min(len(nums[k]) for k in polys)
     if bound < INT64_LIMIT:
         NUMERATOR_OPS["int64"] += 1
     else:
         NUMERATOR_OPS["object"] += 1
         nums = [x.astype(object) for x in nums]
     num = _c_einsum(coefficient_subscripts, *nums)
+    if len(polys) == 2:
+        outer, (k1, k2) = num, num.shape[:2]
+        num = np.zeros((k1 + k2 - 1, *outer.shape[2:]), dtype=outer.dtype)
+        for p in range(k1):
+            num[p:p + k2] += outer[p]
     # an entry leaves as Poly when one of its terms has a factor that does:
     # with u = 1 + poly per operand, its sum of products of u exceeds `terms`
     mask = _c_einsum(subscripts, *[np.ones(x.shape, dtype=np.int64) if x.poly is None else x.poly + 1
@@ -318,33 +321,14 @@ _POLY_SUBSCRIPTS = {}
 
 
 def _poly_subscripts(subscripts, polys):
-    """subscripts with a coefficient axis Z on the result and on the one
-    operand over Q[t] in polys, or with the Toeplitz axes Z, Y on the first
-    of two and Y on the second."""
+    """subscripts with one fresh coefficient axis on each operand over Q[t]
+    in polys, and those axes, in the same order, leading on the result."""
     ins, out = subscripts.replace(" ", "").split("->")
     ins = ins.split(",")
-    z, y = [c for c in "ZYXWV" if c not in subscripts][:2]
-    if len(polys) == 1:
-        ins[polys[0]] = z + ins[polys[0]]
-    else:
-        e, o = polys
-        ins[e], ins[o] = z + y + ins[e], y + ins[o]
-    return ",".join(ins) + "->" + z + out
-
-
-# (coefficients, coefficients of the other factor) -> the gather index of the Toeplitz layout
-_TOEPLITZ = {}
-
-
-def _toeplitz(num, other):
-    """The (len(num) + other - 1, other, ...) array whose [k, q] is num[k - q],
-    zero where k - q is not a coefficient of num."""
-    k = len(num)
-    idx = _TOEPLITZ.get((k, other))
-    if idx is None:
-        kq = np.subtract.outer(np.arange(k + other - 1), np.arange(other))
-        idx = _TOEPLITZ[k, other] = np.where((kq >= 0) & (kq < k), kq, k)
-    return np.concatenate([num, np.zeros((1, *num.shape[1:]), dtype=num.dtype)])[idx]
+    axes = [c for c in "ZYXWV" if c not in subscripts][:len(polys)]
+    for k, z in zip(polys, axes):
+        ins[k] = z + ins[k]
+    return ",".join(ins) + "->" + "".join(axes) + out
 
 
 def _sum(a, b, sign):
@@ -430,14 +414,6 @@ def _stack(func, arrays):
     masks = [np.zeros(x.shape, dtype=bool) if x.poly is None else x.poly for x in arrays]
     return _result(func(planes, axis=1), den, bound, func(masks))
 
-
-_UFUNCS = {
-    np.add: lambda a, b: _sum(a, b, 1),
-    np.subtract: lambda a, b: _sum(a, b, -1),
-    np.negative: lambda a: -a,
-    np.multiply: lambda a, b: _contract(np.multiply, (a, b), 1),
-    np.matmul: lambda a, b: ExactArray.__matmul__(a, b) if type(a) is ExactArray else NotImplemented,
-}
 
 # np.einsum hands its operands to c_einsum when it is not asked to optimize;
 # calling that directly saves the dispatch on every one of the law's einsums
@@ -644,9 +620,6 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         return self.arr.shape == other.arr.shape and not (self.arr - other.arr != 0).any()
-
-    def __hash__(self):
-        return hash((self.arr.shape, self.data))
 
     def __add__(self, other):
         self._same_shape(other)

@@ -149,10 +149,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    @property
-    def has_error(self) -> bool:
-        return any(c.status == "error" for c in self.checks)
-
     def check(self, name: str):
         for c in self.checks:
             if c.name == name:

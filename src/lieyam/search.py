@@ -245,7 +245,7 @@ def search_rbn_triples(pair: LieYRepPair, values=(-2, -1, 0, 1, 2), limit=None):
 
 
 def search_quadratic_fixtures(names=("abelian2", "abelian3", "so3lts", "sl2lts"),
-                              values=(-1, 0, 1)):
+                              values=(-1, 0, 1), limit=None):
     """Quadratic algebras with skew Rota-Baxter operators and compatible N.
 
     For each catalog algebra with a validated invariant form, take the
@@ -253,7 +253,8 @@ def search_quadratic_fixtures(names=("abelian2", "abelian3", "so3lts", "sl2lts")
     are Rota-Baxter operators, and pair each with the first nonzero grid
     solution N of B# N^T = N B# and N R = R N that passes the full
     Rota-Baxter-Nijenhuis conditions.  Returns a list of dicts (name,
-    algebra, form, R, N), at most two per algebra.
+    algebra, form, R, N), at most two per algebra, and stops after `limit`
+    of them.
     """
     fixtures = []
     for name in names:
@@ -287,6 +288,8 @@ def search_quadratic_fixtures(names=("abelian2", "abelian3", "so3lts", "sl2lts")
             if match is None:
                 continue
             fixtures.append({"name": name, "algebra": alg, "form": b, "R": rmap, "N": match})
+            if limit is not None and len(fixtures) >= limit:
+                return fixtures
             n_found += 1
             if n_found == 2:
                 break

@@ -97,6 +97,28 @@ def test_bad_operator_size_exit2(capsys, tmp_path):
     assert len(out.err.strip().splitlines()) == 1 and f"'rows' must be <= {MAX_DIM}" in out.err
 
 
+@pytest.mark.parametrize("rows, cols", [(0, 2), (2, 0), (0, 0)])
+def test_empty_operator_round_trip(tmp_path, rows, cols):
+    op = tmp_path / "T.json"
+    op.write_text(json.dumps(operator_to_dict(Matrix.zero(rows, cols))))
+    mat = load_operator(str(op))
+    assert (mat.rows, mat.cols) == (rows, cols)
+
+
+def test_search_then_verify_an_empty_operator(tmp_path, capsys):
+    """search rbo on a dim-0 algebra with a 2-dim zero module writes T as
+    0 x 2, and verify-rbo reads that file back."""
+    pair, found = tmp_path / "pair.json", tmp_path / "found.json"
+    pair.write_text(json.dumps({"algebra": {"dim": 0, "binary": [], "ternary": []},
+                                "special": "zero", "module_dim": 2}))
+    code, _ = run_cli("search", "rbo", "--pair", str(pair), "--out", str(found), capsys=capsys)
+    assert code == 0
+    op = tmp_path / "T.json"
+    op.write_text(json.dumps(json.loads(found.read_text())["found"][0]))
+    code, out = run_cli("verify-rbo", "--pair", str(pair), "--T", str(op), capsys=capsys)
+    assert code == 0, out.err
+
+
 def test_usage_error_exit2():
     proc = subprocess.run(
         [sys.executable, "-m", "lieyam.cli", "no-such-command"],

@@ -402,10 +402,38 @@ def test_no_numpy_detour_around_the_numerators():
              lambda: a != [1, 2], lambda: a == None, lambda: a + 0.5,  # noqa: E711
              lambda: exact([[T]]) @ exact([1]), lambda: exact(5) @ exact([[1]]),
              lambda: exact([[1]]) @ exact(5),
-             lambda: np.einsum("i,i,i->", *[exact_array([T], (1,))] * 3)]
+             lambda: np.einsum("i,i,i->", *[exact_array([T], (1,))] * 3),
+             lambda: np.add(a, a), lambda: np.subtract(a, a), lambda: np.multiply(a, a),
+             lambda: np.negative(a), lambda: np.matmul(m, m)]
     for call in calls:
         with pytest.raises(TypeError):
             call()
     assert (a == exact([1, 3])).tolist() == [True, False]
     assert (a != Fraction(2)).tolist() == [True, False]
     assert (exact_array([T, 1], (2,)) == T).tolist() == [True, False]
+    # a numpy scalar on the left hands the operator to the ExactArray
+    p = exact_array([T, 1], (2,))
+    for got, want in [(np.int64(2) * a, 2 * a), (a * np.int64(2), a * 2), (np.int64(1) - a, 1 - a),
+                      (np.int64(3) + p, 3 + p)]:
+        assert type(got) is ExactArray
+        _check_entries(got, np.asarray(want))
+
+
+@pytest.mark.parametrize("scale", [1, 2**61])
+def test_products_of_unequal_coefficient_counts(scale):
+    """Products of two operands over Q[t] with 2 and 3, 3 and 2, or 3 and 1
+    coefficients give the entries of Poly arithmetic, on int64 numerators
+    and, scaled by 2^61, on Python ints."""
+    a = exact_array([Poly([1, -2, Fraction(3, 4)]) * scale, T, 5, Poly([0, 0, 1])], (2, 2))
+    b = exact_array([(T + 1) * scale, 2, Fraction(1, 3), Poly([-1, 1])], (2, 2))
+    constant = exact_array([1, Fraction(1, 2), -3, 4], (2, 2)) * Poly([Fraction(2, 3)])
+    p = Poly([Fraction(1, 2), 3])
+    assert (len(a.num), len(b.num), len(constant.num), constant.poly.all()) == (3, 2, 1, True)
+    oa, ob, oc = np.asarray(a), np.asarray(b), np.asarray(constant)
+    before = _ops()
+    _check_entries(p * a, oa * p)
+    _check_entries(b @ a, ob @ oa)
+    _check_entries(a @ b, oa @ ob)
+    _check_entries(np.einsum("ij,jk->ik", a, constant), np.einsum("ij,jk->ik", oa, oc))
+    _check_entries(np.einsum("ij,ji->i", constant, b), np.einsum("ij,ji->i", oc, ob))
+    assert (_ran(before)["object"] > 0) == (scale > 1)

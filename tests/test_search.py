@@ -127,6 +127,21 @@ def test_searches_recheck_every_solution(monkeypatch):
         search_quadratic_fixtures(names=("abelian2",))
 
 
+def test_quadratic_search_stops_at_its_limit(monkeypatch):
+    """limit=1 returns the first fixture of the full search and stops there,
+    with fewer full Rota-Baxter-Nijenhuis checks."""
+    calls = []
+    check = search.is_rb_nijenhuis
+    monkeypatch.setattr(search, "is_rb_nijenhuis", lambda *args: calls.append(1) or check(*args))
+    everything = search_quadratic_fixtures()
+    unlimited = len(calls)
+    calls.clear()
+    first = search_quadratic_fixtures(limit=1)
+    assert len(first) == 1 and first[0]["name"] == everything[0]["name"]
+    assert (first[0]["R"], first[0]["N"]) == (everything[0]["R"], everything[0]["N"])
+    assert len(calls) < unlimited
+
+
 # ---------------------------------------------------------------------------
 # the block scans of the nonlinear laws, against the per-candidate predicates
 
