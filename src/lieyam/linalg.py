@@ -10,7 +10,8 @@ over the one denominator; a product of two such arrays is one einsum over
 the outer product of their coefficient axes, whose anti-diagonals it sums.
 The type is closed: values enter only through `exact` (entry by entry,
 `exact_array`), which refuses anything but ints, Fractions and Polys, and
-leave only as ints (integral values), Fractions or Polys; numpy's ufuncs
+leave only by value: as Polys where a coefficient of t^1, t^2, ... is
+nonzero, else as ints (integral values) or Fractions; numpy's ufuncs
 refuse it.  A Matrix is a 2-d exact array with a checked shape; matrices
 act on coordinate columns: column k of a map's matrix is the image of
 the k-th basis vector.
@@ -70,17 +71,14 @@ class ExactArray:
     iteration, scalar indexing, np.asarray) as ints, Fractions and Polys,
     converted anew on every call.
 
-    An array over Q[t] has `poly`, a bool array of its shape, and one more
-    leading axis of `num`: num[k] holds the numerators of the coefficients
-    of t^k.  A contraction of two such arrays takes the outer product of
-    their coefficient axes and sums its anti-diagonals (the product of two
-    polynomials), so its bound also grows by the number of coefficient
-    pairs one coefficient sums; a sum pads the shorter coefficient axis
-    with zeros.  `poly` marks the entries that leave the array as Poly: at
-    the input boundary (exact, exact_array) the genuine polynomials, and in
-    arithmetic every entry whose terms met a Poly, as entries of Python's
-    Poly arithmetic would (0 * t is Poly([]), not 0).  Over the rationals
-    `poly` is None.
+    An array over Q[t] has `poly` set and one more leading axis of `num`:
+    num[k] holds the numerators of the coefficients of t^k.  A contraction
+    of two such arrays takes the outer product of their coefficient axes
+    and sums its anti-diagonals (the product of two polynomials), so its
+    bound also grows by the number of coefficient pairs one coefficient
+    sums; a sum pads the shorter coefficient axis with zeros.  An entry
+    leaves by its value: as a Poly exactly when one of its coefficients of
+    t^1, t^2, ... is nonzero, else as an int or a Fraction (0 * t is 0).
 
     The law code reads these arrays as it would numpy arrays: np.einsum
     (with explicit output subscripts), np.stack, np.concatenate, +, -, *,
@@ -93,58 +91,59 @@ class ExactArray:
 
     __slots__ = ("num", "den", "bound", "poly")
 
-    def __init__(self, num, den, bound, poly=None):
+    def __init__(self, num, den, bound, poly=False):
         self.num, self.den, self.bound, self.poly = num, den, bound, poly
 
     # -- shape and views -----------------------------------------------------
 
-    shape = property(lambda self: self.num.shape if self.poly is None else self.poly.shape)
-    size = property(lambda self: self.num.size if self.poly is None else self.poly.size)
+    shape = property(lambda self: self.num.shape[1:] if self.poly else self.num.shape)
+    size = property(lambda self: prod(self.shape))
 
     @property
     def T(self):
-        return ExactArray(self.num.T, self.den, self.bound) if self.poly is None else self.transpose()
+        return self.transpose() if self.poly else ExactArray(self.num.T, self.den, self.bound)
 
     @property
     def mT(self):
-        poly = self.poly
-        return ExactArray(self.num.mT, self.den, self.bound, poly if poly is None else poly.mT)
+        if self.poly and self.num.ndim < 3:
+            raise ValueError("matrix transpose with ndim < 2 is undefined")
+        return ExactArray(self.num.mT, self.den, self.bound, self.poly)
 
     def __len__(self):
-        return len(self.num if self.poly is None else self.poly)
+        return len(self.num[0] if self.poly else self.num)
 
     def __getitem__(self, idx):
-        num, poly = self.num, self.poly
-        if poly is None:
+        num = self.num
+        if not self.poly:
             num = num[idx]
             if type(num) is np.ndarray:
                 return ExactArray(num, self.den, self.bound)
             return int(num) if self.den == 1 else _ratio(int(num), self.den)
-        poly = poly[idx]
-        num = num[(slice(None), *idx) if type(idx) is tuple else (slice(None), idx)]
-        if type(poly) is not np.ndarray:
-            return _entry(num.tolist(), self.den, poly)
-        if num.shape[1:] != poly.shape:  # advanced indices apart: their axes went first
-            num = np.stack([plane[idx] for plane in self.num])
-        return ExactArray(num, self.den, self.bound, poly)
+        idx = idx if type(idx) is tuple else (idx,)
+        if all(type(i) in _BASIC for i in idx):  # a view behind the coefficient axis
+            num = num[(slice(None), *idx)]
+        else:  # advanced indices apart would put their axes before it
+            num = np.stack([plane[idx] for plane in num])
+        if num.ndim == 1:
+            return _entry(num.tolist(), self.den)
+        return ExactArray(num, self.den, self.bound, True)
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
     def transpose(self, *axes):
-        if self.poly is None:
+        if not self.poly:
             return ExactArray(self.num.transpose(*axes), self.den, self.bound)
-        poly = self.poly.transpose(*axes)
         axes = axes[0] if len(axes) == 1 and not isinstance(axes[0], int) else axes
-        nd = poly.ndim
-        axes = [a % nd for a in axes] if axes else range(nd - 1, -1, -1)
-        return ExactArray(self.num.transpose(0, *(a + 1 for a in axes)), self.den, self.bound, poly)
+        # an entry axis a >= 0 is num's a + 1; one counted from the end is the same
+        axes = [a + 1 if a >= 0 else a for a in axes] if axes else range(self.num.ndim - 1, 0, -1)
+        return ExactArray(self.num.transpose(0, *axes), self.den, self.bound, True)
 
     def reshape(self, *shape):
-        if self.poly is None:
+        if not self.poly:
             return ExactArray(self.num.reshape(*shape), self.den, self.bound)
-        poly = self.poly.reshape(*shape)
-        return ExactArray(self.num.reshape(len(self.num), *poly.shape), self.den, self.bound, poly)
+        shape = shape[0] if len(shape) == 1 and not isinstance(shape[0], int) else shape
+        return ExactArray(self.num.reshape(len(self.num), *shape), self.den, self.bound, True)
 
     def ravel(self):
         return self.reshape(-1)
@@ -153,11 +152,10 @@ class ExactArray:
 
     def __array__(self, dtype=None, copy=None):
         """The entries as a new object array of ints, Fractions and Polys."""
-        if self.poly is not None:
-            obj = np.empty(self.poly.size, dtype=object)
-            obj[:] = [_entry(c, self.den, p) for c, p in
-                      zip(self.num.reshape(len(self.num), -1).T.tolist(), self.poly.ravel().tolist())]
-            obj = obj.reshape(self.poly.shape)
+        if self.poly:
+            obj = np.empty(self.size, dtype=object)
+            obj[:] = [_entry(c, self.den) for c in self.num.reshape(len(self.num), -1).T.tolist()]
+            obj = obj.reshape(self.shape)
         else:
             obj = self.num.astype(object)
             if self.den != 1:
@@ -165,7 +163,7 @@ class ExactArray:
         return obj if dtype is None else obj.astype(dtype)
 
     def tolist(self):
-        return self.num.tolist() if self.den == 1 and self.poly is None else np.asarray(self).tolist()
+        return self.num.tolist() if self.den == 1 and not self.poly else np.asarray(self).tolist()
 
     def __repr__(self):
         return f"ExactArray({np.asarray(self)!r})"
@@ -207,7 +205,7 @@ class ExactArray:
         diff = self if type(other) is int and other == 0 else _sum(self, other, -1)
         if diff is NotImplemented:
             raise TypeError(f"cannot compare an ExactArray with {type(other).__name__}")
-        return diff.num != 0 if diff.poly is None else (diff.num != 0).any(axis=0)
+        return (diff.num != 0).any(axis=0) if diff.poly else diff.num != 0
 
     __hash__ = None
     # numpy hands an operator whose left operand is an ndarray or a numpy
@@ -222,23 +220,25 @@ class ExactArray:
         return NotImplemented
 
 
-def _entry(coeffs, den, poly):
+#: the index types that numpy applies as views (basic indexing)
+_BASIC = (int, slice, type(Ellipsis), type(None))
+
+
+def _entry(coeffs, den):
     """One entry from the numerators of its coefficients (lowest degree
-    first): a Poly where `poly` is set, else the constant term."""
-    if poly:
+    first): a Poly when one of t^1, t^2, ... has a nonzero coefficient,
+    else its constant term as an int or a Fraction."""
+    if any(coeffs[1:]):
         return Poly([Fraction(c, den) for c in coeffs])
     return coeffs[0] if den == 1 else _ratio(coeffs[0], den)
 
 
 def _operands(operands):
     """The operands with each exact scalar (int, numpy integer, Fraction, Poly)
-    as a 0-d ExactArray, or None when one is neither that nor an ExactArray.
-    A Poly scalar leaves as Poly even when constant, as in Poly arithmetic."""
+    as a 0-d ExactArray, or None when one is neither that nor an ExactArray."""
     out = []
     for x in operands:
-        if type(x) is Poly:
-            x = _poly_array([x], (), lcm(*(c.denominator for c in x.coeffs)), max(x.degree, 0))
-        elif type(x) in (int, Fraction) or isinstance(x, np.integer):
+        if type(x) in (int, Fraction, Poly) or isinstance(x, np.integer):
             x = exact_array([x], ())
         elif type(x) is not ExactArray:
             return None
@@ -252,7 +252,7 @@ def _contract(func, operands, terms, *head):
     operand."""
     bound, den = terms, 1
     for x in operands:
-        if type(x) is not ExactArray or x.poly is not None:
+        if type(x) is not ExactArray or x.poly:
             return _contract_poly(func, operands, terms, head)
         bound *= x.bound
         den *= x.den
@@ -281,7 +281,7 @@ def _contract_poly(func, operands, terms, head):
     convolution of their coefficient sequences.
     """
     ops = _operands(operands)
-    polys = [] if ops is None else [k for k, x in enumerate(ops) if x.poly is not None]
+    polys = [] if ops is None else [k for k, x in enumerate(ops) if x.poly]
     if ops is None or len(polys) > 2 or (func is np.matmul and min(len(x.shape) for x in ops) < 2):
         return NotImplemented
     if not polys:
@@ -309,11 +309,7 @@ def _contract_poly(func, operands, terms, head):
         num = np.zeros((k1 + k2 - 1, *outer.shape[2:]), dtype=outer.dtype)
         for p in range(k1):
             num[p:p + k2] += outer[p]
-    # an entry leaves as Poly when one of its terms has a factor that does:
-    # with u = 1 + poly per operand, its sum of products of u exceeds `terms`
-    mask = _c_einsum(subscripts, *[np.ones(x.shape, dtype=np.int64) if x.poly is None else x.poly + 1
-                                   for x in ops]) > terms
-    return _result(num, den, bound, mask if type(mask) is np.ndarray else np.asarray(mask))
+    return _result(num, den, bound, True)
 
 
 # (subscripts, operands over Q[t]) -> the subscripts with their coefficient axes
@@ -346,7 +342,7 @@ def _sum(a, b, sign):
     bound = a.bound * fa + b.bound * fb
     fits = max(bound, fa, fb) < INT64_LIMIT
     NUMERATOR_OPS["int64" if fits else "object"] += 1
-    poly = a.poly is not None or b.poly is not None
+    poly = a.poly or b.poly
     if poly:
         nd = max(len(a.shape), len(b.shape))
         p, q = _coefficients(a, nd, fits), _coefficients(b, nd, fits)
@@ -361,22 +357,14 @@ def _sum(a, b, sign):
     if fb != 1:
         q = q * fb
     num = p + q if sign > 0 else p - q
-    return _result(num, den, bound, _sum_mask(a.poly, b.poly, num.shape[1:]) if poly else None)
-
-
-def _sum_mask(pa, pb, shape):
-    """The entries of a sum of `shape` that leave as Poly: those where a term does."""
-    if pa is not None and pb is not None:
-        return pa | pb
-    mask = pa if pb is None else pb
-    return mask if mask.shape == shape else np.broadcast_to(mask, shape)
+    return _result(num, den, bound, poly)
 
 
 def _coefficients(x, nd, fits):
     """The numerators of x with a leading coefficient axis and `nd` entry axes."""
     num = x.num if fits else x.num.astype(object)
     shape = x.shape
-    if x.poly is None:
+    if not x.poly:
         return num.reshape(1, *(1,) * (nd - len(shape)), *shape)
     return num if len(shape) == nd else num.reshape(len(num), *(1,) * (nd - len(shape)), *shape)
 
@@ -386,7 +374,7 @@ def _padded(num, k):
     return np.concatenate([num, np.zeros((k - len(num), *num.shape[1:]), dtype=num.dtype)])
 
 
-def _result(num, den, bound, poly=None):
+def _result(num, den, bound, poly=False):
     """The ExactArray of a result's numerators, int64 exactly when its bound fits."""
     dtype = _INT64 if bound < INT64_LIMIT else _OBJECT
     if type(num) is not np.ndarray or num.dtype is not dtype:
@@ -406,13 +394,12 @@ def _stack(func, arrays):
     bound = max(x.bound * (den // x.den) for x in arrays)
     fits = max(bound, den) < INT64_LIMIT
     NUMERATOR_OPS["int64" if fits else "object"] += 1
-    if all(x.poly is None for x in arrays):
+    if not any(x.poly for x in arrays):
         return _result(func([(x.num if fits else x.num.astype(object)) * (den // x.den)
                              for x in arrays]), den, bound)
-    k = max(len(x.num) for x in arrays if x.poly is not None)
+    k = max(len(x.num) for x in arrays if x.poly)
     planes = [_padded(_coefficients(x, len(x.shape), fits) * (den // x.den), k) for x in arrays]
-    masks = [np.zeros(x.shape, dtype=bool) if x.poly is None else x.poly for x in arrays]
-    return _result(func(planes, axis=1), den, bound, func(masks))
+    return _result(func(planes, axis=1), den, bound, True)
 
 
 # np.einsum hands its operands to c_einsum when it is not asked to optimize;
@@ -452,7 +439,7 @@ def _einsum(subscripts, operands):
         x = operands[k]
         if type(x) is not ExactArray:
             return NotImplemented
-        terms *= (x.num if x.poly is None else x.poly).shape[p]
+        terms *= x.shape[p]
     return _contract(_c_einsum, operands, terms, subscripts)
 
 
@@ -460,10 +447,10 @@ def exact(arr):
     """An array as an ExactArray: the one way in.  An integer ndarray becomes
     its numerators over 1, copied and read-only, with no entry looked at; an
     object ndarray or nested sequences go through exact_array; an ndarray of
-    another dtype is a TypeError.  An ExactArray over Q[t] is normalized as
-    exact_array normalizes entries (only genuine polynomials leave as Poly)."""
+    another dtype is a TypeError.  An ExactArray over Q[t] loses the
+    coefficient planes above its degree, and is over Q when that is 0."""
     if type(arr) is ExactArray:
-        return arr if arr.poly is None else _normalized(arr)
+        return _normalized(arr) if arr.poly else arr
     if not isinstance(arr, np.ndarray):
         arr = np.asarray(arr, dtype=object)
     elif arr.dtype.kind in "iu":  # integers: the numerators themselves, over 1
@@ -477,12 +464,11 @@ def exact(arr):
 
 
 def _normalized(arr):
-    nonzero = arr.num != 0
-    planes = np.flatnonzero(nonzero.reshape(len(nonzero), -1).any(axis=1))
+    planes = np.flatnonzero((arr.num != 0).reshape(len(arr.num), -1).any(axis=1))
     k = int(planes[-1]) + 1 if planes.size else 0
     if k <= 1:
         return ExactArray(arr.num[0], arr.den, arr.bound)
-    return ExactArray(arr.num[:k], arr.den, arr.bound, nonzero[1:k].any(axis=0))
+    return ExactArray(arr.num[:k], arr.den, arr.bound, True)
 
 
 def reduced(arr):
@@ -542,8 +528,7 @@ def exact_array(entries, shape):
 
 
 def _poly_array(flat, shape, den, deg):
-    """The ExactArray over Q[t] of entries of degree at most deg over den, each
-    Poly among them an entry that leaves as Poly."""
+    """The ExactArray over Q[t] of entries of degree at most deg over den."""
     rows = []
     for x in flat:
         coeffs = x.coeffs if type(x) is Poly else (Fraction(x),)
@@ -552,8 +537,7 @@ def _poly_array(flat, shape, den, deg):
     bound = max(abs(c) for row in rows for c in row)
     num = np.array(rows, dtype=np.int64 if bound < INT64_LIMIT else object).T.reshape(deg + 1, *shape)
     num.flags.writeable = False
-    poly = np.array([type(x) is Poly for x in flat], dtype=bool).reshape(shape)
-    return ExactArray(num, den, bound, poly)
+    return ExactArray(num, den, bound, True)
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +639,7 @@ class Matrix:
         return self.rows == self.cols
 
     def has_poly_entries(self):
-        return self.arr.poly is not None
+        return self.arr.poly
 
     def _same_shape(self, other):
         if self.arr.shape != other.arr.shape:

@@ -96,7 +96,7 @@ class Cochain:
         self.shapes = dict(self.block_shapes(self.degree, dim1, dim2))
         sizes = [prod(shape) for shape in self.shapes.values()]
         flat = exact(np.zeros(sum(sizes), dtype=np.int64) if flat is None else flat)
-        if flat.poly is not None:
+        if flat.poly:
             raise PolynomialEntriesError("cochain entries must be rational; evaluate t first")
         if flat.shape != (sum(sizes),):
             raise DimMismatchError("cochain storage does not match the degree")
@@ -245,7 +245,7 @@ class _Terms:
             "circ": np.einsum("klc,clw->klw", t[:, x], wedge[:, y])
             + np.einsum("klc,lcw->klw", t[:, y], wedge[x]),
         }
-        if any(a.poly is not None for a in arrays.values()):
+        if any(a.poly for a in arrays.values()):
             raise PolynomialEntriesError("the coboundary needs rational structure constants; "
                                          "evaluate t first")
         # per array: its nonzero positions (one row per axis, then a row of

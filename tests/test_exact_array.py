@@ -55,10 +55,10 @@ def test_polynomial_entries_take_a_coefficient_axis():
     arr = exact_array([T, 1, Fraction(1, 2), 0], (2, 2))
     assert type(arr) is ExactArray and arr.shape == (2, 2) and arr.den == 2
     assert arr.num.tolist() == [[[0, 2], [1, 0]], [[2, 0], [0, 0]]]
-    assert arr.poly.tolist() == [[True, False], [False, False]]
+    assert arr.poly is True
     assert [type(x) for x in arr.ravel()] == [Poly, int, Fraction, int]
     mixed = exact_array([1, 2], (2,)) + arr[0]
-    assert type(mixed) is ExactArray and mixed.poly is not None
+    assert type(mixed) is ExactArray and mixed.poly
     assert mixed[0] == T + 1 and type(mixed[0]) is Poly
     assert mixed[1] == 3 and type(mixed[1]) is int
     with pytest.raises(PolynomialEntriesError):
@@ -82,7 +82,7 @@ def test_passing_deform_runs_on_int64_coefficients(monkeypatch, capsys, tmp_path
     def recorded(residual, shape, **tags):
         def block(*args):
             out = residual(*args)
-            kind = (("Q[t]" if out.poly is not None else "Q") if type(out) is ExactArray
+            kind = (("Q[t]" if out.poly else "Q") if type(out) is ExactArray
                     else type(out).__name__)
             blocks.append((kind, "block" in tags))
             return out
@@ -91,7 +91,7 @@ def test_passing_deform_runs_on_int64_coefficients(monkeypatch, capsys, tmp_path
     leave = ExactArray.__array__
 
     def rational_only(self, *args, **kwargs):
-        assert self.poly is None, "an array over Q[t] left as an object array"
+        assert not self.poly, "an array over Q[t] left as an object array"
         return leave(self, *args, **kwargs)
 
     for module in (algebra, reps, deform):
@@ -294,7 +294,8 @@ def _ring_array(draw, shape):
 
 
 def _check_entries(got, want):
-    """got holds the entries of want, each a Poly exactly where want's is."""
+    """got holds the entries of want, each a Poly exactly where want's is a
+    polynomial of degree 1 or more (the value rule: 0 * t leaves as 0)."""
     if isinstance(got, ExactArray):
         assert max(map(abs, got.num.ravel().tolist()), default=0) <= got.bound
         assert (got.num.dtype == np.int64) == (got.bound < INT64_LIMIT)
@@ -302,15 +303,15 @@ def _check_entries(got, want):
     want = np.asarray(want, dtype=object)
     assert got.shape == want.shape
     for g, w in zip(got.ravel().tolist(), want.ravel().tolist()):
-        assert g == w and (type(g) is Poly) == (type(w) is Poly), (g, w)
+        assert g == w and (type(g) is Poly) == (type(w) is Poly and w.degree > 0), (g, w)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_polynomial_arithmetic_matches_poly_objects(data):
     """The kind over Q[t] gives the entries of Python's Poly arithmetic on the
-    same entries as object arrays, Poly where that gives a Poly (0 * t
-    included), mixed with arrays over Q and on either numerator kind."""
+    same entries as object arrays, Poly where that gives a polynomial of
+    degree 1 or more, mixed with arrays over Q and on either numerator kind."""
     a, b = data.draw(_ring_array((2, 3))), data.draw(_ring_array((2, 3)))
     c = data.draw(_ring_array((3, 2)))
     oa, ob, oc = np.asarray(a), np.asarray(b), np.asarray(c)
@@ -423,17 +424,46 @@ def test_no_numpy_detour_around_the_numerators():
 def test_products_of_unequal_coefficient_counts(scale):
     """Products of two operands over Q[t] with 2 and 3, 3 and 2, or 3 and 1
     coefficients give the entries of Poly arithmetic, on int64 numerators
-    and, scaled by 2^61, on Python ints."""
+    and, scaled by 2^61, on Python ints.  A constant Poly scalar is a
+    rational: its product with an array over Q has no coefficient axis."""
     a = exact_array([Poly([1, -2, Fraction(3, 4)]) * scale, T, 5, Poly([0, 0, 1])], (2, 2))
     b = exact_array([(T + 1) * scale, 2, Fraction(1, 3), Poly([-1, 1])], (2, 2))
     constant = exact_array([1, Fraction(1, 2), -3, 4], (2, 2)) * Poly([Fraction(2, 3)])
+    one_plane = ExactArray(constant.num[None], constant.den, constant.bound, True)
     p = Poly([Fraction(1, 2), 3])
-    assert (len(a.num), len(b.num), len(constant.num), constant.poly.all()) == (3, 2, 1, True)
+    assert (len(a.num), len(b.num), constant.poly, constant.num.shape) == (3, 2, False, (2, 2))
     oa, ob, oc = np.asarray(a), np.asarray(b), np.asarray(constant)
     before = _ops()
     _check_entries(p * a, oa * p)
     _check_entries(b @ a, ob @ oa)
     _check_entries(a @ b, oa @ ob)
-    _check_entries(np.einsum("ij,jk->ik", a, constant), np.einsum("ij,jk->ik", oa, oc))
-    _check_entries(np.einsum("ij,ji->i", constant, b), np.einsum("ij,ji->i", oc, ob))
+    for c in (constant, one_plane):
+        _check_entries(np.einsum("ij,jk->ik", a, c), np.einsum("ij,jk->ik", oa, oc))
+        _check_entries(np.einsum("ij,ji->i", c, b), np.einsum("ij,ji->i", oc, ob))
     assert (_ran(before)["object"] > 0) == (scale > 1)
+
+
+@pytest.mark.parametrize("scale", [1, 2**61])
+def test_entries_leave_by_value(scale):
+    """An entry leaves as a Poly exactly when a coefficient of t^1, t^2, ...
+    is nonzero, else as an int or a Fraction, on int64 numerators and,
+    scaled by 2^61 (4 * 2^61 is past INT64_LIMIT), on Python ints."""
+    big = 4 * scale
+    p = exact_array([T * big, big], (2,))
+    assert p.poly and (p.num.dtype == object) == (scale > 1)
+    zero = p * 0
+    assert zero.poly and zero.tolist() == [0, 0] and [type(x) for x in zero] == [int, int]
+    one = exact([(T + 1) * big]) - exact([T * big])
+    assert one.tolist() == [big] and type(one[0]) is int
+    half = exact([T * big + Fraction(1, 2)]) - exact([T * big])
+    assert half.tolist() == [Fraction(1, 2)] and type(half[0]) is Fraction
+    rational = exact([big, Fraction(1, 2)]) * Poly([3])
+    assert not rational.poly and rational.num.shape == (2,)
+    assert rational.tolist() == [3 * big, Fraction(3, 2)]
+    mixed = np.einsum("i,ij->j", p, exact([[1, T], [-T, 0]]))  # [0, big t^2]
+    assert [type(x) for x in mixed] == [int, Poly]
+    for x in (p, zero, one, half, rational, mixed, p * p - p * p):
+        back = exact(np.asarray(x))
+        assert back.shape == x.shape and not (back != x).any()
+        assert np.asarray(back).tolist() == np.asarray(x).tolist()
+        assert back.poly == any(type(e) is Poly for e in np.asarray(x).ravel())
