@@ -26,6 +26,11 @@ RAT_ONE = Fraction(1)
 #: it keeps every digit run under Python's default int/str digit limit.
 MAX_RATIONAL_CHARS = 4000
 
+#: Highest degree parse_scalar takes in a {"poly": [...]} scalar; deform
+#: writes degree 2.  It bounds the coefficient axes a product over Q[t]
+#: multiplies together.
+MAX_POLY_DEGREE = 4
+
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 # format_rational writes integers past the int->str digit limit in chunks
@@ -189,14 +194,24 @@ def parse_rational(text: str) -> Fraction:
 
 
 def parse_scalar(value):
-    """Parse the serialized form: 'p/q' string, JSON integer or {'poly': [coeff strings]}.
+    """Parse the serialized form: 'p/q' string, JSON integer or {'poly': [coefficients]}.
 
-    JSON booleans are not integers here: true/false is a BadRationalError.
+    Each coefficient is a 'p/q' string or a JSON integer, and there are at
+    most MAX_POLY_DEGREE + 1 of them.  JSON booleans are not integers here:
+    true/false is a BadRationalError.
     """
     if isinstance(value, dict):
         if set(value) != {"poly"} or not isinstance(value["poly"], list):
             raise BadRationalError(f"bad scalar object {value!r}")
-        return Poly([parse_rational(c) for c in value["poly"]])
+        if len(value["poly"]) > MAX_POLY_DEGREE + 1:
+            raise BadRationalError(f"polynomial of {len(value['poly'])} coefficients; the limit is "
+                                   f"degree {MAX_POLY_DEGREE}")
+        return Poly([_parse_rational_value(c) for c in value["poly"]])
+    return _parse_rational_value(value)
+
+
+def _parse_rational_value(value):
+    """A JSON integer or a 'p/q' string as a Fraction."""
     if isinstance(value, bool):
         raise BadRationalError(f"expected a rational, got the boolean {value!r}")
     if isinstance(value, int):

@@ -21,7 +21,7 @@ from lieyam.jsonio import (
 )
 from lieyam.errors import ConflictingEntryError, ParseError
 from lieyam.linalg import Matrix
-from lieyam.scalars import format_rational
+from lieyam.scalars import MAX_POLY_DEGREE, T, format_rational
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -383,7 +383,6 @@ def test_deform_refuses_polynomial_operators_on_loading(monkeypatch, capsys, tmp
     """deform takes t as its own parameter: an N or S over Q[t] is refused
     right after loading, before any premise is decided (exit 2, one line)."""
     import lieyam.cli as cli
-    from lieyam.scalars import T
 
     def never(*args):
         raise AssertionError("NijenhuisStructure was constructed")
@@ -509,8 +508,9 @@ def test_failing_checks_carry_witness(tmp_path, capsys):
 
 _scalar = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=False),
                     st.sampled_from(["1", "-1/2", "1/0", "x", "", " 2 ", "1e2", "1.5", "1e20000"]),
-                    st.fixed_dictionaries({"poly": st.one_of(st.integers(), st.lists(st.text(max_size=3),
-                                                                                     max_size=2))}))
+                    st.fixed_dictionaries({"poly": st.one_of(st.integers(), st.lists(
+                        st.one_of(st.text(max_size=3), st.integers(-3, 3), st.booleans()),
+                        max_size=MAX_POLY_DEGREE + 2))}))
 _operator_json = st.one_of(
     st.recursive(st.one_of(st.none(), st.integers(), st.text(max_size=4)),
                  lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
@@ -707,6 +707,43 @@ def test_operator_rational_forms_exit2(capsys, tmp_path, entry):
     assert code == 2
     assert out.out == ""
     assert len(out.err.strip().splitlines()) == 1 and "Traceback" not in out.err
+
+
+def _a2_times(tmp_path, coefficients):
+    """A2 with its binary and ternary constant both {"poly": coefficients}."""
+    with open(fx("A2.json")) as f:
+        data = json.load(f)
+    for table in ("binary", "ternary"):
+        data[table][0]["value"] = {"0": {"poly": coefficients}}
+    path = tmp_path / "A2-poly.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_polynomial_degree_bounded_on_loading(capsys, tmp_path):
+    """A {"poly": [...]} scalar of degree MAX_POLY_DEGREE loads and is
+    checked; one more coefficient exits 2 with one line naming the bound,
+    before a product over Q[t] could build its outer product."""
+    ok = _a2_times(tmp_path, ["0"] * MAX_POLY_DEGREE + ["1"])
+    code, out = run_cli("check", "algebra", ok, capsys=capsys)
+    assert code == 0 and "PASS" in out.out
+    for degree in (MAX_POLY_DEGREE + 1, 2400):
+        code, out = run_cli("check", "algebra", _a2_times(tmp_path, ["0"] * degree + ["1"]),
+                            capsys=capsys)
+        assert code == 2 and out.out == "" and "Traceback" not in out.err
+        assert len(out.err.strip().splitlines()) == 1 and f"degree {MAX_POLY_DEGREE}" in out.err
+
+
+def test_polynomial_coefficients_are_rationals(capsys, tmp_path):
+    """A coefficient is read like a top-level rational: a JSON integer is
+    one, a boolean or a nested {"poly": ...} object is not (exit 2)."""
+    op = tmp_path / "T.json"
+    op.write_text(json.dumps({"rows": 1, "cols": 1, "entries": [{"poly": [0, 1]}]}))
+    assert load_operator(str(op))[0, 0] == T
+    for bad in ([True], [{"poly": []}]):
+        code, out = run_cli("check", "algebra", _a2_times(tmp_path, bad), capsys=capsys)
+        assert code == 2 and out.out == "" and "Traceback" not in out.err
+        assert len(out.err.strip().splitlines()) == 1
 
 
 def test_witness_past_the_int_str_digit_limit(capsys, tmp_path):
