@@ -9,8 +9,9 @@ Algebra files list structure constants sparsely::
 
 Indices are 0-based; only entries with i < j are required -- the loader
 antisymmetrizes and rejects conflicting duplicates.  Rationals are
-strings "p" or "p/q"; polynomial scalars serialize as
-{"poly": ["c0", "c1", ...]} (lowest degree first).
+strings "p" or "p/q" (JSON integers are read too); polynomial scalars
+serialize as {"poly": ["c0", "c1", ...]} (lowest degree first, degree at
+most scalars.MAX_POLY_DEGREE).
 
 A representation file names its algebra (inline object or path relative
 to the file) and either gives rho/mu matrices explicitly or asks for a

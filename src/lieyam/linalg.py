@@ -71,14 +71,15 @@ class ExactArray:
     iteration, scalar indexing, np.asarray) as ints, Fractions and Polys,
     converted anew on every call.
 
-    An array over Q[t] has `poly` set and one more leading axis of `num`:
-    num[k] holds the numerators of the coefficients of t^k.  A contraction
-    of two such arrays takes the outer product of their coefficient axes
-    and sums its anti-diagonals (the product of two polynomials), so its
-    bound also grows by the number of coefficient pairs one coefficient
-    sums; a sum pads the shorter coefficient axis with zeros.  An entry
-    leaves by its value: as a Poly exactly when one of its coefficients of
-    t^1, t^2, ... is nonzero, else as an int or a Fraction (0 * t is 0).
+    An array over Q[t] has `poly` True (one flag per array, nothing per
+    entry) and one more leading axis of `num`: num[k] holds the numerators
+    of the coefficients of t^k.  A contraction of two such arrays takes the
+    outer product of their coefficient axes and sums its anti-diagonals
+    (the product of two polynomials), so its bound also grows by the number
+    of coefficient pairs one coefficient sums; a sum pads the shorter
+    coefficient axis with zeros.  An entry leaves by its value: as a Poly
+    exactly when one of its coefficients of t^1, t^2, ... is nonzero, else
+    as an int or a Fraction (0 * t is 0).
 
     The law code reads these arrays as it would numpy arrays: np.einsum
     (with explicit output subscripts), np.stack, np.concatenate, +, -, *,
@@ -99,9 +100,7 @@ class ExactArray:
     shape = property(lambda self: self.num.shape[1:] if self.poly else self.num.shape)
     size = property(lambda self: prod(self.shape))
 
-    @property
-    def T(self):
-        return self.transpose() if self.poly else ExactArray(self.num.T, self.den, self.bound)
+    T = property(lambda self: self.transpose())
 
     @property
     def mT(self):
@@ -291,19 +290,15 @@ def _contract_poly(func, operands, terms, head):
     coefficient_subscripts = _POLY_SUBSCRIPTS.get(key)
     if coefficient_subscripts is None:
         coefficient_subscripts = _POLY_SUBSCRIPTS[key] = _poly_subscripts(subscripts, polys)
-    nums = [x.num for x in ops]
     bound, den = terms, 1
     for x in ops:
         bound *= x.bound
         den *= x.den
     if len(polys) == 2:
-        bound *= min(len(nums[k]) for k in polys)
-    if bound < INT64_LIMIT:
-        NUMERATOR_OPS["int64"] += 1
-    else:
-        NUMERATOR_OPS["object"] += 1
-        nums = [x.astype(object) for x in nums]
-    num = _c_einsum(coefficient_subscripts, *nums)
+        bound *= min(len(ops[k].num) for k in polys)
+    fits = bound < INT64_LIMIT
+    NUMERATOR_OPS["int64" if fits else "object"] += 1
+    num = _c_einsum(coefficient_subscripts, *[x.num if fits else x.num.astype(object) for x in ops])
     if len(polys) == 2:
         outer, (k1, k2) = num, num.shape[:2]
         num = np.zeros((k1 + k2 - 1, *outer.shape[2:]), dtype=outer.dtype)
