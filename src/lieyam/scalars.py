@@ -201,17 +201,15 @@ def parse_scalar(value):
     true/false is a BadRationalError.
     """
     if isinstance(value, dict):
-        if set(value) != {"poly"} or not isinstance(value["poly"], list):
+        coeffs = value.get("poly")
+        if set(value) != {"poly"} or not isinstance(coeffs, list):
             raise BadRationalError(f"bad scalar object {value!r}")
-        if len(value["poly"]) > MAX_POLY_DEGREE + 1:
-            raise BadRationalError(f"polynomial of {len(value['poly'])} coefficients; the limit is "
+        if len(coeffs) > MAX_POLY_DEGREE + 1:
+            raise BadRationalError(f"polynomial of {len(coeffs)} coefficients; the limit is "
                                    f"degree {MAX_POLY_DEGREE}")
-        return Poly([_parse_rational_value(c) for c in value["poly"]])
-    return _parse_rational_value(value)
-
-
-def _parse_rational_value(value):
-    """A JSON integer or a 'p/q' string as a Fraction."""
+        if any(isinstance(c, dict) for c in coeffs):
+            raise BadRationalError(f"bad scalar object {value!r}: a coefficient is an object")
+        return Poly([parse_scalar(c) for c in coeffs])
     if isinstance(value, bool):
         raise BadRationalError(f"expected a rational, got the boolean {value!r}")
     if isinstance(value, int):
