@@ -12,7 +12,10 @@ The type is closed: values enter only through `exact` (entry by entry,
 `exact_array`), which refuses anything but ints, Fractions and Polys, and
 leave only by value: as Polys where a coefficient of t^1, t^2, ... is
 nonzero, else as ints (integral values) or Fractions; numpy's ufuncs
-refuse it.  A Matrix is a 2-d exact array with a checked shape; matrices
+refuse it.  Exact values summed at integer indices or by integer keys
+(the sparse triples of the coboundaries) go through `scatter_add` and
+`sum_by_key`, so that no other module reads or picks the numerator
+format.  A Matrix is a 2-d exact array with a checked shape; matrices
 act on coordinate columns: column k of a map's matrix is the image of
 the k-th basis vector.
 
@@ -82,7 +85,8 @@ class ExactArray:
     as an int or a Fraction (0 * t is 0).
 
     The law code reads these arrays as it would numpy arrays: np.einsum
-    (with explicit output subscripts), np.stack, np.concatenate, +, -, *,
+    (with explicit output subscripts), np.stack, np.concatenate,
+    np.broadcast_to (over Q), +, -, *,
     @, ==, !=, indexing, .T, .mT, transpose and reshape run on the
     numerators; any other numpy function, a direct ufunc call (np.add(a,
     b)), or an operand that is neither an ExactArray nor an exact scalar
@@ -216,6 +220,8 @@ class ExactArray:
             return _einsum(args[0], args[1:])
         if func in (np.stack, np.concatenate) and not kwargs and len(args) == 1:
             return _stack(func, args[0])
+        if func is np.broadcast_to and not kwargs and not self.poly:
+            return ExactArray(np.broadcast_to(self.num, args[1]), self.den, self.bound)
         return NotImplemented
 
 
@@ -533,6 +539,33 @@ def _poly_array(flat, shape, den, deg):
     num = np.array(rows, dtype=np.int64 if bound < INT64_LIMIT else object).T.reshape(deg + 1, *shape)
     num.flags.writeable = False
     return ExactArray(num, den, bound, True)
+
+
+def scatter_add(size, pairs):
+    """The 1-d ExactArray of `size` entries that sums the pairs (index,
+    values) at their indices: integer index arrays, each with an ExactArray
+    over Q of values that broadcasts to it (repeated indices add up).  The
+    sums are over the lcm of the values' denominators; none exceeds the sum
+    of the values' scaled bounds over every entry of their indices, which is
+    its bound."""
+    den = lcm(*(values.den for _, values in pairs))
+    bound = sum(values.bound * (den // values.den) * index.size for index, values in pairs)
+    fits = max(bound, den) < INT64_LIMIT
+    NUMERATOR_OPS["int64" if fits else "object"] += 1
+    num = np.zeros(size, dtype=_INT64 if fits else _OBJECT)
+    for index, values in pairs:
+        add = values.num if fits else values.num.astype(object)
+        if values.den != den:
+            add = add * (den // values.den)
+        np.add.at(num, index.ravel(), np.broadcast_to(add, index.shape).ravel())
+    return ExactArray(num, den, bound)
+
+
+def sum_by_key(keys, values):
+    """The distinct keys of a 1-d integer array, in increasing order, and the
+    1-d ExactArray of the sums of `values` (one per key, over Q) at each."""
+    keys, at = np.unique(keys, return_inverse=True)
+    return keys, scatter_add(len(keys), [(at, values)])
 
 
 # ---------------------------------------------------------------------------

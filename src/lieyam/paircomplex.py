@@ -25,18 +25,20 @@ The coboundary has two implementations:
   semidirect coordinate home[j] with coefficient 1, and the g2 block
   (c2g) is placed a second time, with signs +1 and -1, at home
   coordinates of the last g3 block, where the two overlap.  lift
-  scatters through the map and project gathers the home coordinates
-  and subtracts the overlaps.  A semidirect cochain lies in the lifted
-  subspace exactly when it vanishes off the home coordinates; project
-  checks that, and raises NotInSubcomplexError with the first offending
-  entry as witness otherwise.  The coboundary is the semidirect
-  product's term table (yamaguti._Terms): applied to the numerators of
+  scatters through the map.  P takes each home coordinate to its pair
+  coordinate, and subtracts the overlaps as more entries: the home of
+  src[t] again at dst[t], times -sign[t].  A semidirect cochain lies in
+  the lifted subspace exactly when it vanishes off the home
+  coordinates; project checks that, and raises NotInSubcomplexError
+  with the first offending entry as witness otherwise.  The coboundary
+  is the semidirect product's term table (yamaguti._Terms): applied to
   one lifted cochain (pair_delta_lifted), or, for the whole matrix, its
   (row, column, value) triples composed with L on the right, checked on
-  every column at once (the witness names the lowest offending column),
-  summed on the home rows and unmixed by P (pair_delta_matrix).  The
-  semidirect product, its term table and the index maps are built once
-  per pair and kept on it.
+  every column at once by a keyed sum (the witness names the lowest
+  offending column), and taken through P (pair_delta_matrix).  lift
+  and P are each one linalg.scatter_add, for a cochain and a matrix
+  alike.  The semidirect product, its term table and the index maps are
+  built once per pair and kept on it.
 * the *direct* path: closed formulas at degrees 1 and 2, written out
   component by component, one commented sum of two-operand einsums per
   component, on the structure arrays (b_arr, t_arr, rho_arr, mu_arr,
@@ -49,7 +51,6 @@ The coboundary has two implementations:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from math import prod
 
@@ -61,14 +62,12 @@ from .errors import (
     NotInSubcomplexError,
     UnsupportedDegreeError,
 )
-from .linalg import INT64_LIMIT, ExactArray, Matrix, exact
+from .linalg import ExactArray, Matrix, exact, scatter_add, sum_by_key
 from .reps import LieYRepPair, _assert_adjoint_d, adjoint_rep
 from .yamaguti import (
     Cochain,
     YamagutiCochain,
     _apply,
-    _assemble,
-    _scatter,
     _terms,
     cochain_dim,
     wedge_dim,
@@ -139,9 +138,9 @@ class _IndexMap:
 
     Pair coordinate j lifts to the one semidirect coordinate home[j], with
     coefficient 1.  At degree >= 2 every c2g coordinate src[t] is placed
-    again, with sign[t] = +1 or -1, at home[dst[t]], the home of a
-    coordinate of the last c3g block (the overlap N of L on the home
-    rows).  The dst are distinct and are never a src, so N^2 = 0, and
+    again, with sign[t], at home[dst[t]], the home of a coordinate of the
+    last c3g block (the overlap N of L on the home rows): each twice, as
+    src[t] = src[t + half], with sign +1 at t < half and -1 from there.  The dst are distinct and are never a src, so N^2 = 0, and
     P y = y[home] - N y[home] is the left inverse of L.  The image of L
     is spanned by the home coordinates: a semidirect cochain x is in the
     lifted subspace (x = L P x) exactly when it vanishes off them.
@@ -192,63 +191,72 @@ class _IndexMap:
             self.src = np.concatenate([src, src])
             self.dst = starts[f"c3g{k}"] + np.concatenate([
                 np.ravel_multi_index((*rest, x[w] * m + beta, z[w], o), c3g) for x, z in ((b, a), (a, b))])
-        self.sign = np.repeat([1, -1], len(self.src) // 2)
+        self.half = len(self.src) // 2
+        self.sign = np.repeat([1, -1], self.half)
         # per semidirect coordinate: the pair coordinate homed there, and
-        # the overlap placed there (-1: none)
+        # the overlap placed there (-1: none); per pair coordinate, the
+        # first of its overlaps (-1: none, not a c2g coordinate)
         self.coordinate = np.full(self.size, -1, dtype=np.int64)
         self.coordinate[self.home] = np.arange(len(self.home))
         self.overlap = np.full(self.size, -1, dtype=np.int64)
         self.overlap[self.home[self.dst]] = np.arange(len(self.dst))
+        self.source = np.full(len(self.home), -1, dtype=np.int64)
+        self.source[self.src[:self.half]] = np.arange(self.half)
 
     def lift(self, x: ExactArray) -> ExactArray:
-        """L x for the flat coordinates x of a pair cochain: a semidirect
-        coordinate takes at most a home value and an overlap."""
-        return _scatter(self.size, [(self.home, x.num), (self.home[self.dst], self.sign * x.num[self.src])],
-                        x.den, 2 * x.bound)
+        """L x for the flat coordinates x of a pair cochain."""
+        h, at = self.half, self.home[self.dst]
+        return scatter_add(self.size, [(self.home, x), (at[:h], x[self.src[:h]]),
+                                       (at[h:], -x[self.src[h:]])])
 
-    def unmix(self, y: ExactArray) -> ExactArray:
-        """P x from the rows y[j] = x[home[j]] (a vector or a matrix with one
-        row per pair coordinate), whose numerators it takes over: the
-        overlaps subtracted.  A row loses at most one other, so the bound
-        doubles."""
-        bound = 2 * y.bound
-        num = y.num if bound < INT64_LIMIT else y.num.astype(object)
-        sign = self.sign if num.ndim == 1 else self.sign[:, None]
-        num[self.dst] -= sign * num[self.src]
-        return ExactArray(num, y.den, bound)
+    def unmix(self, rows, cols, vals, width):
+        """P M for the triples (semidirect rows, columns, values) of a map M
+        whose entries vanish off the home coordinates (see verify), as the
+        row-major 1-d ExactArray of its len(home) x width entries: the home
+        rows at their pair coordinates, and row src[t] again at dst[t],
+        times -sign[t]."""
+        rows = self.coordinate[rows]
+        home = rows >= 0
+        rows, cols, vals = rows[home], cols[home], vals[home]
+        t = self.source[rows]
+        hit = t >= 0
+        t, cols_hit, vals_hit = t[hit], cols[hit], vals[hit]
+        return scatter_add(len(self.home) * width, [
+            (rows * width + cols, vals), (self.dst[t] * width + cols_hit, -vals_hit),
+            (self.dst[t + self.half] * width + cols_hit, vals_hit)])
 
     def compose(self, triples):
         """The triples (rows, cols, vals) of a map on the semidirect cochains,
-        composed with L on the right: flat (row, pair column, value) arrays."""
+        composed with L on the right: flat (row, pair column, value) arrays,
+        the values one ExactArray."""
         out = []
         for rows, cols, vals in triples:
-            vals = np.broadcast_to(vals[..., None], rows.shape).ravel()
+            vals = np.broadcast_to(vals, rows.shape).ravel()
             rows, cols = rows.ravel(), cols.ravel()
             home, t = self.coordinate[cols], self.overlap[cols]
-            out.append((rows[home >= 0], home[home >= 0], vals[home >= 0]))
-            out.append((rows[t >= 0], self.src[t[t >= 0]], self.sign[t[t >= 0]] * vals[t >= 0]))
+            plus, minus = (t >= 0) & (t < self.half), t >= self.half
+            out += [(rows[home >= 0], home[home >= 0], vals[home >= 0]),
+                    (rows[plus], self.src[t[plus]], vals[plus]),
+                    (rows[minus], self.src[t[minus]], -vals[minus])]
         return [np.concatenate(parts) for parts in zip(*out)]
 
-    def verify(self, rows, vals, cols=None, den=1):
+    def verify(self, rows, vals, cols=None):
         """Raise NotInSubcomplexError unless the entries vanish off the home
         coordinates.
 
-        The entries are a cochain's values at the coordinates `rows`, or
-        with `cols` the (repeatable) triples of a matrix, whose columns are
-        then checked at once; their values are vals / den.  The witness is
-        the lowest offending column, then the first offending entry: the
-        lowest flat index (row-major entry at degree 1).
+        The entries are a cochain's values (an ExactArray) at the
+        coordinates `rows`, or with `cols` the (repeatable) triples of a
+        matrix, whose columns are then checked at once.  The witness is the
+        lowest offending column, then the first offending entry: the lowest
+        flat index (row-major entry at degree 1).
         """
         off = self.coordinate[rows] < 0
         rows, vals = rows[off], vals[off]
         scan = rows if self.degree > 1 else (rows % self.dimE) * self.dimE + rows // self.dimE
         key = scan if cols is None else cols[off] * self.size + scan
-        if cols is not None and key.size:
-            order = np.argsort(key, kind="stable")
-            key = key[order]
-            starts = np.flatnonzero(np.diff(key, prepend=-1))
-            key, vals = key[starts], np.add.reduceat(vals[order], starts)
-        bad = np.flatnonzero(vals)
+        if cols is not None:
+            key, vals = sum_by_key(key, vals)
+        bad = np.flatnonzero(vals != 0)
         if not bad.size:
             return
         first = bad[np.argmin(key[bad])]
@@ -260,11 +268,7 @@ class _IndexMap:
             part = "f" if pos < self.f_size else "g"
             message = f"semidirect cochain is not in the lifted subspace ({part} part)"
             where = {"flat_index": pos if pos < self.f_size else pos - self.f_size}
-        found = vals[first].item() if isinstance(vals[first], np.generic) else vals[first]
-        if den != 1:
-            found = Fraction(found, den)
-            found = found.numerator if found.denominator == 1 else found
-        witness = {**where, "expected": 0, "found": found}
+        witness = {**where, "expected": 0, "found": vals[first]}
         raise NotInSubcomplexError(message, witness=witness if cols is None else {"column": col, **witness})
 
 
@@ -305,9 +309,9 @@ def _lift(pc: _PairComplex, c: PairCochain) -> ExactArray:
 def _project(pc: _PairComplex, degree, x: ExactArray) -> PairCochain:
     """P x for the flat ExactArray x; NotInSubcomplexError unless x = L P x."""
     im = pc.index_map(degree)
-    nonzero = np.flatnonzero(x.num)
-    im.verify(nonzero, x.num[nonzero], den=x.den)
-    return PairCochain(degree, pc.n, pc.m, im.unmix(x[im.home]))
+    rows = np.flatnonzero(x != 0)
+    im.verify(rows, x[rows])
+    return PairCochain(degree, pc.n, pc.m, im.unmix(rows, 0 * rows, x[rows], 1))
 
 
 def lift(pair: LieYRepPair, c: PairCochain) -> YamagutiCochain:
@@ -348,21 +352,15 @@ def pair_delta_matrix(pair: LieYRepPair, degree: int,
     The semidirect term table's triples, composed with L on the right,
     are the triples of M = delta_E L.  M = L P M holds exactly when M
     vanishes off the home rows, which is checked for every column at
-    once; the home rows are summed into the matrix's numerator array and
-    P subtracts their overlaps.
+    once; P M sums the home rows and their overlaps in one scatter.
     """
     _check_cap(degree, cap)
     pc = _pc(pair)
     into, onto = pc.index_map(degree), pc.index_map(degree + 1)
     rows, cols, vals = into.compose(pc.terms.triples(degree))
-    if vals.size and int(abs(vals).max()) * vals.size >= INT64_LIMIT:
-        vals = vals.astype(object)  # their sums (in verify and the matrix) may leave int64
-    onto.verify(rows, vals, cols, pc.terms.den)
-    rows = onto.coordinate[rows]
-    home = rows >= 0
-    summed = _assemble(len(onto.home), len(into.home), [(rows[home], cols[home], vals[home])],
-                       pc.terms.den)
-    return Matrix.from_array(onto.unmix(summed))
+    onto.verify(rows, vals, cols)
+    width = len(into.home)
+    return Matrix.from_array(onto.unmix(rows, cols, vals, width).reshape(len(onto.home), width))
 
 
 def pair_cohomology_dim(pair: LieYRepPair, degree: int,

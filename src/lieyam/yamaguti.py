@@ -38,23 +38,21 @@ Each term above is an exact coefficient array over the slots it reads
 and writes, times the identity on the other slots (`_Terms`).  Its
 nonzero entries, broadcast against the row-major strides of the flat
 input and output layouts, are the term's (row, column, value) triples,
-the values as integer numerators over one denominator of the table.
-One scatter-add (`_scatter`) sums them: delta_matrix sums the values
-into the numerator array of its matrix, and `_apply` sums the values
-times a cochain's numerators at their columns, without building the
-whole operator.  Both are int64 under the bound the magnitudes give
-and Python ints beyond it.
+the values an ExactArray.  linalg.scatter_add sums them: delta_matrix
+sums the values into the entries of its matrix, and `_apply` sums the
+values times a cochain's entries at their columns, so that no matrix
+is formed for a cochain.
 """
 
 from __future__ import annotations
 
-from math import lcm, prod
+from math import prod
 
 import numpy as np
 
 from .algebra import LieYamagutiAlgebra
 from .errors import DegreeCapExceededError, DimMismatchError, PolynomialEntriesError
-from .linalg import INT64_LIMIT, NUMERATOR_OPS, ExactArray, Matrix, exact
+from .linalg import ExactArray, Matrix, exact, scatter_add
 from .reps import Representation, _derived
 
 DEFAULT_DEGREE_CAP = 4
@@ -217,9 +215,7 @@ class _Terms:
     * d[w, o, a]: D(X_w) f(..);
     * circ[k, l, w]: the coefficient of wedge w in X_k o X_l.
 
-    The arrays are ExactArrays; the table keeps the numerators of their
-    nonzero entries over one common denominator `den` (int64 when they
-    fit, Python ints otherwise).
+    The arrays are ExactArrays; the table keeps their nonzero entries.
     """
 
     def __init__(self, alg: LieYamagutiAlgebra, rep: Representation):
@@ -249,61 +245,60 @@ class _Terms:
             raise PolynomialEntriesError("the coboundary needs rational structure constants; "
                                          "evaluate t first")
         # per array: its nonzero positions (one row per axis, then a row of
-        # ones that picks up the block offsets) and their numerators over
-        # the table's one denominator
-        self.den = lcm(*(a.den for a in arrays.values()))
+        # ones that picks up the block offsets) and their values, as a column
+        # that broadcasts over the identity index, and negated
         self.nonzeros = {}
         for name, arr in arrays.items():
-            pos = np.array(np.nonzero(arr.num)).reshape(arr.num.ndim, -1)
-            scale = self.den // arr.den
-            num = arr.num[tuple(pos)]
-            if arr.bound * scale >= INT64_LIMIT:
-                num = num.astype(object)
-            self.nonzeros[name] = (np.vstack([pos, np.ones_like(pos[:1])]), num * scale)
+            pos = np.array(np.nonzero(arr != 0)).reshape(len(arr.shape), -1)
+            vals = arr[tuple(pos)][:, None]
+            self.nonzeros[name] = (np.vstack([pos, np.ones_like(pos[:1])]), (vals, -vals))
 
     def triples(self, p):
-        """(rows, cols, vals) of each term of delta_p in the flat layouts.
+        """(rows, cols, vals) triples of the terms of delta_p in the flat layouts.
 
-        A term is one coefficient array at each of its K slot placements:
-        rows and cols are (K, E, I) arrays and vals a (K, E) array of
-        numerators over `den`, for nonzero entry e of the array and
-        identity index i.  Within one
-        placement every (row, col) occurs once, and the entries with
-        the same output slots share their rows and are consecutive.
+        A term is one coefficient array at each of its K slot placements,
+        yielded as one triple per sign of the placements: rows and cols
+        are (K, E, I) arrays, for nonzero entry e of the array and
+        identity index i, and vals an (E, 1) ExactArray of the signed
+        entries, which broadcasts to them.  Within one placement every
+        (row, col) occurs once.
         """
         n, w, a, m = p - 1, self.wdim, self.adim, self.mdim
         f_out, g_out = ((w,) * (n + 1) + (m,), 0), ((w,) * (n + 1) + (a, m), w ** (n + 1) * m)
         f_in, g_in = ((w,) * n + (m,), 0), ((w,) * n + (a, m), w**n * m if n else 0)
-        yield self._term("rho_b", f_out, g_in, [((-1) ** n, (n, n + 1), (n, n + 1))])
-        yield self._term("mu_dt", g_out, g_in, [((-1) ** n, (n, n + 1, n + 2), (n, n + 1))])
+        yield from self._term("rho_b", f_out, g_in, [((-1) ** n, (n, n + 1), (n, n + 1))])
+        yield from self._term("mu_dt", g_out, g_in, [((-1) ** n, (n, n + 1, n + 2), (n, n + 1))])
         if n:
-            yield self._term("d", f_out, f_in, [((-1) ** k, (k, n + 1), (n,)) for k in range(n)])
-            yield self._term("dt", g_out, g_in,
-                             [((-1) ** k, (k, n + 1, n + 2), (n, n + 1)) for k in range(n)])
+            yield from self._term("d", f_out, f_in, [((-1) ** k, (k, n + 1), (n,)) for k in range(n)])
+            yield from self._term("dt", g_out, g_in,
+                                  [((-1) ** k, (k, n + 1, n + 2), (n, n + 1)) for k in range(n)])
             circ = [((-1) ** (k + 1), (k, l), (l - 1,)) for k in range(n) for l in range(k + 1, n + 1)]
-            yield self._term("circ", f_out, f_in, circ)
-            yield self._term("circ", g_out, g_in, circ)
+            yield from self._term("circ", f_out, f_in, circ)
+            yield from self._term("circ", g_out, g_in, circ)
 
     def _term(self, name, out, inp, placements):
         """Triples of array `name` in the output block `out` and input block
         `inp` (each a (shape, offset) pair).  A placement (sign, out_axes,
         in_axes) puts the array's axes at those axes of the two blocks and
         pairs their other axes, in order, by the identity."""
-        pos, vals = self.nonzeros[name]
+        pos, signed = self.nonzeros[name]
         (out_shape, out_off), (in_shape, in_off) = out, inp
         so, si = _strides(out_shape), _strides(in_shape)
-        local, ident, signs = [], [], []
-        for sign, out_axes, in_axes in placements:
+        placements = sorted(placements, key=lambda placement: -placement[0])
+        local, ident = [], []
+        for _, out_axes, in_axes in placements:
             local.append([[so[i] for i in out_axes] + [0] * len(in_axes) + [out_off],
                           [0] * len(out_axes) + [si[i] for i in in_axes] + [in_off]])
             ident.append([[x for i, x in enumerate(so) if i not in out_axes],
                           [x for i, x in enumerate(si) if i not in in_axes]])
-            signs.append(sign)
         sizes = [x for i, x in enumerate(out_shape) if i not in placements[0][1]]
         grid = np.indices(sizes).reshape(len(sizes), prod(sizes))
         offsets = np.array(ident, dtype=np.int64) @ grid
         index = (np.array(local, dtype=np.int64) @ pos)[..., None] + offsets[:, :, None, :]
-        return index[:, 0], index[:, 1], np.array(signs)[:, None] * vals
+        plus = sum(sign > 0 for sign, _, _ in placements)
+        for part, vals in ((slice(plus), signed[0]), (slice(plus, None), signed[1])):
+            if len(index[part]):
+                yield index[part, 0], index[part, 1], vals
 
 
 def _strides(shape):
@@ -322,15 +317,10 @@ def _terms(alg: LieYamagutiAlgebra, rep: Representation) -> _Terms:
 
 
 def _apply(terms: _Terms, p: int, x: ExactArray) -> ExactArray:
-    """delta_p of the flat cochain x: the triples' values times the
-    numerators of x at their columns, summed at their rows.  An output
-    entry takes at most one product per value (k, e) of a term, so the
-    sum of the values' magnitudes times the bound of x bounds it."""
-    triples = list(terms.triples(p))
-    bound = x.bound * sum(int(abs(v).max()) * v.size for _, _, v in triples if v.size)
-    num = x.num if bound < INT64_LIMIT else x.num.astype(object)
-    return _scatter(cochain_dim(terms.adim, terms.mdim, p + 1),
-                    [(r, v[..., None] * num[c]) for r, c, v in triples], terms.den * x.den, bound)
+    """delta_p of the flat cochain x: the triples' values times the entries
+    of x at their columns, summed at their rows."""
+    return scatter_add(cochain_dim(terms.adim, terms.mdim, p + 1),
+                       [(r, v * x[c]) for r, c, v in terms.triples(p)])
 
 
 def delta(alg: LieYamagutiAlgebra, rep: Representation, c: YamagutiCochain,
@@ -353,30 +343,8 @@ def delta_matrix(alg: LieYamagutiAlgebra, rep: Representation, p: int,
     if p < 1:
         raise DimMismatchError("cochain degree must be >= 1")
     rows, cols = (cochain_dim(alg.dim, rep.module_dim, q) for q in (p + 1, p))
-    terms = _terms(alg, rep)
-    triples = [(r, c, np.broadcast_to(v[..., None], r.shape)) for r, c, v in terms.triples(p)]
-    return Matrix.from_array(_assemble(rows, cols, triples, terms.den))
-
-
-def _assemble(rows, cols, triples, den):
-    """The (rows, cols) ExactArray over `den` that sums the triples (row
-    indices, column indices, integer numerators: arrays of one shape;
-    repeats add up).  No entry exceeds the sum of the numerators'
-    magnitudes, which is its bound."""
-    bound = sum(int(abs(v).max()) * v.size for _, _, v in triples if v.size)
-    return _scatter(rows * cols, [(r * cols + c, v) for r, c, v in triples], den, bound).reshape(rows, cols)
-
-
-def _scatter(size, pairs, den, bound):
-    """The 1-d ExactArray of `size` entries over `den` that sums the pairs
-    (flat indices, integer numerators: arrays of one shape; repeats add
-    up) at their indices, for sums known to stay within `bound`."""
-    fits = bound < INT64_LIMIT
-    NUMERATOR_OPS["int64" if fits else "object"] += 1
-    num = np.zeros(size, dtype=np.int64 if fits else object)
-    for index, vals in pairs:
-        np.add.at(num, index.ravel(), vals.ravel())
-    return ExactArray(num, den, bound)
+    summed = scatter_add(rows * cols, [(r * cols + c, v) for r, c, v in _terms(alg, rep).triples(p)])
+    return Matrix.from_array(summed.reshape(rows, cols))
 
 
 def cohomology_dim(alg: LieYamagutiAlgebra, rep: Representation, p: int,

@@ -8,6 +8,7 @@ and golden files of the object-array engine, and check through
 linalg.NUMERATOR_OPS which kind ran.
 """
 
+import ast
 from fractions import Fraction
 from pathlib import Path
 
@@ -274,6 +275,51 @@ def test_arithmetic_matches_fractions(data):
     assert ((a != 0) == (oa != 0)).all()
     idx = tuple(data.draw(st.integers(0, s - 1)) for s in sa)
     assert a[idx] == oa[idx] and type(a[idx]) is type(oa[idx])
+    # scatter_add and sum_by_key: a and c over their own denominators, a
+    # broadcast over a trailing index axis, indices and keys repeated
+    at = np.array(data.draw(st.lists(st.integers(0, 3), min_size=3 * a.size, max_size=3 * a.size)))
+    at, ac = at[:2 * a.size].reshape(*sa, 2), at[2 * a.size:].reshape(sa)
+    want = np.zeros(4, dtype=object)
+    np.add.at(want, at.ravel(), np.broadcast_to(oa[..., None], at.shape).ravel())
+    np.add.at(want, ac.ravel(), oc.ravel())
+    _check(linalg.scatter_add(4, [(at, a[..., None]), (ac, c)]), want)
+    keys, sums = linalg.sum_by_key(ac.ravel(), c.ravel())
+    assert keys.tolist() == sorted(set(ac.ravel().tolist()))
+    _check(sums, [sum(oc.ravel()[ac.ravel() == k]) for k in keys.tolist()])
+
+
+def test_scatter_and_keyed_sum_at_the_edges():
+    """Empty indices and a zero-size target give empty int64 sums; two values
+    of bound 2^61 at one index or key reach INT64_LIMIT and sum on Python
+    ints, one below it stays on int64."""
+    big = exact([2**61, 2**61])
+    empty = np.zeros(0, dtype=np.int64)
+    for got in (linalg.scatter_add(0, [(empty, big[:0])]), linalg.scatter_add(2, [(empty, big[:1])]),
+                linalg.sum_by_key(empty, big[:0])[1]):
+        _check(got, np.zeros(got.shape, dtype=object))
+        assert got.num.dtype == np.int64
+    before = _ops()
+    _check(linalg.scatter_add(2, [(np.array([1, 1]), big)]), [0, 2**62])
+    _check(linalg.sum_by_key(np.array([5, 5]), big)[1], [2**62])
+    _check(linalg.scatter_add(2, [(np.array([1]), big[:1])]), [0, 2**61])
+    assert _ran(before) == {"int64": 1, "object": 2}
+
+
+def test_numerator_format_stays_in_linalg():
+    """No module but linalg reads an ExactArray's numerators, denominator or
+    bound, constructs one directly or imports the numerator policy's names."""
+    found = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+            if ((isinstance(node, ast.Attribute) and node.attr in ("num", "den", "bound"))
+                    or (isinstance(node, ast.Call) and "ExactArray" in (getattr(node.func, "id", None),
+                                                                        getattr(node.func, "attr", None)))
+                    or {"INT64_LIMIT", "NUMERATOR_OPS"} & set(names)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 # -- arithmetic over Q[t] against Poly objects ---------------------------------

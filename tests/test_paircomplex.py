@@ -14,6 +14,7 @@ from lieyam.errors import (
     PolynomialEntriesError,
     UnsupportedDegreeError,
 )
+from lieyam.linalg import exact
 from lieyam.paircomplex import (
     PairCochain,
     _pc,
@@ -112,9 +113,9 @@ def test_not_in_subcomplex_detected(pairs):
     rows = np.concatenate([im.home, im.home[im.dst]])
     cols = np.concatenate([np.arange(len(im.home)), im.src])
     vals = np.concatenate([np.ones(len(im.home), dtype=object), im.sign.astype(object)])
-    im.verify(rows, vals, cols)  # a member
+    im.verify(rows, exact(vals), cols)  # a member
     with pytest.raises(NotInSubcomplexError) as err:
-        im.verify(np.append(rows, [1 * 4 + 0, 5 * 4 + 2]), np.append(vals, [1, 3]),
+        im.verify(np.append(rows, [1 * 4 + 0, 5 * 4 + 2]), exact(np.append(vals, [1, 3])),
                   np.append(cols, [20, 7]))
     assert err.value.witness == {"column": 7, "flat_index": 5 * 4 + 2, "expected": 0, "found": 3}
 
@@ -132,7 +133,7 @@ def test_coboundary_leaving_the_subspace_is_caught(monkeypatch):
     def leaky(p):
         yield from triples(p)
         yield (np.array([[[off]]]), np.array([[[pc.index_map(1).home[col]]]]),
-               np.array([[5]], dtype=object))
+               exact(np.array([[5]], dtype=object)))
 
     monkeypatch.setattr(pc.terms, "triples", leaky)
     with pytest.raises(NotInSubcomplexError, match=r"\(f part\)") as err:
