@@ -91,7 +91,7 @@ def _int_value(value, key, where, minimum=None, maximum=None):
 def _parse_value_vector(dim, value, where):
     if not isinstance(value, dict):
         raise ParseError(f"{where}: value must be an object mapping index -> rational")
-    vec = np.zeros(dim, dtype=object)
+    vec, seen = np.zeros(dim, dtype=object), set()
     for key, sval in value.items():
         try:
             idx = int(key)
@@ -99,7 +99,11 @@ def _parse_value_vector(dim, value, where):
             raise ParseError(f"{where}: bad component index {key!r}") from exc
         if not 0 <= idx < dim:
             raise ParseError(f"{where}: component index {idx} out of range")
-        vec[idx] = parse_scalar(sval)
+        x = parse_scalar(sval)
+        if idx in seen and vec[idx] != x:
+            raise ConflictingEntryError(f"{where}: conflicting values for component {idx}")
+        vec[idx] = x
+        seen.add(idx)
     return vec
 
 
@@ -177,9 +181,15 @@ def algebra_to_dict(alg: LieYamagutiAlgebra):
     return {"dim": alg.dim, "basis": alg.basis_names, "binary": binary, "ternary": ternary}
 
 
-def matrix_from_rows(rows, where="matrix") -> Matrix:
+def _has_shape(rows, shape, where):
+    """Whether `rows`, which must be a nonempty array of arrays, has `shape`
+    (rows, cols); no entry is parsed."""
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ParseError(f"{where}: expected an array of rows")
+    return len(rows) == shape[0] and all(len(r) == shape[1] for r in rows)
+
+
+def matrix_from_rows(rows) -> Matrix:
     return Matrix([[parse_scalar(x) for x in r] for r in rows])
 
 
@@ -199,14 +209,12 @@ def load_operator(path) -> Matrix:
     if not isinstance(entries, list):
         raise ParseError(f"{path}: 'entries' must be an array")
     if entries and isinstance(entries[0], list):
-        mat = matrix_from_rows(entries, where=path)
-    else:
-        if len(entries) != rows * cols:
-            raise ParseError(f"{path}: need {rows * cols} entries, got {len(entries)}")
-        mat = Matrix([[parse_scalar(entries[i * cols + j]) for j in range(cols)] for i in range(rows)], cols)
-    if mat.rows != rows or mat.cols != cols:
-        raise ParseError(f"{path}: entry grid does not match rows/cols")
-    return mat
+        if not _has_shape(entries, (rows, cols), path):
+            raise ParseError(f"{path}: entry grid does not match rows/cols")
+        return matrix_from_rows(entries)
+    if len(entries) != rows * cols:
+        raise ParseError(f"{path}: need {rows * cols} entries, got {len(entries)}")
+    return Matrix([[parse_scalar(entries[i * cols + j]) for j in range(cols)] for i in range(rows)], cols)
 
 
 def operator_to_dict(mat: Matrix):
@@ -240,13 +248,15 @@ def representation_from_dict(data, base_dir=".") -> tuple[LieYamagutiAlgebra, Re
         raise ParseError("'rho' must list one matrix per basis vector")
     if not isinstance(mu, list) or len(mu) != alg.dim:
         raise ParseError("'mu' must be a dim x dim table of matrices")
-    mats = [matrix_from_rows(r, where=f"rho[{i}]") for i, r in enumerate(rho)]
+    grids = [(r, f"rho[{i}]") for i, r in enumerate(rho)]
     for i, row in enumerate(mu):
         if not isinstance(row, list) or len(row) != alg.dim:
             raise ParseError(f"mu[{i}] must list dim matrices")
-        mats.extend(matrix_from_rows(x, where=f"mu[{i}][{j}]") for j, x in enumerate(row))
-    if any(mat.arr.shape != (m, m) for mat in mats):
+        grids.extend((x, f"mu[{i}][{j}]") for j, x in enumerate(row))
+    # every grid is seen to be an array of rows before a shape is refused
+    if not all([_has_shape(x, (m, m), where) for x, where in grids]):
         raise DimMismatchError(f"representation matrices must be {m}x{m}")
+    mats = [matrix_from_rows(x) for x, _ in grids]
     # rho(e_0), ..., then mu(e_0, e_0), mu(e_0, e_1), ...
     table = np.stack([mat.arr for mat in mats]) if mats else np.zeros((0, m, m), dtype=object)
     n = alg.dim

@@ -21,7 +21,7 @@ from lieyam.jsonio import (
 )
 from lieyam.errors import ConflictingEntryError, ParseError
 from lieyam.linalg import Matrix
-from lieyam.scalars import MAX_POLY_DEGREE, T, format_rational
+from lieyam.scalars import MAX_POLY_DEGREE, T, format_rational, parse_scalar
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -363,6 +363,45 @@ def test_conflicting_duplicate_detected():
         load_algebra(fx("A2-conflicting.json"))
     with pytest.raises(ParseError):
         algebra_from_dict({"dim": 2, "binary": [{"i": 0, "j": 5, "value": {"0": "1"}}]})
+
+
+@pytest.mark.parametrize("value, code", [({"0": "1", "00": "5"}, 2), ({"0": "1", " 0": "1"}, 0)])
+def test_component_named_twice(tmp_path, capsys, value, code):
+    """"0", "00" and " 0" name one component: with two values it is a
+    conflicting entry (exit 2, one line), an equal repeat loads."""
+    path = tmp_path / "alg.json"
+    dump_json({"dim": 2, "binary": [{"i": 0, "j": 1, "value": value}], "ternary": []}, path)
+    got, out = run_cli("check", "algebra", str(path), capsys=capsys)
+    _assert_contract(got, out)
+    assert got == code
+    if code == 2:
+        assert out.err == "input error: binary[0]: conflicting values for component 0\n"
+    else:
+        assert load_algebra(str(path)).b_arr.tolist()[0][1] == [1, 0]
+
+
+def test_grid_shapes_checked_before_parsing(monkeypatch, tmp_path, capsys):
+    """A representation matrix or a nested operator grid of the wrong shape
+    (too many rows, or ragged) exits 2 before any scalar is parsed."""
+    import lieyam.jsonio as jsonio
+
+    parsed = []
+    monkeypatch.setattr(jsonio, "parse_scalar", lambda x: parsed.append(x) or parse_scalar(x))
+    abelian, zero, tall = {"dim": 2, "binary": [], "ternary": []}, [["0", "0"]] * 2, [["1", "0"]] * 1000
+    dump_json(abelian, tmp_path / "alg.json")
+    dump_json({"algebra": abelian, "module_dim": 2, "rho": [tall, zero], "mu": [[zero] * 2] * 2},
+              tmp_path / "pair.json")
+    dump_json({"rows": 2, "cols": 2, "entries": tall}, tmp_path / "tall.json")
+    dump_json({"rows": 2, "cols": 2, "entries": [["1", "0"], ["1"]]}, tmp_path / "ragged.json")
+    nijenhuis = ["verify-nijenhuis", "--algebra", str(tmp_path / "alg.json"), "--N"]
+    for argv, message in ((["check", "pair", str(tmp_path / "pair.json")],
+                           "error: representation matrices must be 2x2"),
+                          (nijenhuis + [str(tmp_path / "tall.json")], "entry grid does not match rows/cols"),
+                          (nijenhuis + [str(tmp_path / "ragged.json")], "entry grid does not match rows/cols")):
+        code, out = run_cli(*argv, capsys=capsys)
+        _assert_contract(code, out)
+        assert code == 2 and message in out.err
+    assert parsed == []
 
 
 def test_pair_file_roundtrip(tmp_path):
