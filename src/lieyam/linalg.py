@@ -557,7 +557,9 @@ def scatter_add(size, pairs):
         add = values.num if fits else values.num.astype(object)
         if values.den != den:
             add = add * (den // values.den)
-        np.add.at(num, index.ravel(), np.broadcast_to(add, index.shape).ravel())
+        if add.shape != index.shape:
+            add = np.broadcast_to(add, index.shape)
+        np.add.at(num, index.ravel(), add.ravel())
     return ExactArray(num, den, bound)
 
 

@@ -35,8 +35,8 @@ The coboundary has two implementations:
   one lifted cochain (pair_delta_lifted), or, for the whole matrix, its
   (row, column, value) triples composed with L on the right, checked on
   every column at once by a keyed sum (the witness names the lowest
-  offending column), and taken through P (pair_delta_matrix).  lift
-  and P are each one linalg.scatter_add, for a cochain and a matrix
+  offending column), and taken through P (pair_delta_matrix).  lift is
+  one linalg.scatter_add, and so is P, for a cochain and a matrix
   alike.  The semidirect product, its term table and the index maps are
   built once per pair and kept on it.
 * the *direct* path: closed formulas at degrees 1 and 2, written out
@@ -210,11 +210,10 @@ class _IndexMap:
                                        (at[h:], -x[self.src[h:]])])
 
     def unmix(self, rows, cols, vals, width):
-        """P M for the triples (semidirect rows, columns, values) of a map M
-        whose entries vanish off the home coordinates (see verify), as the
-        row-major 1-d ExactArray of its len(home) x width entries: the home
-        rows at their pair coordinates, and row src[t] again at dst[t],
-        times -sign[t]."""
+        """P M, row-major over len(home) x width, for the triples (semidirect
+        rows, columns, values) of a map M that vanishes off the home
+        coordinates (see verify): the home rows at their pair coordinates,
+        and row src[t] again at dst[t], times -sign[t]."""
         rows = self.coordinate[rows]
         home = rows >= 0
         rows, cols, vals = rows[home], cols[home], vals[home]
@@ -310,8 +309,9 @@ def _project(pc: _PairComplex, degree, x: ExactArray) -> PairCochain:
     """P x for the flat ExactArray x; NotInSubcomplexError unless x = L P x."""
     im = pc.index_map(degree)
     rows = np.flatnonzero(x != 0)
-    im.verify(rows, x[rows])
-    return PairCochain(degree, pc.n, pc.m, im.unmix(rows, 0 * rows, x[rows], 1))
+    vals = x[rows]
+    im.verify(rows, vals)
+    return PairCochain(degree, pc.n, pc.m, im.unmix(rows, 0 * rows, vals, 1))
 
 
 def lift(pair: LieYRepPair, c: PairCochain) -> YamagutiCochain:

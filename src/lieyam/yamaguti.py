@@ -245,60 +245,57 @@ class _Terms:
             raise PolynomialEntriesError("the coboundary needs rational structure constants; "
                                          "evaluate t first")
         # per array: its nonzero positions (one row per axis, then a row of
-        # ones that picks up the block offsets) and their values, as a column
-        # that broadcasts over the identity index, and negated
+        # ones for the block offsets) and their values and negatives as (E, 1) columns
         self.nonzeros = {}
         for name, arr in arrays.items():
             pos = np.array(np.nonzero(arr != 0)).reshape(len(arr.shape), -1)
-            vals = arr[tuple(pos)][:, None]
+            vals = arr[(*pos, None)]
             self.nonzeros[name] = (np.vstack([pos, np.ones_like(pos[:1])]), (vals, -vals))
 
     def triples(self, p):
-        """(rows, cols, vals) triples of the terms of delta_p in the flat layouts.
+        """(rows, cols, vals) of each term of delta_p in the flat layouts.
 
-        A term is one coefficient array at each of its K slot placements,
-        yielded as one triple per sign of the placements: rows and cols
-        are (K, E, I) arrays, for nonzero entry e of the array and
-        identity index i, and vals an (E, 1) ExactArray of the signed
-        entries, which broadcasts to them.  Within one placement every
-        (row, col) occurs once.
+        A term is one coefficient array at each of its K slot placements:
+        rows and cols are (K, E, I) arrays, for nonzero entry e of the
+        array and identity index i, and vals an ExactArray of the signed
+        entries that broadcasts to them: (E, 1) when the placements share
+        their sign, else (K, E, 1).  Within one placement every (row, col)
+        occurs once.
         """
         n, w, a, m = p - 1, self.wdim, self.adim, self.mdim
         f_out, g_out = ((w,) * (n + 1) + (m,), 0), ((w,) * (n + 1) + (a, m), w ** (n + 1) * m)
         f_in, g_in = ((w,) * n + (m,), 0), ((w,) * n + (a, m), w**n * m if n else 0)
-        yield from self._term("rho_b", f_out, g_in, [((-1) ** n, (n, n + 1), (n, n + 1))])
-        yield from self._term("mu_dt", g_out, g_in, [((-1) ** n, (n, n + 1, n + 2), (n, n + 1))])
+        yield self._term("rho_b", f_out, g_in, [((-1) ** n, (n, n + 1), (n, n + 1))])
+        yield self._term("mu_dt", g_out, g_in, [((-1) ** n, (n, n + 1, n + 2), (n, n + 1))])
         if n:
-            yield from self._term("d", f_out, f_in, [((-1) ** k, (k, n + 1), (n,)) for k in range(n)])
-            yield from self._term("dt", g_out, g_in,
-                                  [((-1) ** k, (k, n + 1, n + 2), (n, n + 1)) for k in range(n)])
+            yield self._term("d", f_out, f_in, [((-1) ** k, (k, n + 1), (n,)) for k in range(n)])
+            yield self._term("dt", g_out, g_in,
+                             [((-1) ** k, (k, n + 1, n + 2), (n, n + 1)) for k in range(n)])
             circ = [((-1) ** (k + 1), (k, l), (l - 1,)) for k in range(n) for l in range(k + 1, n + 1)]
-            yield from self._term("circ", f_out, f_in, circ)
-            yield from self._term("circ", g_out, g_in, circ)
+            yield self._term("circ", f_out, f_in, circ)
+            yield self._term("circ", g_out, g_in, circ)
 
     def _term(self, name, out, inp, placements):
         """Triples of array `name` in the output block `out` and input block
         `inp` (each a (shape, offset) pair).  A placement (sign, out_axes,
         in_axes) puts the array's axes at those axes of the two blocks and
         pairs their other axes, in order, by the identity."""
-        pos, signed = self.nonzeros[name]
+        pos, (plus, minus) = self.nonzeros[name]
         (out_shape, out_off), (in_shape, in_off) = out, inp
         so, si = _strides(out_shape), _strides(in_shape)
-        placements = sorted(placements, key=lambda placement: -placement[0])
-        local, ident = [], []
-        for _, out_axes, in_axes in placements:
+        local, ident, signed = [], [], []
+        for sign, out_axes, in_axes in placements:
             local.append([[so[i] for i in out_axes] + [0] * len(in_axes) + [out_off],
                           [0] * len(out_axes) + [si[i] for i in in_axes] + [in_off]])
             ident.append([[x for i, x in enumerate(so) if i not in out_axes],
                           [x for i, x in enumerate(si) if i not in in_axes]])
+            signed.append(plus if sign > 0 else minus)
         sizes = [x for i, x in enumerate(out_shape) if i not in placements[0][1]]
         grid = np.indices(sizes).reshape(len(sizes), prod(sizes))
         offsets = np.array(ident, dtype=np.int64) @ grid
         index = (np.array(local, dtype=np.int64) @ pos)[..., None] + offsets[:, :, None, :]
-        plus = sum(sign > 0 for sign, _, _ in placements)
-        for part, vals in ((slice(plus), signed[0]), (slice(plus, None), signed[1])):
-            if len(index[part]):
-                yield index[part, 0], index[part, 1], vals
+        vals = signed[0] if all(v is signed[0] for v in signed) else np.stack(signed)
+        return index[:, 0], index[:, 1], vals
 
 
 def _strides(shape):
