@@ -93,10 +93,11 @@ def _parse_value_vector(dim, value, where):
         raise ParseError(f"{where}: value must be an object mapping index -> rational")
     vec, seen = np.zeros(dim, dtype=object), set()
     for key, sval in value.items():
-        try:
-            idx = int(key)
-        except ValueError as exc:
-            raise ParseError(f"{where}: bad component index {key!r}") from exc
+        # decimal digits only ("00" is 0): int() would also take "1_0",
+        # " 0", "+1" and non-ASCII digits
+        if not (key.isascii() and key.isdigit()):
+            raise ParseError(f"{where}: bad component index {key!r}")
+        idx = int(key)
         if not 0 <= idx < dim:
             raise ParseError(f"{where}: component index {idx} out of range")
         x = parse_scalar(sval)
@@ -182,9 +183,9 @@ def algebra_to_dict(alg: LieYamagutiAlgebra):
 
 
 def _has_shape(rows, shape, where):
-    """Whether `rows`, which must be a nonempty array of arrays, has `shape`
-    (rows, cols); no entry is parsed."""
-    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
+    """Whether `rows`, which must be an array of arrays (empty only when
+    `shape` has no rows), has `shape` (rows, cols); no entry is parsed."""
+    if not isinstance(rows, list) or not (rows or not shape[0]) or not all(isinstance(r, list) for r in rows):
         raise ParseError(f"{where}: expected an array of rows")
     return len(rows) == shape[0] and all(len(r) == shape[1] for r in rows)
 

@@ -26,14 +26,18 @@ numerator array (each row of the matrix times the common denominator)
 keep only their nonzero entries in a {column: int} dict, and are brought
 to reduced echelon form by fraction-free elimination with content
 removal (every row divided by the gcd of its entries after each step).
-Coboundary matrices are mostly zeros, and the dict rows never touch
-those.
+Coboundary matrices in a catalog basis, or in a weight basis, are mostly
+zeros, and the dict rows never touch those.  In a dense basis they fill
+in, and so does their reduced form; yamaguti.cohomology_dim therefore
+ranks dense input in the eigenbasis of a derivation, which
+`rational_eigenbasis` finds exactly (Faddeev-LeVerrier characteristic
+polynomial, integer roots, eigenspaces by `_echelon`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 
@@ -570,6 +574,25 @@ def sum_by_key(keys, values):
     return keys, scatter_add(len(keys), [(at, values)])
 
 
+def polynomial(planes):
+    """The exact array over Q[t] whose coefficient of t^k is planes[k]:
+    exact arrays over Q, or integer ndarrays, broadcast to one shape."""
+    planes = [exact(x) for x in planes]
+    shape = np.broadcast_shapes(*(x.shape for x in planes))
+    stacked = np.stack([np.broadcast_to(x, shape) for x in planes])
+    return exact(ExactArray(stacked.num, stacked.den, stacked.bound, True))
+
+
+def coefficient(arr, k):
+    """The exact array over Q of the coefficients of t^k of arr's entries
+    (zero beyond their degree; arr itself at k = 0 when arr is over Q)."""
+    if arr.poly and k < len(arr.num):
+        return ExactArray(arr.num[k], arr.den, arr.bound)
+    if not arr.poly and k == 0:
+        return arr
+    return ExactArray(np.zeros(arr.shape, dtype=np.int64), 1, 0)
+
+
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -717,8 +740,11 @@ class Matrix:
 
         One vector per non-pivot column j of the reduced echelon form:
         1 at j, minus the (normalized) pivot rows' column j at the pivots.
+        The rows are reduced a block at a time (_spanning_echelon), so a
+        tall matrix pays for about as many rows as its rank; the reduced
+        echelon form, and with it the basis, is that of all the rows.
         """
-        pivots = _echelon(self._integer_rows())
+        pivots = _spanning_echelon(self)
         basis = []
         for j in range(self.cols):
             if j in pivots:
@@ -752,14 +778,58 @@ class Matrix:
         return f"Matrix({[list(r) for r in self.data]!r})"
 
 
-def _echelon(rows):
+def _spanning_echelon(mat: Matrix):
+    """_echelon of mat's rows, reducing only rows that its row space so far
+    does not hold.
+
+    The first 2 * cols rows are reduced; then the kernel of the pivot rows
+    (one integer vector per non-pivot column) is multiplied by every row
+    at once, and up to cols rows it does not annihilate are reduced in
+    turn, until it annihilates all.  Each round adds to the rank, and the
+    last kernel is the matrix's, so the pivot rows span its row space and
+    are its reduced echelon form.
+    """
+    rows, cols = mat._integer_rows(), mat.cols
+    num = mat.arr.num
+    pivots = _echelon(rows[:2 * cols])
+    rest = np.arange(2 * cols, len(rows))
+    while rest.size:
+        kernel = [_kernel_vector(pivots, j, cols) for j in range(cols) if j not in pivots]
+        if not kernel:
+            break
+        fits = mat.arr.bound * max(abs(x) for v in kernel for x in v) * cols < INT64_LIMIT
+        NUMERATOR_OPS["int64" if fits else "object"] += 1
+        k = np.array(kernel, dtype=_INT64 if fits else _OBJECT).T
+        part = num[rest] if fits else num[rest].astype(object)
+        missed = rest[(part.dot(k) != 0).any(axis=1)]
+        pivots = _echelon([rows[i] for i in missed[:cols]], pivots)
+        rest = missed[cols:]
+    return pivots
+
+
+def _kernel_vector(pivots, j, cols):
+    """The kernel vector of the reduced rows `pivots` at non-pivot column j,
+    in integers: the lcm L of the pivot entries of the rows that
+    hold column j at j, and -row[j] * L / row[p] at each such pivot p."""
+    hold = [(p, row) for p, row in pivots.items() if j in row]
+    scale = lcm(*(row[p] for p, row in hold))
+    v = [0] * cols
+    v[j] = scale
+    for p, row in hold:
+        v[p] = -row[j] * scale // row[p]
+    return v
+
+
+def _echelon(rows, pivots=None):
     """Reduced echelon form of integer rows, by fraction-free elimination.
 
-    `rows` are {column: int} dicts holding only nonzero entries.  Returns
-    {pivot column: row}: every row is primitive (its entries have gcd 1),
-    is positive at its pivot, has no nonzero left of the pivot, and is
-    zero in every other pivot column.  Dividing each row by its pivot
-    entry gives the (unique) reduced row echelon form over the rationals.
+    `rows` are {column: int} dicts holding only nonzero entries, reduced
+    into `pivots` (the reduced echelon form of earlier rows, kept up to
+    date in place; none by default).  Returns {pivot column: row}: every
+    row is primitive (its entries have gcd 1), is positive at its pivot,
+    has no nonzero left of the pivot, and is zero in every other pivot
+    column.  Dividing each row by its pivot entry gives the (unique)
+    reduced row echelon form over the rationals.
     """
 
     def clear(row, pivot_row, col):
@@ -778,7 +848,7 @@ def _echelon(rows):
         content = gcd(*out.values())
         return {j: x // content for j, x in out.items()} if content > 1 else out
 
-    pivots = {}
+    pivots = {} if pivots is None else pivots
     for row in rows:
         for col in [c for c in row if c in pivots]:
             row = clear(row, pivots[col], col)
@@ -793,6 +863,139 @@ def _echelon(rows):
                 pivots[p] = clear(other, row, lead)
         pivots[lead] = row
     return pivots
+
+
+def characteristic_polynomial(mat: Matrix):
+    """det(t I - A) of a square rational matrix A, as its coefficients from
+    t^0 up (Fractions; the last is 1): those of the integer matrix B = den
+    * A (_integer_charpoly), the coefficient of t^j over den^(n-j)."""
+    b, den = _square_integer(mat)
+    n = len(b)
+    return [Fraction(c, den ** (n - j)) for j, c in enumerate(_integer_charpoly(b))]
+
+
+def _integer_charpoly(b):
+    """det(t I - B) of a square object array of ints, as its integer
+    coefficients from t^0 up, by Faddeev-LeVerrier: M_1 = I, c_(n-k) =
+    -tr(B M_k) / k and M_(k+1) = B M_k + c_(n-k) I, every division exact."""
+    n = len(b)
+    coeffs, m = [0] * n + [1], np.identity(n, dtype=object)
+    for k in range(1, n + 1):
+        bm = b.dot(m)
+        coeffs[n - k] = -sum(bm[i, i] for i in range(n)) // k
+        m = bm + coeffs[n - k] * np.identity(n, dtype=object)
+    return coeffs
+
+
+def _square_integer(mat: Matrix):
+    """The numerators B of a square rational matrix (an object array of
+    ints) and their denominator: mat = B / den."""
+    mat._require_rational()
+    if not mat.is_square():
+        raise DimMismatchError("characteristic polynomial of a non-square matrix")
+    return mat.arr.num.astype(object), mat.arr.den
+
+
+#: Most divisors the integer root search of rational_eigenvalues tries; a
+#: matrix that needs more counts as not split over Q.
+ROOT_SEARCH_LIMIT = 1 << 16
+
+
+def rational_eigenvalues(mat: Matrix):
+    """{eigenvalue: algebraic multiplicity} of a square rational matrix A
+    whose characteristic polynomial splits over Q, else None.
+
+    The eigenvalues are those of the primitive integer multiple B = c * A
+    over c.  The rational roots of B's monic integer characteristic
+    polynomial are integers that divide its lowest nonzero coefficient and
+    are at most B's largest absolute row sum; each divisor in that range
+    is tried, with its multiplicity (_integer_roots).  When more than
+    ROOT_SEARCH_LIMIT divisors would be tried, None.
+    """
+    b, scale = _primitive_integer(mat)
+    roots = _split_roots(b)
+    return None if roots is None else {r * scale: k for r, k in sorted(roots.items())}
+
+
+def rational_eigenbasis(mat: Matrix):
+    """(eigenvalues, P) when the square rational matrix A is diagonalizable
+    over Q, else None.
+
+    P's columns are eigenvectors (primitive integer vectors), grouped by
+    eigenvalue in increasing order, and eigenvalues[k] is that of column
+    k, so A P = P diag(eigenvalues).  A is diagonalizable over Q exactly
+    when its characteristic polynomial splits over Q (rational_eigenvalues)
+    and each eigenspace, the kernel of B - r I for B = c * A and r = c *
+    eigenvalue, has the dimension of its multiplicity.
+    """
+    b, scale = _primitive_integer(mat)
+    roots = _split_roots(b)
+    if roots is None:
+        return None
+    n, values, columns = len(b), [], []
+    for r in sorted(roots):
+        shifted = (b - r * np.identity(n, dtype=object)).tolist()
+        pivots = _echelon([{j: x for j, x in enumerate(row) if x} for row in shifted])
+        free = [j for j in range(n) if j not in pivots]
+        if len(free) != roots[r]:
+            return None
+        for j in free:
+            v = _kernel_vector(pivots, j, n)
+            g = gcd(*v)
+            columns.append([x // g for x in v])
+            values.append(r * scale)
+    p = np.array(columns, dtype=object).reshape(n, n).T
+    return values, Matrix.from_array(exact_array(p.ravel(), (n, n)))
+
+
+def _primitive_integer(mat: Matrix):
+    """(B, s): the primitive integer matrix B (an object array; zero for
+    A = 0) and the rational s with A = s * B, for a square rational A."""
+    b, den = _square_integer(mat)
+    content = gcd(*b.ravel().tolist())
+    if content > 1:
+        b = b // content
+    return b, Fraction(max(content, 1), den)
+
+
+def _split_roots(b):
+    """{root: multiplicity} of the integer matrix b's characteristic
+    polynomial when it splits over Q (its roots are then integers), else
+    None; the roots are at most b's largest absolute row sum."""
+    bound = max((sum(abs(x) for x in row) for row in b.tolist()), default=0)
+    roots = _integer_roots(_integer_charpoly(b), bound)
+    return roots if roots is not None and sum(roots.values()) == len(b) else None
+
+
+def _integer_roots(coeffs, bound):
+    """{root: multiplicity} of the integer roots of a monic integer
+    polynomial (coefficients from t^0 up) whose roots are at most `bound`
+    in absolute value; None when that search would try more than
+    ROOT_SEARCH_LIMIT divisors."""
+    roots = {}
+    zeros = next(k for k, c in enumerate(coeffs) if c)
+    if zeros:
+        roots[0] = zeros
+    poly, low = coeffs[zeros:], abs(coeffs[zeros])
+    top = min(bound, isqrt(low))
+    if top > ROOT_SEARCH_LIMIT:
+        return None
+    divisors = set()
+    for d in range(1, top + 1):
+        if low % d == 0:
+            divisors.update(x for x in (d, low // d) if x <= bound)
+    for d in sorted(divisors):
+        for r in (d, -d):
+            while len(poly) > 1:
+                # synthetic division by (t - r): the quotient, and the remainder p(r)
+                quotient, carry = [0] * (len(poly) - 1), poly[-1]
+                for k in range(len(poly) - 2, -1, -1):
+                    quotient[k] = carry
+                    carry = poly[k] + r * carry
+                if carry:
+                    break
+                poly, roots[r] = quotient, roots.get(r, 0) + 1
+    return roots
 
 
 def exact_product_is_zero(a: Matrix, b: Matrix) -> bool:

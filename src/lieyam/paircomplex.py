@@ -69,6 +69,7 @@ from .yamaguti import (
     YamagutiCochain,
     _apply,
     _terms,
+    _weight_route,
     cochain_dim,
     wedge_dim,
     wedge_index_map,
@@ -365,9 +366,20 @@ def pair_delta_matrix(pair: LieYRepPair, degree: int,
 
 def pair_cohomology_dim(pair: LieYRepPair, degree: int,
                         cap: int = DEFAULT_PAIR_CAP) -> int:
-    """dim of the degree-n cohomology group of the pair complex."""
+    """dim of the degree-n cohomology group of the pair complex.
+
+    The ranks are taken in a weight basis (yamaguti._weight_route) when
+    the pair is dense; the moved pair is isomorphic to the given one, so
+    no dimension moves.
+    """
     if degree < 1:
         raise DimMismatchError("cohomology degree must be >= 1")
+    _check_cap(degree, cap)
+    n, m = pair.dim_g, pair.dim_v
+    entries = pair_cochain_dim(n, m, degree + 1) * pair_cochain_dim(n, m, degree)
+    alg, rep = _weight_route(pair.algebra, pair.rep, entries)
+    if rep is not pair.rep:
+        pair = LieYRepPair(alg, rep, validate=False)
     dmat = pair_delta_matrix(pair, degree, cap=cap)
     kernel = dmat.nullspace_dim()
     if degree == 1:

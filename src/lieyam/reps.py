@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import LieYamagutiAlgebra, homomorphism_witness
+from .algebra import LieYamagutiAlgebra, _homomorphism_residual, homomorphism_witness
 from .errors import DimMismatchError, InternalConsistencyError, InvalidRepresentationError
-from .linalg import Matrix, exact, reduced
+from .linalg import Matrix, coefficient, exact, exact_array, polynomial, reduced
 from .report import VerificationReport, first_violation
 
 REP_LAWS = {
@@ -281,19 +281,85 @@ def pair_homomorphism_witness(phi: Matrix, psi: Matrix, src: LieYRepPair, dst: L
     n, p, q = src.dim_g, phi.arr, psi.arr
 
     return homomorphism_witness(phi, src.algebra, dst.algebra) or first_violation(
-        lambda s: q @ src.rep.rho_arr[s] - np.einsum("ai,axy->ixy", p[:, s], dst.rep.rho_arr) @ q, (n,),
-        identity="rho",
+        _intertwining_residual(p, q, src.rep.rho_arr, dst.rep.rho_arr), (n,), identity="rho",
     ) or first_violation(
-        lambda s: _pair_bilinear(p, q, s, src.rep.mu_arr, dst.rep.mu_arr), (n, n), identity="mu",
+        _intertwining_residual(p, q, src.rep.mu_arr, dst.rep.mu_arr), (n, n), identity="mu",
     ) or first_violation(
-        lambda s: _pair_bilinear(p, q, s, src.d.arr, dst.d.arr), (n, n), identity="D",
+        _intertwining_residual(p, q, src.d.arr, dst.d.arr), (n, n), identity="D",
     )
 
 
-def _pair_bilinear(p, q, s, x, x_dst):
-    """psi X(e_i, e_j) - X'(phi e_i, phi e_j) psi over (i in s, j), for phi = p and psi = q."""
-    img = np.einsum("bj,ibxy->ijxy", p, np.einsum("ai,abxy->ibxy", p[:, s], x_dst))
-    return q @ x[s] - img @ q
+def _intertwining_residual(p, q, x, x_dst):
+    """The law psi X(..) = X'(phi .., ..) psi of a table of operators on V,
+    over a block s of first basis indices, for phi = p and psi = q:
+
+    psi X(e_i) - X'(phi e_i) psi                       X linear (rho), over (..., i in s, a, b)
+    psi X(e_i, e_j) - X'(phi e_i, phi e_j) psi         X bilinear (mu, D), over (..., i in s, j, a, b)
+
+    p and q may carry the same leading batch axes.
+    """
+    def residual(s):
+        if len(x.shape) == 3:
+            img = np.einsum("...ai,axy->...ixy", p[..., :, s], x_dst)
+        else:
+            img = np.einsum("...bj,...ibxy->...ijxy", p, np.einsum("...ai,abxy->...ibxy", p[..., :, s], x_dst))
+        qs = q.reshape(*q.shape[:-2], *(1,) * (len(x.shape) - 2), *q.shape[-2:])
+        return qs @ x[s] - img @ qs
+
+    return residual
+
+
+#: Most (unit, basis tuple) entries one law evaluation of pair_derivations
+#: holds: the units of a block times the tuples of the largest law.
+DERIVATION_BLOCK = 1 << 18
+
+
+def pair_derivations(alg: LieYamagutiAlgebra, rep: Representation):
+    """A basis of Der(g, V), as (D_g, D_V) pairs of matrices.
+
+    (D_g, D_V) is a derivation of the pair exactly when (Id + t D_g,
+    Id + t D_V) satisfies the pair-homomorphism laws to first order in t:
+    D_g is a derivation of both brackets, and D_V rho(x) - rho(x) D_V =
+    rho(D_g x), likewise for mu (D follows from rho, mu and the bracket).
+    Those laws (algebra._homomorphism_residual, _intertwining_residual)
+    run over Q[t] on the stacks of every (Id + t E, Id) and every (Id,
+    Id + t E), E a unit matrix, a block of units at a time; their
+    coefficients of t^1 are the columns of a linear system, whose exact
+    nullspace is Der(g, V).  The bracket laws are antisymmetric in their
+    first two slots, so only their rows of x < y are kept, and they vanish
+    on the second stack, where phi = Id.
+    """
+    if rep.algebra_dim != alg.dim:
+        raise DimMismatchError("representation does not match the algebra dimension")
+    n, m = alg.dim, rep.module_dim
+    x, y = np.triu_indices(n, 1)
+    sizes = (len(x) * n, len(x) * n * n, n * m * m, n * n * m * m)
+    ident_g, ident_v = exact(np.identity(n, dtype=np.int64)), exact(np.identity(m, dtype=np.int64))
+    step = max(1, DERIVATION_BLOCK // max(1, n**5, n * n * m * m))
+
+    def first_order(p, q, units, moves_g):
+        """The t^1 coefficients of the laws at the stacks (p, q), as a
+        (units, equations) array."""
+        laws = [_intertwining_residual(p, q, rep.rho_arr, rep.rho_arr)(slice(None)),
+                _intertwining_residual(p, q, rep.mu_arr, rep.mu_arr)(slice(None))]
+        if moves_g:
+            laws[:0] = [_homomorphism_residual(p, alg.b_arr, alg, 2)(slice(None))[:, x, y],
+                        _homomorphism_residual(p, alg.t_arr, alg, 3)(slice(None))[:, x, y]]
+        else:
+            laws[:0] = [exact(np.zeros((units, size), dtype=np.int64)) for size in sizes[:2]]
+        return np.concatenate([coefficient(law, 1).reshape(units, size).T
+                               for law, size in zip(laws, sizes)]).T
+
+    stacks = []
+    for dim, moves_g in ((n, True), (m, False)):
+        units = np.identity(dim * dim, dtype=np.int64).reshape(dim * dim, dim, dim)
+        for start in range(0, dim * dim, step):
+            e = polynomial([np.identity(dim, dtype=np.int64), units[start:start + step]])
+            p, q = (e, ident_v) if moves_g else (ident_g, e)
+            stacks.append(first_order(p, q, len(e), moves_g))
+    system = Matrix.from_array(np.concatenate(stacks).T) if stacks else Matrix.zero(sum(sizes), 0)
+    return [(Matrix.from_array(exact_array(v[:n * n], (n, n))),
+             Matrix.from_array(exact_array(v[n * n:], (m, m)))) for v in system.nullspace_basis()]
 
 
 def is_pair_homomorphism(phi: Matrix, psi: Matrix, src: LieYRepPair, dst: LieYRepPair) -> bool:

@@ -300,23 +300,37 @@ def search_quadratic_fixtures(names=("abelian2", "abelian3", "so3lts", "sl2lts")
 # randomized corpus of valid pairs
 
 
-def change_basis(alg: LieYamagutiAlgebra, p: Matrix) -> LieYamagutiAlgebra:
+def change_basis(alg: LieYamagutiAlgebra, p: Matrix, rep: Representation = None, q: Matrix = None):
     """Transport the structure constants along an invertible map P: the
     constants X[..., k] become P^-1 X(P., ..., P.), each input slot
-    contracted with P and the output slot with P^-1."""
+    contracted with P and the output slot with P^-1.
+
+    With a representation `rep` and an invertible Q on its module, the
+    pair (alg, rep) moves along (P, Q): rho(x) and mu(x, y) become
+    Q^-1 rho(P x) Q and Q^-1 mu(P x, P y) Q, and (alg, rep) is returned
+    moved.  (P, Q) is then a pair homomorphism from the moved pair to the
+    given one (reps.is_pair_homomorphism)."""
     if p.rows != alg.dim or p.cols != alg.dim:
         raise DimMismatchError("basis change must be square of the algebra dimension")
     pt, pinv = p.arr, p.invert().arr
 
-    def transport(x):
-        # contract the first axis and append the new one: after every
-        # slot has had its turn, the slots are back in their order
-        ndim = len(x.shape)
-        for axis in range(ndim):
-            x = np.einsum("a...,ai->...i", x, pt if axis < ndim - 1 else pinv.T)
+    def transport(x, *maps):
+        # contract the first axis with the next map and append the new
+        # one: after every slot has had its turn, the slots are back in
+        # their order
+        for m in maps:
+            x = np.einsum("a...,ai->...i", x, m)
         return x
 
-    return LieYamagutiAlgebra(alg.dim, transport(alg.b_arr), transport(alg.t_arr), alg.basis_names)
+    moved = LieYamagutiAlgebra(alg.dim, transport(alg.b_arr, pt, pt, pinv.T),
+                               transport(alg.t_arr, pt, pt, pt, pinv.T), alg.basis_names)
+    if rep is None:
+        return moved
+    if q.rows != rep.module_dim or q.cols != rep.module_dim:
+        raise DimMismatchError("module basis change must be square of the module dimension")
+    qt, qinv = q.arr, q.invert().arr
+    return moved, Representation(alg.dim, rep.module_dim, transport(rep.rho_arr, pt, qinv.T, qt),
+                                 transport(rep.mu_arr, pt, pt, qinv.T, qt))
 
 
 def random_invertible(dim, rng, values=(-2, -1, 0, 1, 2)):

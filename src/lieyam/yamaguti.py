@@ -52,8 +52,8 @@ import numpy as np
 
 from .algebra import LieYamagutiAlgebra
 from .errors import DegreeCapExceededError, DimMismatchError, PolynomialEntriesError
-from .linalg import ExactArray, Matrix, exact, scatter_add
-from .reps import Representation, _derived
+from .linalg import ExactArray, Matrix, exact, rational_eigenbasis, rational_eigenvalues, scatter_add
+from .reps import Representation, _derived, pair_derivations
 
 DEFAULT_DEGREE_CAP = 4
 
@@ -346,12 +346,92 @@ def delta_matrix(alg: LieYamagutiAlgebra, rep: Representation, p: int,
 
 def cohomology_dim(alg: LieYamagutiAlgebra, rep: Representation, p: int,
                    cap: int = DEFAULT_DEGREE_CAP) -> int:
-    """dim H^p: nullity(delta_p) minus rank(delta_{p-1}) (p = 1: plain nullity)."""
+    """dim H^p: nullity(delta_p) minus rank(delta_{p-1}) (p = 1: plain nullity).
+
+    The ranks are taken in a weight basis (_weight_route) when the input
+    is dense; a basis change moves no dimension.
+    """
     if p < 1:
         raise DimMismatchError("cohomology degree must be >= 1")
+    if p + 1 > cap:
+        raise DegreeCapExceededError(f"degree {p + 1} exceeds cap {cap}")
+    entries = cochain_dim(alg.dim, rep.module_dim, p + 1) * cochain_dim(alg.dim, rep.module_dim, p)
+    alg, rep = _weight_route(alg, rep, entries)
     dp = delta_matrix(alg, rep, p, cap=cap)
     kernel = dp.nullspace_dim()
     if p == 1:
         return kernel
     dprev = delta_matrix(alg, rep, p - 1, cap=cap)
     return kernel - dprev.rank()
+
+
+# ---------------------------------------------------------------------------
+# weight bases
+
+#: The weight basis is tried for a coboundary of at least WEIGHT_ENTRIES
+#: entries whose structure constants (b, t, rho and mu together) are at
+#: least WEIGHT_SHARE nonzero; see README for the measured crossover.
+WEIGHT_ENTRIES = 1 << 15
+WEIGHT_SHARE = 0.25
+
+#: Seeded integer combinations of the derivation basis that weight_basis
+#: tries after the basis itself.
+WEIGHT_COMBINATIONS = 8
+
+
+def _weight_route(alg: LieYamagutiAlgebra, rep: Representation, entries):
+    """(alg, rep) moved to weight_basis when the coboundary has at least
+    WEIGHT_ENTRIES entries and the constants are at least WEIGHT_SHARE
+    nonzero, else as given (also when there is no weight basis, and for
+    input the coboundary refuses: t in the constants, or a module of
+    another algebra dimension)."""
+    arrays = (alg.b_arr, alg.t_arr, rep.rho_arr, rep.mu_arr)
+    if entries < WEIGHT_ENTRIES or rep.algebra_dim != alg.dim or any(a.poly for a in arrays):
+        return alg, rep
+    if sum(int((a != 0).sum()) for a in arrays) < WEIGHT_SHARE * sum(a.size for a in arrays):
+        return alg, rep
+    basis = weight_basis(alg, rep)
+    if basis is None:
+        return alg, rep
+    from .search import change_basis  # search imports this module, through quadratic and deform
+
+    return change_basis(alg, basis[0], rep, basis[1])
+
+
+def weight_basis(alg: LieYamagutiAlgebra, rep: Representation):
+    """(P, Q): the eigenvectors of a derivation (D_g, D_V) of the pair that
+    is diagonalizable over Q (linalg.rational_eigenbasis), P on g and Q on
+    V; None when no candidate has two distinct eigenvalues on g or on V.
+
+    The candidates are the basis of reps.pair_derivations, then
+    WEIGHT_COMBINATIONS seeded combinations of it with coefficients in
+    -1..2.  The one with the most distinct eigenvalues (on g and on V,
+    added) wins, the first of them on a tie; a candidate's eigenvectors
+    are computed only when its eigenvalues (linalg.rational_eigenvalues)
+    would beat the best so far, and the search stops at all distinct.  In
+    the winner's eigenbasis the structure constants are homogeneous in
+    the weights, and the coboundary is as sparse as that grading makes it.
+    """
+    import random
+
+    derivations = pair_derivations(alg, rep)
+    if not derivations:
+        return None
+    rng = random.Random(0)
+    combinations = exact(np.array([[rng.randint(-1, 2) for _ in derivations]
+                                   for _ in range(WEIGHT_COMBINATIONS)], dtype=np.int64))
+    # the basis, then the combinations, on g and on V
+    sides = [np.stack([d[side].arr for d in derivations]) for side in (0, 1)]
+    sides = [np.concatenate([x, np.einsum("ck,kij->cij", combinations, x)]) for x in sides]
+    best, score = None, 2
+    for dg, dv in zip(*sides):
+        pair = Matrix.from_array(dg), Matrix.from_array(dv)
+        values = [rational_eigenvalues(d) for d in pair]
+        if None in values or len(values[0]) + len(values[1]) <= score:
+            continue
+        bases = [rational_eigenbasis(d) for d in pair]
+        if None not in bases:
+            best, score = (bases[0][1], bases[1][1]), len(values[0]) + len(values[1])
+            if score == alg.dim + rep.module_dim:
+                break
+    return best

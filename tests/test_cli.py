@@ -365,9 +365,9 @@ def test_conflicting_duplicate_detected():
         algebra_from_dict({"dim": 2, "binary": [{"i": 0, "j": 5, "value": {"0": "1"}}]})
 
 
-@pytest.mark.parametrize("value, code", [({"0": "1", "00": "5"}, 2), ({"0": "1", " 0": "1"}, 0)])
+@pytest.mark.parametrize("value, code", [({"0": "1", "00": "5"}, 2), ({"0": "1", "00": "1"}, 0)])
 def test_component_named_twice(tmp_path, capsys, value, code):
-    """"0", "00" and " 0" name one component: with two values it is a
+    """"0" and "00" name one component: with two values it is a
     conflicting entry (exit 2, one line), an equal repeat loads."""
     path = tmp_path / "alg.json"
     dump_json({"dim": 2, "binary": [{"i": 0, "j": 1, "value": value}], "ternary": []}, path)
@@ -378,6 +378,41 @@ def test_component_named_twice(tmp_path, capsys, value, code):
         assert out.err == "input error: binary[0]: conflicting values for component 0\n"
     else:
         assert load_algebra(str(path)).b_arr.tolist()[0][1] == [1, 0]
+
+
+@pytest.mark.parametrize("key", ["1_0", "\u0661", " 0 ", " 0", "+1", "-0", ""])
+def test_component_index_is_decimal(tmp_path, capsys, key):
+    """A component index is ASCII decimal digits: what else int() takes
+    (an underscore, a space, a sign, another script's digit) exits 2."""
+    path = tmp_path / "alg.json"
+    dump_json({"dim": 2, "binary": [{"i": 0, "j": 1, "value": {"0": "1", key: "1"}}], "ternary": []}, path)
+    got, out = run_cli("check", "algebra", str(path), capsys=capsys)
+    _assert_contract(got, out)
+    assert got == 2
+    assert out.err == f"input error: binary[0]: bad component index {key!r}\n"
+
+
+def test_zero_module_round_trip(tmp_path, capsys):
+    """pair_to_dict writes a 0-dim module's tables as empty grids, and
+    load_pair and `check pair` read them back."""
+    from lieyam import LieYRepPair, Representation
+    from lieyam.jsonio import pair_to_dict
+    from lieyam.search import catalog_algebra
+
+    path = tmp_path / "a2-zero0.json"
+    dump_json(pair_to_dict(LieYRepPair(catalog_algebra("a2"), Representation.zero(2, 0))), path)
+    assert json.loads(path.read_text())["rho"] == [[], []]
+    again = load_pair(str(path))
+    assert again.dim_v == 0 and again.rep.mu_arr.shape == (2, 2, 0, 0)
+    code, out = run_cli("check", "pair", str(path), capsys=capsys)
+    assert code == 0, out.err
+    # an empty grid where the module has rows is still not an array of rows
+    data = pair_to_dict(LieYRepPair(catalog_algebra("a2"), Representation.zero(2, 1)))
+    data["rho"][0] = []
+    dump_json(data, path)
+    code, out = run_cli("check", "pair", str(path), capsys=capsys)
+    _assert_contract(code, out)
+    assert code == 2 and "rho[0]: expected an array of rows" in out.err
 
 
 def test_grid_shapes_checked_before_parsing(monkeypatch, tmp_path, capsys):

@@ -283,3 +283,68 @@ def test_matrix_surface_read_by_the_benchmark():
         assert mat.rational_rows() == [[Fraction(x) for x in row] for row in mat.data]
     assert q * (p.transpose() * p).scale(Fraction(3, 2)) == Matrix.identity(2)
     assert q.data == ((Fraction(10, 3), Fraction(-4, 3)), (Fraction(-4, 3), Fraction(2, 3)))
+
+
+def _eigen_cases():
+    """Seeded integer matrices: diagonalizable ones (P diag P^-1 with small
+    integer weights), random ones, a Jordan block and the so3 rotation
+    generator."""
+    rng = random.Random(24)
+    cases = []
+    for n in (1, 2, 3, 4, 5):
+        p = random_invertible(n, rng)
+        d = Matrix.diag([rng.randint(-3, 3) for _ in range(n)])
+        cases.append(p * d * p.invert())
+        cases.append(Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]))
+    cases.append(Matrix([[Fraction(1, 2), 0], [3, Fraction(-1, 3)]]))
+    cases.append(Matrix([[2, 1, 0], [0, 2, 0], [0, 0, -1]]))      # a Jordan block
+    cases.append(Matrix([[0, 0, 0], [0, 0, -1], [0, 1, 0]]))       # a rotation of so3
+    return cases
+
+
+@pytest.mark.parametrize("m", _eigen_cases())
+def test_characteristic_polynomial_and_eigenbasis_match_sympy(m):
+    """characteristic_polynomial, rational_eigenvalues and
+    rational_eigenbasis against sympy (charpoly, eigenvects over Q)."""
+    from lieyam.linalg import characteristic_polynomial, rational_eigenbasis, rational_eigenvalues
+
+    s = _sympy(m)
+    x = sympy.Symbol("x")
+    want = [Fraction(int(c.p), int(c.q)) for c in reversed(s.charpoly(x).all_coeffs())]
+    assert characteristic_polynomial(m) == want
+    roots = sympy.roots(s.charpoly(x).as_expr(), x)
+    split = all(r.is_rational for r in roots) and sum(roots.values()) == m.rows
+    values = rational_eigenvalues(m)
+    assert (values is not None) == split
+    if split:
+        assert values == {Fraction(int(r.p), int(r.q)): k for r, k in roots.items()}
+    diagonalizable = split and all(len(vecs) == k for _, k, vecs in s.eigenvects())
+    basis = rational_eigenbasis(m)
+    assert (basis is not None) == diagonalizable
+    if diagonalizable:
+        weights, p = basis
+        assert p.rank() == m.rows and weights == sorted(weights)
+        assert m * p == p * Matrix.diag(weights)
+
+
+def test_jordan_block_and_rotation_are_refused():
+    from lieyam.linalg import rational_eigenbasis, rational_eigenvalues
+
+    jordan = Matrix([[1, 1], [0, 1]])
+    rotation = Matrix([[0, -1], [1, 0]])
+    assert rational_eigenvalues(jordan) == {1: 2} and rational_eigenbasis(jordan) is None
+    assert rational_eigenvalues(rotation) is None and rational_eigenbasis(rotation) is None
+
+
+def test_tall_nullspace_reduces_the_rows_its_kernel_misses():
+    """A tall matrix whose first 2 * cols rows miss part of its row space:
+    nullspace_basis reduces the rows its kernel misses and returns the
+    kernel of all the rows."""
+    rng = random.Random(3)
+    cols = 6
+    rows = [[0] * cols for _ in range(2 * cols)]
+    for _ in range(40):
+        rows.append([rng.randint(-2, 2) for _ in range(cols)])
+    m = Matrix(rows)
+    _assert_matches_sympy(m)
+    assert len(m.nullspace_basis()) == cols - _sympy(m).rank()
