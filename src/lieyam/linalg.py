@@ -29,9 +29,9 @@ removal (every row divided by the gcd of its entries after each step).
 Coboundary matrices in a catalog basis, or in a weight basis, are mostly
 zeros, and the dict rows never touch those.  In a dense basis they fill
 in, and so does their reduced form; yamaguti.cohomology_dim therefore
-ranks dense input in the eigenbasis of a derivation, which
-`rational_eigenbasis` finds exactly (Faddeev-LeVerrier characteristic
-polynomial, integer roots, eigenspaces by `_echelon`).
+ranks dense input in the eigenbasis of a derivation, found exactly by
+`rational_eigenvalues` (Faddeev-LeVerrier characteristic polynomial,
+integer roots) and `rational_eigenbasis` (eigenspaces by `_echelon`).
 """
 
 from __future__ import annotations
@@ -740,11 +740,8 @@ class Matrix:
 
         One vector per non-pivot column j of the reduced echelon form:
         1 at j, minus the (normalized) pivot rows' column j at the pivots.
-        The rows are reduced a block at a time (_spanning_echelon), so a
-        tall matrix pays for about as many rows as its rank; the reduced
-        echelon form, and with it the basis, is that of all the rows.
         """
-        pivots = _spanning_echelon(self)
+        pivots = _echelon(self._integer_rows())
         basis = []
         for j in range(self.cols):
             if j in pivots:
@@ -776,35 +773,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({[list(r) for r in self.data]!r})"
-
-
-def _spanning_echelon(mat: Matrix):
-    """_echelon of mat's rows, reducing only rows that its row space so far
-    does not hold.
-
-    The first 2 * cols rows are reduced; then the kernel of the pivot rows
-    (one integer vector per non-pivot column) is multiplied by every row
-    at once, and up to cols rows it does not annihilate are reduced in
-    turn, until it annihilates all.  Each round adds to the rank, and the
-    last kernel is the matrix's, so the pivot rows span its row space and
-    are its reduced echelon form.
-    """
-    rows, cols = mat._integer_rows(), mat.cols
-    num = mat.arr.num
-    pivots = _echelon(rows[:2 * cols])
-    rest = np.arange(2 * cols, len(rows))
-    while rest.size:
-        kernel = [_kernel_vector(pivots, j, cols) for j in range(cols) if j not in pivots]
-        if not kernel:
-            break
-        fits = mat.arr.bound * max(abs(x) for v in kernel for x in v) * cols < INT64_LIMIT
-        NUMERATOR_OPS["int64" if fits else "object"] += 1
-        k = np.array(kernel, dtype=_INT64 if fits else _OBJECT).T
-        part = num[rest] if fits else num[rest].astype(object)
-        missed = rest[(part.dot(k) != 0).any(axis=1)]
-        pivots = _echelon([rows[i] for i in missed[:cols]], pivots)
-        rest = missed[cols:]
-    return pivots
 
 
 def _kernel_vector(pivots, j, cols):
@@ -865,15 +833,6 @@ def _echelon(rows, pivots=None):
     return pivots
 
 
-def characteristic_polynomial(mat: Matrix):
-    """det(t I - A) of a square rational matrix A, as its coefficients from
-    t^0 up (Fractions; the last is 1): those of the integer matrix B = den
-    * A (_integer_charpoly), the coefficient of t^j over den^(n-j)."""
-    b, den = _square_integer(mat)
-    n = len(b)
-    return [Fraction(c, den ** (n - j)) for j, c in enumerate(_integer_charpoly(b))]
-
-
 def _integer_charpoly(b):
     """det(t I - B) of a square object array of ints, as its integer
     coefficients from t^0 up, by Faddeev-LeVerrier: M_1 = I, c_(n-k) =
@@ -887,84 +846,59 @@ def _integer_charpoly(b):
     return coeffs
 
 
-def _square_integer(mat: Matrix):
-    """The numerators B of a square rational matrix (an object array of
-    ints) and their denominator: mat = B / den."""
-    mat._require_rational()
-    if not mat.is_square():
-        raise DimMismatchError("characteristic polynomial of a non-square matrix")
-    return mat.arr.num.astype(object), mat.arr.den
-
-
 #: Most divisors the integer root search of rational_eigenvalues tries; a
 #: matrix that needs more counts as not split over Q.
 ROOT_SEARCH_LIMIT = 1 << 16
 
 
 def rational_eigenvalues(mat: Matrix):
-    """{eigenvalue: algebraic multiplicity} of a square rational matrix A
-    whose characteristic polynomial splits over Q, else None.
+    """{eigenvalue: algebraic multiplicity}, in increasing order, of a
+    square rational matrix A whose characteristic polynomial splits over
+    Q, else None.
 
     The eigenvalues are those of the primitive integer multiple B = c * A
     over c.  The rational roots of B's monic integer characteristic
-    polynomial are integers that divide its lowest nonzero coefficient and
-    are at most B's largest absolute row sum; each divisor in that range
-    is tried, with its multiplicity (_integer_roots).  When more than
-    ROOT_SEARCH_LIMIT divisors would be tried, None.
+    polynomial (_integer_charpoly) are integers that divide its lowest
+    nonzero coefficient and are at most B's largest absolute row sum; each
+    divisor in that range is tried, with its multiplicity (_integer_roots).
+    When more than ROOT_SEARCH_LIMIT divisors would be tried, None.
     """
-    b, scale = _primitive_integer(mat)
-    roots = _split_roots(b)
-    return None if roots is None else {r * scale: k for r, k in sorted(roots.items())}
-
-
-def rational_eigenbasis(mat: Matrix):
-    """(eigenvalues, P) when the square rational matrix A is diagonalizable
-    over Q, else None.
-
-    P's columns are eigenvectors (primitive integer vectors), grouped by
-    eigenvalue in increasing order, and eigenvalues[k] is that of column
-    k, so A P = P diag(eigenvalues).  A is diagonalizable over Q exactly
-    when its characteristic polynomial splits over Q (rational_eigenvalues)
-    and each eigenspace, the kernel of B - r I for B = c * A and r = c *
-    eigenvalue, has the dimension of its multiplicity.
-    """
-    b, scale = _primitive_integer(mat)
-    roots = _split_roots(b)
-    if roots is None:
+    mat._require_rational()
+    if not mat.is_square():
+        raise DimMismatchError("eigenvalues of a non-square matrix")
+    b = mat.arr.num.astype(object)
+    content = max(gcd(*b.ravel().tolist()), 1)
+    b = b // content
+    bound = max((sum(abs(x) for x in row) for row in b.tolist()), default=0)
+    roots = _integer_roots(_integer_charpoly(b), bound)
+    if roots is None or sum(roots.values()) != mat.rows:
         return None
-    n, values, columns = len(b), [], []
-    for r in sorted(roots):
-        shifted = (b - r * np.identity(n, dtype=object)).tolist()
+    scale = Fraction(content, mat.arr.den)
+    return {r * scale: k for r, k in sorted(roots.items())}
+
+
+def rational_eigenbasis(mat: Matrix, eigenvalues):
+    """P whose columns are eigenvectors of the square rational matrix A
+    (primitive integer vectors), `eigenvalues` ({value: multiplicity}, as
+    rational_eigenvalues(A) gives them) each repeated by its multiplicity
+    in order, so that A P = P diag(those); None when some eigenspace, the
+    kernel of den * A - den * value * I, is smaller than its multiplicity,
+    that is, when A is not diagonalizable.
+    """
+    n, num, den = mat.rows, mat.arr.num.astype(object), mat.arr.den
+    columns = []
+    for value, k in eigenvalues.items():
+        shifted = (num - int(value * den) * np.identity(n, dtype=object)).tolist()
         pivots = _echelon([{j: x for j, x in enumerate(row) if x} for row in shifted])
         free = [j for j in range(n) if j not in pivots]
-        if len(free) != roots[r]:
+        if len(free) != k:
             return None
         for j in free:
             v = _kernel_vector(pivots, j, n)
             g = gcd(*v)
             columns.append([x // g for x in v])
-            values.append(r * scale)
     p = np.array(columns, dtype=object).reshape(n, n).T
-    return values, Matrix.from_array(exact_array(p.ravel(), (n, n)))
-
-
-def _primitive_integer(mat: Matrix):
-    """(B, s): the primitive integer matrix B (an object array; zero for
-    A = 0) and the rational s with A = s * B, for a square rational A."""
-    b, den = _square_integer(mat)
-    content = gcd(*b.ravel().tolist())
-    if content > 1:
-        b = b // content
-    return b, Fraction(max(content, 1), den)
-
-
-def _split_roots(b):
-    """{root: multiplicity} of the integer matrix b's characteristic
-    polynomial when it splits over Q (its roots are then integers), else
-    None; the roots are at most b's largest absolute row sum."""
-    bound = max((sum(abs(x) for x in row) for row in b.tolist()), default=0)
-    roots = _integer_roots(_integer_charpoly(b), bound)
-    return roots if roots is not None and sum(roots.values()) == len(b) else None
+    return Matrix.from_array(exact_array(p.ravel(), (n, n)))
 
 
 def _integer_roots(coeffs, bound):

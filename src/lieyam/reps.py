@@ -314,6 +314,15 @@ def _intertwining_residual(p, q, x, x_dst):
 DERIVATION_BLOCK = 1 << 18
 
 
+def derivation_law_sizes(n, m):
+    """The equations of each law in the linear system of pair_derivations,
+    for an algebra of dimension n and a module of dimension m: the binary
+    and the ternary bracket law at x < y, then the rho and the mu law.
+    The system has one column per entry of (D_g, D_V), n^2 + m^2."""
+    pairs = n * (n - 1) // 2
+    return pairs * n, pairs * n * n, n * m * m, n * n * m * m
+
+
 def pair_derivations(alg: LieYamagutiAlgebra, rep: Representation):
     """A basis of Der(g, V), as (D_g, D_V) pairs of matrices.
 
@@ -333,7 +342,7 @@ def pair_derivations(alg: LieYamagutiAlgebra, rep: Representation):
         raise DimMismatchError("representation does not match the algebra dimension")
     n, m = alg.dim, rep.module_dim
     x, y = np.triu_indices(n, 1)
-    sizes = (len(x) * n, len(x) * n * n, n * m * m, n * n * m * m)
+    sizes = derivation_law_sizes(n, m)
     ident_g, ident_v = exact(np.identity(n, dtype=np.int64)), exact(np.identity(m, dtype=np.int64))
     step = max(1, DERIVATION_BLOCK // max(1, n**5, n * n * m * m))
 

@@ -300,37 +300,39 @@ def search_quadratic_fixtures(names=("abelian2", "abelian3", "so3lts", "sl2lts")
 # randomized corpus of valid pairs
 
 
-def change_basis(alg: LieYamagutiAlgebra, p: Matrix, rep: Representation = None, q: Matrix = None):
+def _transport(x, *maps):
+    """x with its first axis contracted with each map in turn, the new axis
+    appended: after every slot has had its map, the slots are back in
+    their order."""
+    for m in maps:
+        x = np.einsum("a...,ai->...i", x, m)
+    return x
+
+
+def change_basis(alg: LieYamagutiAlgebra, p: Matrix) -> LieYamagutiAlgebra:
     """Transport the structure constants along an invertible map P: the
     constants X[..., k] become P^-1 X(P., ..., P.), each input slot
-    contracted with P and the output slot with P^-1.
-
-    With a representation `rep` and an invertible Q on its module, the
-    pair (alg, rep) moves along (P, Q): rho(x) and mu(x, y) become
-    Q^-1 rho(P x) Q and Q^-1 mu(P x, P y) Q, and (alg, rep) is returned
-    moved.  (P, Q) is then a pair homomorphism from the moved pair to the
-    given one (reps.is_pair_homomorphism)."""
+    contracted with P and the output slot with P^-1."""
     if p.rows != alg.dim or p.cols != alg.dim:
         raise DimMismatchError("basis change must be square of the algebra dimension")
     pt, pinv = p.arr, p.invert().arr
+    return LieYamagutiAlgebra(alg.dim, _transport(alg.b_arr, pt, pt, pinv.T),
+                              _transport(alg.t_arr, pt, pt, pt, pinv.T), alg.basis_names)
 
-    def transport(x, *maps):
-        # contract the first axis with the next map and append the new
-        # one: after every slot has had its turn, the slots are back in
-        # their order
-        for m in maps:
-            x = np.einsum("a...,ai->...i", x, m)
-        return x
 
-    moved = LieYamagutiAlgebra(alg.dim, transport(alg.b_arr, pt, pt, pinv.T),
-                               transport(alg.t_arr, pt, pt, pt, pinv.T), alg.basis_names)
-    if rep is None:
-        return moved
+def change_rep_basis(rep: Representation, p: Matrix, q: Matrix) -> Representation:
+    """Transport a representation along invertible maps P on the algebra
+    and Q on the module: rho(x) and mu(x, y) become Q^-1 rho(P x) Q and
+    Q^-1 mu(P x, P y) Q.  With change_basis(alg, P) it moves the pair
+    (alg, rep) along (P, Q), and (P, Q) is then a pair homomorphism from
+    the moved pair to the given one (reps.is_pair_homomorphism)."""
+    if p.rows != rep.algebra_dim or p.cols != rep.algebra_dim:
+        raise DimMismatchError("basis change must be square of the algebra dimension")
     if q.rows != rep.module_dim or q.cols != rep.module_dim:
         raise DimMismatchError("module basis change must be square of the module dimension")
-    qt, qinv = q.arr, q.invert().arr
-    return moved, Representation(alg.dim, rep.module_dim, transport(rep.rho_arr, pt, qinv.T, qt),
-                                 transport(rep.mu_arr, pt, pt, qinv.T, qt))
+    pt, qt, qinv = p.arr, q.arr, q.invert().arr
+    return Representation(rep.algebra_dim, rep.module_dim, _transport(rep.rho_arr, pt, qinv.T, qt),
+                          _transport(rep.mu_arr, pt, pt, qinv.T, qt))
 
 
 def random_invertible(dim, rng, values=(-2, -1, 0, 1, 2)):

@@ -53,7 +53,7 @@ import numpy as np
 from .algebra import LieYamagutiAlgebra
 from .errors import DegreeCapExceededError, DimMismatchError, PolynomialEntriesError
 from .linalg import ExactArray, Matrix, exact, rational_eigenbasis, rational_eigenvalues, scatter_add
-from .reps import Representation, _derived, pair_derivations
+from .reps import Representation, _derived, derivation_law_sizes, pair_derivations
 
 DEFAULT_DEGREE_CAP = 4
 
@@ -368,10 +368,13 @@ def cohomology_dim(alg: LieYamagutiAlgebra, rep: Representation, p: int,
 # ---------------------------------------------------------------------------
 # weight bases
 
-#: The weight basis is tried for a coboundary of at least WEIGHT_ENTRIES
-#: entries whose structure constants (b, t, rho and mu together) are at
-#: least WEIGHT_SHARE nonzero; see README for the measured crossover.
+#: The weight basis is tried for a coboundary delta_p of at least
+#: WEIGHT_ENTRIES entries and at least WEIGHT_RATIO times as many as the
+#: linear system of reps.pair_derivations, when the structure constants
+#: (b, t, rho and mu together) are at least WEIGHT_SHARE nonzero; see
+#: README for the measured crossover.
 WEIGHT_ENTRIES = 1 << 15
+WEIGHT_RATIO = 1.5
 WEIGHT_SHARE = 0.25
 
 #: Seeded integer combinations of the derivation basis that weight_basis
@@ -380,22 +383,26 @@ WEIGHT_COMBINATIONS = 8
 
 
 def _weight_route(alg: LieYamagutiAlgebra, rep: Representation, entries):
-    """(alg, rep) moved to weight_basis when the coboundary has at least
-    WEIGHT_ENTRIES entries and the constants are at least WEIGHT_SHARE
-    nonzero, else as given (also when there is no weight basis, and for
+    """(alg, rep) moved to weight_basis when delta_p has `entries` entries,
+    at least WEIGHT_ENTRIES and WEIGHT_RATIO times those of the
+    derivation system, and the constants are at least WEIGHT_SHARE
+    nonzero; else as given (also when there is no weight basis, and for
     input the coboundary refuses: t in the constants, or a module of
     another algebra dimension)."""
+    n, m = alg.dim, rep.module_dim
+    system = sum(derivation_law_sizes(n, m)) * (n * n + m * m)
     arrays = (alg.b_arr, alg.t_arr, rep.rho_arr, rep.mu_arr)
-    if entries < WEIGHT_ENTRIES or rep.algebra_dim != alg.dim or any(a.poly for a in arrays):
+    if entries < max(WEIGHT_ENTRIES, WEIGHT_RATIO * system) or rep.algebra_dim != n or any(a.poly for a in arrays):
         return alg, rep
     if sum(int((a != 0).sum()) for a in arrays) < WEIGHT_SHARE * sum(a.size for a in arrays):
         return alg, rep
     basis = weight_basis(alg, rep)
     if basis is None:
         return alg, rep
-    from .search import change_basis  # search imports this module, through quadratic and deform
+    from .search import change_basis, change_rep_basis  # search imports this module, through quadratic and deform
 
-    return change_basis(alg, basis[0], rep, basis[1])
+    p, q = basis
+    return change_basis(alg, p), change_rep_basis(rep, p, q)
 
 
 def weight_basis(alg: LieYamagutiAlgebra, rep: Representation):
@@ -429,9 +436,9 @@ def weight_basis(alg: LieYamagutiAlgebra, rep: Representation):
         values = [rational_eigenvalues(d) for d in pair]
         if None in values or len(values[0]) + len(values[1]) <= score:
             continue
-        bases = [rational_eigenbasis(d) for d in pair]
+        bases = [rational_eigenbasis(d, v) for d, v in zip(pair, values)]
         if None not in bases:
-            best, score = (bases[0][1], bases[1][1]), len(values[0]) + len(values[1])
+            best, score = tuple(bases), len(values[0]) + len(values[1])
             if score == alg.dim + rep.module_dim:
                 break
     return best

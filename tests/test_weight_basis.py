@@ -4,8 +4,9 @@ cohomology_dim and pair_cohomology_dim take their ranks in the eigenbasis
 of a derivation of the pair that is diagonalizable over Q when the input
 is dense (yamaguti._weight_route).  These tests force the route on and
 off and compare, force a wrong basis, check the moved pair against the
-given one, and check the derivations against the derivation laws written
-out by hand.
+given one, check the derivations against the derivation laws written
+out by hand, and check that no derivation is searched for when the
+derivation system outweighs the coboundary.
 """
 
 import json
@@ -16,6 +17,8 @@ import numpy as np
 import pytest
 
 from lieyam import yamaguti
+from lieyam.algebra import LieYamagutiAlgebra
+from lieyam.errors import DimMismatchError
 from lieyam.jsonio import dump_json, pair_to_dict
 from lieyam.linalg import Matrix
 from lieyam.paircomplex import pair_cochain_dim, pair_cohomology_dim
@@ -28,7 +31,7 @@ from lieyam.reps import (
     pair_derivations,
     semidirect,
 )
-from lieyam.search import CATALOG, catalog_algebra, change_basis, random_invertible
+from lieyam.search import CATALOG, catalog_algebra, change_basis, change_rep_basis, random_invertible
 from lieyam.yamaguti import cochain_dim, cohomology_dim, weight_basis
 
 from test_cli import run_cli
@@ -45,6 +48,7 @@ def _rep(alg, kind):
 def _route(monkeypatch, on):
     """Take the weight basis for every input (on) or for none."""
     monkeypatch.setattr(yamaguti, "WEIGHT_ENTRIES", 0 if on else float("inf"))
+    monkeypatch.setattr(yamaguti, "WEIGHT_RATIO", 0)
     monkeypatch.setattr(yamaguti, "WEIGHT_SHARE", 0)
 
 
@@ -115,10 +119,12 @@ def test_moved_pair_is_isomorphic(kind):
     alg = _dense_sd4()
     rep = _rep(alg, kind)
     p, q = weight_basis(alg, rep)
-    moved_alg, moved_rep = change_basis(alg, p, rep, q)
+    moved_alg, moved_rep = change_basis(alg, p), change_rep_basis(rep, p, q)
     moved, given = LieYRepPair(moved_alg, moved_rep), LieYRepPair(alg, rep)
     assert is_pair_homomorphism(p, q, moved, given)
     assert not is_pair_homomorphism(p.scale(2), q, moved, given)
+    with pytest.raises(DimMismatchError):
+        change_rep_basis(rep, p, Matrix.identity(rep.module_dim + 1))
     count = lambda a, r: sum(int((x != 0).sum()) for x in (a.b_arr, a.t_arr, r.rho_arr, r.mu_arr))
     assert count(moved_alg, moved_rep) < count(alg, rep)
 
@@ -170,6 +176,20 @@ def test_no_rational_weight_basis_for_so3():
     so3 = catalog_algebra("so3")
     assert weight_basis(so3, adjoint_rep(so3)) is None
     assert yamaguti._weight_route(so3, adjoint_rep(so3), 1 << 40)[0] is so3
+
+
+def test_no_derivation_search_for_a_coboundary_smaller_than_the_system(monkeypatch):
+    """With a dim-16 algebra and a dim-2 module the derivation system is
+    33,728 x 260: delta_1 (4,080 x 32) is smaller, so H^1 keeps the given
+    basis without a search, while H^2 searches."""
+    monkeypatch.setattr(yamaguti, "WEIGHT_ENTRIES", 0)
+    monkeypatch.setattr(yamaguti, "WEIGHT_SHARE", 0)
+    searched = []
+    monkeypatch.setattr(yamaguti, "weight_basis", lambda alg, rep: searched.append(alg.dim))
+    alg, rep = LieYamagutiAlgebra.abelian(16), Representation.zero(16, 2)
+    for p in (1, 2):
+        assert yamaguti._weight_route(alg, rep, cochain_dim(16, 2, p + 1) * cochain_dim(16, 2, p))[0] is alg
+    assert searched == [16]
 
 
 def test_sd4_h3_in_a_dense_basis_through_the_cli(tmp_path, capsys, monkeypatch):
