@@ -254,9 +254,9 @@ def _cohomology(args):
     _check_coboundary_size(args.complex, alg.dim, rep.module_dim, degree)
     pair = LieYRepPair(alg, rep)
     if args.complex == "pair":
-        dim = pair_cohomology_dim(pair, degree, cap=degree + 1)
+        dim = pair_cohomology_dim(pair, degree)
     else:
-        dim = cohomology_dim(pair.algebra, pair.rep, degree, cap=degree + 1)
+        dim = cohomology_dim(pair.algebra, pair.rep, degree)
     report = _one_check(f"cohomology of {args.pair}", f"H^{degree}",
                         f"dimension computed over the rationals = {dim}")
     return report, {f"dim_H{degree}": dim}, None

@@ -27,11 +27,14 @@ _hat_linear holds hat-rho(x) = rho(Nx) + rho(x)S - S rho(x) and the
 degree-1 term varpi1, _hat_bilinear holds hat-mu = varpi2 and the closed
 form hat-D.  Both act on the whole operator tables at once, as exact
 arrays indexed by the basis of g (rho[x], mu[x, y], D[x, y]).
-Every structure condition has the form X(N.) S = S hat-X(.), so the
-residuals of the structure report, the trivial deformation and the
-reshaped pair (_hat_pair, behind hat_rep) all evaluate those two
-functions; report.first_violation scans the residual arrays for the
-first violating basis tuple.
+Every structure condition has the form X(N.) S = S hat-X(.), the
+intertwining law of a pair homomorphism (reps._intertwining_residual) of
+(N, S) from hat-X to X, so the residuals of the structure report, the
+trivial deformation and the reshaped pair (_hat_pair, behind hat_rep) all
+evaluate those two functions and that one law; report.first_violation
+scans the residual arrays for the first violating basis tuple.  The
+derived operator of the family, D + t D1 + t^2 D2, is reps.derived_D of
+the deformed pair, read coefficient by coefficient.
 """
 
 from __future__ import annotations
@@ -53,9 +56,16 @@ from .errors import (
     InternalConsistencyError,
     NotNijenhuisError,
 )
-from .linalg import Matrix, exact
+from .linalg import Matrix, coefficient, exact
 from .paircomplex import PairCochain, pair_delta_lifted
-from .reps import LieYRepPair, Representation, check_representation, pair_homomorphism_witness
+from .reps import (
+    LieYRepPair,
+    Representation,
+    _intertwining_residual,
+    check_representation,
+    derived_D,
+    pair_homomorphism_witness,
+)
 from .scalars import T as TPOLY
 from .report import VerificationReport, first_violation
 
@@ -130,28 +140,20 @@ def is_linear_deformation(pair: LieYRepPair, d: DeformationData) -> bool:
 
 
 def derived_deformation_terms(pair: LieYRepPair, d: DeformationData):
-    """The degree-1 and degree-2 parts in t of the family's derived operator.
+    """The degree-1 and degree-2 parts in t of the family's derived operator,
+    D_t = D + t D1 + t^2 D2, the derived operator (reps.derived_D) of the
+    deformed pair, built over the deformed bracket:
 
     D1(x,y) = varpi1(y,x) - varpi1(x,y) + [rho(x),varrho(y)]
               + [varrho(x),rho(y)] - varrho([x,y]) - rho(phi(x,y))
     D2(x,y) = varpi2(y,x) - varpi2(x,y) + [varrho(x),varrho(y)]
               - varrho(phi(x,y))
 
-    The derived operator of the deformed pair is built over the deformed
-    bracket, hence the phi terms; without them the first-order data of a
-    trivial deformation would not even be closed.  Both are arrays
-    indexed [x, y, row, col].
+    Without the phi terms the first-order data of a trivial deformation
+    would not even be closed.  Both are arrays indexed [x, y, row, col].
     """
-    rho, b, phi = pair.rep.rho_arr, pair.algebra.b_arr, d.phi
-    vr, p1, p2 = d.varrho, d.varpi1, d.varpi2
-
-    def comm(x, y):  # [x(e_i), y(e_j)] over (i, j)
-        return np.einsum("iab,jbc->ijac", x, y) - np.einsum("jab,ibc->ijac", y, x)
-
-    d1 = (p1.transpose(1, 0, 2, 3) - p1 + comm(rho, vr) + comm(vr, rho)
-          - np.einsum("ijk,kab->ijab", b, vr) - np.einsum("ijk,kab->ijab", phi, rho))
-    d2 = p2.transpose(1, 0, 2, 3) - p2 + comm(vr, vr) - np.einsum("ijk,kab->ijab", phi, vr)
-    return d1, d2
+    d_t = derived_D(*deformed_pair_structures(pair, d)).arr
+    return coefficient(d_t, 1), coefficient(d_t, 2)
 
 
 def deformation_cocycle(pair: LieYRepPair, d: DeformationData) -> PairCochain:
@@ -248,22 +250,25 @@ def _append_s_conditions(report: VerificationReport, pair: LieYRepPair, nmap: Ma
     """Append the conditions of a Nijenhuis structure that involve S (rho-compat,
     mu-compat) to `report`, which holds the check of N or belongs to an N
     already verified Nijenhuis; when the report then passes, assert D-compat.
+
+    Each is the intertwining law (reps._intertwining_residual) of (N, S) from
+    hat-X to X, X(Nx) S = S hat-X(x), its residual X(N.) S - S hat-X(.).
     """
     n, rep, narr, sarr = pair.dim_g, pair.rep, nmap.arr, smap.arr
 
-    def bilinear_residual(parts):
-        return parts[2] @ sarr - sarr @ _hat_bilinear(sarr, *parts)[1]
+    def compat(x, hat, shape):
+        residual = _intertwining_residual(narr, sarr, hat, x)
+        return first_violation(lambda s: -residual(s), shape)
 
-    rho_nx, rho_x = _rho_parts(rep.rho_arr, narr)
-    wit = first_violation((rho_nx @ sarr - sarr @ _hat_linear(sarr, rho_nx, rho_x)).__getitem__, (n,))
+    wit = compat(rep.rho_arr, _hat_linear(sarr, *_rho_parts(rep.rho_arr, narr)), (n,))
     report.add("rho-compat", wit is None,
                "rho(Nx) S = S(rho(Nx) + rho(x) S) - S^2 rho(x)", wit)
-    wit = first_violation(bilinear_residual(_bilinear_parts(rep.mu_arr, narr)).__getitem__, (n, n))
+    wit = compat(rep.mu_arr, _hat_bilinear(sarr, *_bilinear_parts(rep.mu_arr, narr))[1], (n, n))
     report.add("mu-compat", wit is None,
                "mu(Nx,Ny) S = S(mu(Nx,y)S + mu(x,Ny)S + mu(Nx,Ny)) "
                "- S^2(mu(Nx,y) + mu(x,Ny) + mu(x,y)S) + S^3 mu(x,y)", wit)
     if report.passed:
-        wit = first_violation(bilinear_residual(_bilinear_parts(pair.d.arr, narr)).__getitem__, (n, n))
+        wit = compat(pair.d.arr, _hat_bilinear(sarr, *_bilinear_parts(pair.d.arr, narr))[1], (n, n))
         if wit is not None:
             raise InternalConsistencyError(
                 "derived-operator compatibility fails although the defining "
@@ -346,7 +351,7 @@ def cocycle_witness(pair: LieYRepPair, d: DeformationData):
     The witness is {"block", "tuple", "residual"}: the block of the pair
     3-cochain, the argument index within it, and the nonzero value.
     """
-    delta = pair_delta_lifted(pair, deformation_cocycle(pair, d), cap=3)
+    delta = pair_delta_lifted(pair, deformation_cocycle(pair, d))
     for name, block in delta.blocks.items():
         wit = first_violation(block.__getitem__, block.shape[:-1], block=name)
         if wit is not None:

@@ -25,10 +25,6 @@ class InvalidRepresentationError(LieyamError):
     """Input fails the representation conditions."""
 
 
-class DegreeCapExceededError(LieyamError):
-    """Requested cochain degree exceeds the configured cap."""
-
-
 class UnsupportedDegreeError(LieyamError):
     """Direct coboundary formulas are only implemented at low degree."""
 

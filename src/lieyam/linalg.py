@@ -775,19 +775,6 @@ class Matrix:
         return f"Matrix({[list(r) for r in self.data]!r})"
 
 
-def _kernel_vector(pivots, j, cols):
-    """The kernel vector of the reduced rows `pivots` at non-pivot column j,
-    in integers: the lcm L of the pivot entries of the rows that
-    hold column j at j, and -row[j] * L / row[p] at each such pivot p."""
-    hold = [(p, row) for p, row in pivots.items() if j in row]
-    scale = lcm(*(row[p] for p, row in hold))
-    v = [0] * cols
-    v[j] = scale
-    for p, row in hold:
-        v[p] = -row[j] * scale // row[p]
-    return v
-
-
 def _echelon(rows, pivots=None):
     """Reduced echelon form of integer rows, by fraction-free elimination.
 
@@ -882,21 +869,20 @@ def rational_eigenbasis(mat: Matrix, eigenvalues):
     (primitive integer vectors), `eigenvalues` ({value: multiplicity}, as
     rational_eigenvalues(A) gives them) each repeated by its multiplicity
     in order, so that A P = P diag(those); None when some eigenspace, the
-    kernel of den * A - den * value * I, is smaller than its multiplicity,
+    nullspace_basis of A - value * I, is smaller than its multiplicity,
     that is, when A is not diagonalizable.
     """
-    n, num, den = mat.rows, mat.arr.num.astype(object), mat.arr.den
+    n = mat.rows
     columns = []
     for value, k in eigenvalues.items():
-        shifted = (num - int(value * den) * np.identity(n, dtype=object)).tolist()
-        pivots = _echelon([{j: x for j, x in enumerate(row) if x} for row in shifted])
-        free = [j for j in range(n) if j not in pivots]
-        if len(free) != k:
+        kernel = (mat - Matrix.identity(n).scale(value)).nullspace_basis()
+        if len(kernel) != k:
             return None
-        for j in free:
-            v = _kernel_vector(pivots, j, n)
-            g = gcd(*v)
-            columns.append([x // g for x in v])
+        for v in kernel:
+            scale = lcm(*(x.denominator for x in v))
+            ints = [int(x * scale) for x in v]
+            g = gcd(*ints)
+            columns.append([x // g for x in ints])
     p = np.array(columns, dtype=object).reshape(n, n).T
     return Matrix.from_array(exact_array(p.ravel(), (n, n)))
 

@@ -57,7 +57,6 @@ from math import prod
 import numpy as np
 
 from .errors import (
-    DegreeCapExceededError,
     DimMismatchError,
     NotInSubcomplexError,
     UnsupportedDegreeError,
@@ -75,9 +74,6 @@ from .yamaguti import (
     wedge_index_map,
     wedge_pairs,
 )
-
-DEFAULT_PAIR_CAP = 3
-
 
 def _block_shapes(degree, n, m):
     """Ordered (name, shape) list of the storage blocks at a given degree."""
@@ -333,29 +329,22 @@ def project(pair: LieYRepPair, lifted: YamagutiCochain) -> PairCochain:
 # coboundary, lifted path
 
 
-def _check_cap(degree, cap):
-    if degree + 1 > cap:
-        raise DegreeCapExceededError(f"degree {degree + 1} exceeds pair cap {cap}")
-
-
-def pair_delta_lifted(pair: LieYRepPair, c: PairCochain,
-                      cap: int = DEFAULT_PAIR_CAP) -> PairCochain:
+def pair_delta_lifted(pair: LieYRepPair, c: PairCochain) -> PairCochain:
     """Coboundary via the semidirect embedding (reference implementation)."""
-    _check_cap(c.degree, cap)
     pc = _pc(pair)
     return _project(pc, c.degree + 1, _apply(pc.terms, c.degree, _lift(pc, c)))
 
 
-def pair_delta_matrix(pair: LieYRepPair, degree: int,
-                      cap: int = DEFAULT_PAIR_CAP) -> Matrix:
+def pair_delta_matrix(pair: LieYRepPair, degree: int, cap=None) -> Matrix:
     """Matrix P delta_E L of the pair coboundary in the canonical flat bases.
 
     The semidirect term table's triples, composed with L on the right,
     are the triples of M = delta_E L.  M = L P M holds exactly when M
     vanishes off the home rows, which is checked for every column at
     once; P M sums the home rows and their overlaps in one scatter.
+    `cap` is ignored; the benchmark's oracle (perfbench/oracle.py) still
+    passes it.
     """
-    _check_cap(degree, cap)
     pc = _pc(pair)
     into, onto = pc.index_map(degree), pc.index_map(degree + 1)
     rows, cols, vals = into.compose(pc.terms.triples(degree))
@@ -364,8 +353,7 @@ def pair_delta_matrix(pair: LieYRepPair, degree: int,
     return Matrix.from_array(onto.unmix(rows, cols, vals, width).reshape(len(onto.home), width))
 
 
-def pair_cohomology_dim(pair: LieYRepPair, degree: int,
-                        cap: int = DEFAULT_PAIR_CAP) -> int:
+def pair_cohomology_dim(pair: LieYRepPair, degree: int) -> int:
     """dim of the degree-n cohomology group of the pair complex.
 
     The ranks are taken in a weight basis (yamaguti._weight_route) when
@@ -374,17 +362,16 @@ def pair_cohomology_dim(pair: LieYRepPair, degree: int,
     """
     if degree < 1:
         raise DimMismatchError("cohomology degree must be >= 1")
-    _check_cap(degree, cap)
     n, m = pair.dim_g, pair.dim_v
     entries = pair_cochain_dim(n, m, degree + 1) * pair_cochain_dim(n, m, degree)
     alg, rep = _weight_route(pair.algebra, pair.rep, entries)
     if rep is not pair.rep:
         pair = LieYRepPair(alg, rep, validate=False)
-    dmat = pair_delta_matrix(pair, degree, cap=cap)
+    dmat = pair_delta_matrix(pair, degree)
     kernel = dmat.nullspace_dim()
     if degree == 1:
         return kernel
-    dprev = pair_delta_matrix(pair, degree - 1, cap=cap)
+    dprev = pair_delta_matrix(pair, degree - 1)
     return kernel - dprev.rank()
 
 

@@ -17,7 +17,9 @@ premises raises ConsequenceViolatedError rather than being repaired.
 
 The induced brackets [u,v]^T = rho(Tu)v - rho(Tv)u and <<u,v,w>>^T =
 D(Tu,Tv)w + mu(Tv,Tw)u - mu(Tu,Tw)v are written once, in _induced_brackets,
-as exact arrays over all basis tuples of V.  Each law has one function
+as exact arrays over all basis tuples of V, for any operator tables in
+place of (rho, mu, D): the strong condition is the ternary bracket induced
+through (mu S, D S).  Each law has one function
 that returns its first violating tuple with the exact residual, or None
 (a residual array over a block of first basis indices, scanned by
 report.first_violation); the bool predicates, the reports, the validated
@@ -28,6 +30,8 @@ from the brackets it induces on V to g (_rb_residual), with T an array
 that may carry leading batch axes (the ``...`` of each einsum).  One
 operator is the case of no batch axis; the grid search evaluates a stack
 of candidates with the same contractions and asks report.vanishing which pass.
+Compatibility of two operators is that law at T1 + t T2 over Q[t]: its
+coefficients of t^1 and t^2 (_compat_residual).
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from .errors import (
     NotNijenhuisError,
     PreconditionFailedError,
 )
-from .linalg import Matrix, exact
+from .linalg import Matrix, coefficient, exact, polynomial
 from .reps import LieYRepPair
 from .report import VerificationReport, first_violation
 
@@ -70,30 +74,36 @@ def _images(x, tarr):
     return np.einsum("...bv,...ubxy->...uvxy", tarr, np.einsum("...au,abxy->...ubxy", tarr, x))
 
 
-def _induced_brackets(rep, d, tarr, arity):
+def _induced_brackets(rho, mu, d, tarr, arity):
     """The bracket a map T: V -> g induces on V, as an array over all basis tuples of V.
 
     [u,v]^T     = rho(Tu)v - rho(Tv)u                   arity 2, indexed [..., u, v, l]
     <<u,v,w>>^T = D(Tu,Tv)w + mu(Tv,Tw)u - mu(Tu,Tw)v   arity 3, indexed [..., u, v, w, l]
 
-    (rep, d) are the representation and its derived operator, and tarr is
-    the array of T, or a stack of them with leading batch axes.  This is
-    the one place of the formula: the Rota-Baxter identities, the
-    sub-adjacent and hat-deformed brackets, the twist conditions and
-    compatibility all evaluate it here.
+    rho, mu and d are the operator tables rho[x], mu[x, y] and D[x, y] (arity 2
+    reads only rho, arity 3 only mu and d), and tarr is the array of T, or a
+    stack of them with leading batch axes.  This is the one place of the
+    formula: the Rota-Baxter identities (hence compatibility), the
+    sub-adjacent and hat-deformed brackets, the twist conditions and the
+    strong condition all evaluate it here.
     """
     if arity == 2:
-        rho_t = np.einsum("...au,axy->...uxy", tarr, rep.rho_arr)      # rho(Tu)
+        rho_t = np.einsum("...au,axy->...uxy", tarr, rho)      # rho(Tu)
         return np.einsum("...uxv->...uvx", rho_t) - np.einsum("...vxu->...uvx", rho_t)
-    d_t, mu_t = _images(d.arr, tarr), _images(rep.mu_arr, tarr)
+    d_t, mu_t = _images(d, tarr), _images(mu, tarr)
     return (np.einsum("...uvxw->...uvwx", d_t) + np.einsum("...vwxu->...uvwx", mu_t)
             - np.einsum("...uwxv->...uvwx", mu_t))
 
 
-def _induced_algebra(rep, d, tmap: Matrix) -> LieYamagutiAlgebra:
+def _induced(pair: LieYRepPair, tarr, arity):
+    """_induced_brackets with the operators of the pair's representation."""
+    return _induced_brackets(pair.rep.rho_arr, pair.rep.mu_arr, pair.d.arr, tarr, arity)
+
+
+def _induced_algebra(pair: LieYRepPair, tmap: Matrix) -> LieYamagutiAlgebra:
     """V carrying the brackets induced by T (no axiom claim)."""
     m, tarr = tmap.cols, tmap.arr
-    return LieYamagutiAlgebra(m, _induced_brackets(rep, d, tarr, 2), _induced_brackets(rep, d, tarr, 3),
+    return LieYamagutiAlgebra(m, _induced(pair, tarr, 2), _induced(pair, tarr, 3),
                               [f"v{i+1}" for i in range(m)])
 
 
@@ -112,7 +122,7 @@ def _rb_residual(pair: LieYRepPair, tarr, arity):
     the homomorphism law (algebra._homomorphism_residual) of T from the
     induced bracket to g, for tarr the array of T or a stack of them.
     """
-    return _homomorphism_residual(tarr, _induced_brackets(pair.rep, pair.d, tarr, arity), pair.algebra, arity)
+    return _homomorphism_residual(tarr, _induced(pair, tarr, arity), pair.algebra, arity)
 
 
 def _rb_residuals(pair: LieYRepPair, tmap: Matrix, arities=(2, 3)):
@@ -166,7 +176,7 @@ def _assert_subadjacent(sub: LieYamagutiAlgebra, tmap: Matrix, pair: LieYRepPair
 def subadjacent(top: RelativeRBOperator) -> LieYamagutiAlgebra:
     """The induced Lie-Yamaguti structure V^T on V, its theorems asserted."""
     pair = top.pair
-    return _assert_subadjacent(_induced_algebra(pair.rep, pair.d, top.tmap), top.tmap, pair)
+    return _assert_subadjacent(_induced_algebra(pair, top.tmap), top.tmap, pair)
 
 
 def pre_ly_products(top: RelativeRBOperator):
@@ -204,16 +214,16 @@ def hat_deformed_brackets(top: RelativeRBOperator, ns: NijenhuisStructure):
     the derived operator of the reshaped representation.
     """
     hat = _hat_pair(top.pair, ns)
-    out = _induced_algebra(hat.rep, hat.d, top.tmap)
+    out = _induced_algebra(hat, top.tmap)
     return out.b_arr, out.t_arr
 
 
-def _deformed_vs_induced(deformed, rep, d, tmap: Matrix, arity, **tags):
-    """First tuple where the deformed brackets differ from those T induces via (rep, d).
+def _deformed_vs_induced(deformed, pair: LieYRepPair, tmap: Matrix, arity, **tags):
+    """First tuple where the deformed brackets differ from those T induces via the pair.
 
     deformed is the pair (binary, ternary) of arrays; arity 2 or 3 picks one.
     """
-    diff = deformed[arity - 2] - _induced_brackets(rep, d, tmap.arr, arity)
+    diff = deformed[arity - 2] - _induced(pair, tmap.arr, arity)
     return first_violation(diff.__getitem__, (tmap.cols,) * arity, **tags)
 
 
@@ -230,12 +240,12 @@ def append_twist_conditions(report: VerificationReport, pair: LieYRepPair,
     wit = first_violation(twist.T.__getitem__, (pair.dim_v,))
     report.add("twist-compat", wit is None, "N T = T S", wit)
     if sub is None:
-        sub = _assert_subadjacent(_induced_algebra(pair.rep, pair.d, tmap), tmap, pair)
+        sub = _assert_subadjacent(_induced_algebra(pair, tmap), tmap, pair)
     deformed = deformed_brackets(sub, smap)
     nt = nmap * tmap
-    wit = _deformed_vs_induced(deformed, pair.rep, pair.d, nt, 2)
+    wit = _deformed_vs_induced(deformed, pair, nt, 2)
     report.add("deformed-binary", wit is None, "[u,v]^T_S = [u,v]^{NT}", wit)
-    wit = _deformed_vs_induced(deformed, pair.rep, pair.d, nt, 3)
+    wit = _deformed_vs_induced(deformed, pair, nt, 3)
     report.add("deformed-ternary", wit is None, "<<u,v,w>>^T_S = <<u,v,w>>^{NT}", wit)
     return sub
 
@@ -340,8 +350,8 @@ def rbn_consequences(triple: RBNTriple, raise_on_failure: bool = True) -> Verifi
                "N T is relative Rota-Baxter on the original pair", wit)
 
     deformed = deformed_brackets(sub, smap)
-    wit = (_deformed_vs_induced(deformed, hat.rep, hat.d, tmap, 2, identity="binary")
-           or _deformed_vs_induced(deformed, hat.rep, hat.d, tmap, 3, identity="ternary"))
+    wit = (_deformed_vs_induced(deformed, hat, tmap, 2, identity="binary")
+           or _deformed_vs_induced(deformed, hat, tmap, 3, identity="ternary"))
     report.add("deformed-brackets-equal", wit is None,
                "S-deformed brackets equal the hat-deformed brackets", wit)
     v_def = LieYamagutiAlgebra(pair.dim_v, *deformed)
@@ -375,29 +385,26 @@ def rbn_consequences(triple: RBNTriple, raise_on_failure: bool = True) -> Verifi
 def _compat_residual(pair: LieYRepPair, t1: Matrix, t2: Matrix):
     """First violating tuple of the closed-form compatibility conditions.
 
-    binary:     [T1u,T2v] + [T2u,T1v] = T1([u,v]^T2) + T2([u,v]^T1)
-    ternary-ij: <<Tiu,Tiv,Tjw>> + <<Tiu,Tjv,Tiw>> + <<Tju,Tiv,Tiw>>
-                = Ti(mixed(u,v,w)) + Tj(<<u,v,w>>^Ti)
+    They are the coefficients of t^1 and t^2 in the Rota-Baxter identities
+    (_rb_residual) of T1 + t T2 over Q[t], which hold for all t exactly
+    when T1 + c T2 is Rota-Baxter for every c (T1 and T2 being so):
 
-    where mixed is the polarization <<.>>^{Ti+Tj} - <<.>>^Ti - <<.>>^Tj
-    of the induced ternary bracket.
+    binary:     [T1u,T2v] + [T2u,T1v] = T1([u,v]^T2) + T2([u,v]^T1)           t^1
+    ternary-12: <<T1u,T1v,T2w>> + <<T1u,T2v,T1w>> + <<T2u,T1v,T1w>>
+                = T1(<<u,v,w>>^{T1,T2}) + T2(<<u,v,w>>^T1)                       t^1
+    ternary-21: the same with T1 and T2 exchanged                               t^2
+
+    where <<.>>^{T1,T2} is the polarization of the induced ternary bracket.
+    The witness residual is left side minus right side.
     """
-    alg, rep, d = pair.algebra, pair.rep, pair.d
-    m = pair.dim_v
-    a1, a2 = t1.arr, t2.arr
-    rhs = _induced_brackets(rep, d, a2, 2) @ a1.T + _induced_brackets(rep, d, a1, 2) @ a2.T
-    wit = first_violation(
-        lambda s: alg.bracket_images(a1[:, s], a2) + alg.bracket_images(a2[:, s], a1) - rhs[s], (m,) * 2,
-        identity="binary")
+    family = polynomial([t1.arr, t2.arr])
+    binary = _rb_residual(pair, family, 2)
+    wit = first_violation(lambda s: -coefficient(binary(s), 1), (pair.dim_v,) * 2, identity="binary")
     if wit is not None:
         return wit
-    pure = {1: _induced_brackets(rep, d, a1, 3), 2: _induced_brackets(rep, d, a2, 3)}
-    mixed = _induced_brackets(rep, d, (t1 + t2).arr, 3) - pure[1] - pure[2]
-    for i, j, ti, tj in ((1, 2, a1, a2), (2, 1, a2, a1)):
-        rhs = mixed @ ti.T + pure[i] @ tj.T
-        wit = first_violation(
-            lambda s: alg.triple_images(ti[:, s], ti, tj) + alg.triple_images(ti[:, s], tj, ti)
-            + alg.triple_images(tj[:, s], ti, ti) - rhs[s], (m,) * 3, identity=f"ternary-{i}{j}")
+    ternary = _rb_residual(pair, family, 3)(slice(None))
+    for k, identity in ((1, "ternary-12"), (2, "ternary-21")):
+        wit = first_violation((-coefficient(ternary, k)).__getitem__, (pair.dim_v,) * 3, identity=identity)
         if wit is not None:
             return wit
     return None
@@ -434,15 +441,16 @@ def is_compatible_pair(pair: LieYRepPair, t1: Matrix, t2: Matrix) -> bool:
 
 
 def strong_witness(pair: LieYRepPair, top: RelativeRBOperator, smap: Matrix):
-    """First tuple violating D(Tu,Tv)(Sw) + mu(Tv,Tw)(Su) - mu(Tu,Tw)(Sv) = S(<<u,v,w>>^T), or None."""
+    """First tuple violating D(Tu,Tv)(Sw) + mu(Tv,Tw)(Su) - mu(Tu,Tw)(Sv) = S(<<u,v,w>>^T), or None.
+
+    The left side is the ternary bracket T induces through mu S and D S.
+    """
     if top.pair is not pair:
         raise DimMismatchError("operator belongs to another pair")
-    tarr, sarr = top.tmap.arr, smap.arr
-    d_t, mu_t = _images(pair.d.arr, tarr), _images(pair.rep.mu_arr, tarr)
-    rhs = subadjacent(top).t_arr @ sarr.T
-    return first_violation(
-        lambda s: np.einsum("uvxy,yw->uvwx", d_t[s], sarr) + np.einsum("vwxy,yu->uvwx", mu_t, sarr[:, s])
-        - np.einsum("uwxy,yv->uvwx", mu_t[s], sarr) - rhs[s], (pair.dim_v,) * 3)
+    sarr = smap.arr
+    diff = (_induced_brackets(None, pair.rep.mu_arr @ sarr, pair.d.arr @ sarr, top.tmap.arr, 3)
+            - subadjacent(top).t_arr @ sarr.T)
+    return first_violation(diff.__getitem__, (pair.dim_v,) * 3)
 
 
 def strong_condition(pair: LieYRepPair, top: RelativeRBOperator, smap: Matrix) -> bool:

@@ -51,12 +51,9 @@ from math import prod
 import numpy as np
 
 from .algebra import LieYamagutiAlgebra
-from .errors import DegreeCapExceededError, DimMismatchError, PolynomialEntriesError
+from .errors import DimMismatchError, PolynomialEntriesError
 from .linalg import ExactArray, Matrix, exact, rational_eigenbasis, rational_eigenvalues, scatter_add
 from .reps import Representation, _derived, derivation_law_sizes, pair_derivations
-
-DEFAULT_DEGREE_CAP = 4
-
 
 def wedge_pairs(dim):
     """Canonical wedge basis as (i, j) pairs with i < j, lex order."""
@@ -320,23 +317,18 @@ def _apply(terms: _Terms, p: int, x: ExactArray) -> ExactArray:
                        [(r, v * x[c]) for r, c, v in terms.triples(p)])
 
 
-def delta(alg: LieYamagutiAlgebra, rep: Representation, c: YamagutiCochain,
-          cap: int = DEFAULT_DEGREE_CAP) -> YamagutiCochain:
+def delta(alg: LieYamagutiAlgebra, rep: Representation, c: YamagutiCochain) -> YamagutiCochain:
     """Coboundary of a cochain (degree p -> p+1)."""
-    if c.degree + 1 > cap:
-        raise DegreeCapExceededError(f"degree {c.degree + 1} exceeds cap {cap}")
     if c.adim != alg.dim or c.mdim != rep.module_dim:
         raise DimMismatchError("cochain does not match the complex")
     out = _apply(_terms(alg, rep), c.degree, c.flat)
     return YamagutiCochain(c.degree + 1, alg.dim, rep.module_dim, out)
 
 
-def delta_matrix(alg: LieYamagutiAlgebra, rep: Representation, p: int,
-                 cap: int = DEFAULT_DEGREE_CAP) -> Matrix:
+def delta_matrix(alg: LieYamagutiAlgebra, rep: Representation, p: int, cap=None) -> Matrix:
     """Matrix of the coboundary C^p -> C^{p+1} in the canonical flat bases:
-    the sum of the triples of every term."""
-    if p + 1 > cap:
-        raise DegreeCapExceededError(f"degree {p + 1} exceeds cap {cap}")
+    the sum of the triples of every term.  `cap` is ignored; the benchmark's
+    oracle (perfbench/oracle.py) still passes it."""
     if p < 1:
         raise DimMismatchError("cochain degree must be >= 1")
     rows, cols = (cochain_dim(alg.dim, rep.module_dim, q) for q in (p + 1, p))
@@ -344,8 +336,7 @@ def delta_matrix(alg: LieYamagutiAlgebra, rep: Representation, p: int,
     return Matrix.from_array(summed.reshape(rows, cols))
 
 
-def cohomology_dim(alg: LieYamagutiAlgebra, rep: Representation, p: int,
-                   cap: int = DEFAULT_DEGREE_CAP) -> int:
+def cohomology_dim(alg: LieYamagutiAlgebra, rep: Representation, p: int) -> int:
     """dim H^p: nullity(delta_p) minus rank(delta_{p-1}) (p = 1: plain nullity).
 
     The ranks are taken in a weight basis (_weight_route) when the input
@@ -353,15 +344,13 @@ def cohomology_dim(alg: LieYamagutiAlgebra, rep: Representation, p: int,
     """
     if p < 1:
         raise DimMismatchError("cohomology degree must be >= 1")
-    if p + 1 > cap:
-        raise DegreeCapExceededError(f"degree {p + 1} exceeds cap {cap}")
     entries = cochain_dim(alg.dim, rep.module_dim, p + 1) * cochain_dim(alg.dim, rep.module_dim, p)
     alg, rep = _weight_route(alg, rep, entries)
-    dp = delta_matrix(alg, rep, p, cap=cap)
+    dp = delta_matrix(alg, rep, p)
     kernel = dp.nullspace_dim()
     if p == 1:
         return kernel
-    dprev = delta_matrix(alg, rep, p - 1, cap=cap)
+    dprev = delta_matrix(alg, rep, p - 1)
     return kernel - dprev.rank()
 
 

@@ -70,10 +70,10 @@ def coboundary_cases():
     out = []
     for name, rep_name, alg, rep, degrees in _classical():
         for p in degrees:
-            out.append(_record("classical", name, rep_name, p, delta_matrix(alg, rep, p, cap=4)))
+            out.append(_record("classical", name, rep_name, p, delta_matrix(alg, rep, p)))
     for name, rep_name, pair, degrees in _pairs():
         for p in degrees:
-            out.append(_record("pair", name, rep_name, p, pair_delta_matrix(pair, p, cap=4)))
+            out.append(_record("pair", name, rep_name, p, pair_delta_matrix(pair, p)))
     return out
 
 

@@ -322,6 +322,50 @@ def test_numerator_format_stays_in_linalg():
     assert found == []
 
 
+def _calls(tree):
+    """(names of the enclosing functions, call node) of every call in a module."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope + (child.name,) if isinstance(child, ast.FunctionDef) else scope
+            if isinstance(child, ast.Call):
+                out.append((inner, child))
+            visit(child, inner)
+
+    visit(tree, ())
+    return out
+
+
+def test_operator_laws_stay_written_once():
+    """The brackets of images (bracket_images, triple_images) are called only
+    by algebra._homomorphism_residual, the law behind the homomorphism,
+    Nijenhuis, Rota-Baxter and compatibility identities.  The induced
+    brackets' einsums (the subscripts of rotabaxter._induced_brackets, and
+    _images, the X(Tu, Tv) they read) run only in _induced_brackets, and
+    _images besides in pre_ly_products, whose products are asserted
+    against the induced brackets."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(linalg.__file__).parent.glob("*.py"))}
+    induced = next(node for node in ast.walk(trees["rotabaxter.py"])
+                   if isinstance(node, ast.FunctionDef) and node.name == "_induced_brackets")
+    subscripts = {call.args[0].value for _, call in _calls(induced)
+                  if getattr(call.func, "attr", None) == "einsum"}
+    assert len(subscripts) == 6
+    allowed = {"bracket_images": {"_homomorphism_residual"}, "triple_images": {"_homomorphism_residual"},
+               "_images": {"_induced_brackets", "pre_ly_products"}}
+    found = []
+    for name, tree in trees.items():
+        for scope, call in _calls(tree):
+            func = getattr(call.func, "attr", None) or getattr(call.func, "id", None)
+            where = allowed.get(func)
+            if func == "einsum" and isinstance(call.args[0], ast.Constant) and call.args[0].value in subscripts:
+                where = {"_induced_brackets"}
+            if where is not None and not where & set(scope):
+                found.append(f"{name}:{call.lineno} {func}")
+    assert found == []
+
+
 # -- arithmetic over Q[t] against Poly objects ---------------------------------
 
 # rational coefficients, and polynomials of degree 0-4 in them; a scale of

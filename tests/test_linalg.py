@@ -164,7 +164,7 @@ def test_elimination_on_coboundary_matrices(corpus):
     sl2 = catalog_algebra("sl2")
     mats = [delta_matrix(sl2, adjoint_rep(sl2), 1), delta_matrix(sl2, adjoint_rep(sl2), 2)]
     mats += [delta_matrix(corpus[2].algebra, corpus[2].rep, 1)]
-    mats += [pair_delta_matrix(pair, p, cap=p + 1) for pair in corpus[:2] for p in (1, 2, 3)]
+    mats += [pair_delta_matrix(pair, p) for pair in corpus[:2] for p in (1, 2, 3)]
     mats += [pair_delta_matrix(pair, 1) for pair in corpus[3:8]]
     assert max(m.rows for m in mats) > 100 and any(m.rows > 3 * m.cols for m in mats)
     for m in mats:

@@ -9,7 +9,6 @@ import sympy
 
 from lieyam import LieYRepPair, Matrix, Representation, adjoint_rep, coadjoint_rep
 from lieyam.errors import (
-    DegreeCapExceededError,
     NotInSubcomplexError,
     PolynomialEntriesError,
     UnsupportedDegreeError,
@@ -158,16 +157,16 @@ def test_numerator_paths_commute_with_scaling(pairs, scale):
         alg, rep = P.algebra, P.rep
         for degree in (1, 2):
             c = random_cochain(alg, rep, degree, rng)
-            got = delta(alg, rep, c.scale(scale), cap=9)
-            assert got == delta(alg, rep, c, cap=9).scale(scale)
+            got = delta(alg, rep, c.scale(scale))
+            assert got == delta(alg, rep, c).scale(scale)
             assert (got.flat.num.dtype == object) == big
             pc = random_pair_cochain(P, degree, rng)
             lifted = lift(P, pc.scale(scale))
             assert lifted == lift(P, pc).scale(scale)
             assert (lifted.flat.num.dtype == object) == big and lifted.flat.den == Fraction(scale).denominator
             assert project(P, lifted) == pc.scale(scale)
-            got = pair_delta_lifted(P, pc.scale(scale), cap=9)
-            assert got == pair_delta_lifted(P, pc, cap=9).scale(scale)
+            got = pair_delta_lifted(P, pc.scale(scale))
+            assert got == pair_delta_lifted(P, pc).scale(scale)
             assert (got.flat.num.dtype == object) == big
     # a big lift bumped off the home coordinates: the witness holds the exact value
     off = int(np.flatnonzero(_pc(P).index_map(2).coordinate < 0)[0])
@@ -203,7 +202,7 @@ def test_delta_lifted_squares_to_zero(pairs, rng):
     for P in pairs:
         for degree in (1, 2):
             c = random_pair_cochain(P, degree, rng)
-            dd = pair_delta_lifted(P, pair_delta_lifted(P, c, cap=9), cap=9)
+            dd = pair_delta_lifted(P, pair_delta_lifted(P, c))
             assert dd.is_zero()
 
 
@@ -212,20 +211,12 @@ def test_direct_equals_lifted(pairs, rng):
         for degree in (1, 2):
             for _ in range(4):
                 c = random_pair_cochain(P, degree, rng)
-                assert pair_delta_direct(P, c) == pair_delta_lifted(P, c, cap=9)
+                assert pair_delta_direct(P, c) == pair_delta_lifted(P, c)
 
 
 def test_direct_unsupported_degree(pairs):
     with pytest.raises(UnsupportedDegreeError):
         pair_delta_direct(pairs[0], zero_pair_cochain(pairs[0], 3))
-
-
-def test_degree_cap(pairs):
-    with pytest.raises(DegreeCapExceededError):
-        pair_delta_lifted(pairs[0], zero_pair_cochain(pairs[0], 3))  # default cap 3
-    with pytest.raises(DegreeCapExceededError):
-        pair_delta_matrix(pairs[0], 3)
-    pair_delta_lifted(pairs[0], zero_pair_cochain(pairs[0], 3), cap=4)
 
 
 def test_degree2_comp3_shape_invariant(pairs):
@@ -277,7 +268,7 @@ def test_matrix_columns_match_per_cochain_path(corpus, degree):
     for P in corpus:
         if P.dim_g + P.dim_v > MAX_PAIR_DIM[degree]:
             continue
-        mat = pair_delta_matrix(P, degree, cap=4)
+        mat = pair_delta_matrix(P, degree)
         rows = mat.data
         size = pair_cochain_dim(P.dim_g, P.dim_v, degree)
         assert mat.cols == size
@@ -285,7 +276,7 @@ def test_matrix_columns_match_per_cochain_path(corpus, degree):
         for j in cols:
             e_j = PairCochain.unflatten(degree, P.dim_g, P.dim_v,
                                         [1 if i == j else 0 for i in range(size)])
-            assert [row[j] for row in rows] == pair_delta_lifted(P, e_j, cap=4).flatten()
+            assert [row[j] for row in rows] == pair_delta_lifted(P, e_j).flatten()
 
 
 def test_pair_complex_owned_by_pair():

@@ -25,7 +25,8 @@ from lieyam.rotabaxter import (
     strong_witness,
     subadjacent,
 )
-from lieyam.search import search_rb_operators, search_rbn_triples
+from lieyam.reps import adjoint_rep, coadjoint_rep
+from lieyam.search import catalog_algebra, search_rb_operators, search_rbn_triples
 
 T1 = Matrix([[0, 1], [0, 0]])
 NMAT = Matrix([[0, 2], [0, 0]])
@@ -124,6 +125,26 @@ def test_compatibility(a2_adjoint):
     assert is_compatible_pair(Pab, t_a, t_b)
     with pytest.raises(PreconditionFailedError):
         is_compatible_pair(P, Matrix.identity(2), T1)
+
+
+@pytest.mark.parametrize("name", ["a2", "a2lts", "sl2", "so3", "heis3"])
+def test_compatibility_is_rota_baxter_on_the_pencil(name):
+    """For Rota-Baxter T1 and T2 the Rota-Baxter residual of T1 + c T2 is
+    c P1 + c^2 P2, P1 and P2 the compatibility conditions; so two operators
+    of the grid are compatible exactly when T1 + T2 and T1 + 2 T2 are
+    Rota-Baxter, and a witness names the condition that fails."""
+    alg = catalog_algebra(name)
+    seen = set()
+    for rep in (adjoint_rep(alg), coadjoint_rep(alg)):
+        P = LieYRepPair(alg, rep)
+        ops = [t for t in search_rb_operators(P, (-1, 0, 1)) if not t.is_zero()]
+        for t1, t2 in itertools.islice(itertools.combinations(ops, 2), 150):
+            wit = compatibility_witness(P, t1, t2)
+            pencil = all(is_relative_rb(P, t1 + t2.scale(c)) for c in (1, 2))
+            assert (wit is None) == pencil, (name, t1, t2, wit)
+            assert wit is None or wit["identity"] in ("binary", "ternary-12", "ternary-21")
+            seen.add(pencil)
+    assert seen == {True, False}
 
 
 def test_strong_condition_cases(a2_adjoint):

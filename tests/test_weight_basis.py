@@ -67,8 +67,8 @@ def _dims(alg, rep):
     out = {}
     n, m = alg.dim, rep.module_dim
     pair = LieYRepPair(alg, rep, validate=False)
-    for cx, size, dim in (("classical", cochain_dim, lambda p: cohomology_dim(alg, rep, p, cap=p + 1)),
-                          ("pair", pair_cochain_dim, lambda p: pair_cohomology_dim(pair, p, cap=p + 1))):
+    for cx, size, dim in (("classical", cochain_dim, lambda p: cohomology_dim(alg, rep, p)),
+                          ("pair", pair_cochain_dim, lambda p: pair_cohomology_dim(pair, p))):
         for p in (1, 2, 3):
             if size(n, m, p + 1) * size(n, m, p) <= ENTRIES:
                 out[cx, p] = dim(p)

@@ -1,8 +1,6 @@
-import pytest
 import sympy
 
 from lieyam import LieYamagutiAlgebra, Matrix, Representation, adjoint_rep, coadjoint_rep
-from lieyam.errors import DegreeCapExceededError
 from lieyam.yamaguti import (
     YamagutiCochain,
     cochain_dim,
@@ -22,7 +20,7 @@ def sympy_matrix(m: Matrix):
 def test_delta_of_zero(a2):
     adj = adjoint_rep(a2)
     for p in (1, 2, 3):
-        out = delta(a2, adj, zero_cochain(a2, adj, p), cap=9)
+        out = delta(a2, adj, zero_cochain(a2, adj, p))
         assert out.is_zero()
 
 
@@ -45,8 +43,8 @@ def test_delta_linearity(a2, rng):
     for p in (1, 2):
         c1 = random_cochain(a2, adj, p, rng)
         c2 = random_cochain(a2, adj, p, rng)
-        lhs = delta(a2, adj, c1.scale(3) + c2.scale(-2), cap=9)
-        rhs = delta(a2, adj, c1, cap=9).scale(3) + delta(a2, adj, c2, cap=9).scale(-2)
+        lhs = delta(a2, adj, c1.scale(3) + c2.scale(-2))
+        rhs = delta(a2, adj, c1).scale(3) + delta(a2, adj, c2).scale(-2)
         assert lhs == rhs
 
 
@@ -55,21 +53,21 @@ def test_delta_squared_zero(a2, so3, rng):
         for rep in (adjoint_rep(alg), coadjoint_rep(alg)):
             for p in (1, 2):
                 c = random_cochain(alg, rep, p, rng)
-                assert delta(alg, rep, delta(alg, rep, c, cap=9), cap=9).is_zero()
+                assert delta(alg, rep, delta(alg, rep, c)).is_zero()
 
 
 def test_delta_matrix_column_oracle(a2):
     """Columns of the assembled matrix match delta on elementary cochains."""
     adj = adjoint_rep(a2)
     for p in (1, 2):
-        mat = delta_matrix(a2, adj, p, cap=9)
+        mat = delta_matrix(a2, adj, p)
         rows = mat.data
         size = cochain_dim(2, 2, p)
         assert mat.cols == size
         for j in range(size):
             coords = [0] * size
             coords[j] = 1
-            col = delta(a2, adj, YamagutiCochain.unflatten(p, 2, 2, coords), cap=9).flatten()
+            col = delta(a2, adj, YamagutiCochain.unflatten(p, 2, 2, coords)).flatten()
             assert all(a - row[j] == 0 for a, row in zip(col, rows))
 
 
@@ -77,18 +75,9 @@ def test_delta_matrix_products_zero(a2):
     from lieyam.linalg import exact_product_is_zero
 
     adj = adjoint_rep(a2)
-    mats = {p: delta_matrix(a2, adj, p, cap=9) for p in (1, 2, 3)}
+    mats = {p: delta_matrix(a2, adj, p) for p in (1, 2, 3)}
     assert exact_product_is_zero(mats[2], mats[1])
     assert exact_product_is_zero(mats[3], mats[2])
-
-
-def test_degree_cap(a2):
-    adj = adjoint_rep(a2)
-    with pytest.raises(DegreeCapExceededError):
-        delta(a2, adj, zero_cochain(a2, adj, 4))  # default cap 4
-    with pytest.raises(DegreeCapExceededError):
-        delta_matrix(a2, adj, 4)
-    delta(a2, adj, zero_cochain(a2, adj, 4), cap=5)
 
 
 def test_abelian_zero_rep_h1():
@@ -100,8 +89,8 @@ def test_abelian_zero_rep_h1():
 def test_cohomology_dims_against_sympy(a2):
     """Independent route: ranks and kernels via a second implementation."""
     adj = adjoint_rep(a2)
-    d1 = delta_matrix(a2, adj, 1, cap=9)
-    d2 = delta_matrix(a2, adj, 2, cap=9)
+    d1 = delta_matrix(a2, adj, 1)
+    d2 = delta_matrix(a2, adj, 2)
     s1, s2 = sympy_matrix(d1), sympy_matrix(d2)
     h1 = cohomology_dim(a2, adj, 1)
     h2 = cohomology_dim(a2, adj, 2)
@@ -126,14 +115,14 @@ def test_module_dim_zero_roundtrip(a2):
     for p in (1, 2, 3):
         c = YamagutiCochain.unflatten(p, 2, 0, [])
         assert c.flatten() == [] and c == zero_cochain(a2, rep, p)
-        assert delta(a2, rep, c, cap=9).flatten() == []
-        mat = delta_matrix(a2, rep, p, cap=9)
+        assert delta(a2, rep, c).flatten() == []
+        mat = delta_matrix(a2, rep, p)
         assert (mat.rows, mat.cols) == (0, 0)
-        assert cohomology_dim(a2, rep, p, cap=9) == 0
+        assert cohomology_dim(a2, rep, p) == 0
 
 
 def test_delta_matrix_zero_for_abelian_zero_rep():
     alg = LieYamagutiAlgebra.abelian(3)
     rep = Representation.zero(3, 2)
     for p in (1, 2):
-        assert delta_matrix(alg, rep, p, cap=9).is_zero()
+        assert delta_matrix(alg, rep, p).is_zero()
