@@ -388,9 +388,10 @@ def _check_coboundary_size(complex_, n, m, degree):
 
 def _check_grid_size(what, count, n, m):
     """ParseError unless the grids that `search what` scans, of T (n x m)
-    and, for rbn, of N (n x n), hold at most MAX_GRID_POINTS matrices each
-    (checked before the pair is validated)."""
-    for name, size in (("T", n * m),) + ((("N", n * n),) if what == "rbn" else ()):
+    and, for rbn, of N (n x n) and of S (m x m, whose free coordinates
+    search._grid_solutions walks), hold at most MAX_GRID_POINTS matrices
+    each (checked before the pair is validated)."""
+    for name, size in (("T", n * m),) + ((("N", n * n), ("S", m * m)) if what == "rbn" else ()):
         if count ** size > MAX_GRID_POINTS:
             raise ParseError(f"search {what}: the grid of {name} would hold {count}^{size} matrices; "
                              f"the limit is {MAX_GRID_POINTS}")

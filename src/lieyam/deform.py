@@ -39,7 +39,7 @@ the deformed pair, read coefficient by coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,7 +63,6 @@ from .reps import (
     Representation,
     _intertwining_residual,
     check_representation,
-    derived_D,
     pair_homomorphism_witness,
 )
 from .scalars import T as TPOLY
@@ -80,6 +79,8 @@ class DeformationData:
     varrho: object       # (n, m, m): varrho(e_x), an operator on V
     varpi1: object       # (n, n, m, m): varpi1(e_x, e_y)
     varpi2: object       # (n, n, m, m)
+    # (pair, the t-family over it), built on first use by _family_pair
+    _family: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         (self.phi, self.phi1, self.phi2,
@@ -126,12 +127,23 @@ def deformed_pair_structures(pair: LieYRepPair, d: DeformationData):
     return alg_t, Representation(n, m, rho_t, mu_t)
 
 
+def _family_pair(pair: LieYRepPair, d: DeformationData) -> LieYRepPair:
+    """The t-family of d as an unvalidated pair over Q[t], its derived D
+    the family's D_t; the pair itself when d is zero.  Built on first use
+    and kept on d (keyed by pair), so each request builds it once."""
+    if d._family is None or d._family[0] is not pair:
+        _check_shapes(pair, d)
+        d._family = (pair, pair if d.is_zero() else
+                     LieYRepPair(*deformed_pair_structures(pair, d), validate=False))
+    return d._family[1]
+
+
 def linear_deformation_report(pair: LieYRepPair, d: DeformationData) -> VerificationReport:
     """Axioms and representation conditions of the t-family, as polynomials."""
-    alg_t, rep_t = deformed_pair_structures(pair, d)
+    family = _family_pair(pair, d)
     report = VerificationReport(subject="linear deformation (polynomial arithmetic in t)")
-    report.extend(alg_t.check_axioms(), prefix="t-family ")
-    report.extend(check_representation(alg_t, rep_t), prefix="t-family ")
+    report.extend(family.algebra.check_axioms(), prefix="t-family ")
+    report.extend(check_representation(family.algebra, family.rep), prefix="t-family ")
     return report
 
 
@@ -152,7 +164,7 @@ def derived_deformation_terms(pair: LieYRepPair, d: DeformationData):
     Without the phi terms the first-order data of a trivial deformation
     would not even be closed.  Both are arrays indexed [x, y, row, col].
     """
-    d_t = derived_D(*deformed_pair_structures(pair, d)).arr
+    d_t = _family_pair(pair, d).d.arr
     return coefficient(d_t, 1), coefficient(d_t, 2)
 
 
@@ -311,11 +323,6 @@ def trivial_deformation_from(pair: LieYRepPair, ns: NijenhuisStructure) -> Defor
     varrho = _hat_linear(sarr, *_rho_parts(rep.rho_arr, narr))
     varpi1, varpi2 = _hat_bilinear(sarr, *_bilinear_parts(rep.mu_arr, narr))
     return DeformationData(phi, phi1, phi2, varrho, varpi1, varpi2)
-
-
-def _family_pair(pair: LieYRepPair, d: DeformationData) -> LieYRepPair:
-    alg_t, rep_t = deformed_pair_structures(pair, d)
-    return LieYRepPair(alg_t, rep_t, validate=False)
 
 
 def _block_diag(a: Matrix, b: Matrix) -> Matrix:

@@ -19,19 +19,22 @@ format.  A Matrix is a 2-d exact array with a checked shape; matrices
 act on coordinate columns: column k of a map's matrix is the image of
 the k-th basis vector.
 
-rank / nullspace / inverse are only defined over the rationals; matrices
-with genuine polynomial entries are rejected (evaluate t first).  All
-three run on one exact elimination, `_echelon`: the rows of the
-numerator array (each row of the matrix times the common denominator)
-keep only their nonzero entries in a {column: int} dict, and are brought
-to reduced echelon form by fraction-free elimination with content
-removal (every row divided by the gcd of its entries after each step).
+Exact linear algebra is only defined over the rationals; matrices with
+genuine polynomial entries are rejected (evaluate t first).  `solve(A, B)`
+gives the general solution of A X = B, a particular X and the canonical
+kernel basis K, or None; kernels (nullspace_basis), inverses (A X = I) and
+eigenspaces are read off it.  It and `Matrix.rank` are the only readers
+of one exact elimination, `_echelon`: the rows of the numerator array
+(each row of the matrix times the common denominator) keep only their
+nonzero entries in a {column: int} dict, and are brought to reduced
+echelon form by fraction-free elimination with content removal (every
+row divided by the gcd of its entries after each step).
 Coboundary matrices in a catalog basis, or in a weight basis, are mostly
 zeros, and the dict rows never touch those.  In a dense basis they fill
 in, and so does their reduced form; yamaguti.cohomology_dim therefore
 ranks dense input in the eigenbasis of a derivation, found exactly by
 `rational_eigenvalues` (Faddeev-LeVerrier characteristic polynomial,
-integer roots) and `rational_eigenbasis` (eigenspaces by `_echelon`).
+integer roots) and `rational_eigenbasis` (eigenspaces by `solve`).
 """
 
 from __future__ import annotations
@@ -489,7 +492,8 @@ def reduced(arr):
     g = gcd(arr.den, *nums)
     if g == 1:
         return arr
-    return _result(arr.num // g, arr.den // g, max(map(abs, nums)) // g, arr.poly)
+    num = arr.num if g < INT64_LIMIT else arr.num.astype(object)  # a g past int64 divides only zeros
+    return _result(num // g, arr.den // g, max(map(abs, nums), default=0) // g, arr.poly)
 
 
 def exact_array(entries, shape):
@@ -722,13 +726,6 @@ class Matrix:
             out[r][c] = x
         return out
 
-    def _echelon_with_identity(self):
-        """_echelon of the rows of den * [A | I], I one column per row of A."""
-        rows = self._integer_rows()
-        for i, row in enumerate(rows):
-            row[self.cols + i] = self.arr.den
-        return _echelon(rows)
-
     # -- exact linear algebra ------------------------------------------------
 
     def rank(self) -> int:
@@ -736,40 +733,21 @@ class Matrix:
         return len(_echelon(self._integer_rows()))
 
     def nullspace_basis(self):
-        """Exact basis of the right kernel, as a list of vectors (tuples of Fractions).
-
-        One vector per non-pivot column j of the reduced echelon form:
-        1 at j, minus the (normalized) pivot rows' column j at the pivots.
-        """
-        pivots = _echelon(self._integer_rows())
-        basis = []
-        for j in range(self.cols):
-            if j in pivots:
-                continue
-            v = [Fraction(0)] * self.cols
-            v[j] = Fraction(1)
-            for p, row in pivots.items():
-                if j in row:
-                    v[p] = Fraction(-row[j], row[p])
-            basis.append(tuple(v))
-        return basis
+        """Exact basis of the right kernel, as a list of vectors (tuples of
+        ints and Fractions): the rows of K of solve(self)."""
+        return list(solve(self)[1].data)
 
     def nullspace_dim(self) -> int:
         return self.cols - self.rank()
 
     def invert(self):
-        """Exact inverse, by reducing [A | I]; SingularMatrixError if det = 0."""
-        self._require_rational()
+        """Exact inverse, X of solve(A, I); SingularMatrixError if det = 0."""
         if not self.is_square():
             raise DimMismatchError("inverse of a non-square matrix")
-        n = self.rows
-        pivots = self._echelon_with_identity()
-        if any(p >= n for p in pivots):
+        solution = solve(self, Matrix.identity(self.rows))
+        if solution is None:
             raise SingularMatrixError("matrix is singular")
-        return Matrix(
-            tuple(Fraction(pivots[i].get(n + j, 0), pivots[i][i]) for j in range(n))
-            for i in range(n)
-        )
+        return solution[0]
 
     def __repr__(self):
         return f"Matrix({[list(r) for r in self.data]!r})"
@@ -818,6 +796,39 @@ def _echelon(rows, pivots=None):
                 pivots[p] = clear(other, row, lead)
         pivots[lead] = row
     return pivots
+
+
+def solve(a: Matrix, b: Matrix = None):
+    """The general solution of A X = B over the rationals: (X, K), or None
+    when a column of B lies outside the column space of A.  B defaults to
+    no columns.
+
+    One _echelon of the rows of [A | B]: a reduced row (r | c) says
+    r . x = c, so a row with its pivot in B is a contradiction, and a row
+    with pivot p solves x_p from the free unknowns (the columns of A
+    without a pivot).  X is the solution that is zero on the free
+    unknowns.  K has one row per free column j, 1 at j and 0 at the other
+    free columns: the canonical basis of the kernel of A, with A K^T = 0.
+    Every solution is X plus K^T times any matrix.
+    """
+    n, b = a.cols, Matrix.zero(a.rows, 0) if b is None else b
+    if b.rows != a.rows:
+        raise DimMismatchError(f"solve {a.rows}x{n} against {b.rows} right-hand-side rows")
+    pivots = _echelon(Matrix.from_array(np.concatenate([a.arr.T, b.arr.T]).T)._integer_rows())
+    if any(p >= n for p in pivots):
+        return None
+    free = {j: i for i, j in enumerate(j for j in range(n) if j not in pivots)}
+    den = lcm(*(row[p] for p, row in pivots.items()))
+    x, kernel = np.zeros((n, b.cols), dtype=object), np.zeros((len(free), n), dtype=object)
+    kernel[range(len(free)), list(free)] = den
+    for p, row in pivots.items():
+        for j, c in row.items():
+            if j >= n:
+                x[p, j - n] = c * (den // row[p])
+            elif j != p:
+                kernel[free[j], p] = -c * (den // row[p])
+    return tuple(Matrix.from_array(reduced(_result(num, den, max(map(abs, num.ravel().tolist()), default=0))))
+                 for num in (x, kernel))
 
 
 def _integer_charpoly(b):
@@ -869,22 +880,17 @@ def rational_eigenbasis(mat: Matrix, eigenvalues):
     (primitive integer vectors), `eigenvalues` ({value: multiplicity}, as
     rational_eigenvalues(A) gives them) each repeated by its multiplicity
     in order, so that A P = P diag(those); None when some eigenspace, the
-    nullspace_basis of A - value * I, is smaller than its multiplicity,
+    kernel of A - value * I (solve), is smaller than its multiplicity,
     that is, when A is not diagonalizable.
     """
     n = mat.rows
     columns = []
     for value, k in eigenvalues.items():
-        kernel = (mat - Matrix.identity(n).scale(value)).nullspace_basis()
+        kernel = solve(mat - Matrix.identity(n).scale(value))[1].arr.num.tolist()
         if len(kernel) != k:
             return None
-        for v in kernel:
-            scale = lcm(*(x.denominator for x in v))
-            ints = [int(x * scale) for x in v]
-            g = gcd(*ints)
-            columns.append([x // g for x in ints])
-    p = np.array(columns, dtype=object).reshape(n, n).T
-    return Matrix.from_array(exact_array(p.ravel(), (n, n)))
+        columns += [[x // gcd(*v) for x in v] for v in kernel]
+    return Matrix.from_array(exact_array(np.array(columns, dtype=object).T.ravel(), (n, n)))
 
 
 def _integer_roots(coeffs, bound):

@@ -35,7 +35,7 @@ import numpy as np
 
 from .algebra import LieYamagutiAlgebra, _homomorphism_residual, homomorphism_witness
 from .errors import DimMismatchError, InternalConsistencyError, InvalidRepresentationError
-from .linalg import Matrix, coefficient, exact, exact_array, polynomial, reduced
+from .linalg import Matrix, coefficient, exact, polynomial, reduced, solve
 from .report import VerificationReport, first_violation
 
 REP_LAWS = {
@@ -333,10 +333,10 @@ def pair_derivations(alg: LieYamagutiAlgebra, rep: Representation):
     Those laws (algebra._homomorphism_residual, _intertwining_residual)
     run over Q[t] on the stacks of every (Id + t E, Id) and every (Id,
     Id + t E), E a unit matrix, a block of units at a time; their
-    coefficients of t^1 are the columns of a linear system, whose exact
-    nullspace is Der(g, V).  The bracket laws are antisymmetric in their
-    first two slots, so only their rows of x < y are kept, and they vanish
-    on the second stack, where phi = Id.
+    coefficients of t^1 are the columns of a linear system, whose kernel
+    (the rows of K of linalg.solve) is Der(g, V).  The bracket laws are
+    antisymmetric in their first two slots, so only their rows of x < y
+    are kept, and they vanish on the second stack, where phi = Id.
     """
     if rep.algebra_dim != alg.dim:
         raise DimMismatchError("representation does not match the algebra dimension")
@@ -367,8 +367,8 @@ def pair_derivations(alg: LieYamagutiAlgebra, rep: Representation):
             p, q = (e, ident_v) if moves_g else (ident_g, e)
             stacks.append(first_order(p, q, len(e), moves_g))
     system = Matrix.from_array(np.concatenate(stacks).T) if stacks else Matrix.zero(sum(sizes), 0)
-    return [(Matrix.from_array(exact_array(v[:n * n], (n, n))),
-             Matrix.from_array(exact_array(v[n * n:], (m, m)))) for v in system.nullspace_basis()]
+    return [(Matrix.from_array(v[:n * n].reshape(n, n)), Matrix.from_array(v[n * n:].reshape(m, m)))
+            for v in solve(system)[1].arr]
 
 
 def is_pair_homomorphism(phi: Matrix, psi: Matrix, src: LieYRepPair, dst: LieYRepPair) -> bool:

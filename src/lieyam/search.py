@@ -18,9 +18,11 @@ to SCAN_BLOCK, so the hits come in grid order and a search with a small
 limit stops after little more work than its last hit needs.
 
 The linear conditions (R B# skew, B# N^T = N B#, N R = R N, T S = N T)
-are not tested on the grid: `_grid_solutions` solves each system exactly
-and returns only its solutions that lie on the grid, in grid order.
-Every solution is re-checked by the condition's own predicate before use.
+are not tested on the grid: `_system` builds the matrix of each (once
+per T for T S = N T), and `_grid_solutions` takes its general solution
+x + lambda K from linalg.solve and returns its points on the grid, in
+grid order.  Every solution is re-checked by the condition's own
+predicate before use.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from .algebra import LieYamagutiAlgebra, _nijenhuis_residual
 from .errors import ConsequenceViolatedError, DimMismatchError
-from .linalg import Matrix, exact_array
+from .linalg import Matrix, exact_array, solve
 from .quadratic import QuadraticForm, is_invariant_form, is_rb_nijenhuis, is_skew_endomorphism
 from .report import vanishing
 from .reps import LieYRepPair, Representation, adjoint_rep, coadjoint_rep
@@ -127,64 +129,39 @@ def _scan(rows, cols, values, residual, first, limit):
     return hits
 
 
-class _LinearSystem:
-    """A linear fn on rows x cols matrices, reduced once for `_grid_solutions`.
-
-    The images of the unit matrices are the columns of the constraint
-    matrix A, and `Matrix._echelon_with_identity` reduces [A | I] once.  A
-    reduced row (a | c) is a combination of the equations fn(X) = rhs, so
-    a . x = c . rhs: a row with its pivot in A solves that pivot
-    coordinate, and a row with a = 0 is a condition on rhs alone.  The
-    reduction serves every rhs.
-    """
-
-    def __init__(self, fn, rows, cols):
-        size = rows * cols
-        units = Matrix.identity(size).arr.reshape(size, rows, cols)
-        images = [fn(Matrix.from_array(u)).arr.ravel() for u in units]
-        system = Matrix.from_array(np.stack(images).T) if images else \
-            Matrix.zero(fn(Matrix.zero(rows, cols)).arr.size, 0)
-        self.pivots = system._echelon_with_identity()
-
-
-def _grid_solutions(fn, rows, cols, values, rhs=None):
-    """The rows x cols grid matrices X with fn(X) = rhs, in `_matrices` order.
-
-    `fn` is linear, or a `_LinearSystem` of it to reuse one reduction for
-    many rhs; `values` are distinct; `rhs` defaults to zero.  The free
-    coordinates range over `values`, each pivot coordinate is solved
-    exactly, and a point is kept when every coordinate is a grid value.
-    An inconsistent system has no solutions; k free coordinates give
-    len(values)**k candidates, the whole grid only when fn is zero.
-    """
-    system = fn if isinstance(fn, _LinearSystem) else _LinearSystem(fn, rows, cols)
+def _system(fn, rows, cols):
+    """The matrix of a linear fn on rows x cols matrices: column k is the
+    image of the k-th unit matrix (row by row), flattened."""
     size = rows * cols
-    target = None if rhs is None else rhs.arr.ravel().tolist()
+    units = Matrix.identity(size).arr.reshape(size, rows, cols)
+    images = [fn(Matrix.from_array(u)).arr.ravel() for u in units]
+    return Matrix.from_array(np.stack(images).T) if images else \
+        Matrix.zero(fn(Matrix.zero(rows, cols)).arr.size, 0)
 
-    def combine(row):  # c . rhs for the reduced row (a | c)
-        return 0 if target is None else sum(c * target[k - size] for k, c in row.items() if k >= size)
 
-    if any(combine(row) for p, row in system.pivots.items() if p >= size):
+def _grid_solutions(system, rows, cols, values, rhs=None):
+    """The rows x cols grid matrices X with system . x = rhs, in `_matrices`
+    order, x the entries of X row by row.
+
+    `system` is the `_system` matrix of a linear map; `values` are
+    distinct; `rhs` defaults to zero.  linalg.solve gives x0 and the
+    kernel rows K; the points x0 + lambda K, lambda over the grid of the
+    free coordinates, are kept when every coordinate is a grid value.  An
+    inconsistent system has no solutions; k free coordinates give
+    len(values)**k candidates, the whole grid only when the map is zero.
+    """
+    rhs = Matrix.zero(system.rows, 1) if rhs is None else Matrix.from_array(rhs.arr.reshape(-1, 1))
+    solution = solve(system, rhs)
+    if solution is None:
         return []
-    free = [k for k in range(size) if k not in system.pivots]
-    # pivot p of row lead*x_p + sum a*x_k = c.rhs is x_p = (c.rhs - sum a*x_k) / lead
-    solve = [(p, row[p], combine(row), [(k, a) for k, a in row.items() if k < size and k != p])
-             for p, row in system.pivots.items() if p < size]
-    index = {v: i for i, v in enumerate(values)}
-    keys = []  # index tuples into `values`, whose order is the grid's
-    for choice in product(range(len(values)), repeat=len(free)):
-        key = [0] * size
-        for k, i in zip(free, choice):
-            key[k] = i
-        for p, lead, c, terms in solve:
-            i = index.get(Fraction(c - sum(a * values[key[k]] for k, a in terms), lead))
-            if i is None:
-                break
-            key[p] = i
-        else:
-            keys.append(key)
-    keys.sort()
+    x, kernel = solution
     grid = exact_array(values, (len(values),))
+    choices = np.array(list(product(range(len(values)), repeat=kernel.rows)), dtype=np.intp)
+    points = grid[choices.reshape(len(values) ** kernel.rows, kernel.rows)] @ kernel.arr + x.arr.T
+    keys = np.full(points.shape, -1)
+    for i, v in enumerate(values):
+        keys[points == v] = i
+    keys = sorted(keys[(keys >= 0).all(axis=1)].tolist())  # index tuples into `values`: the grid's order
     return [Matrix.from_array(grid[np.array(key, dtype=np.intp).reshape(rows, cols)]) for key in keys]
 
 
@@ -213,7 +190,7 @@ def search_rbn_triples(pair: LieYRepPair, values=(-2, -1, 0, 1, 2), limit=None):
     T and N come from the Rota-Baxter and Nijenhuis grid scans, which
     have verified them.  For each nonzero pair the S candidates are the
     grid solutions of the linear condition T S = N T, in grid order, its
-    system reduced once per T; the first S that passes the rest of the
+    matrix built once per T; the first S that passes the rest of the
     triple conditions (those on S and the twist conditions) is the hit for
     that (T, N).  The sub-adjacent algebra V^T is built, and its theorems
     asserted, once per T: by the first S of that T to reach the twist
@@ -226,7 +203,7 @@ def search_rbn_triples(pair: LieYRepPair, values=(-2, -1, 0, 1, 2), limit=None):
     for t in rbs:
         if t.is_zero():
             continue
-        ts = _LinearSystem(lambda x: t * x, m, m)
+        ts = _system(lambda x: t * x, m, m)
         sub = None
         for n in nijs:
             if n.is_zero():
@@ -266,17 +243,18 @@ def search_quadratic_fixtures(names=("abelian2", "abelian3", "so3lts", "sl2lts")
         pair = LieYRepPair(alg, adjoint_rep(alg), validate=False)
         bs = qf.b_sharp
         n_found = 0
-        for rmap in _grid_solutions(lambda x: x * bs + (x * bs).transpose(), alg.dim, alg.dim, values):
+        skew = _system(lambda x: x * bs + (x * bs).transpose(), alg.dim, alg.dim)
+        for rmap in _grid_solutions(skew, alg.dim, alg.dim, values):
             if rmap.is_zero():
                 continue
             _confirm(is_skew_endomorphism(qf, rmap), rmap, "R B# skew")
             if not is_relative_rb(pair, rmap):
                 continue
             match = None
-            linear = _grid_solutions(
+            linear = _grid_solutions(_system(
                 lambda x: Matrix.from_array(np.stack([(bs * x.transpose() - x * bs).arr,
                                                       (x * rmap - rmap * x).arr]).reshape(-1, alg.dim)),
-                alg.dim, alg.dim, values)
+                alg.dim, alg.dim), alg.dim, alg.dim, values)
             for nmap in linear:
                 if nmap.is_zero():
                     continue

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -681,7 +682,9 @@ def test_search_input_contract(capsys):
 def test_search_grid_bound(tmp_path, capsys):
     """A search grid above MAX_GRID_POINTS is an input error, found before the
     pair is validated: sl2 with its adjoint has 5^9 T on the default grid,
-    and with a 1-dim zero rep 5^3 T (scanned) but 5^9 N (refused for rbn)."""
+    and with a 1-dim zero rep 5^3 T (scanned) but 5^9 N (refused for rbn);
+    a2 with a 5-dim zero rep has 2^10 T and 2^4 N on the grid 0,1, but
+    2^25 S (refused for rbn, in well under a second)."""
     from lieyam import LieYRepPair, Representation, adjoint_rep
     from lieyam.cli import MAX_GRID_POINTS
     from lieyam.jsonio import pair_to_dict
@@ -691,17 +694,23 @@ def test_search_grid_bound(tmp_path, capsys):
     adjoint = pair_to_dict(LieYRepPair(sl2, adjoint_rep(sl2)))
     adjoint["rho"][0][0][0] = "1"  # no longer a representation: the bound comes first
     zero = pair_to_dict(LieYRepPair(sl2, Representation.zero(3, 1)))
-    for name, pair, what, refused in (("adjoint", adjoint, "rbo", "T would hold 5^9"),
-                                      ("adjoint", adjoint, "rbn", "T would hold 5^9"),
-                                      ("zero", zero, "rbn", "N would hold 5^9")):
-        path = tmp_path / f"sl2-{name}.json"
+    wide = pair_to_dict(LieYRepPair(catalog_algebra("a2"), Representation.zero(2, 5)))
+    wide["mu"][0][0][0][0] = "1"
+    for name, pair, what, refused, grid in (("adjoint", adjoint, "rbo", "T would hold 5^9", ()),
+                                            ("adjoint", adjoint, "rbn", "T would hold 5^9", ()),
+                                            ("zero", zero, "rbn", "N would hold 5^9", ()),
+                                            ("wide", wide, "rbn", "S would hold 2^25", ("--values=0,1",))):
+        path = tmp_path / f"{name}.json"
         dump_json(pair, str(path))
-        code, out = run_cli("--format", "json", "search", what, "--pair", str(path), capsys=capsys)
+        start = time.perf_counter()
+        code, out = run_cli("--format", "json", "search", what, "--pair", str(path), *grid, "--limit", "1",
+                            capsys=capsys)
+        assert time.perf_counter() - start < 1
         _assert_contract(code, out)
         assert code == 2 and out.out == ""
         assert out.err.startswith("input error: ") and refused in out.err
         assert str(MAX_GRID_POINTS) in out.err
-    code, out = run_cli("--format", "json", "search", "rbo", "--pair", str(tmp_path / "sl2-zero.json"),
+    code, out = run_cli("--format", "json", "search", "rbo", "--pair", str(tmp_path / "zero.json"),
                         capsys=capsys)
     _assert_contract(code, out)
     assert code == 0 and json.loads(out.out)["count"] == 5 ** 3

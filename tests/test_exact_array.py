@@ -307,17 +307,24 @@ def test_scatter_and_keyed_sum_at_the_edges():
 
 def test_numerator_format_stays_in_linalg():
     """No module but linalg reads an ExactArray's numerators, denominator or
-    bound, constructs one directly or imports the numerator policy's names."""
+    bound, constructs one directly, imports the numerator policy's names or
+    touches the elimination (_echelon, its pivot dicts and their integer
+    rows); inside linalg only Matrix.rank and solve call _echelon."""
+    elimination = {"_echelon", "_integer_rows", "_echelon_with_identity"}
     found = []
     for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
         if path.name == "linalg.py":
+            found += [f"linalg.py:{call.lineno} {scope}" for scope, call in _calls(tree)
+                      if getattr(call.func, "id", None) == "_echelon" and scope[-1:] not in (("rank",), ("solve",))]
             continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        for node in ast.walk(tree):
             names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
-            if ((isinstance(node, ast.Attribute) and node.attr in ("num", "den", "bound"))
+            if ((isinstance(node, ast.Attribute) and node.attr in {"num", "den", "bound"} | elimination)
+                    or (isinstance(node, ast.Name) and node.id in elimination)
                     or (isinstance(node, ast.Call) and "ExactArray" in (getattr(node.func, "id", None),
                                                                         getattr(node.func, "attr", None)))
-                    or {"INT64_LIMIT", "NUMERATOR_OPS"} & set(names)):
+                    or ({"INT64_LIMIT", "NUMERATOR_OPS"} | elimination) & set(names)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
 

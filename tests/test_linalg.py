@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from lieyam import LieYRepPair, coadjoint_rep
 from lieyam.algebra import LieYamagutiAlgebra
 from lieyam.errors import DimMismatchError, PolynomialEntriesError, SingularMatrixError
-from lieyam.linalg import INT64_LIMIT, Matrix, exact, exact_product_is_zero, reduced
+from lieyam.linalg import INT64_LIMIT, Matrix, exact, exact_product_is_zero, reduced, solve
 from lieyam.paircomplex import pair_delta_matrix
 from lieyam.reps import adjoint_rep
 from lieyam.scalars import T
@@ -95,6 +95,8 @@ def test_matrix_shape_errors():
         exact_product_is_zero(Matrix.identity(2), _column((1, 2, 3)))
     with pytest.raises(DimMismatchError):
         Matrix.identity(2) + Matrix.identity(3)
+    with pytest.raises(DimMismatchError):
+        solve(Matrix.identity(2), Matrix.identity(3))
 
 
 def test_exact_product_is_zero():
@@ -157,6 +159,46 @@ def test_elimination_matches_sympy(rng):
         _assert_matches_sympy(m)
     low_rank = _random_matrix(rng, 3, 6, 1.0, 10**31)
     _assert_matches_sympy(low_rank.transpose() * low_rank)
+
+
+@st.composite
+def _systems(draw):
+    """(A, B) over the integers or the rationals: A is up to 12 x 12, of a
+    drawn rank bound (a product L R through 0-12 columns) with drawn zero
+    rows and columns; B has 0-3 columns, each A y (consistent) or drawn
+    (mostly inconsistent when A is rank deficient)."""
+    scalars = st.integers(-3, 3) if draw(st.booleans()) else st.fractions(-3, 3, max_denominator=4)
+
+    def matrix(rows, cols):
+        return Matrix([draw(st.lists(scalars, min_size=cols, max_size=cols)) for _ in range(rows)], cols)
+
+    rows, cols, inner, width = (draw(st.integers(0, 12)) for _ in range(4))
+    width %= 4
+    keep = [draw(st.lists(st.sampled_from([1, 1, 1, 0]), min_size=k, max_size=k)) for k in (rows, cols)]
+    a = Matrix.diag(keep[0]) * matrix(rows, inner) * matrix(inner, cols) * Matrix.diag(keep[1])
+    b = a * matrix(cols, width) if draw(st.booleans()) else matrix(rows, width)
+    return a, b
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(_systems())
+def test_solve_matches_sympy(system):
+    """solve(A, B) is None exactly when sympy's rank of [A | B] exceeds that
+    of A; otherwise A X = B and A K^T = 0 by exact products, X is zero on
+    the free unknowns (sympy's non-pivot columns) and K is the identity
+    there, with cols - rank rows."""
+    a, b = system
+    s = _sympy(a)
+    aug = s.row_join(_sympy(b))
+    solution = solve(a, b)
+    assert (solution is None) == (aug.rank() > s.rank())
+    if solution is not None:
+        x, k = solution
+        free = [j for j in range(a.cols) if j not in s.rref()[1]]
+        assert a * x == b and (a * k.transpose()).is_zero()
+        assert k.rows == a.cols - s.rank() == len(free)
+        assert Matrix.from_array(k.arr[:, free]) == Matrix.identity(len(free))
+        assert Matrix.from_array(x.arr[free]).is_zero()
 
 
 def test_elimination_on_coboundary_matrices(corpus):

@@ -13,7 +13,7 @@ from lieyam.errors import (
     PolynomialEntriesError,
     UnsupportedDegreeError,
 )
-from lieyam.linalg import exact
+from lieyam.linalg import exact, solve
 from lieyam.paircomplex import (
     PairCochain,
     _pc,
@@ -27,8 +27,9 @@ from lieyam.paircomplex import (
     random_pair_cochain,
     zero_pair_cochain,
 )
+from lieyam.reps import pair_derivations, semidirect
 from lieyam.scalars import T
-from lieyam.search import catalog_algebra
+from lieyam.search import CATALOG, catalog_algebra
 from lieyam.yamaguti import YamagutiCochain, delta, random_cochain
 
 
@@ -294,3 +295,23 @@ def test_pair_complex_owned_by_pair():
     del P, pc
     gc.collect()
     assert pair_ref() is None and pc_ref() is None
+
+
+def test_pair_h1_is_the_derivations():
+    """Pair H^1 = Der(g, V) as spans: the kernel of delta_1 and the basis of
+    reps.pair_derivations, read as degree-1 cochains, have the same size,
+    and stacking the two does not raise the rank.  Both go through
+    linalg.solve, from independent matrices.  The 9 catalog algebras and
+    sd4 = a2 x| ad, each with its adjoint, its coadjoint and zero modules
+    of dim 1 and 2: 40 pairs."""
+    a2 = catalog_algebra("a2")
+    sizes = []
+    for alg in [catalog_algebra(name) for name in CATALOG] + [semidirect(a2, adjoint_rep(a2))]:
+        for rep in (adjoint_rep(alg), coadjoint_rep(alg), Representation.zero(alg.dim, 1),
+                    Representation.zero(alg.dim, 2)):
+            _, kernel = solve(pair_delta_matrix(LieYRepPair(alg, rep), 1))
+            ders = [PairCochain.degree1(dg, dv).flat.reshape(1, -1) for dg, dv in pair_derivations(alg, rep)]
+            assert len(ders) == kernel.rows
+            assert Matrix.from_array(np.concatenate([kernel.arr, *ders])).rank() == kernel.rows
+            sizes.append(kernel.rows)
+    assert len(sizes) == 40 and min(sizes) > 0

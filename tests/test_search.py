@@ -12,8 +12,8 @@ from lieyam.rotabaxter import is_relative_rb
 from lieyam.search import (
     CATALOG,
     _grid_solutions,
-    _LinearSystem,
     _matrices,
+    _system,
     catalog_algebra,
     change_basis,
     random_invertible,
@@ -88,10 +88,9 @@ def test_grid_solutions_match_brute_force(rows, cols, values, scalars):
         coeffs = [[rng.choice(scalars) for _ in range(size)] for _ in range(equations)]
         fn = _linear_map(coeffs, rows, cols)
         point = Matrix([[rng.choice(values) for _ in range(cols)] for _ in range(rows)])
-        system = _LinearSystem(fn, rows, cols)  # one reduction for both right-hand sides
+        system = _system(fn, rows, cols)  # one system matrix for both right-hand sides
         for rhs in (None, fn(point)):
             expected = _brute_force(fn, rows, cols, values, rhs or Matrix.zero(equations, 1))
-            assert _grid_solutions(fn, rows, cols, values, rhs=rhs) == expected
             assert _grid_solutions(system, rows, cols, values, rhs=rhs) == expected
             assert rhs is None or point in expected
 
@@ -100,18 +99,18 @@ def test_grid_solutions_match_brute_force(rows, cols, values, scalars):
 def test_grid_solutions_inconsistent_and_zero_systems(values):
     """x + y = 0 and x + y = 1 at once has no solution; the zero map keeps
     the whole grid in `_matrices` order, also the one point of a 2 x 0 grid."""
-    fn = _linear_map([[1, 1, 0], [1, 1, 0]], 1, 3)
+    fn = _system(_linear_map([[1, 1, 0], [1, 1, 0]], 1, 3), 1, 3)
     assert _grid_solutions(fn, 1, 3, values, rhs=Matrix([[0], [1]])) == []
-    zero = _linear_map([[0] * 6], 2, 3)
+    zero = _system(_linear_map([[0] * 6], 2, 3), 2, 3)
     assert _grid_solutions(zero, 2, 3, values) == list(_matrices(2, 3, values))
     assert _grid_solutions(zero, 2, 3, values, rhs=Matrix([[1]])) == []
-    empty = _linear_map([[]], 2, 0)
+    empty = _system(_linear_map([[]], 2, 0), 2, 0)
     assert _grid_solutions(empty, 2, 0, values) == list(_matrices(2, 0, values))
 
 
 def test_grid_solutions_keep_grid_values():
     """Every returned entry is the grid's own value object, as `_matrices` yields."""
-    fn = _linear_map([[1, -1, Fraction(1, 2), 0]], 2, 2)
+    fn = _system(_linear_map([[1, -1, Fraction(1, 2), 0]], 2, 2), 2, 2)
     for x in _grid_solutions(fn, 2, 2, (1, 0, -1)):
         assert all(type(v) is int for r in x.data for v in r)
 
