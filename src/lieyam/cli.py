@@ -356,24 +356,29 @@ def _search(args):
     values = tuple(dict.fromkeys(_int_value(v, "--values", "search") for v in args.values.split(",")))
     limit = None if args.limit is None else _int_value(args.limit, "--limit", "search", minimum=1)
     if args.what == "quadratic":
-        found = [{"name": f["name"], "algebra": algebra_to_dict(f["algebra"]),
-                  "B": operator_to_dict(f["form"]), "R": operator_to_dict(f["R"]),
-                  "N": operator_to_dict(f["N"])}
-                 for f in search_quadratic_fixtures(values=values, limit=limit)]
+        hits = search_quadratic_fixtures(values=values, limit=limit)
     else:
         if args.pair is None:
             raise ParseError(f"search {args.what} needs --pair")
         alg, rep = load_representation(args.pair)
         _check_grid_size(args.what, len(values), alg.dim, rep.module_dim)
-        pair = LieYRepPair(alg, rep)
-        if args.what == "rbo":
-            found = [operator_to_dict(t) for t in search_rb_operators(pair, values, limit=limit)]
-        else:
-            found = [{"T": operator_to_dict(t), "S": operator_to_dict(s), "N": operator_to_dict(n)}
-                     for (t, s, n) in search_rbn_triples(pair, values, limit=limit)]
+        find = search_rb_operators if args.what == "rbo" else search_rbn_triples
+        hits = find(LieYRepPair(alg, rep), values, limit=limit)
     report = _one_check(f"search {args.what}", "search",
-                        f"{len(found)} fixture(s) found over the value grid {values}")
-    return report, {"count": len(found)}, (lambda: {"found": found}) if args.out else None
+                        f"{len(hits)} fixture(s) found over the value grid {values}")
+    return report, {"count": len(hits)}, \
+        (lambda: {"found": [_hit_to_dict(args.what, h) for h in hits]}) if args.out else None
+
+
+def _hit_to_dict(what, hit):
+    """One hit of `search what` as --out writes it (rendered only for that file)."""
+    if what == "quadratic":
+        return {"name": hit["name"], "algebra": algebra_to_dict(hit["algebra"]),
+                "B": operator_to_dict(hit["form"]), "R": operator_to_dict(hit["R"]),
+                "N": operator_to_dict(hit["N"])}
+    if what == "rbo":
+        return operator_to_dict(hit)
+    return dict(zip("TSN", map(operator_to_dict, hit)))
 
 
 def _check_coboundary_size(complex_, n, m, degree):

@@ -13,13 +13,16 @@ contractions (algebra._homomorphism_residual, through
 rotabaxter._rb_residual and algebra._nijenhuis_residual) run on the whole stack, and
 report.vanishing says which candidates pass.  The binary identity is
 evaluated on the whole block and the ternary one on its survivors only.
-Blocks follow `_matrices` order and grow from one candidate, doubling up
-to SCAN_BLOCK, so the hits come in grid order and a search with a small
-limit stops after little more work than its last hit needs.
+Blocks follow `_matrices` order, so the hits come in grid order.  A
+scan with no limit walks the grid in blocks of SCAN_BLOCK candidates
+from the first one; under a limit the blocks grow from one candidate,
+doubling up to SCAN_BLOCK, so that a search with a small limit stops
+after little more work than its last hit needs.
 
 The linear conditions (R B# skew, B# N^T = N B#, N R = R N, T S = N T)
 are not tested on the grid: `_system` builds the matrix of each (once
-per T for T S = N T), and `_grid_solutions` takes its general solution
+per T for T S = N T) from one evaluation of the map on the stack of all
+unit matrices, and `_grid_solutions` takes its general solution
 x + lambda K from linalg.solve and returns its points on the grid, in
 grid order.  Every solution is re-checked by the condition's own
 predicate before use.
@@ -30,6 +33,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import islice, product
+from math import prod
 
 import numpy as np
 
@@ -106,15 +110,16 @@ def _scan(rows, cols, values, residual, first, limit):
 
     residual(stack, arity) gives the blocks of first basis indices
     (report.vanishing) of the law's identity of that arity, 2 or 3, on a
-    stack of candidates; the first index runs over range(first).  The grid is walked in blocks of
-    1, 2, 4, ... SCAN_BLOCK candidates; the binary identity runs on the
-    whole block and the ternary one on its survivors.  At most `limit`
-    hits are returned.
+    stack of candidates; the first index runs over range(first).  The grid
+    is walked in blocks of SCAN_BLOCK candidates, or, when a `limit` can
+    stop the walk early, of 1, 2, 4, ... SCAN_BLOCK; the binary identity
+    runs on the whole block and the ternary one on its survivors.  At most
+    `limit` hits are returned.
     """
     hits = []
     keys = product(range(len(values)), repeat=rows * cols)
     grid = exact_array(values, (len(values),))
-    size = 1
+    size = SCAN_BLOCK if limit is None else 1
     while block := list(islice(keys, size)):
         alive = np.arange(len(block))
         stack = grid[np.array(block, dtype=np.intp).reshape(len(block), rows, cols)]
@@ -130,13 +135,36 @@ def _scan(rows, cols, values, residual, first, limit):
 
 
 def _system(fn, rows, cols):
-    """The matrix of a linear fn on rows x cols matrices: column k is the
-    image of the k-th unit matrix (row by row), flattened."""
+    """The matrix of a linear map on rows x cols matrices: column k is the
+    image of the k-th unit matrix (row by row), flattened.
+
+    fn takes a stack of matrices, an exact array of shape (k, rows, cols),
+    and returns the stack of their images, k first (a map written with @
+    and .mT keeps the batch axis); it runs once, on the stack of all unit
+    matrices.  The image size is read off its shape, so a grid with no
+    entries still gives the 0 columns of its equations."""
     size = rows * cols
-    units = Matrix.identity(size).arr.reshape(size, rows, cols)
-    images = [fn(Matrix.from_array(u)).arr.ravel() for u in units]
-    return Matrix.from_array(np.stack(images).T) if images else \
-        Matrix.zero(fn(Matrix.zero(rows, cols)).arr.size, 0)
+    images = fn(Matrix.identity(size).arr.reshape(size, rows, cols))
+    return Matrix.from_array(images.reshape(size, prod(images.shape[1:])).T)
+
+
+# the linear conditions of the searches, as maps of a stack of matrices X
+
+def _left_product(t):
+    """X -> T X: the map of T S = N T in S."""
+    return lambda x: t.arr @ x
+
+
+def _skew_part(bs):
+    """X -> X B# + (X B#)^T, zero exactly when X B# is skew."""
+    return lambda x: x @ bs.arr + (x @ bs.arr).mT
+
+
+def _commutators(bs, r):
+    """X -> [B# X^T - X B#; X R - R X], zero exactly when B# X^T = X B# and
+    X R = R X (np.stack puts the two blocks first, the transpose puts each
+    X's pair of blocks back under its batch index)."""
+    return lambda x: np.stack([bs.arr @ x.mT - x @ bs.arr, x @ r.arr - r.arr @ x]).transpose(1, 0, 2, 3)
 
 
 def _grid_solutions(system, rows, cols, values, rhs=None):
@@ -203,7 +231,7 @@ def search_rbn_triples(pair: LieYRepPair, values=(-2, -1, 0, 1, 2), limit=None):
     for t in rbs:
         if t.is_zero():
             continue
-        ts = _system(lambda x: t * x, m, m)
+        ts = _system(_left_product(t), m, m)
         sub = None
         for n in nijs:
             if n.is_zero():
@@ -243,7 +271,7 @@ def search_quadratic_fixtures(names=("abelian2", "abelian3", "so3lts", "sl2lts")
         pair = LieYRepPair(alg, adjoint_rep(alg), validate=False)
         bs = qf.b_sharp
         n_found = 0
-        skew = _system(lambda x: x * bs + (x * bs).transpose(), alg.dim, alg.dim)
+        skew = _system(_skew_part(bs), alg.dim, alg.dim)
         for rmap in _grid_solutions(skew, alg.dim, alg.dim, values):
             if rmap.is_zero():
                 continue
@@ -251,10 +279,7 @@ def search_quadratic_fixtures(names=("abelian2", "abelian3", "so3lts", "sl2lts")
             if not is_relative_rb(pair, rmap):
                 continue
             match = None
-            linear = _grid_solutions(_system(
-                lambda x: Matrix.from_array(np.stack([(bs * x.transpose() - x * bs).arr,
-                                                      (x * rmap - rmap * x).arr]).reshape(-1, alg.dim)),
-                alg.dim, alg.dim), alg.dim, alg.dim, values)
+            linear = _grid_solutions(_system(_commutators(bs, rmap), alg.dim, alg.dim), alg.dim, alg.dim, values)
             for nmap in linear:
                 if nmap.is_zero():
                     continue

@@ -1,3 +1,5 @@
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -7,6 +9,8 @@ from lieyam import LieYRepPair, Matrix, Representation, adjoint_rep, coadjoint_r
 from lieyam import search
 from lieyam.algebra import is_nijenhuis
 from lieyam.errors import ConsequenceViolatedError
+from lieyam.jsonio import algebra_from_dict, parse_scalar
+from lieyam.quadratic import QuadraticForm
 from lieyam.reps import check_representation
 from lieyam.rotabaxter import is_relative_rb
 from lieyam.search import (
@@ -64,15 +68,19 @@ RATIONAL = INTEGER + (Fraction(1, 2), Fraction(-1, 3), Fraction(3, 2))
 
 
 def _linear_map(coeffs, rows, cols):
-    """X -> the column of sum_k coeffs[e][k] x_k, x = X read row by row."""
-    def fn(x):
-        flat = [v for r in x.data for v in r]
-        return Matrix([[sum(c * v for c, v in zip(row, flat))] for row in coeffs], 1)
-    return fn
+    """The stack map X -> the column of sum_k coeffs[e][k] x_k, x = X read
+    row by row, on a (k, rows, cols) stack of matrices X, as `_system` takes it."""
+    a = Matrix(coeffs, rows * cols).arr
+    return lambda x: (x.reshape(x.shape[0], rows * cols) @ a.T).reshape(x.shape[0], len(coeffs), 1)
+
+
+def _image(fn, x):
+    """The image of one matrix under a stack map, as a column."""
+    return Matrix.from_array(fn(x.arr.reshape(1, x.rows, x.cols)).reshape(-1, 1))
 
 
 def _brute_force(fn, rows, cols, values, rhs):
-    return [x for x in _matrices(rows, cols, values) if fn(x) == rhs]
+    return [x for x in _matrices(rows, cols, values) if _image(fn, x) == rhs]
 
 
 @pytest.mark.parametrize("values", GRIDS)
@@ -89,7 +97,7 @@ def test_grid_solutions_match_brute_force(rows, cols, values, scalars):
         fn = _linear_map(coeffs, rows, cols)
         point = Matrix([[rng.choice(values) for _ in range(cols)] for _ in range(rows)])
         system = _system(fn, rows, cols)  # one system matrix for both right-hand sides
-        for rhs in (None, fn(point)):
+        for rhs in (None, _image(fn, point)):
             expected = _brute_force(fn, rows, cols, values, rhs or Matrix.zero(equations, 1))
             assert _grid_solutions(system, rows, cols, values, rhs=rhs) == expected
             assert rhs is None or point in expected
@@ -113,6 +121,49 @@ def test_grid_solutions_keep_grid_values():
     fn = _system(_linear_map([[1, -1, Fraction(1, 2), 0]], 2, 2), 2, 2)
     for x in _grid_solutions(fn, 2, 2, (1, 0, -1)):
         assert all(type(v) is int for r in x.data for v in r)
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+def _fixture_matrix(data):
+    cols = data["cols"]
+    return Matrix([[parse_scalar(x) for x in data["entries"][i * cols:(i + 1) * cols]]
+                   for i in range(data["rows"])], cols)
+
+
+def _unit_columns(image, rows, cols):
+    """The matrix whose column k lists the entries of the Matrix (or Matrices)
+    image(E_k), E_k the k-th unit matrix read row by row: one map at a time."""
+    size = rows * cols
+    columns = []
+    for k in range(size):
+        unit = Matrix([[int(i * cols + j == k) for j in range(cols)] for i in range(rows)])
+        columns.append([v for m in image(unit) for r in m.data for v in r])
+    return Matrix(list(zip(*columns)), size)
+
+
+def test_stacked_systems_match_unit_columns(a2_adjoint):
+    """The three search maps, run once on the stack of unit matrices, give
+    the matrices built column by column from Matrix products: X -> T X for
+    the Rota-Baxter operators T of the (a2, adjoint) rbn hits, and the
+    skew and commutator maps of the committed quadratic fixtures' B and R."""
+    ts = {repr(t): t for t, _, _ in search_rbn_triples(a2_adjoint, (-1, 0, 1))}
+    assert len(ts) > 1
+    m = a2_adjoint.dim_v
+    for t in ts.values():
+        assert _system(search._left_product(t), m, m) == _unit_columns(lambda x: [t * x], m, m)
+    with open(os.path.join(FIXTURES, "quadratic-fixtures.json")) as fh:
+        found = json.load(fh)["found"]
+    assert found
+    for entry in found:
+        alg = algebra_from_dict(entry["algebra"])
+        bs = QuadraticForm(alg, _fixture_matrix(entry["B"])).b_sharp
+        r, d = _fixture_matrix(entry["R"]), alg.dim
+        assert _system(search._skew_part(bs), d, d) == \
+            _unit_columns(lambda x: [x * bs + (x * bs).transpose()], d, d)
+        assert _system(search._commutators(bs, r), d, d) == \
+            _unit_columns(lambda x: [bs * x.transpose() - x * bs, x * r - r * x], d, d)
 
 
 def test_searches_recheck_every_solution(monkeypatch):
@@ -217,26 +268,55 @@ def test_block_scan_limit_at_block_edges(limit):
     assert cases[0][0](values, limit) == list(_matrices(2, 2, values))[:limit]
 
 
-def test_block_scan_grows_blocks_and_tests_ternary_on_survivors(monkeypatch):
-    """Blocks double from one candidate up to SCAN_BLOCK; the ternary
-    identity sees only the binary survivors; a limit stops the walk."""
+def _recording_laws(monkeypatch):
+    """The (arity, candidates) of every Rota-Baxter or Nijenhuis law call
+    the scans make."""
     seen = []
-    law = search._rb_residual
 
-    def recording(pair, stack, arity):
-        seen.append((arity, len(stack)))
-        return law(pair, stack, arity)
+    def recording(law):
+        return lambda obj, stack, arity: seen.append((arity, len(stack))) or law(obj, stack, arity)
 
-    monkeypatch.setattr(search, "_rb_residual", recording)
+    for name in ("_rb_residual", "_nijenhuis_residual"):
+        monkeypatch.setattr(search, name, recording(getattr(search, name)))
+    return seen
+
+
+def test_block_scan_grows_blocks_and_tests_ternary_on_survivors(monkeypatch):
+    """Without a limit every block holds SCAN_BLOCK candidates from the
+    first one; under a limit blocks double from one candidate up to
+    SCAN_BLOCK and the limit stops the walk; the ternary identity sees only
+    the binary survivors."""
+    seen = _recording_laws(monkeypatch)
     monkeypatch.setattr(search, "SCAN_BLOCK", 4)
     abelian = LieYRepPair(catalog_algebra("abelian2"), Representation.zero(2, 1))
     assert len(search_rb_operators(abelian, (0, 1), limit=3)) == 3
     assert seen == [(2, 1), (3, 1), (2, 2), (3, 2)]
     seen.clear()
     assert len(search_rb_operators(abelian, (0, 1))) == 4
-    assert seen == [(2, 1), (3, 1), (2, 2), (3, 2), (2, 1), (3, 1)]
+    assert seen == [(2, 4), (3, 4)]
     seen.clear()
     a2 = LieYRepPair(catalog_algebra("a2"), adjoint_rep(catalog_algebra("a2")))
     hits = search_rb_operators(a2, (-1, 0, 1))
-    assert [n for arity, n in seen if arity == 2] == [1, 2] + [4] * 19 + [2]
+    assert [n for arity, n in seen if arity == 2] == [4] * 20 + [1]
     assert sum(n for arity, n in seen if arity == 3) < 81 and len(hits) == 15
+    seen.clear()
+    assert search_rb_operators(a2, (-1, 0, 1), limit=3) == hits[:3]
+    assert [n for arity, n in seen if arity == 2][:3] == [1, 2, 4]
+
+
+@pytest.mark.parametrize("case", [
+    lambda: _rb_case(catalog_algebra("a2"), adjoint_rep),
+    lambda: _rb_case(catalog_algebra("a2"), coadjoint_rep),
+    lambda: _rb_case(catalog_algebra("abelian2"), lambda alg: Representation.zero(2, 2)),
+    lambda: _nijenhuis_case(catalog_algebra("a2")),
+], ids=["rb-a2-adjoint", "rb-a2-coadjoint", "rb-abelian2-zero", "nijenhuis-a2"])
+def test_unlimited_scan_across_block_edges(monkeypatch, case):
+    """With SCAN_BLOCK = 7 the 81 candidates of a 3^4 grid come in eleven
+    blocks of 7 and one of 4, edges that no doubling reaches; the hits are
+    the per-candidate filter's, in grid order."""
+    seen = _recording_laws(monkeypatch)
+    monkeypatch.setattr(search, "SCAN_BLOCK", 7)
+    scan, holds, rows, cols = case()
+    values = (-1, 0, 1)
+    assert scan(values, None) == _filtered(holds, rows, cols, values)
+    assert [n for arity, n in seen if arity == 2] == [7] * 11 + [4]
