@@ -56,7 +56,7 @@ from .errors import (
     InternalConsistencyError,
     NotNijenhuisError,
 )
-from .linalg import Matrix, coefficient, exact
+from .linalg import Matrix, coefficient, exact, polynomial
 from .paircomplex import PairCochain, pair_delta_lifted
 from .reps import (
     LieYRepPair,
@@ -65,7 +65,6 @@ from .reps import (
     check_representation,
     pair_homomorphism_witness,
 )
-from .scalars import T as TPOLY
 from .report import VerificationReport, first_violation
 
 
@@ -118,13 +117,10 @@ def deformed_pair_structures(pair: LieYRepPair, d: DeformationData):
     _check_shapes(pair, d)
     n, m = pair.dim_g, pair.dim_v
     alg, rep = pair.algebra, pair.rep
-    t = TPOLY
-    t2 = t * t
-    alg_t = LieYamagutiAlgebra(n, alg.b_arr + d.phi * t, alg.t_arr + d.phi1 * t + d.phi2 * t2,
+    alg_t = LieYamagutiAlgebra(n, polynomial([alg.b_arr, d.phi]), polynomial([alg.t_arr, d.phi1, d.phi2]),
                                alg.basis_names)
-    rho_t = rep.rho_arr + d.varrho * t
-    mu_t = rep.mu_arr + d.varpi1 * t + d.varpi2 * t2
-    return alg_t, Representation(n, m, rho_t, mu_t)
+    return alg_t, Representation(n, m, polynomial([rep.rho_arr, d.varrho]),
+                                 polynomial([rep.mu_arr, d.varpi1, d.varpi2]))
 
 
 def _family_pair(pair: LieYRepPair, d: DeformationData) -> LieYRepPair:
@@ -164,7 +160,7 @@ def derived_deformation_terms(pair: LieYRepPair, d: DeformationData):
     Without the phi terms the first-order data of a trivial deformation
     would not even be closed.  Both are arrays indexed [x, y, row, col].
     """
-    d_t = _family_pair(pair, d).d.arr
+    d_t = _family_pair(pair, d).d
     return coefficient(d_t, 1), coefficient(d_t, 2)
 
 
@@ -280,7 +276,7 @@ def _append_s_conditions(report: VerificationReport, pair: LieYRepPair, nmap: Ma
                "mu(Nx,Ny) S = S(mu(Nx,y)S + mu(x,Ny)S + mu(Nx,Ny)) "
                "- S^2(mu(Nx,y) + mu(x,Ny) + mu(x,y)S) + S^3 mu(x,y)", wit)
     if report.passed:
-        wit = compat(pair.d.arr, _hat_bilinear(sarr, *_bilinear_parts(pair.d.arr, narr))[1], (n, n))
+        wit = compat(pair.d, _hat_bilinear(sarr, *_bilinear_parts(pair.d, narr))[1], (n, n))
         if wit is not None:
             raise InternalConsistencyError(
                 "derived-operator compatibility fails although the defining "
@@ -310,16 +306,22 @@ class NijenhuisStructure:
         self.smap = smap
 
 
+def _structure_maps(pair: LieYRepPair, ns: NijenhuisStructure):
+    """(N, S) of a validated structure, which must belong to `pair`."""
+    if ns.pair is not pair:
+        raise DimMismatchError("Nijenhuis structure belongs to another pair")
+    return ns.nmap, ns.smap
+
+
 def trivial_deformation_from(pair: LieYRepPair, ns: NijenhuisStructure) -> DeformationData:
     """The linear deformation generated by a Nijenhuis structure.
 
     phi / phi1 / phi2 are the operator-deformation tensors of N; varrho
     is hat-rho, varpi1 and varpi2 = hat-mu are those of _hat_bilinear.
     """
-    if ns.pair is not pair:
-        raise DimMismatchError("Nijenhuis structure belongs to another pair")
-    rep, narr, sarr = pair.rep, ns.nmap.arr, ns.smap.arr
-    phi, phi1, phi2 = nijenhuis_deformation_tensors(pair.algebra, ns.nmap)
+    nmap, smap = _structure_maps(pair, ns)
+    rep, narr, sarr = pair.rep, nmap.arr, smap.arr
+    phi, phi1, phi2 = nijenhuis_deformation_tensors(pair.algebra, nmap)
     varrho = _hat_linear(sarr, *_rho_parts(rep.rho_arr, narr))
     varpi1, varpi2 = _hat_bilinear(sarr, *_bilinear_parts(rep.mu_arr, narr))
     return DeformationData(phi, phi1, phi2, varrho, varpi1, varpi2)
@@ -341,8 +343,8 @@ def equivalence_witness(pair: LieYRepPair, d: DeformationData, d2: DeformationDa
     pair_homomorphism_witness; the witness {"identity", "tuple",
     "residual"} indexes g, with identity binary, ternary, rho, mu or D.
     """
-    phi = Matrix.identity(pair.dim_g) + nmap.scale(TPOLY)
-    psi = Matrix.identity(pair.dim_v) + smap.scale(TPOLY)
+    phi = Matrix.identity(pair.dim_g) + Matrix.from_array(polynomial([0, nmap.arr]))
+    psi = Matrix.identity(pair.dim_v) + Matrix.from_array(polynomial([0, smap.arr]))
     return pair_homomorphism_witness(phi, psi, _family_pair(pair, d), _family_pair(pair, d2))
 
 
@@ -376,8 +378,8 @@ def semidirect_nijenhuis(pair: LieYRepPair, ns: NijenhuisStructure) -> Matrix:
     return block
 
 
-def _hat_pair(pair: LieYRepPair, ns: NijenhuisStructure) -> LieYRepPair:
-    """The N-deformed algebra with the reshaped representation of a Nijenhuis structure.
+def _hat_pair(pair: LieYRepPair, nmap: Matrix, smap: Matrix) -> LieYRepPair:
+    """The N-deformed algebra with the reshaped representation of a Nijenhuis structure (N, S).
 
     hat-rho(x)  = rho(Nx) + rho(x) S - S rho(x)
     hat-mu(x,y) = mu(Nx,y) S + mu(x,Ny) S + mu(Nx,Ny)
@@ -389,14 +391,12 @@ def _hat_pair(pair: LieYRepPair, ns: NijenhuisStructure) -> LieYRepPair:
     with (hat-rho, hat-mu) is a valid pair; and (N, S) is a pair
     homomorphism from the deformed pair to the original one.
     """
-    if ns.pair is not pair:
-        raise DimMismatchError("Nijenhuis structure belongs to another pair")
-    rep, narr, sarr = pair.rep, ns.nmap.arr, ns.smap.arr
+    rep, narr, sarr = pair.rep, nmap.arr, smap.arr
     n = pair.dim_g
     rep_hat = Representation(n, pair.dim_v, _hat_linear(sarr, *_rho_parts(rep.rho_arr, narr)),
                              _hat_bilinear(sarr, *_bilinear_parts(rep.mu_arr, narr))[1])
-    deformed_pair = LieYRepPair(deformed_algebra(pair.algebra, ns.nmap), rep_hat, validate=False)
-    diff = deformed_pair.d.arr - _hat_bilinear(sarr, *_bilinear_parts(pair.d.arr, narr))[1]
+    deformed_pair = LieYRepPair(deformed_algebra(pair.algebra, nmap), rep_hat, validate=False)
+    diff = deformed_pair.d - _hat_bilinear(sarr, *_bilinear_parts(pair.d, narr))[1]
     wit = first_violation(diff.__getitem__, (n, n))
     if wit is not None:
         raise ConsequenceViolatedError(
@@ -408,7 +408,7 @@ def _hat_pair(pair: LieYRepPair, ns: NijenhuisStructure) -> LieYRepPair:
             "reshaped representation fails the representation conditions on the deformed algebra "
             f"({wit['check']} at {wit['tuple']})"
         )
-    wit = pair_homomorphism_witness(ns.nmap, ns.smap, deformed_pair, pair)
+    wit = pair_homomorphism_witness(nmap, smap, deformed_pair, pair)
     if wit is not None:
         raise ConsequenceViolatedError(
             "(N, S) is not a pair homomorphism from the deformed pair to the original "
@@ -419,7 +419,7 @@ def _hat_pair(pair: LieYRepPair, ns: NijenhuisStructure) -> LieYRepPair:
 
 def hat_rep(pair: LieYRepPair, ns: NijenhuisStructure) -> Representation:
     """The reshaped representation (hat-rho, hat-mu), verified as in _hat_pair."""
-    return _hat_pair(pair, ns).rep
+    return _hat_pair(pair, *_structure_maps(pair, ns)).rep
 
 
 def deformation_difference_report(pair: LieYRepPair, d: DeformationData,
@@ -433,7 +433,7 @@ def deformation_difference_report(pair: LieYRepPair, d: DeformationData,
     written out here on purpose, independently of _hat_linear and of
     nijenhuis_deformation_tensors, so the two routes check each other.
     """
-    alg, rep, dd = pair.algebra, pair.rep, pair.d.arr
+    alg, rep, dd = pair.algebra, pair.rep, pair.d
     b, t, rho, mu = alg.b_arr, alg.t_arr, rep.rho_arr, rep.mu_arr
     na, sa = nmap.arr, smap.arr
     n = pair.dim_g

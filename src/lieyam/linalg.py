@@ -753,16 +753,14 @@ class Matrix:
         return f"Matrix({[list(r) for r in self.data]!r})"
 
 
-def _echelon(rows, pivots=None):
+def _echelon(rows):
     """Reduced echelon form of integer rows, by fraction-free elimination.
 
-    `rows` are {column: int} dicts holding only nonzero entries, reduced
-    into `pivots` (the reduced echelon form of earlier rows, kept up to
-    date in place; none by default).  Returns {pivot column: row}: every
-    row is primitive (its entries have gcd 1), is positive at its pivot,
-    has no nonzero left of the pivot, and is zero in every other pivot
-    column.  Dividing each row by its pivot entry gives the (unique)
-    reduced row echelon form over the rationals.
+    `rows` are {column: int} dicts holding only nonzero entries.  Returns
+    {pivot column: row}: every row is primitive (its entries have gcd 1),
+    is positive at its pivot, has no nonzero left of the pivot, and is zero
+    in every other pivot column.  Dividing each row by its pivot entry
+    gives the (unique) reduced row echelon form over the rationals.
     """
 
     def clear(row, pivot_row, col):
@@ -781,7 +779,7 @@ def _echelon(rows, pivots=None):
         content = gcd(*out.values())
         return {j: x // content for j, x in out.items()} if content > 1 else out
 
-    pivots = {} if pivots is None else pivots
+    pivots = {}
     for row in rows:
         for col in [c for c in row if c in pivots]:
             row = clear(row, pivots[col], col)

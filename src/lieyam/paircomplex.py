@@ -42,7 +42,7 @@ The coboundary has two implementations:
 * the *direct* path: closed formulas at degrees 1 and 2, written out
   component by component, one commented sum of two-operand einsums per
   component, on the structure arrays (b_arr, t_arr, rho_arr, mu_arr,
-  D.arr) and the cochain's blocks.  It shares neither the term table nor
+  d) and the cochain's blocks.  It shares neither the term table nor
   the index maps with the lifted path.  Published versions of these
   formulas leave several index conventions ambiguous; the expansions
   implemented here were fixed against the lifted path, and the two paths
@@ -541,4 +541,4 @@ def _direct_deg2(pair: LieYRepPair, c: PairCochain) -> PairCochain:
 def _structure(pair: LieYRepPair):
     """The pair's [.,.], <<.,.,.>>, rho, mu and D as exact arrays."""
     alg, rep = pair.algebra, pair.rep
-    return alg.b_arr, alg.t_arr, rep.rho_arr, rep.mu_arr, pair.d.arr
+    return alg.b_arr, alg.t_arr, rep.rho_arr, rep.mu_arr, pair.d

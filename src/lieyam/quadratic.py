@@ -19,9 +19,10 @@ The two operator notions related by B:
   (N pi_sharp)-induced brackets.
 
 rbn_to_rmn / rmn_to_rbn implement the correspondence pi_sharp = R B_sharp
-(with the compatibility B_sharp N^T = N B_sharp); every precondition is
-checked eagerly and every conclusion is asserted, so a failure on
-validated inputs is surfaced as ConsequenceViolatedError.
+(with the compatibility B_sharp N^T = N B_sharp), the inverse as
+R = pi_sharp B; every precondition is checked eagerly and every
+conclusion is asserted, so a failure on validated inputs is surfaced as
+ConsequenceViolatedError.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .errors import (
     NotSkewError,
     NotSymmetricError,
     PreconditionFailedError,
-    SingularMatrixError,
 )
 from .linalg import Matrix
 from .report import VerificationReport, first_violation
@@ -281,19 +281,18 @@ def rbn_to_rmn(alg: LieYamagutiAlgebra, qf: QuadraticForm, rmap: Matrix, nmap: M
 
 
 def rmn_to_rbn(alg: LieYamagutiAlgebra, qf: QuadraticForm, pi: Matrix, nmap: Matrix) -> Matrix:
-    """R = pi# (B#)^{-1}: the inverse correspondence, with exact round-trip."""
+    """R = pi# B, which is pi# (B#)^{-1}: the inverse correspondence.
+
+    The round trip is the exact check (R B#)^T = pi, against the stored
+    index map B#, so a B# that is not B^{-1} cannot pass unnoticed."""
     if qf.alg is not alg:
         raise DimMismatchError("form belongs to another algebra")
     if not is_rmatrix_nijenhuis(alg, pi, nmap):
         raise PreconditionFailedError("(pi, N) is not an r-matrix-Nijenhuis structure", which="rmn")
     _require_compat(qf, nmap)
-    try:
-        rmap = pi_sharp_of(pi) * qf.b_sharp.invert()
-    except SingularMatrixError as exc:  # pragma: no cover - b_sharp is invertible
-        raise ConsequenceViolatedError("index map of a valid form is singular") from exc
+    rmap = pi_sharp_of(pi) * qf.b
     if not is_rb_nijenhuis(alg, rmap, nmap):
         raise ConsequenceViolatedError("recovered (R, N) is not a Rota-Baxter-Nijenhuis structure")
-    back = rbn_to_rmn(alg, qf, rmap, nmap)
-    if back.pi != pi:
+    if (rmap * qf.b_sharp).transpose() != pi:
         raise ConsequenceViolatedError("round-trip through the correspondence does not recover pi")
     return rmap

@@ -12,7 +12,7 @@ The derived operator is
 and is skew-symmetric by construction.
 
 rho, mu and D are kept as exact arrays, and only as those (rho_arr[i],
-mu_arr[i, j], D.arr[i, j]; see linalg.exact_array: ExactArrays over the
+mu_arr[i, j], d[i, j]; see linalg.exact_array: ExactArrays over the
 rationals or over Q[t]), and every law is written once as
 a residual array over a block of first basis indices (the first einsum
 axis), contracted with np.einsum and scanned by report.first_violation: rep1-rep5 and der1-der3 (the table
@@ -23,6 +23,9 @@ check_derived_identities) and the pair-homomorphism law
 Conventions fixed here and relied on elsewhere:
 
 * semidirect basis order is g-part first, then V-part;
+* a basis change (change_basis, change_rep_basis) transports the
+  constants along invertible maps, each input slot contracted with the
+  map and the output slot with its inverse;
 * duality uses the standard coordinate pairing <e_i*, e_j> = delta_ij,
   under which the dual representation is rho'(x) = -rho(x)^T and
   mu'(x,y) = mu(y,x)^T (validated by check_representation in the tests).
@@ -76,16 +79,9 @@ class Representation:
         return cls(n, m, np.zeros((n, m, m), dtype=np.int64), np.zeros((n, n, m, m), dtype=np.int64))
 
 
-class DerivedD:
-    """The derived operators D(e_i, e_j) as the array arr[i, j]; skew-symmetric."""
-
-    def __init__(self, arr):
-        self.arr = exact(arr)
-        self.module_dim = arr.shape[-1]
-
-
-def derived_D(alg: LieYamagutiAlgebra, rep: Representation) -> DerivedD:
-    """D(x,y) = mu(y,x) - mu(x,y) + [rho(x),rho(y)] - rho([x,y])."""
+def derived_D(alg: LieYamagutiAlgebra, rep: Representation):
+    """D(x,y) = mu(y,x) - mu(x,y) + [rho(x),rho(y)] - rho([x,y]), as the
+    exact array of the operators D(e_i, e_j) over (i, j); skew-symmetric."""
     if rep.algebra_dim != alg.dim:
         raise DimMismatchError("representation does not match the algebra dimension")
     rho, mu = rep.rho_arr, rep.mu_arr
@@ -94,22 +90,22 @@ def derived_D(alg: LieYamagutiAlgebra, rep: Representation) -> DerivedD:
          - np.einsum("ijk,kab->ijab", alg.b_arr, rho))
     if any((d[i, i] != 0).any() for i in range(alg.dim)):
         raise InternalConsistencyError("derived D is not skew-symmetric")
-    return DerivedD(d)
+    return exact(d)
 
 
-def _derived(alg: LieYamagutiAlgebra, rep: Representation) -> DerivedD:
+def _derived(alg: LieYamagutiAlgebra, rep: Representation):
     """derived_D(alg, rep), computed on first use and kept on rep (keyed by alg)."""
     if rep._derived is None or rep._derived[0] is not alg:
         rep._derived = (alg, derived_D(alg, rep))
     return rep._derived[1]
 
 
-def _law_residuals(alg: LieYamagutiAlgebra, rep: Representation, d: DerivedD):
+def _law_residuals(alg: LieYamagutiAlgebra, rep: Representation, dd):
     """(arity, residual) of every law of REP_LAWS, over a block s of first indices x = e_i.
 
     Matrix products X(..) Y(..) over free indices are einsums "..ab,..bc->..ac".
     """
-    b, t, rho, mu, dd = alg.b_arr, alg.t_arr, rep.rho_arr, rep.mu_arr, d.arr
+    b, t, rho, mu = alg.b_arr, alg.t_arr, rep.rho_arr, rep.mu_arr
 
     def mu_t(s):  # mu(<<x,y,z>>, w) over (i, j, k, w)
         return np.einsum("ijkm,mwab->ijkwab", t[s], mu)
@@ -173,10 +169,10 @@ def adjoint_rep(alg: LieYamagutiAlgebra, check=True) -> Representation:
     return rep
 
 
-def _assert_adjoint_d(alg: LieYamagutiAlgebra, d: DerivedD):
+def _assert_adjoint_d(alg: LieYamagutiAlgebra, d):
     """Raise unless d, the derived D of alg's adjoint representation, is z -> <<x,y,z>>."""
     left = alg.t_arr.transpose(0, 1, 3, 2)
-    wit = first_violation(lambda s: d.arr[s] - left[s], (alg.dim,) * 2)
+    wit = first_violation(lambda s: d[s] - left[s], (alg.dim,) * 2)
     if wit is not None:
         raise InternalConsistencyError(
             "derived D of the adjoint representation does not equal the left triple "
@@ -192,6 +188,41 @@ def dual_rep(rep: Representation) -> Representation:
 
 def coadjoint_rep(alg: LieYamagutiAlgebra, check=True) -> Representation:
     return dual_rep(adjoint_rep(alg, check=check))
+
+
+def _transport(x, *maps):
+    """x with its first axis contracted with each map in turn, the new axis
+    appended: after every slot has had its map, the slots are back in
+    their order."""
+    for m in maps:
+        x = np.einsum("a...,ai->...i", x, m)
+    return x
+
+
+def change_basis(alg: LieYamagutiAlgebra, p: Matrix) -> LieYamagutiAlgebra:
+    """Transport the structure constants along an invertible map P: the
+    constants X[..., k] become P^-1 X(P., ..., P.), each input slot
+    contracted with P and the output slot with P^-1."""
+    if p.rows != alg.dim or p.cols != alg.dim:
+        raise DimMismatchError("basis change must be square of the algebra dimension")
+    pt, pinv = p.arr, p.invert().arr
+    return LieYamagutiAlgebra(alg.dim, _transport(alg.b_arr, pt, pt, pinv.T),
+                              _transport(alg.t_arr, pt, pt, pt, pinv.T), alg.basis_names)
+
+
+def change_rep_basis(rep: Representation, p: Matrix, q: Matrix) -> Representation:
+    """Transport a representation along invertible maps P on the algebra
+    and Q on the module: rho(x) and mu(x, y) become Q^-1 rho(P x) Q and
+    Q^-1 mu(P x, P y) Q.  With change_basis(alg, P) it moves the pair
+    (alg, rep) along (P, Q), and (P, Q) is then a pair homomorphism from
+    the moved pair to the given one (is_pair_homomorphism)."""
+    if p.rows != rep.algebra_dim or p.cols != rep.algebra_dim:
+        raise DimMismatchError("basis change must be square of the algebra dimension")
+    if q.rows != rep.module_dim or q.cols != rep.module_dim:
+        raise DimMismatchError("module basis change must be square of the module dimension")
+    pt, qt, qinv = p.arr, q.arr, q.invert().arr
+    return Representation(rep.algebra_dim, rep.module_dim, _transport(rep.rho_arr, pt, qinv.T, qt),
+                          _transport(rep.mu_arr, pt, pt, qinv.T, qt))
 
 
 def semidirect(alg: LieYamagutiAlgebra, rep: Representation) -> LieYamagutiAlgebra:
@@ -213,7 +244,7 @@ def semidirect(alg: LieYamagutiAlgebra, rep: Representation) -> LieYamagutiAlgeb
     return _semidirect(alg, rep, _derived(alg, rep))
 
 
-def _semidirect(alg: LieYamagutiAlgebra, rep: Representation, d: DerivedD) -> LieYamagutiAlgebra:
+def _semidirect(alg: LieYamagutiAlgebra, rep: Representation, d) -> LieYamagutiAlgebra:
     """The semidirect product of `semidirect`, given the derived D of (alg, rep)."""
     n, m = alg.dim, rep.module_dim
     g, v = slice(0, n), slice(n, n + m)
@@ -224,7 +255,7 @@ def _semidirect(alg: LieYamagutiAlgebra, rep: Representation, d: DerivedD) -> Li
     binary[g, v, v] = np.einsum("iab->iba", rho)                 # [e_i, v_b] = rho(e_i) v_b
     binary[v, g, v] = -np.einsum("iab->bia", rho)
     ternary[g, g, g, g] = alg.t_arr
-    ternary[g, g, v, v] = np.einsum("ijab->ijba", d.arr)
+    ternary[g, g, v, v] = np.einsum("ijab->ijba", d)
     ternary[v, g, g, v] = np.einsum("jkab->bjka", mu)            # <<v_b, e_j, e_k>> = mu(e_j, e_k) v_b
     ternary[g, v, g, v] = -np.einsum("jkab->jbka", mu)
     names = [f"g:{x}" for x in alg.basis_names] + [f"v{i+1}" for i in range(m)]
@@ -285,7 +316,7 @@ def pair_homomorphism_witness(phi: Matrix, psi: Matrix, src: LieYRepPair, dst: L
     ) or first_violation(
         _intertwining_residual(p, q, src.rep.mu_arr, dst.rep.mu_arr), (n, n), identity="mu",
     ) or first_violation(
-        _intertwining_residual(p, q, src.d.arr, dst.d.arr), (n, n), identity="D",
+        _intertwining_residual(p, q, src.d, dst.d), (n, n), identity="D",
     )
 
 

@@ -9,10 +9,16 @@ is a linear map T: V -> g with
 Such a T induces a Lie-Yamaguti structure on V (the sub-adjacent algebra
 V^T) and pre-Lie-Yamaguti products.  A triple (T, S, N) with (N, S) a
 Nijenhuis structure, N T = T S, and the S-deformed sub-adjacent brackets
-equal to the N T-induced ones, is the central object here; its
-consequences (S Nijenhuis on V^T, N T again Rota-Baxter, the equality of
-the two deformed-bracket constructions, the commuting square of
-homomorphisms) are verified on demand and a violation on validated
+equal to the N T-induced ones, is the central object here.  Each triple
+is decided along one path, _rbn_report: the Rota-Baxter witness of T,
+the first failure of the Nijenhuis-structure report of (N, S), and, when
+both pass, the twist conditions (append_twist_conditions, which builds
+V^T and asserts its theorems); rbn_report, is_rbn and RBNTriple all read
+that report.  The grid search, whose T and N its scans have verified,
+runs the last two steps: the conditions on S, then the twist conditions.
+The consequences (S Nijenhuis on V^T, N T again Rota-Baxter, the
+equality of the two deformed-bracket constructions, the commuting square
+of homomorphisms) are verified on demand, and a violation on validated
 premises raises ConsequenceViolatedError rather than being repaired.
 
 The induced brackets [u,v]^T = rho(Tu)v - rho(Tv)u and <<u,v,w>>^T =
@@ -48,13 +54,12 @@ from .algebra import (
     is_nijenhuis,
     nijenhuis_witness,
 )
-from .deform import NijenhuisStructure, _append_s_conditions, _hat_pair, nijenhuis_structure_report
+from .deform import NijenhuisStructure, _hat_pair, _structure_maps, nijenhuis_structure_report
 from .errors import (
     ConsequenceViolatedError,
     DimMismatchError,
     IncompatibleCrossCheckError,
     NotCompatibleError,
-    NotNijenhuisError,
     PreconditionFailedError,
 )
 from .linalg import Matrix, coefficient, exact, polynomial
@@ -97,7 +102,7 @@ def _induced_brackets(rho, mu, d, tarr, arity):
 
 def _induced(pair: LieYRepPair, tarr, arity):
     """_induced_brackets with the operators of the pair's representation."""
-    return _induced_brackets(pair.rep.rho_arr, pair.rep.mu_arr, pair.d.arr, tarr, arity)
+    return _induced_brackets(pair.rep.rho_arr, pair.rep.mu_arr, pair.d, tarr, arity)
 
 
 def _induced_algebra(pair: LieYRepPair, tmap: Matrix) -> LieYamagutiAlgebra:
@@ -193,7 +198,7 @@ def pre_ly_products(top: RelativeRBOperator):
     if (sub.b_arr - star + star.transpose(1, 0, 2) != 0).any():
         raise ConsequenceViolatedError("commutator of * does not match the sub-adjacent bracket")
     # D(Tu,Tv)w = {w,v,u} - {w,u,v} + u*(v*w) - v*(u*w) - ([u,v]^T)*w
-    want = np.einsum("uvxw->uvwx", _images(pair.d.arr, tarr))
+    want = np.einsum("uvxw->uvwx", _images(pair.d, tarr))
     got = (np.einsum("wvux->uvwx", brace) - np.einsum("wuvx->uvwx", brace)
            + np.einsum("vwc,ucx->uvwx", star, star) - np.einsum("uwc,vcx->uvwx", star, star)
            - np.einsum("uvc,cwx->uvwx", sub.b_arr, star))
@@ -213,7 +218,7 @@ def hat_deformed_brackets(top: RelativeRBOperator, ns: NijenhuisStructure):
     [u,v] = hat-rho(Tu)v - hat-rho(Tv)u, and the ternary analogue with
     the derived operator of the reshaped representation.
     """
-    hat = _hat_pair(top.pair, ns)
+    hat = _hat_pair(top.pair, *_structure_maps(top.pair, ns))
     out = _induced_algebra(hat, top.tmap)
     return out.b_arr, out.t_arr
 
@@ -250,30 +255,18 @@ def append_twist_conditions(report: VerificationReport, pair: LieYRepPair,
     return sub
 
 
-def _rbn_report(pair: LieYRepPair, tmap: Matrix, smap: Matrix, nmap: Matrix, verified=False,
-                sub=None, premises=None):
-    """The defining report of a triple, and V^T when the twist conditions were reached.
-
-    verified says that T is already known to be Rota-Baxter and N to be
-    Nijenhuis on the pair (a grid search's hits): then neither is checked
-    again, only the conditions on S and the twist conditions are
-    evaluated, and every consequence is still asserted.  `sub` is V^T,
-    already asserted, when it is known (append_twist_conditions).
-    `premises` is (the Rota-Baxter witness of T, the first failure of the
-    Nijenhuis-structure report) when the caller has evaluated them.
-    """
+def _rbn_report(pair: LieYRepPair, tmap: Matrix, smap: Matrix, nmap: Matrix):
+    """The defining report of a triple, and V^T when the twist conditions were reached:
+    the Rota-Baxter witness of T, the first failure of the Nijenhuis-structure
+    report of (N, S), then, when both pass, the twist conditions."""
     report = VerificationReport(subject="relative Rota-Baxter-Nijenhuis structure")
-    if verified:
-        ns = _append_s_conditions(VerificationReport(subject="nijenhuis structure (N, S)"),
-                                  pair, nmap, smap).first_failure()
-    else:
-        rb, ns = premises or (_rb_residuals(pair, tmap),
-                              nijenhuis_structure_report(pair, nmap, smap).first_failure())
-        report.add("rb-operator", rb is None, "T is a relative Rota-Baxter operator", rb)
+    rb = _rb_residuals(pair, tmap)
+    report.add("rb-operator", rb is None, "T is a relative Rota-Baxter operator", rb)
+    ns = nijenhuis_structure_report(pair, nmap, smap).first_failure()
     report.add("nijenhuis-structure", ns is None, "(N, S) is a Nijenhuis structure", ns)
     if not report.passed:
         return report, None
-    return report, append_twist_conditions(report, pair, tmap, smap, nmap, sub)
+    return report, append_twist_conditions(report, pair, tmap, smap, nmap)
 
 
 def rbn_report(pair: LieYRepPair, tmap: Matrix, smap: Matrix, nmap: Matrix) -> VerificationReport:
@@ -288,23 +281,13 @@ def is_rbn(pair: LieYRepPair, tmap: Matrix, smap: Matrix, nmap: Matrix) -> bool:
 class RBNTriple:
     """Validated relative Rota-Baxter-Nijenhuis triple (T, S, N).
 
-    Keeps the passing report of its defining conditions and the
-    sub-adjacent algebra V^T built for them; a failing report travels with
-    the PreconditionFailedError.  The premises are decided once, by the
-    validating constructors of T and of (N, S), and the report takes their
-    verdicts.
+    Keeps the passing report of its defining conditions (_rbn_report) and
+    the sub-adjacent algebra V^T built for them; a failing report travels
+    with the PreconditionFailedError.
     """
 
     def __init__(self, pair: LieYRepPair, tmap: Matrix, smap: Matrix, nmap: Matrix):
-        try:
-            self.operator, rb = RelativeRBOperator(pair, tmap), None
-        except PreconditionFailedError as exc:
-            self.operator, rb = None, exc.witness
-        try:
-            self.structure, ns = NijenhuisStructure(pair, nmap, smap), None
-        except NotNijenhuisError as exc:
-            self.structure, ns = None, exc.report.first_failure()
-        report, sub = _rbn_report(pair, tmap, smap, nmap, premises=(rb, ns))
+        report, sub = _rbn_report(pair, tmap, smap, nmap)
         if not report.passed:
             raise PreconditionFailedError(
                 f"not a relative Rota-Baxter-Nijenhuis structure; failing: "
@@ -339,7 +322,7 @@ def rbn_consequences(triple: RBNTriple, raise_on_failure: bool = True) -> Verifi
     wit = nijenhuis_witness(sub, smap)
     report.add("S-nijenhuis-on-subadjacent", wit is None, "S is a Nijenhuis operator on V^T", wit)
 
-    hat = _hat_pair(pair, triple.structure)
+    hat = _hat_pair(pair, nmap, smap)
     wit = _rb_residuals(hat, tmap)
     report.add("T-rb-on-deformed", wit is None,
                "T is relative Rota-Baxter on the deformed pair", wit)
@@ -448,7 +431,7 @@ def strong_witness(pair: LieYRepPair, top: RelativeRBOperator, smap: Matrix):
     if top.pair is not pair:
         raise DimMismatchError("operator belongs to another pair")
     sarr = smap.arr
-    diff = (_induced_brackets(None, pair.rep.mu_arr @ sarr, pair.d.arr @ sarr, top.tmap.arr, 3)
+    diff = (_induced_brackets(None, pair.rep.mu_arr @ sarr, pair.d @ sarr, top.tmap.arr, 3)
             - subadjacent(top).t_arr @ sarr.T)
     return first_violation(diff.__getitem__, (pair.dim_v,) * 3)
 

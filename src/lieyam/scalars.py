@@ -4,9 +4,12 @@ Rationals are plain ``fractions.Fraction`` (already canonical: reduced,
 positive denominator).  Polynomials in the deformation parameter t are
 ``Poly`` values holding a tuple of Fraction coefficients, lowest degree
 first, with trailing zeros stripped; the zero polynomial has an empty
-coefficient tuple.  All algebraic code in the package is written against
-plain arithmetic operators so it runs unchanged over either scalar kind
-(and over python ints, which embed in both).
+coefficient tuple.  They are the scalars at the package's boundary:
+parsed from and formatted to JSON, taken in by linalg.exact_array and
+given back as the entries of an array, a Matrix or a witness.  The laws
+themselves run on linalg.ExactArray (integer numerators over one
+denominator, with an axis of coefficients of t for Q[t]), never on these
+objects; a family over Q[t] is built with linalg.polynomial.
 
 Division by a polynomial is deliberately unsupported: operations needing
 inverses must be run over rational entries.

@@ -38,12 +38,13 @@ from math import prod
 import numpy as np
 
 from .algebra import LieYamagutiAlgebra, _nijenhuis_residual
-from .errors import ConsequenceViolatedError, DimMismatchError
+from .deform import _append_s_conditions
+from .errors import ConsequenceViolatedError
 from .linalg import Matrix, exact_array, solve
-from .quadratic import QuadraticForm, is_invariant_form, is_rb_nijenhuis, is_skew_endomorphism
-from .report import vanishing
-from .reps import LieYRepPair, Representation, adjoint_rep, coadjoint_rep
-from .rotabaxter import _rb_residual, _rbn_report, is_relative_rb
+from .quadratic import QuadraticForm, is_invariant_form, is_skew_endomorphism
+from .report import VerificationReport, vanishing
+from .reps import LieYRepPair, Representation, adjoint_rep, change_basis, coadjoint_rep
+from .rotabaxter import _rb_residual, append_twist_conditions, is_rbn, is_relative_rb
 
 
 def _antisym_table(n, entries):
@@ -219,8 +220,9 @@ def search_rbn_triples(pair: LieYRepPair, values=(-2, -1, 0, 1, 2), limit=None):
     have verified them.  For each nonzero pair the S candidates are the
     grid solutions of the linear condition T S = N T, in grid order, its
     matrix built once per T; the first S that passes the rest of the
-    triple conditions (those on S and the twist conditions) is the hit for
-    that (T, N).  The sub-adjacent algebra V^T is built, and its theorems
+    triple conditions, those on S (deform._append_s_conditions) and then
+    the twist conditions (rotabaxter.append_twist_conditions), is the hit
+    for that (T, N).  The sub-adjacent algebra V^T is built, and its theorems
     asserted, once per T: by the first S of that T to reach the twist
     conditions.
     """
@@ -239,8 +241,10 @@ def search_rbn_triples(pair: LieYRepPair, values=(-2, -1, 0, 1, 2), limit=None):
             nt = n * t
             for s in _grid_solutions(ts, m, m, values, rhs=nt):
                 _confirm(nt == t * s, s, "T S = N T")
-                report, built = _rbn_report(pair, t, s, n, verified=True, sub=sub)
-                sub = sub or built
+                report = _append_s_conditions(VerificationReport(subject="triple on verified (T, N)"),
+                                              pair, n, s)
+                if report.passed:
+                    sub = append_twist_conditions(report, pair, t, s, n, sub)
                 if report.passed:
                     hits.append((t, s, n))
                     if limit is not None and len(hits) >= limit:
@@ -285,7 +289,7 @@ def search_quadratic_fixtures(names=("abelian2", "abelian3", "so3lts", "sl2lts")
                     continue
                 _confirm(bs * nmap.transpose() == nmap * bs and nmap * rmap == rmap * nmap, nmap,
                          "B# N^T = N B# and N R = R N")
-                if is_rb_nijenhuis(alg, rmap, nmap):
+                if is_rbn(pair, rmap, nmap, nmap):
                     match = nmap
                     break
             if match is None:
@@ -301,41 +305,6 @@ def search_quadratic_fixtures(names=("abelian2", "abelian3", "so3lts", "sl2lts")
 
 # ---------------------------------------------------------------------------
 # randomized corpus of valid pairs
-
-
-def _transport(x, *maps):
-    """x with its first axis contracted with each map in turn, the new axis
-    appended: after every slot has had its map, the slots are back in
-    their order."""
-    for m in maps:
-        x = np.einsum("a...,ai->...i", x, m)
-    return x
-
-
-def change_basis(alg: LieYamagutiAlgebra, p: Matrix) -> LieYamagutiAlgebra:
-    """Transport the structure constants along an invertible map P: the
-    constants X[..., k] become P^-1 X(P., ..., P.), each input slot
-    contracted with P and the output slot with P^-1."""
-    if p.rows != alg.dim or p.cols != alg.dim:
-        raise DimMismatchError("basis change must be square of the algebra dimension")
-    pt, pinv = p.arr, p.invert().arr
-    return LieYamagutiAlgebra(alg.dim, _transport(alg.b_arr, pt, pt, pinv.T),
-                              _transport(alg.t_arr, pt, pt, pt, pinv.T), alg.basis_names)
-
-
-def change_rep_basis(rep: Representation, p: Matrix, q: Matrix) -> Representation:
-    """Transport a representation along invertible maps P on the algebra
-    and Q on the module: rho(x) and mu(x, y) become Q^-1 rho(P x) Q and
-    Q^-1 mu(P x, P y) Q.  With change_basis(alg, P) it moves the pair
-    (alg, rep) along (P, Q), and (P, Q) is then a pair homomorphism from
-    the moved pair to the given one (reps.is_pair_homomorphism)."""
-    if p.rows != rep.algebra_dim or p.cols != rep.algebra_dim:
-        raise DimMismatchError("basis change must be square of the algebra dimension")
-    if q.rows != rep.module_dim or q.cols != rep.module_dim:
-        raise DimMismatchError("module basis change must be square of the module dimension")
-    pt, qt, qinv = p.arr, q.arr, q.invert().arr
-    return Representation(rep.algebra_dim, rep.module_dim, _transport(rep.rho_arr, pt, qinv.T, qt),
-                          _transport(rep.mu_arr, pt, pt, qinv.T, qt))
 
 
 def random_invertible(dim, rng, values=(-2, -1, 0, 1, 2)):

@@ -46,6 +46,7 @@ is formed for a cochain.
 
 from __future__ import annotations
 
+import random
 from math import prod
 
 import numpy as np
@@ -53,7 +54,14 @@ import numpy as np
 from .algebra import LieYamagutiAlgebra
 from .errors import DimMismatchError, PolynomialEntriesError
 from .linalg import ExactArray, Matrix, exact, rational_eigenbasis, rational_eigenvalues, scatter_add
-from .reps import Representation, _derived, derivation_law_sizes, pair_derivations
+from .reps import (
+    Representation,
+    _derived,
+    change_basis,
+    change_rep_basis,
+    derivation_law_sizes,
+    pair_derivations,
+)
 
 def wedge_pairs(dim):
     """Canonical wedge basis as (i, j) pairs with i < j, lex order."""
@@ -221,7 +229,7 @@ class _Terms:
         self.d = _derived(alg, rep)
         x, y = np.triu_indices(alg.dim, 1)
         ia, im = (exact(np.identity(k, dtype=np.int64)) for k in (alg.dim, rep.module_dim))
-        rho, mu, d, t, b = rep.rho_arr, rep.mu_arr, self.d.arr[x, y], alg.t_arr[x, y], alg.b_arr[x, y]
+        rho, mu, d, t, b = rep.rho_arr, rep.mu_arr, self.d[x, y], alg.t_arr[x, y], alg.b_arr[x, y]
         dt = np.einsum("zs,woa->wzosa", ia, d) - np.einsum("wzs,oa->wzosa", t, im)
         # X_k o X_l: <<X_k, e_c>> is t[k, c], and e_c ^ e_j is wedge[c, j]
         wedge = np.zeros((alg.dim, alg.dim, self.wdim), dtype=np.int64)
@@ -388,8 +396,6 @@ def _weight_route(alg: LieYamagutiAlgebra, rep: Representation, entries):
     basis = weight_basis(alg, rep)
     if basis is None:
         return alg, rep
-    from .search import change_basis, change_rep_basis  # search imports this module, through quadratic and deform
-
     p, q = basis
     return change_basis(alg, p), change_rep_basis(rep, p, q)
 
@@ -408,8 +414,6 @@ def weight_basis(alg: LieYamagutiAlgebra, rep: Representation):
     the winner's eigenbasis the structure constants are homogeneous in
     the weights, and the coboundary is as sparse as that grading makes it.
     """
-    import random
-
     derivations = pair_derivations(alg, rep)
     if not derivations:
         return None

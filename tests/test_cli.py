@@ -491,9 +491,8 @@ def test_consequence_violation_exit3(monkeypatch, capsys):
 @pytest.mark.parametrize("smap, code", [([[0, 2], [0, 0]], 0), ([[-1, -1], [-1, -1]], 1)])
 def test_verify_rbn_decides_each_premise_once(monkeypatch, capsys, tmp_path, smap, code):
     """verify-rbn evaluates the Rota-Baxter identities of T and the
-    Nijenhuis-structure report of (N, S) once each: the validating
-    constructors decide them and the triple's report takes their verdicts
-    (the consequences check other operators, N T among them)."""
+    Nijenhuis-structure report of (N, S) once each, for the triple's one
+    report (the consequences check other operators, N T among them)."""
     import lieyam.cli as cli
     from lieyam import deform, rotabaxter
 

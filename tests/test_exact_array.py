@@ -329,6 +329,27 @@ def test_numerator_format_stays_in_linalg():
     assert found == []
 
 
+def test_imports_are_module_level_and_used():
+    """No module of the package imports inside a function body, and every
+    name a module other than __init__ imports (bar __future__ features) is
+    read in it."""
+    found = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{node.lineno} import in {func.name}" for node in ast.walk(func)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+        if path.name == "__init__.py":
+            continue
+        imported = {(alias.asname or alias.name).split(".")[0]: node.lineno for node in tree.body
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name} unused" for name, line in imported.items() if name not in read]
+    assert found == []
+
+
 def _calls(tree):
     """(names of the enclosing functions, call node) of every call in a module."""
     out = []

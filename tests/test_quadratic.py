@@ -8,6 +8,7 @@ import pytest
 
 from lieyam import LieYRepPair, Matrix, adjoint_rep, coadjoint_rep
 from lieyam.errors import (
+    ConsequenceViolatedError,
     NotSkewError,
     NotSymmetricError,
     PreconditionFailedError,
@@ -159,6 +160,19 @@ def test_correspondence_roundtrip_nondiagonal_form():
     nmap = Matrix.identity(3).scale(2)
     rm = rbn_to_rmn(ab3, qf, rmap, nmap)
     assert rmn_to_rbn(ab3, qf, rm.pi, nmap) == rmap
+
+
+def test_rmn_to_rbn_round_trip_reads_the_stored_b_sharp():
+    """R = pi# B, and the round trip (R B#)^T = pi is checked against the
+    stored index map: a B# that is not B^-1 fails it, where re-deriving pi
+    through the same B# that was inverted would not notice."""
+    ab = catalog_algebra("abelian2")
+    qf = QuadraticForm(ab, Matrix.identity(2))
+    pi = Matrix([[0, 1], [-1, 0]])
+    assert rmn_to_rbn(ab, qf, pi, Matrix.identity(2)) == Matrix([[0, -1], [1, 0]])
+    qf.b_sharp = Matrix.diag([1, 2])
+    with pytest.raises(ConsequenceViolatedError, match="round-trip"):
+        rmn_to_rbn(ab, qf, pi, Matrix.identity(2))
 
 
 def test_correspondence_preconditions(a2):

@@ -47,15 +47,15 @@ def test_derived_d_adjoint(a2):
     adj = adjoint_rep(a2)
     d = derived_D(a2, adj)
     # D(e1,e2) acts as z -> <<e1,e2,z>>: e2 -> e1, e1 -> 0
-    assert d.arr[0, 1].tolist() == [[0, 1], [0, 0]]
-    assert d.arr[1, 0].tolist() == [[0, -1], [0, 0]]
-    assert _vanishes(d.arr[0, 0])
+    assert d[0, 1].tolist() == [[0, 1], [0, 0]]
+    assert d[1, 0].tolist() == [[0, -1], [0, 0]]
+    assert _vanishes(d[0, 0])
 
 
 def test_derived_d_zero_rep(a2):
     zero = Representation.zero(2, 3)
     d = derived_D(a2, zero)
-    assert _vanishes(d.arr) and d.arr.shape == (2, 2, 3, 3)
+    assert _vanishes(d) and d.shape == (2, 2, 3, 3)
 
 
 def test_derived_d_cancellation():
@@ -64,7 +64,7 @@ def test_derived_d_cancellation():
     mu = [[1, 2], [2, 1]]
     rep = Representation(2, 2, [[[1, 0], [0, 1]], [[3, 0], [0, 3]]], [[mu, mu], [mu, mu]])
     d = derived_D(ab, rep)
-    assert _vanishes(d.arr)
+    assert _vanishes(d)
 
 
 def test_check_representation_fixtures(a2, so3, sl2):

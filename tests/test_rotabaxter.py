@@ -19,6 +19,7 @@ from lieyam.rotabaxter import (
     pre_ly_products,
     compatibility_witness,
     rbn_consequences,
+    rbn_report,
     relative_rb_report,
     s_deformed_brackets,
     strong_condition,
@@ -266,6 +267,22 @@ def test_rbn_triple_carries_failing_report(a2_adjoint):
     assert report.check("twist-compat").witness == {"tuple": (1,), "residual": (1, 0)}
     triple = RBNTriple(a2_adjoint, T1, NMAT, NMAT)
     assert triple.report.passed
+
+
+@pytest.mark.parametrize("tmap, smap, nmap, failing", [
+    (Matrix.identity(2), NMAT, NMAT, ["rb-operator"]),
+    (T1, Matrix([[-1, -1], [-1, -1]]), NMAT, ["nijenhuis-structure"]),
+    (Matrix.identity(2), Matrix([[-1, -1], [-1, -1]]), NMAT, ["rb-operator", "nijenhuis-structure"]),
+    (T1, Matrix.zero(2), Matrix.identity(2), ["twist-compat"]),
+])
+def test_rbn_triple_refuses_with_the_report_of_rbn_report(a2_adjoint, tmap, smap, nmap, failing):
+    """T not Rota-Baxter, (N, S) not a Nijenhuis structure, both, or only a
+    twist condition: RBNTriple raises with the report rbn_report gives."""
+    with pytest.raises(PreconditionFailedError) as err:
+        RBNTriple(a2_adjoint, tmap, smap, nmap)
+    report = err.value.report
+    assert [c.name for c in report.checks if not c.ok] == failing
+    assert report.to_dict() == rbn_report(a2_adjoint, tmap, smap, nmap).to_dict()
 
 
 def test_twist_conditions_assert_subadjacent_theorems(a2_adjoint, monkeypatch):

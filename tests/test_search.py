@@ -181,8 +181,8 @@ def test_quadratic_search_stops_at_its_limit(monkeypatch):
     """limit=1 returns the first fixture of the full search and stops there,
     with fewer full Rota-Baxter-Nijenhuis checks."""
     calls = []
-    check = search.is_rb_nijenhuis
-    monkeypatch.setattr(search, "is_rb_nijenhuis", lambda *args: calls.append(1) or check(*args))
+    check = search.is_rbn
+    monkeypatch.setattr(search, "is_rbn", lambda *args: calls.append(1) or check(*args))
     everything = search_quadratic_fixtures()
     unlimited = len(calls)
     calls.clear()

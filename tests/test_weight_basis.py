@@ -26,12 +26,13 @@ from lieyam.reps import (
     LieYRepPair,
     Representation,
     adjoint_rep,
+    change_rep_basis,
     coadjoint_rep,
     is_pair_homomorphism,
     pair_derivations,
     semidirect,
 )
-from lieyam.search import CATALOG, catalog_algebra, change_basis, change_rep_basis, random_invertible
+from lieyam.search import CATALOG, catalog_algebra, change_basis, random_invertible
 from lieyam.yamaguti import cochain_dim, cohomology_dim, weight_basis
 
 from test_cli import run_cli
