@@ -187,10 +187,8 @@ def homomorphism_witness(phi: Matrix, src: LieYamagutiAlgebra, dst: LieYamagutiA
     binary:  phi[x,y] = [phi x, phi y];  ternary: phi<<x,y,z>> = <<phi x, phi y, phi z>>.
     The witness is {"identity", "tuple", "residual"}.
     """
-    if phi.rows != dst.dim or phi.cols != src.dim:
-        raise DimMismatchError(
-            f"homomorphism matrix must be {dst.dim}x{src.dim}, got {phi.rows}x{phi.cols}"
-        )
+    phi.expect(dst.dim, src.dim,
+               f"homomorphism matrix must be {dst.dim}x{src.dim}, got {phi.rows}x{phi.cols}")
     return _preservation_witness(
         lambda arity: _homomorphism_residual(phi.arr, (src.b_arr, src.t_arr)[arity - 2], dst, arity), src.dim)
 
@@ -231,9 +229,7 @@ def nijenhuis_deformation_tensors(alg: LieYamagutiAlgebra, nmap: Matrix):
     the associated one-parameter family.  Each is an exact array over
     (x, y, k) resp. (x, y, z, l).
     """
-    n = alg.dim
-    if nmap.rows != n or nmap.cols != n:
-        raise DimMismatchError("operator must be square of the algebra dimension")
+    nmap.expect(alg.dim, alg.dim, "operator must be square of the algebra dimension")
     phi1, phi2 = _deformation_ternary(alg, nmap.arr)
     return exact(_deformation_binary(alg, nmap.arr)), exact(phi1), exact(phi2)
 
@@ -275,8 +271,7 @@ def nijenhuis_witness(alg: LieYamagutiAlgebra, nmap: Matrix):
     The witness is {"identity", "tuple", "residual"}.
     """
     n = alg.dim
-    if nmap.rows != n or nmap.cols != n:
-        raise DimMismatchError("operator must be square of the algebra dimension")
+    nmap.expect(n, n, "operator must be square of the algebra dimension")
     return _preservation_witness(lambda arity: _nijenhuis_residual(alg, nmap.arr, arity), n)
 
 

@@ -241,11 +241,8 @@ def nijenhuis_structure_report(pair: LieYRepPair, nmap: Matrix, smap: Matrix) ->
     The same condition for the derived operator D is a consequence; it is
     asserted when the defining ones hold.
     """
-    n = pair.dim_g
-    if nmap.rows != n or nmap.cols != n:
-        raise DimMismatchError("N must act on the algebra")
-    if smap.rows != pair.dim_v or smap.cols != pair.dim_v:
-        raise DimMismatchError("S must act on the module")
+    nmap.expect(pair.dim_g, pair.dim_g, "N must act on the algebra")
+    smap.expect(pair.dim_v, pair.dim_v, "S must act on the module")
     report = VerificationReport(subject="nijenhuis structure (N, S)")
     wit = nijenhuis_witness(pair.algebra, nmap)
     report.add("nijenhuis-N", wit is None,
@@ -370,7 +367,7 @@ def cocycle_witness(pair: LieYRepPair, d: DeformationData):
 
 def semidirect_nijenhuis(pair: LieYRepPair, ns: NijenhuisStructure) -> Matrix:
     """Block-diagonal N (+) S, a Nijenhuis operator on the semidirect algebra."""
-    block = _block_diag(ns.nmap, ns.smap)
+    block = _block_diag(*_structure_maps(pair, ns))
     if not is_nijenhuis(pair.semidirect(), block):
         raise ConsequenceViolatedError(
             "N (+) S is not Nijenhuis on the semidirect algebra despite a validated structure"

@@ -60,16 +60,16 @@ class ConsequenceViolatedError(LieyamError):
     """
 
 
-class IncompatibleCrossCheckError(LieyamError):
+class InternalConsistencyError(LieyamError):
+    """A derived identity failed although its premises hold."""
+
+
+class IncompatibleCrossCheckError(InternalConsistencyError):
     """Closed-form compatibility verdict disagrees with sampled combinations."""
 
 
-class DualRouteDisagreementError(LieyamError):
+class DualRouteDisagreementError(InternalConsistencyError):
     """Two supposedly equivalent formulations of a check disagree."""
-
-
-class InternalConsistencyError(LieyamError):
-    """A derived identity failed although its premises hold."""
 
 
 class PreconditionFailedError(LieyamError):

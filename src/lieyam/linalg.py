@@ -17,7 +17,9 @@ refuse it.  Exact values summed at integer indices or by integer keys
 `sum_by_key`, so that no other module reads or picks the numerator
 format.  A Matrix is a 2-d exact array with a checked shape; matrices
 act on coordinate columns: column k of a map's matrix is the image of
-the k-th basis vector.
+the k-th basis vector.  `Matrix.expect(rows, cols, message)` is the one
+shape rule for an operand (an operator, a form, a basis change): every
+module checks its matrices through it, with its own message.
 
 Exact linear algebra is only defined over the rationals; matrices with
 genuine polynomial entries are rejected (evaluate t first).  `solve(A, B)`
@@ -634,6 +636,13 @@ class Matrix:
 
     rows = property(lambda self: self.arr.shape[0])
     cols = property(lambda self: self.arr.shape[1])
+
+    def expect(self, rows, cols, message):
+        """This matrix, which must be rows x cols: the one shape check of an
+        operand, DimMismatchError(message) otherwise."""
+        if self.arr.shape != (rows, cols):
+            raise DimMismatchError(message)
+        return self
 
     @property
     def data(self):

@@ -67,6 +67,7 @@ from .yamaguti import (
     Cochain,
     YamagutiCochain,
     _apply,
+    _dimension,
     _terms,
     _weight_route,
     cochain_dim,
@@ -354,7 +355,7 @@ def pair_delta_matrix(pair: LieYRepPair, degree: int, cap=None) -> Matrix:
 
 
 def pair_cohomology_dim(pair: LieYRepPair, degree: int) -> int:
-    """dim of the degree-n cohomology group of the pair complex.
+    """dim of the degree-n cohomology group of the pair complex (yamaguti._dimension).
 
     The ranks are taken in a weight basis (yamaguti._weight_route) when
     the pair is dense; the moved pair is isomorphic to the given one, so
@@ -367,12 +368,7 @@ def pair_cohomology_dim(pair: LieYRepPair, degree: int) -> int:
     alg, rep = _weight_route(pair.algebra, pair.rep, entries)
     if rep is not pair.rep:
         pair = LieYRepPair(alg, rep, validate=False)
-    dmat = pair_delta_matrix(pair, degree)
-    kernel = dmat.nullspace_dim()
-    if degree == 1:
-        return kernel
-    dprev = pair_delta_matrix(pair, degree - 1)
-    return kernel - dprev.rank()
+    return _dimension(degree, lambda q: pair_delta_matrix(pair, q))
 
 
 # ---------------------------------------------------------------------------

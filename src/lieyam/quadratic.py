@@ -18,11 +18,16 @@ The two operator notions related by B:
   N pi_sharp = pi_sharp N^T plus equality of the N^T-deformed and the
   (N pi_sharp)-induced brackets.
 
+An r-matrix is decided in one place, _r_matrix: pi_sharp_of (the one
+skew check), the coadjoint pair, and the first tuple where pi_sharp fails
+the Rota-Baxter identities there; is_r_matrix, RMatrix and
+rmatrix_nijenhuis_report all read it.
+
 rbn_to_rmn / rmn_to_rbn implement the correspondence pi_sharp = R B_sharp
 (with the compatibility B_sharp N^T = N B_sharp), the inverse as
 R = pi_sharp B; every precondition is checked eagerly and every
-conclusion is asserted, so a failure on validated inputs is surfaced as
-ConsequenceViolatedError.
+conclusion is asserted before a result is built, so a failure on
+validated inputs is surfaced as ConsequenceViolatedError.
 """
 
 from __future__ import annotations
@@ -48,8 +53,7 @@ from .rotabaxter import _rb_residuals, append_twist_conditions, is_rbn
 def invariant_form_report(alg: LieYamagutiAlgebra, b: Matrix) -> VerificationReport:
     """Symmetry is a precondition; nondegeneracy and invariance are checks."""
     n = alg.dim
-    if b.rows != n or b.cols != n:
-        raise DimMismatchError("form matrix must be dim x dim")
+    b.expect(n, n, "form matrix must be dim x dim")
     if b != b.transpose():
         raise NotSymmetricError("bilinear form is not symmetric")
     report = VerificationReport(subject="invariant quadratic form")
@@ -128,33 +132,37 @@ def invariance_transport(qf: QuadraticForm, raise_on_failure: bool = True) -> Ve
 # r-matrices
 
 
-def _require_skew(pi: Matrix):
-    if pi != -(pi.transpose()):
-        raise NotSkewError("two-tensor is not skew-symmetric")
-
-
 def pi_sharp_of(pi: Matrix) -> Matrix:
     """Index map of a skew two-tensor: <pi#(a), b> = pi(a, b) gives pi# = pi^T."""
-    _require_skew(pi)
+    if pi != -(pi.transpose()):
+        raise NotSkewError("two-tensor is not skew-symmetric")
     return pi.transpose()
+
+
+def _r_matrix(alg: LieYamagutiAlgebra, pi: Matrix):
+    """(pi#, the coadjoint pair, the first tuple where pi# fails the
+    Rota-Baxter identities on that pair, or None): the one r-matrix test."""
+    psharp = pi_sharp_of(pi)
+    pair = LieYRepPair(alg, coadjoint_rep(alg), validate=False)
+    return psharp, pair, _rb_residuals(pair, psharp)
 
 
 def is_r_matrix(alg: LieYamagutiAlgebra, pi: Matrix) -> bool:
     """pi# is relative Rota-Baxter with respect to the coadjoint representation."""
-    _require_skew(pi)
-    pair = LieYRepPair(alg, coadjoint_rep(alg), validate=False)
-    return _rb_residuals(pair, pi_sharp_of(pi)) is None
+    return _r_matrix(alg, pi)[2] is None
 
 
 class RMatrix:
-    """Validated skew two-tensor whose index map is coadjoint Rota-Baxter."""
+    """Validated skew two-tensor whose index map is coadjoint Rota-Baxter;
+    the PreconditionFailedError of one that is not carries the witness."""
 
     def __init__(self, alg: LieYamagutiAlgebra, pi: Matrix):
-        if not is_r_matrix(alg, pi):
-            raise PreconditionFailedError("not an r-matrix", which="r-matrix")
+        psharp, _, wit = _r_matrix(alg, pi)
+        if wit is not None:
+            raise PreconditionFailedError("not an r-matrix", which="r-matrix", witness=wit)
         self.alg = alg
         self.pi = pi
-        self.pi_sharp = pi_sharp_of(pi)
+        self.pi_sharp = psharp
 
 
 def is_skew_endomorphism(qf: QuadraticForm, rmap: Matrix) -> bool:
@@ -181,11 +189,8 @@ def rmatrix_nijenhuis_report(alg: LieYamagutiAlgebra, pi: Matrix, nmap: Matrix) 
     pair.  (N, N^T) is generally *not* a Nijenhuis structure there, so
     this is a sibling of the relative triple check, not an instance.
     """
-    _require_skew(pi)
-    pair = LieYRepPair(alg, coadjoint_rep(alg), validate=False)
-    psharp = pi_sharp_of(pi)
+    psharp, pair, wit = _r_matrix(alg, pi)
     report = VerificationReport(subject="r-matrix-Nijenhuis structure")
-    wit = _rb_residuals(pair, psharp)
     report.add("r-matrix", wit is None,
                "pi# is relative Rota-Baxter for the coadjoint representation", wit)
     wit = nijenhuis_witness(alg, nmap)
@@ -207,9 +212,8 @@ def is_dual_nijenhuis(pair: LieYRepPair, nmap: Matrix, smap: Matrix) -> bool:
     direct conditions on (rho, mu) -- which must agree; a disagreement
     raises DualRouteDisagreementError.
     """
-    n, m = pair.dim_g, pair.dim_v
-    if nmap.rows != n or nmap.cols != n or smap.rows != m or smap.cols != m:
-        raise DimMismatchError("N must act on g and S on V")
+    nmap.expect(pair.dim_g, pair.dim_g, "N must act on g and S on V")
+    smap.expect(pair.dim_v, pair.dim_v, "N must act on g and S on V")
     dual_pair = LieYRepPair(pair.algebra, dual_rep(pair.rep), validate=False)
     via_dual = is_nijenhuis_structure(dual_pair, nmap, smap.transpose())
 
@@ -270,14 +274,12 @@ def rbn_to_rmn(alg: LieYamagutiAlgebra, qf: QuadraticForm, rmap: Matrix, nmap: M
     if not is_skew_endomorphism(qf, rmap):
         raise PreconditionFailedError("R is not a skew-symmetric endomorphism of (g, B)", which="skew")
     _require_compat(qf, nmap)
-    psharp = rmap * qf.b_sharp
-    pi = psharp.transpose()
-    rm = RMatrix(alg, pi)
+    pi = (rmap * qf.b_sharp).transpose()
     if not is_rmatrix_nijenhuis(alg, pi, nmap):
         raise ConsequenceViolatedError(
             "induced pair (pi, N) is not an r-matrix-Nijenhuis structure"
         )
-    return rm
+    return RMatrix(alg, pi)
 
 
 def rmn_to_rbn(alg: LieYamagutiAlgebra, qf: QuadraticForm, pi: Matrix, nmap: Matrix) -> Matrix:

@@ -203,8 +203,7 @@ def change_basis(alg: LieYamagutiAlgebra, p: Matrix) -> LieYamagutiAlgebra:
     """Transport the structure constants along an invertible map P: the
     constants X[..., k] become P^-1 X(P., ..., P.), each input slot
     contracted with P and the output slot with P^-1."""
-    if p.rows != alg.dim or p.cols != alg.dim:
-        raise DimMismatchError("basis change must be square of the algebra dimension")
+    p.expect(alg.dim, alg.dim, "basis change must be square of the algebra dimension")
     pt, pinv = p.arr, p.invert().arr
     return LieYamagutiAlgebra(alg.dim, _transport(alg.b_arr, pt, pt, pinv.T),
                               _transport(alg.t_arr, pt, pt, pt, pinv.T), alg.basis_names)
@@ -216,10 +215,8 @@ def change_rep_basis(rep: Representation, p: Matrix, q: Matrix) -> Representatio
     Q^-1 mu(P x, P y) Q.  With change_basis(alg, P) it moves the pair
     (alg, rep) along (P, Q), and (P, Q) is then a pair homomorphism from
     the moved pair to the given one (is_pair_homomorphism)."""
-    if p.rows != rep.algebra_dim or p.cols != rep.algebra_dim:
-        raise DimMismatchError("basis change must be square of the algebra dimension")
-    if q.rows != rep.module_dim or q.cols != rep.module_dim:
-        raise DimMismatchError("module basis change must be square of the module dimension")
+    p.expect(rep.algebra_dim, rep.algebra_dim, "basis change must be square of the algebra dimension")
+    q.expect(rep.module_dim, rep.module_dim, "module basis change must be square of the module dimension")
     pt, qt, qinv = p.arr, q.arr, q.invert().arr
     return Representation(rep.algebra_dim, rep.module_dim, _transport(rep.rho_arr, pt, qinv.T, qt),
                           _transport(rep.mu_arr, pt, pt, qinv.T, qt))
@@ -307,8 +304,7 @@ def pair_homomorphism_witness(phi: Matrix, psi: Matrix, src: LieYRepPair, dst: L
     The laws are tried in that order; the witness is {"identity", "tuple",
     "residual"}, the residual a vector of g or a matrix on V.
     """
-    if psi.rows != dst.dim_v or psi.cols != src.dim_v:
-        raise DimMismatchError("psi must map the source module to the target module")
+    psi.expect(dst.dim_v, src.dim_v, "psi must map the source module to the target module")
     n, p, q = src.dim_g, phi.arr, psi.arr
 
     return homomorphism_witness(phi, src.algebra, dst.algebra) or first_violation(

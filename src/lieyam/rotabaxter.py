@@ -67,13 +67,6 @@ from .reps import LieYRepPair
 from .report import VerificationReport, first_violation
 
 
-def _check_tmap(pair: LieYRepPair, tmap: Matrix):
-    if tmap.rows != pair.dim_g or tmap.cols != pair.dim_v:
-        raise DimMismatchError(
-            f"operator must map V ({pair.dim_v}) to g ({pair.dim_g}), got {tmap.rows}x{tmap.cols}"
-        )
-
-
 def _images(x, tarr):
     """X(Tu, Tv) over (..., u, v) for a bilinear X: g x g -> gl(V) given as x[i, j]."""
     return np.einsum("...bv,...ubxy->...uvxy", tarr, np.einsum("...au,abxy->...ubxy", tarr, x))
@@ -137,7 +130,8 @@ def _rb_residuals(pair: LieYRepPair, tmap: Matrix, arities=(2, 3)):
     violation; the witness is {"identity", "tuple", "residual"}, the
     residual [Tu,Tv] - T([u,v]^T) (resp. <<Tu,Tv,Tw>> - T(<<u,v,w>>^T)).
     """
-    _check_tmap(pair, tmap)
+    tmap.expect(pair.dim_g, pair.dim_v,
+                f"operator must map V ({pair.dim_v}) to g ({pair.dim_g}), got {tmap.rows}x{tmap.cols}")
     return _preservation_witness(lambda arity: _rb_residual(pair, tmap.arr, arity), pair.dim_v, arities,
                                  negate=True)
 
@@ -430,7 +424,7 @@ def strong_witness(pair: LieYRepPair, top: RelativeRBOperator, smap: Matrix):
     """
     if top.pair is not pair:
         raise DimMismatchError("operator belongs to another pair")
-    sarr = smap.arr
+    sarr = smap.expect(pair.dim_v, pair.dim_v, "S must act on the module").arr
     diff = (_induced_brackets(None, pair.rep.mu_arr @ sarr, pair.d @ sarr, top.tmap.arr, 3)
             - subadjacent(top).t_arr @ sarr.T)
     return first_violation(diff.__getitem__, (pair.dim_v,) * 3)

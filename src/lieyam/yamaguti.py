@@ -345,7 +345,7 @@ def delta_matrix(alg: LieYamagutiAlgebra, rep: Representation, p: int, cap=None)
 
 
 def cohomology_dim(alg: LieYamagutiAlgebra, rep: Representation, p: int) -> int:
-    """dim H^p: nullity(delta_p) minus rank(delta_{p-1}) (p = 1: plain nullity).
+    """dim H^p of the classical complex (_dimension).
 
     The ranks are taken in a weight basis (_weight_route) when the input
     is dense; a basis change moves no dimension.
@@ -354,12 +354,15 @@ def cohomology_dim(alg: LieYamagutiAlgebra, rep: Representation, p: int) -> int:
         raise DimMismatchError("cohomology degree must be >= 1")
     entries = cochain_dim(alg.dim, rep.module_dim, p + 1) * cochain_dim(alg.dim, rep.module_dim, p)
     alg, rep = _weight_route(alg, rep, entries)
-    dp = delta_matrix(alg, rep, p)
-    kernel = dp.nullspace_dim()
-    if p == 1:
-        return kernel
-    dprev = delta_matrix(alg, rep, p - 1)
-    return kernel - dprev.rank()
+    return _dimension(p, lambda q: delta_matrix(alg, rep, q))
+
+
+def _dimension(p, delta_of):
+    """dim H^p of a complex whose coboundary delta_q is delta_of(q):
+    nullity(delta_p) - rank(delta_{p-1}), or the nullity alone at p = 1.
+    The one H^p routine, of the classical and the pair complex."""
+    kernel = delta_of(p).nullspace_dim()
+    return kernel if p == 1 else kernel - delta_of(p - 1).rank()
 
 
 # ---------------------------------------------------------------------------

@@ -657,6 +657,96 @@ def test_usage_errors_are_one_input_error_line(capsys, argv, needle):
     assert out.err.startswith("input error: ") and needle in out.err
 
 
+# Every command with an operator option: its other arguments, and a valid
+# file for each operator option (written by _operator_argv, else a fixture;
+# test_verify_commands, test_quadratic_commands and others pass on them).
+_OPERATOR_COMMANDS = {
+    "verify-nijenhuis": (["--algebra", "A2.json"], {"--N": "N-lam2.json"}),
+    "verify-nijenhuis-structure": (["--pair", "A2-adjoint.json"], {"--N": "N-lam2.json", "--S": "S-lam2.json"}),
+    "verify-rbo": (["--pair", "A2-adjoint.json"], {"--T": "T-a1.json"}),
+    "verify-rbn": (["--pair", "A2-adjoint.json"],
+                   {"--T": "T-a1.json", "--S": "S-lam2.json", "--N": "N-lam2.json"}),
+    "verify-compatible": (["--pair", "A2-adjoint.json"], {"--T1": "T-a1.json", "--T2": "T-a1.json"}),
+    "verify-strong": (["--pair", "A2-adjoint.json"], {"--T": "T-a1.json", "--S": "S-lam2.json"}),
+    "deform": (["--pair", "A2-adjoint.json", "--from-nijenhuis"], {"--N": "N-lam2.json", "--S": "S-lam2.json"}),
+    "quadratic check-form": (["--algebra", "ab2.json"], {"--B": "B.json"}),
+    "quadratic convert --direction rbn-to-rmn": (["--algebra", "ab2.json"],
+                                                 {"--B": "B.json", "--N": "N3.json", "--R": "R.json"}),
+    "quadratic convert --direction rmn-to-rbn": (["--algebra", "ab2.json"],
+                                                 {"--B": "B.json", "--N": "N3.json", "--pi": "pi.json"}),
+}
+
+
+def _operator_argv(tmp_path, command):
+    """The argv of a command of _OPERATOR_COMMANDS with valid files throughout:
+    a quadratic (abelian2, B = Id, R, N = 3 Id, pi = (R B#)^T) written to tmp_path."""
+    from lieyam.search import catalog_algebra
+
+    dump_json(algebra_to_dict(catalog_algebra("abelian2")), tmp_path / "ab2.json")
+    for name, rows in (("B", [[1, 0], [0, 1]]), ("R", [[0, 2], [-2, 0]]), ("N3", [[3, 0], [0, 3]]),
+                       ("pi", [[0, -2], [2, 0]])):
+        dump_json(operator_to_dict(Matrix(rows)), tmp_path / f"{name}.json")
+
+    def path(name):
+        return str(tmp_path / name) if (tmp_path / name).exists() else fx(name)
+
+    args, operators = _OPERATOR_COMMANDS[command]
+    argv = command.split() + [path(a) if a.endswith(".json") else a for a in args]
+    for flag, name in operators.items():
+        argv += [flag, path(name)]
+    return argv
+
+
+@pytest.mark.parametrize("size", [1, 3])
+@pytest.mark.parametrize("command, option", [(command, option) for command, (_, operators)
+                                             in _OPERATOR_COMMANDS.items() for option in operators])
+def test_every_operator_option_refuses_a_wrong_size(tmp_path, capsys, command, option, size):
+    """A well-formed operator of the wrong size (skew, so that it passes as a
+    two-tensor) on any operator option of any command, the other options
+    valid, exits 2 with one error line: no traceback and no report."""
+    argv = _operator_argv(tmp_path, command)
+    wrong = tmp_path / "wrong.json"
+    dump_json(operator_to_dict(Matrix({1: [[0]], 3: [[0, 1, 2], [-1, 0, 3], [-2, -3, 0]]}[size])), wrong)
+    argv[argv.index(option) + 1] = str(wrong)
+    code, out = run_cli("--format", "json", *argv, capsys=capsys)
+    _assert_contract(code, out)
+    assert code == 2 and out.out == "" and out.err.startswith("error: ")
+    if (command, option) == ("verify-strong", "--S"):
+        assert out.err == "error: S must act on the module\n"
+
+
+def test_route_disagreement_exit3(monkeypatch, capsys, tmp_path):
+    """A closed-form compatibility verdict that a sampled combination
+    contradicts is an internal inconsistency: exit 3, not an input error."""
+    from lieyam import rotabaxter
+
+    monkeypatch.setattr(rotabaxter, "_compat_residual", lambda *args: None)
+    dump_json(operator_to_dict(Matrix([[-1, -1], [1, 1]])), tmp_path / "T2.json")
+    code, out = run_cli("verify-compatible", "--pair", fx("A2-adjoint.json"), "--T1", fx("T-a1.json"),
+                        "--T2", str(tmp_path / "T2.json"), capsys=capsys)
+    assert code == 3 and out.out == ""
+    assert out.err == "CONSEQUENCE VIOLATED: closed-form compatibility holds but a sampled combination fails\n"
+
+
+def test_failed_rbn_to_rmn_conclusion_exit3(monkeypatch, capsys, tmp_path):
+    """With the coadjoint representation replaced by the zero one, the
+    induced (pi, N) of a valid Rota-Baxter-Nijenhuis structure fails: a
+    failed conclusion, exit 3."""
+    from lieyam import quadratic
+    from lieyam.reps import Representation
+
+    with open(fx("quadratic-fixtures.json")) as fh:
+        entry = next(e for e in json.load(fh)["found"] if e["name"] == "sl2lts")
+    for name in ("algebra", "B", "R", "N"):
+        dump_json(entry[name], tmp_path / f"{name}.json")
+    monkeypatch.setattr(quadratic, "coadjoint_rep", lambda alg: Representation.zero(alg.dim, alg.dim))
+    code, out = run_cli("quadratic", "convert", "--algebra", str(tmp_path / "algebra.json"),
+                        "--B", str(tmp_path / "B.json"), "--direction", "rbn-to-rmn",
+                        "--R", str(tmp_path / "R.json"), "--N", str(tmp_path / "N.json"), capsys=capsys)
+    assert code == 3 and out.out == ""
+    assert out.err == "CONSEQUENCE VIOLATED: induced pair (pi, N) is not an r-matrix-Nijenhuis structure\n"
+
+
 def test_search_input_contract(capsys):
     """search without --pair and a --limit below 1 are input errors; a
     repeated grid value does not repeat hits."""

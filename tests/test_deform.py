@@ -22,7 +22,7 @@ from lieyam.deform import (
     semidirect_nijenhuis,
     trivial_deformation_from,
 )
-from lieyam.errors import NotNijenhuisError
+from lieyam.errors import DimMismatchError, NotNijenhuisError
 from lieyam.linalg import exact
 from lieyam.paircomplex import PairCochain, pair_delta_direct, pair_delta_lifted
 from lieyam.reps import check_representation
@@ -167,6 +167,15 @@ def test_semidirect_nijenhuis_block(a2_adjoint):
     assert block[0, 1] == 2 and block[2, 3] == 2 and block[0, 2] == 0
     zero = NijenhuisStructure(a2_adjoint, Matrix.zero(2), Matrix.zero(2))
     assert semidirect_nijenhuis(a2_adjoint, zero).is_zero()
+
+
+@pytest.mark.parametrize("build", [semidirect_nijenhuis, trivial_deformation_from])
+def test_structure_of_another_pair_is_refused(a2_adjoint, a2_coadjoint, build):
+    """A structure validated on (a2, adjoint) is refused on (a2, coadjoint)
+    as belonging to another pair, not reported as a failed consequence."""
+    ns = NijenhuisStructure(a2_adjoint, NMAT, NMAT)
+    with pytest.raises(DimMismatchError, match="belongs to another pair"):
+        build(a2_coadjoint, ns)
 
 
 def test_hat_rep_cases(a2_adjoint):

@@ -238,9 +238,11 @@ def _objects(entries, shape):
 
 
 def _check(got, want):
+    """got is an ExactArray of want's entries, compared as Python numbers
+    (an int reference list never passes through int64, uint64 or float64)."""
     assert isinstance(got, ExactArray)
     assert got.shape == np.shape(want)
-    assert np.asarray(got).tolist() == np.asarray(want).tolist()
+    assert np.asarray(got).tolist() == np.asarray(want, dtype=object).tolist()
     assert np.all(np.abs(got.num.astype(object)) <= got.bound)
     assert (got.num.dtype == np.int64) == (got.bound < INT64_LIMIT)
 
@@ -291,7 +293,8 @@ def test_arithmetic_matches_fractions(data):
 def test_scatter_and_keyed_sum_at_the_edges():
     """Empty indices and a zero-size target give empty int64 sums; two values
     of bound 2^61 at one index or key reach INT64_LIMIT and sum on Python
-    ints, one below it stays on int64."""
+    ints, one below it stays on int64.  A keyed sum past 2^63 is exact next
+    to a zero sum."""
     big = exact([2**61, 2**61])
     empty = np.zeros(0, dtype=np.int64)
     for got in (linalg.scatter_add(0, [(empty, big[:0])]), linalg.scatter_add(2, [(empty, big[:1])]),
@@ -303,6 +306,7 @@ def test_scatter_and_keyed_sum_at_the_edges():
     _check(linalg.sum_by_key(np.array([5, 5]), big)[1], [2**62])
     _check(linalg.scatter_add(2, [(np.array([1]), big[:1])]), [0, 2**61])
     assert _ran(before) == {"int64": 1, "object": 2}
+    _check(linalg.sum_by_key(np.array([0, 1, 1]), exact([0, 2**63 - 1, 2]))[1], [0, 2**63 + 1])
 
 
 def test_numerator_format_stays_in_linalg():
@@ -347,6 +351,21 @@ def test_imports_are_module_level_and_used():
                     for alias in node.names}
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found += [f"{path.name}:{line} {name} unused" for name, line in imported.items() if name not in read]
+    assert found == []
+
+
+def test_operand_shapes_are_checked_by_expect():
+    """No module but linalg compares a matrix's .rows or .cols: operand
+    shapes are checked by Matrix.expect, the one shape rule."""
+    found = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno} .{attr.attr}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                  for operand in (node.left, *node.comparators) for attr in ast.walk(operand)
+                  if isinstance(attr, ast.Attribute) and attr.attr in {"rows", "cols"}]
     assert found == []
 
 
