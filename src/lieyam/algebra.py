@@ -13,11 +13,13 @@ All operations are multilinear, so every identity is verified on all
 basis tuples.  The structure constants are kept as exact arrays, and
 only as those (``b_arr``, ``t_arr``; see linalg.exact_array: an
 ExactArray of int64 or Python-int numerators over the rationals, with a
-leading coefficient axis over Q[t]), and each axiom is one residual array over a block of
-first basis indices (the first einsum axis), contracted with np.einsum
-(two operands per call) and scanned by report.first_violation.  The
-code is generic over the scalar ring (rationals or polynomials in t),
-enabling "for all t" checks by polynomial arithmetic.
+leading coefficient axis over Q[t]), generic over that scalar ring.
+Each axiom is one residual array over a block of first basis indices,
+contracted with np.einsum and scanned by report.first_violation.
+LY1-LY4 are written once, over slots typed g or V (axiom_residual): over
+g they are the axioms, and LY2-LY4 with one slot in V, over the brackets
+of the semidirect product g (+) V, are seven of the eight representation
+laws (reps.REP_LAWS).
 
 The homomorphism law, which is also the Nijenhuis and the Rota-Baxter
 law, takes its map as an array that may carry leading batch axes (the
@@ -122,25 +124,46 @@ class LieYamagutiAlgebra:
         """Verify the four defining identities on all basis tuples."""
         n = self.dim
         report = VerificationReport(subject=f"lie-yamaguti axioms (dim {n})")
-        b, t = self.b_arr, self.t_arr
-        # [[x,y],z] + <<x,y,z>>, summed cyclically by LY1
-        bbt = np.einsum("ijm,mkl->ijkl", b, b) + t
-        # each residual runs over a block s of first indices x = e_i
-        laws = (
-            ("LY1", 3, lambda s: bbt[s] + bbt[:, :, s].transpose(2, 0, 1, 3)
-             + bbt[:, s].transpose(1, 2, 0, 3)),
-            ("LY2", 4, lambda s: np.einsum("ijm,mkwl->ijkwl", b[s], t)
-             + np.einsum("jkm,miwl->ijkwl", b, t[:, s]) + np.einsum("kim,mjwl->ijkwl", b[:, s], t)),
-            ("LY3", 4, lambda s: np.einsum("kwm,ijml->ijkwl", b, t[s])
-             - np.einsum("ijkm,mwl->ijkwl", t[s], b) - np.einsum("ijwm,kml->ijkwl", t[s], b)),
-            ("LY4", 5, lambda s: np.einsum("kwsm,ijml->ijkwsl", t, t[s])
-             - np.einsum("ijkm,mwsl->ijkwsl", t[s], t) - np.einsum("ijwm,kmsl->ijkwsl", t[s], t)
-             - np.einsum("ijsm,kwml->ijkwsl", t[s], t)),
-        )
-        for name, arity, residual in laws:
+        brackets = {(G, G): self.b_arr, (G, G, G): self.t_arr}
+        for name, arity in (("LY1", 3), ("LY2", 4), ("LY3", 4), ("LY4", 5)):
+            residual = axiom_residual(name, brackets, (G,) * arity)
             witness = first_violation(residual, (n,) * arity)
             report.add(name, witness is None, LAWS[name], witness)
         return report
+
+
+G, V = "g", "V"  # the slot types of axiom_residual: the algebra g and the module V of g (+) V
+
+
+def _value(*types):
+    """The type of a bracket's value: V exactly when one input is V."""
+    return V if V in types else G
+
+
+def axiom_residual(name, br, slots):
+    """The residual of an axiom (left minus right) over a block s of first indices
+    x = e_i, its axes the free slots (x, y, z, w, t) and then the value.
+
+    br maps the input types of a bracket to its table, whose axes are the inputs
+    and then the value; `slots` holds the type, G or V, of each free slot, and
+    a summed index has the type of the value it carries.  LY1 is over g alone:
+    with one slot in V it is the definition of D."""
+    if name == "LY1":  # [[x,y],z] + <<x,y,z>>, summed cyclically
+        bbt = np.einsum("ijm,mkl->ijkl", br[G, G], br[G, G]) + br[G, G, G]
+        return lambda s: bbt[s] + bbt[:, :, s].transpose(2, 0, 1, 3) + bbt[:, s].transpose(1, 2, 0, 3)
+    x, y, z, w, u = (*slots, G)[:5]  # LY2 and LY3 have no fifth slot
+    if name == "LY2":
+        return lambda s: (np.einsum("ijm,mkwl->ijkwl", br[x, y][s], br[_value(x, y), z, w])
+                          + np.einsum("jkm,miwl->ijkwl", br[y, z], br[_value(y, z), x, w][:, s])
+                          + np.einsum("kim,mjwl->ijkwl", br[z, x][:, s], br[_value(z, x), y, w]))
+    if name == "LY3":
+        return lambda s: (np.einsum("kwm,ijml->ijkwl", br[z, w], br[x, y, _value(z, w)][s])
+                          - np.einsum("ijkm,mwl->ijkwl", br[x, y, z][s], br[_value(x, y, z), w])
+                          - np.einsum("ijwm,kml->ijkwl", br[x, y, w][s], br[z, _value(x, y, w)]))
+    return lambda s: (np.einsum("kwum,ijml->ijkwul", br[z, w, u], br[x, y, _value(z, w, u)][s])
+                      - np.einsum("ijkm,mwul->ijkwul", br[x, y, z][s], br[_value(x, y, z), w, u])
+                      - np.einsum("ijwm,kmul->ijkwul", br[x, y, w][s], br[z, _value(x, y, w), u])
+                      - np.einsum("ijum,kwml->ijkwul", br[x, y, u][s], br[z, w, _value(x, y, u)]))
 
 
 def _homomorphism_residual(p, src, dst: LieYamagutiAlgebra, arity):

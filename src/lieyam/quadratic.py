@@ -154,10 +154,11 @@ def is_r_matrix(alg: LieYamagutiAlgebra, pi: Matrix) -> bool:
 
 class RMatrix:
     """Validated skew two-tensor whose index map is coadjoint Rota-Baxter;
-    the PreconditionFailedError of one that is not carries the witness."""
+    the PreconditionFailedError of one that is not carries the witness.
+    `decided` is _r_matrix(alg, pi), when the caller has evaluated it."""
 
-    def __init__(self, alg: LieYamagutiAlgebra, pi: Matrix):
-        psharp, _, wit = _r_matrix(alg, pi)
+    def __init__(self, alg: LieYamagutiAlgebra, pi: Matrix, decided=None):
+        psharp, _, wit = decided or _r_matrix(alg, pi)
         if wit is not None:
             raise PreconditionFailedError("not an r-matrix", which="r-matrix", witness=wit)
         self.alg = alg
@@ -181,15 +182,17 @@ def is_rb_nijenhuis(alg: LieYamagutiAlgebra, rmap: Matrix, nmap: Matrix) -> bool
     return is_rbn(pair, rmap, nmap, nmap)
 
 
-def rmatrix_nijenhuis_report(alg: LieYamagutiAlgebra, pi: Matrix, nmap: Matrix) -> VerificationReport:
+def rmatrix_nijenhuis_report(alg: LieYamagutiAlgebra, pi: Matrix, nmap: Matrix,
+                             decided=None) -> VerificationReport:
     """The coadjoint-side conditions on (pi, N).
 
     pi must be an r-matrix and N a Nijenhuis operator; the twist
     conditions are those of the triple (pi#, N^T, N) on the coadjoint
     pair.  (N, N^T) is generally *not* a Nijenhuis structure there, so
     this is a sibling of the relative triple check, not an instance.
+    `decided` is _r_matrix(alg, pi), when the caller has evaluated it.
     """
-    psharp, pair, wit = _r_matrix(alg, pi)
+    psharp, pair, wit = decided or _r_matrix(alg, pi)
     report = VerificationReport(subject="r-matrix-Nijenhuis structure")
     report.add("r-matrix", wit is None,
                "pi# is relative Rota-Baxter for the coadjoint representation", wit)
@@ -275,11 +278,10 @@ def rbn_to_rmn(alg: LieYamagutiAlgebra, qf: QuadraticForm, rmap: Matrix, nmap: M
         raise PreconditionFailedError("R is not a skew-symmetric endomorphism of (g, B)", which="skew")
     _require_compat(qf, nmap)
     pi = (rmap * qf.b_sharp).transpose()
-    if not is_rmatrix_nijenhuis(alg, pi, nmap):
-        raise ConsequenceViolatedError(
-            "induced pair (pi, N) is not an r-matrix-Nijenhuis structure"
-        )
-    return RMatrix(alg, pi)
+    decided = _r_matrix(alg, pi)
+    if not rmatrix_nijenhuis_report(alg, pi, nmap, decided).passed:
+        raise ConsequenceViolatedError("induced pair (pi, N) is not an r-matrix-Nijenhuis structure")
+    return RMatrix(alg, pi, decided)
 
 
 def rmn_to_rbn(alg: LieYamagutiAlgebra, qf: QuadraticForm, pi: Matrix, nmap: Matrix) -> Matrix:

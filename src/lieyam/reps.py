@@ -13,12 +13,13 @@ and is skew-symmetric by construction.
 
 rho, mu and D are kept as exact arrays, and only as those (rho_arr[i],
 mu_arr[i, j], d[i, j]; see linalg.exact_array: ExactArrays over the
-rationals or over Q[t]), and every law is written once as
-a residual array over a block of first basis indices (the first einsum
-axis), contracted with np.einsum and scanned by report.first_violation: rep1-rep5 and der1-der3 (the table
-_law_residuals, behind check_representation and
-check_derived_identities) and the pair-homomorphism law
-(pair_homomorphism_witness, behind is_pair_homomorphism).
+rationals or over Q[t]).  Every law is a residual array over a block of
+first basis indices, scanned by report.first_violation.  (V; rho, mu) is
+a representation of a Lie-Yamaguti algebra g exactly when g (+) V is one,
+and rep1-rep5, der1 and der2 are slices of LY2-LY4 with one slot in V
+(REP_LAWS, algebra.axiom_residual over the brackets _blocks of g (+) V,
+which _semidirect places).  der3 keeps its own residual, and the
+pair-homomorphism law is pair_homomorphism_witness.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -36,20 +37,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import LieYamagutiAlgebra, _homomorphism_residual, homomorphism_witness
+from .algebra import (G, V, LieYamagutiAlgebra, _homomorphism_residual, _value, axiom_residual,
+                      homomorphism_witness)
 from .errors import DimMismatchError, InternalConsistencyError, InvalidRepresentationError
 from .linalg import Matrix, coefficient, exact, polynomial, reduced, solve
 from .report import VerificationReport, first_violation
 
+#: Each law, and but for der3 the axiom of g (+) V it is a slice of, with one
+#: slot in V: (axiom, the type of each of its slots, its g slots in the law's
+#: order).  The law's residual is the axiom's with those g axes first and then
+#: the matrix (value, V input).
 REP_LAWS = {
-    "rep1": "mu([x,y],z) - mu(x,z)rho(y) + mu(y,z)rho(x) = 0",
-    "rep2": "mu(x,[y,z]) - rho(y)mu(x,z) + rho(z)mu(x,y) = 0",
-    "rep3": "rho(<<x,y,z>>) = [D(x,y), rho(z)]",
-    "rep4": "mu(z,w)mu(x,y) - mu(y,w)mu(x,z) - mu(x,<<y,z,w>>) + D(y,z)mu(x,w) = 0",
-    "rep5": "mu(<<x,y,z>>,w) + mu(z,<<x,y,w>>) = [D(x,y), mu(z,w)]",
-    "der1": "D([x,y],z) + D([y,z],x) + D([z,x],y) = 0",
-    "der2": "D(<<x,y,z>>,w) + D(z,<<x,y,w>>) = [D(x,y), D(z,w)]",
-    "der3": "mu(<<x,y,z>>,w) = mu(x,w)mu(z,y) - mu(y,w)mu(z,x) - mu(z,w)D(x,y)",
+    "rep1": ("mu([x,y],z) - mu(x,z)rho(y) + mu(y,z)rho(x) = 0", ("LY2", "gVgg", (0, 2, 3))),
+    "rep2": ("mu(x,[y,z]) - rho(y)mu(x,z) + rho(z)mu(x,y) = 0", ("LY3", "gVgg", (0, 3, 2))),
+    "rep3": ("rho(<<x,y,z>>) = [D(x,y), rho(z)]", ("LY3", "ggVg", (0, 1, 3))),
+    "rep4": ("mu(z,w)mu(x,y) - mu(y,w)mu(x,z) - mu(x,<<y,z,w>>) + D(y,z)mu(x,w) = 0",
+             ("LY4", "gVggg", (0, 2, 3, 4))),
+    "rep5": ("mu(<<x,y,z>>,w) + mu(z,<<x,y,w>>) = [D(x,y), mu(z,w)]", ("LY4", "gggVg", (0, 1, 2, 4))),
+    "der1": ("D([x,y],z) + D([y,z],x) + D([z,x],y) = 0", ("LY2", "gggV", (0, 1, 2))),
+    "der2": ("D(<<x,y,z>>,w) + D(z,<<x,y,w>>) = [D(x,y), D(z,w)]", ("LY4", "ggggV", (0, 1, 3, 2))),
+    "der3": ("mu(<<x,y,z>>,w) = mu(x,w)mu(z,y) - mu(y,w)mu(z,x) - mu(z,w)D(x,y)", None),
 }
 
 
@@ -100,46 +107,48 @@ def _derived(alg: LieYamagutiAlgebra, rep: Representation):
     return rep._derived[1]
 
 
-def _law_residuals(alg: LieYamagutiAlgebra, rep: Representation, dd):
-    """(arity, residual) of every law of REP_LAWS, over a block s of first indices x = e_i.
-
-    Matrix products X(..) Y(..) over free indices are einsums "..ab,..bc->..ac".
-    """
-    b, t, rho, mu = alg.b_arr, alg.t_arr, rep.rho_arr, rep.mu_arr
-
-    def mu_t(s):  # mu(<<x,y,z>>, w) over (i, j, k, w)
-        return np.einsum("ijkm,mwab->ijkwab", t[s], mu)
-
+def _blocks(alg: LieYamagutiAlgebra, rep: Representation, d):
+    """The brackets of g (+) V by input types (algebra.G, V), for d the derived D:
+    each a view of b, t, rho, mu or D (or its negative), its axes the inputs
+    and then the value.  The brackets with two or more inputs in V vanish."""
+    rho, mu = rep.rho_arr, rep.mu_arr
     return {
-        "rep1": (3, lambda s: np.einsum("ijm,mkab->ijkab", b[s], mu)
-                 - np.einsum("ikab,jbc->ijkac", mu[s], rho) + np.einsum("jkab,ibc->ijkac", mu, rho[s])),
-        "rep2": (3, lambda s: np.einsum("jkm,imab->ijkab", b, mu[s])
-                 - np.einsum("jab,ikbc->ijkac", rho, mu[s]) + np.einsum("kab,ijbc->ijkac", rho, mu[s])),
-        "rep3": (3, lambda s: np.einsum("ijkm,mab->ijkab", t[s], rho)
-                 - np.einsum("ijab,kbc->ijkac", dd[s], rho) + np.einsum("kab,ijbc->ijkac", rho, dd[s])),
-        "rep4": (4, lambda s: np.einsum("kwab,ijbc->ijkwac", mu, mu[s])
-                 - np.einsum("jwab,ikbc->ijkwac", mu, mu[s]) - np.einsum("jkwm,imab->ijkwab", t, mu[s])
-                 + np.einsum("jkab,iwbc->ijkwac", dd, mu[s])),
-        "rep5": (4, lambda s: mu_t(s) + np.einsum("ijwm,kmab->ijkwab", t[s], mu)
-                 - np.einsum("ijab,kwbc->ijkwac", dd[s], mu) + np.einsum("kwab,ijbc->ijkwac", mu, dd[s])),
-        "der1": (3, lambda s: np.einsum("ijm,mkab->ijkab", b[s], dd)
-                 + np.einsum("jkm,miab->ijkab", b, dd[:, s]) + np.einsum("kim,mjab->ijkab", b[:, s], dd)),
-        "der2": (4, lambda s: np.einsum("ijkm,mwab->ijkwab", t[s], dd)
-                 + np.einsum("ijwm,kmab->ijkwab", t[s], dd)
-                 - np.einsum("ijab,kwbc->ijkwac", dd[s], dd) + np.einsum("kwab,ijbc->ijkwac", dd, dd[s])),
-        "der3": (4, lambda s: mu_t(s) - np.einsum("iwab,kjbc->ijkwac", mu[s], mu)
-                 + np.einsum("jwab,kibc->ijkwac", mu, mu[:, s]) + np.einsum("kwab,ijbc->ijkwac", mu, dd[s])),
+        (G, G): alg.b_arr,
+        (G, V): rho.transpose(0, 2, 1),              # [e_i, v_b] = rho(e_i) v_b
+        (V, G): -rho.transpose(2, 0, 1),
+        (G, G, G): alg.t_arr,
+        (G, G, V): d.transpose(0, 1, 3, 2),          # <<e_i, e_j, v_b>> = D(e_i, e_j) v_b
+        (V, G, G): mu.transpose(3, 0, 1, 2),         # <<v_b, e_j, e_k>> = mu(e_j, e_k) v_b
+        (G, V, G): -mu.transpose(0, 3, 1, 2),
     }
+
+
+def _slice_residual(blocks, axiom, slots, g_slots):
+    """(arity, residual) of a law of REP_LAWS, given its slice, over a block s
+    of first indices x = e_i, for blocks the brackets of g (+) V (_blocks)."""
+    residual = axiom_residual(axiom, blocks, slots)
+    return len(g_slots), lambda s: residual(s).transpose(*g_slots, len(slots), slots.index(V))
+
+
+def _der3_residual(alg: LieYamagutiAlgebra, rep: Representation, dd):
+    """der3 over a block s of first indices x = e_i, for dd the derived D.  It
+    is no slice of LY1-LY4 with one slot in V, so it is written out here."""
+    t, mu = alg.t_arr, rep.mu_arr
+    return lambda s: (np.einsum("ijkm,mwab->ijkwab", t[s], mu) - np.einsum("iwab,kjbc->ijkwac", mu[s], mu)
+                      + np.einsum("jwab,kibc->ijkwac", mu, mu[:, s])
+                      + np.einsum("kwab,ijbc->ijkwac", mu, dd[s]))
 
 
 def _law_report(alg: LieYamagutiAlgebra, rep: Representation, subject, prefix) -> VerificationReport:
     """The laws of REP_LAWS whose names start with `prefix`, in table order,
     each with its first violating basis tuple."""
-    residuals = _law_residuals(alg, rep, _derived(alg, rep))
+    dd = _derived(alg, rep)
+    blocks = _blocks(alg, rep, dd)
     report = VerificationReport(subject=subject)
-    for name, law in REP_LAWS.items():
+    for name, (law, axiom_slice) in REP_LAWS.items():
         if name.startswith(prefix):
-            arity, residual = residuals[name]
+            arity, residual = (_slice_residual(blocks, *axiom_slice) if axiom_slice
+                               else (4, _der3_residual(alg, rep, dd)))
             wit = first_violation(residual, (alg.dim,) * arity)
             report.add(name, wit is None, law, wit)
     return report
@@ -163,7 +172,7 @@ def adjoint_rep(alg: LieYamagutiAlgebra, check=True) -> Representation:
     axioms; pass check=False for deliberately broken fixtures.
     """
     n = alg.dim
-    rep = Representation(n, n, alg.b_arr.transpose(0, 2, 1), np.einsum("kijl->ijlk", alg.t_arr))
+    rep = Representation(n, n, alg.b_arr.transpose(0, 2, 1), alg.t_arr.transpose(1, 2, 3, 0))
     if check:
         _assert_adjoint_d(alg, _derived(alg, rep))
     return rep
@@ -230,9 +239,7 @@ def semidirect(alg: LieYamagutiAlgebra, rep: Representation) -> LieYamagutiAlgeb
 
     Basis order: g-part first, then V-part.
     """
-    if rep.algebra_dim != alg.dim:
-        raise DimMismatchError("representation does not match the algebra dimension")
-    rr = check_representation(alg, rep)
+    rr = check_representation(alg, rep)  # raises DimMismatchError on another algebra's module
     if not rr.passed:
         raise InvalidRepresentationError(
             f"semidirect product needs a valid representation; failing: "
@@ -244,19 +251,12 @@ def semidirect(alg: LieYamagutiAlgebra, rep: Representation) -> LieYamagutiAlgeb
 def _semidirect(alg: LieYamagutiAlgebra, rep: Representation, d) -> LieYamagutiAlgebra:
     """The semidirect product of `semidirect`, given the derived D of (alg, rep)."""
     n, m = alg.dim, rep.module_dim
-    g, v = slice(0, n), slice(n, n + m)
-    rho, mu = rep.rho_arr, rep.mu_arr
-    binary = np.zeros((n + m,) * 3, dtype=object)
-    ternary = np.zeros((n + m,) * 4, dtype=object)
-    binary[g, g, g] = alg.b_arr
-    binary[g, v, v] = np.einsum("iab->iba", rho)                 # [e_i, v_b] = rho(e_i) v_b
-    binary[v, g, v] = -np.einsum("iab->bia", rho)
-    ternary[g, g, g, g] = alg.t_arr
-    ternary[g, g, v, v] = np.einsum("ijab->ijba", d)
-    ternary[v, g, g, v] = np.einsum("jkab->bjka", mu)            # <<v_b, e_j, e_k>> = mu(e_j, e_k) v_b
-    ternary[g, v, g, v] = -np.einsum("jkab->jbka", mu)
+    part = {G: slice(0, n), V: slice(n, n + m)}
+    tables = {2: np.zeros((n + m,) * 3, dtype=object), 3: np.zeros((n + m,) * 4, dtype=object)}
+    for types, block in _blocks(alg, rep, d).items():
+        tables[len(types)][(*(part[x] for x in types), part[_value(*types)])] = block
     names = [f"g:{x}" for x in alg.basis_names] + [f"v{i+1}" for i in range(m)]
-    return LieYamagutiAlgebra(n + m, binary, ternary, names)
+    return LieYamagutiAlgebra(n + m, tables[2], tables[3], names)
 
 
 class LieYRepPair:

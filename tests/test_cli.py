@@ -747,6 +747,25 @@ def test_failed_rbn_to_rmn_conclusion_exit3(monkeypatch, capsys, tmp_path):
     assert out.err == "CONSEQUENCE VIOLATED: induced pair (pi, N) is not an r-matrix-Nijenhuis structure\n"
 
 
+def test_rbn_to_rmn_decides_the_r_matrix_once(monkeypatch, capsys, tmp_path):
+    """rbn-to-rmn evaluates pi#'s Rota-Baxter identities on the coadjoint
+    pair once: its report and the RMatrix it returns share that evaluation."""
+    from lieyam import quadratic
+
+    with open(fx("quadratic-fixtures.json")) as fh:
+        entry = next(e for e in json.load(fh)["found"] if e["name"] == "sl2lts")
+    for name in ("algebra", "B", "R", "N"):
+        dump_json(entry[name], tmp_path / f"{name}.json")
+    calls = []
+    rb_residuals = quadratic._rb_residuals
+    monkeypatch.setattr(quadratic, "_rb_residuals", lambda *args: calls.append(args) or rb_residuals(*args))
+    code, out = run_cli("quadratic", "convert", "--algebra", str(tmp_path / "algebra.json"),
+                        "--B", str(tmp_path / "B.json"), "--direction", "rbn-to-rmn",
+                        "--R", str(tmp_path / "R.json"), "--N", str(tmp_path / "N.json"), capsys=capsys)
+    assert code == 0 and out.err == "" and "PASS" in out.out
+    assert len(calls) == 1
+
+
 def test_search_input_contract(capsys):
     """search without --pair and a --limit below 1 are input errors; a
     repeated grid value does not repeat hits."""

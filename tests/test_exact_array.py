@@ -413,6 +413,18 @@ def test_operator_laws_stay_written_once():
     assert found == []
 
 
+def test_representation_laws_stay_slices_of_the_axioms():
+    """reps.py contracts with einsum only in the derived operator D, der3's
+    residual, the intertwining law and the basis transport: rep1-rep5, der1
+    and der2 are slices of algebra.axiom_residual, so a hand-written copy of
+    one of them would be an einsum outside these functions."""
+    tree = ast.parse((Path(linalg.__file__).parent / "reps.py").read_text(encoding="utf-8"))
+    allowed = {"derived_D", "_der3_residual", "_intertwining_residual", "_transport"}
+    found = [f"reps.py:{call.lineno} {scope}" for scope, call in _calls(tree)
+             if getattr(call.func, "attr", None) == "einsum" and not allowed & set(scope)]
+    assert found == []
+
+
 # -- arithmetic over Q[t] against Poly objects ---------------------------------
 
 # rational coefficients, and polynomials of degree 0-4 in them; a scale of

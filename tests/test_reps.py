@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -18,9 +19,12 @@ from lieyam import (
     pair_homomorphism_witness,
     semidirect,
 )
+from lieyam.deform import DeformationData, deformed_pair_structures
 from lieyam.errors import DimMismatchError, InternalConsistencyError, InvalidRepresentationError
 from lieyam.linalg import exact
-from lieyam.reps import REP_LAWS, _derived, _semidirect
+from lieyam.reps import REP_LAWS, _blocks, _der3_residual, _derived, _semidirect, _slice_residual
+from lieyam.search import CATALOG, catalog_algebra
+from test_rep_golden import _perturbed
 
 
 def _with(arr, idx, delta):
@@ -234,3 +238,87 @@ def test_report_check_names_are_the_rep_laws(a2):
     names = [c.name for c in check_representation(a2, adj).checks]
     names += [c.name for c in check_derived_identities(a2, adj).checks]
     assert names == list(REP_LAWS)
+
+
+# -- the representation laws as slices of LY2-LY4, against the hand formulas --
+
+def _reference_residuals(alg, rep, dd):
+    """The eight laws of REP_LAWS written out by hand, each over a block s of
+    first indices x = e_i: the reference the slices of the axioms must equal
+    in value, axis order and sign.  Matrix products X(..) Y(..) over free
+    indices are einsums "..ab,..bc->..ac"."""
+    b, t, rho, mu = alg.b_arr, alg.t_arr, rep.rho_arr, rep.mu_arr
+
+    def mu_t(s):  # mu(<<x,y,z>>, w) over (i, j, k, w)
+        return np.einsum("ijkm,mwab->ijkwab", t[s], mu)
+
+    return {
+        "rep1": lambda s: np.einsum("ijm,mkab->ijkab", b[s], mu)
+        - np.einsum("ikab,jbc->ijkac", mu[s], rho) + np.einsum("jkab,ibc->ijkac", mu, rho[s]),
+        "rep2": lambda s: np.einsum("jkm,imab->ijkab", b, mu[s])
+        - np.einsum("jab,ikbc->ijkac", rho, mu[s]) + np.einsum("kab,ijbc->ijkac", rho, mu[s]),
+        "rep3": lambda s: np.einsum("ijkm,mab->ijkab", t[s], rho)
+        - np.einsum("ijab,kbc->ijkac", dd[s], rho) + np.einsum("kab,ijbc->ijkac", rho, dd[s]),
+        "rep4": lambda s: np.einsum("kwab,ijbc->ijkwac", mu, mu[s])
+        - np.einsum("jwab,ikbc->ijkwac", mu, mu[s]) - np.einsum("jkwm,imab->ijkwab", t, mu[s])
+        + np.einsum("jkab,iwbc->ijkwac", dd, mu[s]),
+        "rep5": lambda s: mu_t(s) + np.einsum("ijwm,kmab->ijkwab", t[s], mu)
+        - np.einsum("ijab,kwbc->ijkwac", dd[s], mu) + np.einsum("kwab,ijbc->ijkwac", mu, dd[s]),
+        "der1": lambda s: np.einsum("ijm,mkab->ijkab", b[s], dd)
+        + np.einsum("jkm,miab->ijkab", b, dd[:, s]) + np.einsum("kim,mjab->ijkab", b[:, s], dd),
+        "der2": lambda s: np.einsum("ijkm,mwab->ijkwab", t[s], dd) + np.einsum("ijwm,kmab->ijkwab", t[s], dd)
+        - np.einsum("ijab,kwbc->ijkwac", dd[s], dd) + np.einsum("kwab,ijbc->ijkwac", dd, dd[s]),
+        "der3": lambda s: mu_t(s) - np.einsum("iwab,kjbc->ijkwac", mu[s], mu)
+        + np.einsum("jwab,kibc->ijkwac", mu, mu[:, s]) + np.einsum("kwab,ijbc->ijkwac", mu, dd[s]),
+    }
+
+
+def _oracle_corpus():
+    """(name, algebra, representation): the catalog algebras and a2 (+) ad and
+    a2 (+) coad, each with its adjoint and coadjoint as they are and at three
+    seeded perturbations of rho and mu, then one Q[t] family of a2's adjoint."""
+    a2 = catalog_algebra("a2")
+    algebras = [(name, catalog_algebra(name)) for name in CATALOG]
+    # built unvalidated, so that the laws under test judge nothing here
+    algebras += [(name, _semidirect(a2, rep, _derived(a2, rep)))
+                 for name, rep in (("a2+ad", adjoint_rep(a2)), ("a2+coad", coadjoint_rep(a2)))]
+    out = []
+    for a, (name, alg) in enumerate(algebras):
+        for b, base in enumerate((adjoint_rep(alg), coadjoint_rep(alg))):
+            out.append((name, alg, base))
+            out.extend((name, alg, _perturbed(base, random.Random(1000 * a + 10 * b + k))) for k in range(3))
+    rng = random.Random(7)
+
+    def draw(*shape):
+        return np.array([rng.randint(-1, 1) for _ in range(int(np.prod(shape)))], dtype=np.int64).reshape(shape)
+
+    phi, phi1, phi2 = draw(2, 2, 2), draw(2, 2, 2, 2), draw(2, 2, 2, 2)
+    d = DeformationData(phi - phi.transpose(1, 0, 2), phi1 - phi1.transpose(1, 0, 2, 3),
+                        phi2 - phi2.transpose(1, 0, 2, 3), draw(2, 2, 2), draw(2, 2, 2, 2), draw(2, 2, 2, 2))
+    alg_t, rep_t = deformed_pair_structures(LieYRepPair(a2, adjoint_rep(a2), validate=False), d)
+    assert rep_t.mu_arr.poly and alg_t.t_arr.poly
+    return out + [("a2 t-family", alg_t, rep_t)]
+
+
+def test_representation_laws_are_slices_of_the_axioms():
+    """Each law of REP_LAWS, as reps evaluates it (a slice of LY2-LY4 over
+    the brackets of g (+) V, or der3's own residual), equals its hand formula
+    on every input of the corpus, entry for entry and in the same axis order.
+    Enough of the residuals are nonzero that the comparison has content;
+    der1 is nonzero only on the semidirect algebras."""
+    nonzero = {name: [] for name in REP_LAWS}
+    for name, alg, rep in _oracle_corpus():
+        dd = _derived(alg, rep)
+        blocks = _blocks(alg, rep, dd)
+        reference = _reference_residuals(alg, rep, dd)
+        for law, (_, axiom_slice) in REP_LAWS.items():
+            arity, residual = (_slice_residual(blocks, *axiom_slice) if axiom_slice
+                               else (4, _der3_residual(alg, rep, dd)))
+            got, want = residual(slice(None)), reference[law](slice(None))
+            assert got.shape == want.shape == (alg.dim,) * arity + (rep.module_dim,) * 2, (name, law)
+            assert not (got != want).any(), (name, law)
+            if (want != 0).any():
+                nonzero[law].append(name)
+    assert all(len(hits) >= 25 for law, hits in nonzero.items() if law != "der1"), nonzero
+    assert len(nonzero["der1"]) >= 5 and set(nonzero["der1"]) <= {"a2+ad", "a2+coad"}, nonzero["der1"]
+    assert all("a2 t-family" in nonzero[law] for law in REP_LAWS if law != "der1")
