@@ -15,7 +15,7 @@ only as those (``b_arr``, ``t_arr``; see linalg.exact_array: an
 ExactArray of int64 or Python-int numerators over the rationals, with a
 leading coefficient axis over Q[t]), generic over that scalar ring.
 Each axiom is one residual array over a block of first basis indices,
-contracted with np.einsum and scanned by report.first_violation.
+contracted with linalg.einsum and scanned by report.first_violation.
 LY1-LY4 are written once, over slots typed g or V (axiom_residual): over
 g they are the axioms, and LY2-LY4 with one slot in V, over the brackets
 of the semidirect product g (+) V, are seven of the eight representation
@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import AntisymmetryError, DimMismatchError
-from .linalg import Matrix, exact, reduced
+from .linalg import Matrix, einsum, exact, reduced
 from .report import VerificationReport, first_violation
 
 LAWS = {
@@ -82,7 +82,7 @@ class LieYamagutiAlgebra:
     def from_lie_algebra(cls, dim, binary):
         """Lie algebra viewed as Lie-Yamaguti: <<x,y,z>> := [[x,y],z]."""
         b = _constants(binary, dim, 2, "binary")
-        return cls(dim, b, np.einsum("ijm,mkl->ijkl", b, b))
+        return cls(dim, b, einsum("ijm,mkl->ijkl", b, b))
 
     @classmethod
     def from_triple_system(cls, dim, ternary):
@@ -110,13 +110,13 @@ class LieYamagutiAlgebra:
 
     def bracket_images(self, a, b):
         """[a e_u, b e_v] for every column u of a and every v, as a (..., u, v, k) array."""
-        return np.einsum("...bv,...ubk->...uvk", b, np.einsum("...au,abk->...ubk", a, self.b_arr))
+        return einsum("...bv,...ubk->...uvk", b, einsum("...au,abk->...ubk", a, self.b_arr))
 
     def triple_images(self, a, b, c):
         """<<a e_u, b e_v, c e_w>> for every column u of a and every (v, w), as a
         (..., u, v, w, l) array."""
-        x = np.einsum("...bv,...ubcl->...uvcl", b, np.einsum("...au,abcl->...ubcl", a, self.t_arr))
-        return np.einsum("...cw,...uvcl->...uvwl", c, x)
+        x = einsum("...bv,...ubcl->...uvcl", b, einsum("...au,abcl->...ubcl", a, self.t_arr))
+        return einsum("...cw,...uvcl->...uvwl", c, x)
 
     # -- axioms ----------------------------------------------------------------
 
@@ -149,21 +149,21 @@ def axiom_residual(name, br, slots):
     a summed index has the type of the value it carries.  LY1 is over g alone:
     with one slot in V it is the definition of D."""
     if name == "LY1":  # [[x,y],z] + <<x,y,z>>, summed cyclically
-        bbt = np.einsum("ijm,mkl->ijkl", br[G, G], br[G, G]) + br[G, G, G]
+        bbt = einsum("ijm,mkl->ijkl", br[G, G], br[G, G]) + br[G, G, G]
         return lambda s: bbt[s] + bbt[:, :, s].transpose(2, 0, 1, 3) + bbt[:, s].transpose(1, 2, 0, 3)
     x, y, z, w, u = (*slots, G)[:5]  # LY2 and LY3 have no fifth slot
     if name == "LY2":
-        return lambda s: (np.einsum("ijm,mkwl->ijkwl", br[x, y][s], br[_value(x, y), z, w])
-                          + np.einsum("jkm,miwl->ijkwl", br[y, z], br[_value(y, z), x, w][:, s])
-                          + np.einsum("kim,mjwl->ijkwl", br[z, x][:, s], br[_value(z, x), y, w]))
+        return lambda s: (einsum("ijm,mkwl->ijkwl", br[x, y][s], br[_value(x, y), z, w])
+                          + einsum("jkm,miwl->ijkwl", br[y, z], br[_value(y, z), x, w][:, s])
+                          + einsum("kim,mjwl->ijkwl", br[z, x][:, s], br[_value(z, x), y, w]))
     if name == "LY3":
-        return lambda s: (np.einsum("kwm,ijml->ijkwl", br[z, w], br[x, y, _value(z, w)][s])
-                          - np.einsum("ijkm,mwl->ijkwl", br[x, y, z][s], br[_value(x, y, z), w])
-                          - np.einsum("ijwm,kml->ijkwl", br[x, y, w][s], br[z, _value(x, y, w)]))
-    return lambda s: (np.einsum("kwum,ijml->ijkwul", br[z, w, u], br[x, y, _value(z, w, u)][s])
-                      - np.einsum("ijkm,mwul->ijkwul", br[x, y, z][s], br[_value(x, y, z), w, u])
-                      - np.einsum("ijwm,kmul->ijkwul", br[x, y, w][s], br[z, _value(x, y, w), u])
-                      - np.einsum("ijum,kwml->ijkwul", br[x, y, u][s], br[z, w, _value(x, y, u)]))
+        return lambda s: (einsum("kwm,ijml->ijkwl", br[z, w], br[x, y, _value(z, w)][s])
+                          - einsum("ijkm,mwl->ijkwl", br[x, y, z][s], br[_value(x, y, z), w])
+                          - einsum("ijwm,kml->ijkwl", br[x, y, w][s], br[z, _value(x, y, w)]))
+    return lambda s: (einsum("kwum,ijml->ijkwul", br[z, w, u], br[x, y, _value(z, w, u)][s])
+                      - einsum("ijkm,mwul->ijkwul", br[x, y, z][s], br[_value(x, y, z), w, u])
+                      - einsum("ijwm,kmul->ijkwul", br[x, y, w][s], br[z, _value(x, y, w), u])
+                      - einsum("ijum,kwml->ijkwul", br[x, y, u][s], br[z, w, _value(x, y, u)]))
 
 
 def _homomorphism_residual(p, src, dst: LieYamagutiAlgebra, arity):
@@ -225,19 +225,19 @@ def _deformation_binary(alg: LieYamagutiAlgebra, na):
     """phi(x,y) = [Nx,y] + [x,Ny] - N[x,y] over (..., x, y, k), for na the array of N
     (or a stack of them, with leading batch axes)."""
     b = alg.b_arr
-    return (np.einsum("...ai,ajk->...ijk", na, b) + np.einsum("...aj,iak->...ijk", na, b)
+    return (einsum("...ai,ajk->...ijk", na, b) + einsum("...aj,iak->...ijk", na, b)
             - b @ na.mT[..., None, :, :])
 
 
 def _deformation_ternary(alg: LieYamagutiAlgebra, na):
     """(phi1, phi2) over (..., x, y, z, l), for na as in _deformation_binary."""
     t = alg.t_arr
-    t1 = np.einsum("...ai,ajkl->...ijkl", na, t)        # <<Nx,y,z>>
-    t2 = np.einsum("...aj,iakl->...ijkl", na, t)        # <<x,Ny,z>>
+    t1 = einsum("...ai,ajkl->...ijkl", na, t)           # <<Nx,y,z>>
+    t2 = einsum("...aj,iakl->...ijkl", na, t)           # <<x,Ny,z>>
     n_last = na.mT[..., None, None, :, :]               # N applied to the last axis
-    phi1 = t1 + t2 + np.einsum("...ak,ijal->...ijkl", na, t) - t @ n_last
-    phi2 = (np.einsum("...bj,...ibkl->...ijkl", na, t1) + np.einsum("...bk,...ijbl->...ijkl", na, t2)
-            + np.einsum("...bk,...ijbl->...ijkl", na, t1) - phi1 @ n_last)
+    phi1 = t1 + t2 + einsum("...ak,ijal->...ijkl", na, t) - t @ n_last
+    phi2 = (einsum("...bj,...ibkl->...ijkl", na, t1) + einsum("...bk,...ijbl->...ijkl", na, t2)
+            + einsum("...bk,...ijbl->...ijkl", na, t1) - phi1 @ n_last)
     return phi1, phi2
 
 

@@ -56,7 +56,7 @@ from .errors import (
     InternalConsistencyError,
     NotNijenhuisError,
 )
-from .linalg import Matrix, coefficient, exact, polynomial
+from .linalg import Matrix, coefficient, einsum, exact, polynomial
 from .paircomplex import PairCochain, pair_delta_lifted
 from .reps import (
     LieYRepPair,
@@ -225,14 +225,14 @@ def _hat_bilinear(smap, x_n, x, x_nn):
 
 def _rho_parts(rho, narr):
     """(rho(Nx), rho(x)) over x, from rho[x] and the array of N."""
-    return np.einsum("ax,aij->xij", narr, rho), rho
+    return einsum("ax,aij->xij", narr, rho), rho
 
 
 def _bilinear_parts(x, narr):
     """(X(Nx,y) + X(x,Ny), X(x,y), X(Nx,Ny)) over (x, y), from X[x, y] and the array of N."""
-    x_nx = np.einsum("ax,ayij->xyij", narr, x)                    # X(Nx, y)
-    return (x_nx + np.einsum("ay,xaij->xyij", narr, x), x,
-            np.einsum("ay,xaij->xyij", narr, x_nx))
+    x_nx = einsum("ax,ayij->xyij", narr, x)                       # X(Nx, y)
+    return (x_nx + einsum("ay,xaij->xyij", narr, x), x,
+            einsum("ay,xaij->xyij", narr, x_nx))
 
 
 def nijenhuis_structure_report(pair: LieYRepPair, nmap: Matrix, smap: Matrix) -> VerificationReport:
@@ -436,13 +436,13 @@ def deformation_difference_report(pair: LieYRepPair, d: DeformationData,
     n = pair.dim_g
     report = VerificationReport(subject="first-order difference identities")
     want = {
-        "diff-binary": np.einsum("ai,ajk->ijk", na, b) + np.einsum("aj,iak->ijk", na, b) - b @ na.T,
-        "diff-ternary": np.einsum("ai,ajkl->ijkl", na, t) + np.einsum("aj,iakl->ijkl", na, t)
-        + np.einsum("ak,ijal->ijkl", na, t) - t @ na.T,
-        "diff-rho": np.einsum("ai,abc->ibc", na, rho) + rho @ sa - sa @ rho,
-        "diff-mu": np.einsum("ai,ajbc->ijbc", na, mu) + np.einsum("aj,iabc->ijbc", na, mu)
+        "diff-binary": einsum("ai,ajk->ijk", na, b) + einsum("aj,iak->ijk", na, b) - b @ na.T,
+        "diff-ternary": einsum("ai,ajkl->ijkl", na, t) + einsum("aj,iakl->ijkl", na, t)
+        + einsum("ak,ijal->ijkl", na, t) - t @ na.T,
+        "diff-rho": einsum("ai,abc->ibc", na, rho) + rho @ sa - sa @ rho,
+        "diff-mu": einsum("ai,ajbc->ijbc", na, mu) + einsum("aj,iabc->ijbc", na, mu)
         + mu @ sa - sa @ mu,
-        "diff-D": np.einsum("ai,ajbc->ijbc", na, dd) - np.einsum("aj,aibc->ijbc", na, dd)
+        "diff-D": einsum("ai,ajbc->ijbc", na, dd) - einsum("aj,aibc->ijbc", na, dd)
         + dd @ sa - sa @ dd,
     }
     d1a, _ = derived_deformation_terms(pair, d)

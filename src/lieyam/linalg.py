@@ -8,6 +8,11 @@ polynomials in t among its entries) is the same type with one more,
 leading, axis of numerators: those of the coefficients of t^0, t^1, ...
 over the one denominator; a product of two such arrays is one einsum over
 the outer product of their coefficient axes, whose anti-diagonals it sums.
+The law code contracts through `einsum`, the direct door to the kernel that
+np.einsum on an ExactArray also reaches, without numpy's dispatch.  Two
+operands over Q whose bound fits int64 take one kernel call, and none when
+the bound is 0 (the zero rule: an operand that is zero gives zeros of the
+result's shape, and a sum the other operand).
 The type is closed: values enter only through `exact` (entry by entry,
 `exact_array`), which refuses anything but ints, Fractions and Polys, and
 leave only by value: as Polys where a coefficient of t^1, t^2, ... is
@@ -93,8 +98,8 @@ class ExactArray:
     exactly when one of its coefficients of t^1, t^2, ... is nonzero, else
     as an int or a Fraction (0 * t is 0).
 
-    The law code reads these arrays as it would numpy arrays: np.einsum
-    (with explicit output subscripts), np.stack, np.concatenate,
+    The law code reads these arrays as it would numpy arrays: einsum (or
+    np.einsum, with explicit output subscripts), np.stack, np.concatenate,
     np.broadcast_to (over Q), +, -, *,
     @, ==, !=, indexing, .T, .mT, transpose and reshape run on the
     numerators; any other numpy function, a direct ufunc call (np.add(a,
@@ -226,7 +231,7 @@ class ExactArray:
 
     def __array_function__(self, func, types, args, kwargs):
         if func is np.einsum and not kwargs:
-            return _einsum(args[0], args[1:])
+            return einsum(*args)
         if func in (np.stack, np.concatenate) and not kwargs and len(args) == 1:
             return _stack(func, args[0])
         if func is np.broadcast_to and not kwargs and not self.poly:
@@ -263,7 +268,28 @@ def _operands(operands):
 def _contract(func, operands, terms, *head):
     """func(*head, *numerators) over the product of the denominators, for a
     result each of whose entries sums `terms` products of one entry of each
-    operand."""
+    operand.  Two operands over Q take one step: the kernel on their int64
+    numerators when the bound fits, and no kernel at all when it is 0 (an
+    operand is zero, or nothing is summed): zeros of the result's shape,
+    which _ZERO_SHAPES keeps by subscripts and operand shapes."""
+    if len(operands) == 2:
+        a, b = operands
+        if type(a) is ExactArray and type(b) is ExactArray and not (a.poly or b.poly):
+            bound = terms * a.bound * b.bound
+            if bound == 0:
+                key = (head or func, a.num.shape, b.num.shape)
+                shape = _ZERO_SHAPES.get(key)
+                if shape is None:
+                    shape = _ZERO_SHAPES[key] = np.shape(func(*head, a.num, b.num))
+                fits = 0 < INT64_LIMIT
+                NUMERATOR_OPS["int64" if fits else "object"] += 1
+                return ExactArray(np.zeros(shape, _INT64 if fits else _OBJECT), a.den * b.den, 0)
+            if bound < INT64_LIMIT:
+                NUMERATOR_OPS["int64"] += 1
+                num = func(*head, a.num, b.num)
+                if type(num) is np.ndarray:
+                    return ExactArray(num, a.den * b.den, bound)
+                return _result(num, a.den * b.den, bound)
     bound, den = terms, 1
     for x in operands:
         if type(x) is not ExactArray or x.poly:
@@ -276,6 +302,11 @@ def _contract(func, operands, terms, *head):
     NUMERATOR_OPS["object"] += 1
     num = func(*head, *[x.num.astype(object) for x in operands])
     return ExactArray(np.asarray(num, dtype=object), den, bound)
+
+
+# ((subscripts,), or func for * and @, and the operand shapes) -> the shape
+# of their contraction, which is zero when an operand is
+_ZERO_SHAPES = {}
 
 
 #: the einsum subscripts of np.multiply and np.matmul
@@ -342,6 +373,15 @@ def _sum(a, b, sign):
     each operand (one, t^0, for an operand over Q) go on a common number of
     axes, the shorter coefficient axis padded with zeros.  NotImplemented
     unless both are ExactArrays or exact scalars."""
+    if type(a) is ExactArray and type(b) is ExactArray and a.den == b.den and not (a.poly or b.poly):
+        bound = a.bound + b.bound
+        if bound < INT64_LIMIT:  # one step; a zero operand of the same shape gives the other
+            NUMERATOR_OPS["int64"] += 1
+            if a.bound == 0 and a.num.shape == b.num.shape:
+                return b if sign > 0 else ExactArray(-b.num, b.den, b.bound)
+            if b.bound == 0 and a.num.shape == b.num.shape:
+                return a
+            return ExactArray(a.num + b.num if sign > 0 else a.num - b.num, a.den, bound)
     if type(a) is not ExactArray or type(b) is not ExactArray:
         ops = _operands((a, b))
         if ops is None:
@@ -435,22 +475,26 @@ def _summed_axes(subscripts):
     return [ax for c, ax in where.items() if c not in output]
 
 
-def _einsum(subscripts, operands):
-    """np.einsum of ExactArrays with explicit output subscripts, or
-    NotImplemented for any other call.  Each output entry sums one product
-    per value of the indices summed over."""
-    if type(subscripts) is not str or "->" not in subscripts:
-        return NotImplemented
+def einsum(subscripts, *operands):
+    """np.einsum of ExactArrays with explicit output subscripts, called
+    directly: np.einsum on an ExactArray comes here too.  Each output entry
+    sums one product per value of the indices summed over.  Any other call
+    is a TypeError."""
     axes = _SUMMED.get(subscripts)
     if axes is None:
+        if type(subscripts) is not str or "->" not in subscripts:
+            raise TypeError("einsum of exact arrays takes explicit output subscripts")
         axes = _SUMMED[subscripts] = _summed_axes(subscripts)
     terms = 1
     for k, p in axes:
-        x = operands[k]
-        if type(x) is not ExactArray:
-            return NotImplemented
-        terms *= x.shape[p]
-    return _contract(_c_einsum, operands, terms, subscripts)
+        if type(operands[k]) is not ExactArray:
+            break
+        terms *= operands[k].shape[p]
+    else:
+        out = _contract(_c_einsum, operands, terms, subscripts)
+        if out is not NotImplemented:
+            return out
+    raise TypeError("einsum takes ExactArrays and exact scalars")
 
 
 def exact(arr):

@@ -61,7 +61,7 @@ from .errors import (
     NotInSubcomplexError,
     UnsupportedDegreeError,
 )
-from .linalg import ExactArray, Matrix, exact, scatter_add, sum_by_key
+from .linalg import ExactArray, Matrix, einsum, exact, scatter_add, sum_by_key
 from .reps import LieYRepPair, _assert_adjoint_d, adjoint_rep
 from .yamaguti import (
     Cochain,
@@ -397,17 +397,17 @@ def _direct_deg1(pair: LieYRepPair, c: PairCochain) -> PairCochain:
     f1, f2 = c.blocks["f1"], c.blocks["f2"]
 
     # comp1 f: [x, f1 y] + [f1 x, y] - f1[x, y], over (x, y, k)
-    c1f = (np.einsum("cy,xck->xyk", f1, b) + np.einsum("cx,cyk->xyk", f1, b)
-           - np.einsum("kc,xyc->xyk", f1, b))
+    c1f = (einsum("cy,xck->xyk", f1, b) + einsum("cx,cyk->xyk", f1, b)
+           - einsum("kc,xyc->xyk", f1, b))
     # comp1 g: <<x, y, f1 z>> + <<f1 x, y, z>> + <<x, f1 y, z>> - f1<<x, y, z>>, over (x, y, z, l)
-    c1g = (np.einsum("cz,xycl->xyzl", f1, t) + np.einsum("cx,cyzl->xyzl", f1, t)
-           + np.einsum("cy,xczl->xyzl", f1, t) - np.einsum("lc,xyzc->xyzl", f1, t))
+    c1g = (einsum("cz,xycl->xyzl", f1, t) + einsum("cx,cyzl->xyzl", f1, t)
+           + einsum("cy,xczl->xyzl", f1, t) - einsum("lc,xyzc->xyzl", f1, t))
     # comp2 f: rho(x) f2 v_b + rho(f1 x) v_b - f2(rho(x) v_b), over (x, o, b)
-    c2f = rho @ f2 + np.einsum("cx,cob->xob", f1, rho) - f2 @ rho
+    c2f = rho @ f2 + einsum("cx,cob->xob", f1, rho) - f2 @ rho
 
     def bilinear(op):
         # X(x, z) f2 v_b + X(f1 x, z) v_b + X(x, f1 z) v_b - f2(X(x, z) v_b), over (x, z, o, b)
-        return (op @ f2 + np.einsum("cx,czob->xzob", f1, op) + np.einsum("cz,xcob->xzob", f1, op)
+        return (op @ f2 + einsum("cx,czob->xzob", f1, op) + einsum("cz,xcob->xzob", f1, op)
                 - f2 @ op)
 
     # comp2 g: the D-shaped expression at X = x ^ y; comp3: the D-shaped minus
@@ -443,51 +443,51 @@ def _direct_deg2(pair: LieYRepPair, c: PairCochain) -> PairCochain:
     wedge = np.zeros((n, n, w), dtype=np.int64)
     wedge[x, y, np.arange(w)], wedge[y, x, np.arange(w)] = 1, -1
     wedge = exact(wedge)
-    F1w = np.einsum("acw,wk->ack", wedge, F1)
-    G1w = np.einsum("acw,wzk->aczk", wedge, G1)
-    G2w = np.einsum("acw,wbo->acbo", wedge, G2)
+    F1w = einsum("acw,wk->ack", wedge, F1)
+    G1w = einsum("acw,wzk->aczk", wedge, G1)
+    G2w = einsum("acw,wbo->acbo", wedge, G2)
     # the structure at X = x ^ y: [x, y], <<x, y, .>> and D(x, y)
     BX, TX, DX = b[x, y], t[x, y], dd[x, y]
 
     # ---- comp1: the Yamaguti coboundary of (f1, g1) with adjoint coefficients
     # f'(X1, X2) = -[x2, g1(X1, y2)] + [y2, g1(X1, x2)] + g1(X1, [x2, y2])
     #              + <<x1, y1, f1(X2)>> - f1(X1 o X2)
-    c1f = (-np.einsum("uvc,vck->uvk", G1[:, y], b[x]) + np.einsum("uvc,vck->uvk", G1[:, x], b[y])
-           + np.einsum("vz,uzk->uvk", BX, G1) + np.einsum("uck,vc->uvk", TX, F1)
-           - np.einsum("uvc,cvk->uvk", TX[:, x], F1w[:, y]) - np.einsum("uvc,vck->uvk", TX[:, y], F1w[x]))
+    c1f = (-einsum("uvc,vck->uvk", G1[:, y], b[x]) + einsum("uvc,vck->uvk", G1[:, x], b[y])
+           + einsum("vz,uzk->uvk", BX, G1) + einsum("uck,vc->uvk", TX, F1)
+           - einsum("uvc,cvk->uvk", TX[:, x], F1w[:, y]) - einsum("uvc,vck->uvk", TX[:, y], F1w[x]))
     # g'(X1, X2, z) = -<<g1(X1, x2), y2, z>> + <<g1(X1, y2), x2, z>> - <<x2, y2, g1(X1, z)>>
     #                 + g1(X1, <<x2, y2, z>>) + <<x1, y1, g1(X2, z)>> - g1(X2, <<x1, y1, z>>)
     #                 - g1(X1 o X2, z)
-    c1g = (-np.einsum("uvc,cvzk->uvzk", G1[:, x], t[:, y]) + np.einsum("uvc,cvzk->uvzk", G1[:, y], t[:, x])
-           - np.einsum("vck,uzc->uvzk", TX, G1) + np.einsum("vzc,uck->uvzk", TX, G1)
-           + np.einsum("uck,vzc->uvzk", TX, G1) - np.einsum("uzc,vck->uvzk", TX, G1)
-           - np.einsum("uvc,cvzk->uvzk", TX[:, x], G1w[:, y])
-           - np.einsum("uvc,vczk->uvzk", TX[:, y], G1w[x]))
+    c1g = (-einsum("uvc,cvzk->uvzk", G1[:, x], t[:, y]) + einsum("uvc,cvzk->uvzk", G1[:, y], t[:, x])
+           - einsum("vck,uzc->uvzk", TX, G1) + einsum("vzc,uck->uvzk", TX, G1)
+           + einsum("uck,vzc->uvzk", TX, G1) - einsum("uzc,vck->uvzk", TX, G1)
+           - einsum("uvc,cvzk->uvzk", TX[:, x], G1w[:, y])
+           - einsum("uvc,vczk->uvzk", TX[:, y], G1w[x]))
 
     # ---- comp2 f at (X1, x ^ v_b): -rho(x) g2(X1, v_b) - rho(g1(X1, x)) v_b
     #      + g2(X1, rho(x) v_b) + D(X1) f2(x ^ v_b) - f2(<<x1, y1, x>> ^ v_b) - f2(x ^ D(X1) v_b)
-    c2f = (-np.einsum("xoa,uba->uxbo", rho, G2) - np.einsum("uxc,cob->uxbo", G1, rho)
-           + np.einsum("xab,uao->uxbo", rho, G2) + np.einsum("uoa,xba->uxbo", DX, F2)
-           - np.einsum("uxc,cbo->uxbo", TX, F2) - np.einsum("uab,xao->uxbo", DX, F2))
+    c2f = (-einsum("xoa,uba->uxbo", rho, G2) - einsum("uxc,cob->uxbo", G1, rho)
+           + einsum("xab,uao->uxbo", rho, G2) + einsum("uoa,xba->uxbo", DX, F2)
+           - einsum("uxc,cbo->uxbo", TX, F2) - einsum("uab,xao->uxbo", DX, F2))
 
     # ---- comp2 g at (X1, X2, v_b): -D(g1(X1, x2), y2) v_b + D(g1(X1, y2), x2) v_b
     #      + D(X1) g2(X2, v_b) - D(X2) g2(X1, v_b) - g2(X1 o X2, v_b)
     #      - g2(X2, D(X1) v_b) + g2(X1, D(X2) v_b)
-    c2g = (-np.einsum("uvc,cvob->uvbo", G1[:, x], dd[:, y])
-           + np.einsum("uvc,cvob->uvbo", G1[:, y], dd[:, x])
-           + np.einsum("uoa,vba->uvbo", DX, G2) - np.einsum("voa,uba->uvbo", DX, G2)
-           - np.einsum("uvc,cvbo->uvbo", TX[:, x], G2w[:, y])
-           - np.einsum("uvc,vcbo->uvbo", TX[:, y], G2w[x])
-           - np.einsum("uab,vao->uvbo", DX, G2) + np.einsum("vab,uao->uvbo", DX, G2))
+    c2g = (-einsum("uvc,cvob->uvbo", G1[:, x], dd[:, y])
+           + einsum("uvc,cvob->uvbo", G1[:, y], dd[:, x])
+           + einsum("uoa,vba->uvbo", DX, G2) - einsum("voa,uba->uvbo", DX, G2)
+           - einsum("uvc,cvbo->uvbo", TX[:, x], G2w[:, y])
+           - einsum("uvc,vcbo->uvbo", TX[:, y], G2w[x])
+           - einsum("uab,vao->uvbo", DX, G2) + einsum("vab,uao->uvbo", DX, G2))
 
     # ---- comp3 f at (x ^ v_b, X2): -rho(x2) g2(y2 ^ x, v_b) - rho(x2) g3(x ^ v_b, y2)
     #      + rho(y2) g2(x2 ^ x, v_b) + rho(y2) g3(x ^ v_b, x2) + g2([x2, y2] ^ x, v_b)
     #      + g3(x ^ v_b, [x2, y2]) - mu(x, f1(X2)) v_b + f2(x2 ^ mu(x, y2) v_b) - f2(y2 ^ mu(x, x2) v_b)
-    c3f1 = (-np.einsum("voa,vxba->xbvo", rho[x], G2w[y]) - np.einsum("voa,xbva->xbvo", rho[x], G3[:, :, y])
-            + np.einsum("voa,vxba->xbvo", rho[y], G2w[x]) + np.einsum("voa,xbva->xbvo", rho[y], G3[:, :, x])
-            + np.einsum("vc,cxbo->xbvo", BX, G2w) + np.einsum("vc,xbco->xbvo", BX, G3)
-            - np.einsum("vc,xcob->xbvo", F1, mu)
-            + np.einsum("xvab,vao->xbvo", mu[:, y], F2[x]) - np.einsum("xvab,vao->xbvo", mu[:, x], F2[y]))
+    c3f1 = (-einsum("voa,vxba->xbvo", rho[x], G2w[y]) - einsum("voa,xbva->xbvo", rho[x], G3[:, :, y])
+            + einsum("voa,vxba->xbvo", rho[y], G2w[x]) + einsum("voa,xbva->xbvo", rho[y], G3[:, :, x])
+            + einsum("vc,cxbo->xbvo", BX, G2w) + einsum("vc,xbco->xbvo", BX, G3)
+            - einsum("vc,xcob->xbvo", F1, mu)
+            + einsum("xvab,vao->xbvo", mu[:, y], F2[x]) - einsum("xvab,vao->xbvo", mu[:, x], F2[y]))
 
     # ---- comp3 g, mixed slot first, at (x ^ v_b, X2, z):
     #      -mu(y2, z) g2(x2 ^ x, v_b) - mu(y2, z) g3(x ^ v_b, x2)
@@ -496,32 +496,32 @@ def _direct_deg2(pair: LieYRepPair, c: PairCochain) -> PairCochain:
     #      - g2(z ^ y2, mu(x, x2) v_b) - g3(y2 ^ mu(x, x2) v_b, z)
     #      + g2(z ^ x2, mu(x, y2) v_b) + g3(x2 ^ mu(x, y2) v_b, z) + g2(X2, mu(x, z) v_b)
     #      + g3(x ^ v_b, <<x2, y2, z>>) + g2(<<x2, y2, z>> ^ x, v_b)
-    c3g1 = (-np.einsum("vzoa,vxba->xbvzo", mu[y], G2w[x])
-            - np.einsum("vzoa,xbva->xbvzo", mu[y], G3[:, :, x])
-            + np.einsum("vzoa,vxba->xbvzo", mu[x], G2w[y])
-            + np.einsum("vzoa,xbva->xbvzo", mu[x], G3[:, :, y])
-            - np.einsum("vzc,xcob->xbvzo", G1, mu)
-            - np.einsum("voa,zxba->xbvzo", DX, G2w) - np.einsum("voa,xbza->xbvzo", DX, G3)
-            - np.einsum("xvab,zvao->xbvzo", mu[:, x], G2w[:, y])
-            - np.einsum("xvab,vazo->xbvzo", mu[:, x], G3[y])
-            + np.einsum("xvab,zvao->xbvzo", mu[:, y], G2w[:, x])
-            + np.einsum("xvab,vazo->xbvzo", mu[:, y], G3[x])
-            + np.einsum("xzab,vao->xbvzo", mu, G2)
-            + np.einsum("vzc,xbco->xbvzo", TX, G3) + np.einsum("vzc,cxbo->xbvzo", TX, G2w))
+    c3g1 = (-einsum("vzoa,vxba->xbvzo", mu[y], G2w[x])
+            - einsum("vzoa,xbva->xbvzo", mu[y], G3[:, :, x])
+            + einsum("vzoa,vxba->xbvzo", mu[x], G2w[y])
+            + einsum("vzoa,xbva->xbvzo", mu[x], G3[:, :, y])
+            - einsum("vzc,xcob->xbvzo", G1, mu)
+            - einsum("voa,zxba->xbvzo", DX, G2w) - einsum("voa,xbza->xbvzo", DX, G3)
+            - einsum("xvab,zvao->xbvzo", mu[:, x], G2w[:, y])
+            - einsum("xvab,vazo->xbvzo", mu[:, x], G3[y])
+            + einsum("xvab,zvao->xbvzo", mu[:, y], G2w[:, x])
+            + einsum("xvab,vazo->xbvzo", mu[:, y], G3[x])
+            + einsum("xzab,vao->xbvzo", mu, G2)
+            + einsum("vzc,xbco->xbvzo", TX, G3) + einsum("vzc,cxbo->xbvzo", TX, G2w))
 
     # ---- comp3 g, mixed slot second, at (X1, x ^ v_b, z): +mu(g1(X1, x), z) v_b
     #      + mu(x, z) g2(X1, v_b) + mu(x, g1(X1, z)) v_b + D(X1) g2(z ^ x, v_b) + D(X1) g3(x ^ v_b, z)
     #      + g2(<<x1, y1, x>> ^ z, v_b) - g3(<<x1, y1, x>> ^ v_b, z) + g2(x ^ z, D(X1) v_b)
     #      - g3(x ^ D(X1) v_b, z) - g2(<<x1, y1, z>> ^ x, v_b) - g3(x ^ v_b, <<x1, y1, z>>)
     #      - g2(X1, mu(x, z) v_b), minus the comp2 g overlap at (X1, z ^ x, v_b)
-    c3g2 = (np.einsum("uxc,czob->uxbzo", G1, mu) + np.einsum("xzoa,uba->uxbzo", mu, G2)
-            + np.einsum("uzc,xcob->uxbzo", G1, mu)
-            + np.einsum("uoa,zxba->uxbzo", DX, G2w) + np.einsum("uoa,xbza->uxbzo", DX, G3)
-            + np.einsum("uxc,czbo->uxbzo", TX, G2w) - np.einsum("uxc,cbzo->uxbzo", TX, G3)
-            + np.einsum("uab,xzao->uxbzo", DX, G2w) - np.einsum("uab,xazo->uxbzo", DX, G3)
-            - np.einsum("uzc,cxbo->uxbzo", TX, G2w) - np.einsum("uzc,xbco->uxbzo", TX, G3)
-            - np.einsum("xzab,uao->uxbzo", mu, G2)
-            - np.einsum("zxw,uwbo->uxbzo", wedge, c2g))
+    c3g2 = (einsum("uxc,czob->uxbzo", G1, mu) + einsum("xzoa,uba->uxbzo", mu, G2)
+            + einsum("uzc,xcob->uxbzo", G1, mu)
+            + einsum("uoa,zxba->uxbzo", DX, G2w) + einsum("uoa,xbza->uxbzo", DX, G3)
+            + einsum("uxc,czbo->uxbzo", TX, G2w) - einsum("uxc,cbzo->uxbzo", TX, G3)
+            + einsum("uab,xzao->uxbzo", DX, G2w) - einsum("uab,xazo->uxbzo", DX, G3)
+            - einsum("uzc,cxbo->uxbzo", TX, G2w) - einsum("uzc,xbco->uxbzo", TX, G3)
+            - einsum("xzab,uao->uxbzo", mu, G2)
+            - einsum("zxw,uwbo->uxbzo", wedge, c2g))
 
     return PairCochain.from_blocks(3, n, m, {
         "c1f": c1f,

@@ -32,8 +32,6 @@ validated inputs is surfaced as ConsequenceViolatedError.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .algebra import LieYamagutiAlgebra, is_nijenhuis, nijenhuis_witness
 from .deform import is_nijenhuis_structure
 from .errors import (
@@ -44,7 +42,7 @@ from .errors import (
     NotSymmetricError,
     PreconditionFailedError,
 )
-from .linalg import Matrix
+from .linalg import Matrix, einsum
 from .report import VerificationReport, first_violation
 from .reps import LieYRepPair, adjoint_rep, coadjoint_rep, dual_rep
 from .rotabaxter import _rb_residuals, append_twist_conditions, is_rbn
@@ -64,7 +62,7 @@ def invariant_form_report(alg: LieYamagutiAlgebra, b: Matrix) -> VerificationRep
         lambda s: bt[s] @ form + form @ bt[s].mT, (n,) * 3)             # B([x,y],z) + B(y,[x,z])
     report.add("binary-invariance", wit is None, "B([x,y],z) = -B(y,[x,z])", wit)
     wit = first_violation(
-        lambda s: t[s] @ form - np.einsum("il,wkjl->ijkw", form[s], t), (n,) * 4)
+        lambda s: t[s] @ form - einsum("il,wkjl->ijkw", form[s], t), (n,) * 4)
     report.add("ternary-invariance", wit is None, "B(<<x,y,z>>,w) = B(x,<<w,z,y>>)", wit)
     return report
 
@@ -108,7 +106,7 @@ def invariance_transport(qf: QuadraticForm, raise_on_failure: bool = True) -> Ve
     b, t = alg.b_arr, alg.t_arr
     n = alg.dim
     ad = b.transpose(0, 2, 1)                 # ad[x] = ad_x, whose transpose is b[x]
-    right = np.einsum("kxyl->xylk", t)        # right[x, y] = right(x,y)
+    right = einsum("kxyl->xylk", t)           # right[x, y] = right(x,y)
     left = t.transpose(0, 1, 3, 2)            # left[x, y] = left(x,y), whose transpose is t[x, y]
     report = VerificationReport(subject="invariance transport")
     laws = (
@@ -183,20 +181,21 @@ def is_rb_nijenhuis(alg: LieYamagutiAlgebra, rmap: Matrix, nmap: Matrix) -> bool
 
 
 def rmatrix_nijenhuis_report(alg: LieYamagutiAlgebra, pi: Matrix, nmap: Matrix,
-                             decided=None) -> VerificationReport:
+                             decided=None, nijenhuis_decided=False) -> VerificationReport:
     """The coadjoint-side conditions on (pi, N).
 
     pi must be an r-matrix and N a Nijenhuis operator; the twist
     conditions are those of the triple (pi#, N^T, N) on the coadjoint
     pair.  (N, N^T) is generally *not* a Nijenhuis structure there, so
     this is a sibling of the relative triple check, not an instance.
-    `decided` is _r_matrix(alg, pi), when the caller has evaluated it.
+    `decided` is _r_matrix(alg, pi), when the caller has evaluated it;
+    `nijenhuis_decided` is True when the caller has found N Nijenhuis.
     """
     psharp, pair, wit = decided or _r_matrix(alg, pi)
     report = VerificationReport(subject="r-matrix-Nijenhuis structure")
     report.add("r-matrix", wit is None,
                "pi# is relative Rota-Baxter for the coadjoint representation", wit)
-    wit = nijenhuis_witness(alg, nmap)
+    wit = None if nijenhuis_decided else nijenhuis_witness(alg, nmap)
     report.add("nijenhuis-N", wit is None, "N is a Nijenhuis operator", wit)
     if not report.passed:
         return report
@@ -237,12 +236,12 @@ def _direct_dual_conditions(rep, na, sa) -> bool:
     """
     rho, mu = rep.rho_arr, rep.mu_arr
     s2 = sa @ sa
-    rho_n = np.einsum("ax,aij->xij", na, rho)
+    rho_n = einsum("ax,aij->xij", na, rho)
     if (rho_n @ sa - sa @ (rho_n - rho @ sa) - rho @ s2 != 0).any():
         return False
-    mu_nx = np.einsum("ax,ayij->xyij", na, mu)            # mu(Nx, y)
-    mu_xn = np.einsum("ay,xaij->xyij", na, mu)            # mu(x, Ny)
-    mu_nn = np.einsum("ay,xaij->xyij", na, mu_nx)
+    mu_nx = einsum("ax,ayij->xyij", na, mu)               # mu(Nx, y)
+    mu_xn = einsum("ay,xaij->xyij", na, mu)               # mu(x, Ny)
+    mu_nn = einsum("ay,xaij->xyij", na, mu_nx)
     rhs = (sa @ (mu_nn - mu_nx @ sa - mu_xn @ sa + mu @ s2) + mu_nx @ s2 + mu_xn @ s2
            - mu @ (s2 @ sa))
     return not (mu_nn @ sa - rhs != 0).any()
@@ -278,8 +277,8 @@ def rbn_to_rmn(alg: LieYamagutiAlgebra, qf: QuadraticForm, rmap: Matrix, nmap: M
         raise PreconditionFailedError("R is not a skew-symmetric endomorphism of (g, B)", which="skew")
     _require_compat(qf, nmap)
     pi = (rmap * qf.b_sharp).transpose()
-    decided = _r_matrix(alg, pi)
-    if not rmatrix_nijenhuis_report(alg, pi, nmap, decided).passed:
+    decided = _r_matrix(alg, pi)  # the premise found N Nijenhuis
+    if not rmatrix_nijenhuis_report(alg, pi, nmap, decided, nijenhuis_decided=True).passed:
         raise ConsequenceViolatedError("induced pair (pi, N) is not an r-matrix-Nijenhuis structure")
     return RMatrix(alg, pi, decided)
 

@@ -40,7 +40,7 @@ import numpy as np
 from .algebra import (G, V, LieYamagutiAlgebra, _homomorphism_residual, _value, axiom_residual,
                       homomorphism_witness)
 from .errors import DimMismatchError, InternalConsistencyError, InvalidRepresentationError
-from .linalg import Matrix, coefficient, exact, polynomial, reduced, solve
+from .linalg import Matrix, coefficient, einsum, exact, polynomial, reduced, solve
 from .report import VerificationReport, first_violation
 
 #: Each law, and but for der3 the axiom of g (+) V it is a slice of, with one
@@ -92,10 +92,11 @@ def derived_D(alg: LieYamagutiAlgebra, rep: Representation):
     if rep.algebra_dim != alg.dim:
         raise DimMismatchError("representation does not match the algebra dimension")
     rho, mu = rep.rho_arr, rep.mu_arr
-    rr = np.einsum("iab,jbc->ijac", rho, rho)
+    rr = einsum("iab,jbc->ijac", rho, rho)
     d = (mu.transpose(1, 0, 2, 3) - mu + rr - rr.transpose(1, 0, 2, 3)
-         - np.einsum("ijk,kab->ijab", alg.b_arr, rho))
-    if any((d[i, i] != 0).any() for i in range(alg.dim)):
+         - einsum("ijk,kab->ijab", alg.b_arr, rho))
+    diagonal = np.arange(alg.dim)
+    if (d[diagonal, diagonal] != 0).any():
         raise InternalConsistencyError("derived D is not skew-symmetric")
     return exact(d)
 
@@ -134,9 +135,9 @@ def _der3_residual(alg: LieYamagutiAlgebra, rep: Representation, dd):
     """der3 over a block s of first indices x = e_i, for dd the derived D.  It
     is no slice of LY1-LY4 with one slot in V, so it is written out here."""
     t, mu = alg.t_arr, rep.mu_arr
-    return lambda s: (np.einsum("ijkm,mwab->ijkwab", t[s], mu) - np.einsum("iwab,kjbc->ijkwac", mu[s], mu)
-                      + np.einsum("jwab,kibc->ijkwac", mu, mu[:, s])
-                      + np.einsum("kwab,ijbc->ijkwac", mu, dd[s]))
+    return lambda s: (einsum("ijkm,mwab->ijkwab", t[s], mu) - einsum("iwab,kjbc->ijkwac", mu[s], mu)
+                      + einsum("jwab,kibc->ijkwac", mu, mu[:, s])
+                      + einsum("kwab,ijbc->ijkwac", mu, dd[s]))
 
 
 def _law_report(alg: LieYamagutiAlgebra, rep: Representation, subject, prefix) -> VerificationReport:
@@ -204,7 +205,7 @@ def _transport(x, *maps):
     appended: after every slot has had its map, the slots are back in
     their order."""
     for m in maps:
-        x = np.einsum("a...,ai->...i", x, m)
+        x = einsum("a...,ai->...i", x, m)
     return x
 
 
@@ -327,9 +328,9 @@ def _intertwining_residual(p, q, x, x_dst):
     """
     def residual(s):
         if len(x.shape) == 3:
-            img = np.einsum("...ai,axy->...ixy", p[..., :, s], x_dst)
+            img = einsum("...ai,axy->...ixy", p[..., :, s], x_dst)
         else:
-            img = np.einsum("...bj,...ibxy->...ijxy", p, np.einsum("...ai,abxy->...ibxy", p[..., :, s], x_dst))
+            img = einsum("...bj,...ibxy->...ijxy", p, einsum("...ai,abxy->...ibxy", p[..., :, s], x_dst))
         qs = q.reshape(*q.shape[:-2], *(1,) * (len(x.shape) - 2), *q.shape[-2:])
         return qs @ x[s] - img @ qs
 

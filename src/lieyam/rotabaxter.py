@@ -42,8 +42,6 @@ coefficients of t^1 and t^2 (_compat_residual).
 
 from __future__ import annotations
 
-import numpy as np
-
 from .algebra import (
     LieYamagutiAlgebra,
     _homomorphism_residual,
@@ -62,14 +60,14 @@ from .errors import (
     NotCompatibleError,
     PreconditionFailedError,
 )
-from .linalg import Matrix, coefficient, exact, polynomial
+from .linalg import Matrix, coefficient, einsum, exact, polynomial
 from .reps import LieYRepPair
 from .report import VerificationReport, first_violation
 
 
 def _images(x, tarr):
     """X(Tu, Tv) over (..., u, v) for a bilinear X: g x g -> gl(V) given as x[i, j]."""
-    return np.einsum("...bv,...ubxy->...uvxy", tarr, np.einsum("...au,abxy->...ubxy", tarr, x))
+    return einsum("...bv,...ubxy->...uvxy", tarr, einsum("...au,abxy->...ubxy", tarr, x))
 
 
 def _induced_brackets(rho, mu, d, tarr, arity):
@@ -86,11 +84,11 @@ def _induced_brackets(rho, mu, d, tarr, arity):
     strong condition all evaluate it here.
     """
     if arity == 2:
-        rho_t = np.einsum("...au,axy->...uxy", tarr, rho)      # rho(Tu)
-        return np.einsum("...uxv->...uvx", rho_t) - np.einsum("...vxu->...uvx", rho_t)
+        rho_t = einsum("...au,axy->...uxy", tarr, rho)         # rho(Tu)
+        return einsum("...uxv->...uvx", rho_t) - einsum("...vxu->...uvx", rho_t)
     d_t, mu_t = _images(d, tarr), _images(mu, tarr)
-    return (np.einsum("...uvxw->...uvwx", d_t) + np.einsum("...vwxu->...uvwx", mu_t)
-            - np.einsum("...uwxv->...uvwx", mu_t))
+    return (einsum("...uvxw->...uvwx", d_t) + einsum("...vwxu->...uvwx", mu_t)
+            - einsum("...uwxv->...uvwx", mu_t))
 
 
 def _induced(pair: LieYRepPair, tarr, arity):
@@ -186,16 +184,16 @@ def pre_ly_products(top: RelativeRBOperator):
     derived-operator part of <<u,v,w>>^T expands through star/brace.
     """
     pair, tarr = top.pair, top.tmap.arr
-    star = np.einsum("au,axv->uvx", tarr, pair.rep.rho_arr)          # [u, v, l]
-    brace = np.einsum("vwxu->uvwx", _images(pair.rep.mu_arr, tarr))  # [u, v, w, l]
+    star = einsum("au,axv->uvx", tarr, pair.rep.rho_arr)             # [u, v, l]
+    brace = einsum("vwxu->uvwx", _images(pair.rep.mu_arr, tarr))     # [u, v, w, l]
     sub = subadjacent(top)
     if (sub.b_arr - star + star.transpose(1, 0, 2) != 0).any():
         raise ConsequenceViolatedError("commutator of * does not match the sub-adjacent bracket")
     # D(Tu,Tv)w = {w,v,u} - {w,u,v} + u*(v*w) - v*(u*w) - ([u,v]^T)*w
-    want = np.einsum("uvxw->uvwx", _images(pair.d, tarr))
-    got = (np.einsum("wvux->uvwx", brace) - np.einsum("wuvx->uvwx", brace)
-           + np.einsum("vwc,ucx->uvwx", star, star) - np.einsum("uwc,vcx->uvwx", star, star)
-           - np.einsum("uvc,cwx->uvwx", sub.b_arr, star))
+    want = einsum("uvxw->uvwx", _images(pair.d, tarr))
+    got = (einsum("wvux->uvwx", brace) - einsum("wuvx->uvwx", brace)
+           + einsum("vwc,ucx->uvwx", star, star) - einsum("uwc,vcx->uvwx", star, star)
+           - einsum("uvc,cwx->uvwx", sub.b_arr, star))
     if (want - got != 0).any():
         raise ConsequenceViolatedError("derived-operator part does not expand through star/brace")
     return exact(star), exact(brace)

@@ -53,7 +53,7 @@ import numpy as np
 
 from .algebra import LieYamagutiAlgebra
 from .errors import DimMismatchError, PolynomialEntriesError
-from .linalg import ExactArray, Matrix, exact, rational_eigenbasis, rational_eigenvalues, scatter_add
+from .linalg import ExactArray, Matrix, einsum, exact, rational_eigenbasis, rational_eigenvalues, scatter_add
 from .reps import (
     Representation,
     _derived,
@@ -230,21 +230,21 @@ class _Terms:
         x, y = np.triu_indices(alg.dim, 1)
         ia, im = (exact(np.identity(k, dtype=np.int64)) for k in (alg.dim, rep.module_dim))
         rho, mu, d, t, b = rep.rho_arr, rep.mu_arr, self.d[x, y], alg.t_arr[x, y], alg.b_arr[x, y]
-        dt = np.einsum("zs,woa->wzosa", ia, d) - np.einsum("wzs,oa->wzosa", t, im)
+        dt = einsum("zs,woa->wzosa", ia, d) - einsum("wzs,oa->wzosa", t, im)
         # X_k o X_l: <<X_k, e_c>> is t[k, c], and e_c ^ e_j is wedge[c, j]
         wedge = np.zeros((alg.dim, alg.dim, self.wdim), dtype=np.int64)
         wedge[x, y, np.arange(self.wdim)] = 1
         wedge[y, x, np.arange(self.wdim)] = -1
         wedge = exact(wedge)
         arrays = {
-            "rho_b": np.einsum("ws,woa->wosa", ia[y], rho[x]) - np.einsum("ws,woa->wosa", ia[x], rho[y])
-            - np.einsum("ws,oa->wosa", b, im),
-            "mu_dt": np.einsum("ws,wzoa->wzosa", ia[x], mu[y]) - np.einsum("ws,wzoa->wzosa", ia[y], mu[x])
+            "rho_b": einsum("ws,woa->wosa", ia[y], rho[x]) - einsum("ws,woa->wosa", ia[x], rho[y])
+            - einsum("ws,oa->wosa", b, im),
+            "mu_dt": einsum("ws,wzoa->wzosa", ia[x], mu[y]) - einsum("ws,wzoa->wzosa", ia[y], mu[x])
             + dt,
             "dt": dt,
             "d": d,
-            "circ": np.einsum("klc,clw->klw", t[:, x], wedge[:, y])
-            + np.einsum("klc,lcw->klw", t[:, y], wedge[x]),
+            "circ": einsum("klc,clw->klw", t[:, x], wedge[:, y])
+            + einsum("klc,lcw->klw", t[:, y], wedge[x]),
         }
         if any(a.poly for a in arrays.values()):
             raise PolynomialEntriesError("the coboundary needs rational structure constants; "
@@ -425,7 +425,7 @@ def weight_basis(alg: LieYamagutiAlgebra, rep: Representation):
                                    for _ in range(WEIGHT_COMBINATIONS)], dtype=np.int64))
     # the basis, then the combinations, on g and on V
     sides = [np.stack([d[side].arr for d in derivations]) for side in (0, 1)]
-    sides = [np.concatenate([x, np.einsum("ck,kij->cij", combinations, x)]) for x in sides]
+    sides = [np.concatenate([x, einsum("ck,kij->cij", combinations, x)]) for x in sides]
     best, score = None, 2
     for dg, dv in zip(*sides):
         pair = Matrix.from_array(dg), Matrix.from_array(dv)

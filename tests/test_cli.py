@@ -766,6 +766,31 @@ def test_rbn_to_rmn_decides_the_r_matrix_once(monkeypatch, capsys, tmp_path):
     assert len(calls) == 1
 
 
+def test_rbn_to_rmn_decides_the_nijenhuis_law_once(monkeypatch, capsys, tmp_path):
+    """rbn-to-rmn evaluates N's Nijenhuis law once, in the premise (R, N)
+    Rota-Baxter-Nijenhuis: one binary and one ternary residual.  The
+    r-matrix-Nijenhuis report of (pi, N) takes that verdict."""
+    from lieyam import algebra
+
+    with open(fx("quadratic-fixtures.json")) as fh:
+        entry = next(e for e in json.load(fh)["found"] if e["name"] == "sl2lts")
+    for name in ("algebra", "B", "R", "N"):
+        dump_json(entry[name], tmp_path / f"{name}.json")
+    arities = []
+    residual = algebra._nijenhuis_residual
+
+    def recorded(alg, na, arity):
+        arities.append(arity)
+        return residual(alg, na, arity)
+
+    monkeypatch.setattr(algebra, "_nijenhuis_residual", recorded)
+    code, out = run_cli("quadratic", "convert", "--algebra", str(tmp_path / "algebra.json"),
+                        "--B", str(tmp_path / "B.json"), "--direction", "rbn-to-rmn",
+                        "--R", str(tmp_path / "R.json"), "--N", str(tmp_path / "N.json"), capsys=capsys)
+    assert code == 0 and out.err == "" and "PASS" in out.out
+    assert arities == [2, 3]
+
+
 def test_search_input_contract(capsys):
     """search without --pair and a --limit below 1 are input errors; a
     repeated grid value does not repeat hits."""

@@ -171,19 +171,56 @@ def test_bound_past_int64_takes_the_object_path():
     ]
 
 
-def test_zero_operand_against_object_numerators():
-    """A zero factor (bound 0) bounds the product by 0 even when the other
-    factor holds Python-int numerators; the product is int64 all the same."""
+def test_zero_operand_against_object_numerators(monkeypatch):
+    """A zero operand (bound 0) bounds a product by 0 even when the other
+    holds Python-int numerators: the product is int64 zeros over the product
+    of the denominators, one int64 operation, and once its shape is known no
+    kernel runs.  A sum with a zero operand gives the other's entries.  An
+    operand over Q[t] keeps its coefficient axis, and with no int64
+    numerators allowed a zero product is object zeros, one object operation."""
     zero = exact_array([0] * 4, (2, 2))
     big = exact_array([2**70, Fraction(1, 3), -(2**65), 5], (2, 2))
     assert zero.num.dtype == np.int64 and big.num.dtype == object
-    for got in (zero @ big, big @ zero, zero * big, np.einsum("ij,jk->ik", big, zero)):
+    for got in (zero @ big, big @ zero, zero * big, np.einsum("ij,jk->ik", big, zero),
+                linalg.einsum("ij,jk->ik", zero, big)):
         _check(got, np.zeros((2, 2), dtype=object))
-        assert got.bound == 0
+        assert got.bound == 0 and got.den == 3
     before = _ops()
     got = zero @ big
     assert _ran(before) == {"int64": 1, "object": 0}
-    _check(zero + big, np.asarray(big))
+
+    def no_kernel(*args):
+        raise AssertionError("the kernel ran on a zero operand")
+
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "_c_einsum", no_kernel)
+        _check(linalg.einsum("ij,jk->ik", big, zero), np.zeros((2, 2), dtype=object))
+    ob = np.asarray(big)
+    _check(zero + big, ob)
+    _check(big - zero, ob)
+    _check(zero - big, -ob)
+    whole, small = exact_array([1, -2, 0, 4], (2, 2)), exact_array([1, Fraction(-2, 3), 0, 4], (2, 2))
+    assert (zero + whole) is whole and (whole - zero) is whole  # one denominator: the other operand
+    _check(zero - whole, -np.asarray(whole))
+    got = zero + small  # over 1 and over 3: the sum is over 3
+    assert got is not small and got.den == 3 and got.tolist() == small.tolist()
+
+    poly = exact_array([T, 1, Poly([0, 0, Fraction(1, 2)]), -T], (2, 2))
+    op = np.asarray(poly)
+    for got, want in ((zero @ poly, np.zeros((2, 2), dtype=object)), (poly * zero, np.zeros((2, 2), dtype=object)),
+                      (linalg.einsum("ij,jk->ik", poly, zero), np.zeros((2, 2), dtype=object)),
+                      (zero + poly, op), (poly - zero, op), (zero - poly, -op)):
+        assert got.poly
+        _check_entries(got, want)
+
+    monkeypatch.setattr(linalg, "INT64_LIMIT", 0)
+    for got in (zero @ small, small * zero, linalg.einsum("ij,jk->ik", small, zero)):
+        assert got.num.dtype == object and got.bound == 0 and np.asarray(got).tolist() == [[0, 0], [0, 0]]
+    before = _ops()
+    got = zero + small
+    assert got.num.dtype == object and got.tolist() == small.tolist()
+    zero @ small
+    assert _ran(before) == {"int64": 0, "object": 2}
 
 
 @pytest.mark.parametrize("module, cases", [
@@ -290,6 +327,65 @@ def test_arithmetic_matches_fractions(data):
     _check(sums, [sum(oc.ravel()[ac.ravel() == k]) for k in keys.tolist()])
 
 
+def _bounded(x):
+    """x, an ExactArray or a Matrix's, carries a bound on every |numerator|,
+    and int64 numerators exactly while that bound is below INT64_LIMIT."""
+    arr = x.arr if isinstance(x, Matrix) else x
+    assert type(arr) is ExactArray
+    assert max(map(abs, arr.num.ravel().tolist()), default=0) <= arr.bound
+    assert (arr.num.dtype == np.int64) == (arr.bound < INT64_LIMIT)
+
+
+def _as_kernel(got, num, den, bound):
+    """got is the kernel's result num over den: the same values, shape,
+    denominator and dtype (the general path's _result of num)."""
+    want = linalg._result(num, den, bound)
+    assert (got.num.tolist(), got.num.shape, got.den, got.num.dtype) == (
+        want.num.tolist(), want.num.shape, want.den, want.num.dtype)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_carried_bounds_cover_every_numerator(data):
+    """After every operation the carried bound is at least the largest
+    |numerator|, and a result the zero rule gives without the kernel (an
+    operand of bound 0) equals the kernel's."""
+    sub, sa, sb = data.draw(st.sampled_from(EINSUMS))
+
+    def draw(shape):
+        entries = data.draw(_entries(shape))
+        return exact_array([0] * len(entries) if data.draw(st.booleans()) else entries, shape)
+
+    a, b, c = draw(sa), draw(sb), draw(sa)
+    # (result, its operands, the kernel on their numerators)
+    results = [(np.einsum(sub, a, b), a, b, lambda x, y: np.einsum(sub, x, y)),
+               (a * c, a, c, np.multiply), (a + c, a, c, np.add), (a - c, a, c, np.subtract),
+               (c - a, c, a, np.subtract)]
+    if len(sa) >= 2 and len(sb) >= 2 and sa[-1] == sb[-2] and sa[:-2] == sb[:-2]:
+        results.append((a @ b, a, b, np.matmul))
+    for got, x, y, kernel in results:
+        _bounded(got)
+        if kernel in (np.add, np.subtract):
+            if x.den == y.den and 0 in (x.bound, y.bound):
+                _as_kernel(got, kernel(x.num, y.num), x.den, x.bound + y.bound)
+        elif 0 in (x.bound, y.bound):
+            _as_kernel(got, kernel(x.num, y.num), x.den * y.den, 0)
+    for got in (np.stack([a, c]), np.concatenate([a, c]), a[[0, -1]], a[..., :1], -a.T, a.reshape(-1)):
+        _bounded(got)
+    at = np.array(data.draw(st.lists(st.integers(0, 3), min_size=a.size, max_size=a.size))).reshape(sa)
+    _bounded(linalg.scatter_add(4, [(at, a), (at, c)]))
+    _bounded(linalg.sum_by_key(at.ravel(), c.ravel())[1])
+    p = linalg.polynomial([a, c, a])
+    for got in (p, linalg.coefficient(p, 1), linalg.coefficient(p, 3), linalg.coefficient(a, 0),
+                p * c, p + c, p - p, linalg.reduced(p), linalg.reduced(a * c), p[0]):
+        if type(got) is ExactArray:
+            _bounded(got)
+    m = Matrix.from_array(a.reshape(sa[0], -1))
+    solution = linalg.solve(m, Matrix.from_array(c.reshape(sa[0], -1)))
+    for got in (linalg.solve(m) or ()) + (solution or ()):
+        _bounded(got)
+
+
 def test_scatter_and_keyed_sum_at_the_edges():
     """Empty indices and a zero-size target give empty int64 sums; two values
     of bound 2^61 at one index or key reach INT64_LIMIT and sum on Python
@@ -384,6 +480,11 @@ def _calls(tree):
     return out
 
 
+def _is_einsum(call):
+    """Whether a call is an einsum: the bare linalg.einsum or an attribute's (np.einsum)."""
+    return "einsum" in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+
+
 def test_operator_laws_stay_written_once():
     """The brackets of images (bracket_images, triple_images) are called only
     by algebra._homomorphism_residual, the law behind the homomorphism,
@@ -396,8 +497,7 @@ def test_operator_laws_stay_written_once():
              for path in sorted(Path(linalg.__file__).parent.glob("*.py"))}
     induced = next(node for node in ast.walk(trees["rotabaxter.py"])
                    if isinstance(node, ast.FunctionDef) and node.name == "_induced_brackets")
-    subscripts = {call.args[0].value for _, call in _calls(induced)
-                  if getattr(call.func, "attr", None) == "einsum"}
+    subscripts = {call.args[0].value for _, call in _calls(induced) if _is_einsum(call)}
     assert len(subscripts) == 6
     allowed = {"bracket_images": {"_homomorphism_residual"}, "triple_images": {"_homomorphism_residual"},
                "_images": {"_induced_brackets", "pre_ly_products"}}
@@ -420,8 +520,20 @@ def test_representation_laws_stay_slices_of_the_axioms():
     one of them would be an einsum outside these functions."""
     tree = ast.parse((Path(linalg.__file__).parent / "reps.py").read_text(encoding="utf-8"))
     allowed = {"derived_D", "_der3_residual", "_intertwining_residual", "_transport"}
-    found = [f"reps.py:{call.lineno} {scope}" for scope, call in _calls(tree)
-             if getattr(call.func, "attr", None) == "einsum" and not allowed & set(scope)]
+    einsums = [(scope, call) for scope, call in _calls(tree) if _is_einsum(call)]
+    assert {name for scope, _ in einsums for name in scope} >= allowed
+    found = [f"reps.py:{call.lineno} {scope}" for scope, call in einsums if not allowed & set(scope)]
+    assert found == []
+
+
+def test_law_modules_contract_through_linalg_einsum():
+    """No module of the package but linalg calls np.einsum: the law code
+    contracts through linalg.einsum, the direct door to the same kernel."""
+    found = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        if path.name != "linalg.py":
+            found += [f"{path.name}:{call.lineno}" for _, call in _calls(ast.parse(path.read_text(encoding="utf-8")))
+                      if getattr(call.func, "attr", None) == "einsum" and getattr(call.func.value, "id", None) == "np"]
     assert found == []
 
 

@@ -87,6 +87,19 @@ def test_check_representation_perturbed(a2):
     assert failing and failing[0].witness is not None
 
 
+def test_derived_d_refuses_a_nonzero_diagonal():
+    """D(x, x) = -rho([x, x]) vanishes for an antisymmetric bracket; one
+    [e_i, e_i] != 0, at any i, makes derived_D refuse its D."""
+    sl2 = catalog_algebra("sl2")
+    adj = adjoint_rep(sl2)
+    for i in range(sl2.dim):
+        b = np.asarray(sl2.b_arr).copy()
+        b[i, i, (i + 1) % sl2.dim] = 1
+        bad = LieYamagutiAlgebra(sl2.dim, b, sl2.t_arr, validate=False)
+        with pytest.raises(InternalConsistencyError, match="^derived D is not skew-symmetric$"):
+            derived_D(bad, adj)
+
+
 def test_adjoint_consistency_guard(so3):
     # on an invalid algebra the adjoint derived-D identity fails loudly
     tern = _with(so3.t_arr, (0, 1, 2, 0), 1)
