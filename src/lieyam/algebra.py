@@ -25,6 +25,9 @@ The homomorphism law, which is also the Nijenhuis and the Rota-Baxter
 law, takes its map as an array that may carry leading batch axes (the
 ``...`` of every einsum): one map is the case of no batch axis, and a
 stack of maps (a grid search's candidates, report.vanishing) is evaluated alike.
+It and the deformation tensors are typed like the axioms, over the brackets
+by input types and one map per type: {G: N} on g, or {G: N, V: S} on g (+) V,
+whose slices are the laws of a map pair (reps._pair_law, deform).
 """
 
 from __future__ import annotations
@@ -44,6 +47,9 @@ LAWS = {
     "LY3": "<<x,y,[z,w]>> = [<<x,y,z>>,w] + [z,<<x,y,w>>]",
     "LY4": "<<x,y,<<z,w,t>>>> = <<<<x,y,z>>,w,t>> + <<z,<<x,y,w>>,t>> + <<z,w,<<x,y,t>>>>",
 }
+
+
+G, V = "g", "V"  # the slot types of axiom_residual: the algebra g and the module V of g (+) V
 
 
 def _constants(value, dim, arity, name):
@@ -101,22 +107,10 @@ class LieYamagutiAlgebra:
                 f"ternary constants at ({i},{j},{k}) are not antisymmetric in the first two slots"
             )
 
-    # -- evaluation ------------------------------------------------------------
-
-    # brackets of images: maps into g are arrays whose column u is the
-    # image of the u-th basis vector, with the same leading batch axes
-    # `...` (none for one map); a block of first indices u is the columns
-    # a[..., :, s] of the first map
-
-    def bracket_images(self, a, b):
-        """[a e_u, b e_v] for every column u of a and every v, as a (..., u, v, k) array."""
-        return einsum("...bv,...ubk->...uvk", b, einsum("...au,abk->...ubk", a, self.b_arr))
-
-    def triple_images(self, a, b, c):
-        """<<a e_u, b e_v, c e_w>> for every column u of a and every (v, w), as a
-        (..., u, v, w, l) array."""
-        x = einsum("...bv,...ubcl->...uvcl", b, einsum("...au,abcl->...ubcl", a, self.t_arr))
-        return einsum("...cw,...uvcl->...uvwl", c, x)
+    @property
+    def brackets(self):
+        """The brackets by input types, every slot in g (see axiom_residual)."""
+        return {(G, G): self.b_arr, (G, G, G): self.t_arr}
 
     # -- axioms ----------------------------------------------------------------
 
@@ -124,15 +118,11 @@ class LieYamagutiAlgebra:
         """Verify the four defining identities on all basis tuples."""
         n = self.dim
         report = VerificationReport(subject=f"lie-yamaguti axioms (dim {n})")
-        brackets = {(G, G): self.b_arr, (G, G, G): self.t_arr}
         for name, arity in (("LY1", 3), ("LY2", 4), ("LY3", 4), ("LY4", 5)):
-            residual = axiom_residual(name, brackets, (G,) * arity)
+            residual = axiom_residual(name, self.brackets, (G,) * arity)
             witness = first_violation(residual, (n,) * arity)
             report.add(name, witness is None, LAWS[name], witness)
         return report
-
-
-G, V = "g", "V"  # the slot types of axiom_residual: the algebra g and the module V of g (+) V
 
 
 def _value(*types):
@@ -166,28 +156,46 @@ def axiom_residual(name, br, slots):
                       - einsum("ijum,kwml->ijkwul", br[x, y, u][s], br[z, w, _value(x, y, u)]))
 
 
-def _homomorphism_residual(p, src, dst: LieYamagutiAlgebra, arity):
-    """The homomorphism law of one arity for the map p, over a block s of first basis indices:
+def bracket_images(table, a, b):
+    """[a e_u, b e_v] for every column u of a and every v, as a (..., u, v, k) array, for
+    `table` the bracket's constants and the maps as in _homomorphism_residual."""
+    return einsum("...bv,...ubk->...uvk", b, einsum("...au,abk->...ubk", a, table))
 
-    phi[x,y] - [phi x, phi y]                  arity 2, over (..., x in s, y, k)
-    phi<<x,y,z>> - <<phi x, phi y, phi z>>     arity 3, over (..., x in s, y, z, l)
 
-    src is the source's bracket of that arity: b_arr or t_arr, or the bracket
-    a map induces (_nijenhuis_residual, rotabaxter._rb_residual).
-    p and src may carry the same leading batch axes; a block takes the
-    maps `sel` of a stack (report.vanishing).  phi applied to the last
-    axis is a matmul with p.mT, given one more axis per other index.
+def triple_images(table, a, b, c):
+    """<<a e_u, b e_v, c e_w>> for every column u of a and every (v, w), as a
+    (..., u, v, w, l) array, for `table` as in bracket_images."""
+    x = einsum("...bv,...ubcl->...uvcl", b, einsum("...au,abcl->...ubcl", a, table))
+    return einsum("...cw,...uvcl->...uvwl", c, x)
+
+
+def _homomorphism_residual(maps, src, dst, slots):
+    """The homomorphism law over slots typed G or V, for the map maps[x] on each type x,
+    over a block s of first basis indices:
+
+    phi[x,y] - [phi x, phi y]                  two slots, over (..., x in s, y, k)
+    phi<<x,y,z>> - <<phi x, phi y, phi z>>     three slots, over (..., x in s, y, z, l)
+
+    phi is maps[x] on a slot of type x and on the value its type's map (_value);
+    column u of a map is the image of the u-th basis vector.  dst holds the
+    target's brackets by input types (LieYamagutiAlgebra.brackets, reps._blocks);
+    src is the source's bracket on the slots, or one a map induces
+    (_nijenhuis_residual, rotabaxter._rb_residual).  The maps and src may carry
+    the same leading batch axes; a block takes the maps `sel` of a stack
+    (report.vanishing).  phi applied to the last axis is a matmul with its .mT,
+    given one more axis per other index.
     """
-    def binary(s, sel=Ellipsis):
-        q = p[sel]
-        return src[sel][..., s, :, :] @ q.mT[..., None, :, :] - dst.bracket_images(q[..., :, s], q)
+    out, table = _value(*slots), dst[slots]
 
-    def ternary(s, sel=Ellipsis):
-        q = p[sel]
-        return (src[sel][..., s, :, :, :] @ q.mT[..., None, None, :, :]
-                - dst.triple_images(q[..., :, s], q, q))
+    def residual(s, sel=Ellipsis):
+        m = {x: a[sel] for x, a in maps.items()}
+        if len(slots) == 2:
+            return (src[sel][..., s, :, :] @ m[out].mT[..., None, :, :]
+                    - bracket_images(table, m[slots[0]][..., :, s], m[slots[1]]))
+        return (src[sel][..., s, :, :, :] @ m[out].mT[..., None, None, :, :]
+                - triple_images(table, m[slots[0]][..., :, s], m[slots[1]], m[slots[2]]))
 
-    return binary if arity == 2 else ternary
+    return residual
 
 
 def _preservation_witness(residual, n, arities=(2, 3), negate=False):
@@ -212,8 +220,8 @@ def homomorphism_witness(phi: Matrix, src: LieYamagutiAlgebra, dst: LieYamagutiA
     """
     phi.expect(dst.dim, src.dim,
                f"homomorphism matrix must be {dst.dim}x{src.dim}, got {phi.rows}x{phi.cols}")
-    return _preservation_witness(
-        lambda arity: _homomorphism_residual(phi.arr, (src.b_arr, src.t_arr)[arity - 2], dst, arity), src.dim)
+    return _preservation_witness(lambda arity: _homomorphism_residual(
+        {G: phi.arr}, src.brackets[(G,) * arity], dst.brackets, (G,) * arity), src.dim)
 
 
 def is_homomorphism(phi: Matrix, src: LieYamagutiAlgebra, dst: LieYamagutiAlgebra) -> bool:
@@ -221,23 +229,22 @@ def is_homomorphism(phi: Matrix, src: LieYamagutiAlgebra, dst: LieYamagutiAlgebr
     return homomorphism_witness(phi, src, dst) is None
 
 
-def _deformation_binary(alg: LieYamagutiAlgebra, na):
-    """phi(x,y) = [Nx,y] + [x,Ny] - N[x,y] over (..., x, y, k), for na the array of N
-    (or a stack of them, with leading batch axes)."""
-    b = alg.b_arr
-    return (einsum("...ai,ajk->...ijk", na, b) + einsum("...aj,iak->...ijk", na, b)
-            - b @ na.mT[..., None, :, :])
-
-
-def _deformation_ternary(alg: LieYamagutiAlgebra, na):
-    """(phi1, phi2) over (..., x, y, z, l), for na as in _deformation_binary."""
-    t = alg.t_arr
-    t1 = einsum("...ai,ajkl->...ijkl", na, t)           # <<Nx,y,z>>
-    t2 = einsum("...aj,iakl->...ijkl", na, t)           # <<x,Ny,z>>
-    n_last = na.mT[..., None, None, :, :]               # N applied to the last axis
-    phi1 = t1 + t2 + einsum("...ak,ijal->...ijkl", na, t) - t @ n_last
-    phi2 = (einsum("...bj,...ibkl->...ijkl", na, t1) + einsum("...bk,...ijbl->...ijkl", na, t2)
-            + einsum("...bk,...ijbl->...ijkl", na, t1) - phi1 @ n_last)
+def _deformation_tensors(br, maps, slots):
+    """The deformation tensors of N (nijenhuis_deformation_tensors) over slots typed G or V:
+    (phi,) over (..., x, y, k) for two slots, (phi1, phi2) over (..., x, y, z, l) for three,
+    for br and N = maps as in _homomorphism_residual (with any leading batch axes)."""
+    t, n_last = br[slots], maps[_value(*slots)].mT  # N applied to the last axis
+    if len(slots) == 2:
+        x, y = slots
+        return (einsum("...ai,ajk->...ijk", maps[x], t) + einsum("...aj,iak->...ijk", maps[y], t)
+                - t @ n_last[..., None, :, :]),
+    x, y, z = slots
+    n_last = n_last[..., None, None, :, :]
+    t1 = einsum("...ai,ajkl->...ijkl", maps[x], t)          # <<Nx,y,z>>
+    t12 = t1 + einsum("...aj,iakl->...ijkl", maps[y], t)    # <<Nx,y,z>> + <<x,Ny,z>>
+    phi1 = t12 + einsum("...ak,ijal->...ijkl", maps[z], t) - t @ n_last
+    phi2 = (einsum("...bj,...ibkl->...ijkl", maps[y], t1) + einsum("...bk,...ijbl->...ijkl", maps[z], t12)
+            - phi1 @ n_last)
     return phi1, phi2
 
 
@@ -253,8 +260,9 @@ def nijenhuis_deformation_tensors(alg: LieYamagutiAlgebra, nmap: Matrix):
     (x, y, k) resp. (x, y, z, l).
     """
     nmap.expect(alg.dim, alg.dim, "operator must be square of the algebra dimension")
-    phi1, phi2 = _deformation_ternary(alg, nmap.arr)
-    return exact(_deformation_binary(alg, nmap.arr)), exact(phi1), exact(phi2)
+    (phi,), (phi1, phi2) = (_deformation_tensors(alg.brackets, {G: nmap.arr}, slots)
+                            for slots in ((G, G), (G, G, G)))
+    return exact(phi), exact(phi1), exact(phi2)
 
 
 def deformed_brackets(alg: LieYamagutiAlgebra, nmap: Matrix):
@@ -273,18 +281,18 @@ def deformed_algebra(alg: LieYamagutiAlgebra, nmap: Matrix) -> LieYamagutiAlgebr
     return LieYamagutiAlgebra(alg.dim, b2, t2, alg.basis_names, validate=False)
 
 
-def _nijenhuis_residual(alg: LieYamagutiAlgebra, na, arity):
-    """The Nijenhuis law of one arity, over a block of first basis indices:
+def _nijenhuis_residual(br, maps, slots):
+    """The Nijenhuis law over slots typed G or V, over a block of first basis indices:
 
-    N[x,y]_N = [Nx,Ny]              arity 2
-    N<<x,y,z>>_N = <<Nx,Ny,Nz>>     arity 3
+    N[x,y]_N = [Nx,Ny]              two slots
+    N<<x,y,z>>_N = <<Nx,Ny,Nz>>     three slots
 
-    that is, the homomorphism law of N from the N-deformed algebra to alg
-    (_homomorphism_residual), for na the array of N or a stack of them.
-    Only the deformed bracket of that arity is built.
+    that is, the homomorphism law of N from the N-deformed brackets to br
+    (_homomorphism_residual), for br and maps as in _deformation_tensors.
+    Only the deformed bracket on those slots is built.  Over g (+) V with
+    {G: N, V: S} it is the law of N (+) S (deform).
     """
-    src = _deformation_binary(alg, na) if arity == 2 else _deformation_ternary(alg, na)[1]
-    return _homomorphism_residual(na, src, alg, arity)
+    return _homomorphism_residual(maps, _deformation_tensors(br, maps, slots)[-1], br, slots)
 
 
 def nijenhuis_witness(alg: LieYamagutiAlgebra, nmap: Matrix):
@@ -295,7 +303,8 @@ def nijenhuis_witness(alg: LieYamagutiAlgebra, nmap: Matrix):
     """
     n = alg.dim
     nmap.expect(n, n, "operator must be square of the algebra dimension")
-    return _preservation_witness(lambda arity: _nijenhuis_residual(alg, nmap.arr, arity), n)
+    return _preservation_witness(
+        lambda arity: _nijenhuis_residual(alg.brackets, {G: nmap.arr}, (G,) * arity), n)
 
 
 def is_nijenhuis(alg: LieYamagutiAlgebra, nmap: Matrix) -> bool:

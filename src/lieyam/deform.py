@@ -22,19 +22,16 @@ trivial, witnessed by (Id + tN, Id + tS).
 DeformationData holds the six terms as exact arrays indexed by the basis
 of g (phi[x, y], varrho[x], varpi1[x, y], ...).
 
-The reshaped representation of (N, S) is written in one place:
-_hat_linear holds hat-rho(x) = rho(Nx) + rho(x)S - S rho(x) and the
-degree-1 term varpi1, _hat_bilinear holds hat-mu = varpi2 and the closed
-form hat-D.  Both act on the whole operator tables at once, as exact
-arrays indexed by the basis of g (rho[x], mu[x, y], D[x, y]).
-Every structure condition has the form X(N.) S = S hat-X(.), the
-intertwining law of a pair homomorphism (reps._intertwining_residual) of
-(N, S) from hat-X to X, so the residuals of the structure report, the
-trivial deformation and the reshaped pair (_hat_pair, behind hat_rep) all
-evaluate those two functions and that one law; report.first_violation
-scans the residual arrays for the first violating basis tuple.  The
-derived operator of the family, D + t D1 + t^2 D2, is reps.derived_D of
-the deformed pair, read coefficient by coefficient.
+(N, S) is a Nijenhuis structure exactly when N (+) S is a Nijenhuis
+operator on g (+) V (Hu, Liu & Sheng), so its laws are slices of one law:
+algebra's typed Nijenhuis law and deformation tensors over the brackets
+of g (+) V (LieYRepPair.brackets), with the map {G: N, V: S}, read on the
+slots of rho, mu or D (reps.OPERATORS).  rho-compat, mu-compat and D-compat
+are slices of that law; hat-rho, varpi1, hat-mu and hat-D, in the
+structure report, the trivial deformation and the reshaped pair
+(_hat_pair, behind hat_rep), are blocks of those tensors (_reshaped).
+The derived operator of the family, D + t D1 + t^2 D2, is reps.derived_D
+of the deformed pair, read coefficient by coefficient.
 """
 
 from __future__ import annotations
@@ -44,7 +41,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
+    G,
+    V,
     LieYamagutiAlgebra,
+    _deformation_tensors,
+    _nijenhuis_residual,
     deformed_algebra,
     is_nijenhuis,
     nijenhuis_deformation_tensors,
@@ -59,9 +60,10 @@ from .errors import (
 from .linalg import Matrix, coefficient, einsum, exact, polynomial
 from .paircomplex import PairCochain, pair_delta_lifted
 from .reps import (
+    OPERATORS,
     LieYRepPair,
     Representation,
-    _intertwining_residual,
+    _operator,
     check_representation,
     pair_homomorphism_witness,
 )
@@ -200,39 +202,15 @@ def is_deformation_of_pair(pair: LieYRepPair, d: DeformationData) -> bool:
 # Nijenhuis structures
 
 
-def _hat_linear(smap, x_n, x):
-    """x_n + X S - S X: hat-rho(x) for x_n = rho(Nx), X = rho(x), and the
-    degree-1 term varpi1(x,y) (or D1) for x_n = mu(Nx,y) + mu(x,Ny), X = mu(x,y).
+def _reshaped(br, maps, name):
+    """The deformation tensors of N (+) S on the slots of X = name (reps.OPERATORS) as
+    tables of operators on V: (hat-rho,), or (X1, hat-X) for mu (varpi1, varpi2) and D:
 
-    Arrays of operators on V over the basis of g, smap the array of S.
-    """
-    return x_n + x @ smap - smap @ x
-
-
-def _hat_bilinear(smap, x_n, x, x_nn):
-    """(X1, hat-X) of a bilinear operator X (mu or D) of the representation:
-
+    hat-rho(x) = rho(Nx) + rho(x) S - S rho(x)
     X1(x,y)    = X(Nx,y) + X(x,Ny) + X(x,y) S - S X(x,y)
     hat-X(x,y) = (X(Nx,y) + X(x,Ny)) S + X(Nx,Ny) - S X1(x,y)
-
-    from x_n = X(Nx,y) + X(x,Ny), x = X(x,y), x_nn = X(Nx,Ny).  hat-mu is
-    varpi2, and hat-D is the closed form of the derived operator of the
-    reshaped representation.
     """
-    x1 = _hat_linear(smap, x_n, x)
-    return x1, x_n @ smap + x_nn - smap @ x1
-
-
-def _rho_parts(rho, narr):
-    """(rho(Nx), rho(x)) over x, from rho[x] and the array of N."""
-    return einsum("ax,aij->xij", narr, rho), rho
-
-
-def _bilinear_parts(x, narr):
-    """(X(Nx,y) + X(x,Ny), X(x,y), X(Nx,Ny)) over (x, y), from X[x, y] and the array of N."""
-    x_nx = einsum("ax,ayij->xyij", narr, x)                       # X(Nx, y)
-    return (x_nx + einsum("ay,xaij->xyij", narr, x), x,
-            einsum("ay,xaij->xyij", narr, x_nx))
+    return [_operator(name, x) for x in _deformation_tensors(br, maps, OPERATORS[name][0])]
 
 
 def nijenhuis_structure_report(pair: LieYRepPair, nmap: Matrix, smap: Matrix) -> VerificationReport:
@@ -256,24 +234,27 @@ def _append_s_conditions(report: VerificationReport, pair: LieYRepPair, nmap: Ma
     mu-compat) to `report`, which holds the check of N or belongs to an N
     already verified Nijenhuis; when the report then passes, assert D-compat.
 
-    Each is the intertwining law (reps._intertwining_residual) of (N, S) from
-    hat-X to X, X(Nx) S = S hat-X(x), its residual X(N.) S - S hat-X(.).
+    Each is a slice of the Nijenhuis law of N (+) S on g (+) V
+    (algebra._nijenhuis_residual) over the slots of X (reps.OPERATORS), read
+    as a table of operators: its residual X(N.) S - S hat-X(.).
     """
-    n, rep, narr, sarr = pair.dim_g, pair.rep, nmap.arr, smap.arr
+    n = pair.dim_g
+    br, maps = pair.brackets, {G: nmap.arr, V: smap.arr}
 
-    def compat(x, hat, shape):
-        residual = _intertwining_residual(narr, sarr, hat, x)
-        return first_violation(lambda s: -residual(s), shape)
+    def compat(name):
+        slots = OPERATORS[name][0]
+        residual = _nijenhuis_residual(br, maps, slots)
+        return first_violation(lambda s: -_operator(name, residual(s)), (n,) * (len(slots) - 1))
 
-    wit = compat(rep.rho_arr, _hat_linear(sarr, *_rho_parts(rep.rho_arr, narr)), (n,))
+    wit = compat("rho")
     report.add("rho-compat", wit is None,
                "rho(Nx) S = S(rho(Nx) + rho(x) S) - S^2 rho(x)", wit)
-    wit = compat(rep.mu_arr, _hat_bilinear(sarr, *_bilinear_parts(rep.mu_arr, narr))[1], (n, n))
+    wit = compat("mu")
     report.add("mu-compat", wit is None,
                "mu(Nx,Ny) S = S(mu(Nx,y)S + mu(x,Ny)S + mu(Nx,Ny)) "
                "- S^2(mu(Nx,y) + mu(x,Ny) + mu(x,y)S) + S^3 mu(x,y)", wit)
     if report.passed:
-        wit = compat(pair.d, _hat_bilinear(sarr, *_bilinear_parts(pair.d, narr))[1], (n, n))
+        wit = compat("D")
         if wit is not None:
             raise InternalConsistencyError(
                 "derived-operator compatibility fails although the defining "
@@ -314,14 +295,13 @@ def trivial_deformation_from(pair: LieYRepPair, ns: NijenhuisStructure) -> Defor
     """The linear deformation generated by a Nijenhuis structure.
 
     phi / phi1 / phi2 are the operator-deformation tensors of N; varrho
-    is hat-rho, varpi1 and varpi2 = hat-mu are those of _hat_bilinear.
+    is hat-rho, varpi1 and varpi2 = hat-mu the blocks of those of N (+) S
+    that hold rho and mu (_reshaped).
     """
     nmap, smap = _structure_maps(pair, ns)
-    rep, narr, sarr = pair.rep, nmap.arr, smap.arr
-    phi, phi1, phi2 = nijenhuis_deformation_tensors(pair.algebra, nmap)
-    varrho = _hat_linear(sarr, *_rho_parts(rep.rho_arr, narr))
-    varpi1, varpi2 = _hat_bilinear(sarr, *_bilinear_parts(rep.mu_arr, narr))
-    return DeformationData(phi, phi1, phi2, varrho, varpi1, varpi2)
+    br, maps = pair.brackets, {G: nmap.arr, V: smap.arr}
+    (varrho,), (varpi1, varpi2) = _reshaped(br, maps, "rho"), _reshaped(br, maps, "mu")
+    return DeformationData(*nijenhuis_deformation_tensors(pair.algebra, nmap), varrho, varpi1, varpi2)
 
 
 def _block_diag(a: Matrix, b: Matrix) -> Matrix:
@@ -376,24 +356,18 @@ def semidirect_nijenhuis(pair: LieYRepPair, ns: NijenhuisStructure) -> Matrix:
 
 
 def _hat_pair(pair: LieYRepPair, nmap: Matrix, smap: Matrix) -> LieYRepPair:
-    """The N-deformed algebra with the reshaped representation of a Nijenhuis structure (N, S).
-
-    hat-rho(x)  = rho(Nx) + rho(x) S - S rho(x)
-    hat-mu(x,y) = mu(Nx,y) S + mu(x,Ny) S + mu(Nx,Ny)
-                  - S(mu(Nx,y) + mu(x,Ny) + mu(x,y) S) + S^2 mu(x,y)
-
-    (written once, in _hat_linear and _hat_bilinear).  Verified on
-    construction: the derived operator of (hat-rho, hat-mu) over the
-    N-deformed algebra equals its closed form hat-D; the deformed algebra
-    with (hat-rho, hat-mu) is a valid pair; and (N, S) is a pair
-    homomorphism from the deformed pair to the original one.
+    """The N-deformed algebra with the reshaped representation (hat-rho, hat-mu)
+    of a Nijenhuis structure (N, S), blocks of the N (+) S-deformed brackets
+    of g (+) V (_reshaped).  Verified on construction: the derived operator
+    of (hat-rho, hat-mu) over the N-deformed algebra equals hat-D, the block
+    of those brackets that holds D; the deformed algebra with (hat-rho, hat-mu) is a valid pair; and (N, S)
+    is a pair homomorphism from the deformed pair to the original one.
     """
-    rep, narr, sarr = pair.rep, nmap.arr, smap.arr
     n = pair.dim_g
-    rep_hat = Representation(n, pair.dim_v, _hat_linear(sarr, *_rho_parts(rep.rho_arr, narr)),
-                             _hat_bilinear(sarr, *_bilinear_parts(rep.mu_arr, narr))[1])
+    br, maps = pair.brackets, {G: nmap.arr, V: smap.arr}
+    rep_hat = Representation(n, pair.dim_v, _reshaped(br, maps, "rho")[0], _reshaped(br, maps, "mu")[1])
     deformed_pair = LieYRepPair(deformed_algebra(pair.algebra, nmap), rep_hat, validate=False)
-    diff = deformed_pair.d - _hat_bilinear(sarr, *_bilinear_parts(pair.d, narr))[1]
+    diff = deformed_pair.d - _reshaped(br, maps, "D")[1]
     wit = first_violation(diff.__getitem__, (n, n))
     if wit is not None:
         raise ConsequenceViolatedError(
@@ -427,8 +401,9 @@ def deformation_difference_report(pair: LieYRepPair, d: DeformationData,
     For equivalent deformations (source d, target d2) with witness
     (Id+tN, Id+tS), the differences of the generating data are the
     degree-1 coboundary expressions of (N, S).  The expected sides are
-    written out here on purpose, independently of _hat_linear and of
-    nijenhuis_deformation_tensors, so the two routes check each other.
+    written out here on purpose, independently of the deformation tensors
+    of N (+) S (_reshaped, nijenhuis_deformation_tensors), so the two routes
+    check each other.
     """
     alg, rep, dd = pair.algebra, pair.rep, pair.d
     b, t, rho, mu = alg.b_arr, alg.t_arr, rep.rho_arr, rep.mu_arr

@@ -233,13 +233,14 @@ def representation_from_dict(data, base_dir=".") -> tuple[LieYamagutiAlgebra, Re
     else:
         raise ParseError("representation file needs an 'algebra' (path or inline object)")
     special = data.get("special")
-    if special == "adjoint":
-        return alg, adjoint_rep(alg, check=False)
-    if special == "coadjoint":
-        return alg, coadjoint_rep(alg, check=False)
-    if special == "zero":
+    if special in ("adjoint", "coadjoint", "zero"):
         m = _int_field(data, "module_dim", "representation", default=alg.dim, minimum=0, maximum=MAX_DIM)
-        return alg, Representation.zero(alg.dim, m)
+        if special == "zero":
+            return alg, Representation.zero(alg.dim, m)
+        if m != alg.dim:
+            raise DimMismatchError(f"representation: 'module_dim' of the {special} representation must be "
+                                   f"the algebra's dimension {alg.dim}, got {m}")
+        return alg, (adjoint_rep if special == "adjoint" else coadjoint_rep)(alg, check=False)
     if special is not None:
         raise ParseError(f"unknown special representation {special!r}")
     m = _int_field(data, "module_dim", "representation", minimum=0, maximum=MAX_DIM)
@@ -283,6 +284,9 @@ def pair_to_dict(pair: LieYRepPair):
 
 
 def dump_json(obj, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, indent=1)
+            fh.write("\n")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc

@@ -18,8 +18,11 @@ first basis indices, scanned by report.first_violation.  (V; rho, mu) is
 a representation of a Lie-Yamaguti algebra g exactly when g (+) V is one,
 and rep1-rep5, der1 and der2 are slices of LY2-LY4 with one slot in V
 (REP_LAWS, algebra.axiom_residual over the brackets _blocks of g (+) V,
-which _semidirect places).  der3 keeps its own residual, and the
-pair-homomorphism law is pair_homomorphism_witness.
+which _semidirect places).  der3 keeps its own residual.  (phi, psi) is a
+pair homomorphism exactly when phi (+) psi is one of g (+) V: its rho, mu
+and D laws are slices of algebra._homomorphism_residual over _blocks, on
+the slots of OPERATORS (_pair_law, for pair_homomorphism_witness and
+pair_derivations).
 
 Conventions fixed here and relied on elsewhere:
 
@@ -34,6 +37,7 @@ Conventions fixed here and relied on elsewhere:
 
 from __future__ import annotations
 
+from functools import cached_property
 
 import numpy as np
 
@@ -108,20 +112,34 @@ def _derived(alg: LieYamagutiAlgebra, rep: Representation):
     return rep._derived[1]
 
 
+#: rho, mu and D in g (+) V, [x,v] = rho(x)v, <<x,v,y>> = -mu(x,y)v and
+#: <<x,y,v>> = D(x,y)v: (input types, sign, axes), the table X[g inputs, a, b]
+#: being sign times that bracket's block with its axes in that order (_operator).
+OPERATORS = {"rho": ((G, V), 1, (0, 2, 1)), "mu": ((G, V, G), -1, (0, 2, 3, 1)),
+             "D": ((G, G, V), 1, (0, 1, 3, 2))}
+
+
 def _blocks(alg: LieYamagutiAlgebra, rep: Representation, d):
     """The brackets of g (+) V by input types (algebra.G, V), for d the derived D:
-    each a view of b, t, rho, mu or D (or its negative), its axes the inputs
-    and then the value.  The brackets with two or more inputs in V vanish."""
-    rho, mu = rep.rho_arr, rep.mu_arr
-    return {
-        (G, G): alg.b_arr,
-        (G, V): rho.transpose(0, 2, 1),              # [e_i, v_b] = rho(e_i) v_b
-        (V, G): -rho.transpose(2, 0, 1),
-        (G, G, G): alg.t_arr,
-        (G, G, V): d.transpose(0, 1, 3, 2),          # <<e_i, e_j, v_b>> = D(e_i, e_j) v_b
-        (V, G, G): mu.transpose(3, 0, 1, 2),         # <<v_b, e_j, e_k>> = mu(e_j, e_k) v_b
-        (G, V, G): -mu.transpose(0, 3, 1, 2),
-    }
+    b, t, and rho, mu and D placed as OPERATORS reads them, each a view (or its
+    negative) with its axes the inputs and then the value; the brackets with
+    two or more inputs in V vanish."""
+    br = {(G, G): alg.b_arr, (G, G, G): alg.t_arr}
+    for (slots, sign, axes), x in zip(OPERATORS.values(), (rep.rho_arr, rep.mu_arr, d)):
+        x = x.transpose(*sorted(range(len(axes)), key=axes.__getitem__))
+        br[slots] = x if sign > 0 else -x
+    br[V, G], br[V, G, G] = -br[G, V].transpose(1, 0, 2), -br[G, V, G].transpose(1, 0, 2, 3)
+    return br
+
+
+def _operator(name, x):
+    """The table of operators on V read off x, an array over the slots of
+    OPERATORS[name] and then the value, after any leading batch axes: a
+    bracket of g (+) V, or a law or a deformation tensor over those slots."""
+    _, sign, axes = OPERATORS[name]
+    lead = len(x.shape) - len(axes)
+    x = x.transpose(*range(lead), *(lead + a for a in axes))
+    return x if sign > 0 else -x
 
 
 def _slice_residual(blocks, axiom, slots, g_slots):
@@ -292,6 +310,11 @@ class LieYRepPair:
     def dim_v(self):
         return self.rep.module_dim
 
+    @cached_property
+    def brackets(self):
+        """The brackets of g (+) V by input types (_blocks), built on first use."""
+        return _blocks(self.algebra, self.rep, self.d)
+
     def semidirect(self) -> LieYamagutiAlgebra:
         return _semidirect(self.algebra, self.rep, self.d)
 
@@ -306,35 +329,21 @@ def pair_homomorphism_witness(phi: Matrix, psi: Matrix, src: LieYRepPair, dst: L
     "residual"}, the residual a vector of g or a matrix on V.
     """
     psi.expect(dst.dim_v, src.dim_v, "psi must map the source module to the target module")
-    n, p, q = src.dim_g, phi.arr, psi.arr
-
-    return homomorphism_witness(phi, src.algebra, dst.algebra) or first_violation(
-        _intertwining_residual(p, q, src.rep.rho_arr, dst.rep.rho_arr), (n,), identity="rho",
-    ) or first_violation(
-        _intertwining_residual(p, q, src.rep.mu_arr, dst.rep.mu_arr), (n, n), identity="mu",
-    ) or first_violation(
-        _intertwining_residual(p, q, src.d, dst.d), (n, n), identity="D",
-    )
+    wit = homomorphism_witness(phi, src.algebra, dst.algebra)
+    for name, (slots, _, _) in OPERATORS.items():
+        law = _pair_law(phi.arr, psi.arr, src.brackets, dst.brackets, name)
+        wit = wit or first_violation(law, (src.dim_g,) * (len(slots) - 1), identity=name)
+    return wit
 
 
-def _intertwining_residual(p, q, x, x_dst):
-    """The law psi X(..) = X'(phi .., ..) psi of a table of operators on V,
-    over a block s of first basis indices, for phi = p and psi = q:
-
-    psi X(e_i) - X'(phi e_i) psi                       X linear (rho), over (..., i in s, a, b)
-    psi X(e_i, e_j) - X'(phi e_i, phi e_j) psi         X bilinear (mu, D), over (..., i in s, j, a, b)
-
-    p and q may carry the same leading batch axes.
-    """
-    def residual(s):
-        if len(x.shape) == 3:
-            img = einsum("...ai,axy->...ixy", p[..., :, s], x_dst)
-        else:
-            img = einsum("...bj,...ibxy->...ijxy", p, einsum("...ai,abxy->...ibxy", p[..., :, s], x_dst))
-        qs = q.reshape(*q.shape[:-2], *(1,) * (len(x.shape) - 2), *q.shape[-2:])
-        return qs @ x[s] - img @ qs
-
-    return residual
+def _pair_law(p, q, src, dst, name):
+    """psi X(..) - X'(phi .., ..) psi for X = name (rho, mu or D), phi = p and psi = q
+    (which may carry leading batch axes), over a block s of first basis indices:
+    the slice on X's slots (OPERATORS) of the homomorphism law of phi (+) psi
+    between the brackets src and dst of g (+) V (_blocks)."""
+    slots = OPERATORS[name][0]
+    residual = _homomorphism_residual({G: p, V: q}, src[slots], dst, slots)
+    return lambda s: _operator(name, residual(s))
 
 
 #: Most (unit, basis tuple) entries one law evaluation of pair_derivations
@@ -358,7 +367,7 @@ def pair_derivations(alg: LieYamagutiAlgebra, rep: Representation):
     Id + t D_V) satisfies the pair-homomorphism laws to first order in t:
     D_g is a derivation of both brackets, and D_V rho(x) - rho(x) D_V =
     rho(D_g x), likewise for mu (D follows from rho, mu and the bracket).
-    Those laws (algebra._homomorphism_residual, _intertwining_residual)
+    Those laws (algebra._homomorphism_residual, its slices _pair_law)
     run over Q[t] on the stacks of every (Id + t E, Id) and every (Id,
     Id + t E), E a unit matrix, a block of units at a time; their
     coefficients of t^1 are the columns of a linear system, whose kernel
@@ -373,15 +382,15 @@ def pair_derivations(alg: LieYamagutiAlgebra, rep: Representation):
     sizes = derivation_law_sizes(n, m)
     ident_g, ident_v = exact(np.identity(n, dtype=np.int64)), exact(np.identity(m, dtype=np.int64))
     step = max(1, DERIVATION_BLOCK // max(1, n**5, n * n * m * m))
+    blocks = _blocks(alg, rep, _derived(alg, rep))
 
     def first_order(p, q, units, moves_g):
         """The t^1 coefficients of the laws at the stacks (p, q), as a
         (units, equations) array."""
-        laws = [_intertwining_residual(p, q, rep.rho_arr, rep.rho_arr)(slice(None)),
-                _intertwining_residual(p, q, rep.mu_arr, rep.mu_arr)(slice(None))]
+        laws = [_pair_law(p, q, blocks, blocks, name)(slice(None)) for name in ("rho", "mu")]
         if moves_g:
-            laws[:0] = [_homomorphism_residual(p, alg.b_arr, alg, 2)(slice(None))[:, x, y],
-                        _homomorphism_residual(p, alg.t_arr, alg, 3)(slice(None))[:, x, y]]
+            laws[:0] = [_homomorphism_residual({G: p}, blocks[slots], blocks, slots)(slice(None))[:, x, y]
+                        for slots in ((G, G), (G, G, G))]
         else:
             laws[:0] = [exact(np.zeros((units, size), dtype=np.int64)) for size in sizes[:2]]
         return np.concatenate([coefficient(law, 1).reshape(units, size).T

@@ -43,6 +43,7 @@ coefficients of t^1 and t^2 (_compat_residual).
 from __future__ import annotations
 
 from .algebra import (
+    G,
     LieYamagutiAlgebra,
     _homomorphism_residual,
     _preservation_witness,
@@ -118,7 +119,7 @@ def _rb_residual(pair: LieYRepPair, tarr, arity):
     the homomorphism law (algebra._homomorphism_residual) of T from the
     induced bracket to g, for tarr the array of T or a stack of them.
     """
-    return _homomorphism_residual(tarr, _induced(pair, tarr, arity), pair.algebra, arity)
+    return _homomorphism_residual({G: tarr}, _induced(pair, tarr, arity), pair.algebra.brackets, (G,) * arity)
 
 
 def _rb_residuals(pair: LieYRepPair, tmap: Matrix, arities=(2, 3)):

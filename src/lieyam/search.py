@@ -37,7 +37,7 @@ from math import prod
 
 import numpy as np
 
-from .algebra import LieYamagutiAlgebra, _nijenhuis_residual
+from .algebra import G, LieYamagutiAlgebra, _nijenhuis_residual
 from .deform import _append_s_conditions
 from .errors import ConsequenceViolatedError
 from .linalg import Matrix, exact_array, solve
@@ -208,8 +208,9 @@ def search_rb_operators(pair: LieYRepPair, values=(-2, -1, 0, 1, 2), limit=None)
 
 def search_nijenhuis_operators(alg: LieYamagutiAlgebra, values=(-2, -1, 0, 1, 2), limit=None):
     """All maps g -> g over the value grid passing the Nijenhuis law."""
-    return _scan(alg.dim, alg.dim, values, lambda stack, arity: _nijenhuis_residual(alg, stack, arity),
-                 alg.dim, limit)
+    br = alg.brackets
+    return _scan(alg.dim, alg.dim, values,
+                 lambda stack, arity: _nijenhuis_residual(br, {G: stack}, (G,) * arity), alg.dim, limit)
 
 
 def search_rbn_triples(pair: LieYRepPair, values=(-2, -1, 0, 1, 2), limit=None):

@@ -4,7 +4,8 @@ from itertools import product
 import pytest
 
 from lieyam import LieYamagutiAlgebra, Matrix, deformed_algebra, deformed_brackets
-from lieyam.algebra import is_homomorphism, is_nijenhuis, nijenhuis_deformation_tensors
+from lieyam.algebra import (bracket_images, is_homomorphism, is_nijenhuis, nijenhuis_deformation_tensors,
+                            triple_images)
 from lieyam.errors import AntisymmetryError, DimMismatchError
 from lieyam.linalg import exact
 from lieyam.search import catalog_algebra
@@ -169,11 +170,12 @@ def test_bracket_multilinearity(a2, rng):
         x, x2, y = rand(3), rand(), rand()
         al, be = exact(Fraction(rng.randint(-3, 3), 2)), exact(Fraction(rng.randint(-3, 3)))
         mix = x * al + x2 * be
-        lhs = a2.bracket_images(mix, y)
-        rhs = a2.bracket_images(x, y) * al + a2.bracket_images(x2, y) * be
+        b, t = a2.b_arr, a2.t_arr
+        lhs = bracket_images(b, mix, y)
+        rhs = bracket_images(b, x, y) * al + bracket_images(b, x2, y) * be
         assert not (lhs - rhs != 0).any()
-        lhs3 = a2.triple_images(x, mix, y)
-        rhs3 = a2.triple_images(x, x, y) * al + a2.triple_images(x, x2, y) * be
+        lhs3 = triple_images(t, x, mix, y)
+        rhs3 = triple_images(t, x, x, y) * al + triple_images(t, x, x2, y) * be
         assert not (lhs3 - rhs3 != 0).any()
 
 

@@ -74,6 +74,9 @@ def test_parse_error_exit2(capsys, tmp_path):
     ("pair", {"algebra": {"dim": 2}, "special": "zero", "module_dim": MAX_DIM + 1}),
     ("pair", {"algebra": {"dim": 2}, "module_dim": 10**9, "rho": [], "mu": []}),
     ("pair", {"algebra": {"dim": 10**9}, "special": "adjoint"}),
+    # the adjoint and coadjoint modules are the algebra itself, or its dual
+    ("pair", {"algebra": {"dim": 2}, "special": "adjoint", "module_dim": 5}),
+    ("pair", {"algebra": {"dim": 2}, "special": "coadjoint", "module_dim": 0}),
 ])
 def test_bad_integer_field_exit2(capsys, tmp_path, kind, payload):
     path = tmp_path / "bad.json"
@@ -83,6 +86,19 @@ def test_bad_integer_field_exit2(capsys, tmp_path, kind, payload):
     assert out.out == ""
     assert len(out.err.strip().splitlines()) == 1 and "Traceback" not in out.err
     assert "must be" in out.err
+
+
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_out_exit2(capsys, tmp_path, where):
+    """An --out path that cannot be written, a directory or a file in a
+    missing directory, is an input error: exit 2, one line on stderr, no
+    report."""
+    path = tmp_path if where == "directory" else tmp_path / "missing" / "hits.json"
+    code, out = run_cli("search", "rbo", "--pair", fx("A2-adjoint.json"), "--values=-1,0,1",
+                        "--out", str(path), capsys=capsys)
+    _assert_contract(code, out)
+    assert code == 2 and out.out == ""
+    assert out.err.startswith(f"input error: cannot write {path}: ")
 
 
 def test_bad_operator_size_exit2(capsys, tmp_path):
@@ -779,9 +795,9 @@ def test_rbn_to_rmn_decides_the_nijenhuis_law_once(monkeypatch, capsys, tmp_path
     arities = []
     residual = algebra._nijenhuis_residual
 
-    def recorded(alg, na, arity):
-        arities.append(arity)
-        return residual(alg, na, arity)
+    def recorded(br, maps, slots):
+        arities.append(len(slots))
+        return residual(br, maps, slots)
 
     monkeypatch.setattr(algebra, "_nijenhuis_residual", recorded)
     code, out = run_cli("quadratic", "convert", "--algebra", str(tmp_path / "algebra.json"),

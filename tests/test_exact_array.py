@@ -513,17 +513,32 @@ def test_operator_laws_stay_written_once():
     assert found == []
 
 
-def test_representation_laws_stay_slices_of_the_axioms():
-    """reps.py contracts with einsum only in the derived operator D, der3's
-    residual, the intertwining law and the basis transport: rep1-rep5, der1
-    and der2 are slices of algebra.axiom_residual, so a hand-written copy of
-    one of them would be an einsum outside these functions."""
-    tree = ast.parse((Path(linalg.__file__).parent / "reps.py").read_text(encoding="utf-8"))
-    allowed = {"derived_D", "_der3_residual", "_intertwining_residual", "_transport"}
+def _einsums_outside(module, allowed):
+    """The einsum calls of a module of the package outside the functions
+    `allowed`, each of which must contract with einsum."""
+    tree = ast.parse((Path(linalg.__file__).parent / module).read_text(encoding="utf-8"))
     einsums = [(scope, call) for scope, call in _calls(tree) if _is_einsum(call)]
     assert {name for scope, _ in einsums for name in scope} >= allowed
-    found = [f"reps.py:{call.lineno} {scope}" for scope, call in einsums if not allowed & set(scope)]
-    assert found == []
+    return [f"{module}:{call.lineno} {scope}" for scope, call in einsums if not allowed & set(scope)]
+
+
+def test_representation_laws_stay_slices_of_the_axioms():
+    """reps.py contracts with einsum only in the derived operator D, der3's
+    residual and the basis transport: rep1-rep5, der1 and der2 are slices of
+    algebra.axiom_residual, and the pair-homomorphism laws slices of
+    algebra._homomorphism_residual, so a hand-written copy of one of them
+    would be an einsum outside these functions."""
+    assert _einsums_outside("reps.py", {"derived_D", "_der3_residual", "_transport"}) == []
+
+
+def test_nijenhuis_structure_laws_stay_slices_of_the_semidirect_law():
+    """deform.py contracts with einsum only in deformation_difference_report,
+    the second route written out on purpose: the conditions on S of a
+    Nijenhuis structure, the trivial deformation and the reshaped
+    representation are slices of algebra's typed Nijenhuis law and
+    deformation tensors of N (+) S, so a hand-written copy of one of them
+    would be an einsum outside that function."""
+    assert _einsums_outside("deform.py", {"deformation_difference_report"}) == []
 
 
 def test_law_modules_contract_through_linalg_einsum():

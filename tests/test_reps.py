@@ -21,7 +21,7 @@ from lieyam import (
 )
 from lieyam.deform import DeformationData, deformed_pair_structures
 from lieyam.errors import DimMismatchError, InternalConsistencyError, InvalidRepresentationError
-from lieyam.linalg import exact
+from lieyam.linalg import exact, polynomial
 from lieyam.reps import REP_LAWS, _blocks, _der3_residual, _derived, _semidirect, _slice_residual
 from lieyam.search import CATALOG, catalog_algebra
 from test_rep_golden import _perturbed
@@ -335,3 +335,132 @@ def test_representation_laws_are_slices_of_the_axioms():
     assert all(len(hits) >= 25 for law, hits in nonzero.items() if law != "der1"), nonzero
     assert len(nonzero["der1"]) >= 5 and set(nonzero["der1"]) <= {"a2+ad", "a2+coad"}, nonzero["der1"]
     assert all("a2 t-family" in nonzero[law] for law in REP_LAWS if law != "der1")
+
+
+# -- the laws of a map pair as slices of one law on g (+) V --------------------
+# The hand formulas these laws had before they were read off the typed
+# homomorphism law and deformation tensors of algebra, kept here as the oracle.
+
+
+def _reference_hat_linear(smap, x_n, x):
+    """x_n + X S - S X: hat-rho(x) for x_n = rho(Nx), X = rho(x); X1 for a bilinear X."""
+    return x_n + x @ smap - smap @ x
+
+
+def _reference_hat_bilinear(smap, x_n, x, x_nn):
+    """(X1, hat-X) of a bilinear X from x_n = X(Nx,y) + X(x,Ny), x = X(x,y), x_nn = X(Nx,Ny)."""
+    x1 = _reference_hat_linear(smap, x_n, x)
+    return x1, x_n @ smap + x_nn - smap @ x1
+
+
+def _reference_rho_parts(rho, narr):
+    return np.einsum("ax,aij->xij", narr, rho), rho
+
+
+def _reference_bilinear_parts(x, narr):
+    x_nx = np.einsum("ax,ayij->xyij", narr, x)
+    return x_nx + np.einsum("ay,xaij->xyij", narr, x), x, np.einsum("ay,xaij->xyij", narr, x_nx)
+
+
+def _reference_intertwining_residual(p, q, x, x_dst):
+    """psi X(..) - X'(phi .., ..) psi over all basis tuples, for phi = p and psi = q
+    (with the same leading batch axes, or none)."""
+    if len(x.shape) == 3:
+        img = np.einsum("...ai,axy->...ixy", p, x_dst)
+    else:
+        img = np.einsum("...bj,...ibxy->...ijxy", p, np.einsum("...ai,abxy->...ibxy", p, x_dst))
+    qs = q.reshape(*q.shape[:-2], *(1,) * (len(x.shape) - 2), *q.shape[-2:])
+    return qs @ x - img @ qs
+
+
+def _reference_tables(pair, narr, sarr):
+    """{X: (X, its reshaped tables)} of the reference formulas, for rho, mu and D."""
+    hat = {"rho": [_reference_hat_linear(sarr, *_reference_rho_parts(pair.rep.rho_arr, narr))]}
+    for name, x in (("mu", pair.rep.mu_arr), ("D", pair.d)):
+        hat[name] = list(_reference_hat_bilinear(sarr, *_reference_bilinear_parts(x, narr)))
+    return {"rho": (pair.rep.rho_arr, hat["rho"]), "mu": (pair.rep.mu_arr, hat["mu"]), "D": (pair.d, hat["D"])}
+
+
+def _same(got, want):
+    return got.shape == want.shape and not (got != want).any()
+
+
+def _oracle_pairs():
+    """(name, pair) over the catalog algebras, each with its adjoint and coadjoint."""
+    return [(f"{name}/{which.__name__}", LieYRepPair(alg, which(alg)))
+            for name in CATALOG for alg in (catalog_algebra(name),) for which in (adjoint_rep, coadjoint_rep)]
+
+
+def _reference_of(pair, law):
+    """The operator table X (rho, mu or D) of a pair."""
+    return {"rho": pair.rep.rho_arr, "mu": pair.rep.mu_arr, "D": pair.d}[law]
+
+
+def test_pair_laws_are_slices_of_the_semidirect_law():
+    """The conditions on S of a Nijenhuis structure, the reshaped tables
+    (hat-rho, varpi1, hat-mu, D1, hat-D) and the pair-homomorphism laws of
+    rho, mu and D, as lieyam reads them off the typed Nijenhuis law,
+    deformation tensors and homomorphism law on g (+) V, equal the hand
+    formulas they replaced on every catalog adjoint and coadjoint pair, in
+    value, shape and axis order: for Nijenhuis N with S = N and a seeded
+    random S, for identities and basis changes (which pass) and random maps
+    (which mostly fail), for a stack of maps, and for (Id + tN, Id + tS)
+    between two Q[t] families, as equivalence_witness builds them."""
+    from lieyam.algebra import G, V, _nijenhuis_residual
+    from lieyam.deform import NijenhuisStructure, _family_pair, _reshaped, trivial_deformation_from
+    from lieyam.reps import OPERATORS, _operator, _pair_law, change_basis, change_rep_basis
+    from lieyam.search import search_nijenhuis_operators
+
+    rng = random.Random(33)
+
+    def draw(n, invertible=False):
+        while True:
+            m = Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+            if not invertible or m.rank() == n:
+                return m
+
+    structures, failing, homs, passing = 0, 0, 0, 0
+    for name, pair in _oracle_pairs():
+        n, br = pair.dim_g, pair.brackets
+        for nmap in search_nijenhuis_operators(pair.algebra, values=(-1, 0, 1), limit=4):
+            for smap in (nmap, draw(n)):
+                maps = {G: nmap.arr, V: smap.arr}
+                reference = _reference_tables(pair, nmap.arr, smap.arr)
+                holds = True
+                for law, (x, hat) in reference.items():
+                    got = -_operator(law, _nijenhuis_residual(br, maps, OPERATORS[law][0])(slice(None)))
+                    want = -_reference_intertwining_residual(nmap.arr, smap.arr, hat[-1], x)
+                    assert _same(got, want), (name, law)
+                    assert all(_same(g, w) for g, w in zip(_reshaped(br, maps, law), hat, strict=True)), (name, law)
+                    holds = holds and not (want != 0).any()
+                structures, failing = structures + 1, failing + (not holds)
+        p, q = draw(n, invertible=True), draw(n, invertible=True)
+        moved = LieYRepPair(change_basis(pair.algebra, p), change_rep_basis(pair.rep, p, q))
+        moves = [(Matrix.identity(n), Matrix.identity(n), pair), (p, q, moved), (draw(n), draw(n), pair)]
+        for phi, psi, src in moves:
+            for law in OPERATORS:
+                want = _reference_intertwining_residual(phi.arr, psi.arr, _reference_of(src, law),
+                                                        _reference_of(pair, law))
+                assert _same(_pair_law(phi.arr, psi.arr, src.brackets, br, law)(slice(None)), want), (name, law)
+            homs, passing = homs + 1, passing + is_pair_homomorphism(phi, psi, src, pair)
+        stack = [np.stack([m.arr for m in maps]) for maps in zip(*[move[:2] for move in moves])]
+        for law in OPERATORS:
+            x = _reference_of(pair, law)
+            assert _same(_pair_law(*stack, br, br, law)(slice(None)),
+                         _reference_intertwining_residual(*stack, x, x)), (name, law)
+    assert structures > 100 and structures // 3 < failing < structures, (structures, failing)
+    assert 2 * len(_oracle_pairs()) <= passing < homs, (homs, passing)
+
+    # one Q[t] family: (Id + tN, Id + tN) between the trivial deformation of
+    # the Nijenhuis structure (N, N) on a2's adjoint and the undeformed pair,
+    # which it maps onto that pair but not back
+    a2 = dict(_oracle_pairs())["a2/adjoint_rep"]
+    nmap = next(x for x in search_nijenhuis_operators(a2.algebra, values=(-1, 0, 1)) if not x.is_zero())
+    family = _family_pair(a2, trivial_deformation_from(a2, NijenhuisStructure(a2, nmap, nmap)))
+    phi = (Matrix.identity(2) + Matrix.from_array(polynomial([0, nmap.arr]))).arr
+    assert family.rep.mu_arr.poly and phi.poly
+    for law in OPERATORS:
+        for src, dst in ((family, a2), (a2, family)):
+            want = _reference_intertwining_residual(phi, phi, _reference_of(src, law), _reference_of(dst, law))
+            assert _same(_pair_law(phi, phi, src.brackets, dst.brackets, law)(slice(None)), want), law
+            assert (want != 0).any() == (src is a2), law

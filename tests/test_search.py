@@ -7,7 +7,7 @@ import pytest
 
 from lieyam import LieYRepPair, Matrix, Representation, adjoint_rep, coadjoint_rep
 from lieyam import search
-from lieyam.algebra import is_nijenhuis
+from lieyam.algebra import G, is_nijenhuis
 from lieyam.errors import ConsequenceViolatedError
 from lieyam.jsonio import algebra_from_dict, parse_scalar
 from lieyam.quadratic import QuadraticForm
@@ -273,11 +273,12 @@ def _recording_laws(monkeypatch):
     the scans make."""
     seen = []
 
-    def recording(law):
-        return lambda obj, stack, arity: seen.append((arity, len(stack))) or law(obj, stack, arity)
+    def recording(law, arity_and_stack):
+        return lambda *args: seen.append(arity_and_stack(*args)) or law(*args)
 
-    for name in ("_rb_residual", "_nijenhuis_residual"):
-        monkeypatch.setattr(search, name, recording(getattr(search, name)))
+    for name, arity_and_stack in (("_rb_residual", lambda pair, stack, arity: (arity, len(stack))),
+                                  ("_nijenhuis_residual", lambda br, maps, slots: (len(slots), len(maps[G])))):
+        monkeypatch.setattr(search, name, recording(getattr(search, name), arity_and_stack))
     return seen
 
 
