@@ -27,7 +27,8 @@ law, takes its map as an array that may carry leading batch axes (the
 stack of maps (a grid search's candidates, report.vanishing) is evaluated alike.
 It and the deformation tensors are typed like the axioms, over the brackets
 by input types and one map per type: {G: N} on g, or {G: N, V: S} on g (+) V,
-whose slices are the laws of a map pair (reps._pair_law, deform).
+whose slices are the laws of a map pair (reps._pair_law, deform).  A map None
+is the identity, its slot left uncontracted (bracket_images, triple_images).
 """
 
 from __future__ import annotations
@@ -158,15 +159,17 @@ def axiom_residual(name, br, slots):
 
 def bracket_images(table, a, b):
     """[a e_u, b e_v] for every column u of a and every v, as a (..., u, v, k) array, for
-    `table` the bracket's constants and the maps as in _homomorphism_residual."""
-    return einsum("...bv,...ubk->...uvk", b, einsum("...au,abk->...ubk", a, table))
+    `table` the bracket's constants and the maps as in _homomorphism_residual, or None."""
+    x = table if a is None else einsum("...au,abk->...ubk", a, table)
+    return x if b is None else einsum("...bv,...ubk->...uvk", b, x)
 
 
 def triple_images(table, a, b, c):
     """<<a e_u, b e_v, c e_w>> for every column u of a and every (v, w), as a
-    (..., u, v, w, l) array, for `table` as in bracket_images."""
-    x = einsum("...bv,...ubcl->...uvcl", b, einsum("...au,abcl->...ubcl", a, table))
-    return einsum("...cw,...uvcl->...uvwl", c, x)
+    (..., u, v, w, l) array, for `table` and the maps as in bracket_images."""
+    x = table if a is None else einsum("...au,abcl->...ubcl", a, table)
+    x = x if b is None else einsum("...bv,...ubcl->...uvcl", b, x)
+    return x if c is None else einsum("...cw,...uvcl->...uvwl", c, x)
 
 
 def _homomorphism_residual(maps, src, dst, slots):

@@ -22,10 +22,9 @@ of homomorphisms) are verified on demand, and a violation on validated
 premises raises ConsequenceViolatedError rather than being repaired.
 
 The induced brackets [u,v]^T = rho(Tu)v - rho(Tv)u and <<u,v,w>>^T =
-D(Tu,Tv)w + mu(Tv,Tw)u - mu(Tu,Tw)v are written once, in _induced_brackets,
-as exact arrays over all basis tuples of V, for any operator tables in
-place of (rho, mu, D): the strong condition is the ternary bracket induced
-through (mu S, D S).  Each law has one function
+D(Tu,Tv)w + mu(Tv,Tw)u - mu(Tu,Tw)v are the V parts of g (+) V's brackets on
+the graph {Tu + u} of T, read off the pair's brackets in one place
+(_graph_terms; the strong condition puts S on the V slot).  Each law has one function
 that returns its first violating tuple with the exact residual, or None
 (a residual array over a block of first basis indices, scanned by
 report.first_violation); the bool predicates, the reports, the validated
@@ -44,14 +43,17 @@ from __future__ import annotations
 
 from .algebra import (
     G,
+    V,
     LieYamagutiAlgebra,
     _homomorphism_residual,
     _preservation_witness,
+    bracket_images,
     deformed_brackets,
     homomorphism_witness,
     is_homomorphism,
     is_nijenhuis,
     nijenhuis_witness,
+    triple_images,
 )
 from .deform import NijenhuisStructure, _hat_pair, _structure_maps, nijenhuis_structure_report
 from .errors import (
@@ -66,35 +68,25 @@ from .reps import LieYRepPair
 from .report import VerificationReport, first_violation
 
 
-def _images(x, tarr):
-    """X(Tu, Tv) over (..., u, v) for a bilinear X: g x g -> gl(V) given as x[i, j]."""
-    return einsum("...bv,...ubxy->...uvxy", tarr, einsum("...au,abxy->...ubxy", tarr, x))
-
-
-def _induced_brackets(rho, mu, d, tarr, arity):
-    """The bracket a map T: V -> g induces on V, as an array over all basis tuples of V.
-
-    [u,v]^T     = rho(Tu)v - rho(Tv)u                   arity 2, indexed [..., u, v, l]
-    <<u,v,w>>^T = D(Tu,Tv)w + mu(Tv,Tw)u - mu(Tu,Tw)v   arity 3, indexed [..., u, v, w, l]
-
-    rho, mu and d are the operator tables rho[x], mu[x, y] and D[x, y] (arity 2
-    reads only rho, arity 3 only mu and d), and tarr is the array of T, or a
-    stack of them with leading batch axes.  This is the one place of the
-    formula: the Rota-Baxter identities (hence compatibility), the
-    sub-adjacent and hat-deformed brackets, the twist conditions and the
-    strong condition all evaluate it here.
-    """
+def _graph_terms(pair: LieYRepPair, tarr, arity, sarr=None):
+    """[Tu, Sv] over [..., u, v, l] (arity 2), or <<Tu, Sv, Tw>> and <<Tu, Tv, Sw>> over
+    [..., u, v, w, l] (arity 3): the terms of g (+) V's bracket on the graph of T that are
+    contracted, read off the pair's brackets (reps._blocks).  tarr is the array of T or a
+    stack of them; sarr None, the identity, leaves the V slot uncontracted."""
+    br = pair.brackets
     if arity == 2:
-        rho_t = einsum("...au,axy->...uxy", tarr, rho)         # rho(Tu)
-        return einsum("...uxv->...uvx", rho_t) - einsum("...vxu->...uvx", rho_t)
-    d_t, mu_t = _images(d, tarr), _images(mu, tarr)
-    return (einsum("...uvxw->...uvwx", d_t) + einsum("...vwxu->...uvwx", mu_t)
-            - einsum("...uwxv->...uvwx", mu_t))
+        return (bracket_images(br[G, V], tarr, sarr),)
+    return triple_images(br[G, V, G], tarr, sarr, tarr), triple_images(br[G, G, V], tarr, tarr, sarr)
 
 
-def _induced(pair: LieYRepPair, tarr, arity):
-    """_induced_brackets with the operators of the pair's representation."""
-    return _induced_brackets(pair.rep.rho_arr, pair.rep.mu_arr, pair.d, tarr, arity)
+def _induced(pair: LieYRepPair, tarr, arity, sarr=None):
+    """[u,v]^T = [Tu,v] + [u,Tv] or <<u,v,w>>^T = <<Tu,Tv,w>> + <<Tu,v,Tw>> + <<u,Tv,Tw>>, the
+    V part of the graph bracket (_graph_terms); a term whose first input is in V is minus its swap."""
+    if arity == 2:
+        (rho_t,) = _graph_terms(pair, tarr, 2, sarr)
+        return rho_t - einsum("...vul->...uvl", rho_t)
+    mu_t, d_t = _graph_terms(pair, tarr, 3, sarr)
+    return d_t + mu_t - einsum("...vuwl->...uvwl", mu_t)
 
 
 def _induced_algebra(pair: LieYRepPair, tmap: Matrix) -> LieYamagutiAlgebra:
@@ -185,13 +177,13 @@ def pre_ly_products(top: RelativeRBOperator):
     derived-operator part of <<u,v,w>>^T expands through star/brace.
     """
     pair, tarr = top.pair, top.tmap.arr
-    star = einsum("au,axv->uvx", tarr, pair.rep.rho_arr)             # [u, v, l]
-    brace = einsum("vwxu->uvwx", _images(pair.rep.mu_arr, tarr))     # [u, v, w, l]
+    (star,) = _graph_terms(pair, tarr, 2)                            # [Tu, v], [u, v, l]
+    mu_t, want = _graph_terms(pair, tarr, 3)                         # <<Tu, v, Tw>>, D(Tu,Tv)w
+    brace = -mu_t.transpose(1, 0, 2, 3)                              # [u, v, w, l]
     sub = subadjacent(top)
     if (sub.b_arr - star + star.transpose(1, 0, 2) != 0).any():
         raise ConsequenceViolatedError("commutator of * does not match the sub-adjacent bracket")
     # D(Tu,Tv)w = {w,v,u} - {w,u,v} + u*(v*w) - v*(u*w) - ([u,v]^T)*w
-    want = einsum("uvxw->uvwx", _images(pair.d, tarr))
     got = (einsum("wvux->uvwx", brace) - einsum("wuvx->uvwx", brace)
            + einsum("vwc,ucx->uvwx", star, star) - einsum("uwc,vcx->uvwx", star, star)
            - einsum("uvc,cwx->uvwx", sub.b_arr, star))
@@ -393,11 +385,12 @@ def compatibility_witness(pair: LieYRepPair, t1: Matrix, t2: Matrix):
     closed verdict "compatible" with any failing sample is a hard error
     (the samples are necessary conditions).
     """
-    for t in (t1, t2):
-        if _rb_residuals(pair, t) is not None:
+    for name, t in (("T1", t1), ("T2", t2)):
+        wit = _rb_residuals(pair, t)
+        if wit is not None:
             raise PreconditionFailedError(
-                "compatibility is defined for validated Rota-Baxter operators",
-                which="relative-rb",
+                f"{name} fails the {wit['identity']} Rota-Baxter identity at {wit['tuple']}",
+                which="relative-rb", witness=wit,
             )
     wit = _compat_residual(pair, t1, t2)
     samples_ok = all(
@@ -419,13 +412,12 @@ def is_compatible_pair(pair: LieYRepPair, t1: Matrix, t2: Matrix) -> bool:
 def strong_witness(pair: LieYRepPair, top: RelativeRBOperator, smap: Matrix):
     """First tuple violating D(Tu,Tv)(Sw) + mu(Tv,Tw)(Su) - mu(Tu,Tw)(Sv) = S(<<u,v,w>>^T), or None.
 
-    The left side is the ternary bracket T induces through mu S and D S.
+    The left side is the ternary bracket T induces with S on its V slot.
     """
     if top.pair is not pair:
         raise DimMismatchError("operator belongs to another pair")
     sarr = smap.expect(pair.dim_v, pair.dim_v, "S must act on the module").arr
-    diff = (_induced_brackets(None, pair.rep.mu_arr @ sarr, pair.d @ sarr, top.tmap.arr, 3)
-            - subadjacent(top).t_arr @ sarr.T)
+    diff = _induced(pair, top.tmap.arr, 3, sarr) - subadjacent(top).t_arr @ sarr.T
     return first_violation(diff.__getitem__, (pair.dim_v,) * 3)
 
 

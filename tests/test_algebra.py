@@ -1,13 +1,15 @@
 from fractions import Fraction
 from itertools import product
+from math import prod
 
+import numpy as np
 import pytest
 
 from lieyam import LieYamagutiAlgebra, Matrix, deformed_algebra, deformed_brackets
 from lieyam.algebra import (bracket_images, is_homomorphism, is_nijenhuis, nijenhuis_deformation_tensors,
                             triple_images)
 from lieyam.errors import AntisymmetryError, DimMismatchError
-from lieyam.linalg import exact
+from lieyam.linalg import exact, polynomial
 from lieyam.search import catalog_algebra
 
 
@@ -177,6 +179,30 @@ def test_bracket_multilinearity(a2, rng):
         lhs3 = triple_images(t, x, mix, y)
         rhs3 = triple_images(t, x, x, y) * al + triple_images(t, x, x2, y) * be
         assert not (lhs3 - rhs3 != 0).any()
+
+
+@pytest.mark.parametrize("over", ["Q", "Q[t]"])
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_a_none_map_is_the_identity(rng, batch, over):
+    """A map None in any slots of bracket_images or triple_images gives what
+    the identity matrix there gives, in value, shape and axis order; the
+    other maps are unbatched or stacked, over Q or over Q[t]."""
+    def rand(*shape):
+        entries = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(prod(shape))]
+        return exact(np.array(entries, dtype=object).reshape(shape))
+
+    def rand_map(rows):
+        m = rand(*batch, rows, 2)
+        return m if over == "Q" else polynomial([m, rand(*batch, rows, 2)])
+
+    for images, table in ((bracket_images, rand(2, 3, 5)), (triple_images, rand(2, 3, 4, 5))):
+        dims = table.shape[:-1]
+        maps = [rand_map(d) for d in dims]
+        for none in product((False, True), repeat=len(dims)):
+            got = images(table, *(None if k else m for k, m in zip(none, maps)))
+            want = images(table, *(exact(np.identity(d, dtype=np.int64)) if k else m
+                                   for k, d, m in zip(none, dims, maps)))
+            assert got.shape == want.shape and not (got != want).any(), (images.__name__, none)
 
 
 def test_antisymmetrized_from_lie(sl2):

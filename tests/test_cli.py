@@ -302,6 +302,18 @@ def test_verify_commands(capsys):
                    "--T2", fx("T-a1.json"), capsys=capsys)[0] == 0
 
 
+@pytest.mark.parametrize("option", ["--T1", "--T2"])
+def test_verify_compatible_names_the_operator_that_is_not_rota_baxter(option, tmp_path, capsys):
+    """An operator of verify-compatible that fails a Rota-Baxter identity is
+    an input error (exit 2) naming that operator and its first violating tuple."""
+    dump_json(operator_to_dict(Matrix([[1, 0], [0, 1]])), tmp_path / "Id.json")
+    operators = {"--T1": fx("T-a1.json"), "--T2": fx("T-a1.json"), option: str(tmp_path / "Id.json")}
+    code, out = run_cli("verify-compatible", "--pair", fx("A2-adjoint.json"),
+                        *(x for item in operators.items() for x in item), capsys=capsys)
+    assert code == 2 and out.out == ""
+    assert out.err == f"error: {option[2:]} fails the binary Rota-Baxter identity at (0, 1)\n"
+
+
 def test_deform_command(tmp_path, capsys):
     """The --out certificate is the printed report, its seed and runtime included."""
     out_path = tmp_path / "deformation.json"

@@ -488,29 +488,27 @@ def _is_einsum(call):
 def test_operator_laws_stay_written_once():
     """The brackets of images (bracket_images, triple_images) are called only
     by algebra._homomorphism_residual, the law behind the homomorphism,
-    Nijenhuis, Rota-Baxter and compatibility identities.  The induced
-    brackets' einsums (the subscripts of rotabaxter._induced_brackets, and
-    _images, the X(Tu, Tv) they read) run only in _induced_brackets, and
-    _images besides in pre_ly_products, whose products are asserted
-    against the induced brackets."""
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(Path(linalg.__file__).parent.glob("*.py"))}
-    induced = next(node for node in ast.walk(trees["rotabaxter.py"])
-                   if isinstance(node, ast.FunctionDef) and node.name == "_induced_brackets")
-    subscripts = {call.args[0].value for _, call in _calls(induced) if _is_einsum(call)}
-    assert len(subscripts) == 6
-    allowed = {"bracket_images": {"_homomorphism_residual"}, "triple_images": {"_homomorphism_residual"},
-               "_images": {"_induced_brackets", "pre_ly_products"}}
+    Nijenhuis, Rota-Baxter and compatibility identities, and by
+    rotabaxter._graph_terms, the brackets of g (+) V on the graph of a map
+    T: V -> g that every induced bracket reads.  rotabaxter.py contracts with
+    einsum only in _induced, whose einsums are the antisymmetry swaps (one
+    operand, its axes permuted), and in pre_ly_products, whose star/brace
+    expansion is the second route kept on purpose: a hand-written copy of an
+    induced bracket would be an einsum elsewhere."""
     found = []
-    for name, tree in trees.items():
-        for scope, call in _calls(tree):
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        for scope, call in _calls(ast.parse(path.read_text(encoding="utf-8"))):
             func = getattr(call.func, "attr", None) or getattr(call.func, "id", None)
-            where = allowed.get(func)
-            if func == "einsum" and isinstance(call.args[0], ast.Constant) and call.args[0].value in subscripts:
-                where = {"_induced_brackets"}
-            if where is not None and not where & set(scope):
-                found.append(f"{name}:{call.lineno} {func}")
+            if (func in ("bracket_images", "triple_images")
+                    and not {"_homomorphism_residual", "_graph_terms"} & set(scope)):
+                found.append(f"{path.name}:{call.lineno} {func}")
     assert found == []
+    assert _einsums_outside("rotabaxter.py", {"_induced", "pre_ly_products"}) == []
+    tree = ast.parse((Path(linalg.__file__).parent / "rotabaxter.py").read_text(encoding="utf-8"))
+    swaps = [call for scope, call in _calls(tree) if _is_einsum(call) and "_induced" in scope]
+    for call in swaps:
+        inputs, output = call.args[0].value.split("->")
+        assert len(call.args) == 2 and sorted(inputs) == sorted(output) and inputs != output
 
 
 def _einsums_outside(module, allowed):

@@ -1,14 +1,18 @@
 import itertools
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lieyam import LieYamagutiAlgebra, LieYRepPair, Matrix, Representation
-from lieyam.algebra import is_nijenhuis
+from lieyam.algebra import bracket_images, is_nijenhuis, triple_images
 from lieyam.deform import NijenhuisStructure
 from lieyam.errors import ConsequenceViolatedError, PreconditionFailedError
+from lieyam.linalg import einsum, exact, polynomial
 from lieyam.report import VerificationReport
 from lieyam.rotabaxter import (
+    _induced,
     RBNTriple,
     RelativeRBOperator,
     hat_deformed_brackets,
@@ -27,7 +31,7 @@ from lieyam.rotabaxter import (
     subadjacent,
 )
 from lieyam.reps import adjoint_rep, coadjoint_rep
-from lieyam.search import catalog_algebra, search_rb_operators, search_rbn_triples
+from lieyam.search import CATALOG, catalog_algebra, search_rb_operators, search_rbn_triples
 
 T1 = Matrix([[0, 1], [0, 0]])
 NMAT = Matrix([[0, 2], [0, 0]])
@@ -124,8 +128,11 @@ def test_compatibility(a2_adjoint):
     t_a = Matrix([[1, 2], [3, 4]])
     t_b = Matrix([[0, 1], [1, 0]])
     assert is_compatible_pair(Pab, t_a, t_b)
-    with pytest.raises(PreconditionFailedError):
-        is_compatible_pair(P, Matrix.identity(2), T1)
+    for args, name in (((Matrix.identity(2), T1), "T1"), ((T1, Matrix.identity(2)), "T2")):
+        with pytest.raises(PreconditionFailedError) as err:
+            is_compatible_pair(P, *args)
+        assert str(err.value) == f"{name} fails the binary Rota-Baxter identity at (0, 1)"
+        assert err.value.witness["tuple"] == (0, 1) and err.value.which == "relative-rb"
 
 
 @pytest.mark.parametrize("name", ["a2", "a2lts", "sl2", "so3", "heis3"])
@@ -307,3 +314,85 @@ def test_rbn_consequences_reuse_the_triples_subadjacent(a2_adjoint):
     assert triple.subadjacent.b_arr.tolist() == sub.b_arr.tolist()
     assert triple.subadjacent.t_arr.tolist() == sub.t_arr.tolist()
     assert rbn_consequences(triple).passed
+
+
+# -- the induced brackets against the hand formulas they replace ---------------
+
+def _reference_images(x, tarr):
+    """X(Tu, Tv) over (..., u, v) for a bilinear X: g x g -> gl(V) given as x[i, j]."""
+    return einsum("...bv,...ubxy->...uvxy", tarr, einsum("...au,abxy->...ubxy", tarr, x))
+
+
+def _reference_induced_brackets(rho, mu, d, tarr, arity):
+    """[u,v]^T = rho(Tu)v - rho(Tv)u and <<u,v,w>>^T = D(Tu,Tv)w + mu(Tv,Tw)u - mu(Tu,Tw)v,
+    indexed [..., u, v, l] and [..., u, v, w, l], written out from the operator tables."""
+    if arity == 2:
+        rho_t = einsum("...au,axy->...uxy", tarr, rho)
+        return einsum("...uxv->...uvx", rho_t) - einsum("...vxu->...uvx", rho_t)
+    d_t, mu_t = _reference_images(d, tarr), _reference_images(mu, tarr)
+    return (einsum("...uvxw->...uvwx", d_t) + einsum("...vwxu->...uvwx", mu_t)
+            - einsum("...uwxv->...uvwx", mu_t))
+
+
+def _graph_part(pair, tarr, sarr, arity):
+    """The V part of the bracket of the dense semidirect product on the graph
+    map [T; S]: V -> g (+) V, T possibly a stack or over Q[t]."""
+    t = np.asarray(tarr)
+    s = np.broadcast_to(np.asarray(sarr), (*t.shape[:-2], pair.dim_v, pair.dim_v))
+    graph = exact(np.concatenate([t, s], axis=-2))
+    sd = pair.semidirect()
+    if arity == 2:
+        return bracket_images(sd.b_arr, graph, graph)[..., pair.dim_g:]
+    return triple_images(sd.t_arr, graph, graph, graph)[..., pair.dim_g:]
+
+
+def _assert_same(got, want):
+    assert got.shape == want.shape and not (got != want).any()
+
+
+def _assert_graph_brackets(pair, tarr, sarr=None):
+    """The induced brackets of T, with S on the V slot, equal the reference
+    formulas and the graph brackets of the semidirect product."""
+    rho, mu, d = pair.rep.rho_arr, pair.rep.mu_arr, pair.d
+    if sarr is None:
+        for arity in (2, 3):
+            got = _induced(pair, tarr, arity)
+            _assert_same(got, _reference_induced_brackets(rho, mu, d, tarr, arity))
+            _assert_same(got, _graph_part(pair, tarr, np.identity(pair.dim_v, dtype=np.int64), arity))
+        return
+    got = _induced(pair, tarr, 3, sarr)
+    _assert_same(got, _reference_induced_brackets(None, mu @ sarr, d @ sarr, tarr, 3))
+    _assert_same(got, _graph_part(pair, tarr, sarr, 3))
+
+
+def test_induced_brackets_are_graph_brackets_of_the_semidirect_product():
+    """On the 18 catalog adjoint and coadjoint pairs, the brackets T induces on
+    V (_induced) equal the hand formulas they replace and the V part of the
+    semidirect product's brackets on the graph of T: for stacks of grid
+    operators, Rota-Baxter and not; for the pencil T1 + t T2 over Q[t]; and,
+    for the strong condition, with a seeded S != Id on the V slot.  The
+    pre-Lie-Yamaguti products of a Rota-Baxter operator equal theirs too."""
+    rng = random.Random(20250810)
+    verdicts = set()
+    for name in CATALOG:
+        alg = catalog_algebra(name)
+        for rep in (adjoint_rep(alg), coadjoint_rep(alg)):
+            P = LieYRepPair(alg, rep)
+            n, m = P.dim_g, P.dim_v
+            hits = search_rb_operators(P, (-1, 0, 1), limit=3)
+            grid = [Matrix([[rng.choice((-1, 0, 1)) for _ in range(m)] for _ in range(n)]) for _ in range(3)]
+            stack = np.stack([t.arr for t in hits + grid])
+            verdicts |= {is_relative_rb(P, t) for t in hits + grid}
+            _assert_graph_brackets(P, stack)
+            t1, t2 = hits[-1], grid[0]
+            assert not t2.is_zero()
+            _assert_graph_brackets(P, t1.arr)
+            _assert_graph_brackets(P, polynomial([t1.arr, t2.arr]))
+            s = Matrix([[rng.choice((-1, 0, 1, 2)) for _ in range(m)] for _ in range(m)])
+            assert s != Matrix.identity(m)
+            _assert_graph_brackets(P, t1.arr, s.arr)
+            _assert_graph_brackets(P, stack, s.arr)
+            star, brace = pre_ly_products(RelativeRBOperator(P, t1))
+            _assert_same(star, einsum("au,axv->uvx", t1.arr, rep.rho_arr))
+            _assert_same(brace, einsum("vwxu->uvwx", _reference_images(rep.mu_arr, t1.arr)))
+    assert verdicts == {True, False}
